@@ -4,22 +4,35 @@ The transfer matrix of a lossless reciprocal cell has eigenvalues in
 reciprocal pairs (lambda, 1/lambda), so its characteristic quartic is
 palindromic and reduces through y = lambda + 1/lambda to a quadratic
 
-    y^2 + c1 y + (c2 - 2) = 0,      c1 = -tr(T),  c2 = sum of 2x2 minors.
+    y^2 - su y + pr = 0,
+    su = 2 cos kL + 2 cosh kL + (sigma/2)(sinh kL - sin kL),
+    pr = 4 cos kL cosh kL + sigma (cos kL sinh kL - sin kL cosh kL).
 
-One y-root continues from 2 cos(kL) at zero coupling (the flexural pair),
-the other from 2 cosh(kL) (the evanescent pair); the pairs are told apart by
-a homotopy in the coupling strength at fixed frequency.  The flexural Bloch
+Its roots are taken from this closed form, stably: the root without
+cancellation from the quadratic formula, the other one as pr / root.  One
+y-root continues from 2 cos(kL) at zero coupling (the flexural pair), the
+other from 2 cosh(kL) (the evanescent pair); the pairs are told apart by a
+homotopy in the coupling strength at fixed frequency.  The flexural Bloch
 factor with |lambda| <= 1 gives the transmission T = |lambda| per cell and
 the effective wavevector k_ef = ln(lambda)/(iL).  Wave direction is fixed by
 a limiting-absorption rule: under omega -> omega (1 + i*1e-6) the modulus of
 the transmitted eigenvalue decreases.
+
+Every entry point evaluates the pipeline through one array kernel,
+``_bloch_arrays``, over an array of frequencies; ``bloch_point`` is that
+kernel on a one-element array.  numpy's elementwise functions give the same
+bits for an element whatever the batch holding it, and the batched LAPACK
+calls work matrix by matrix, so a point's outputs do not depend on the
+batch it was evaluated in.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,16 +41,24 @@ from .cell import (
     UnitCellGeometry,
     cell_matrices,
     clamped_sigma,
-    forcing_strength,
+    forcing_arrays,
+    transfer_arrays,
+    translation_phases,
 )
-from .trench import flexural_wavevector
+from .trench import flexural_wavevectors
 
 TOL_BAND = 1e-6  # in_stopband when 1 - |lambda_flex| exceeds this
 EDGE_REFINE_HZ = 1e3  # band edges bisected down to this resolution
 DEGENERACY_PERTURB_HZ = 10.0  # frequency nudge at band-edge degeneracies
 MARKER_MIN_REAL = 0.98  # smallest in-band max(Re Gamma) that counts as a marker
 _ABSORPTION_EPS = 1e-6
+# k and kL scale as sqrt(omega) under omega -> omega (1 + i eps)
+_ABSORPTION_K = cmath.sqrt(1 + 1j * _ABSORPTION_EPS)
 _HOMOTOPY_STEPS = 64
+_HOMOTOPY_MAX_DEPTH = 40  # bisection levels of an ambiguous homotopy step
+# frequencies per kernel block: bounds the temporaries, the (frequency x
+# homotopy step) grid above all, to about a MB whatever the sweep length
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -101,165 +122,405 @@ class ChainProfile:
     eigen_slope: float  # ln|lambda_flex| at the same frequency
     reflection: complex  # entry reflection of the finite chain
     transmission: complex  # propagating amplitude past the last cell
+    # ln|propagating amplitude| at boundaries 0..n, accumulated cell by cell,
+    # so it stays finite where the magnitudes underflow to 0
+    log_magnitudes: np.ndarray
 
 
-def _char_sums(T: np.ndarray) -> tuple[complex, complex]:
-    c1 = -np.trace(T)
-    c2 = 0.0 + 0.0j
-    for i in range(4):
-        for j in range(i + 1, 4):
-            c2 += T[i, i] * T[j, j] - T[i, j] * T[j, i]
-    return c1, c2
+@dataclass(frozen=True)
+class _BlochArrays:
+    """Kernel outputs, one entry (or row) per frequency.
+
+    The properties are evaluated on first use: only the callers that build
+    BlochPoints need them.
+    """
+
+    f: np.ndarray
+    k: np.ndarray
+    sigma: np.ndarray  # clamped
+    cell_length: float
+    T: np.ndarray  # (n, 4, 4)
+    y_flex: np.ndarray
+    outer: np.ndarray  # (n, 2): flexural and evanescent pair, |outer| >= 1
+    inner: np.ndarray  # (n, 2): 1 / outer
+    lam: np.ndarray  # transmitted flexural Bloch factor, |lam| <= 1
+    t: np.ndarray
+    in_stop: np.ndarray
+    gamma: np.ndarray
+    gamma_e: np.ndarray
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """(n, 4): outer/inner flexural, outer/inner evanescent."""
+        ev = np.empty((self.f.size, 2, 2), dtype=complex)
+        ev[:, :, 0] = self.outer
+        ev[:, :, 1] = self.inner
+        return ev.reshape(-1, 4)
+
+    @cached_property
+    def arg(self) -> np.ndarray:
+        """Principal phase of lam."""
+        return np.angle(self.lam)
+
+    @cached_property
+    def im_kef(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return -np.log(self.t) / self.cell_length
+
+    @cached_property
+    def complex_band(self) -> np.ndarray:
+        return np.abs(self.y_flex.imag) > 1e-9 * np.maximum(1.0, np.abs(self.y_flex))
+
+    @cached_property
+    def defect(self) -> np.ndarray:
+        return np.concatenate(
+            [_reciprocity_defects(self.T[lo : lo + _BLOCK]) for lo in range(0, self.f.size, _BLOCK)]
+        )
 
 
-def _reciprocity_defect(T: np.ndarray, c1: complex) -> float:
-    """Deviation of the quartic from palindromic form: checks det ~ 1 and c3 ~ c1."""
-    det = np.linalg.det(T)
-    c3 = 0.0 + 0.0j
-    for i in range(4):
-        idx = [j for j in range(4) if j != i]
-        c3 -= np.linalg.det(T[np.ix_(idx, idx)])
-    scale = max(1.0, abs(c1))
-    return float(max(abs(det - 1.0), abs(c3 - c1) / scale))
+def _cabs(z):
+    """|z| through hypot, the same bits as Python's abs(complex)."""
+    return np.hypot(z.real, z.imag)
 
 
-def _y_closed(kl: float, s: float) -> tuple[complex, complex]:
-    """Closed-form y-pair (flexural-continuation last step unsorted)."""
-    su = 2 * math.cos(kl) + 2 * math.cosh(kl) + (s / 2) * (math.sinh(kl) - math.sin(kl))
-    pr = 4 * math.cos(kl) * math.cosh(kl) + s * (
-        math.cos(kl) * math.sinh(kl) - math.sin(kl) * math.cosh(kl)
-    )
-    disc = cmath.sqrt(su * su - 4 * pr)
-    return (su + disc) / 2, (su - disc) / 2
+def _y_parts(kl):
+    """kL-only parts of the closed form: su = c2 + ch2 + (sigma/2) B, pr = C + sigma E."""
+    c, ch, sn, sh = np.cos(kl), np.cosh(kl), np.sin(kl), np.sinh(kl)
+    return 2 * c, 2 * ch, sh - sn, 4 * c * ch, c * sh - sn * ch
+
+
+def _y_closed(parts, s) -> np.ndarray:
+    """Closed-form y-roots ((su + disc)/2, (su - disc)/2), stacked on a new first axis.
+
+    For real kL and sigma.  A real pair takes the root without cancellation
+    from the quadratic formula and the other one as pr / root; a complex
+    pair has no cancellation and stays exactly conjugate.  Only real
+    arithmetic is used; ``_y_pair`` is the same arithmetic in Python floats.
+    """
+    c2, ch2, B, C, E = parts
+    su = c2 + ch2 + (s / 2) * B
+    pr = C + s * E
+    disc2 = su * su - 4 * pr
+    d = np.sqrt(np.abs(disc2))
+    big = (su + np.copysign(d, su)) / 2
+    small = pr / big
+    pos = su >= 0
+    y = np.zeros((2,) + su.shape, dtype=complex)
+    y.real[0] = np.where(pos, big, small)
+    y.real[1] = np.where(pos, small, big)
+    pair = disc2 < 0
+    if pair.any():
+        y.real[:, pair] = su[pair] / 2
+        y.imag[0][pair] = d[pair] / 2
+        y.imag[1][pair] = -d[pair] / 2
+    return y
+
+
+def _y_pair(parts: tuple[float, ...], s: float) -> tuple[complex, complex]:
+    """``_y_closed`` at one kL and one coupling value, in Python floats."""
+    c2, ch2, B, C, E = parts
+    su = c2 + ch2 + (s / 2) * B
+    pr = C + s * E
+    disc2 = su * su - 4 * pr
+    d = math.sqrt(abs(disc2))
+    if disc2 < 0:
+        return complex(su / 2, d / 2), complex(su / 2, -d / 2)
+    big = (su + math.copysign(d, su)) / 2
+    if su >= 0:
+        return complex(big, 0.0), complex(pr / big, 0.0)
+    return complex(pr / big, 0.0), complex(big, 0.0)
+
+
+def _advance(closed, tau0: float, tau1: float, yf: complex, ye: complex, depth: int
+             ) -> tuple[complex, complex]:
+    """One homotopy step tau0 -> tau1 of the tracked pair (yf, ye).
+
+    closed(tau) gives the closed-form pair at coupling tau * sigma.  The step
+    is bisected while the keep/swap decision is ambiguous.
+    """
+    y1, y2 = closed(tau1)
+    keep = abs(y1 - yf) + abs(y2 - ye)
+    swap = abs(y2 - yf) + abs(y1 - ye)
+    margin = abs(keep - swap)
+    if (depth < _HOMOTOPY_MAX_DEPTH and margin < 0.25 * abs(y1 - y2) + 1e-30
+            and tau1 - tau0 > 1e-12):
+        mid = 0.5 * (tau0 + tau1)
+        yf, ye = _advance(closed, tau0, mid, yf, ye, depth + 1)
+        return _advance(closed, mid, tau1, yf, ye, depth + 1)
+    return (y1, y2) if keep <= swap else (y2, y1)
+
+
+def _closed_at(parts, s: float, known: dict):
+    """closed(tau) for ``_advance`` at one kL, memoised in `known` (tau -> pair)."""
+
+    def closed(tau: float) -> tuple[complex, complex]:
+        if tau not in known:
+            known[tau] = _y_pair(parts, s * tau)
+        return known[tau]
+
+    return closed
 
 
 def _flexural_y(kl: float, sigma: float) -> tuple[complex, complex]:
     """Track the y-root continued from 2cos(kL) as coupling grows 0 -> sigma.
 
     Returns (y_flexural, y_evanescent).  The homotopy subdivides adaptively
-    when the two roots approach each other.
+    when the two roots approach each other.  This scalar form is the
+    reference for the kernel's vectorised branch choice (``_flexural_roots``).
     """
-    s = clamped_sigma(sigma)
-    y_f: complex = 2 * math.cos(kl) + 0j
-    y_e: complex = 2 * math.cosh(kl) + 0j
-
-    def advance(tau0: float, tau1: float, yf: complex, ye: complex, depth: int
-                ) -> tuple[complex, complex]:
-        y1, y2 = _y_closed(kl, s * tau1)
-        keep = abs(y1 - yf) + abs(y2 - ye)
-        swap = abs(y2 - yf) + abs(y1 - ye)
-        margin = abs(keep - swap)
-        if depth < 40 and margin < 0.25 * abs(y1 - y2) + 1e-30 and tau1 - tau0 > 1e-12:
-            mid = 0.5 * (tau0 + tau1)
-            yf, ye = advance(tau0, mid, yf, ye, depth + 1)
-            return advance(mid, tau1, yf, ye, depth + 1)
-        return (y1, y2) if keep <= swap else (y2, y1)
-
+    s = float(clamped_sigma(sigma))
+    parts = tuple(float(v) for v in _y_parts(kl))
+    closed = _closed_at(parts, s, {})
+    y_f, y_e = complex(parts[0], 0.0), complex(parts[1], 0.0)  # 2 cos kL, 2 cosh kL
     for i in range(_HOMOTOPY_STEPS):
-        tau0 = i / _HOMOTOPY_STEPS
-        tau1 = (i + 1) / _HOMOTOPY_STEPS
-        y_f, y_e = advance(tau0, tau1, y_f, y_e, 0)
+        y_f, y_e = _advance(closed, i / _HOMOTOPY_STEPS, (i + 1) / _HOMOTOPY_STEPS, y_f, y_e, 0)
     return y_f, y_e
 
 
-def _lambda_pair(y: complex) -> tuple[complex, complex]:
+_TAUS = np.arange(1, _HOMOTOPY_STEPS + 1) / _HOMOTOPY_STEPS
+
+
+def _flexural_roots(kl: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """[y_flexural, y_evanescent] at full coupling, by the homotopy of ``_flexural_y``.
+
+    Returned as an (n, 2) array.  The homotopy runs over a (frequency x
+    step) grid.  Entering a step, the tracked pair is the closed-form pair
+    of the step's start in one of two orders, 0 for (y1, y2) and 1 for
+    (y2, y1).  An unambiguous step keeps the order if keep < swap, flips it
+    if keep > swap and resets it to 0 on a tie (keep and swap trade places
+    when the entering order flips), so it is a map on the order, stored as
+    (order left from 0, order left from 1).  The first step starts from the
+    uncoupled values (2 cos kL, 2 cosh kL), so its map is constant.  The
+    maps compose with array operations; a frequency with an ambiguous step
+    is walked step by step instead, with ``_advance`` bisecting that step.
+    """
+    parts = _y_parts(kl[:, None])
+    Y = _y_closed(parts, s[:, None] * _TAUS)  # (2, frequency, step)
+    entering = np.empty_like(Y)
+    entering[:, :, 1:] = Y[:, :, :-1]
+    entering[0, :, 0] = parts[0][:, 0]
+    entering[1, :, 0] = parts[1][:, 0]
+    dist = _cabs(Y[:, None] - entering[None])  # dist[i, j] = |y_i - entering y_j|
+    keep = dist[0, 0] + dist[1, 1]
+    swap = dist[1, 0] + dist[0, 1]
+    out0 = keep > swap
+    out1 = swap > keep
+    out1[:, 0] = out0[:, 0]
+    # compose: the last constant map sets the order (out0 there) and each
+    # later flip (out0 true there too) toggles it, so the order is the
+    # parity of out0 from the last constant map on
+    from_end = np.argmax((out0 == out1)[:, ::-1], axis=1)
+    counts = np.cumsum(out0[:, ::-1], axis=1)
+    order = counts[np.arange(len(from_end)), from_end] % 2 == 1
+    ambiguous = np.abs(keep - swap) < 0.25 * _cabs(Y[0] - Y[1]) + 1e-30
+    for row in np.flatnonzero(ambiguous.any(axis=1)).tolist():
+        order[row] = _walk(
+            tuple(p[row, 0].item() for p in parts), s[row].item(), Y[:, row],
+            out0[row], out1[row], ambiguous[row],
+        )
+    return np.where(order, Y[::-1, :, -1], Y[:, :, -1]).T
+
+
+def _walk(parts, s: float, Y: np.ndarray, out0, out1, ambiguous) -> bool:
+    """Order left by the homotopy at one frequency, walked step by step.
+
+    Unambiguous steps apply their map; ambiguous ones run ``_advance`` from
+    the tracked pair.
+    """
+    y1, y2 = Y.tolist()
+    closed = _closed_at(parts, s, dict(zip(_TAUS.tolist(), zip(y1, y2))))
+    order = False
+    for i, (o0, o1, amb) in enumerate(zip(out0.tolist(), out1.tolist(), ambiguous.tolist())):
+        if not amb:
+            order = o1 if order else o0
+            continue
+        if i == 0:
+            yf, ye = complex(parts[0], 0.0), complex(parts[1], 0.0)
+        else:
+            yf, ye = (y2[i - 1], y1[i - 1]) if order else (y1[i - 1], y2[i - 1])
+        yf, _ = _advance(closed, i / _HOMOTOPY_STEPS, (i + 1) / _HOMOTOPY_STEPS, yf, ye, 0)
+        order = yf != y1[i]
+    return order
+
+
+def _lambda_pairs(y):
     """Roots of lambda^2 - y lambda + 1 = 0 as (outer, inner), |outer| >= |inner|."""
-    root = cmath.sqrt(y * y - 4)
+    root = np.sqrt(y * y - 4)
     lp = (y + root) / 2
     lm = (y - root) / 2
-    if abs(lp) >= abs(lm):
-        return lp, 1.0 / lp if lp != 0 else lm
-    return lm, 1.0 / lm if lm != 0 else lp
+    outer = np.where(np.abs(lp) >= np.abs(lm), lp, lm)
+    return outer, 1.0 / outer
 
 
-def _eigen_state(cell: UnitCellGeometry, f: float, force_zero_coupling: bool):
-    """Numeric T, its y-roots matched to the flexural/evanescent homotopy."""
-    mats = cell_matrices(cell, f)
-    T = mats.T
-    kl = mats.k * cell.cell_length
+def _absorbing_y(cell: UnitCellGeometry, f, k, y_flex, force_zero_coupling: bool):
+    """The flexural y-root at the complex frequency omega (1 + i eps).
+
+    The pair comes from the closed form at complex kL and complex sigma, the
+    root without cancellation from the quadratic formula and the other one
+    as pr / root; of the two, the one nearer y_flex continues it.
+    """
+    k_p = k * _ABSORPTION_K
     if force_zero_coupling:
-        # exact zero-coupling transfer matrix diag(e^{-ikL}, e^{kL}, e^{ikL}, e^{-kL})
-        sigma = 0.0
-        T = np.diag(
-            [
-                cmath.exp(-1j * kl),
-                cmath.exp(kl),
-                cmath.exp(1j * kl),
-                cmath.exp(-kl),
-            ]
-        ).astype(complex)
+        s_p = np.zeros(k.shape, dtype=complex)
     else:
-        sigma = forcing_strength(cell, f)[1]
-    c1, c2 = _char_sums(T)
-    defect = _reciprocity_defect(T, c1)
-    disc = np.sqrt(c1 * c1 - 4 * (c2 - 2))
-    y_a = (-c1 + disc) / 2
-    y_b = (-c1 - disc) / 2
-    yf_ref, _ = _flexural_y(kl, sigma)
-    if abs(y_a - yf_ref) <= abs(y_b - yf_ref):
-        y_flex, y_evan = y_a, y_b
-    else:
-        y_flex, y_evan = y_b, y_a
-    return mats, T, sigma, complex(y_flex), complex(y_evan), float(defect)
+        rod = cell.rod
+        omega = 2 * math.pi * f * (1 + 1j * _ABSORPTION_EPS)
+        scale = rod.section.effective_rho * rod.section.area_per_width * rod.velocity
+        f_eff = -omega * scale * np.tan(omega / rod.velocity * rod.height)  # -i omega Z_b
+        s_p = f_eff / (cell.trench.bending_stiffness * k_p**3)
+        mod = np.abs(s_p)
+        if (mod > SIGMA_CLAMP).any():
+            s_p = np.where(mod > SIGMA_CLAMP, s_p / mod * SIGMA_CLAMP, s_p)
+    c2, ch2, B, C, E = _y_parts(k_p * cell.cell_length)
+    su = c2 + ch2 + (s_p / 2) * B
+    pr = C + s_p * E
+    disc = np.sqrt(su * su - 4 * pr)
+    big = (su + np.where((su * disc.conj()).real >= 0, disc, -disc)) / 2
+    small = pr / big
+    return np.where(np.abs(big - y_flex) <= np.abs(small - y_flex), big, small)
 
 
-def _transmitted_flexural(cell, f, y_flex, force_zero_coupling) -> complex:
-    """Member of the flexural pair transmitted rightward (limiting absorption)."""
-    outer, inner = _lambda_pair(y_flex)
-    if abs(abs(outer) - 1.0) > 1e-8:
-        return inner  # stopband: the decaying member
-    # passband: perturb the frequency into the absorbing half-plane
-    kl = flexural_wavevector(cell.trench, f) * cell.cell_length
-    if force_zero_coupling:
-        s_p = 0.0 + 0.0j
-    else:
-        s_p = _perturbed_sigma(cell, f)
-    klp = kl * cmath.sqrt(1 + 1j * _ABSORPTION_EPS)
-    y1, y2 = _y_closed_complex(klp, s_p)
-    y_p = y1 if abs(y1 - y_flex) <= abs(y2 - y_flex) else y2
-    lp, lm = _lambda_pair(y_p)
-    cand = [lp, lm]
-    # match perturbed members to unperturbed, keep the one whose modulus shrank
-    if abs(cand[0] - outer) + abs(cand[1] - inner) <= abs(cand[1] - outer) + abs(cand[0] - inner):
-        d_outer, d_inner = abs(cand[0]) - abs(outer), abs(cand[1]) - abs(inner)
-    else:
-        d_outer, d_inner = abs(cand[1]) - abs(outer), abs(cand[0]) - abs(inner)
-    return outer if d_outer < d_inner else inner
+_MINORS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
-def _perturbed_sigma(cell: UnitCellGeometry, f: float) -> complex:
-    """sigma evaluated at complex omega = 2 pi f (1 + i eps)."""
-    omega = 2 * math.pi * f * (1 + 1j * _ABSORPTION_EPS)
-    rod = cell.rod
-    arg = omega / rod.velocity * rod.height
-    zb = -1j * rod.section.effective_rho * rod.section.area_per_width * rod.velocity * cmath.tan(arg)
-    f_eff = -1j * omega * zb
-    # k scales as sqrt(omega), so the perturbed wavevector is k (1 + i eps)^(1/2)
-    k = flexural_wavevector(cell.trench, f) * (1 + 1j * _ABSORPTION_EPS) ** 0.5
-    s = f_eff / (cell.trench.bending_stiffness * k**3)
-    if abs(s) > SIGMA_CLAMP:
-        s = s / abs(s) * SIGMA_CLAMP
-    return s
+def _reciprocity_defects(T: np.ndarray) -> np.ndarray:
+    """Deviation of each quartic from palindromic form: checks det ~ 1 and c3 ~ c1."""
+    # sums written out elementwise: a reduction along an axis may add in an
+    # order that depends on the batch size
+    d = T[:, _DIAG, _DIAG]
+    c1 = -(d[:, 0] + d[:, 1] + d[:, 2] + d[:, 3])
+    det = np.linalg.det(T)
+    m = np.linalg.det(T[:, _MINORS[:, :, None], _MINORS[:, None, :]])
+    c3 = -(m[:, 0] + m[:, 1] + m[:, 2] + m[:, 3])
+    return np.maximum(np.abs(det - 1.0), np.abs(c3 - c1) / np.maximum(1.0, np.abs(c1)))
 
 
-def _y_closed_complex(kl: complex, s: complex) -> tuple[complex, complex]:
-    su = 2 * cmath.cos(kl) + 2 * cmath.cosh(kl) + (s / 2) * (cmath.sinh(kl) - cmath.sin(kl))
-    pr = 4 * cmath.cos(kl) * cmath.cosh(kl) + s * (
-        cmath.cos(kl) * cmath.sinh(kl) - cmath.sin(kl) * cmath.cosh(kl)
+_DIAG = np.arange(4)
+_INCIDENT = np.array([[0.0], [0.0], [1.0], [0.0]], dtype=complex)
+
+
+def _reflections(T: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the semi-infinite matching for (Gamma, Gamma_e) at every frequency.
+
+    The interface state [Gamma, Gamma_e, 1, 0] (reflected propagating,
+    reflected near-field, unit incident, no incoming evanescent) must lie in
+    the span of the two transmitted Bloch eigenvectors: the flexural one
+    (eigenvalue nearest lam) and the evanescent one of smallest modulus
+    among the rest.  A singular system gives NaN at its own frequency only.
+    """
+    rows = np.arange(len(T))
+    w, V = np.linalg.eig(T)
+    i_flex = np.argmin(np.abs(w - lam[:, None]), axis=1)
+    mod = np.abs(w)
+    mod[rows, i_flex] = np.inf
+    M = np.zeros(T.shape, dtype=complex)
+    M[:, :, 0] = V[rows, :, i_flex]
+    M[:, :, 1] = V[rows, :, np.argmin(mod, axis=1)]
+    M[:, 0, 2] = -1.0
+    M[:, 1, 3] = -1.0
+    try:
+        sol = np.linalg.solve(M, _INCIDENT)
+    except np.linalg.LinAlgError:
+        sol = np.full((len(T), 4, 1), complex("nan"))
+        for i in rows.tolist():
+            try:
+                sol[i] = np.linalg.solve(M[i], _INCIDENT)
+            except np.linalg.LinAlgError:
+                pass
+    return sol[:, 2, 0], sol[:, 3, 0]
+
+
+def _bloch_arrays(
+    cell: UnitCellGeometry,
+    f: np.ndarray,
+    *,
+    with_gamma: bool,
+    force_zero_coupling: bool,
+) -> _BlochArrays:
+    """The whole eigen-analysis over an array of frequencies f > 0, in blocks of _BLOCK."""
+    blocks = [
+        _bloch_block(cell, f[lo : lo + _BLOCK], with_gamma, force_zero_coupling)
+        for lo in range(0, f.size, _BLOCK)
+    ]
+    if len(blocks) == 1:
+        return blocks[0]
+    return _BlochArrays(
+        cell_length=cell.cell_length,
+        **{
+            field.name: np.concatenate([getattr(b, field.name) for b in blocks])
+            for field in dataclasses.fields(_BlochArrays)
+            if field.name != "cell_length"
+        },
     )
-    disc = cmath.sqrt(su * su - 4 * pr)
-    return (su + disc) / 2, (su - disc) / 2
 
 
-def _right_directed_indices(T: np.ndarray, lam_flex: complex) -> list[int]:
-    """Indices (into eig(T)) of the two modes transmitted rightward."""
-    w, _ = np.linalg.eig(T)
-    # flexural transmitted member: nearest eigenvalue to lam_flex
-    i_flex = int(np.argmin(np.abs(w - lam_flex)))
-    # evanescent transmitted member: smallest modulus among the rest
-    rest = [i for i in range(4) if i != i_flex]
-    i_evan = min(rest, key=lambda i: abs(w[i]))
-    return [i_flex, i_evan]
+def _bloch_block(cell: UnitCellGeometry, f, with_gamma: bool, force_zero_coupling: bool):
+    """``_bloch_arrays`` on one block of frequencies."""
+    L = cell.cell_length
+    if force_zero_coupling:
+        k = flexural_wavevectors(cell.trench, f)
+        sigma = np.zeros(f.shape)
+        # exact zero-coupling transfer matrix diag(e^{-ikL}, e^{kL}, e^{ikL}, e^{-kL})
+        T = np.zeros((f.size, 4, 4), dtype=complex)
+        T[:, _DIAG, _DIAG] = translation_phases(k * L)
+    else:
+        k, _, sigma = forcing_arrays(cell, f)
+        sigma = clamped_sigma(sigma)
+        T = transfer_arrays(cell, k, sigma)[3]
+        if not np.isfinite(T).all():
+            bad = f[~np.isfinite(T).all(axis=(1, 2))][0]
+            raise ValueError(f"cell_matrices: non-finite transfer matrix at f={bad!r}")
+    y = _flexural_roots(k * L, sigma)  # (n, 2): flexural, evanescent
+    outer, inner = _lambda_pairs(y)
+    lam = inner[:, 0].copy()  # stopband: the decaying member
+    band = np.flatnonzero(np.abs(np.abs(outer[:, 0]) - 1.0) <= 1e-8)
+    if band.size:
+        # passband: the member whose modulus shrinks under absorption, which
+        # is the one nearer the smaller perturbed member
+        y_p = _absorbing_y(cell, f[band], k[band], y[band, 0], force_zero_coupling)
+        _, inner_p = _lambda_pairs(y_p)
+        out, inn = outer[band, 0], inner[band, 0]
+        lam[band] = np.where(np.abs(out - inner_p) < np.abs(inn - inner_p), out, inn)
+    mod = np.abs(lam)
+    if (mod > 1.0).any():  # keep |lambda| <= 1 against rounding
+        lam = np.where(mod > 1.0, lam / mod, lam)
+    t = np.minimum(np.abs(lam), 1.0)
+    if with_gamma:
+        gamma, gamma_e = _reflections(T, lam)
+    else:
+        gamma = gamma_e = np.zeros(f.shape, dtype=complex)
+    return _BlochArrays(
+        f=f, k=k, sigma=sigma, cell_length=L, T=T, y_flex=y[:, 0], outer=outer, inner=inner,
+        lam=lam, t=t, in_stop=t < 1.0 - TOL_BAND, gamma=gamma, gamma_e=gamma_e,
+    )
+
+
+def _points(a: _BlochArrays, re_kef: np.ndarray) -> list[BlochPoint]:
+    """One BlochPoint per kernel entry, with the given Re(k_ef)."""
+    return [
+        BlochPoint(
+            f=f,
+            eigenvalues=tuple(ev),
+            lambda_flex=lam,
+            t_coeff=t,
+            r_coeff=1.0 - t,
+            k_ef=complex(re, im),
+            gamma=g,
+            gamma_e=ge,
+            gamma_phase=phase,
+            in_stopband=stop,
+            k=k,
+            sigma=s,
+            reciprocity_defect=defect,
+            complex_band=cb,
+        )
+        for f, ev, lam, t, re, im, g, ge, phase, stop, k, s, defect, cb in zip(
+            a.f.tolist(), a.eigenvalues.tolist(), a.lam.tolist(), a.t.tolist(),
+            re_kef.tolist(), a.im_kef.tolist(), a.gamma.tolist(), a.gamma_e.tolist(),
+            np.angle(a.gamma).tolist(), a.in_stop.tolist(), a.k.tolist(),
+            a.sigma.tolist(), a.defect.tolist(), a.complex_band.tolist(),
+        )
+    ]
 
 
 def bloch_point(
@@ -278,64 +539,34 @@ def bloch_point(
     """
     if not f > 0:
         raise ValueError("bloch_point: f must be > 0")
-    mats, T, sigma, y_flex, y_evan, defect = _eigen_state(cell, f, force_zero_coupling)
-    lam = _transmitted_flexural(cell, f, y_flex, force_zero_coupling)
-    if abs(lam) > 1.0:  # keep |lambda| <= 1 against rounding
-        lam = lam / abs(lam)
-    outer_f, inner_f = _lambda_pair(y_flex)
-    outer_e, inner_e = _lambda_pair(y_evan)
-    eigenvalues = (outer_f, inner_f, outer_e, inner_e)
-
-    t_coeff = min(abs(lam), 1.0)
-    arg = cmath.phase(lam)
+    a = _bloch_arrays(
+        cell, np.array([float(f)]), with_gamma=with_gamma,
+        force_zero_coupling=force_zero_coupling,
+    )
     L = cell.cell_length
     if branch_offset is None:
-        branch_offset = round((mats.k * L - arg) / (2 * math.pi))
-    re_kef = (arg + 2 * math.pi * branch_offset) / L
-    im_kef = -math.log(t_coeff) / L if t_coeff > 0 else math.inf
-    k_ef = complex(re_kef, im_kef)
-    in_stop = t_coeff < 1.0 - TOL_BAND
-
-    gamma = complex(0.0)
-    gamma_e = complex(0.0)
-    if with_gamma:
-        gamma, gamma_e = _reflection_from_T(T, lam)
-    collided = abs(y_flex.imag) > 1e-9 * max(1.0, abs(y_flex))
-    return BlochPoint(
-        f=f,
-        eigenvalues=eigenvalues,
-        lambda_flex=lam,
-        t_coeff=t_coeff,
-        r_coeff=1.0 - t_coeff,
-        k_ef=k_ef,
-        gamma=gamma,
-        gamma_e=gamma_e,
-        gamma_phase=cmath.phase(gamma),
-        in_stopband=in_stop,
-        k=mats.k,
-        sigma=clamped_sigma(sigma),
-        reciprocity_defect=defect,
-        complex_band=collided,
-    )
+        branch = np.round((a.k * L - a.arg) / (2 * math.pi))
+    else:
+        branch = branch_offset
+    return _points(a, (a.arg + 2 * math.pi * branch) / L)[0]
 
 
-def _reflection_from_T(T: np.ndarray, lam_flex: complex) -> tuple[complex, complex]:
-    """Solve the semi-infinite matching for (Gamma, Gamma_e).
-
-    The interface state [Gamma, Gamma_e, 1, 0] (reflected propagating,
-    reflected near-field, unit incident, no incoming evanescent) must lie in
-    the span of the two transmitted Bloch eigenvectors.
-    """
-    w, V = np.linalg.eig(T)
-    sel = _right_directed_indices(T, lam_flex)
-    va, vb = V[:, sel[0]], V[:, sel[1]]
-    M = np.column_stack([va, vb, -np.eye(4)[:, 0], -np.eye(4)[:, 1]])
-    rhs = np.eye(4)[:, 2]
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        return complex("nan"), complex("nan")
-    return complex(sol[2]), complex(sol[3])
+def _semi_infinite(cell: UnitCellGeometry, f: np.ndarray, force_zero_coupling: bool):
+    """(Gamma, Gamma_e) arrays; a NaN point is retried at f + 10 Hz, then f - 10 Hz."""
+    gamma = np.full(f.shape, complex("nan"))
+    gamma_e = gamma.copy()
+    todo = np.arange(f.size)
+    for shift in (0.0, DEGENERACY_PERTURB_HZ, -DEGENERACY_PERTURB_HZ):
+        a = _bloch_arrays(
+            cell, f[todo] + shift, with_gamma=True, force_zero_coupling=force_zero_coupling
+        )
+        ok = ~(np.isnan(a.gamma.real) | np.isnan(a.gamma.imag))
+        gamma[todo[ok]] = a.gamma[ok]
+        gamma_e[todo[ok]] = a.gamma_e[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            break
+    return gamma, gamma_e
 
 
 def semi_infinite_reflection(
@@ -346,13 +577,30 @@ def semi_infinite_reflection(
     Returns (Gamma, Gamma_e).  Band-edge degeneracies are resolved by a small
     frequency perturbation instead of an exception.
     """
-    for f_try in (f, f + DEGENERACY_PERTURB_HZ, f - DEGENERACY_PERTURB_HZ):
-        _, T, _, y_flex, _, _ = _eigen_state(cell, f_try, force_zero_coupling)
-        lam = _transmitted_flexural(cell, f_try, y_flex, force_zero_coupling)
-        gamma, gamma_e = _reflection_from_T(T, lam)
-        if not (math.isnan(gamma.real) or math.isnan(gamma.imag)):
-            return gamma, gamma_e
-    return complex("nan"), complex("nan")
+    if not f > 0:
+        raise ValueError("semi_infinite_reflection: f must be > 0")
+    gamma, gamma_e = _semi_infinite(cell, np.array([float(f)]), force_zero_coupling)
+    return complex(gamma[0]), complex(gamma_e[0])
+
+
+def _branch_indices(in_stop: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """2 pi branch index of Re(k_ef) L per point of a sweep.
+
+    Each contiguous passband run is anchored to the uncoupled wavevector at
+    its midpoint, round(offset / 2 pi) with offset = kL - unwrapped arg(lambda)
+    (a gap pins the phase at a zone boundary; the physical branch index
+    increments across it, so a single global anchor would lag by full
+    turns).  Stopband points inherit the branch of the run to their left,
+    leading ones that of the first run.
+    """
+    passband = np.concatenate([[False], ~in_stop, [False]])
+    starts = np.flatnonzero(passband[1:-1] & ~passband[:-2])
+    ends = np.flatnonzero(passband[1:-1] & ~passband[2:])
+    if not starts.size:
+        return np.zeros(in_stop.shape)
+    runs = np.round(offset[(starts + ends) // 2] / (2 * math.pi))
+    run_of = np.searchsorted(starts, np.arange(in_stop.size), side="right") - 1
+    return runs[np.maximum(run_of, 0)]
 
 
 def sweep(
@@ -369,80 +617,25 @@ def sweep(
     if points < 2:
         raise ValueError("sweep: points must be >= 2")
     freqs = np.linspace(f_start, f_stop, points)
-    raw = [
-        bloch_point(cell, float(fv), branch_offset=0, with_gamma=with_gamma)
-        for fv in freqs
-    ]
-
-    # branch bookkeeping: unwrap arg(lambda) along the grid, then anchor each
-    # contiguous passband run to the uncoupled wavevector at its midpoint (a
-    # gap pins the phase at a zone boundary; the physical branch index
-    # increments across it, so a single global anchor would lag by full turns)
-    args = np.unwrap([cmath.phase(p.lambda_flex) for p in raw])
+    a = _bloch_arrays(cell, freqs, with_gamma=with_gamma, force_zero_coupling=False)
     L = cell.cell_length
-    n = len(raw)
-    branch = [None] * n
-    i = 0
-    while i < n:
-        if not raw[i].in_stopband:
-            j = i
-            while j + 1 < n and not raw[j + 1].in_stopband:
-                j += 1
-            mid = (i + j) // 2
-            m = round((raw[mid].k * L - args[mid]) / (2 * math.pi))
-            for idx in range(i, j + 1):
-                branch[idx] = m
-            i = j + 1
-        else:
-            i += 1
-    # stopband points inherit the branch of the passband run to their left
-    last = next((b for b in branch if b is not None), 0)
-    for idx in range(n):
-        if branch[idx] is None:
-            branch[idx] = last
-        else:
-            last = branch[idx]
-
-    out: list[BlochPoint] = []
-    for p, a, m in zip(raw, args, branch):
-        re_kef = (a + 2 * math.pi * m) / L
-        out.append(
-            BlochPoint(
-                f=p.f,
-                eigenvalues=p.eigenvalues,
-                lambda_flex=p.lambda_flex,
-                t_coeff=p.t_coeff,
-                r_coeff=p.r_coeff,
-                k_ef=complex(re_kef, p.k_ef.imag),
-                gamma=p.gamma,
-                gamma_e=p.gamma_e,
-                gamma_phase=p.gamma_phase,
-                in_stopband=p.in_stopband,
-                k=p.k,
-                sigma=p.sigma,
-                reciprocity_defect=p.reciprocity_defect,
-                complex_band=p.complex_band,
-            )
-        )
-    return out
+    args = np.unwrap(a.arg)
+    branch = _branch_indices(a.in_stop, a.k * L - args)
+    return _points(a, (args + 2 * math.pi * branch) / L)
 
 
-def _in_stopband_at(cell: UnitCellGeometry, f: float) -> bool:
-    mats, T, sigma, y_flex, _, _ = _eigen_state(cell, f, False)
-    _, inner = _lambda_pair(y_flex)
-    return abs(inner) < 1.0 - TOL_BAND
-
-
-def _refine_edge(cell: UnitCellGeometry, f_in: float, f_out: float) -> float:
-    """Bisect the in-band/out-of-band bracket down to EDGE_REFINE_HZ."""
-    lo, hi = f_in, f_out
-    while abs(hi - lo) > EDGE_REFINE_HZ:
-        mid = 0.5 * (lo + hi)
-        if _in_stopband_at(cell, mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _refine_edges(cell: UnitCellGeometry, f_in, f_out) -> list[float]:
+    """Bisect in-band/out-of-band brackets down to EDGE_REFINE_HZ, all at once."""
+    lo = np.array(f_in, dtype=float)
+    hi = np.array(f_out, dtype=float)
+    while True:
+        active = np.flatnonzero(np.abs(hi - lo) > EDGE_REFINE_HZ)
+        if not active.size:
+            return (0.5 * (lo + hi)).tolist()
+        mid = 0.5 * (lo[active] + hi[active])
+        stop = _bloch_arrays(cell, mid, with_gamma=False, force_zero_coupling=False).in_stop
+        lo[active] = np.where(stop, mid, lo[active])
+        hi[active] = np.where(stop, hi[active], mid)
 
 
 def stopband_report(
@@ -456,51 +649,54 @@ def stopband_report(
     """
     if len(points) < 2:
         raise ValueError("stopband_report: need at least 2 sweep points")
-    freqs = [p.f for p in points]
-    step = freqs[1] - freqs[0]
-    flags = [p.in_stopband for p in points]
-    bands: list[Band] = []
-    markers: list[float] = []
-    narrow = False
+    n = len(points)
+    step = points[1].f - points[0].f
+    runs = []
     i = 0
-    while i < len(points):
-        if flags[i]:
+    while i < n:
+        if points[i].in_stopband:
             j = i
-            while j + 1 < len(points) and flags[j + 1]:
+            while j + 1 < n and points[j + 1].in_stopband:
                 j += 1
-            seg = points[i : j + 1]
-            att = [-math.log(p.t_coeff) if p.t_coeff > 0 else math.inf for p in seg]
-            att = [a if math.isfinite(a) else 745.0 for a in att]
-            wsum = sum(att)
-            f_center = sum(p.f * a for p, a in zip(seg, att)) / wsum if wsum > 0 else seg[0].f
-            f_low, f_high = seg[0].f, seg[-1].f
-            if cell is not None:
-                if i > 0:
-                    f_low = _refine_edge(cell, seg[0].f, points[i - 1].f)
-                if j < len(points) - 1:
-                    f_high = _refine_edge(cell, seg[-1].f, points[j + 1].f)
-            bands.append(
-                Band(
-                    f_low=f_low,
-                    f_high=f_high,
-                    f_center=f_center,
-                    max_attenuation=max(att),
-                )
-            )
-            if j - i + 1 < 3:
-                narrow = True
-            if cell is not None and f_high > f_low:
-                (f_max, re_max), _ = band_gamma_extrema(cell, f_low, f_high)
-                if re_max >= MARKER_MIN_REAL:
-                    markers.append(f_max)
-            else:
-                best = max(seg, key=lambda p: p.gamma.real)
-                if best.gamma.real >= MARKER_MIN_REAL:
-                    markers.append(best.f)
+            runs.append((i, j))
             i = j + 1
         else:
             i += 1
-    coarse = narrow or len(points) < 4
+
+    edges = {}  # (point index, neighbour index) -> refined edge frequency
+    if cell is not None:
+        brackets = [(i, i - 1) for i, _ in runs if i > 0]
+        brackets += [(j, j + 1) for _, j in runs if j < n - 1]
+        refined = _refine_edges(
+            cell, [points[a].f for a, _ in brackets], [points[b].f for _, b in brackets]
+        )
+        edges = dict(zip(brackets, refined))
+
+    bands: list[Band] = []
+    markers: list[float] = []
+    narrow = False
+    for i, j in runs:
+        seg = points[i : j + 1]
+        att = [-math.log(p.t_coeff) if p.t_coeff > 0 else math.inf for p in seg]
+        att = [a if math.isfinite(a) else 745.0 for a in att]
+        wsum = sum(att)
+        f_center = sum(p.f * a for p, a in zip(seg, att)) / wsum if wsum > 0 else seg[0].f
+        f_low = edges.get((i, i - 1), seg[0].f)
+        f_high = edges.get((j, j + 1), seg[-1].f)
+        bands.append(
+            Band(f_low=f_low, f_high=f_high, f_center=f_center, max_attenuation=max(att))
+        )
+        if j - i + 1 < 3:
+            narrow = True
+        if cell is not None and f_high > f_low:
+            (f_max, re_max), _ = band_gamma_extrema(cell, f_low, f_high)
+            if re_max >= MARKER_MIN_REAL:
+                markers.append(f_max)
+        else:
+            best = max(seg, key=lambda p: p.gamma.real)
+            if best.gamma.real >= MARKER_MIN_REAL:
+                markers.append(best.f)
+    coarse = narrow or n < 4
     return StopbandReport(
         bands=tuple(bands),
         resonance_markers=tuple(markers),
@@ -523,12 +719,12 @@ def band_gamma_extrema(
     offsets = [1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2]
     fs = [f_low + width * o for o in offsets]
     fs += [f_high - width * o for o in offsets]
-    fs += list(np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, interior_samples))
+    fs += np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, interior_samples).tolist()
+    fs.sort()
+    gammas, _ = _semi_infinite(cell, np.array(fs), False)
     best_max = (fs[0], -math.inf)
     best_min = (fs[0], math.inf)
-    for f in sorted(fs):
-        gamma, _ = semi_infinite_reflection(cell, f)
-        re = gamma.real
+    for f, re in zip(fs, gammas.real.tolist()):
         if math.isnan(re):
             continue
         if re > best_max[1]:
@@ -536,6 +732,24 @@ def band_gamma_extrema(
         if re < best_min[1]:
             best_min = (f, re)
     return best_max, best_min
+
+
+def _solve2(a00, a01, a10, a11, b00, b01, b10, b11) -> tuple[complex, ...]:
+    """A^-1 B for 2x2 complex A and B by LU with partial pivoting, as LAPACK's gesv.
+
+    Entries row by row; returns the solution as a (00, 01, 10, 11) tuple.
+    """
+    if abs(a10.real) + abs(a10.imag) > abs(a00.real) + abs(a00.imag):
+        a00, a01, a10, a11, b00, b01, b10, b11 = a10, a11, a00, a01, b10, b11, b00, b01
+    if a00 == 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    lower = a10 / a00
+    pivot = a11 - lower * a01
+    if pivot == 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    x10 = (b10 - lower * b00) / pivot
+    x11 = (b11 - lower * b01) / pivot
+    return (b00 - a01 * x10) / a00, (b01 - a01 * x11) / a00, x10, x11
 
 
 def chain_profile(
@@ -550,48 +764,70 @@ def chain_profile(
     Unit propagating input at the first boundary, matched (radiation)
     termination after the last cell.  The boundary-value problem is solved by
     a backward reflection-matrix recursion followed by forward transmission,
-    which stays bounded for any chain length (no e^{+kL n} overflow).
+    which stays bounded for any chain length (no e^{+kL n} overflow).  The
+    forward state is renormalised at every cell and ln|amplitude| is
+    accumulated, so deep decay is tracked below the floating-point range.
     The decay slope is fitted over boundaries 0..n-1; the terminal boundary
     is excluded because the matched exit locally distorts the profile.
     """
+    if not f > 0:
+        raise ValueError("chain_profile: f must be > 0")
     if n_cells < 2:
         raise ValueError("chain_profile: n_cells must be >= 2")
-    _, T, sigma, y_flex, _, _ = _eigen_state(cell, f, force_zero_coupling)
-    lam = _transmitted_flexural(cell, f, y_flex, force_zero_coupling)
+    a = _bloch_arrays(
+        cell, np.array([float(f)]), with_gamma=False, force_zero_coupling=force_zero_coupling
+    )
+    lam = complex(a.lam[0])
+    # the 2x2 blocks of T as (00, 01, 10, 11) tuples; a chain recursion is a
+    # sequence of 2x2 products, cheaper in Python complex arithmetic than as
+    # numpy calls
+    (t00, t01, t02, t03), (t10, t11, t12, t13), (t20, t21, t22, t23), (t30, t31, t32, t33) = (
+        a.T[0].tolist()
+    )
 
-    oo = np.ix_([0, 1], [0, 1])
-    oi = np.ix_([0, 1], [2, 3])
-    io = np.ix_([2, 3], [0, 1])
-    ii = np.ix_([2, 3], [2, 3])
-    Too, Toi, Tio, Tii = T[oo], T[oi], T[io], T[ii]
-
-    refl: list[np.ndarray] = [np.zeros((2, 2), complex)] * (n_cells + 1)
-    refl[n_cells] = np.zeros((2, 2), complex)
+    # backward: reflection matrix R_j = (Too - R_{j+1} Tio)^-1 (R_{j+1} Tii - Toi)
+    # at boundary j, R_n = 0 at the matched exit
+    refl = [(0j, 0j, 0j, 0j)] * (n_cells + 1)
     for j in range(n_cells - 1, -1, -1):
-        nxt = refl[j + 1]
-        refl[j] = np.linalg.solve(Too - nxt @ Tio, nxt @ Tii - Toi)
+        r00, r01, r10, r11 = refl[j + 1]
+        a00 = t00 - (r00 * t20 + r01 * t30)
+        a01 = t01 - (r00 * t21 + r01 * t31)
+        a10 = t10 - (r10 * t20 + r11 * t30)
+        a11 = t11 - (r10 * t21 + r11 * t31)
+        b00 = r00 * t22 + r01 * t32 - t02
+        b01 = r00 * t23 + r01 * t33 - t03
+        b10 = r10 * t22 + r11 * t32 - t12
+        b11 = r10 * t23 + r11 * t33 - t13
+        refl[j] = _solve2(a00, a01, a10, a11, b00, b01, b10, b11)
 
-    inc = np.array([1.0 + 0j, 0.0 + 0j])
-    mags = np.zeros(n_cells + 1)
-    mags[0] = abs(inc[0])
-    gamma_vec = refl[0] @ inc
-    vec = inc
+    # forward: the propagating/evanescent pair past each cell is
+    # (Tio R_j + Tii) times the pair before it; renormalised every cell, with
+    # ln|amplitude| accumulated
+    logs = [0.0] * (n_cells + 1)
+    v0, v1 = 1.0 + 0j, 0.0 + 0j  # unit propagating input
+    log_scale = 0.0
     for j in range(n_cells):
-        vec = (Tio @ refl[j] + Tii) @ vec
-        mags[j + 1] = abs(vec[0])
+        r00, r01, r10, r11 = refl[j]
+        v0, v1 = (
+            (t20 * r00 + t21 * r10 + t22) * v0 + (t20 * r01 + t21 * r11 + t23) * v1,
+            (t30 * r00 + t31 * r10 + t32) * v0 + (t30 * r01 + t31 * r11 + t33) * v1,
+        )
+        scale = max(abs(v0), abs(v1))
+        v0, v1 = v0 / scale, v1 / scale
+        log_scale += math.log(scale)
+        logs[j + 1] = log_scale + math.log(abs(v0)) if v0 else -math.inf
+    log_mags = np.array(logs)
 
-    js = np.arange(0, n_cells)
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.maximum(mags[:n_cells], 1e-300))
-    slope = float(np.polyfit(js, logs, 1)[0])
+    slope = float(np.polyfit(np.arange(0, n_cells), log_mags[:n_cells], 1)[0])
     return ChainProfile(
         f=f,
         n_cells=n_cells,
-        magnitudes=mags,
+        magnitudes=np.exp(log_mags),
         fitted_slope=slope,
         eigen_slope=math.log(abs(lam)) if abs(lam) > 0 else -math.inf,
-        reflection=complex(gamma_vec[0]),
-        transmission=complex(vec[0]),
+        reflection=refl[0][0],
+        transmission=complex(v0 * np.exp(log_scale)),
+        log_magnitudes=log_mags,
     )
 
 

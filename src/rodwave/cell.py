@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .rod import RodModel, driving_impedance
-from .trench import TrenchModel, flexural_wavevector
+from .trench import TrenchModel, flexural_wavevector, flexural_wavevectors
 
 # above this |sigma| the closed forms switch to their infinite-stiffness
 # limits; the switch is continuous to ~1e-8 and avoids cancellation.
@@ -110,23 +110,52 @@ def forcing_strength(cell: UnitCellGeometry, f: float) -> tuple[float, float]:
     """
     if not f > 0:
         raise ValueError("forcing_strength: f must be > 0")
+    _, f_eff, sigma = forcing_arrays(cell, np.array([float(f)]))
+    return float(f_eff[0]), float(sigma[0])
+
+
+def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):
+    """(k, f_eff, sigma) over an array of frequencies f > 0.
+
+    Z_b is taken from the rod layer one frequency at a time, because its
+    exact-pole marker (an infinite Z_b) is defined there;
+    f_eff = -i omega Z_b = omega Im(Z_b).
+    """
     omega = 2.0 * math.pi * f
-    zb = driving_impedance(cell.rod, f)
-    f_eff = (-1j * omega * zb).real
-    if math.isinf(f_eff) or math.isnan(f_eff):
-        f_eff = math.copysign(math.inf, f_eff if not math.isnan(f_eff) else 1.0)
-    k = flexural_wavevector(cell.trench, f)
-    sigma = f_eff / (cell.trench.bending_stiffness * k**3)
-    return f_eff, sigma
+    f_eff = omega * np.array([driving_impedance(cell.rod, fv).imag for fv in f.tolist()])
+    k = flexural_wavevectors(cell.trench, f)
+    return k, f_eff, f_eff / (cell.trench.bending_stiffness * k**3)
+
+
+def _rational_coeffs(k, a, s) -> np.ndarray:
+    """The six closed-form coefficients at finite sigma, along a last axis of 6.
+
+    Order (r, t, r_ef, r_fe, r_e, t_e); each is prefactor * e^{rate a k} *
+    numerator / denominator with the constants below.  Works elementwise on
+    scalars and arrays.
+    """
+    s = np.asarray(s)[..., None]
+    e = np.exp(np.multiply.outer(a * k, _COEFF_RATE))
+    return _COEFF_PREFACTOR * e * (s + _COEFF_NUM) / (_COEFF_DEN * s + _COEFF_DEN_ADD)
+
+
+# r = -(1-i) e^{-iak} s / (2s+4+4i),          t = (1+i)/2 e^{-iak} (s+4) / (s+2+2i)
+# r_ef = -(1-i) e^{(1-i)ak/2} s / (2s+4+4i),  r_fe = -(1+i) e^{(1-i)ak/2} s / (2s+4+4i)
+# r_e = -(1+i) e^{ak} s / (2s+4+4i),          t_e = (1-i)/2 e^{ak} (s+4i) / (s+2+2i)
+_COEFF_PREFACTOR = np.array([-(1 - 1j), 0.5 + 0.5j, -(1 - 1j), -(1 + 1j), -(1 + 1j), 0.5 - 0.5j])
+_COEFF_RATE = np.array([-1j, -1j, 0.5 - 0.5j, 0.5 - 0.5j, 1, 1])
+_COEFF_NUM = np.array([0, 4, 0, 0, 0, 4j])
+_COEFF_DEN = np.array([2, 1, 2, 2, 2, 1])
+_COEFF_DEN_ADD = np.array([4 + 4j, 2 + 2j, 4 + 4j, 4 + 4j, 4 + 4j, 2 + 2j])
 
 
 def _coeffs_from_sigma(k: float, a: float, sigma: float) -> tuple[complex, ...]:
     """The six closed-form coefficients (r, t, r_ef, r_fe, r_e, t_e)."""
-    e_prop = cmath.exp(-1j * a * k)
-    e_mix = cmath.exp((0.5 - 0.5j) * a * k)
-    e_evan = cmath.exp(a * k)
     if abs(sigma) > SIGMA_LIMIT_SWITCH:
         # infinite-stiffness limits (virtual fixed constraint)
+        e_prop = cmath.exp(-1j * a * k)
+        e_mix = cmath.exp((0.5 - 0.5j) * a * k)
+        e_evan = cmath.exp(a * k)
         r = -((1 - 1j) / 2) * e_prop
         t = ((1 + 1j) / 2) * e_prop
         r_ef = -((1 - 1j) / 2) * e_mix
@@ -134,15 +163,7 @@ def _coeffs_from_sigma(k: float, a: float, sigma: float) -> tuple[complex, ...]:
         r_e = -((1 + 1j) / 2) * e_evan
         t_e = ((1 - 1j) / 2) * e_evan
         return r, t, r_ef, r_fe, r_e, t_e
-    den1 = 2 * sigma + 4 + 4j
-    den2 = sigma + 2 + 2j
-    r = -(1 - 1j) * e_prop * sigma / den1
-    t = (0.5 + 0.5j) * e_prop * (sigma + 4) / den2
-    r_ef = -(1 - 1j) * e_mix * sigma / den1
-    r_fe = -(1 + 1j) * e_mix * sigma / den1
-    r_e = -(1 + 1j) * e_evan * sigma / den1
-    t_e = (0.5 - 0.5j) * e_evan * (sigma + 4j) / den2
-    return r, t, r_ef, r_fe, r_e, t_e
+    return tuple(_rational_coeffs(k, a, sigma).tolist())
 
 
 def scatter_coefficients(cell: UnitCellGeometry, f: float) -> ScatterCoeffs:
@@ -156,49 +177,34 @@ def scatter_coefficients(cell: UnitCellGeometry, f: float) -> ScatterCoeffs:
     )
 
 
-def _assembly_coeffs(k: float, a: float, sigma: float) -> tuple[complex, ...]:
+def _assembly_coeffs(k, a, sigma) -> tuple:
     """Coefficients for matrix assembly: clamped sigma instead of exact limits.
 
     The exact infinite-stiffness limit makes the transmission block of G
     singular (the pinned piston transmits value and near field dependently),
     which would break the rearrangement into C.  Clamping sigma keeps the
     block invertible while staying within ~1e-12 of the limit coefficients.
+    Works elementwise on scalars and arrays.
     """
-    s = clamped_sigma(sigma)
-    den1 = 2 * s + 4 + 4j
-    den2 = s + 2 + 2j
-    e_prop = cmath.exp(-1j * a * k)
-    e_mix = cmath.exp((0.5 - 0.5j) * a * k)
-    e_evan = cmath.exp(a * k)
-    r = -(1 - 1j) * e_prop * s / den1
-    t = (0.5 + 0.5j) * e_prop * (s + 4) / den2
-    r_ef = -(1 - 1j) * e_mix * s / den1
-    r_fe = -(1 + 1j) * e_mix * s / den1
-    r_e = -(1 + 1j) * e_evan * s / den1
-    t_e = (0.5 - 0.5j) * e_evan * (s + 4j) / den2
-    return r, t, r_ef, r_fe, r_e, t_e
+    return tuple(np.moveaxis(_rational_coeffs(k, a, clamped_sigma(sigma)), -1, 0))
+
+
+# G = [[r, r_ef, t, t_ef], [r_fe, r_e, t_fe, t_e], [t, t_ef, r, r_ef], [t_fe, t_e, r_fe, r_e]]
+# as indices into (r, t, r_ef, r_fe, r_e, t_e, t_ef, t_fe); the cell is mirror
+# symmetric, so the same blocks appear twice
+_G_INDEX = np.array([[0, 2, 1, 6], [3, 4, 7, 5], [1, 6, 0, 2], [7, 5, 3, 4]])
 
 
 def scattering_matrix(coeffs: ScatterCoeffs) -> np.ndarray:
     """Assemble the 4x4 G from the coefficients.
 
     G maps (incoming-left propagating/evanescent, incoming-right
-    propagating/evanescent) amplitudes to the corresponding outgoing ones;
-    the cell is mirror symmetric, so the same blocks appear twice.
+    propagating/evanescent) amplitudes to the corresponding outgoing ones.
     """
-    r, t = coeffs.r, coeffs.t
-    r_ef, t_ef = coeffs.r_ef, coeffs.t_ef
-    r_fe, t_fe = coeffs.r_fe, coeffs.t_fe
-    r_e, t_e = coeffs.r_e, coeffs.t_e
-    return np.array(
-        [
-            [r, r_ef, t, t_ef],
-            [r_fe, r_e, t_fe, t_e],
-            [t, t_ef, r, r_ef],
-            [t_fe, t_e, r_fe, r_e],
-        ],
-        dtype=complex,
-    )
+    c = coeffs
+    return np.array([c.r, c.t, c.r_ef, c.r_fe, c.r_e, c.t_e, c.t_ef, c.t_fe], dtype=complex)[
+        _G_INDEX
+    ]
 
 
 def coupling_matrix(G: np.ndarray) -> np.ndarray:
@@ -211,55 +217,63 @@ def coupling_matrix(G: np.ndarray) -> np.ndarray:
         C = [[ M^-1,        -M^-1 R          ],
              [ R M^-1,       M - R M^-1 R    ]]
 
-    in the (propagating, evanescent) x (toward, away) block grouping.
+    in the (propagating, evanescent) x (toward, away) block grouping.  A
+    (..., 4, 4) stack of G gives the stack of C.
     """
-    R = G[np.ix_([0, 1], [0, 1])]
-    M = G[np.ix_([0, 1], [2, 3])]
+    R = G[..., :2, :2]
+    M = G[..., :2, 2:]
     Minv = np.linalg.inv(M)
-    C = np.empty((4, 4), dtype=complex)
-    C[np.ix_([0, 1], [0, 1])] = Minv
-    C[np.ix_([0, 1], [2, 3])] = -Minv @ R
-    C[np.ix_([2, 3], [0, 1])] = R @ Minv
-    C[np.ix_([2, 3], [2, 3])] = M - R @ Minv @ R
+    R_Minv = R @ Minv
+    C = np.empty(G.shape, dtype=complex)
+    C[..., :2, :2] = Minv
+    C[..., :2, 2:] = -Minv @ R
+    C[..., 2:, :2] = R_Minv
+    C[..., 2:, 2:] = M - R_Minv @ R
     return C
+
+
+def translation_phases(phi) -> np.ndarray:
+    """(e^{-i phi}, e^{phi}, e^{i phi}, e^{-phi}) along a last axis, phi = k * distance.
+
+    The diagonal of the uncoupled translation by that distance: D for half a
+    cell plus half the piston, T itself for a whole cell at zero coupling.
+    """
+    return np.exp(np.multiply.outer(phi, _PHASE_RATES))
+
+
+_PHASE_RATES = np.array([-1j, 1, 1j, -1])
 
 
 def propagation_matrix(k: float, phi: float) -> np.ndarray:
     """Diagonal half-cell translation D = diag(e^{-i phi}, e^{phi}, e^{i phi}, e^{-phi})."""
-    return np.diag(
-        [
-            cmath.exp(-1j * phi),
-            cmath.exp(phi),
-            cmath.exp(1j * phi),
-            cmath.exp(-phi),
-        ]
-    ).astype(complex)
+    return np.diag(translation_phases(phi))
+
+
+def transfer_arrays(cell: UnitCellGeometry, k: np.ndarray, sigma: np.ndarray):
+    """G, C, D and T = D C D as stacks over arrays of k and sigma (clamped here)."""
+    coeffs = _rational_coeffs(k, cell.rod_width, clamped_sigma(sigma))
+    G = coeffs[..., _G_FROM_RATIONAL]  # t_ef = r_ef and t_fe = r_fe
+    C = coupling_matrix(G)
+    D = np.zeros(C.shape, dtype=complex)
+    D[..., _DIAG, _DIAG] = translation_phases(k * (cell.cell_length + cell.rod_width) / 2.0)
+    return G, C, D, D @ C @ D
+
+
+_G_FROM_RATIONAL = np.array([0, 1, 2, 3, 4, 5, 2, 3])[_G_INDEX]
+_DIAG = np.arange(4)
 
 
 def cell_matrices(cell: UnitCellGeometry, f: float) -> CellMatrices:
     """Assemble G, C, D and the cell transfer matrix T = D C D at frequency f."""
-    f_eff, sigma = forcing_strength(cell, f)
+    _, sigma = forcing_strength(cell, f)
     k = flexural_wavevector(cell.trench, f)
-    r, t, r_ef, r_fe, r_e, t_e = _assembly_coeffs(k, cell.rod_width, sigma)
-    coeffs = ScatterCoeffs(
-        r=r, t=t, r_ef=r_ef, t_ef=r_ef, r_fe=r_fe, t_fe=r_fe, r_e=r_e, t_e=t_e,
-        f_eff=f_eff, sigma=sigma,
-    )
-    G = scattering_matrix(coeffs)
-    C = coupling_matrix(G)
-    phi = k * (cell.cell_length + cell.rod_width) / 2.0
-    D = propagation_matrix(k, phi)
-    T = D @ C @ D
+    G, C, D, T = transfer_arrays(cell, np.array([k]), np.array([sigma]))
     if not np.all(np.isfinite(T)):
         raise ValueError(f"cell_matrices: non-finite transfer matrix at f={f}")
-    return CellMatrices(G=G, C=C, D=D, T=T, f=f, k=k, phi=phi)
+    phi = k * (cell.cell_length + cell.rod_width) / 2.0
+    return CellMatrices(G=G[0], C=C[0], D=D[0], T=T[0], f=f, k=k, phi=phi)
 
 
-def clamped_sigma(sigma: float) -> float:
-    """Clamp sigma to +-SIGMA_CLAMP so polynomial arithmetic stays finite."""
-    if sigma > SIGMA_CLAMP:
-        return SIGMA_CLAMP
-    if sigma < -SIGMA_CLAMP:
-        return -SIGMA_CLAMP
-    return sigma
-
+def clamped_sigma(sigma):
+    """Clamp sigma to +-SIGMA_CLAMP so polynomial arithmetic stays finite (elementwise)."""
+    return np.minimum(np.maximum(sigma, -SIGMA_CLAMP), SIGMA_CLAMP)

@@ -57,18 +57,6 @@ class GeometryConfig:
     a: float
     L: float
 
-    def replace(self, name: str, value: float) -> "GeometryConfig":
-        data = {
-            "t_aln1": self.t_aln1,
-            "t_aln2": self.t_aln2,
-            "t_m1": self.t_m1,
-            "t_m2": self.t_m2,
-            "a": self.a,
-            "L": self.L,
-        }
-        data[name] = value
-        return GeometryConfig(**data)
-
 
 @dataclass(frozen=True)
 class SweepConfig:

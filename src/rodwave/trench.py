@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .materials import LaminateSection
 
 
@@ -39,12 +41,20 @@ def flexural_wavevector(trench: TrenchModel, f: float) -> float:
     """
     if not f > 0:
         raise ValueError("flexural_wavevector: f must be > 0")
-    omega = 2.0 * math.pi * f
+    return _wavevector(trench, 2.0 * math.pi * f, math.sqrt)
+
+
+def flexural_wavevectors(trench: TrenchModel, f: np.ndarray) -> np.ndarray:
+    """flexural_wavevector over an array of frequencies f > 0, bit for bit."""
+    return _wavevector(trench, 2.0 * math.pi * f, np.sqrt)
+
+
+def _wavevector(trench: TrenchModel, omega, sqrt):
     sec = trench.section
     return (
         math.sqrt(2.0)
         * 3.0**0.25
-        * math.sqrt(omega)
+        * sqrt(omega)
         * sec.effective_rho**0.25
         / (math.sqrt(sec.thickness) * sec.effective_E**0.25)
     )

@@ -9,6 +9,7 @@ through analytic limits.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from pathlib import Path
 
@@ -215,7 +216,7 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
     skipped: list[str] = []
     centers = []
     for value in values:
-        geo = config.geometry.replace(gs.parameter, float(value))
+        geo = dataclasses.replace(config.geometry, **{gs.parameter: float(value)})
         if not geo.a < geo.L:
             skipped.append(
                 f"skipped {gs.parameter}={float(value)!r}: violates a < L"
@@ -288,10 +289,8 @@ def run_chain(
     cell = unit_cell(config)
     profile = chain_profile(cell, freq, n_cells)
     cfg_hash = config_hash(config)
-    rows = []
-    for j, mag in enumerate(profile.magnitudes):
-        log10 = math.log10(mag) if mag > 0 else -324.0
-        rows.append([j, mag, log10])
+    log10 = (profile.log_magnitudes / math.log(10.0)).tolist()
+    rows = [[j, mag, lg] for j, (mag, lg) in enumerate(zip(profile.magnitudes.tolist(), log10))]
     notes = [
         f"f_hz={freq!r}",
         f"fitted_decay_slope_nepers_per_cell={profile.fitted_slope!r}",

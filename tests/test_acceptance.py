@@ -4,7 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Criterion 8 is expected to fail: the cell dispersion of this model is
 provably independent of the rod width (the width enters the transfer matrix
 only through phase factors that cancel in every eigenvalue), so no rod-width
-tunability of the band centers exists to detect.  See the decisions ledger.
+tunability of the band centers exists to detect.  See README, "Model notes and
+known quirks".
 """
 
 import cmath
@@ -162,7 +163,7 @@ def test_criterion_05_eigen_reciprocity(cell, full_sweep):
     _report(5, "eigen-reciprocity + gap wavevector", ok,
             f"worst pair defect {worst_pair:.1e}, {in_gap} gap points, "
             f"{collided} on hybridized complex-band segments (excluded from the "
-            f"zone-ray check; see ledger)")
+            f"zone-ray check; see README model notes)")
     assert worst_pair < 1e-9
     assert structure_ok
     assert collided <= max(3, in_gap // 20)
@@ -203,7 +204,7 @@ def test_criterion_06_semi_infinite_reflection(cell, full_sweep, full_report):
             f"worst in-band ||G|-1| {worst_mod:.1e}; fixed-constraint marker "
             f"Re(G)={re_plus:.4f} in the pole band; stress-free marker "
             f"Re(G)={re_minus:.4f} in the band nearest the rod zero; "
-            f"G(rod zero)={abs(gamma_zero):.1e} (transparent, see ledger)")
+            f"G(rod zero)={abs(gamma_zero):.1e} (transparent, see README model notes)")
     assert worst_mod < 1e-6
     assert forced_ok
     assert re_plus > 0.99
@@ -241,7 +242,8 @@ def test_criterion_08_rod_width_tunability(config, tmp_path):
     of the rod width in this model (the width enters only through phase
     factors that cancel in the characteristic polynomial), so the primary-band
     center cannot move by 10 MHz under a rod-width sweep.  The criterion is
-    asserted as specified and the analysis is recorded in the ledger."""
+    asserted as specified and the analysis is recorded in README, "Model notes
+    and known quirks"."""
     doc = {
         "sweep": {"f_start_hz": 1.4e9, "f_stop_hz": 3.2e9, "points": 400},
         "geometry_sweep": {"parameter": "a", "from_um": 1.5, "to_um": 3.5, "steps": 21},
@@ -263,12 +265,12 @@ def test_criterion_08_rod_width_tunability(config, tmp_path):
     ok = delta_f > 10e6 and (monotone or unimodal) and note_present
     _report(8, "rod-width tunability", ok,
             f"delta_f = {delta_f/1e6:.6f} MHz (model-provable ~0; honest failure, "
-            f"see ledger); summary note present: {note_present}")
+            f"see README model notes); summary note present: {note_present}")
     assert note_present
     assert monotone or unimodal
     assert delta_f > 10e6, (
         "rod-width tunability is absent from this cell model by construction; "
-        "see the decisions ledger for the proof sketch"
+        "see README, 'Model notes and known quirks', for the proof sketch"
     )
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -144,7 +145,7 @@ def test_band_centers_shift_down_with_taller_rod(default_config, default_sweep):
     from rodwave import unit_cell
 
     geo = default_config.geometry
-    taller = geo.replace("t_aln2", geo.t_aln2 * 1.1)
+    taller = dataclasses.replace(geo, t_aln2=geo.t_aln2 * 1.1)
     cell_tall = unit_cell(default_config, taller)
     base_report = stopband_report(default_sweep)
     tall_report = stopband_report(sweep(cell_tall, 0.1e9, 6e9, 800))
@@ -230,6 +231,16 @@ def test_chain_long_cascade_stays_finite(default_cell):
     assert np.all(np.isfinite(profile.magnitudes))
     assert profile.magnitudes[0] == 1.0
     assert profile.magnitudes[-1] < 1e-12
+
+
+def test_chain_decay_below_underflow_matches_eigen_slope(default_cell):
+    # 7.12 Np/cell over 200 cells decays far below the smallest double; the
+    # slope comes from the accumulated logarithms, not underflowed magnitudes
+    profile = chain_profile(default_cell, 2.006e9, 200)
+    assert profile.eigen_slope < -7.0
+    assert np.all(np.isfinite(profile.log_magnitudes))
+    assert profile.magnitudes[-1] == 0.0
+    assert profile.fitted_slope / profile.eigen_slope == pytest.approx(1.0, abs=0.02)
 
 
 def test_chain_transmission_consistent_with_gamma(default_cell, default_report):
