@@ -11,8 +11,12 @@ palindromic and reduces through y = lambda + 1/lambda to a quadratic
 Its roots are taken from this closed form, stably: the root without
 cancellation from the quadratic formula, the other one as pr / root.  One
 y-root continues from 2 cos(kL) at zero coupling (the flexural pair), the
-other from 2 cosh(kL) (the evanescent pair); the pairs are told apart by a
-homotopy in the coupling strength at fixed frequency.  The flexural Bloch
+other from 2 cosh(kL) (the evanescent pair), as the coupling t grows from 0
+to sigma at fixed frequency.  The discriminant su^2 - 4 pr is a quadratic in
+t with real zeros only when sin kL > 0, both negative.  The roots collide at
+the nearer zero, t_a = -2 P / (sqrt(sinh kL) + sqrt(sin kL))^2 with
+P = 2 (cosh kL - cos kL), so the flexural root is the +disc one when
+sin kL > 0 and sigma < t_a, and the -disc one otherwise.  The flexural Bloch
 factor with |lambda| <= 1 gives the transmission T = |lambda| per cell and
 the effective wavevector k_ef = ln(lambda)/(iL).  Wave direction is fixed by
 a limiting-absorption rule: under omega -> omega (1 + i*1e-6) the modulus of
@@ -54,10 +58,8 @@ MARKER_MIN_REAL = 0.98  # smallest in-band max(Re Gamma) that counts as a marker
 _ABSORPTION_EPS = 1e-6
 # k and kL scale as sqrt(omega) under omega -> omega (1 + i eps)
 _ABSORPTION_K = cmath.sqrt(1 + 1j * _ABSORPTION_EPS)
-_HOMOTOPY_STEPS = 64
-_HOMOTOPY_MAX_DEPTH = 40  # bisection levels of an ambiguous homotopy step
-# frequencies per kernel block: bounds the temporaries, the (frequency x
-# homotopy step) grid above all, to about a MB whatever the sweep length
+# frequencies per kernel block: bounds the batched T, eig and solve
+# temporaries whatever the sweep length
 _BLOCK = 64
 
 
@@ -178,11 +180,6 @@ class _BlochArrays:
         )
 
 
-def _cabs(z):
-    """|z| through hypot, the same bits as Python's abs(complex)."""
-    return np.hypot(z.real, z.imag)
-
-
 def _y_parts(kl):
     """kL-only parts of the closed form: su = c2 + ch2 + (sigma/2) B, pr = C + sigma E."""
     c, ch, sn, sh = np.cos(kl), np.cosh(kl), np.sin(kl), np.sinh(kl)
@@ -195,7 +192,7 @@ def _y_closed(parts, s) -> np.ndarray:
     For real kL and sigma.  A real pair takes the root without cancellation
     from the quadratic formula and the other one as pr / root; a complex
     pair has no cancellation and stays exactly conjugate.  Only real
-    arithmetic is used; ``_y_pair`` is the same arithmetic in Python floats.
+    arithmetic is used.
     """
     c2, ch2, B, C, E = parts
     su = c2 + ch2 + (s / 2) * B
@@ -216,131 +213,21 @@ def _y_closed(parts, s) -> np.ndarray:
     return y
 
 
-def _y_pair(parts: tuple[float, ...], s: float) -> tuple[complex, complex]:
-    """``_y_closed`` at one kL and one coupling value, in Python floats."""
-    c2, ch2, B, C, E = parts
-    su = c2 + ch2 + (s / 2) * B
-    pr = C + s * E
-    disc2 = su * su - 4 * pr
-    d = math.sqrt(abs(disc2))
-    if disc2 < 0:
-        return complex(su / 2, d / 2), complex(su / 2, -d / 2)
-    big = (su + math.copysign(d, su)) / 2
-    if su >= 0:
-        return complex(big, 0.0), complex(pr / big, 0.0)
-    return complex(pr / big, 0.0), complex(big, 0.0)
-
-
-def _advance(closed, tau0: float, tau1: float, yf: complex, ye: complex, depth: int
-             ) -> tuple[complex, complex]:
-    """One homotopy step tau0 -> tau1 of the tracked pair (yf, ye).
-
-    closed(tau) gives the closed-form pair at coupling tau * sigma.  The step
-    is bisected while the keep/swap decision is ambiguous.
-    """
-    y1, y2 = closed(tau1)
-    keep = abs(y1 - yf) + abs(y2 - ye)
-    swap = abs(y2 - yf) + abs(y1 - ye)
-    margin = abs(keep - swap)
-    if (depth < _HOMOTOPY_MAX_DEPTH and margin < 0.25 * abs(y1 - y2) + 1e-30
-            and tau1 - tau0 > 1e-12):
-        mid = 0.5 * (tau0 + tau1)
-        yf, ye = _advance(closed, tau0, mid, yf, ye, depth + 1)
-        return _advance(closed, mid, tau1, yf, ye, depth + 1)
-    return (y1, y2) if keep <= swap else (y2, y1)
-
-
-def _closed_at(parts, s: float, known: dict):
-    """closed(tau) for ``_advance`` at one kL, memoised in `known` (tau -> pair)."""
-
-    def closed(tau: float) -> tuple[complex, complex]:
-        if tau not in known:
-            known[tau] = _y_pair(parts, s * tau)
-        return known[tau]
-
-    return closed
-
-
-def _flexural_y(kl: float, sigma: float) -> tuple[complex, complex]:
-    """Track the y-root continued from 2cos(kL) as coupling grows 0 -> sigma.
-
-    Returns (y_flexural, y_evanescent).  The homotopy subdivides adaptively
-    when the two roots approach each other.  This scalar form is the
-    reference for the kernel's vectorised branch choice (``_flexural_roots``).
-    """
-    s = float(clamped_sigma(sigma))
-    parts = tuple(float(v) for v in _y_parts(kl))
-    closed = _closed_at(parts, s, {})
-    y_f, y_e = complex(parts[0], 0.0), complex(parts[1], 0.0)  # 2 cos kL, 2 cosh kL
-    for i in range(_HOMOTOPY_STEPS):
-        y_f, y_e = _advance(closed, i / _HOMOTOPY_STEPS, (i + 1) / _HOMOTOPY_STEPS, y_f, y_e, 0)
-    return y_f, y_e
-
-
-_TAUS = np.arange(1, _HOMOTOPY_STEPS + 1) / _HOMOTOPY_STEPS
-
-
 def _flexural_roots(kl: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """[y_flexural, y_evanescent] at full coupling, by the homotopy of ``_flexural_y``.
+    """[y_flexural, y_evanescent] at full coupling, as an (n, 2) array.
 
-    Returned as an (n, 2) array.  The homotopy runs over a (frequency x
-    step) grid.  Entering a step, the tracked pair is the closed-form pair
-    of the step's start in one of two orders, 0 for (y1, y2) and 1 for
-    (y2, y1).  An unambiguous step keeps the order if keep < swap, flips it
-    if keep > swap and resets it to 0 on a tie (keep and swap trade places
-    when the entering order flips), so it is a map on the order, stored as
-    (order left from 0, order left from 1).  The first step starts from the
-    uncoupled values (2 cos kL, 2 cosh kL), so its map is constant.  The
-    maps compose with array operations; a frequency with an ambiguous step
-    is walked step by step instead, with ``_advance`` bisecting that step.
+    The root continued from 2 cos kL as the coupling grows from 0 to sigma,
+    in closed form (module docstring): the -disc root at zero coupling, the
+    +disc one from the collision at t_a on, which exists only for
+    sin kL > 0.
     """
-    parts = _y_parts(kl[:, None])
-    Y = _y_closed(parts, s[:, None] * _TAUS)  # (2, frequency, step)
-    entering = np.empty_like(Y)
-    entering[:, :, 1:] = Y[:, :, :-1]
-    entering[0, :, 0] = parts[0][:, 0]
-    entering[1, :, 0] = parts[1][:, 0]
-    dist = _cabs(Y[:, None] - entering[None])  # dist[i, j] = |y_i - entering y_j|
-    keep = dist[0, 0] + dist[1, 1]
-    swap = dist[1, 0] + dist[0, 1]
-    out0 = keep > swap
-    out1 = swap > keep
-    out1[:, 0] = out0[:, 0]
-    # compose: the last constant map sets the order (out0 there) and each
-    # later flip (out0 true there too) toggles it, so the order is the
-    # parity of out0 from the last constant map on
-    from_end = np.argmax((out0 == out1)[:, ::-1], axis=1)
-    counts = np.cumsum(out0[:, ::-1], axis=1)
-    order = counts[np.arange(len(from_end)), from_end] % 2 == 1
-    ambiguous = np.abs(keep - swap) < 0.25 * _cabs(Y[0] - Y[1]) + 1e-30
-    for row in np.flatnonzero(ambiguous.any(axis=1)).tolist():
-        order[row] = _walk(
-            tuple(p[row, 0].item() for p in parts), s[row].item(), Y[:, row],
-            out0[row], out1[row], ambiguous[row],
-        )
-    return np.where(order, Y[::-1, :, -1], Y[:, :, -1]).T
-
-
-def _walk(parts, s: float, Y: np.ndarray, out0, out1, ambiguous) -> bool:
-    """Order left by the homotopy at one frequency, walked step by step.
-
-    Unambiguous steps apply their map; ambiguous ones run ``_advance`` from
-    the tracked pair.
-    """
-    y1, y2 = Y.tolist()
-    closed = _closed_at(parts, s, dict(zip(_TAUS.tolist(), zip(y1, y2))))
-    order = False
-    for i, (o0, o1, amb) in enumerate(zip(out0.tolist(), out1.tolist(), ambiguous.tolist())):
-        if not amb:
-            order = o1 if order else o0
-            continue
-        if i == 0:
-            yf, ye = complex(parts[0], 0.0), complex(parts[1], 0.0)
-        else:
-            yf, ye = (y2[i - 1], y1[i - 1]) if order else (y1[i - 1], y2[i - 1])
-        yf, _ = _advance(closed, i / _HOMOTOPY_STEPS, (i + 1) / _HOMOTOPY_STEPS, yf, ye, 0)
-        order = yf != y1[i]
-    return order
+    y = _y_closed(_y_parts(kl), s)
+    sn = np.sin(kl)
+    # P = 2 (cosh kL - cos kL), written without its cancellation at small kL
+    p = 4 * (np.sinh(kl / 2) ** 2 + np.sin(kl / 2) ** 2)
+    t_a = -2 * p / (np.sqrt(np.sinh(kl)) + np.sqrt(np.maximum(sn, 0.0))) ** 2
+    plus = (sn > 0) & (s < t_a)
+    return np.where(plus, y, y[::-1]).T
 
 
 def _lambda_pairs(y):
@@ -365,8 +252,8 @@ def _absorbing_y(cell: UnitCellGeometry, f, k, y_flex, force_zero_coupling: bool
     else:
         rod = cell.rod
         omega = 2 * math.pi * f * (1 + 1j * _ABSORPTION_EPS)
-        scale = rod.section.effective_rho * rod.section.area_per_width * rod.velocity
-        f_eff = -omega * scale * np.tan(omega / rod.velocity * rod.height)  # -i omega Z_b
+        # -i omega Z_b
+        f_eff = -omega * rod.impedance_scale * np.tan(omega / rod.velocity * rod.height)
         s_p = f_eff / (cell.trench.bending_stiffness * k_p**3)
         mod = np.abs(s_p)
         if (mod > SIGMA_CLAMP).any():
@@ -583,6 +470,14 @@ def semi_infinite_reflection(
     return complex(gamma[0]), complex(gamma_e[0])
 
 
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the runs of True in a 1-D mask, both inclusive."""
+    padded = np.concatenate([[False], mask, [False]])
+    starts = np.flatnonzero(mask & ~padded[:-2])
+    ends = np.flatnonzero(mask & ~padded[2:])
+    return starts, ends
+
+
 def _branch_indices(in_stop: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """2 pi branch index of Re(k_ef) L per point of a sweep.
 
@@ -593,9 +488,7 @@ def _branch_indices(in_stop: np.ndarray, offset: np.ndarray) -> np.ndarray:
     turns).  Stopband points inherit the branch of the run to their left,
     leading ones that of the first run.
     """
-    passband = np.concatenate([[False], ~in_stop, [False]])
-    starts = np.flatnonzero(passband[1:-1] & ~passband[:-2])
-    ends = np.flatnonzero(passband[1:-1] & ~passband[2:])
+    starts, ends = _runs(~in_stop)
     if not starts.size:
         return np.zeros(in_stop.shape)
     runs = np.round(offset[(starts + ends) // 2] / (2 * math.pi))
@@ -651,17 +544,8 @@ def stopband_report(
         raise ValueError("stopband_report: need at least 2 sweep points")
     n = len(points)
     step = points[1].f - points[0].f
-    runs = []
-    i = 0
-    while i < n:
-        if points[i].in_stopband:
-            j = i
-            while j + 1 < n and points[j + 1].in_stopband:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
+    starts, ends = _runs(np.array([p.in_stopband for p in points]))
+    runs = list(zip(starts.tolist(), ends.tolist()))
 
     edges = {}  # (point index, neighbour index) -> refined edge frequency
     if cell is not None:

@@ -40,6 +40,11 @@ class RodModel:
         return longitudinal_velocity(self.section)
 
     @property
+    def impedance_scale(self) -> float:
+        """rho A c per unit width, the magnitude scale of Z_b (kg m^-1 s^-1)."""
+        return self.section.effective_rho * self.section.area_per_width * self.velocity
+
+    @property
     def first_pole(self) -> float:
         """Quarter-wave frequency c/(4h) where |Z_b| diverges (Hz)."""
         return self.velocity / (4.0 * self.height)
@@ -77,8 +82,7 @@ def driving_impedance(rod: RodModel, f: float) -> complex:
     if _pole_distance(rod, f) < _EXACT_POLE_FRACTION * rod.velocity / rod.height:
         sign = 1.0 if math.tan(arg) >= 0 else -1.0
         return complex(0.0, -sign * math.inf)
-    scale = rod.section.effective_rho * rod.section.area_per_width * rod.velocity
-    return -1j * scale * math.tan(arg)
+    return -1j * rod.impedance_scale * math.tan(arg)
 
 
 def rod_modeshape(
@@ -99,8 +103,7 @@ def rod_modeshape(
     k_rod = omega / rod.velocity
     h = rod.height
     z = np.linspace(0.0, h, z_samples)
-    scale = rod.section.effective_rho * rod.section.area_per_width * rod.velocity
-    u = -f_amp / (omega * scale) * (
+    u = -f_amp / (omega * rod.impedance_scale) * (
         np.sin(k_rod * z) + np.cos(k_rod * z) / math.tan(k_rod * h)
     )
     return z, u.astype(complex)

@@ -59,7 +59,16 @@ def _write_csv(
         lines.append(f"# {note}")
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        try:
+            lines.append(",".join(_fmt(v) for v in row))
+        except NumericError as exc:
+            column = next(
+                name for name, v in zip(header, row)
+                if not isinstance(v, str) and not math.isfinite(v)
+            )
+            raise NumericError(
+                f"{path.name}: {exc} (column {column}, row {header[0]}={row[0]})"
+            ) from None
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -141,6 +141,27 @@ def test_all_passband_range_gives_empty_report(default_cell):
     assert report.resonance_markers == ()
 
 
+def test_stopband_runs_at_the_sweep_ends(default_cell):
+    base = bloch_point(default_cell, 2.0e9)
+    # runs at the first three points, at point 5 alone and at the last three
+    stops = [True, True, True, False, False, True, False, False, True, True, True]
+
+    def report(flags):
+        points = [
+            dataclasses.replace(base, f=1e9 + 1e6 * i, in_stopband=s, t_coeff=0.5 if s else 1.0)
+            for i, s in enumerate(flags)
+        ]
+        r = stopband_report(points)
+        return [(b.f_low, b.f_high) for b in r.bands], r.coarse_grid_warning, [p.f for p in points]
+
+    edges, coarse, f = report(stops)
+    assert edges == [(f[0], f[2]), (f[5], f[5]), (f[8], f[10])]
+    assert coarse
+    edges, coarse, f = report(stops[:5] + [False] + stops[6:])
+    assert edges == [(f[0], f[2]), (f[8], f[10])]
+    assert not coarse
+
+
 def test_band_centers_shift_down_with_taller_rod(default_config, default_sweep):
     from rodwave import unit_cell
 

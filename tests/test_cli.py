@@ -251,3 +251,17 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_frequency_sweep", boom)
     cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
     assert main(["sweep", "--config", str(cfg)]) == 3
+
+
+def test_non_finite_csv_value_names_file_column_and_row(tmp_path):
+    from rodwave.errors import NumericError
+    from rodwave.workbench import _write_csv
+
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(NumericError) as info:
+        _write_csv(path, ["f_hz", "re_gamma"], [[1.0e9, 0.5], [2.5e9, math.nan]], "0" * 64)
+    assert str(info.value) == (
+        "sweep.csv: refusing to write non-finite value nan to CSV"
+        " (column re_gamma, row f_hz=2500000000.0)"
+    )
+    assert not path.exists()

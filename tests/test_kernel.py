@@ -1,5 +1,5 @@
-"""The array kernel of the Bloch pipeline against its scalar reference and an
-mpmath evaluation of the closed form, and its independence of batching."""
+"""The array kernel of the Bloch pipeline against an mpmath evaluation of the
+closed form and of the branch continuation, and its independence of batching."""
 
 import dataclasses
 
@@ -44,13 +44,29 @@ def random_draw():
     return np.concatenate(kls), np.concatenate(sigmas)
 
 
-def test_kernel_branch_matches_scalar_homotopy(random_draw):
+def test_kernel_branch_matches_mpmath_continuation(random_draw):
+    """The flexural root is the one continued from 2 cos kL as the coupling t
+    grows from 0 to sigma: the -disc root, or the +disc one once t has passed
+    a zero of the discriminant su^2 - 4 pr, a quadratic in t."""
     kl, sigma = random_draw
-    y = bloch._flexural_roots(kl, sigma).tolist()  # (flexural, evanescent) rows
-    mismatched = [
-        i for i in range(kl.size)
-        if list(bloch._flexural_y(float(kl[i]), float(sigma[i]))) != y[i]
-    ]
+    flexural = bloch._flexural_roots(kl, sigma)[:, 0].tolist()
+    mismatched = []
+    for i, (x, s, y) in enumerate(zip(kl.tolist(), sigma.tolist(), flexural)):
+        mpmath.mp.dps = 60 + int(x / 2.3)
+        x, s = mpmath.mpf(x), mpmath.mpf(s)
+        c, ch, sn, sh = mpmath.cos(x), mpmath.cosh(x), mpmath.sin(x), mpmath.sinh(x)
+        # su = su0 + su1 t, pr = pr0 + pr1 t, su^2 - 4 pr = q2 t^2 + q1 t + q0
+        su0, su1 = 2 * c + 2 * ch, (sh - sn) / 2
+        pr0, pr1 = 4 * c * ch, c * sh - sn * ch
+        q2, q1, q0 = su1 * su1, 2 * su0 * su1 - 4 * pr1, su0 * su0 - 4 * pr0
+        q = q1 * q1 - 4 * q2 * q0
+        zeros = [(-q1 + r) / (2 * q2) for r in (mpmath.sqrt(q), -mpmath.sqrt(q))] if q >= 0 else []
+        su = su0 + su1 * s
+        disc = mpmath.sqrt(su * su - 4 * (pr0 + pr1 * s))
+        ref = (su + disc) / 2 if any(s <= z < 0 for z in zeros) else (su - disc) / 2
+        if abs(mpmath.mpc(y.real, y.imag) - ref) > 1e-12 * max(abs(ref), 1):
+            mismatched.append(i)
+    mpmath.mp.dps = 15
     assert not mismatched, f"{len(mismatched)} of {kl.size} points differ, first {mismatched[:5]}"
 
 
@@ -75,14 +91,6 @@ def test_closed_form_roots_match_mpmath(random_draw):
             worst = max(worst, float(err))
     mpmath.mp.dps = 15
     assert worst <= 1e-12
-
-
-def test_scalar_pair_is_the_array_arithmetic(random_draw):
-    kl, sigma = random_draw
-    y1, y2 = bloch._y_closed(bloch._y_parts(kl), sigma)
-    parts = np.stack(bloch._y_parts(kl), axis=1).tolist()
-    for p, s, r1, r2 in zip(parts, sigma.tolist(), y1.tolist(), y2.tolist()):
-        assert bloch._y_pair(tuple(p), s) == (r1, r2)
 
 
 def _without_re_kef(p):
