@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .rod import RodModel, driving_impedance
+from .rod import RodModel, _impedance_arrays
 from .trench import TrenchModel, flexural_wavevector, flexural_wavevectors
 
 # above this |sigma| the closed forms switch to their infinite-stiffness
@@ -117,12 +117,12 @@ def forcing_strength(cell: UnitCellGeometry, f: float) -> tuple[float, float]:
 def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):
     """(k, f_eff, sigma) over an array of frequencies f > 0.
 
-    Z_b is taken from the rod layer one frequency at a time, because its
-    exact-pole marker (an infinite Z_b) is defined there;
-    f_eff = -i omega Z_b = omega Im(Z_b).
+    f_eff = -i omega Z_b = omega Im(Z_b), with Im(Z_b) from the rod layer's
+    array evaluation.  At an exact pole its signed-infinite marker makes f_eff
+    and sigma infinite; consumers clamp sigma or use its infinite limits.
     """
     omega = 2.0 * math.pi * f
-    f_eff = omega * np.array([driving_impedance(cell.rod, fv).imag for fv in f.tolist()])
+    f_eff = omega * _impedance_arrays(cell.rod, f)[0]
     k = flexural_wavevectors(cell.trench, f)
     return k, f_eff, f_eff / (cell.trench.bending_stiffness * k**3)
 

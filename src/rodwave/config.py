@@ -175,8 +175,8 @@ def _parse_sweep(obj: dict | None) -> SweepConfig:
         points = int(obj.get("points", DEFAULT_SWEEP["points"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError("sweep: non-numeric entry") from exc
-    if not (0 < f_start < f_stop):
-        raise ConfigError("sweep: need 0 < f_start_hz < f_stop_hz")
+    if not 0 < f_start < f_stop < math.inf:
+        raise ConfigError("sweep: need 0 < f_start_hz < f_stop_hz, both finite")
     if points < 2:
         raise ConfigError("sweep.points: must be >= 2")
     return SweepConfig(f_start=f_start, f_stop=f_stop, points=points)

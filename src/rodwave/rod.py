@@ -55,19 +55,32 @@ class RodModel:
         return self.velocity / (2.0 * self.height)
 
 
-def _pole_distance(rod: RodModel, f: float) -> float:
-    """Distance from f to the nearest pole (2n-1)*c/(4h), n >= 1."""
-    spacing = rod.velocity / (2.0 * rod.height)  # pole-to-pole spacing
+def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Im Z_b, near-pole flag) over a 1-D array of frequencies f >= 0.
+
+    Both come from one distance to the nearest pole (2n-1)*c/(4h), n >= 1.
+    Within the exact-pole window Im Z_b is a signed-infinite marker, -inf
+    where the tangent is >= 0.  The tangent is libm's (math.tan), not np.tan,
+    whose SIMD kernels differ from it in the last bit on some hosts, and
+    Im Z_b = 0.0 - rho A c tan, so that f = 0 gives +0.0.
+    """
+    c, h = rod.velocity, rod.height
+    spacing = c / (2.0 * h)  # pole-to-pole spacing
     first = rod.first_pole
-    n = round((f - first) / spacing)
-    nearest = first + max(n, 0) * spacing
-    return abs(f - nearest)
+    n = np.maximum(np.rint((f - first) / spacing), 0.0)
+    distance = np.abs(f - (first + n * spacing))
+    arg = 2.0 * math.pi * f / c * h
+    tan = np.fromiter(map(math.tan, arg.tolist()), float, arg.size)
+    im = 0.0 - rod.impedance_scale * tan
+    exact = distance < _EXACT_POLE_FRACTION * c / h
+    if exact.any():
+        im[exact] = np.where(tan[exact] >= 0, -math.inf, math.inf)
+    return im, distance < NEAR_POLE_WINDOW_FRACTION * c / h
 
 
 def near_pole(rod: RodModel, f: float) -> bool:
     """True when f falls inside the near-pole window around any impedance pole."""
-    window = NEAR_POLE_WINDOW_FRACTION * rod.velocity / rod.height
-    return _pole_distance(rod, f) < window
+    return bool(_impedance_arrays(rod, np.array([float(f)]))[1][0])
 
 
 def driving_impedance(rod: RodModel, f: float) -> complex:
@@ -78,11 +91,7 @@ def driving_impedance(rod: RodModel, f: float) -> complex:
     """
     if f < 0:
         raise ValueError("driving_impedance: f must be >= 0")
-    arg = 2.0 * math.pi * f / rod.velocity * rod.height
-    if _pole_distance(rod, f) < _EXACT_POLE_FRACTION * rod.velocity / rod.height:
-        sign = 1.0 if math.tan(arg) >= 0 else -1.0
-        return complex(0.0, -sign * math.inf)
-    return -1j * rod.impedance_scale * math.tan(arg)
+    return complex(0.0, _impedance_arrays(rod, np.array([float(f)]))[0][0])
 
 
 def rod_modeshape(

@@ -3,7 +3,8 @@
 Every CSV starts with a comment line recording the tool version and the
 resolved-config hash, so identical configs reproduce byte-identical files.
 All numeric columns are finite; near-pole frequencies are handled upstream
-through analytic limits.
+through analytic limits, and a table with a non-finite value is refused
+before its file is opened.
 """
 
 from __future__ import annotations
@@ -26,50 +27,56 @@ from .bloch import (
 from .cell import cell_matrices, forcing_strength
 from .config import RunConfig, config_hash, unit_cell
 from .errors import ConfigError, NumericError
-from .rod import driving_impedance, near_pole
+from .rod import _impedance_arrays
 from .svg import line_plot
-from .trench import wavelength_over_thickness
+from .trench import flexural_wavevectors
 
 RECIPROCITY_FLAG = 1e-9
 RECIPROCITY_FAIL = 1e-5
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if not math.isfinite(v):
-        raise NumericError(f"refusing to write non-finite value {v!r} to CSV")
-    return repr(v)
+# rows formatted and written at a time: the formatted text of one block is
+# the writer's largest temporary (about 0.2 MB of text for sweep.csv)
+_CSV_BLOCK_ROWS = 1024
 
 
 def _write_csv(
     path: Path,
-    header: list[str],
-    rows: list[list],
+    columns: dict[str, list | np.ndarray],
     cfg_hash: str,
     notes: list[str] | None = None,
 ) -> None:
-    lines = [f"# rodwave {__version__} config_sha256={cfg_hash}"]
-    for note in notes or []:
-        lines.append(f"# {note}")
-    lines.append(",".join(header))
-    for row in rows:
-        try:
-            lines.append(",".join(_fmt(v) for v in row))
-        except NumericError as exc:
-            column = next(
-                name for name, v in zip(header, row)
-                if not isinstance(v, str) and not math.isfinite(v)
-            )
-            raise NumericError(
-                f"{path.name}: {exc} (column {column}, row {header[0]}={row[0]})"
-            ) from None
-    path.write_text("\n".join(lines) + "\n")
+    """Write named, equally long columns as CSV, streamed in row blocks.
+
+    Floats are written with repr, bools as 0/1, ints and strings as they are.
+    Every float column is checked first: a non-finite value refuses the table
+    before the file is opened, naming the file, the column and the row (by
+    its first-column value).
+    """
+    header = list(columns)
+    cols = [np.asarray(c) for c in columns.values()]
+    bad = []  # (row, column) of the first non-finite value of each column
+    for j, col in enumerate(cols):
+        if col.dtype.kind == "f":
+            finite = np.isfinite(col)
+            if not finite.all():
+                bad.append((int(np.argmin(finite)), j))
+    if bad:
+        row, j = min(bad)
+        raise NumericError(
+            f"{path.name}: refusing to write non-finite value {cols[j][row].item()!r} to CSV"
+            f" (column {header[j]}, row {header[0]}={cols[0][row].item()})"
+        )
+    # str() of a Python float is its repr; bools go through int for 0/1
+    cols = [col.astype(int) if col.dtype.kind == "b" else col for col in cols]
+    with path.open("w") as fh:
+        fh.write(f"# rodwave {__version__} config_sha256={cfg_hash}\n")
+        for note in notes or []:
+            fh.write(f"# {note}\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+            cells = [map(str, col[lo:lo + _CSV_BLOCK_ROWS].tolist()) for col in cols]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _resolve_out(config: RunConfig, out_dir: str | None) -> Path:
@@ -101,46 +108,25 @@ def run_frequency_sweep(
     report = stopband_report(points, cell)
     cfg_hash = config_hash(config)
 
-    rows = []
-    for p in points:
-        rows.append(
-            [
-                p.f,
-                p.k,
-                wavelength_over_thickness(cell.trench, p.f),
-                p.sigma,
-                p.t_coeff,
-                p.r_coeff,
-                p.k_ef.real,
-                p.k_ef.imag,
-                p.gamma.real,
-                p.gamma.imag,
-                p.gamma_phase,
-                p.in_stopband,
-            ]
-        )
+    f = np.array([p.f for p in points])
+    columns = {
+        "f_hz": f,
+        "k_rad_per_m": [p.k for p in points],
+        "lambda_over_ht": 2.0 * math.pi / flexural_wavevectors(cell.trench, f)
+        / cell.trench.thickness,
+        "re_sigma": [p.sigma for p in points],
+        "T_coeff": [p.t_coeff for p in points],
+        "R_coeff": [p.r_coeff for p in points],
+        "re_kef": [p.k_ef.real for p in points],
+        "im_kef": [p.k_ef.imag for p in points],
+        "re_gamma": [p.gamma.real for p in points],
+        "im_gamma": [p.gamma.imag for p in points],
+        "gamma_phase": [p.gamma_phase for p in points],
+        "in_stopband": [p.in_stopband for p in points],
+    }
     notes = [f"reciprocity_flagged_points={flagged}"]
     sweep_path = directory / "sweep.csv"
-    _write_csv(
-        sweep_path,
-        [
-            "f_hz",
-            "k_rad_per_m",
-            "lambda_over_ht",
-            "re_sigma",
-            "T_coeff",
-            "R_coeff",
-            "re_kef",
-            "im_kef",
-            "re_gamma",
-            "im_gamma",
-            "gamma_phase",
-            "in_stopband",
-        ],
-        rows,
-        cfg_hash,
-        notes,
-    )
+    _write_csv(sweep_path, columns, cfg_hash, notes)
     bands_path = directory / "stopbands.csv"
     _write_stopbands(bands_path, report, cfg_hash)
 
@@ -190,16 +176,14 @@ def _write_stopbands(path: Path, report: StopbandReport, cfg_hash: str) -> None:
     if report.resonance_markers:
         markers = ";".join(repr(m) for m in report.resonance_markers)
         notes.append(f"fixed_constraint_markers_hz={markers}")
-    rows = [
-        [b.f_low, b.f_high, b.f_center, b.max_attenuation] for b in report.bands
-    ]
-    _write_csv(
-        path,
-        ["f_low_hz", "f_high_hz", "f_center_hz", "max_atten_per_cell"],
-        rows,
-        cfg_hash,
-        notes,
-    )
+    bands = report.bands
+    columns = {
+        "f_low_hz": [b.f_low for b in bands],
+        "f_high_hz": [b.f_high for b in bands],
+        "f_center_hz": [b.f_center for b in bands],
+        "max_atten_per_cell": [b.max_attenuation for b in bands],
+    }
+    _write_csv(path, columns, cfg_hash, notes)
 
 
 def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
@@ -262,12 +246,9 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
     ]
     notes.extend(skipped)
     path = directory / "geomsweep.csv"
+    header = ["param_value", "f_center_first_band", "band_width", "attenuation_peak"]
     _write_csv(
-        path,
-        ["param_value", "f_center_first_band", "band_width", "attenuation_peak"],
-        rows,
-        cfg_hash,
-        notes,
+        path, {name: [r[j] for r in rows] for j, name in enumerate(header)}, cfg_hash, notes
     )
     svg_path = None
     if config.output.plot and rows:
@@ -290,30 +271,38 @@ def run_chain(
     out_dir: str | None = None,
 ) -> dict:
     """Finite-chain decay profile at one frequency; write chain.csv."""
-    if not freq > 0:
-        raise ConfigError("chain: --freq must be > 0")
+    if not 0 < freq < math.inf:
+        raise ConfigError("chain: --freq must be > 0 and finite")
     if not 2 <= n_cells <= 200:
         raise ConfigError("chain: --cells must be in [2, 200]")
     directory = _resolve_out(config, out_dir)
     cell = unit_cell(config)
     profile = chain_profile(cell, freq, n_cells)
     cfg_hash = config_hash(config)
-    log10 = (profile.log_magnitudes / math.log(10.0)).tolist()
-    rows = [[j, mag, lg] for j, (mag, lg) in enumerate(zip(profile.magnitudes.tolist(), log10))]
+    log10 = profile.log_magnitudes / math.log(10.0)
     notes = [
         f"f_hz={freq!r}",
         f"fitted_decay_slope_nepers_per_cell={profile.fitted_slope!r}",
         f"ln_lambda_flex={profile.eigen_slope!r}",
     ]
     path = directory / "chain.csv"
-    _write_csv(path, ["cell_index", "amplitude_mag", "log10_amplitude"], rows, cfg_hash, notes)
+    _write_csv(
+        path,
+        {
+            "cell_index": np.arange(log10.size),
+            "amplitude_mag": profile.magnitudes,
+            "log10_amplitude": log10,
+        },
+        cfg_hash,
+        notes,
+    )
     svg_path = None
     if config.output.plot:
         svg_path = directory / "chain.svg"
         line_plot(
             svg_path,
-            [float(r[0]) for r in rows],
-            [("log10|amplitude|", [r[2] for r in rows])],
+            np.arange(log10.size, dtype=float).tolist(),
+            [("log10|amplitude|", log10.tolist())],
             title=f"chain decay at {freq / 1e9:.4f} GHz",
             xlabel="cell boundary",
             ylabel="log10 amplitude",
@@ -329,26 +318,22 @@ def run_impedance(
     out_dir: str | None = None,
 ) -> dict:
     """Rod driving-impedance spectrum; write impedance.csv."""
-    if not (0 <= f_start < f_stop):
-        raise ConfigError("impedance: need 0 <= f_start < f_stop")
+    if not 0 <= f_start < f_stop < math.inf:
+        raise ConfigError("impedance: need 0 <= f_start < f_stop, both finite")
     if points < 2:
         raise ConfigError("impedance: points must be >= 2")
     directory = _resolve_out(config, out_dir)
     rod = unit_cell(config).rod
     cfg_hash = config_hash(config)
-    rows = []
-    for f in np.linspace(f_start, f_stop, points):
-        f = float(f)
-        zb = driving_impedance(rod, f)
-        flag = near_pole(rod, f)
-        im = zb.imag
-        if not math.isfinite(im):
-            # exact-pole marker: clamp for file finiteness, flag carries the info
-            im = math.copysign(1e308, im)
-            flag = True
-        rows.append([f, im, flag])
+    f = np.linspace(f_start, f_stop, points)
+    im, flag = _impedance_arrays(rod, f)
+    # exact-pole marker: clamp for file finiteness, the flag carries the info
+    pole = np.isinf(im)
+    im[pole] = np.copysign(1e308, im[pole])
     path = directory / "impedance.csv"
-    _write_csv(path, ["f_hz", "im_Zb", "flag_near_pole"], rows, cfg_hash)
+    _write_csv(
+        path, {"f_hz": f, "im_Zb": im, "flag_near_pole": flag | pole}, cfg_hash
+    )
     return {"impedance_csv": path}
 
 
@@ -380,40 +365,35 @@ def transfer_matrix_reference(k: float, a: float, L: float, sigma: float) -> np.
 
 def run_matrices(config: RunConfig, freq: float, out_dir: str | None = None) -> dict:
     """Dump G, C, D, T at one frequency plus the closed-form discrepancy report."""
-    if not freq > 0:
-        raise ConfigError("matrices: --freq must be > 0")
+    if not 0 < freq < math.inf:
+        raise ConfigError("matrices: --freq must be > 0 and finite")
     directory = _resolve_out(config, out_dir)
     cell = unit_cell(config)
     mats = cell_matrices(cell, freq)
     cfg_hash = config_hash(config)
 
-    rows = []
-    for name, M in (("G", mats.G), ("C", mats.C), ("D", mats.D), ("T", mats.T)):
-        for i in range(4):
-            row: list = [name, i]
-            for j in range(4):
-                row.extend([M[i, j].real, M[i, j].imag])
-            rows.append(row)
-    header = ["matrix", "row"]
+    entries = np.stack([mats.G, mats.C, mats.D, mats.T]).reshape(16, 4)
+    columns = {"matrix": np.repeat(["G", "C", "D", "T"], 4), "row": np.tile(np.arange(4), 4)}
     for j in range(4):
-        header.extend([f"re{j}", f"im{j}"])
+        columns[f"re{j}"] = entries[:, j].real
+        columns[f"im{j}"] = entries[:, j].imag
     path = directory / "matrices.csv"
-    _write_csv(path, header, rows, cfg_hash, [f"f_hz={freq!r}"])
+    _write_csv(path, columns, cfg_hash, [f"f_hz={freq!r}"])
 
     _, sigma = forcing_strength(cell, freq)
     ref = transfer_matrix_reference(mats.k, cell.rod_width, cell.cell_length, sigma)
-    check_rows = []
-    for i in range(4):
-        for j in range(4):
-            denom = max(abs(ref[i, j]), 1e-300)
-            rel = abs(mats.T[i, j] - ref[i, j]) / denom
-            known = i == 2 and j == 3
-            check_rows.append([i + 1, j + 1, rel, known])
+    # scalar abs: numpy's array abs of complex differs from it in the last bit
+    rel = [abs(d) / max(abs(r), 1e-300) for d, r in zip((mats.T - ref).ravel(), ref.ravel())]
+    i, j = np.indices((4, 4)).reshape(2, 16)
     check_path = directory / "matrices_check.csv"
     _write_csv(
         check_path,
-        ["row", "col", "rel_deviation", "known_discrepancy"],
-        check_rows,
+        {
+            "row": i + 1,
+            "col": j + 1,
+            "rel_deviation": rel,
+            "known_discrepancy": (i == 2) & (j == 3),
+        },
         cfg_hash,
         [
             f"f_hz={freq!r}",

@@ -122,6 +122,26 @@ def test_impedance_csv(tmp_path):
     assert not all(flags)
 
 
+def test_impedance_csv_pins_dc_and_exact_pole_rows(tmp_path):
+    from rodwave import parse_config, unit_cell
+
+    pole = unit_cell(parse_config({})).rod.first_pole
+    cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
+    path = tmp_path / "out" / "impedance.csv"
+    # the middle point of a 3-point grid centred on the pole lies inside the
+    # exact-pole window: clamped to -1e308 and flagged
+    assert main(
+        ["impedance", "--config", str(cfg), "--f-start", repr(pole - 1e6),
+         "--f-stop", repr(pole + 1e6), "--points", "3"]
+    ) == 0
+    assert path.read_text().splitlines()[3] == "2416693844.385006,-1e+308,1"
+    assert main(
+        ["impedance", "--config", str(cfg), "--f-start", "0", "--f-stop", "1e9",
+         "--points", "3"]
+    ) == 0
+    assert path.read_text().splitlines()[2] == "0.0,0.0,0"
+
+
 def test_chain_csv(tmp_path):
     cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
     assert main(["chain", "--config", str(cfg), "--freq", "2.3e9", "--cells", "7"]) == 0
@@ -241,6 +261,23 @@ def test_unwritable_output_exit_code(tmp_path):
     ) == 4
 
 
+@pytest.mark.parametrize(
+    "sweep, argv",
+    [
+        ({}, ["impedance", "--f-start", "0", "--f-stop", "inf", "--points", "3"]),
+        ({}, ["chain", "--freq", "inf", "--cells", "7"]),
+        ({}, ["matrices", "--freq", "inf"]),
+        ({"f_stop_hz": math.inf}, ["sweep"]),
+    ],
+    ids=["impedance", "chain", "matrices", "sweep"],
+)
+def test_non_finite_frequency_is_a_config_error(tmp_path, capsys, sweep, argv):
+    cfg = write_config(tmp_path, {"sweep": sweep, "output": {"dir": str(tmp_path / "out")}})
+    assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     from rodwave import cli
     from rodwave.errors import NumericError
@@ -259,9 +296,27 @@ def test_non_finite_csv_value_names_file_column_and_row(tmp_path):
 
     path = tmp_path / "sweep.csv"
     with pytest.raises(NumericError) as info:
-        _write_csv(path, ["f_hz", "re_gamma"], [[1.0e9, 0.5], [2.5e9, math.nan]], "0" * 64)
+        _write_csv(path, {"f_hz": [1.0e9, 2.5e9], "re_gamma": [0.5, math.nan]}, "0" * 64)
     assert str(info.value) == (
         "sweep.csv: refusing to write non-finite value nan to CSV"
         " (column re_gamma, row f_hz=2500000000.0)"
+    )
+    assert not path.exists()
+
+
+def test_non_finite_value_past_the_first_block_names_its_row(tmp_path):
+    from rodwave.errors import NumericError
+    from rodwave.workbench import _CSV_BLOCK_ROWS, _write_csv
+
+    n = _CSV_BLOCK_ROWS + 10
+    f = [float(i) for i in range(n)]
+    im = [0.5] * n
+    im[_CSV_BLOCK_ROWS + 3] = math.nan
+    path = tmp_path / "impedance.csv"
+    with pytest.raises(NumericError) as info:
+        _write_csv(path, {"f_hz": f, "im_Zb": im, "flag_near_pole": [False] * n}, "0" * 64)
+    assert str(info.value) == (
+        "impedance.csv: refusing to write non-finite value nan to CSV"
+        f" (column im_Zb, row f_hz={float(_CSV_BLOCK_ROWS + 3)})"
     )
     assert not path.exists()

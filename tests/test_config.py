@@ -70,6 +70,14 @@ def test_material_override_shifts_primary_band_up():
     assert rep_stiff.primary_band.f_center > rep_base.primary_band.f_center
 
 
+def test_non_finite_sweep_bound_rejected(tmp_path):
+    # json reads 1e400 as inf
+    path = tmp_path / "cfg.json"
+    path.write_text('{"sweep": {"f_stop_hz": 1e400}}')
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(path)
+
+
 def test_new_material_requires_both_properties():
     with pytest.raises(ConfigError, match="both"):
         parse_config({"materials": {"W": {"density_kg_m3": 19300.0}}})

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodwave import (
     SingularFrequencyError,
@@ -10,6 +13,9 @@ from rodwave import (
     near_pole,
     rod_modeshape,
 )
+from rodwave.cell import forcing_arrays
+from rodwave.materials import LaminateSection
+from rodwave.rod import RodModel, _impedance_arrays
 
 
 def test_impedance_zero_at_dc(default_rod):
@@ -117,3 +123,62 @@ def test_impedance_sign_pattern_between_extrema(default_rod):
     # spring-like (negative imaginary) below the first pole, mass-like above
     assert driving_impedance(default_rod, 1.0e9).imag < 0
     assert driving_impedance(default_rod, 3.0e9).imag > 0
+
+
+def _reference_impedance(rod, f):
+    """Per-point (Z_b, near-pole flag): libm tangent, round-based pole distance."""
+    c, h = rod.velocity, rod.height
+    spacing = c / (2.0 * h)
+    first = c / (4.0 * h)
+    distance = abs(f - (first + max(round((f - first) / spacing), 0) * spacing))
+    near = distance < 1e-4 * c / h
+    tan = math.tan(2.0 * math.pi * f / c * h)
+    if distance < 1e-12 * c / h:
+        return complex(0.0, -math.inf if tan >= 0 else math.inf), near
+    return -1j * (rod.section.effective_rho * rod.section.area_per_width * c) * tan, near
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    youngs=st.floats(50e9, 400e9),
+    density=st.floats(2000.0, 22000.0),
+    thickness=st.floats(0.3e-6, 2.0e-6),
+    n_pole=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_array_impedance_matches_scalar_oracle_bit_for_bit(
+    default_cell, youngs, density, thickness, n_pole, seed
+):
+    rod = RodModel(LaminateSection(youngs, density, thickness))
+    c_over_h = rod.velocity / rod.height
+    pole = (2 * n_pole - 1) * rod.velocity / (4.0 * rod.height)
+    # both sides of the near-pole (1e-4 c/h) and exact-pole (1e-12 c/h) windows
+    offsets = np.outer([1e-4, 1e-12], [0.999, 1.001]).ravel() * c_over_h
+    f = np.concatenate([
+        [0.0, pole],
+        pole + offsets,
+        pole - offsets,
+        np.random.default_rng(seed).uniform(0.0, 4.0 * pole + c_over_h, 300),
+    ])
+    ref = [_reference_impedance(rod, fv) for fv in f.tolist()]
+    ref_im = [z.imag for z, _ in ref]
+    ref_near = [near for _, near in ref]
+
+    im, near = _impedance_arrays(rod, f)
+    assert np.array_equal(_bits(im), _bits(ref_im))
+    assert near.tolist() == ref_near
+    assert math.copysign(1.0, im[0]) == 1.0  # +0.0 at DC
+    assert math.isinf(im[1]) and near[1]
+    for fv, (z, flag) in zip(f.tolist(), ref):
+        zb = driving_impedance(rod, fv)
+        assert np.array_equal(_bits([zb.real, zb.imag]), _bits([z.real, z.imag]))
+        assert near_pole(rod, fv) == flag
+
+    cell = dataclasses.replace(default_cell, rod=rod)
+    _, f_eff, _ = forcing_arrays(cell, f[f > 0])
+    expected = [2.0 * math.pi * fv * zi for fv, zi in zip(f.tolist(), ref_im) if fv > 0]
+    assert np.array_equal(_bits(f_eff), _bits(expected))
