@@ -22,12 +22,17 @@ the effective wavevector k_ef = ln(lambda)/(iL).  Wave direction is fixed by
 a limiting-absorption rule: under omega -> omega (1 + i*1e-6) the modulus of
 the transmitted eigenvalue decreases.
 
+The cell matrix is T = diag(p) + (sigma/4) u w^T, with p = (e^{-ikL}, e^{kL},
+e^{ikL}, e^{-kL}), w the same at kL/2 and u = w * (-i, 1, i, -1).  A Bloch
+factor lambda has the eigenvector (lambda - p)^-1 u, and the reflection
+Gamma of a semi-infinite chain is a 2x2 Cramer solve on two of them.
+
 Every entry point evaluates the pipeline through one array kernel,
 ``_bloch_arrays``, over an array of frequencies; ``bloch_point`` is that
-kernel on a one-element array.  numpy's elementwise functions give the same
-bits for an element whatever the batch holding it, and the batched LAPACK
-calls work matrix by matrix, so a point's outputs do not depend on the
-batch it was evaluated in.
+kernel on a one-element array.  The kernel builds no 4x4 matrix and makes
+no LAPACK call: every step is elementwise, with sums over the four
+components written out, so a point's outputs do not depend on the batch it
+was evaluated in.
 """
 
 from __future__ import annotations
@@ -49,17 +54,17 @@ from .cell import (
     transfer_arrays,
     translation_phases,
 )
+from .errors import NumericError
 from .trench import flexural_wavevectors
 
 TOL_BAND = 1e-6  # in_stopband when 1 - |lambda_flex| exceeds this
 EDGE_REFINE_HZ = 1e3  # band edges bisected down to this resolution
-DEGENERACY_PERTURB_HZ = 10.0  # frequency nudge at band-edge degeneracies
 MARKER_MIN_REAL = 0.98  # smallest in-band max(Re Gamma) that counts as a marker
 _ABSORPTION_EPS = 1e-6
 # k and kL scale as sqrt(omega) under omega -> omega (1 + i eps)
 _ABSORPTION_K = cmath.sqrt(1 + 1j * _ABSORPTION_EPS)
-# frequencies per kernel block: bounds the batched T, eig and solve
-# temporaries whatever the sweep length
+# frequencies per kernel block: bounds the kernel's temporaries whatever
+# the sweep length
 _BLOCK = 64
 
 
@@ -79,6 +84,8 @@ class BlochPoint:
     in_stopband: bool
     k: float
     sigma: float
+    # the worse backward error ||T v - lambda v|| / (||T||_F ||v||) of the two
+    # eigenpairs behind Gamma, ~1e-16; 0.0 when evaluated without Gamma
     reciprocity_defect: float
     # True on the narrow in-gap segments where the two reciprocal pairs
     # collide into a complex quadruplet (hybridized decaying branches); there
@@ -133,15 +140,14 @@ class ChainProfile:
 class _BlochArrays:
     """Kernel outputs, one entry (or row) per frequency.
 
-    The properties are evaluated on first use: only the callers that build
-    BlochPoints need them.
+    gamma, gamma_e and defect are 0 without Gamma.  The properties are
+    evaluated on first use: only the callers that build BlochPoints need them.
     """
 
     f: np.ndarray
     k: np.ndarray
     sigma: np.ndarray  # clamped
     cell_length: float
-    T: np.ndarray  # (n, 4, 4)
     y_flex: np.ndarray
     outer: np.ndarray  # (n, 2): flexural and evanescent pair, |outer| >= 1
     inner: np.ndarray  # (n, 2): 1 / outer
@@ -150,6 +156,7 @@ class _BlochArrays:
     in_stop: np.ndarray
     gamma: np.ndarray
     gamma_e: np.ndarray
+    defect: np.ndarray  # backward error of the eigenpairs behind Gamma
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -172,12 +179,6 @@ class _BlochArrays:
     @cached_property
     def complex_band(self) -> np.ndarray:
         return np.abs(self.y_flex.imag) > 1e-9 * np.maximum(1.0, np.abs(self.y_flex))
-
-    @cached_property
-    def defect(self) -> np.ndarray:
-        return np.concatenate(
-            [_reciprocity_defects(self.T[lo : lo + _BLOCK]) for lo in range(0, self.f.size, _BLOCK)]
-        )
 
 
 def _y_parts(kl):
@@ -267,54 +268,53 @@ def _absorbing_y(cell: UnitCellGeometry, f, k, y_flex, force_zero_coupling: bool
     return np.where(np.abs(big - y_flex) <= np.abs(small - y_flex), big, small)
 
 
-_MINORS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+# u = w * _U_SIGNS, with w the half-cell phases
+_U_SIGNS = np.array([-1j, 1, 1j, -1])
 
 
-def _reciprocity_defects(T: np.ndarray) -> np.ndarray:
-    """Deviation of each quartic from palindromic form: checks det ~ 1 and c3 ~ c1."""
-    # sums written out elementwise: a reduction along an axis may add in an
-    # order that depends on the batch size
-    d = T[:, _DIAG, _DIAG]
-    c1 = -(d[:, 0] + d[:, 1] + d[:, 2] + d[:, 3])
-    det = np.linalg.det(T)
-    m = np.linalg.det(T[:, _MINORS[:, :, None], _MINORS[:, None, :]])
-    c3 = -(m[:, 0] + m[:, 1] + m[:, 2] + m[:, 3])
-    return np.maximum(np.abs(det - 1.0), np.abs(c3 - c1) / np.maximum(1.0, np.abs(c1)))
+def _sum4(x: np.ndarray) -> np.ndarray:
+    """Sum over a last axis of 4, written out: an axis reduction may add in
+    an order that depends on the batch size."""
+    return x[..., 0] + x[..., 1] + x[..., 2] + x[..., 3]
 
 
-_DIAG = np.arange(4)
-_INCIDENT = np.array([[0.0], [0.0], [1.0], [0.0]], dtype=complex)
+def _reflection(kl, sigma, lam_pair):
+    """(Gamma, Gamma_e, backward error) from the transmitted flexural and
+    evanescent Bloch factors, stacked as lam_pair (2, n).
 
-
-def _reflections(T: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the semi-infinite matching for (Gamma, Gamma_e) at every frequency.
-
-    The interface state [Gamma, Gamma_e, 1, 0] (reflected propagating,
-    reflected near-field, unit incident, no incoming evanescent) must lie in
-    the span of the two transmitted Bloch eigenvectors: the flexural one
-    (eigenvalue nearest lam) and the evanescent one of smallest modulus
-    among the rest.  A singular system gives NaN at its own frequency only.
+    Each eigenvector (lam - p)^-1 u is scaled by lam - p_near, p_near the
+    entry of p nearest lam, so it stays finite where lam rounds onto p.  The
+    interface state [Gamma, Gamma_e, 1, 0] (reflected, reflected near-field,
+    unit incident, no incoming evanescent) lies in the span of the two
+    eigenvectors: Cramer's rule on components 2 and 3.  With the scaled v,
+    T v - lam v = ((sigma/4) w.v - (lam - p_near)) u exactly.
     """
-    rows = np.arange(len(T))
-    w, V = np.linalg.eig(T)
-    i_flex = np.argmin(np.abs(w - lam[:, None]), axis=1)
-    mod = np.abs(w)
-    mod[rows, i_flex] = np.inf
-    M = np.zeros(T.shape, dtype=complex)
-    M[:, :, 0] = V[rows, :, i_flex]
-    M[:, :, 1] = V[rows, :, np.argmin(mod, axis=1)]
-    M[:, 0, 2] = -1.0
-    M[:, 1, 3] = -1.0
-    try:
-        sol = np.linalg.solve(M, _INCIDENT)
-    except np.linalg.LinAlgError:
-        sol = np.full((len(T), 4, 1), complex("nan"))
-        for i in rows.tolist():
-            try:
-                sol[i] = np.linalg.solve(M[i], _INCIDENT)
-            except np.linalg.LinAlgError:
-                pass
-    return sol[:, 2, 0], sol[:, 3, 0]
+    p = translation_phases(kl)
+    w = translation_phases(kl / 2)
+    u = w * _U_SIGNS
+    s4 = sigma / 4
+    gap = lam_pair[..., None] - p  # (2, n, 4)
+    near = np.arange(4) == np.argmin(np.abs(gap), axis=-1)[..., None]
+    g_near = _sum4(np.where(near, gap, 0))  # lam - p_near
+    v = u * np.where(near, 1, g_near[..., None] / np.where(near, 1, gap))
+    (f0, f1, f2, f3), (e0, e1, e2, e3) = v.transpose(0, 2, 1)
+    den = f2 * e3 - e2 * f3
+    coupled = sigma != 0
+    gamma = np.where(coupled, (f0 * e3 - e0 * f3) / den, 0)
+    gamma_e = np.where(coupled, (f1 * e3 - e1 * f3) / den, 0)
+
+    # ||u|| / ||T||_F in closed form, with e = e^{-kL}: |u|^2 = |w|^2 is
+    # (1, 1/e, 1, e), |T_ii| = |w_i|^2 |1 + (sigma/4) c_i| with c = _U_SIGNS
+    # and |T_ij| = |sigma/4| |w_i| |w_j| off the diagonal.  Times e^2,
+    # ||u||^2 is e (1 + e)^2 and ||T||_F^2 is t_sq, both finite at any kL
+    e = np.exp(-kl)
+    t_sq = (
+        (1 + s4) ** 2 + 4 * s4 * s4 * e * (1 + e * e) + 2 * e * e * (1 + 3 * s4 * s4)
+        + e**4 * (1 - s4) ** 2
+    )
+    scale = (1 + e) * np.sqrt(e / t_sq)
+    resid = np.abs(s4 * _sum4(w * v) - g_near) / np.sqrt(_sum4((v * v.conj()).real))
+    return gamma, gamma_e, scale * np.maximum(resid[0], resid[1])
 
 
 def _bloch_arrays(
@@ -342,23 +342,19 @@ def _bloch_arrays(
 
 
 def _bloch_block(cell: UnitCellGeometry, f, with_gamma: bool, force_zero_coupling: bool):
-    """``_bloch_arrays`` on one block of frequencies."""
+    """``_bloch_arrays`` on one block; NumericError where roots or Gamma overflow."""
     L = cell.cell_length
     if force_zero_coupling:
         k = flexural_wavevectors(cell.trench, f)
         sigma = np.zeros(f.shape)
-        # exact zero-coupling transfer matrix diag(e^{-ikL}, e^{kL}, e^{ikL}, e^{-kL})
-        T = np.zeros((f.size, 4, 4), dtype=complex)
-        T[:, _DIAG, _DIAG] = translation_phases(k * L)
     else:
         k, _, sigma = forcing_arrays(cell, f)
         sigma = clamped_sigma(sigma)
-        T = transfer_arrays(cell, k, sigma)[3]
-        if not np.isfinite(T).all():
-            bad = f[~np.isfinite(T).all(axis=(1, 2))][0]
-            raise ValueError(f"cell_matrices: non-finite transfer matrix at f={bad!r}")
-    y = _flexural_roots(k * L, sigma)  # (n, 2): flexural, evanescent
-    outer, inner = _lambda_pairs(y)
+    kl = k * L
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        y = _flexural_roots(kl, sigma)  # (n, 2): flexural, evanescent
+        outer, inner = _lambda_pairs(y)
+    _require_finite(f, kl, np.isfinite(outer).all(axis=1), "Bloch roots")
     lam = inner[:, 0].copy()  # stopband: the decaying member
     band = np.flatnonzero(np.abs(np.abs(outer[:, 0]) - 1.0) <= 1e-8)
     if band.size:
@@ -373,13 +369,29 @@ def _bloch_block(cell: UnitCellGeometry, f, with_gamma: bool, force_zero_couplin
         lam = np.where(mod > 1.0, lam / mod, lam)
     t = np.minimum(np.abs(lam), 1.0)
     if with_gamma:
-        gamma, gamma_e = _reflections(T, lam)
+        # the transmitted evanescent factor: the smallest in modulus of the
+        # three besides lam, inner[:, 1] on a tie (a pair on the unit circle)
+        rest = np.stack([1.0 / lam, inner[:, 1], outer[:, 1]], axis=1)
+        lam_e = rest[np.arange(f.size), np.argmin(np.abs(rest), axis=1)]
+        gamma, gamma_e, defect = _reflection(kl, sigma, np.stack([lam, lam_e]))
+        _require_finite(f, kl, np.isfinite(gamma) & np.isfinite(gamma_e), "Gamma")
     else:
         gamma = gamma_e = np.zeros(f.shape, dtype=complex)
+        defect = np.zeros(f.shape)
     return _BlochArrays(
-        f=f, k=k, sigma=sigma, cell_length=L, T=T, y_flex=y[:, 0], outer=outer, inner=inner,
-        lam=lam, t=t, in_stop=t < 1.0 - TOL_BAND, gamma=gamma, gamma_e=gamma_e,
+        f=f, k=k, sigma=sigma, cell_length=L, y_flex=y[:, 0], outer=outer, inner=inner,
+        lam=lam, t=t, in_stop=t < 1.0 - TOL_BAND, gamma=gamma, gamma_e=gamma_e, defect=defect,
     )
+
+
+def _require_finite(f: np.ndarray, kl: np.ndarray, finite: np.ndarray, what: str) -> None:
+    """NumericError naming the first frequency, and its kL, where finite is False."""
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericError(
+            f"non-finite {what} at f={f[i].item()!r} Hz (kL = {kl[i]:.1f}): "
+            "the Bloch closed forms leave the floating-point range at large kL"
+        )
 
 
 def _points(a: _BlochArrays, re_kef: np.ndarray) -> list[BlochPoint]:
@@ -438,36 +450,20 @@ def bloch_point(
     return _points(a, (a.arg + 2 * math.pi * branch) / L)[0]
 
 
-def _semi_infinite(cell: UnitCellGeometry, f: np.ndarray, force_zero_coupling: bool):
-    """(Gamma, Gamma_e) arrays; a NaN point is retried at f + 10 Hz, then f - 10 Hz."""
-    gamma = np.full(f.shape, complex("nan"))
-    gamma_e = gamma.copy()
-    todo = np.arange(f.size)
-    for shift in (0.0, DEGENERACY_PERTURB_HZ, -DEGENERACY_PERTURB_HZ):
-        a = _bloch_arrays(
-            cell, f[todo] + shift, with_gamma=True, force_zero_coupling=force_zero_coupling
-        )
-        ok = ~(np.isnan(a.gamma.real) | np.isnan(a.gamma.imag))
-        gamma[todo[ok]] = a.gamma[ok]
-        gamma_e[todo[ok]] = a.gamma_e[ok]
-        todo = todo[~ok]
-        if not todo.size:
-            break
-    return gamma, gamma_e
-
-
 def semi_infinite_reflection(
     cell: UnitCellGeometry, f: float, *, force_zero_coupling: bool = False
 ) -> tuple[complex, complex]:
     """Reflection of a unit propagating wave off an infinite chain of cells.
 
-    Returns (Gamma, Gamma_e).  Band-edge degeneracies are resolved by a small
-    frequency perturbation instead of an exception.
+    Returns (Gamma, Gamma_e), from the closed-form eigenvectors at f itself:
+    they stay finite at band-edge degeneracies, so no frequency is nudged.
     """
     if not f > 0:
         raise ValueError("semi_infinite_reflection: f must be > 0")
-    gamma, gamma_e = _semi_infinite(cell, np.array([float(f)]), force_zero_coupling)
-    return complex(gamma[0]), complex(gamma_e[0])
+    a = _bloch_arrays(
+        cell, np.array([float(f)]), with_gamma=True, force_zero_coupling=force_zero_coupling
+    )
+    return complex(a.gamma[0]), complex(a.gamma_e[0])
 
 
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -605,17 +601,9 @@ def band_gamma_extrema(
     fs += [f_high - width * o for o in offsets]
     fs += np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, interior_samples).tolist()
     fs.sort()
-    gammas, _ = _semi_infinite(cell, np.array(fs), False)
-    best_max = (fs[0], -math.inf)
-    best_min = (fs[0], math.inf)
-    for f, re in zip(fs, gammas.real.tolist()):
-        if math.isnan(re):
-            continue
-        if re > best_max[1]:
-            best_max = (f, re)
-        if re < best_min[1]:
-            best_min = (f, re)
-    return best_max, best_min
+    re = _bloch_arrays(cell, np.array(fs), with_gamma=True, force_zero_coupling=False).gamma.real
+    i, j = int(np.argmax(re)), int(np.argmin(re))
+    return (fs[i], float(re[i])), (fs[j], float(re[j]))
 
 
 def _solve2(a00, a01, a10, a11, b00, b01, b10, b11) -> tuple[complex, ...]:
@@ -666,7 +654,7 @@ def chain_profile(
     # sequence of 2x2 products, cheaper in Python complex arithmetic than as
     # numpy calls
     (t00, t01, t02, t03), (t10, t11, t12, t13), (t20, t21, t22, t23), (t30, t31, t32, t33) = (
-        a.T[0].tolist()
+        transfer_arrays(cell, a.k, a.sigma)[3][0].tolist()
     )
 
     # backward: reflection matrix R_j = (Too - R_{j+1} Tio)^-1 (R_{j+1} Tii - Toi)

@@ -24,7 +24,7 @@ from .bloch import (
     stopband_report,
     sweep,
 )
-from .cell import cell_matrices, forcing_strength
+from .cell import cell_matrices, clamped_sigma, forcing_strength
 from .config import RunConfig, config_hash, unit_cell
 from .errors import ConfigError, NumericError
 from .rod import _impedance_arrays
@@ -380,7 +380,8 @@ def run_matrices(config: RunConfig, freq: float, out_dir: str | None = None) -> 
     path = directory / "matrices.csv"
     _write_csv(path, columns, cfg_hash, [f"f_hz={freq!r}"])
 
-    _, sigma = forcing_strength(cell, freq)
+    # clamped as in the assembled product: at an exact pole sigma is infinite
+    sigma = float(clamped_sigma(forcing_strength(cell, freq)[1]))
     ref = transfer_matrix_reference(mats.k, cell.rod_width, cell.cell_length, sigma)
     # scalar abs: numpy's array abs of complex differs from it in the last bit
     rel = [abs(d) / max(abs(r), 1e-300) for d, r in zip((mats.T - ref).ravel(), ref.ravel())]

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from rodwave import (
     field_profile,
     flexural_wavevector,
     forcing_strength,
+    parse_config,
     semi_infinite_reflection,
     stopband_report,
     sweep,
+    unit_cell,
 )
 from rodwave.bloch import band_gamma_extrema
+from rodwave.errors import NumericError
 
 
 @pytest.fixture(scope="module")
@@ -163,8 +167,6 @@ def test_stopband_runs_at_the_sweep_ends(default_cell):
 
 
 def test_band_centers_shift_down_with_taller_rod(default_config, default_sweep):
-    from rodwave import unit_cell
-
     geo = default_config.geometry
     taller = dataclasses.replace(geo, t_aln2=geo.t_aln2 * 1.1)
     cell_tall = unit_cell(default_config, taller)
@@ -337,3 +339,20 @@ def test_sweep_argument_validation(default_cell):
         sweep(default_cell, 1e9, 2e9, 1)
     with pytest.raises(ValueError):
         chain_profile(default_cell, 1e9, 1)
+
+
+def test_out_of_range_kl_is_a_numeric_error():
+    # kL = 359 at 0.5 GHz: su * su of the closed form overflows
+    cell = unit_cell(parse_config({"geometry": {"L_um": 200, "a_um": 2}}))
+    with pytest.raises(NumericError, match=r"f=500000000\.0 Hz \(kL = 359\.0\)"):
+        bloch_point(cell, 0.5e9)
+
+
+def test_rod_zero_raises_no_runtime_warning(default_cell):
+    # the Bloch factors round onto the uncoupled phases there; the scaled
+    # eigenvectors stay finite without a frequency nudge
+    zero = default_cell.rod.first_zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        semi_infinite_reflection(default_cell, zero)
+        chain_profile(default_cell, zero, 7)

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from rodwave.cli import main
@@ -243,6 +245,43 @@ def test_matrices_csv(tmp_path):
             assert (int(r[0]), int(r[1])) == (3, 4)
         else:
             assert float(r[2]) < 1e-9
+
+
+def test_matrices_at_an_exact_pole(tmp_path):
+    from rodwave import parse_config, unit_cell
+
+    pole = unit_cell(parse_config({})).rod.first_pole
+    cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
+    assert main(["matrices", "--config", str(cfg), "--freq", repr(pole)]) == 0
+    _, _, rows = read_csv(tmp_path / "out" / "matrices_check.csv")
+    assert len(rows) == 16
+    assert all(math.isfinite(float(r[2])) for r in rows)
+
+
+def test_sweep_at_long_pitch_writes_finite_csvs(tmp_path):
+    cfg = write_config(
+        tmp_path, {"geometry": {"L_um": 12}, "output": {"dir": str(tmp_path / "out")}}
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    for name in ("sweep.csv", "stopbands.csv"):
+        _, _, rows = read_csv(tmp_path / "out" / name)
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+def test_sweep_past_the_finite_kl_range_exits_3_naming_the_frequency(tmp_path, capsys):
+    from rodwave import bloch_point, parse_config, unit_cell
+
+    geometry = {"L_um": 200, "a_um": 2}
+    cfg = write_config(tmp_path, {"geometry": geometry, "output": {"dir": str(tmp_path / "out")}})
+    assert main(["sweep", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    named = re.search(r"non-finite Bloch roots at f=(\S+) Hz \(kL = ", err)
+    assert named, err
+    # the first failing point of the default grid: its left neighbour is fine
+    grid = np.linspace(0.1e9, 6e9, 2000)
+    i = int(np.flatnonzero(grid == float(named.group(1)))[0])
+    bloch_point(unit_cell(parse_config({"geometry": geometry})), float(grid[i - 1]))
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 def test_config_error_exit_code(tmp_path):

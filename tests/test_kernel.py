@@ -1,5 +1,6 @@
 """The array kernel of the Bloch pipeline against an mpmath evaluation of the
-closed form and of the branch continuation, and its independence of batching."""
+closed form, of the branch continuation and of Gamma, and its independence
+of batching."""
 
 import dataclasses
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from rodwave import bloch_point, parse_config, sweep, unit_cell
 from rodwave import bloch
-from rodwave.cell import SIGMA_CLAMP, forcing_arrays
+from rodwave.cell import SIGMA_CLAMP, forcing_arrays, transfer_arrays, translation_phases
 
 
 def _random_cells(rng, count):
@@ -112,14 +113,65 @@ def test_block_boundaries_change_no_bit(default_cell, monkeypatch):
     assert repr(sweep(default_cell, 0.1e9, 6e9, 2000)) == repr(reference)
 
 
-def test_singular_matching_is_nan_at_its_point_only(default_cell):
-    a = bloch._bloch_arrays(
-        default_cell, np.array([2.0e9]), with_gamma=True, force_zero_coupling=False
+@pytest.mark.parametrize("L_um", [0.5, 3.8, 8.0, 12.0])
+def test_transfer_matrix_is_diagonal_plus_rank_one(L_um):
+    """D C D = diag(p) + (sigma/4) u w^T, the form the kernel's eigenvectors use."""
+    cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
+    k, _, sigma = forcing_arrays(cell, np.random.default_rng(5).uniform(0.1e9, 6e9, 40))
+    sigma = np.clip(sigma, -SIGMA_CLAMP, SIGMA_CLAMP)
+    kl = k * cell.cell_length
+    w = translation_phases(kl / 2)
+    u = w * np.array([-1j, 1, 1j, -1])
+    expected = (sigma / 4)[:, None, None] * u[:, :, None] * w[:, None, :]
+    expected[:, range(4), range(4)] += translation_phases(kl)
+    T = transfer_arrays(cell, k, sigma)[3]
+    assert np.max(np.abs(T - expected) / np.abs(expected)) < 1e-9
+
+
+def _mp_gamma(kl, sigma, lam):
+    """Gamma at 40 + kL/2.3 digits from the kernel's pair rule.
+
+    The flexural factor is the exact Bloch factor nearest the kernel's lam,
+    the evanescent one the smallest in modulus of the other three; each
+    eigenvector is (lambda - p)^-1 u, unscaled.
+    """
+    mpmath.mp.dps = 40 + int(kl / 2.3)
+    x, s4 = mpmath.mpf(kl), mpmath.mpf(sigma) / 4
+    if s4 == 0:
+        return mpmath.mpc(0)
+    rates = [mpmath.mpc(0, -1), 1, mpmath.mpc(0, 1), -1]
+    p = [mpmath.exp(r * x) for r in rates]
+    u = [r * mpmath.exp(r * x / 2) for r in rates]
+    su = 2 * mpmath.cos(x) + 2 * mpmath.cosh(x) + 2 * s4 * (mpmath.sinh(x) - mpmath.sin(x))
+    pr = 4 * mpmath.cos(x) * mpmath.cosh(x) + 4 * s4 * (
+        mpmath.cos(x) * mpmath.sinh(x) - mpmath.sin(x) * mpmath.cosh(x)
     )
-    T = np.concatenate([a.T, np.zeros((1, 4, 4), complex)])
-    gamma, gamma_e = bloch._reflections(T, np.concatenate([a.lam, [0.5]]))
-    assert gamma[0] == a.gamma[0] and gamma_e[0] == a.gamma_e[0]
-    assert np.isnan(gamma[1]) and np.isnan(gamma_e[1])
+    disc = mpmath.sqrt(su * su - 4 * pr)
+    factors = []
+    for y in ((su + disc) / 2, (su - disc) / 2):
+        root = mpmath.sqrt(y * y - 4)
+        factors += [(y + root) / 2, (y - root) / 2]
+    lam_f = min(factors, key=lambda z: abs(z - mpmath.mpc(lam.real, lam.imag)))
+    factors.remove(lam_f)
+    lam_e = min(factors, key=abs)
+    vf = [ui / (lam_f - pi) for ui, pi in zip(u, p)]
+    ve = [ui / (lam_e - pi) for ui, pi in zip(u, p)]
+    return (vf[0] * ve[3] - ve[0] * vf[3]) / (vf[2] * ve[3] - ve[2] * vf[3])
+
+
+@pytest.mark.parametrize("L_um", [3.8, 8.0])
+def test_gamma_matches_mpmath(L_um):
+    cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
+    f = np.random.default_rng(31).uniform(0.1e9, 6e9, 300)
+    a = bloch._bloch_arrays(cell, f, with_gamma=True, force_zero_coupling=False)
+    worst = 0.0
+    for kl, s, lam, g in zip(
+        (a.k * cell.cell_length).tolist(), a.sigma.tolist(), a.lam.tolist(), a.gamma.tolist()
+    ):
+        ref = _mp_gamma(kl, s, lam)
+        worst = max(worst, float(abs(mpmath.mpc(g.real, g.imag) - ref) / max(abs(ref), 1)))
+    mpmath.mp.dps = 15
+    assert worst <= 1e-10
 
 
 @settings(max_examples=25, deadline=None)
