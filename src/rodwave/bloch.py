@@ -27,6 +27,10 @@ e^{ikL}, e^{-kL}), w the same at kL/2 and u = w * (-i, 1, i, -1).  A Bloch
 factor lambda has the eigenvector (lambda - p)^-1 u, and the reflection
 Gamma of a semi-infinite chain is a 2x2 Cramer solve on two of them.
 
+A finite chain of n cells, driven by a unit propagating wave at boundary 0
+and matched after the last cell, is a sum over the four Bloch modes, each
+referenced at the end it decays from; one 4x4 solve gives the coefficients.
+
 Every entry point evaluates the pipeline through one array kernel,
 ``_bloch_arrays``, over an array of frequencies; ``bloch_point`` is that
 kernel on a one-element array.  The kernel builds no 4x4 matrix and makes
@@ -40,6 +44,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,7 +56,6 @@ from .cell import (
     cell_matrices,
     clamped_sigma,
     forcing_arrays,
-    transfer_arrays,
     translation_phases,
 )
 from .errors import NumericError
@@ -122,17 +126,21 @@ class StopbandReport:
 
 @dataclass(frozen=True)
 class ChainProfile:
-    """Finite-chain boundary amplitudes and decay-slope bookkeeping."""
+    """Finite-chain boundary amplitudes and decay-slope bookkeeping.
+
+    The amplitudes are those of the right-going propagating component x_j[2]
+    of the chain's state, a sum of its four Bloch modes (``chain_profile``).
+    """
 
     f: float
     n_cells: int
     magnitudes: np.ndarray  # |propagating amplitude| at boundaries 0..n
     fitted_slope: float  # least-squares slope of ln|amp| over boundaries 0..n-1
     eigen_slope: float  # ln|lambda_flex| at the same frequency
-    reflection: complex  # entry reflection of the finite chain
-    transmission: complex  # propagating amplitude past the last cell
-    # ln|propagating amplitude| at boundaries 0..n, accumulated cell by cell,
-    # so it stays finite where the magnitudes underflow to 0
+    reflection: complex  # entry reflection of the finite chain, x_0[0]
+    transmission: complex  # propagating amplitude past the last cell, x_n[2]
+    # ln|propagating amplitude| at boundaries 0..n, a log-sum-exp over the
+    # modes, so it stays finite where the magnitudes underflow to 0
     log_magnitudes: np.ndarray
 
 
@@ -278,25 +286,35 @@ def _sum4(x: np.ndarray) -> np.ndarray:
     return x[..., 0] + x[..., 1] + x[..., 2] + x[..., 3]
 
 
-def _reflection(kl, sigma, lam_pair):
-    """(Gamma, Gamma_e, backward error) from the transmitted flexural and
-    evanescent Bloch factors, stacked as lam_pair (2, n).
+def _eigenvectors(kl, lam):
+    """(v, w, lam - p_near): the eigenvectors of T for the Bloch factors lam.
 
     Each eigenvector (lam - p)^-1 u is scaled by lam - p_near, p_near the
-    entry of p nearest lam, so it stays finite where lam rounds onto p.  The
-    interface state [Gamma, Gamma_e, 1, 0] (reflected, reflected near-field,
-    unit incident, no incoming evanescent) lies in the span of the two
-    eigenvectors: Cramer's rule on components 2 and 3.  With the scaled v,
-    T v - lam v = ((sigma/4) w.v - (lam - p_near)) u exactly.
+    entry of p nearest lam, so it stays finite where lam rounds onto p.  lam
+    has the shape of kl with any leading axes; v runs along a new last axis
+    of 4.  With the scaled v, T v - lam v = ((sigma/4) w.v - (lam - p_near)) u
+    exactly.
     """
     p = translation_phases(kl)
     w = translation_phases(kl / 2)
     u = w * _U_SIGNS
-    s4 = sigma / 4
-    gap = lam_pair[..., None] - p  # (2, n, 4)
+    gap = lam[..., None] - p
     near = np.arange(4) == np.argmin(np.abs(gap), axis=-1)[..., None]
     g_near = _sum4(np.where(near, gap, 0))  # lam - p_near
     v = u * np.where(near, 1, g_near[..., None] / np.where(near, 1, gap))
+    return v, w, g_near
+
+
+def _reflection(kl, sigma, lam_pair):
+    """(Gamma, Gamma_e, backward error) from the transmitted flexural and
+    evanescent Bloch factors, stacked as lam_pair (2, n).
+
+    The interface state [Gamma, Gamma_e, 1, 0] (reflected, reflected
+    near-field, unit incident, no incoming evanescent) lies in the span of
+    the two eigenvectors: Cramer's rule on components 2 and 3.
+    """
+    s4 = sigma / 4
+    v, w, g_near = _eigenvectors(kl, lam_pair)  # (2, n, 4)
     (f0, f1, f2, f3), (e0, e1, e2, e3) = v.transpose(0, 2, 1)
     den = f2 * e3 - e2 * f3
     coupled = sigma != 0
@@ -436,8 +454,8 @@ def bloch_point(
     branch closest to the uncoupled wavevector k is used, which makes
     k_ef = k exact in the zero-coupling limit.
     """
-    if not f > 0:
-        raise ValueError("bloch_point: f must be > 0")
+    if not 0 < f < math.inf:
+        raise ValueError("bloch_point: f must be > 0 and finite")
     a = _bloch_arrays(
         cell, np.array([float(f)]), with_gamma=with_gamma,
         force_zero_coupling=force_zero_coupling,
@@ -458,8 +476,8 @@ def semi_infinite_reflection(
     Returns (Gamma, Gamma_e), from the closed-form eigenvectors at f itself:
     they stay finite at band-edge degeneracies, so no frequency is nudged.
     """
-    if not f > 0:
-        raise ValueError("semi_infinite_reflection: f must be > 0")
+    if not 0 < f < math.inf:
+        raise ValueError("semi_infinite_reflection: f must be > 0 and finite")
     a = _bloch_arrays(
         cell, np.array([float(f)]), with_gamma=True, force_zero_coupling=force_zero_coupling
     )
@@ -606,24 +624,6 @@ def band_gamma_extrema(
     return (fs[i], float(re[i])), (fs[j], float(re[j]))
 
 
-def _solve2(a00, a01, a10, a11, b00, b01, b10, b11) -> tuple[complex, ...]:
-    """A^-1 B for 2x2 complex A and B by LU with partial pivoting, as LAPACK's gesv.
-
-    Entries row by row; returns the solution as a (00, 01, 10, 11) tuple.
-    """
-    if abs(a10.real) + abs(a10.imag) > abs(a00.real) + abs(a00.imag):
-        a00, a01, a10, a11, b00, b01, b10, b11 = a10, a11, a00, a01, b10, b11, b00, b01
-    if a00 == 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    lower = a10 / a00
-    pivot = a11 - lower * a01
-    if pivot == 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    x10 = (b10 - lower * b00) / pivot
-    x11 = (b11 - lower * b01) / pivot
-    return (b00 - a01 * x10) / a00, (b01 - a01 * x11) / a00, x10, x11
-
-
 def chain_profile(
     cell: UnitCellGeometry,
     f: float,
@@ -634,71 +634,57 @@ def chain_profile(
     """Propagating-amplitude magnitude across a finite chain of cells.
 
     Unit propagating input at the first boundary, matched (radiation)
-    termination after the last cell.  The boundary-value problem is solved by
-    a backward reflection-matrix recursion followed by forward transmission,
-    which stays bounded for any chain length (no e^{+kL n} overflow).  The
-    forward state is renormalised at every cell and ln|amplitude| is
-    accumulated, so deep decay is tracked below the floating-point range.
-    The decay slope is fitted over boundaries 0..n-1; the terminal boundary
-    is excluded because the matched exit locally distorts the profile.
+    termination after the last cell: the state x_j at boundary j has
+    x_0[2:4] = (1, 0) and x_n[0:2] = 0.  It is the sum of the four Bloch
+    modes, x_j = sum_m c_m lambda_m^(j - ref_m) v_m, each referenced at the
+    end it decays from: the inner factors (|lambda| <= 1) at boundary 0, the
+    outer ones at boundary n.  The outer coefficients are carried as
+    c' e^rho, rho = n ln|lambda| of the slower inner factor, so every power
+    in the 4x4 system is at most 1 in modulus and no coefficient underflows
+    for any chain length.  ln|x_j[2]| is a log-sum-exp over the modes, which
+    tracks deep decay below the floating-point range.  The decay slope is the
+    least-squares slope over boundaries 0..n-1; the terminal boundary is
+    excluded because the matched exit locally distorts the profile.
     """
-    if not f > 0:
-        raise ValueError("chain_profile: f must be > 0")
-    if n_cells < 2:
+    if not 0 < f < math.inf:
+        raise ValueError("chain_profile: f must be > 0 and finite")
+    n = operator.index(n_cells)
+    if n < 2:
         raise ValueError("chain_profile: n_cells must be >= 2")
     a = _bloch_arrays(
         cell, np.array([float(f)]), with_gamma=False, force_zero_coupling=force_zero_coupling
     )
-    lam = complex(a.lam[0])
-    # the 2x2 blocks of T as (00, 01, 10, 11) tuples; a chain recursion is a
-    # sequence of 2x2 products, cheaper in Python complex arithmetic than as
-    # numpy calls
-    (t00, t01, t02, t03), (t10, t11, t12, t13), (t20, t21, t22, t23), (t30, t31, t32, t33) = (
-        transfer_arrays(cell, a.k, a.sigma)[3][0].tolist()
-    )
-
-    # backward: reflection matrix R_j = (Too - R_{j+1} Tio)^-1 (R_{j+1} Tii - Toi)
-    # at boundary j, R_n = 0 at the matched exit
-    refl = [(0j, 0j, 0j, 0j)] * (n_cells + 1)
-    for j in range(n_cells - 1, -1, -1):
-        r00, r01, r10, r11 = refl[j + 1]
-        a00 = t00 - (r00 * t20 + r01 * t30)
-        a01 = t01 - (r00 * t21 + r01 * t31)
-        a10 = t10 - (r10 * t20 + r11 * t30)
-        a11 = t11 - (r10 * t21 + r11 * t31)
-        b00 = r00 * t22 + r01 * t32 - t02
-        b01 = r00 * t23 + r01 * t33 - t03
-        b10 = r10 * t22 + r11 * t32 - t12
-        b11 = r10 * t23 + r11 * t33 - t13
-        refl[j] = _solve2(a00, a01, a10, a11, b00, b01, b10, b11)
-
-    # forward: the propagating/evanescent pair past each cell is
-    # (Tio R_j + Tii) times the pair before it; renormalised every cell, with
-    # ln|amplitude| accumulated
-    logs = [0.0] * (n_cells + 1)
-    v0, v1 = 1.0 + 0j, 0.0 + 0j  # unit propagating input
-    log_scale = 0.0
-    for j in range(n_cells):
-        r00, r01, r10, r11 = refl[j]
-        v0, v1 = (
-            (t20 * r00 + t21 * r10 + t22) * v0 + (t20 * r01 + t21 * r11 + t23) * v1,
-            (t30 * r00 + t31 * r10 + t32) * v0 + (t30 * r01 + t31 * r11 + t33) * v1,
+    lam_flex = complex(a.lam[0])
+    lam = np.concatenate([a.inner[0], a.outer[0]])  # modes: inner, inner, outer, outer
+    v = _eigenvectors(a.k * cell.cell_length, lam[:, None])[0][:, 0]  # (mode, component)
+    with np.errstate(divide="ignore"):  # log 0: uncoupled modes at sigma == 0
+        log_lam = np.log(lam)
+        rho = n * float(np.max(log_lam[:2].real))
+        # the powers lambda^(j - ref) at j = 0 and j = n, outer ones times e^rho
+        # and the j = n rows divided by it
+        at_0 = np.exp(np.concatenate([[0.0, 0.0], rho - n * log_lam[2:]]))
+        at_n = np.exp(np.concatenate([n * log_lam[:2] - rho, [0.0, 0.0]]))
+        c = np.linalg.solve(
+            np.concatenate([v[:, 2:].T * at_0, v[:, :2].T * at_n]), [1.0, 0.0, 0.0, 0.0]
         )
-        scale = max(abs(v0), abs(v1))
-        v0, v1 = v0 / scale, v1 / scale
-        log_scale += math.log(scale)
-        logs[j + 1] = log_scale + math.log(abs(v0)) if v0 else -math.inf
-    log_mags = np.array(logs)
+        # ln x_j[2], a complex log-sum-exp over the modes at each boundary j
+        terms = np.log(c * v[:, 2]) + np.array([0.0, 0.0, rho, rho])
+        terms = terms + np.subtract.outer(np.arange(n + 1), [0, 0, n, n]) * log_lam
+        top = terms.real.max(axis=1, keepdims=True)
+        log_x = top[:, 0] + np.log(np.exp(terms - top).sum(axis=1))
+    log_mags = log_x.real.copy()
+    log_mags[0] = 0.0  # the unit input, exact by the boundary condition
 
-    slope = float(np.polyfit(np.arange(0, n_cells), log_mags[:n_cells], 1)[0])
+    j = np.arange(n) - (n - 1) / 2
+    slope = 12 * float(j @ log_mags[:n]) / (n * (n * n - 1))
     return ChainProfile(
         f=f,
-        n_cells=n_cells,
+        n_cells=n,
         magnitudes=np.exp(log_mags),
         fitted_slope=slope,
-        eigen_slope=math.log(abs(lam)) if abs(lam) > 0 else -math.inf,
-        reflection=refl[0][0],
-        transmission=complex(v0 * np.exp(log_scale)),
+        eigen_slope=math.log(abs(lam_flex)) if lam_flex else -math.inf,
+        reflection=complex(v[:, 0] @ (c * at_0)),
+        transmission=complex(np.exp(log_x[n])),
         log_magnitudes=log_mags,
     )
 

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from rodwave import (
     sweep,
     unit_cell,
 )
+from rodwave import bloch
 from rodwave.bloch import band_gamma_extrema
 from rodwave.errors import NumericError
 
@@ -276,6 +278,97 @@ def test_chain_transmission_consistent_with_gamma(default_cell, default_report):
     assert profile.reflection == pytest.approx(gamma_inf, abs=1e-6)
 
 
+def _mp_chain(kl, sigma, n, digits):
+    """(ln|x_j[2]| for j = 0..n, x_0[0]) of the finite-chain boundary-value
+    problem x_0[2:4] = (1, 0), x_n[0:2] = 0, x_{j+1} = T x_j, at the given digits.
+
+    T = diag(p) + (sigma/4) u w^T is built from kL and sigma alone; x_0 comes
+    from a 2x2 solve on T^n.  The forward powers amplify the rounding of x_0
+    by up to (max|lambda| / |decay per cell|)^n, which the digits must cover.
+    """
+    mpmath.mp.dps = digits
+    x, s4 = mpmath.mpf(kl), mpmath.mpf(sigma) / 4
+    rates = [mpmath.mpc(0, -1), 1, mpmath.mpc(0, 1), -1]
+    w = [mpmath.exp(r * x / 2) for r in rates]
+    t = [
+        [s4 * ri * wi * wk + (wi * wi if i == k else 0) for k, wk in enumerate(w)]
+        for i, (ri, wi) in enumerate(zip(rates, w))
+    ]
+    tn = mpmath.matrix(t) ** n
+    r0, r1 = mpmath.lu_solve(tn[0:2, 0:2], -tn[0:2, 2])
+    state = [r0, r1, mpmath.mpf(1), mpmath.mpf(0)]
+    logs = [0.0]
+    for _ in range(n):
+        state = [mpmath.fsum(row[k] * state[k] for k in range(4)) for row in t]
+        with mpmath.workdps(20):
+            logs.append(float(mpmath.log(abs(state[2]))))
+    mpmath.mp.dps = 15
+    return np.array(logs), complex(r0)
+
+
+def _chain_error(cell, f, n):
+    """Worst |ln|x_j|| error over j = 0..n and the reflection error of chain_profile."""
+    a = bloch._bloch_arrays(cell, np.array([f]), with_gamma=False, force_zero_coupling=False)
+    # digits >= 30 + n log10(max|lambda|), plus the decay of the slower inner factor
+    digits = 30 + math.ceil(n * math.log10(np.abs(a.outer).max() / np.abs(a.inner).max()))
+    logs, reflection = _mp_chain(float(a.k[0] * cell.cell_length), float(a.sigma[0]), n, digits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = chain_profile(cell, f, n)
+    assert np.all(np.isfinite(profile.log_magnitudes))
+    return np.max(np.abs(profile.log_magnitudes - logs)), abs(profile.reflection - reflection)
+
+
+def _fabricated_cells(config, seed, count):
+    """(cell, frequency) pairs: thicknesses within 5 % of the default,
+    L 3.6-4.0 um, a 1.8-2.2 um, f 0.1-6 GHz."""
+    rng = np.random.default_rng(seed)
+    geo = config.geometry
+    layers = ("t_aln1", "t_m1", "t_aln2", "t_m2")
+    pairs = []
+    for _ in range(count):
+        drawn = dataclasses.replace(
+            geo,
+            **{t: getattr(geo, t) * rng.uniform(0.95, 1.05) for t in layers},
+            a=rng.uniform(1.8e-6, 2.2e-6),
+            L=rng.uniform(3.6e-6, 4.0e-6),
+        )
+        pairs.append((unit_cell(config, drawn), float(rng.uniform(0.1e9, 6e9))))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "case", ["rod pole", "2.006 GHz", "fabricated 0", "fabricated 1", "fabricated 2"]
+)
+def test_chain_matches_mpmath(default_config, default_cell, case):
+    # 200 cells: 175 Np at the rod pole, 1424 Np at 2.006 GHz, terminal boundary included
+    cells = {
+        "rod pole": (default_cell, default_cell.rod.first_pole),
+        "2.006 GHz": (default_cell, 2.006e9),
+    }
+    cells.update(
+        (f"fabricated {i}", pair) for i, pair in enumerate(_fabricated_cells(default_config, 8, 3))
+    )
+    log_err, reflection_err = _chain_error(*cells[case], 200)
+    assert log_err <= 1e-7
+    assert reflection_err <= 1e-10
+
+
+def test_chain_at_band_edges_matches_mpmath(default_config, default_cell):
+    # the two modes of the flexural pair coalesce at an edge, so the mode
+    # basis is ill-conditioned there: measured worst 6e-9 in ln|x| and
+    # 2.3e-9 in the reflection on 60 cells
+    sw = default_config.sweep
+    report = stopband_report(sweep(default_cell, sw.f_start, sw.f_stop, sw.points), default_cell)
+    edges = [f for band in report.bands for f in (band.f_low, band.f_high)]
+    assert len(edges) >= 10
+    for edge in edges:
+        for offset in (0.0, 1e-3, -1e-3, 1.0, -1.0):
+            log_err, reflection_err = _chain_error(default_cell, edge + offset, 60)
+            assert log_err <= 1e-7, (edge, offset)
+            assert reflection_err <= 1e-7, (edge, offset)
+
+
 def test_field_profile_zero_coupling_unit_wave(default_cell):
     f = default_cell.rod.first_zero
     x, v = field_profile(default_cell, f, np.array([0, 0, 1, 0], complex), 101)
@@ -339,6 +432,29 @@ def test_sweep_argument_validation(default_cell):
         sweep(default_cell, 1e9, 2e9, 1)
     with pytest.raises(ValueError):
         chain_profile(default_cell, 1e9, 1)
+
+
+@pytest.mark.parametrize("f", [math.inf, math.nan, -1e9])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cell, f: bloch_point(cell, f),
+        lambda cell, f: semi_infinite_reflection(cell, f),
+        lambda cell, f: chain_profile(cell, f, 7),
+    ],
+    ids=["bloch_point", "semi_infinite_reflection", "chain_profile"],
+)
+def test_single_frequency_calls_need_finite_positive_f(default_cell, call, f):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="f must be > 0 and finite"):
+            call(default_cell, f)
+
+
+@pytest.mark.parametrize("n_cells", [7.5, 7.0, "7"])
+def test_chain_cell_count_must_be_an_integer(default_cell, n_cells):
+    with pytest.raises(TypeError, match="integer"):
+        chain_profile(default_cell, 1e9, n_cells)
 
 
 def test_out_of_range_kl_is_a_numeric_error():
