@@ -9,18 +9,15 @@ palindromic and reduces through y = lambda + 1/lambda to a quadratic
     pr = 4 cos kL cosh kL + sigma (cos kL sinh kL - sin kL cosh kL).
 
 Its roots are taken from this closed form, stably: the root without
-cancellation from the quadratic formula, the other one as pr / root.  One
-y-root continues from 2 cos(kL) at zero coupling (the flexural pair), the
-other from 2 cosh(kL) (the evanescent pair), as the coupling t grows from 0
-to sigma at fixed frequency.  The discriminant su^2 - 4 pr is a quadratic in
-t with real zeros only when sin kL > 0, both negative.  The roots collide at
-the nearer zero, t_a = -2 P / (sqrt(sinh kL) + sqrt(sin kL))^2 with
-P = 2 (cosh kL - cos kL), so the flexural root is the +disc one when
-sin kL > 0 and sigma < t_a, and the -disc one otherwise.  The flexural Bloch
-factor with |lambda| <= 1 gives the transmission T = |lambda| per cell and
-the effective wavevector k_ef = ln(lambda)/(iL).  Wave direction is fixed by
-a limiting-absorption rule: under omega -> omega (1 + i*1e-6) the modulus of
-the transmitted eigenvalue decreases.
+cancellation from the quadratic formula, the other one as pr / root.  Each
+y-root gives a reciprocal pair of Bloch factors.  The transmitted pair is
+the least attenuated one: the pair whose |lambda| <= 1 member has the larger
+modulus (Mead, J. Sound Vib. 27(2), 1973).  Its factor with |lambda| <= 1
+gives the transmission T = |lambda| per cell and the effective wavevector
+k_ef = ln(lambda)/(iL); a point is in a stopband when no factor lies on the
+unit circle.  In a passband the direction is fixed by a limiting-absorption
+rule: under omega -> omega (1 + i*1e-6) the modulus of the transmitted
+eigenvalue decreases.
 
 The cell matrix is T = diag(p) + (sigma/4) u w^T, with p = (e^{-ikL}, e^{kL},
 e^{ikL}, e^{-kL}), w the same at kL/2 and u = w * (-i, 1, i, -1).  A Bloch
@@ -65,6 +62,7 @@ TOL_BAND = 1e-6  # in_stopband when 1 - |lambda_flex| exceeds this
 EDGE_REFINE_HZ = 1e3  # band edges bisected down to this resolution
 MARKER_MIN_REAL = 0.98  # smallest in-band max(Re Gamma) that counts as a marker
 _ABSORPTION_EPS = 1e-6
+_INTERIOR_SAMPLES = 17  # uniform in-band samples of band_gamma_extrema
 # k and kL scale as sqrt(omega) under omega -> omega (1 + i eps)
 _ABSORPTION_K = cmath.sqrt(1 + 1j * _ABSORPTION_EPS)
 # frequencies per kernel block: bounds the kernel's temporaries whatever
@@ -77,7 +75,12 @@ class BlochPoint:
     """Eigen-analysis results at one frequency."""
 
     f: float
+    # (outer, inner) of the transmitted pair, then (outer, inner) of the other
+    # pair; |outer| >= 1 >= |inner|
     eigenvalues: tuple[complex, complex, complex, complex]
+    # the transmitted Bloch factor, |lambda_flex| <= 1: the inner member of
+    # the least-attenuated pair, in a passband the member that decays under
+    # limiting absorption
     lambda_flex: complex
     t_coeff: float
     r_coeff: float
@@ -156,10 +159,10 @@ class _BlochArrays:
     k: np.ndarray
     sigma: np.ndarray  # clamped
     cell_length: float
-    y_flex: np.ndarray
-    outer: np.ndarray  # (n, 2): flexural and evanescent pair, |outer| >= 1
+    y_tr: np.ndarray  # y-root of the transmitted pair
+    outer: np.ndarray  # (n, 2): transmitted and other pair, |outer| >= 1
     inner: np.ndarray  # (n, 2): 1 / outer
-    lam: np.ndarray  # transmitted flexural Bloch factor, |lam| <= 1
+    lam: np.ndarray  # transmitted Bloch factor, |lam| <= 1
     t: np.ndarray
     in_stop: np.ndarray
     gamma: np.ndarray
@@ -168,7 +171,7 @@ class _BlochArrays:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """(n, 4): outer/inner flexural, outer/inner evanescent."""
+        """(n, 4): outer/inner transmitted pair, outer/inner other pair."""
         ev = np.empty((self.f.size, 2, 2), dtype=complex)
         ev[:, :, 0] = self.outer
         ev[:, :, 1] = self.inner
@@ -186,7 +189,7 @@ class _BlochArrays:
 
     @cached_property
     def complex_band(self) -> np.ndarray:
-        return np.abs(self.y_flex.imag) > 1e-9 * np.maximum(1.0, np.abs(self.y_flex))
+        return np.abs(self.y_tr.imag) > 1e-9 * np.maximum(1.0, np.abs(self.y_tr))
 
 
 def _y_parts(kl):
@@ -222,23 +225,6 @@ def _y_closed(parts, s) -> np.ndarray:
     return y
 
 
-def _flexural_roots(kl: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """[y_flexural, y_evanescent] at full coupling, as an (n, 2) array.
-
-    The root continued from 2 cos kL as the coupling grows from 0 to sigma,
-    in closed form (module docstring): the -disc root at zero coupling, the
-    +disc one from the collision at t_a on, which exists only for
-    sin kL > 0.
-    """
-    y = _y_closed(_y_parts(kl), s)
-    sn = np.sin(kl)
-    # P = 2 (cosh kL - cos kL), written without its cancellation at small kL
-    p = 4 * (np.sinh(kl / 2) ** 2 + np.sin(kl / 2) ** 2)
-    t_a = -2 * p / (np.sqrt(np.sinh(kl)) + np.sqrt(np.maximum(sn, 0.0))) ** 2
-    plus = (sn > 0) & (s < t_a)
-    return np.where(plus, y, y[::-1]).T
-
-
 def _lambda_pairs(y):
     """Roots of lambda^2 - y lambda + 1 = 0 as (outer, inner), |outer| >= |inner|."""
     root = np.sqrt(y * y - 4)
@@ -248,12 +234,25 @@ def _lambda_pairs(y):
     return outer, 1.0 / outer
 
 
-def _absorbing_y(cell: UnitCellGeometry, f, k, y_flex, force_zero_coupling: bool):
-    """The flexural y-root at the complex frequency omega (1 + i eps).
+def _bloch_pairs(kl, s):
+    """(y, outer, inner), each (n, 2): the two y-roots and their Bloch pairs,
+    the transmitted pair in column 0.
+
+    The transmitted pair is the one whose inner factor has the larger
+    modulus; on a tie the _y_closed order stands.
+    """
+    y = _y_closed(_y_parts(kl), s).T
+    outer, inner = _lambda_pairs(y)
+    swap = (np.abs(inner[:, 1]) > np.abs(inner[:, 0]))[:, None]
+    return tuple(np.where(swap, x[:, ::-1], x) for x in (y, outer, inner))
+
+
+def _absorbing_y(cell: UnitCellGeometry, f, k, y_tr, force_zero_coupling: bool):
+    """The transmitted y-root at the complex frequency omega (1 + i eps).
 
     The pair comes from the closed form at complex kL and complex sigma, the
     root without cancellation from the quadratic formula and the other one
-    as pr / root; of the two, the one nearer y_flex continues it.
+    as pr / root; of the two, the one nearer y_tr continues it.
     """
     k_p = k * _ABSORPTION_K
     if force_zero_coupling:
@@ -273,7 +272,7 @@ def _absorbing_y(cell: UnitCellGeometry, f, k, y_flex, force_zero_coupling: bool
     disc = np.sqrt(su * su - 4 * pr)
     big = (su + np.where((su * disc.conj()).real >= 0, disc, -disc)) / 2
     small = pr / big
-    return np.where(np.abs(big - y_flex) <= np.abs(small - y_flex), big, small)
+    return np.where(np.abs(big - y_tr) <= np.abs(small - y_tr), big, small)
 
 
 # u = w * _U_SIGNS, with w the half-cell phases
@@ -306,8 +305,9 @@ def _eigenvectors(kl, lam):
 
 
 def _reflection(kl, sigma, lam_pair):
-    """(Gamma, Gamma_e, backward error) from the transmitted flexural and
-    evanescent Bloch factors, stacked as lam_pair (2, n).
+    """(Gamma, Gamma_e, backward error) from the two transmitted Bloch
+    factors, stacked as lam_pair (2, n): lam, then the inner factor of the
+    other pair.
 
     The interface state [Gamma, Gamma_e, 1, 0] (reflected, reflected
     near-field, unit incident, no incoming evanescent) lies in the span of
@@ -370,8 +370,7 @@ def _bloch_block(cell: UnitCellGeometry, f, with_gamma: bool, force_zero_couplin
         sigma = clamped_sigma(sigma)
     kl = k * L
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        y = _flexural_roots(kl, sigma)  # (n, 2): flexural, evanescent
-        outer, inner = _lambda_pairs(y)
+        y, outer, inner = _bloch_pairs(kl, sigma)
     _require_finite(f, kl, np.isfinite(outer).all(axis=1), "Bloch roots")
     lam = inner[:, 0].copy()  # stopband: the decaying member
     band = np.flatnonzero(np.abs(np.abs(outer[:, 0]) - 1.0) <= 1e-8)
@@ -387,17 +386,13 @@ def _bloch_block(cell: UnitCellGeometry, f, with_gamma: bool, force_zero_couplin
         lam = np.where(mod > 1.0, lam / mod, lam)
     t = np.minimum(np.abs(lam), 1.0)
     if with_gamma:
-        # the transmitted evanescent factor: the smallest in modulus of the
-        # three besides lam, inner[:, 1] on a tie (a pair on the unit circle)
-        rest = np.stack([1.0 / lam, inner[:, 1], outer[:, 1]], axis=1)
-        lam_e = rest[np.arange(f.size), np.argmin(np.abs(rest), axis=1)]
-        gamma, gamma_e, defect = _reflection(kl, sigma, np.stack([lam, lam_e]))
+        gamma, gamma_e, defect = _reflection(kl, sigma, np.stack([lam, inner[:, 1]]))
         _require_finite(f, kl, np.isfinite(gamma) & np.isfinite(gamma_e), "Gamma")
     else:
         gamma = gamma_e = np.zeros(f.shape, dtype=complex)
         defect = np.zeros(f.shape)
     return _BlochArrays(
-        f=f, k=k, sigma=sigma, cell_length=L, y_flex=y[:, 0], outer=outer, inner=inner,
+        f=f, k=k, sigma=sigma, cell_length=L, y_tr=y[:, 0], outer=outer, inner=inner,
         lam=lam, t=t, in_stop=t < 1.0 - TOL_BAND, gamma=gamma, gamma_e=gamma_e, defect=defect,
     )
 
@@ -445,14 +440,12 @@ def bloch_point(
     f: float,
     *,
     force_zero_coupling: bool = False,
-    branch_offset: int | None = None,
     with_gamma: bool = True,
 ) -> BlochPoint:
     """Full eigen-analysis at one frequency.
 
-    branch_offset selects the 2*pi branch of Re(k_ef)*L; by default the
-    branch closest to the uncoupled wavevector k is used, which makes
-    k_ef = k exact in the zero-coupling limit.
+    Re(k_ef) L is taken on the 2 pi branch closest to the uncoupled kL,
+    which makes k_ef = k exact in the zero-coupling limit.
     """
     if not 0 < f < math.inf:
         raise ValueError("bloch_point: f must be > 0 and finite")
@@ -461,10 +454,7 @@ def bloch_point(
         force_zero_coupling=force_zero_coupling,
     )
     L = cell.cell_length
-    if branch_offset is None:
-        branch = np.round((a.k * L - a.arg) / (2 * math.pi))
-    else:
-        branch = branch_offset
+    branch = np.round((a.k * L - a.arg) / (2 * math.pi))
     return _points(a, (a.arg + 2 * math.pi * branch) / L)[0]
 
 
@@ -604,7 +594,7 @@ def stopband_report(
 
 
 def band_gamma_extrema(
-    cell: UnitCellGeometry, f_low: float, f_high: float, interior_samples: int = 17
+    cell: UnitCellGeometry, f_low: float, f_high: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """In-band extrema of Re(Gamma) as ((f_at_max, max), (f_at_min, min)).
 
@@ -617,7 +607,7 @@ def band_gamma_extrema(
     offsets = [1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2]
     fs = [f_low + width * o for o in offsets]
     fs += [f_high - width * o for o in offsets]
-    fs += np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, interior_samples).tolist()
+    fs += np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, _INTERIOR_SAMPLES).tolist()
     fs.sort()
     re = _bloch_arrays(cell, np.array(fs), with_gamma=True, force_zero_coupling=False).gamma.real
     i, j = int(np.argmax(re)), int(np.argmin(re))

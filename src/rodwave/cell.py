@@ -108,8 +108,8 @@ def forcing_strength(cell: UnitCellGeometry, f: float) -> tuple[float, float]:
     sigma divides it by E_t I_t k^3.  Near an impedance pole both are huge;
     downstream consumers switch to analytic limits.
     """
-    if not f > 0:
-        raise ValueError("forcing_strength: f must be > 0")
+    if not 0 < f < math.inf:
+        raise ValueError("forcing_strength: f must be > 0 and finite")
     _, f_eff, sigma = forcing_arrays(cell, np.array([float(f)]))
     return float(f_eff[0]), float(sigma[0])
 

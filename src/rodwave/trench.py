@@ -39,8 +39,8 @@ def flexural_wavevector(trench: TrenchModel, f: float) -> float:
     per-unit-width section, i.e.
     k = sqrt(2) * 3^(1/4) * sqrt(omega) * rho^(1/4) / (sqrt(h) * E^(1/4)).
     """
-    if not f > 0:
-        raise ValueError("flexural_wavevector: f must be > 0")
+    if not 0 < f < math.inf:
+        raise ValueError("flexural_wavevector: f must be > 0 and finite")
     return _wavevector(trench, 2.0 * math.pi * f, math.sqrt)
 
 

@@ -15,10 +15,12 @@ from rodwave import (
     flexural_wavevector,
     forcing_strength,
     parse_config,
+    scatter_coefficients,
     semi_infinite_reflection,
     stopband_report,
     sweep,
     unit_cell,
+    wavelength_over_thickness,
 )
 from rodwave import bloch
 from rodwave.bloch import band_gamma_extrema
@@ -197,6 +199,33 @@ def test_gamma_subunimodular_in_passbands(default_sweep):
     for p in default_sweep:
         if not p.in_stopband:
             assert abs(p.gamma) <= 1 + 1e-9
+
+
+def _half_rod_sweep(L_um):
+    """The default 2000-point sweep of a cell of pitch L_um with a = L/2."""
+    cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
+    return cell, sweep(cell, 0.1e9, 6e9, 2000)
+
+
+@pytest.mark.parametrize("L_um", [1.0, 8.0, 12.0])
+def test_stopband_points_have_no_unit_modulus_factor(L_um):
+    _, points = _half_rod_sweep(L_um)
+    band = [p for p in points if p.in_stopband]
+    assert band
+    for p in band:
+        assert abs(abs(p.gamma) - 1.0) <= 1e-12, p.f
+        assert all(abs(abs(lam) - 1.0) > 1e-8 for lam in p.eigenvalues), p.f
+
+
+def test_band_decision_agrees_with_long_chain_decay_at_short_pitch():
+    # on this grid the shallowest band point decays 0.072 Np/cell and the
+    # steepest passband chain slope is 0.009 Np/cell, so -0.03 separates them
+    cell, points = _half_rod_sweep(1.0)
+    for p in points:
+        profile = chain_profile(cell, p.f, 200)
+        assert (profile.fitted_slope < -0.03) == p.in_stopband, p.f
+        if -profile.eigen_slope > 0.3:
+            assert profile.fitted_slope / profile.eigen_slope == pytest.approx(1.0, abs=2e-3)
 
 
 def _beam_power_flux(psi: np.ndarray, k: float) -> float:
@@ -441,8 +470,18 @@ def test_sweep_argument_validation(default_cell):
         lambda cell, f: bloch_point(cell, f),
         lambda cell, f: semi_infinite_reflection(cell, f),
         lambda cell, f: chain_profile(cell, f, 7),
+        forcing_strength,
+        scatter_coefficients,
+        cell_matrices,
+        lambda cell, f: field_profile(cell, f, np.array([1, 0, 0, 0]), 5),
+        lambda cell, f: flexural_wavevector(cell.trench, f),
+        lambda cell, f: wavelength_over_thickness(cell.trench, f),
     ],
-    ids=["bloch_point", "semi_infinite_reflection", "chain_profile"],
+    ids=[
+        "bloch_point", "semi_infinite_reflection", "chain_profile", "forcing_strength",
+        "scatter_coefficients", "cell_matrices", "field_profile", "flexural_wavevector",
+        "wavelength_over_thickness",
+    ],
 )
 def test_single_frequency_calls_need_finite_positive_f(default_cell, call, f):
     with warnings.catch_warnings():

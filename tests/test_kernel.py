@@ -1,5 +1,5 @@
 """The array kernel of the Bloch pipeline against an mpmath evaluation of the
-closed form, of the branch continuation and of Gamma, and its independence
+closed form, of the transmitted-pair rule and of Gamma, and its independence
 of batching."""
 
 import dataclasses
@@ -45,27 +45,38 @@ def random_draw():
     return np.concatenate(kls), np.concatenate(sigmas)
 
 
-def test_kernel_branch_matches_mpmath_continuation(random_draw):
-    """The flexural root is the one continued from 2 cos kL as the coupling t
-    grows from 0 to sigma: the -disc root, or the +disc one once t has passed
-    a zero of the discriminant su^2 - 4 pr, a quadratic in t."""
+def _mp_roots(x, s):
+    """((su + disc)/2, (su - disc)/2) at kL = x and coupling s, in mpmath.
+
+    60 digits survive the cancellation of su - disc, which is about e^{2 kL}
+    against the root.
+    """
+    mpmath.mp.dps = 60 + int(x / 2.3)
+    x, s = mpmath.mpf(x), mpmath.mpf(s)
+    c, ch, sn, sh = mpmath.cos(x), mpmath.cosh(x), mpmath.sin(x), mpmath.sinh(x)
+    su = 2 * c + 2 * ch + (s / 2) * (sh - sn)
+    disc = mpmath.sqrt(su * su - 4 * (4 * c * ch + s * (c * sh - sn * ch)))
+    return (su + disc) / 2, (su - disc) / 2
+
+
+def _mp_pairs(x, s):
+    """The two reciprocal pairs of Bloch factors, one per root of _mp_roots."""
+    pairs = []
+    for y in _mp_roots(x, s):
+        root = mpmath.sqrt(y * y - 4)
+        pairs.append([(y + root) / 2, (y - root) / 2])
+    return pairs
+
+
+def test_transmitted_pair_is_the_least_attenuated(random_draw):
+    """Column 0 holds the pair whose |lambda| <= 1 member has the largest
+    modulus of the four factors (on an exact tie either pair passes)."""
     kl, sigma = random_draw
-    flexural = bloch._flexural_roots(kl, sigma)[:, 0].tolist()
+    _, _, inner = bloch._bloch_pairs(kl, sigma)
     mismatched = []
-    for i, (x, s, y) in enumerate(zip(kl.tolist(), sigma.tolist(), flexural)):
-        mpmath.mp.dps = 60 + int(x / 2.3)
-        x, s = mpmath.mpf(x), mpmath.mpf(s)
-        c, ch, sn, sh = mpmath.cos(x), mpmath.cosh(x), mpmath.sin(x), mpmath.sinh(x)
-        # su = su0 + su1 t, pr = pr0 + pr1 t, su^2 - 4 pr = q2 t^2 + q1 t + q0
-        su0, su1 = 2 * c + 2 * ch, (sh - sn) / 2
-        pr0, pr1 = 4 * c * ch, c * sh - sn * ch
-        q2, q1, q0 = su1 * su1, 2 * su0 * su1 - 4 * pr1, su0 * su0 - 4 * pr0
-        q = q1 * q1 - 4 * q2 * q0
-        zeros = [(-q1 + r) / (2 * q2) for r in (mpmath.sqrt(q), -mpmath.sqrt(q))] if q >= 0 else []
-        su = su0 + su1 * s
-        disc = mpmath.sqrt(su * su - 4 * (pr0 + pr1 * s))
-        ref = (su + disc) / 2 if any(s <= z < 0 for z in zeros) else (su - disc) / 2
-        if abs(mpmath.mpc(y.real, y.imag) - ref) > 1e-12 * max(abs(ref), 1):
+    for i, (x, s, lam) in enumerate(zip(kl.tolist(), sigma.tolist(), inner[:, 0].tolist())):
+        slowest = max(min(abs(a), abs(b)) for a, b in _mp_pairs(x, s))
+        if abs(abs(lam) - slowest) > 1e-12 * slowest:
             mismatched.append(i)
     mpmath.mp.dps = 15
     assert not mismatched, f"{len(mismatched)} of {kl.size} points differ, first {mismatched[:5]}"
@@ -76,16 +87,7 @@ def test_closed_form_roots_match_mpmath(random_draw):
     y1, y2 = bloch._y_closed(bloch._y_parts(kl), sigma)
     worst = 0.0
     for x, s, r1, r2 in zip(kl.tolist(), sigma.tolist(), y1.tolist(), y2.tolist()):
-        # 60 digits survive the cancellation of su - disc, which is about
-        # e^{2 kL} against the root
-        mpmath.mp.dps = 60 + int(x / 2.3)
-        x, s = mpmath.mpf(x), mpmath.mpf(s)
-        su = 2 * mpmath.cos(x) + 2 * mpmath.cosh(x) + (s / 2) * (mpmath.sinh(x) - mpmath.sin(x))
-        pr = 4 * mpmath.cos(x) * mpmath.cosh(x) + s * (
-            mpmath.cos(x) * mpmath.sinh(x) - mpmath.sin(x) * mpmath.cosh(x)
-        )
-        disc = mpmath.sqrt(su * su - 4 * pr)
-        for y, ref in ((r1, (su + disc) / 2), (r2, (su - disc) / 2)):
+        for y, ref in zip((r1, r2), _mp_roots(x, s)):
             # relative error; a root near 0 (mid-passband) is a difference of
             # terms of size 1 and is resolved only to absolute accuracy
             err = abs(mpmath.mpc(y.real, y.imag) - ref) / max(abs(ref), 1)
@@ -129,37 +131,30 @@ def test_transfer_matrix_is_diagonal_plus_rank_one(L_um):
 
 
 def _mp_gamma(kl, sigma, lam):
-    """Gamma at 40 + kL/2.3 digits from the kernel's pair rule.
+    """Gamma at 60 + kL/2.3 digits from the kernel's pair rule.
 
-    The flexural factor is the exact Bloch factor nearest the kernel's lam,
-    the evanescent one the smallest in modulus of the other three; each
+    The transmitted factor is the exact Bloch factor nearest the kernel's
+    lam, the second one the smaller in modulus of the other pair; each
     eigenvector is (lambda - p)^-1 u, unscaled.
     """
-    mpmath.mp.dps = 40 + int(kl / 2.3)
-    x, s4 = mpmath.mpf(kl), mpmath.mpf(sigma) / 4
-    if s4 == 0:
+    if sigma == 0:
         return mpmath.mpc(0)
+    pairs = _mp_pairs(kl, sigma)
+    lam_f, i = min(
+        ((z, i) for i, pair in enumerate(pairs) for z in pair),
+        key=lambda zi: abs(zi[0] - mpmath.mpc(lam.real, lam.imag)),
+    )
+    lam_e = min(pairs[1 - i], key=abs)
+    x = mpmath.mpf(kl)
     rates = [mpmath.mpc(0, -1), 1, mpmath.mpc(0, 1), -1]
     p = [mpmath.exp(r * x) for r in rates]
     u = [r * mpmath.exp(r * x / 2) for r in rates]
-    su = 2 * mpmath.cos(x) + 2 * mpmath.cosh(x) + 2 * s4 * (mpmath.sinh(x) - mpmath.sin(x))
-    pr = 4 * mpmath.cos(x) * mpmath.cosh(x) + 4 * s4 * (
-        mpmath.cos(x) * mpmath.sinh(x) - mpmath.sin(x) * mpmath.cosh(x)
-    )
-    disc = mpmath.sqrt(su * su - 4 * pr)
-    factors = []
-    for y in ((su + disc) / 2, (su - disc) / 2):
-        root = mpmath.sqrt(y * y - 4)
-        factors += [(y + root) / 2, (y - root) / 2]
-    lam_f = min(factors, key=lambda z: abs(z - mpmath.mpc(lam.real, lam.imag)))
-    factors.remove(lam_f)
-    lam_e = min(factors, key=abs)
     vf = [ui / (lam_f - pi) for ui, pi in zip(u, p)]
     ve = [ui / (lam_e - pi) for ui, pi in zip(u, p)]
     return (vf[0] * ve[3] - ve[0] * vf[3]) / (vf[2] * ve[3] - ve[2] * vf[3])
 
 
-@pytest.mark.parametrize("L_um", [3.8, 8.0])
+@pytest.mark.parametrize("L_um", [1.0, 3.8, 8.0, 12.0])
 def test_gamma_matches_mpmath(L_um):
     cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
     f = np.random.default_rng(31).uniform(0.1e9, 6e9, 300)
