@@ -7,6 +7,7 @@ from .bloch import (
     BlochPoint,
     ChainProfile,
     StopbandReport,
+    Sweep,
     bloch_point,
     chain_profile,
     field_profile,
@@ -51,6 +52,7 @@ __all__ = [
     "ScatterCoeffs",
     "SingularFrequencyError",
     "StopbandReport",
+    "Sweep",
     "TrenchModel",
     "UnitCellGeometry",
     "bloch_point",

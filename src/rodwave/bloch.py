@@ -29,28 +29,26 @@ and matched after the last cell, is a sum over the four Bloch modes, each
 referenced at the end it decays from; one 4x4 solve gives the coefficients.
 
 Every entry point evaluates the pipeline through one array kernel,
-``_bloch_arrays``, over an array of frequencies; ``bloch_point`` is that
-kernel on a one-element array.  The kernel builds no 4x4 matrix and makes
-no LAPACK call: every step is elementwise, with sums over the four
-components written out, so a point's outputs do not depend on the batch it
-was evaluated in.
+``_bloch_arrays``, in one pass over an array of frequencies; it returns a
+``Sweep`` table and ``bloch_point`` is its row on a one-element array.  The
+kernel builds no 4x4 matrix and makes no LAPACK call: every step is
+elementwise, with sums over the four components written out, so a point's
+outputs do not depend on the batch it was evaluated in.
 """
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .cell import (
-    SIGMA_CLAMP,
     UnitCellGeometry,
     cell_matrices,
+    absorbing_forcing_arrays,
     clamped_sigma,
     forcing_arrays,
     translation_phases,
@@ -61,13 +59,7 @@ from .trench import flexural_wavevectors
 TOL_BAND = 1e-6  # in_stopband when 1 - |lambda_flex| exceeds this
 EDGE_REFINE_HZ = 1e3  # band edges bisected down to this resolution
 MARKER_MIN_REAL = 0.98  # smallest in-band max(Re Gamma) that counts as a marker
-_ABSORPTION_EPS = 1e-6
 _INTERIOR_SAMPLES = 17  # uniform in-band samples of band_gamma_extrema
-# k and kL scale as sqrt(omega) under omega -> omega (1 + i eps)
-_ABSORPTION_K = cmath.sqrt(1 + 1j * _ABSORPTION_EPS)
-# frequencies per kernel block: bounds the kernel's temporaries whatever
-# the sweep length
-_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -98,6 +90,38 @@ class BlochPoint:
     # collide into a complex quadruplet (hybridized decaying branches); there
     # Re(k_ef) L leaves the {0, pi} rays while Im(k_ef) stays positive.
     complex_band: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Eigen-analysis over an array of frequencies: one column per BlochPoint
+    field, under the same name, with eigenvalues of shape (n, 4).
+
+    Iterating the table yields its BlochPoint rows.  Compared by identity:
+    elementwise == on the columns has no single truth value.
+    """
+
+    f: np.ndarray
+    eigenvalues: np.ndarray
+    lambda_flex: np.ndarray
+    t_coeff: np.ndarray
+    r_coeff: np.ndarray
+    k_ef: np.ndarray
+    gamma: np.ndarray
+    gamma_e: np.ndarray
+    gamma_phase: np.ndarray
+    in_stopband: np.ndarray
+    k: np.ndarray
+    sigma: np.ndarray
+    reciprocity_defect: np.ndarray
+    complex_band: np.ndarray
+
+    def __len__(self) -> int:
+        return self.f.size
+
+    def __iter__(self):
+        cols = [getattr(self, field.name).tolist() for field in dataclasses.fields(self)]
+        return (BlochPoint(f, tuple(ev), *rest) for f, ev, *rest in zip(*cols))
 
 
 @dataclass(frozen=True)
@@ -145,51 +169,6 @@ class ChainProfile:
     # ln|propagating amplitude| at boundaries 0..n, a log-sum-exp over the
     # modes, so it stays finite where the magnitudes underflow to 0
     log_magnitudes: np.ndarray
-
-
-@dataclass(frozen=True)
-class _BlochArrays:
-    """Kernel outputs, one entry (or row) per frequency.
-
-    gamma, gamma_e and defect are 0 without Gamma.  The properties are
-    evaluated on first use: only the callers that build BlochPoints need them.
-    """
-
-    f: np.ndarray
-    k: np.ndarray
-    sigma: np.ndarray  # clamped
-    cell_length: float
-    y_tr: np.ndarray  # y-root of the transmitted pair
-    outer: np.ndarray  # (n, 2): transmitted and other pair, |outer| >= 1
-    inner: np.ndarray  # (n, 2): 1 / outer
-    lam: np.ndarray  # transmitted Bloch factor, |lam| <= 1
-    t: np.ndarray
-    in_stop: np.ndarray
-    gamma: np.ndarray
-    gamma_e: np.ndarray
-    defect: np.ndarray  # backward error of the eigenpairs behind Gamma
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """(n, 4): outer/inner transmitted pair, outer/inner other pair."""
-        ev = np.empty((self.f.size, 2, 2), dtype=complex)
-        ev[:, :, 0] = self.outer
-        ev[:, :, 1] = self.inner
-        return ev.reshape(-1, 4)
-
-    @cached_property
-    def arg(self) -> np.ndarray:
-        """Principal phase of lam."""
-        return np.angle(self.lam)
-
-    @cached_property
-    def im_kef(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return -np.log(self.t) / self.cell_length
-
-    @cached_property
-    def complex_band(self) -> np.ndarray:
-        return np.abs(self.y_tr.imag) > 1e-9 * np.maximum(1.0, np.abs(self.y_tr))
 
 
 def _y_parts(kl):
@@ -254,18 +233,9 @@ def _absorbing_y(cell: UnitCellGeometry, f, k, y_tr, force_zero_coupling: bool):
     root without cancellation from the quadratic formula and the other one
     as pr / root; of the two, the one nearer y_tr continues it.
     """
-    k_p = k * _ABSORPTION_K
+    k_p, s_p = absorbing_forcing_arrays(cell, f, k)
     if force_zero_coupling:
         s_p = np.zeros(k.shape, dtype=complex)
-    else:
-        rod = cell.rod
-        omega = 2 * math.pi * f * (1 + 1j * _ABSORPTION_EPS)
-        # -i omega Z_b
-        f_eff = -omega * rod.impedance_scale * np.tan(omega / rod.velocity * rod.height)
-        s_p = f_eff / (cell.trench.bending_stiffness * k_p**3)
-        mod = np.abs(s_p)
-        if (mod > SIGMA_CLAMP).any():
-            s_p = np.where(mod > SIGMA_CLAMP, s_p / mod * SIGMA_CLAMP, s_p)
     c2, ch2, B, C, E = _y_parts(k_p * cell.cell_length)
     su = c2 + ch2 + (s_p / 2) * B
     pr = C + s_p * E
@@ -341,26 +311,13 @@ def _bloch_arrays(
     *,
     with_gamma: bool,
     force_zero_coupling: bool,
-) -> _BlochArrays:
-    """The whole eigen-analysis over an array of frequencies f > 0, in blocks of _BLOCK."""
-    blocks = [
-        _bloch_block(cell, f[lo : lo + _BLOCK], with_gamma, force_zero_coupling)
-        for lo in range(0, f.size, _BLOCK)
-    ]
-    if len(blocks) == 1:
-        return blocks[0]
-    return _BlochArrays(
-        cell_length=cell.cell_length,
-        **{
-            field.name: np.concatenate([getattr(b, field.name) for b in blocks])
-            for field in dataclasses.fields(_BlochArrays)
-            if field.name != "cell_length"
-        },
-    )
+) -> Sweep:
+    """The whole eigen-analysis over an array of frequencies f > 0.
 
-
-def _bloch_block(cell: UnitCellGeometry, f, with_gamma: bool, force_zero_coupling: bool):
-    """``_bloch_arrays`` on one block; NumericError where roots or Gamma overflow."""
+    Re(k_ef) is 0: each caller sets its own 2 pi branch.  gamma, gamma_e and
+    reciprocity_defect are 0 without Gamma.  NumericError where roots or
+    Gamma overflow.
+    """
     L = cell.cell_length
     if force_zero_coupling:
         k = flexural_wavevectors(cell.trench, f)
@@ -391,9 +348,20 @@ def _bloch_block(cell: UnitCellGeometry, f, with_gamma: bool, force_zero_couplin
     else:
         gamma = gamma_e = np.zeros(f.shape, dtype=complex)
         defect = np.zeros(f.shape)
-    return _BlochArrays(
-        f=f, k=k, sigma=sigma, cell_length=L, y_tr=y[:, 0], outer=outer, inner=inner,
-        lam=lam, t=t, in_stop=t < 1.0 - TOL_BAND, gamma=gamma, gamma_e=gamma_e, defect=defect,
+    # (outer, inner) of the transmitted pair, then of the other pair
+    eigenvalues = np.empty((f.size, 2, 2), dtype=complex)
+    eigenvalues[:, :, 0] = outer
+    eigenvalues[:, :, 1] = inner
+    # Re(k_ef) is left to the callers; setting imag alone keeps a -0.0 that
+    # re + 1j * im would turn into +0.0.  t > 0, as outer is finite
+    k_ef = np.zeros(f.shape, dtype=complex)
+    k_ef.imag = -np.log(t) / L
+    y_tr = y[:, 0]
+    return Sweep(
+        f=f, eigenvalues=eigenvalues.reshape(-1, 4), lambda_flex=lam, t_coeff=t,
+        r_coeff=1.0 - t, k_ef=k_ef, gamma=gamma, gamma_e=gamma_e, gamma_phase=np.angle(gamma),
+        in_stopband=t < 1.0 - TOL_BAND, k=k, sigma=sigma, reciprocity_defect=defect,
+        complex_band=np.abs(y_tr.imag) > 1e-9 * np.maximum(1.0, np.abs(y_tr)),
     )
 
 
@@ -405,34 +373,6 @@ def _require_finite(f: np.ndarray, kl: np.ndarray, finite: np.ndarray, what: str
             f"non-finite {what} at f={f[i].item()!r} Hz (kL = {kl[i]:.1f}): "
             "the Bloch closed forms leave the floating-point range at large kL"
         )
-
-
-def _points(a: _BlochArrays, re_kef: np.ndarray) -> list[BlochPoint]:
-    """One BlochPoint per kernel entry, with the given Re(k_ef)."""
-    return [
-        BlochPoint(
-            f=f,
-            eigenvalues=tuple(ev),
-            lambda_flex=lam,
-            t_coeff=t,
-            r_coeff=1.0 - t,
-            k_ef=complex(re, im),
-            gamma=g,
-            gamma_e=ge,
-            gamma_phase=phase,
-            in_stopband=stop,
-            k=k,
-            sigma=s,
-            reciprocity_defect=defect,
-            complex_band=cb,
-        )
-        for f, ev, lam, t, re, im, g, ge, phase, stop, k, s, defect, cb in zip(
-            a.f.tolist(), a.eigenvalues.tolist(), a.lam.tolist(), a.t.tolist(),
-            re_kef.tolist(), a.im_kef.tolist(), a.gamma.tolist(), a.gamma_e.tolist(),
-            np.angle(a.gamma).tolist(), a.in_stop.tolist(), a.k.tolist(),
-            a.sigma.tolist(), a.defect.tolist(), a.complex_band.tolist(),
-        )
-    ]
 
 
 def bloch_point(
@@ -449,13 +389,15 @@ def bloch_point(
     """
     if not 0 < f < math.inf:
         raise ValueError("bloch_point: f must be > 0 and finite")
-    a = _bloch_arrays(
+    sw = _bloch_arrays(
         cell, np.array([float(f)]), with_gamma=with_gamma,
         force_zero_coupling=force_zero_coupling,
     )
     L = cell.cell_length
-    branch = np.round((a.k * L - a.arg) / (2 * math.pi))
-    return _points(a, (a.arg + 2 * math.pi * branch) / L)[0]
+    arg = np.angle(sw.lambda_flex)
+    branch = np.round((sw.k * L - arg) / (2 * math.pi))
+    sw.k_ef.real = (arg + 2 * math.pi * branch) / L
+    return next(iter(sw))
 
 
 def semi_infinite_reflection(
@@ -468,10 +410,10 @@ def semi_infinite_reflection(
     """
     if not 0 < f < math.inf:
         raise ValueError("semi_infinite_reflection: f must be > 0 and finite")
-    a = _bloch_arrays(
+    sw = _bloch_arrays(
         cell, np.array([float(f)]), with_gamma=True, force_zero_coupling=force_zero_coupling
     )
-    return complex(a.gamma[0]), complex(a.gamma_e[0])
+    return complex(sw.gamma[0]), complex(sw.gamma_e[0])
 
 
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -507,18 +449,19 @@ def sweep(
     points: int,
     *,
     with_gamma: bool = True,
-) -> list[BlochPoint]:
-    """Uniform frequency sweep with branch-continuous Re(k_ef)."""
+) -> Sweep:
+    """Uniform frequency sweep with branch-continuous Re(k_ef), as one table."""
     if not (0 < f_start < f_stop):
         raise ValueError("sweep: need 0 < f_start < f_stop")
     if points < 2:
         raise ValueError("sweep: points must be >= 2")
     freqs = np.linspace(f_start, f_stop, points)
-    a = _bloch_arrays(cell, freqs, with_gamma=with_gamma, force_zero_coupling=False)
+    sw = _bloch_arrays(cell, freqs, with_gamma=with_gamma, force_zero_coupling=False)
     L = cell.cell_length
-    args = np.unwrap(a.arg)
-    branch = _branch_indices(a.in_stop, a.k * L - args)
-    return _points(a, (args + 2 * math.pi * branch) / L)
+    args = np.unwrap(np.angle(sw.lambda_flex))
+    branch = _branch_indices(sw.in_stopband, sw.k * L - args)
+    sw.k_ef.real = (args + 2 * math.pi * branch) / L
+    return sw
 
 
 def _refine_edges(cell: UnitCellGeometry, f_in, f_out) -> list[float]:
@@ -530,47 +473,43 @@ def _refine_edges(cell: UnitCellGeometry, f_in, f_out) -> list[float]:
         if not active.size:
             return (0.5 * (lo + hi)).tolist()
         mid = 0.5 * (lo[active] + hi[active])
-        stop = _bloch_arrays(cell, mid, with_gamma=False, force_zero_coupling=False).in_stop
+        stop = _bloch_arrays(cell, mid, with_gamma=False, force_zero_coupling=False).in_stopband
         lo[active] = np.where(stop, mid, lo[active])
         hi[active] = np.where(stop, hi[active], mid)
 
 
-def stopband_report(
-    points: list[BlochPoint], cell: UnitCellGeometry | None = None
-) -> StopbandReport:
+def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> StopbandReport:
     """Group a sweep into disjoint stopbands with centers and markers.
 
     When the cell is provided, band edges are refined by bisection; otherwise
     the grid brackets are reported.  Markers are the in-band frequencies
     where Re(Gamma) peaks close to +1 (virtual-fixed-constraint signature).
     """
-    if len(points) < 2:
+    n = len(sweep)
+    if n < 2:
         raise ValueError("stopband_report: need at least 2 sweep points")
-    n = len(points)
-    step = points[1].f - points[0].f
-    starts, ends = _runs(np.array([p.in_stopband for p in points]))
+    f = sweep.f.tolist()
+    t = sweep.t_coeff.tolist()
+    starts, ends = _runs(sweep.in_stopband)
     runs = list(zip(starts.tolist(), ends.tolist()))
 
     edges = {}  # (point index, neighbour index) -> refined edge frequency
     if cell is not None:
         brackets = [(i, i - 1) for i, _ in runs if i > 0]
         brackets += [(j, j + 1) for _, j in runs if j < n - 1]
-        refined = _refine_edges(
-            cell, [points[a].f for a, _ in brackets], [points[b].f for _, b in brackets]
-        )
+        refined = _refine_edges(cell, [f[a] for a, _ in brackets], [f[b] for _, b in brackets])
         edges = dict(zip(brackets, refined))
 
     bands: list[Band] = []
     markers: list[float] = []
     narrow = False
     for i, j in runs:
-        seg = points[i : j + 1]
-        att = [-math.log(p.t_coeff) if p.t_coeff > 0 else math.inf for p in seg]
-        att = [a if math.isfinite(a) else 745.0 for a in att]
+        # libm log and a left-to-right sum: numpy's may differ in the last bit
+        att = [-math.log(x) if x > 0 else 745.0 for x in t[i : j + 1]]
         wsum = sum(att)
-        f_center = sum(p.f * a for p, a in zip(seg, att)) / wsum if wsum > 0 else seg[0].f
-        f_low = edges.get((i, i - 1), seg[0].f)
-        f_high = edges.get((j, j + 1), seg[-1].f)
+        f_center = sum(x * a for x, a in zip(f[i : j + 1], att)) / wsum if wsum > 0 else f[i]
+        f_low = edges.get((i, i - 1), f[i])
+        f_high = edges.get((j, j + 1), f[j])
         bands.append(
             Band(f_low=f_low, f_high=f_high, f_center=f_center, max_attenuation=max(att))
         )
@@ -581,15 +520,15 @@ def stopband_report(
             if re_max >= MARKER_MIN_REAL:
                 markers.append(f_max)
         else:
-            best = max(seg, key=lambda p: p.gamma.real)
-            if best.gamma.real >= MARKER_MIN_REAL:
-                markers.append(best.f)
+            best = i + int(np.argmax(sweep.gamma.real[i : j + 1]))
+            if sweep.gamma.real[best] >= MARKER_MIN_REAL:
+                markers.append(f[best])
     coarse = narrow or n < 4
     return StopbandReport(
         bands=tuple(bands),
         resonance_markers=tuple(markers),
         coarse_grid_warning=coarse,
-        grid_step=step,
+        grid_step=f[1] - f[0],
     )
 
 
@@ -641,12 +580,12 @@ def chain_profile(
     n = operator.index(n_cells)
     if n < 2:
         raise ValueError("chain_profile: n_cells must be >= 2")
-    a = _bloch_arrays(
+    sw = _bloch_arrays(
         cell, np.array([float(f)]), with_gamma=False, force_zero_coupling=force_zero_coupling
     )
-    lam_flex = complex(a.lam[0])
-    lam = np.concatenate([a.inner[0], a.outer[0]])  # modes: inner, inner, outer, outer
-    v = _eigenvectors(a.k * cell.cell_length, lam[:, None])[0][:, 0]  # (mode, component)
+    lam_flex = complex(sw.lambda_flex[0])
+    lam = sw.eigenvalues[0, [1, 3, 0, 2]]  # modes: inner, inner, outer, outer
+    v = _eigenvectors(sw.k * cell.cell_length, lam[:, None])[0][:, 0]  # (mode, component)
     with np.errstate(divide="ignore"):  # log 0: uncoupled modes at sigma == 0
         log_lam = np.log(lam)
         rho = n * float(np.max(log_lam[:2].real))
@@ -707,13 +646,8 @@ def field_profile(
 
     lam_exp = np.array([-1j * k, k, 1j * k, -k])
     x = np.linspace(-L / 2.0, L / 2.0, x_samples)
-    v = np.empty(x_samples, dtype=complex)
-    v_piston = complex(np.sum(t_raw * np.exp(lam_exp * (-a / 2.0))))
-    for i, xv in enumerate(x):
-        if xv < -a / 2.0:
-            v[i] = np.sum(t_raw * np.exp(lam_exp * xv))
-        elif xv > a / 2.0:
-            v[i] = np.sum(w_raw * np.exp(lam_exp * xv))
-        else:
-            v[i] = v_piston
-    return x, v
+    # the piston moves with the left span's value at its left face
+    right = x > a / 2.0
+    x_eval = np.where(~right & (x >= -a / 2.0), -a / 2.0, x)
+    coeffs = np.where(right[:, None], w_raw, t_raw)
+    return x, np.sum(coeffs * np.exp(np.multiply.outer(x_eval, lam_exp)), axis=1)

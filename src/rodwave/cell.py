@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .rod import RodModel, _impedance_arrays
-from .trench import TrenchModel, flexural_wavevector, flexural_wavevectors
+from .trench import TrenchModel, flexural_wavevectors
 
 # above this |sigma| the closed forms switch to their infinite-stiffness
 # limits; the switch is continuous to ~1e-8 and avoids cancellation.
@@ -45,6 +45,8 @@ SIGMA_LIMIT_SWITCH = 1e8
 # working clamp so that characteristic-polynomial arithmetic stays finite
 # when sigma is evaluated essentially on a pole
 SIGMA_CLAMP = 1e12
+# relative imaginary part of the frequency in the limiting-absorption rule
+ABSORPTION_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -108,10 +110,15 @@ def forcing_strength(cell: UnitCellGeometry, f: float) -> tuple[float, float]:
     sigma divides it by E_t I_t k^3.  Near an impedance pole both are huge;
     downstream consumers switch to analytic limits.
     """
+    return _forcing_at(cell, f, "forcing_strength")[1:]
+
+
+def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, float, float]:
+    """forcing_arrays at one frequency f > 0, as floats (k, f_eff, sigma)."""
     if not 0 < f < math.inf:
-        raise ValueError("forcing_strength: f must be > 0 and finite")
-    _, f_eff, sigma = forcing_arrays(cell, np.array([float(f)]))
-    return float(f_eff[0]), float(sigma[0])
+        raise ValueError(f"{caller}: f must be > 0 and finite")
+    k, f_eff, sigma = forcing_arrays(cell, np.array([float(f)]))
+    return float(k[0]), float(f_eff[0]), float(sigma[0])
 
 
 def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):
@@ -125,6 +132,24 @@ def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):
     f_eff = omega * _impedance_arrays(cell.rod, f)[0]
     k = flexural_wavevectors(cell.trench, f)
     return k, f_eff, f_eff / (cell.trench.bending_stiffness * k**3)
+
+
+def absorbing_forcing_arrays(cell: UnitCellGeometry, f: np.ndarray, k: np.ndarray):
+    """(k', sigma') at omega (1 + i eps), eps = ABSORPTION_EPS, from f and its real k.
+
+    k scales as sqrt(omega), so k' = k sqrt(1 + i eps).  sigma' = f_eff / (E_t I_t k'^3)
+    with f_eff = -i omega Z_b, Z_b = -i rho A c tan(omega h / c) continued to the
+    complex omega (no pole lies on it), and clamped in modulus to SIGMA_CLAMP.
+    """
+    k_p = k * cmath.sqrt(1 + 1j * ABSORPTION_EPS)
+    rod = cell.rod
+    omega = 2 * math.pi * f * (1 + 1j * ABSORPTION_EPS)
+    f_eff = -omega * rod.impedance_scale * np.tan(omega / rod.velocity * rod.height)
+    s_p = f_eff / (cell.trench.bending_stiffness * k_p**3)
+    mod = np.abs(s_p)
+    if (mod > SIGMA_CLAMP).any():
+        s_p = np.where(mod > SIGMA_CLAMP, s_p / mod * SIGMA_CLAMP, s_p)
+    return k_p, s_p
 
 
 def _rational_coeffs(k, a, s) -> np.ndarray:
@@ -152,24 +177,17 @@ _COEFF_DEN_ADD = np.array([4 + 4j, 2 + 2j, 4 + 4j, 4 + 4j, 4 + 4j, 2 + 2j])
 def _coeffs_from_sigma(k: float, a: float, sigma: float) -> tuple[complex, ...]:
     """The six closed-form coefficients (r, t, r_ef, r_fe, r_e, t_e)."""
     if abs(sigma) > SIGMA_LIMIT_SWITCH:
-        # infinite-stiffness limits (virtual fixed constraint)
-        e_prop = cmath.exp(-1j * a * k)
-        e_mix = cmath.exp((0.5 - 0.5j) * a * k)
-        e_evan = cmath.exp(a * k)
-        r = -((1 - 1j) / 2) * e_prop
-        t = ((1 + 1j) / 2) * e_prop
-        r_ef = -((1 - 1j) / 2) * e_mix
-        r_fe = -((1 + 1j) / 2) * e_mix
-        r_e = -((1 + 1j) / 2) * e_evan
-        t_e = ((1 - 1j) / 2) * e_evan
-        return r, t, r_ef, r_fe, r_e, t_e
-    return tuple(_rational_coeffs(k, a, sigma).tolist())
+        # infinite-stiffness limits (virtual fixed constraint): sigma -> inf
+        # in _rational_coeffs
+        coeffs = _COEFF_PREFACTOR * np.exp(a * k * _COEFF_RATE) / _COEFF_DEN
+    else:
+        coeffs = _rational_coeffs(k, a, sigma)
+    return tuple(coeffs.tolist())
 
 
 def scatter_coefficients(cell: UnitCellGeometry, f: float) -> ScatterCoeffs:
     """Evaluate the closed-form scattering coefficients at frequency f."""
-    f_eff, sigma = forcing_strength(cell, f)
-    k = flexural_wavevector(cell.trench, f)
+    k, f_eff, sigma = _forcing_at(cell, f, "scatter_coefficients")
     r, t, r_ef, r_fe, r_e, t_e = _coeffs_from_sigma(k, cell.rod_width, sigma)
     return ScatterCoeffs(
         r=r, t=t, r_ef=r_ef, t_ef=r_ef, r_fe=r_fe, t_fe=r_fe, r_e=r_e, t_e=t_e,
@@ -265,8 +283,7 @@ _DIAG = np.arange(4)
 
 def cell_matrices(cell: UnitCellGeometry, f: float) -> CellMatrices:
     """Assemble G, C, D and the cell transfer matrix T = D C D at frequency f."""
-    _, sigma = forcing_strength(cell, f)
-    k = flexural_wavevector(cell.trench, f)
+    k, _, sigma = _forcing_at(cell, f, "cell_matrices")
     G, C, D, T = transfer_arrays(cell, np.array([k]), np.array([sigma]))
     if not np.all(np.isfinite(T)):
         raise ValueError(f"cell_matrices: non-finite transfer matrix at f={f}")

@@ -17,19 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bloch import (
-    BlochPoint,
-    StopbandReport,
-    chain_profile,
-    stopband_report,
-    sweep,
-)
+from .bloch import StopbandReport, Sweep, chain_profile, stopband_report, sweep
 from .cell import cell_matrices, clamped_sigma, forcing_strength
 from .config import RunConfig, config_hash, unit_cell
 from .errors import ConfigError, NumericError
 from .rod import _impedance_arrays
 from .svg import line_plot
-from .trench import flexural_wavevectors
 
 RECIPROCITY_FLAG = 1e-9
 RECIPROCITY_FAIL = 1e-5
@@ -88,13 +81,13 @@ def _resolve_out(config: RunConfig, out_dir: str | None) -> Path:
     return directory
 
 
-def _check_reciprocity(points: list[BlochPoint]) -> int:
-    worst = max(p.reciprocity_defect for p in points)
+def _check_reciprocity(sw: Sweep) -> int:
+    worst = sw.reciprocity_defect.max()
     if worst > RECIPROCITY_FAIL:
         raise NumericError(
             f"eigenvalue reciprocity violated: worst defect {worst:.3e} > {RECIPROCITY_FAIL}"
         )
-    return sum(1 for p in points if p.reciprocity_defect > RECIPROCITY_FLAG)
+    return int(np.count_nonzero(sw.reciprocity_defect > RECIPROCITY_FLAG))
 
 
 def run_frequency_sweep(
@@ -103,26 +96,24 @@ def run_frequency_sweep(
     """Sweep the configured frequency grid; write sweep.csv and stopbands.csv."""
     directory = _resolve_out(config, out_dir)
     cell = unit_cell(config)
-    points = sweep(cell, config.sweep.f_start, config.sweep.f_stop, config.sweep.points)
-    flagged = _check_reciprocity(points)
-    report = stopband_report(points, cell)
+    sw = sweep(cell, config.sweep.f_start, config.sweep.f_stop, config.sweep.points)
+    flagged = _check_reciprocity(sw)
+    report = stopband_report(sw, cell)
     cfg_hash = config_hash(config)
 
-    f = np.array([p.f for p in points])
     columns = {
-        "f_hz": f,
-        "k_rad_per_m": [p.k for p in points],
-        "lambda_over_ht": 2.0 * math.pi / flexural_wavevectors(cell.trench, f)
-        / cell.trench.thickness,
-        "re_sigma": [p.sigma for p in points],
-        "T_coeff": [p.t_coeff for p in points],
-        "R_coeff": [p.r_coeff for p in points],
-        "re_kef": [p.k_ef.real for p in points],
-        "im_kef": [p.k_ef.imag for p in points],
-        "re_gamma": [p.gamma.real for p in points],
-        "im_gamma": [p.gamma.imag for p in points],
-        "gamma_phase": [p.gamma_phase for p in points],
-        "in_stopband": [p.in_stopband for p in points],
+        "f_hz": sw.f,
+        "k_rad_per_m": sw.k,
+        "lambda_over_ht": 2.0 * math.pi / sw.k / cell.trench.thickness,
+        "re_sigma": sw.sigma,
+        "T_coeff": sw.t_coeff,
+        "R_coeff": sw.r_coeff,
+        "re_kef": sw.k_ef.real,
+        "im_kef": sw.k_ef.imag,
+        "re_gamma": sw.gamma.real,
+        "im_gamma": sw.gamma.imag,
+        "gamma_phase": sw.gamma_phase,
+        "in_stopband": sw.in_stopband,
     }
     notes = [f"reciprocity_flagged_points={flagged}"]
     sweep_path = directory / "sweep.csv"
@@ -133,14 +124,13 @@ def run_frequency_sweep(
     svg_path = None
     if plot if plot is not None else config.output.plot:
         svg_path = directory / "sweep.svg"
-        fghz = [p.f / 1e9 for p in points]
         line_plot(
             svg_path,
-            fghz,
+            (sw.f / 1e9).tolist(),
             [
-                ("T", [p.t_coeff for p in points]),
-                ("R", [p.r_coeff for p in points]),
-                ("Im k_ef (norm)", _normalized([p.k_ef.imag for p in points])),
+                ("T", sw.t_coeff.tolist()),
+                ("R", sw.r_coeff.tolist()),
+                ("Im k_ef (norm)", _normalized(sw.k_ef.imag.tolist())),
             ],
             bands=[(b.f_low / 1e9, b.f_high / 1e9) for b in report.bands],
             title="transmission and attenuation per cell",
@@ -152,7 +142,7 @@ def run_frequency_sweep(
         "stopbands_csv": bands_path,
         "svg": svg_path,
         "report": report,
-        "points": points,
+        "points": sw,
         "cell": cell,
     }
 
@@ -216,14 +206,11 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
             )
             continue
         cell = unit_cell(config, geo)
-        points = sweep(
-            cell,
-            config.sweep.f_start,
-            config.sweep.f_stop,
-            config.sweep.points,
+        sw = sweep(
+            cell, config.sweep.f_start, config.sweep.f_stop, config.sweep.points,
             with_gamma=False,
         )
-        report = stopband_report(points)
+        report = stopband_report(sw)
         primary = report.primary_band
         if primary is None:
             rows.append([float(value), 0.0, 0.0, 0.0])

@@ -1,0 +1,42 @@
+"""The names and results that the benchmark in perfbench/ reads from the package.
+
+perfbench traces functions by (module, attribute) and checks the rows of the
+sweep that ``run_frequency_sweep`` returns; a rename here would break the
+benchmark without failing any other test.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from rodwave import parse_config
+from rodwave.workbench import run_frequency_sweep
+
+_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TRACED
+
+
+def test_traced_functions_resolve():
+    traced = _traced()
+    assert traced
+    for name, (module, attribute) in traced.items():
+        assert callable(getattr(importlib.import_module(module), attribute)), name
+
+
+def test_sweep_result_rows_can_be_read_twice(tmp_path):
+    config = parse_config(
+        {"sweep": {"f_start_hz": 1.4e9, "f_stop_hz": 3.2e9, "points": 50},
+         "output": {"dir": str(tmp_path)}}
+    )
+    points = run_frequency_sweep(config)["points"]
+    eigenvalues = [p.eigenvalues for p in points]
+    lambda_flex = [p.lambda_flex for p in points]
+    assert len(eigenvalues) == len(lambda_flex) == 50
+    assert all(len(ev) == 4 for ev in eigenvalues)
+    assert all(isinstance(lam, complex) for lam in lambda_flex)

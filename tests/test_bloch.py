@@ -150,17 +150,18 @@ def test_all_passband_range_gives_empty_report(default_cell):
 
 
 def test_stopband_runs_at_the_sweep_ends(default_cell):
-    base = bloch_point(default_cell, 2.0e9)
+    base = sweep(default_cell, 1e9, 1.01e9, 11)
     # runs at the first three points, at point 5 alone and at the last three
     stops = [True, True, True, False, False, True, False, False, True, True, True]
 
     def report(flags):
-        points = [
-            dataclasses.replace(base, f=1e9 + 1e6 * i, in_stopband=s, t_coeff=0.5 if s else 1.0)
-            for i, s in enumerate(flags)
-        ]
-        r = stopband_report(points)
-        return [(b.f_low, b.f_high) for b in r.bands], r.coarse_grid_warning, [p.f for p in points]
+        flags = np.array(flags)
+        table = dataclasses.replace(
+            base, f=1e9 + 1e6 * np.arange(11), in_stopband=flags,
+            t_coeff=np.where(flags, 0.5, 1.0),
+        )
+        r = stopband_report(table)
+        return [(b.f_low, b.f_high) for b in r.bands], r.coarse_grid_warning, table.f.tolist()
 
     edges, coarse, f = report(stops)
     assert edges == [(f[0], f[2]), (f[5], f[5]), (f[8], f[10])]
@@ -244,7 +245,7 @@ def _beam_power_flux(psi: np.ndarray, k: float) -> float:
 
 def test_gamma_power_bookkeeping(default_sweep):
     # lossless chain: |Gamma|^2 plus the flux transmitted into the chain is 1
-    for p in default_sweep[::7]:
+    for p in list(default_sweep)[::7]:
         psi = np.array([p.gamma, p.gamma_e, 1.0, 0.0], complex)
         transmitted = _beam_power_flux(psi, p.k)
         assert abs(p.gamma) ** 2 + transmitted == pytest.approx(1.0, abs=1e-8)
@@ -339,7 +340,8 @@ def _chain_error(cell, f, n):
     """Worst |ln|x_j|| error over j = 0..n and the reflection error of chain_profile."""
     a = bloch._bloch_arrays(cell, np.array([f]), with_gamma=False, force_zero_coupling=False)
     # digits >= 30 + n log10(max|lambda|), plus the decay of the slower inner factor
-    digits = 30 + math.ceil(n * math.log10(np.abs(a.outer).max() / np.abs(a.inner).max()))
+    outer, inner = a.eigenvalues[0, ::2], a.eigenvalues[0, 1::2]
+    digits = 30 + math.ceil(n * math.log10(np.abs(outer).max() / np.abs(inner).max()))
     logs, reflection = _mp_chain(float(a.k[0] * cell.cell_length), float(a.sigma[0]), n, digits)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

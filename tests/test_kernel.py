@@ -104,15 +104,30 @@ def _without_re_kef(p):
 @pytest.mark.parametrize("L_um", [3.8, 8.0])
 def test_bloch_point_is_the_sweep_point(L_um):
     cell = unit_cell(parse_config({"geometry": {"L_um": L_um}}))
-    points = sweep(cell, 0.1e9, 6e9, 2000)
+    points = list(sweep(cell, 0.1e9, 6e9, 2000))
     for p in points[::9]:
         assert _without_re_kef(bloch_point(cell, p.f)) == _without_re_kef(p), p.f
 
 
-def test_block_boundaries_change_no_bit(default_cell, monkeypatch):
-    reference = sweep(default_cell, 0.1e9, 6e9, 2000)
-    monkeypatch.setattr(bloch, "_BLOCK", 7)
-    assert repr(sweep(default_cell, 0.1e9, 6e9, 2000)) == repr(reference)
+def test_kernel_chunks_change_no_bit(default_cell):
+    """Every column of the default sweep, bit for bit, from the kernel on 7-frequency chunks.
+
+    Re(k_ef) is compared through its inputs: the sweep sets its branch from
+    lambda_flex, k and in_stopband, which are compared themselves.
+    """
+    sw = sweep(default_cell, 0.1e9, 6e9, 2000)
+    chunks = [
+        bloch._bloch_arrays(default_cell, sw.f[lo : lo + 7], with_gamma=True,
+                            force_zero_coupling=False)
+        for lo in range(0, len(sw), 7)
+    ]
+    for field in dataclasses.fields(bloch.Sweep):
+        column = getattr(sw, field.name)
+        joined = np.concatenate([getattr(c, field.name) for c in chunks])
+        if field.name == "k_ef":
+            column, joined = column.imag, joined.imag
+        assert column.shape == joined.shape, field.name
+        assert column.tobytes() == joined.tobytes(), field.name
 
 
 @pytest.mark.parametrize("L_um", [0.5, 3.8, 8.0, 12.0])
@@ -161,7 +176,8 @@ def test_gamma_matches_mpmath(L_um):
     a = bloch._bloch_arrays(cell, f, with_gamma=True, force_zero_coupling=False)
     worst = 0.0
     for kl, s, lam, g in zip(
-        (a.k * cell.cell_length).tolist(), a.sigma.tolist(), a.lam.tolist(), a.gamma.tolist()
+        (a.k * cell.cell_length).tolist(), a.sigma.tolist(), a.lambda_flex.tolist(),
+        a.gamma.tolist(),
     ):
         ref = _mp_gamma(kl, s, lam)
         worst = max(worst, float(abs(mpmath.mpc(g.real, g.imag) - ref) / max(abs(ref), 1)))
@@ -186,6 +202,6 @@ def test_point_outputs_do_not_depend_on_the_batch(L_um, a_frac, freqs, split):
 
     whole = run(f)
     parts = [run(f[:split]), run(f[split:])]
-    for field in ("eigenvalues", "lam", "t", "im_kef", "in_stop", "gamma", "gamma_e", "defect"):
-        joined = np.concatenate([getattr(p, field) for p in parts])
-        assert np.array_equal(getattr(whole, field), joined, equal_nan=True), field
+    for field in dataclasses.fields(bloch.Sweep):
+        joined = np.concatenate([getattr(p, field.name) for p in parts])
+        assert np.array_equal(getattr(whole, field.name), joined, equal_nan=True), field.name
