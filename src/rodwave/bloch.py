@@ -15,9 +15,11 @@ the least attenuated one: the pair whose |lambda| <= 1 member has the larger
 modulus (Mead, J. Sound Vib. 27(2), 1973).  Its factor with |lambda| <= 1
 gives the transmission T = |lambda| per cell and the effective wavevector
 k_ef = ln(lambda)/(iL); a point is in a stopband when no factor lies on the
-unit circle.  In a passband the direction is fixed by a limiting-absorption
-rule: under omega -> omega (1 + i*1e-6) the modulus of the transmitted
-eigenvalue decreases.
+unit circle.  In a passband the direction is fixed by limiting absorption:
+the transmitted factor is the member of the unit-modulus pair whose modulus
+shrinks under omega -> omega (1 + i eps), eps -> 0+.  To first order that is
+the member with Im(lambda) dy/domega < 0, and dy/domega follows from the
+quadratic in real arithmetic: y' = (y su' - pr') / (y - y_other).
 
 The cell matrix is T = diag(p) + (sigma/4) u w^T, with p = (e^{-ikL}, e^{kL},
 e^{ikL}, e^{-kL}), w the same at kL/2 and u = w * (-i, 1, i, -1).  A Bloch
@@ -48,9 +50,9 @@ import numpy as np
 from .cell import (
     UnitCellGeometry,
     cell_matrices,
-    absorbing_forcing_arrays,
     clamped_sigma,
     forcing_arrays,
+    sigma_slope_arrays,
     translation_phases,
 )
 from .errors import NumericError
@@ -71,8 +73,8 @@ class BlochPoint:
     # pair; |outer| >= 1 >= |inner|
     eigenvalues: tuple[complex, complex, complex, complex]
     # the transmitted Bloch factor, |lambda_flex| <= 1: the inner member of
-    # the least-attenuated pair, in a passband the member that decays under
-    # limiting absorption
+    # the least-attenuated pair; in a passband the member with
+    # Im(lambda) dy/domega < 0, which decays under limiting absorption
     lambda_flex: complex
     t_coeff: float
     r_coeff: float
@@ -226,23 +228,18 @@ def _bloch_pairs(kl, s):
     return tuple(np.where(swap, x[:, ::-1], x) for x in (y, outer, inner))
 
 
-def _absorbing_y(cell: UnitCellGeometry, f, k, y_tr, force_zero_coupling: bool):
-    """The transmitted y-root at the complex frequency omega (1 + i eps).
+def _y_slope(kl, s, ds, y):
+    """omega dy/domega of the first root in y (n, 2), times |y0 - y1| (0 where
+    the real parts meet), in real arithmetic; ds = omega dsigma/domega.
 
-    The pair comes from the closed form at complex kL and complex sigma, the
-    root without cancellation from the quadratic formula and the other one
-    as pr / root; of the two, the one nearer y_tr continues it.
+    From y^2 - su y + pr = 0, y' = (y su' - pr') / (2y - su), and 2y - su is
+    y0 - y1 because su is the sum of the roots; omega (kL)' = kL/2.
     """
-    k_p, s_p = absorbing_forcing_arrays(cell, f, k)
-    if force_zero_coupling:
-        s_p = np.zeros(k.shape, dtype=complex)
-    c2, ch2, B, C, E = _y_parts(k_p * cell.cell_length)
-    su = c2 + ch2 + (s_p / 2) * B
-    pr = C + s_p * E
-    disc = np.sqrt(su * su - 4 * pr)
-    big = (su + np.where((su * disc.conj()).real >= 0, disc, -disc)) / 2
-    small = pr / big
-    return np.where(np.abs(big - y_tr) <= np.abs(small - y_tr), big, small)
+    c, ch, sn, sh = np.cos(kl), np.cosh(kl), np.sin(kl), np.sinh(kl)
+    dsu = (kl / 2) * (2 * (sh - sn) + (s / 2) * (ch - c)) + (ds / 2) * (sh - sn)
+    dpr = (kl / 2) * (4 * (c * sh - sn * ch) - 2 * s * sn * sh) + ds * (c * sh - sn * ch)
+    y0, y1 = y.real.T
+    return np.sign(y0 - y1) * (y0 * dsu - dpr)
 
 
 # u = w * _U_SIGNS, with w the half-cell phases
@@ -332,12 +329,12 @@ def _bloch_arrays(
     lam = inner[:, 0].copy()  # stopband: the decaying member
     band = np.flatnonzero(np.abs(np.abs(outer[:, 0]) - 1.0) <= 1e-8)
     if band.size:
-        # passband: the member whose modulus shrinks under absorption, which
-        # is the one nearer the smaller perturbed member
-        y_p = _absorbing_y(cell, f[band], k[band], y[band, 0], force_zero_coupling)
-        _, inner_p = _lambda_pairs(y_p)
-        out, inn = outer[band, 0], inner[band, 0]
-        lam[band] = np.where(np.abs(out - inner_p) < np.abs(inn - inner_p), out, inn)
+        # passband: the member whose modulus shrinks under omega -> omega (1 + i eps),
+        # to first order the one with Im(lambda) dy/domega < 0; where that
+        # product is 0 (lambda = +-1, or a flat y) the inner member stays
+        ds = 0.0 if force_zero_coupling else sigma_slope_arrays(cell, f[band], k[band], sigma[band])
+        slope = _y_slope(kl[band], sigma[band], ds, y[band])
+        lam[band] = np.where(inner[band, 0].imag * slope > 0, outer[band, 0], inner[band, 0])
     mod = np.abs(lam)
     if (mod > 1.0).any():  # keep |lambda| <= 1 against rounding
         lam = np.where(mod > 1.0, lam / mod, lam)

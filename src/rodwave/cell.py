@@ -29,7 +29,6 @@ diag(e^{-ikL}, e^{+kL}, e^{+ikL}, e^{-kL}).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -45,8 +44,6 @@ SIGMA_LIMIT_SWITCH = 1e8
 # working clamp so that characteristic-polynomial arithmetic stays finite
 # when sigma is evaluated essentially on a pole
 SIGMA_CLAMP = 1e12
-# relative imaginary part of the frequency in the limiting-absorption rule
-ABSORPTION_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -134,22 +131,16 @@ def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):
     return k, f_eff, f_eff / (cell.trench.bending_stiffness * k**3)
 
 
-def absorbing_forcing_arrays(cell: UnitCellGeometry, f: np.ndarray, k: np.ndarray):
-    """(k', sigma') at omega (1 + i eps), eps = ABSORPTION_EPS, from f and its real k.
+def sigma_slope_arrays(cell: UnitCellGeometry, f: np.ndarray, k: np.ndarray, sigma: np.ndarray):
+    """omega dsigma/domega over arrays of f > 0, their k and their (clamped) sigma.
 
-    k scales as sqrt(omega), so k' = k sqrt(1 + i eps).  sigma' = f_eff / (E_t I_t k'^3)
-    with f_eff = -i omega Z_b, Z_b = -i rho A c tan(omega h / c) continued to the
-    complex omega (no pole lies on it), and clamped in modulus to SIGMA_CLAMP.
+    sigma = -s0 tan(omega h / c) with s0 = omega rho A c / (E_t I_t k^3) > 0, and
+    s0 scales as omega^-1/2, so omega sigma' = -sigma/2 - (omega h / c)(s0 + sigma^2 / s0).
+    Written in sigma itself, it stays finite where sigma is clamped at a pole.
     """
-    k_p = k * cmath.sqrt(1 + 1j * ABSORPTION_EPS)
-    rod = cell.rod
-    omega = 2 * math.pi * f * (1 + 1j * ABSORPTION_EPS)
-    f_eff = -omega * rod.impedance_scale * np.tan(omega / rod.velocity * rod.height)
-    s_p = f_eff / (cell.trench.bending_stiffness * k_p**3)
-    mod = np.abs(s_p)
-    if (mod > SIGMA_CLAMP).any():
-        s_p = np.where(mod > SIGMA_CLAMP, s_p / mod * SIGMA_CLAMP, s_p)
-    return k_p, s_p
+    omega = 2.0 * math.pi * f
+    s0 = omega * cell.rod.impedance_scale / (cell.trench.bending_stiffness * k**3)
+    return -sigma / 2 - omega / cell.rod.velocity * cell.rod.height * (s0 + sigma * sigma / s0)
 
 
 def _rational_coeffs(k, a, s) -> np.ndarray:

@@ -80,6 +80,8 @@ def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def near_pole(rod: RodModel, f: float) -> bool:
     """True when f falls inside the near-pole window around any impedance pole."""
+    if not 0 <= f < math.inf:
+        raise ValueError("near_pole: f must be >= 0 and finite")
     return bool(_impedance_arrays(rod, np.array([float(f)]))[1][0])
 
 
@@ -89,8 +91,8 @@ def driving_impedance(rod: RodModel, f: float) -> complex:
     Purely imaginary for real f.  Exactly at a tangent pole the function
     returns a signed-infinite marker instead of silently overflowing.
     """
-    if f < 0:
-        raise ValueError("driving_impedance: f must be >= 0")
+    if not 0 <= f < math.inf:
+        raise ValueError("driving_impedance: f must be >= 0 and finite")
     return complex(0.0, _impedance_arrays(rod, np.array([float(f)]))[0][0])
 
 
@@ -104,6 +106,8 @@ def rod_modeshape(
     """
     if z_samples < 2:
         raise ValueError("rod_modeshape: z_samples must be >= 2")
+    if not 0 < f < math.inf:
+        raise ValueError("rod_modeshape: f must be > 0 and finite")
     if near_pole(rod, f):
         raise SingularFrequencyError(
             f"rod_modeshape: f={f} is within the near-pole window of Z_b"
@@ -124,8 +128,8 @@ def impedance_extrema(rod: RodModel, f_max_search: float) -> list[tuple[float, s
     Zeros sit at n*c/(2h) and poles at (2n-1)*c/(4h), n >= 1, strictly
     alternating (pole, zero, pole, ...).
     """
-    if not f_max_search > 0:
-        raise ValueError("impedance_extrema: f_max_search must be > 0")
+    if not 0 < f_max_search < math.inf:
+        raise ValueError("impedance_extrema: f_max_search must be > 0 and finite")
     out: list[tuple[float, str]] = []
     n = 1
     while True:

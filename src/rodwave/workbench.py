@@ -180,10 +180,11 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
     """Sweep one geometry parameter; track the primary-band center per value.
 
     The per-cell dispersion of this 1D model depends on the rod width a only
-    through phase factors that cancel in the transfer-matrix eigenvalues, so
-    rod-width tunability of the band centers is not expected to reproduce
-    finite-element tunability figures even in order of magnitude; the summary
-    carries an explicit note.
+    through phase factors that cancel in the transfer-matrix eigenvalues, and
+    sigma holds no a because the rod's area per unit width is taken as its
+    height (RodModel.impedance_scale).  So rod-width tunability of the band
+    centers is not expected to reproduce finite-element tunability figures
+    even in order of magnitude; the summary carries an explicit note.
     """
     if config.geometry_sweep is None:
         raise ConfigError("geometry_sweep section is required for this run")

@@ -316,24 +316,23 @@ def _mp_chain(kl, sigma, n, digits):
     from a 2x2 solve on T^n.  The forward powers amplify the rounding of x_0
     by up to (max|lambda| / |decay per cell|)^n, which the digits must cover.
     """
-    mpmath.mp.dps = digits
-    x, s4 = mpmath.mpf(kl), mpmath.mpf(sigma) / 4
-    rates = [mpmath.mpc(0, -1), 1, mpmath.mpc(0, 1), -1]
-    w = [mpmath.exp(r * x / 2) for r in rates]
-    t = [
-        [s4 * ri * wi * wk + (wi * wi if i == k else 0) for k, wk in enumerate(w)]
-        for i, (ri, wi) in enumerate(zip(rates, w))
-    ]
-    tn = mpmath.matrix(t) ** n
-    r0, r1 = mpmath.lu_solve(tn[0:2, 0:2], -tn[0:2, 2])
-    state = [r0, r1, mpmath.mpf(1), mpmath.mpf(0)]
-    logs = [0.0]
-    for _ in range(n):
-        state = [mpmath.fsum(row[k] * state[k] for k in range(4)) for row in t]
-        with mpmath.workdps(20):
-            logs.append(float(mpmath.log(abs(state[2]))))
-    mpmath.mp.dps = 15
-    return np.array(logs), complex(r0)
+    with mpmath.workdps(digits):
+        x, s4 = mpmath.mpf(kl), mpmath.mpf(sigma) / 4
+        rates = [mpmath.mpc(0, -1), 1, mpmath.mpc(0, 1), -1]
+        w = [mpmath.exp(r * x / 2) for r in rates]
+        t = [
+            [s4 * ri * wi * wk + (wi * wi if i == k else 0) for k, wk in enumerate(w)]
+            for i, (ri, wi) in enumerate(zip(rates, w))
+        ]
+        tn = mpmath.matrix(t) ** n
+        r0, r1 = mpmath.lu_solve(tn[0:2, 0:2], -tn[0:2, 2])
+        state = [r0, r1, mpmath.mpf(1), mpmath.mpf(0)]
+        logs = [0.0]
+        for _ in range(n):
+            state = [mpmath.fsum(row[k] * state[k] for k in range(4)) for row in t]
+            with mpmath.workdps(20):
+                logs.append(float(mpmath.log(abs(state[2]))))
+        return np.array(logs), complex(r0)
 
 
 def _chain_error(cell, f, n):

@@ -1,18 +1,25 @@
 """The array kernel of the Bloch pipeline against an mpmath evaluation of the
-closed form, of the transmitted-pair rule and of Gamma, and its independence
-of batching."""
+closed form, of the transmitted-pair rule, of the passband direction and of
+Gamma, and its independence of batching."""
 
 import dataclasses
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rodwave import bloch_point, parse_config, sweep, unit_cell
+from rodwave import bloch_point, parse_config, stopband_report, sweep, unit_cell
 from rodwave import bloch
-from rodwave.cell import SIGMA_CLAMP, forcing_arrays, transfer_arrays, translation_phases
+from rodwave.cell import (
+    SIGMA_CLAMP,
+    clamped_sigma,
+    forcing_arrays,
+    sigma_slope_arrays,
+    transfer_arrays,
+    translation_phases,
+)
 
 
 def _random_cells(rng, count):
@@ -45,14 +52,16 @@ def random_draw():
     return np.concatenate(kls), np.concatenate(sigmas)
 
 
-def _mp_roots(x, s):
-    """((su + disc)/2, (su - disc)/2) at kL = x and coupling s, in mpmath.
+def _mp_digits(x):
+    """Working digits at kL = x: 60 survive the cancellation of su - disc, which
+    is about e^{2 kL} against the root."""
+    return 60 + int(x / 2.3)
 
-    60 digits survive the cancellation of su - disc, which is about e^{2 kL}
-    against the root.
-    """
-    mpmath.mp.dps = 60 + int(x / 2.3)
-    x, s = mpmath.mpf(x), mpmath.mpf(s)
+
+def _mp_roots(x, s):
+    """((su + disc)/2, (su - disc)/2) at kL = x and coupling s, real or complex,
+    in mpmath at the working precision (callers set _mp_digits(x))."""
+    x, s = mpmath.mpmathify(x), mpmath.mpmathify(s)
     c, ch, sn, sh = mpmath.cos(x), mpmath.cosh(x), mpmath.sin(x), mpmath.sinh(x)
     su = 2 * c + 2 * ch + (s / 2) * (sh - sn)
     disc = mpmath.sqrt(su * su - 4 * (4 * c * ch + s * (c * sh - sn * ch)))
@@ -75,11 +84,99 @@ def test_transmitted_pair_is_the_least_attenuated(random_draw):
     _, _, inner = bloch._bloch_pairs(kl, sigma)
     mismatched = []
     for i, (x, s, lam) in enumerate(zip(kl.tolist(), sigma.tolist(), inner[:, 0].tolist())):
-        slowest = max(min(abs(a), abs(b)) for a, b in _mp_pairs(x, s))
-        if abs(abs(lam) - slowest) > 1e-12 * slowest:
-            mismatched.append(i)
-    mpmath.mp.dps = 15
+        with mpmath.workdps(_mp_digits(x)):
+            slowest = max(min(abs(a), abs(b)) for a, b in _mp_pairs(x, s))
+            if abs(abs(lam) - slowest) > 1e-12 * slowest:
+                mismatched.append(i)
     assert not mismatched, f"{len(mismatched)} of {kl.size} points differ, first {mismatched[:5]}"
+
+
+def _mp_shrinks(kl, sigma, arg, lam):
+    """(exact factor on the unit circle, its modulus shrinks at omega (1 + i eta)).
+
+    The exact factor is the Bloch factor at (kL, sigma) nearest lam; its
+    continuation is the factor nearest it at the complex frequency, eta =
+    1e-30, where kL scales as sqrt(omega) and sigma as omega^-1/2 tan(omega h/c),
+    arg = omega h / c.  Callers set the working precision.
+    """
+    z = mpmath.mpc(1, mpmath.mpf("1e-30"))
+    lam = mpmath.mpc(lam.real, lam.imag)
+    exact = min((x for pair in _mp_pairs(kl, sigma) for x in pair), key=lambda x: abs(x - lam))
+    s_z = 0
+    if sigma:
+        arg = mpmath.mpf(arg)
+        s_z = mpmath.mpf(sigma) * mpmath.tan(arg * z) / mpmath.tan(arg) / mpmath.sqrt(z)
+    pairs = _mp_pairs(mpmath.mpf(kl) * mpmath.sqrt(z), s_z)
+    moved = min((x for pair in pairs for x in pair), key=lambda x: abs(x - exact))
+    return abs(abs(exact) - 1) < mpmath.mpf("1e-40"), abs(moved) < abs(exact)
+
+
+_THICKNESS = {"t_aln1_nm": (200, 800), "t_m1_nm": (100, 500),
+              "t_aln2_nm": (300, 1200), "t_m2_nm": (150, 700)}
+
+
+@settings(max_examples=20, deadline=None)
+@example(  # an edge 1 Hz from kL = 11 pi: uncoupled, lambda_flex is exactly -1
+    L_um=6.6341215870623325, a_frac=0.5, freqs=[1e8],
+    layers={"t_aln1_nm": 443.40236418053803, "t_m1_nm": 363.5,
+            "t_aln2_nm": 300.0, "t_m2_nm": 150.0},
+)
+@given(
+    L_um=st.floats(0.5, 12.0),
+    a_frac=st.floats(0.05, 0.95),
+    layers=st.fixed_dictionaries({name: st.floats(*r) for name, r in _THICKNESS.items()}),
+    freqs=st.lists(st.floats(0.1e9, 6e9), min_size=1, max_size=8),
+)
+def test_passband_factor_decays_under_limiting_absorption(L_um, a_frac, layers, freqs):
+    """In a passband the kernel's lambda_flex is the member of the unit-modulus
+    pair whose modulus shrinks when the frequency gains a small positive
+    imaginary part, with and without coupling; checked at drawn frequencies
+    and at +-1 Hz and +-1 kHz from every refined band edge."""
+    geo = dict(layers, L_um=L_um, a_um=a_frac * L_um)
+    cell = unit_cell(parse_config({"geometry": geo}))
+    edges = [e for b in stopband_report(sweep(cell, 0.1e9, 6e9, 400), cell).bands
+             for e in (b.f_low, b.f_high)]
+    f = np.concatenate([freqs, np.add.outer(edges, [-1e3, -1.0, 1.0, 1e3]).ravel()])
+    arg = 2 * np.pi * f / cell.rod.velocity * cell.rod.height
+    checked = 0
+    for zero in (False, True):
+        sw = bloch._bloch_arrays(cell, f, with_gamma=False, force_zero_coupling=zero)
+        kl = sw.k * cell.cell_length
+        # a real factor on the unit circle is +-1, where both members round to
+        # the same value and there is no direction to choose
+        for i in np.flatnonzero(~sw.in_stopband & (sw.lambda_flex.imag != 0)):
+            with mpmath.workdps(_mp_digits(kl[i])):
+                on_circle, shrinks = _mp_shrinks(kl[i], sw.sigma[i], arg[i], sw.lambda_flex[i])
+            if on_circle:
+                checked += 1
+                assert shrinks, (zero, f[i])
+    assert checked > 0
+
+
+@pytest.mark.parametrize("L_um", [0.5, 3.8, 12.0])
+def test_sigma_slope_matches_mpmath_derivative(L_um):
+    """omega dsigma/domega against mpmath.diff of the kernel's sigma, written
+    as -omega rho A c tan(omega h / c) / (E I k^3) with k ~ sqrt(omega)."""
+    cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
+    rod, stiffness = cell.rod, cell.trench.bending_stiffness
+    f = np.random.default_rng(11).uniform(0.1e9, 20e9, 60)
+    f = f[np.abs(np.cos(2 * np.pi * f / rod.velocity * rod.height)) > 1e-3]  # off the poles
+    k, _, sigma = forcing_arrays(cell, f)
+    slope = sigma_slope_arrays(cell, f, k, sigma)
+    for f0, k0, s0, d0 in zip(f.tolist(), k.tolist(), sigma.tolist(), slope.tolist()):
+        with mpmath.workdps(30):
+            def sig(x):
+                omega = 2 * mpmath.pi * x
+                kx = k0 * mpmath.sqrt(x / f0)
+                tan = mpmath.tan(omega / rod.velocity * rod.height)
+                return -omega * rod.impedance_scale * tan / (stiffness * kx**3)
+
+            assert abs(sig(f0) - s0) <= 1e-12 * abs(s0)
+            ref = f0 * mpmath.diff(sig, mpmath.mpf(f0))
+            assert abs(d0 - ref) <= 1e-8 * abs(ref), f0
+    pole = np.array([rod.first_pole])
+    k, _, sigma = forcing_arrays(cell, pole)
+    assert np.isfinite(sigma_slope_arrays(cell, pole, k, clamped_sigma(sigma))).all()
 
 
 def test_closed_form_roots_match_mpmath(random_draw):
@@ -87,12 +184,12 @@ def test_closed_form_roots_match_mpmath(random_draw):
     y1, y2 = bloch._y_closed(bloch._y_parts(kl), sigma)
     worst = 0.0
     for x, s, r1, r2 in zip(kl.tolist(), sigma.tolist(), y1.tolist(), y2.tolist()):
-        for y, ref in zip((r1, r2), _mp_roots(x, s)):
-            # relative error; a root near 0 (mid-passband) is a difference of
-            # terms of size 1 and is resolved only to absolute accuracy
-            err = abs(mpmath.mpc(y.real, y.imag) - ref) / max(abs(ref), 1)
-            worst = max(worst, float(err))
-    mpmath.mp.dps = 15
+        with mpmath.workdps(_mp_digits(x)):
+            for y, ref in zip((r1, r2), _mp_roots(x, s)):
+                # relative error; a root near 0 (mid-passband) is a difference of
+                # terms of size 1 and is resolved only to absolute accuracy
+                err = abs(mpmath.mpc(y.real, y.imag) - ref) / max(abs(ref), 1)
+                worst = max(worst, float(err))
     assert worst <= 1e-12
 
 
@@ -146,7 +243,8 @@ def test_transfer_matrix_is_diagonal_plus_rank_one(L_um):
 
 
 def _mp_gamma(kl, sigma, lam):
-    """Gamma at 60 + kL/2.3 digits from the kernel's pair rule.
+    """Gamma from the kernel's pair rule, at the working precision (callers
+    set _mp_digits(kl)).
 
     The transmitted factor is the exact Bloch factor nearest the kernel's
     lam, the second one the smaller in modulus of the other pair; each
@@ -179,9 +277,9 @@ def test_gamma_matches_mpmath(L_um):
         (a.k * cell.cell_length).tolist(), a.sigma.tolist(), a.lambda_flex.tolist(),
         a.gamma.tolist(),
     ):
-        ref = _mp_gamma(kl, s, lam)
-        worst = max(worst, float(abs(mpmath.mpc(g.real, g.imag) - ref) / max(abs(ref), 1)))
-    mpmath.mp.dps = 15
+        with mpmath.workdps(_mp_digits(kl)):
+            ref = _mp_gamma(kl, s, lam)
+            worst = max(worst, float(abs(mpmath.mpc(g.real, g.imag) - ref) / max(abs(ref), 1)))
     assert worst <= 1e-10
 
 

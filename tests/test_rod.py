@@ -84,6 +84,27 @@ def test_modeshape_rejects_pole(default_rod):
         rod_modeshape(default_rod, default_rod.first_pole, 1.0, 10)
 
 
+@pytest.mark.parametrize("f", [math.inf, math.nan, -1e9])
+@pytest.mark.parametrize(
+    "call", [driving_impedance, near_pole], ids=["driving_impedance", "near_pole"]
+)
+def test_rod_impedance_needs_finite_non_negative_f(default_rod, call, f):
+    with pytest.raises(ValueError, match="f must be >= 0 and finite"):
+        call(default_rod, f)
+
+
+@pytest.mark.parametrize("f", [math.inf, math.nan, 0.0, -1e9])
+def test_modeshape_needs_finite_positive_f(default_rod, f):
+    with pytest.raises(ValueError, match="f must be > 0 and finite"):
+        rod_modeshape(default_rod, f, 1.0, 10)
+
+
+@pytest.mark.parametrize("f_max", [math.inf, math.nan, 0.0, -1e9])
+def test_extrema_need_finite_positive_search_limit(default_rod, f_max):
+    with pytest.raises(ValueError, match="f_max_search must be > 0 and finite"):
+        impedance_extrema(default_rod, f_max)
+
+
 def test_extrema_closed_form_positions(default_rod):
     ext = impedance_extrema(default_rod, 6e9)
     poles = [f for f, kind in ext if kind == "pole"]
