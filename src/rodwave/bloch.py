@@ -30,12 +30,16 @@ A finite chain of n cells, driven by a unit propagating wave at boundary 0
 and matched after the last cell, is a sum over the four Bloch modes, each
 referenced at the end it decays from; one 4x4 solve gives the coefficients.
 
-Every entry point evaluates the pipeline through one array kernel,
-``_bloch_arrays``, in one pass over an array of frequencies; it returns a
-``Sweep`` table and ``bloch_point`` is its row on a one-element array.  The
-kernel builds no 4x4 matrix and makes no LAPACK call: every step is
-elementwise, with sums over the four components written out, so a point's
-outputs do not depend on the batch it was evaluated in.
+Every entry point evaluates the pipeline in two parts over an array of
+frequencies: a cell-dependent front (``_front``: k, the clamped sigma, L and
+omega dsigma/domega per point) and one cell-free Bloch stage
+(``_transmitted``, then ``_reflection`` and ``_table``) run once over the
+front.  Fronts of several cells concatenate, so ``sweep_cells`` runs the
+stage once for a whole geometry sweep.  The full table is a ``Sweep``, and
+``bloch_point`` is its row on a one-element array.  The stage builds no 4x4
+matrix and makes no LAPACK call: every step is elementwise, with sums over
+the four components written out, so a point's outputs do not depend on the
+batch it was evaluated in.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +129,10 @@ class Sweep:
     def __iter__(self):
         cols = [getattr(self, field.name).tolist() for field in dataclasses.fields(self)]
         return (BlochPoint(f, tuple(ev), *rest) for f, ev, *rest in zip(*cols))
+
+    def rows(self, start: int, stop: int) -> Sweep:
+        """Rows start..stop-1 as a table of views of these columns."""
+        return Sweep(*(getattr(self, fld.name)[start:stop] for fld in dataclasses.fields(self)))
 
 
 @dataclass(frozen=True)
@@ -271,23 +280,74 @@ def _eigenvectors(kl, lam):
     return v, w, g_near
 
 
-def _reflection(kl, sigma, lam_pair):
-    """(Gamma, Gamma_e, backward error) from the two transmitted Bloch
-    factors, stacked as lam_pair (2, n): lam, then the inner factor of the
-    other pair.
+@dataclass
+class _Front:
+    """The cell-dependent inputs of the Bloch stage, one entry per frequency."""
+
+    f: np.ndarray
+    k: np.ndarray
+    sigma: np.ndarray  # clamped; 0 without coupling
+    L: float | np.ndarray  # cell length: one float, or one per point for several cells
+    # omega dsigma/domega at the points of an index (cell.sigma_slope_arrays),
+    # asked for only where the stage needs it, at passband points; 0 without coupling
+    ds: Callable[[np.ndarray], np.ndarray | float]
+
+
+def _front(cell: UnitCellGeometry, f: np.ndarray, *, force_zero_coupling: bool) -> _Front:
+    """The front of one cell over an array of frequencies f > 0."""
+    if force_zero_coupling:
+        k = flexural_wavevectors(cell.trench, f)
+        return _Front(f, k, np.zeros(f.shape), cell.cell_length, lambda i: 0.0)
+    k, _, sigma = forcing_arrays(cell, f)
+    sigma = clamped_sigma(sigma)
+    return _Front(
+        f, k, sigma, cell.cell_length, lambda i: sigma_slope_arrays(cell, f[i], k[i], sigma[i])
+    )
+
+
+def _transmitted(fr: _Front):
+    """(kL, y, outer, inner, lambda_flex): the roots and pairs of _bloch_pairs
+    and the transmitted factor.  NumericError where the roots overflow."""
+    kl = fr.k * fr.L
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        y, outer, inner = _bloch_pairs(kl, fr.sigma)
+    _require_finite(fr.f, kl, np.isfinite(outer).all(axis=1), "Bloch roots")
+    lam = inner[:, 0].copy()  # stopband: the decaying member
+    band = np.flatnonzero(np.abs(np.abs(outer[:, 0]) - 1.0) <= 1e-8)
+    if band.size:
+        # passband: the member whose modulus shrinks under omega -> omega (1 + i eps),
+        # to first order the one with Im(lambda) dy/domega < 0; where that
+        # product is 0 (lambda = +-1, or a flat y) the inner member stays
+        slope = _y_slope(kl[band], fr.sigma[band], fr.ds(band), y[band])
+        lam[band] = np.where(inner[band, 0].imag * slope > 0, outer[band, 0], inner[band, 0])
+    mod = np.abs(lam)
+    if (mod > 1.0).any():  # keep |lambda| <= 1 against rounding
+        lam = np.where(mod > 1.0, lam / mod, lam)
+    return kl, y, outer, inner, lam
+
+
+def _reflection(fr: _Front, kl, lam, other):
+    """(Gamma, Gamma_e, eigenvectors) from the transmitted factor lam and the
+    inner factor of the other pair; the eigenvectors are _eigenvectors of
+    both, stacked on a first axis of 2.  NumericError where Gamma overflows.
 
     The interface state [Gamma, Gamma_e, 1, 0] (reflected, reflected
     near-field, unit incident, no incoming evanescent) lies in the span of
     the two eigenvectors: Cramer's rule on components 2 and 3.
     """
-    s4 = sigma / 4
-    v, w, g_near = _eigenvectors(kl, lam_pair)  # (2, n, 4)
-    (f0, f1, f2, f3), (e0, e1, e2, e3) = v.transpose(0, 2, 1)
+    eig = _eigenvectors(kl, np.stack([lam, other]))  # v of shape (2, n, 4)
+    (f0, f1, f2, f3), (e0, e1, e2, e3) = eig[0].transpose(0, 2, 1)
     den = f2 * e3 - e2 * f3
-    coupled = sigma != 0
+    coupled = fr.sigma != 0
     gamma = np.where(coupled, (f0 * e3 - e0 * f3) / den, 0)
     gamma_e = np.where(coupled, (f1 * e3 - e1 * f3) / den, 0)
+    _require_finite(fr.f, kl, np.isfinite(gamma) & np.isfinite(gamma_e), "Gamma")
+    return gamma, gamma_e, eig
 
+
+def _backward_error(kl, sigma, v, w, g_near):
+    """The worse backward error of the two eigenpairs of _reflection."""
+    s4 = sigma / 4
     # ||u|| / ||T||_F in closed form, with e = e^{-kL}: |u|^2 = |w|^2 is
     # (1, 1/e, 1, e), |T_ii| = |w_i|^2 |1 + (sigma/4) c_i| with c = _U_SIGNS
     # and |T_ij| = |sigma/4| |w_i| |w_j| off the diagonal.  Times e^2,
@@ -299,7 +359,40 @@ def _reflection(kl, sigma, lam_pair):
     )
     scale = (1 + e) * np.sqrt(e / t_sq)
     resid = np.abs(s4 * _sum4(w * v) - g_near) / np.sqrt(_sum4((v * v.conj()).real))
-    return gamma, gamma_e, scale * np.maximum(resid[0], resid[1])
+    return scale * np.maximum(resid[0], resid[1])
+
+
+def _table(fr: _Front, *, with_gamma: bool) -> Sweep:
+    """The Bloch stage over a front, as a Sweep table.
+
+    Re(k_ef) is 0: each caller sets its own 2 pi branch.  gamma, gamma_e,
+    gamma_phase and reciprocity_defect are 0 without Gamma.  NumericError
+    where roots or Gamma overflow.
+    """
+    kl, y, outer, inner, lam = _transmitted(fr)
+    t = np.minimum(np.abs(lam), 1.0)
+    if with_gamma:
+        gamma, gamma_e, (v, w, g_near) = _reflection(fr, kl, lam, inner[:, 1])
+        defect = _backward_error(kl, fr.sigma, v, w, g_near)
+        phase = np.angle(gamma)
+    else:
+        gamma = gamma_e = np.zeros(t.shape, dtype=complex)
+        defect = phase = np.zeros(t.shape)
+    # (outer, inner) of the transmitted pair, then of the other pair
+    eigenvalues = np.empty((t.size, 2, 2), dtype=complex)
+    eigenvalues[:, :, 0] = outer
+    eigenvalues[:, :, 1] = inner
+    # Re(k_ef) is left to the callers; setting imag alone keeps a -0.0 that
+    # re + 1j * im would turn into +0.0.  t > 0, as outer is finite
+    k_ef = np.zeros(t.shape, dtype=complex)
+    k_ef.imag = -np.log(t) / fr.L
+    y_tr = y[:, 0]
+    return Sweep(
+        f=fr.f, eigenvalues=eigenvalues.reshape(-1, 4), lambda_flex=lam, t_coeff=t,
+        r_coeff=1.0 - t, k_ef=k_ef, gamma=gamma, gamma_e=gamma_e, gamma_phase=phase,
+        in_stopband=t < 1.0 - TOL_BAND, k=fr.k, sigma=fr.sigma, reciprocity_defect=defect,
+        complex_band=np.abs(y_tr.imag) > 1e-9 * np.maximum(1.0, np.abs(y_tr)),
+    )
 
 
 def _bloch_arrays(
@@ -309,66 +402,20 @@ def _bloch_arrays(
     with_gamma: bool,
     force_zero_coupling: bool,
 ) -> Sweep:
-    """The whole eigen-analysis over an array of frequencies f > 0.
-
-    Re(k_ef) is 0: each caller sets its own 2 pi branch.  gamma, gamma_e and
-    reciprocity_defect are 0 without Gamma.  NumericError where roots or
-    Gamma overflow.
-    """
-    L = cell.cell_length
-    if force_zero_coupling:
-        k = flexural_wavevectors(cell.trench, f)
-        sigma = np.zeros(f.shape)
-    else:
-        k, _, sigma = forcing_arrays(cell, f)
-        sigma = clamped_sigma(sigma)
-    kl = k * L
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        y, outer, inner = _bloch_pairs(kl, sigma)
-    _require_finite(f, kl, np.isfinite(outer).all(axis=1), "Bloch roots")
-    lam = inner[:, 0].copy()  # stopband: the decaying member
-    band = np.flatnonzero(np.abs(np.abs(outer[:, 0]) - 1.0) <= 1e-8)
-    if band.size:
-        # passband: the member whose modulus shrinks under omega -> omega (1 + i eps),
-        # to first order the one with Im(lambda) dy/domega < 0; where that
-        # product is 0 (lambda = +-1, or a flat y) the inner member stays
-        ds = 0.0 if force_zero_coupling else sigma_slope_arrays(cell, f[band], k[band], sigma[band])
-        slope = _y_slope(kl[band], sigma[band], ds, y[band])
-        lam[band] = np.where(inner[band, 0].imag * slope > 0, outer[band, 0], inner[band, 0])
-    mod = np.abs(lam)
-    if (mod > 1.0).any():  # keep |lambda| <= 1 against rounding
-        lam = np.where(mod > 1.0, lam / mod, lam)
-    t = np.minimum(np.abs(lam), 1.0)
-    if with_gamma:
-        gamma, gamma_e, defect = _reflection(kl, sigma, np.stack([lam, inner[:, 1]]))
-        _require_finite(f, kl, np.isfinite(gamma) & np.isfinite(gamma_e), "Gamma")
-    else:
-        gamma = gamma_e = np.zeros(f.shape, dtype=complex)
-        defect = np.zeros(f.shape)
-    # (outer, inner) of the transmitted pair, then of the other pair
-    eigenvalues = np.empty((f.size, 2, 2), dtype=complex)
-    eigenvalues[:, :, 0] = outer
-    eigenvalues[:, :, 1] = inner
-    # Re(k_ef) is left to the callers; setting imag alone keeps a -0.0 that
-    # re + 1j * im would turn into +0.0.  t > 0, as outer is finite
-    k_ef = np.zeros(f.shape, dtype=complex)
-    k_ef.imag = -np.log(t) / L
-    y_tr = y[:, 0]
-    return Sweep(
-        f=f, eigenvalues=eigenvalues.reshape(-1, 4), lambda_flex=lam, t_coeff=t,
-        r_coeff=1.0 - t, k_ef=k_ef, gamma=gamma, gamma_e=gamma_e, gamma_phase=np.angle(gamma),
-        in_stopband=t < 1.0 - TOL_BAND, k=k, sigma=sigma, reciprocity_defect=defect,
-        complex_band=np.abs(y_tr.imag) > 1e-9 * np.maximum(1.0, np.abs(y_tr)),
-    )
+    """The whole eigen-analysis of one cell over an array of frequencies f > 0:
+    the stage of _table on the cell's front."""
+    return _table(_front(cell, f, force_zero_coupling=force_zero_coupling), with_gamma=with_gamma)
 
 
 def _require_finite(f: np.ndarray, kl: np.ndarray, finite: np.ndarray, what: str) -> None:
-    """NumericError naming the first frequency, and its kL, where finite is False."""
+    """NumericError naming the first frequency, and its kL, where finite is
+    False; the error's row is that frequency's index."""
     if not finite.all():
         i = int(np.argmin(finite))
         raise NumericError(
             f"non-finite {what} at f={f[i].item()!r} Hz (kL = {kl[i]:.1f}): "
-            "the Bloch closed forms leave the floating-point range at large kL"
+            "the Bloch closed forms leave the floating-point range at large kL",
+            row=i,
         )
 
 
@@ -407,10 +454,10 @@ def semi_infinite_reflection(
     """
     if not 0 < f < math.inf:
         raise ValueError("semi_infinite_reflection: f must be > 0 and finite")
-    sw = _bloch_arrays(
-        cell, np.array([float(f)]), with_gamma=True, force_zero_coupling=force_zero_coupling
-    )
-    return complex(sw.gamma[0]), complex(sw.gamma_e[0])
+    fr = _front(cell, np.array([float(f)]), force_zero_coupling=force_zero_coupling)
+    kl, _, _, inner, lam = _transmitted(fr)
+    gamma, gamma_e, _ = _reflection(fr, kl, lam, inner[:, 1])
+    return complex(gamma[0]), complex(gamma_e[0])
 
 
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -439,6 +486,15 @@ def _branch_indices(in_stop: np.ndarray, offset: np.ndarray) -> np.ndarray:
     return runs[np.maximum(run_of, 0)]
 
 
+def _grid(f_start: float, f_stop: float, points: int) -> np.ndarray:
+    """The uniform frequency grid of a sweep."""
+    if not (0 < f_start < f_stop):
+        raise ValueError("sweep: need 0 < f_start < f_stop")
+    if points < 2:
+        raise ValueError("sweep: points must be >= 2")
+    return np.linspace(f_start, f_stop, points)
+
+
 def sweep(
     cell: UnitCellGeometry,
     f_start: float,
@@ -448,17 +504,38 @@ def sweep(
     with_gamma: bool = True,
 ) -> Sweep:
     """Uniform frequency sweep with branch-continuous Re(k_ef), as one table."""
-    if not (0 < f_start < f_stop):
-        raise ValueError("sweep: need 0 < f_start < f_stop")
-    if points < 2:
-        raise ValueError("sweep: points must be >= 2")
-    freqs = np.linspace(f_start, f_stop, points)
-    sw = _bloch_arrays(cell, freqs, with_gamma=with_gamma, force_zero_coupling=False)
+    sw = _bloch_arrays(
+        cell, _grid(f_start, f_stop, points), with_gamma=with_gamma, force_zero_coupling=False
+    )
     L = cell.cell_length
     args = np.unwrap(np.angle(sw.lambda_flex))
     branch = _branch_indices(sw.in_stopband, sw.k * L - args)
     sw.k_ef.real = (args + 2 * math.pi * branch) / L
     return sw
+
+
+def sweep_cells(
+    cells: list[UnitCellGeometry], f_start: float, f_stop: float, points: int
+) -> Sweep:
+    """The uniform frequency sweep of each cell, without Gamma, as one table.
+
+    The cells' fronts are concatenated and the Bloch stage runs once over
+    all of them: rows i * points .. (i + 1) * points - 1 are those of
+    cells[i], bit for bit the rows of sweep(cells[i], ..., with_gamma=False)
+    except Re(k_ef), which is 0.  A NumericError's row is its row in this
+    table.
+    """
+    f = _grid(f_start, f_stop, points)
+    fronts = [_front(cell, f, force_zero_coupling=False) for cell in cells]
+    ds = np.concatenate([fr.ds(slice(None)) for fr in fronts])
+    stacked = _Front(
+        f=np.tile(f, len(cells)),
+        k=np.concatenate([fr.k for fr in fronts]),
+        sigma=np.concatenate([fr.sigma for fr in fronts]),
+        L=np.repeat([cell.cell_length for cell in cells], f.size),
+        ds=ds.__getitem__,
+    )
+    return _table(stacked, with_gamma=False)
 
 
 def _refine_edges(cell: UnitCellGeometry, f_in, f_out) -> list[float]:
@@ -577,12 +654,12 @@ def chain_profile(
     n = operator.index(n_cells)
     if n < 2:
         raise ValueError("chain_profile: n_cells must be >= 2")
-    sw = _bloch_arrays(
-        cell, np.array([float(f)]), with_gamma=False, force_zero_coupling=force_zero_coupling
+    kl, _, outer, inner, lam_flex = _transmitted(
+        _front(cell, np.array([float(f)]), force_zero_coupling=force_zero_coupling)
     )
-    lam_flex = complex(sw.lambda_flex[0])
-    lam = sw.eigenvalues[0, [1, 3, 0, 2]]  # modes: inner, inner, outer, outer
-    v = _eigenvectors(sw.k * cell.cell_length, lam[:, None])[0][:, 0]  # (mode, component)
+    lam_flex = complex(lam_flex[0])
+    lam = np.concatenate([inner[0], outer[0]])  # modes: inner, inner, outer, outer
+    v = _eigenvectors(kl, lam[:, None])[0][:, 0]  # (mode, component)
     with np.errstate(divide="ignore"):  # log 0: uncoupled modes at sigma == 0
         log_lam = np.log(lam)
         rho = n * float(np.max(log_lam[:2].real))

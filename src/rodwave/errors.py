@@ -15,3 +15,7 @@ class SingularFrequencyError(RodwaveError):
 
 class NumericError(RodwaveError):
     """A numerical invariant (reciprocity, finiteness) was violated beyond tolerance."""
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row  # the failing entry of an array evaluation, where there is one

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bloch import StopbandReport, Sweep, chain_profile, stopband_report, sweep
+from .bloch import StopbandReport, Sweep, chain_profile, stopband_report, sweep, sweep_cells
 from .cell import cell_matrices, clamped_sigma, forcing_strength
 from .config import RunConfig, config_hash, unit_cell
 from .errors import ConfigError, NumericError
@@ -179,6 +179,12 @@ def _write_stopbands(path: Path, report: StopbandReport, cfg_hash: str) -> None:
 def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
     """Sweep one geometry parameter; track the primary-band center per value.
 
+    Steps that violate a < L are skipped and named in the notes.  The kept
+    steps run as one table: their cells' frequency grids go through the
+    Bloch stage in one pass (bloch.sweep_cells, without Gamma), and each
+    step's stopband report reads its own rows of that table.  A numeric
+    failure names the first step it occurs in.
+
     The per-cell dispersion of this 1D model depends on the rod width a only
     through phase factors that cancel in the transfer-matrix eigenvalues, and
     sigma holds no a because the rod's area per unit width is taken as its
@@ -196,9 +202,8 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
         if gs.steps == 1
         else list(np.linspace(gs.start, gs.stop, gs.steps))
     )
-    rows = []
+    kept = []  # (value, cell) of the steps that satisfy a < L
     skipped: list[str] = []
-    centers = []
     for value in values:
         geo = dataclasses.replace(config.geometry, **{gs.parameter: float(value)})
         if not geo.a < geo.L:
@@ -206,20 +211,27 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
                 f"skipped {gs.parameter}={float(value)!r}: violates a < L"
             )
             continue
-        cell = unit_cell(config, geo)
-        sw = sweep(
-            cell, config.sweep.f_start, config.sweep.f_stop, config.sweep.points,
-            with_gamma=False,
-        )
-        report = stopband_report(sw)
-        primary = report.primary_band
+        kept.append((float(value), unit_cell(config, geo)))
+    points = config.sweep.points
+    if kept:
+        try:
+            table = sweep_cells(
+                [cell for _, cell in kept], config.sweep.f_start, config.sweep.f_stop, points
+            )
+        except NumericError as exc:
+            value = kept[exc.row // points][0]
+            raise NumericError(f"geometry step {gs.parameter}={value!r} m: {exc}") from exc
+    rows = []
+    centers = []
+    for i, (value, _) in enumerate(kept):
+        primary = stopband_report(table.rows(i * points, (i + 1) * points)).primary_band
         if primary is None:
-            rows.append([float(value), 0.0, 0.0, 0.0])
+            rows.append([value, 0.0, 0.0, 0.0])
             continue
         centers.append(primary.f_center)
         rows.append(
             [
-                float(value),
+                value,
                 primary.f_center,
                 primary.f_high - primary.f_low,
                 primary.max_attenuation,

@@ -1,14 +1,19 @@
 """The names and results that the benchmark in perfbench/ reads from the package.
 
-perfbench traces functions by (module, attribute) and checks the rows of the
-sweep that ``run_frequency_sweep`` returns; a rename here would break the
-benchmark without failing any other test.
+perfbench traces functions by (module, attribute), calls package functions,
+sizes some checks with package constants and checks the rows of the sweep
+that ``run_frequency_sweep`` returns; a rename or deletion here would break
+the benchmark without failing any other test.
 """
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
+import pytest
+
+import rodwave
 from rodwave import parse_config
 from rodwave.workbench import run_frequency_sweep
 
@@ -27,6 +32,33 @@ def test_traced_functions_resolve():
     assert traced
     for name, (module, attribute) in traced.items():
         assert callable(getattr(importlib.import_module(module), attribute)), name
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("rodwave.bloch", "EDGE_REFINE_HZ"), ("rodwave.rod", "NEAR_POLE_WINDOW_FRACTION")],
+)
+def test_constants_read_by_the_checks_resolve(module, name):
+    # the sweep-default pole check and the impedance-spectrum near-pole check
+    # size their frequency windows with these
+    value = getattr(importlib.import_module(module), name)
+    assert isinstance(value, float) and math.isfinite(value) and value > 0
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["impedance_extrema", "load_config", "parse_config", "unit_cell", "bloch_point",
+     "semi_infinite_reflection", "chain_profile"],
+)
+def test_package_functions_called_by_the_workloads_resolve(name):
+    assert callable(getattr(rodwave, name))
+
+
+def test_cli_names_resolve():
+    cli = importlib.import_module("rodwave.cli")
+    assert callable(cli.main)
+    # sweep-default wraps the CLI's binding to keep the run's result
+    assert callable(cli.run_frequency_sweep)
 
 
 def test_sweep_result_rows_can_be_read_twice(tmp_path):

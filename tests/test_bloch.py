@@ -22,7 +22,7 @@ from rodwave import (
     unit_cell,
     wavelength_over_thickness,
 )
-from rodwave import bloch
+from rodwave import bloch, workbench
 from rodwave.bloch import band_gamma_extrema
 from rodwave.errors import NumericError
 
@@ -512,3 +512,58 @@ def test_rod_zero_raises_no_runtime_warning(default_cell):
         warnings.simplefilter("error")
         semi_infinite_reflection(default_cell, zero)
         chain_profile(default_cell, zero, 7)
+
+
+_GRID = (1.4e9, 3.2e9, 120)
+# a and L sweeps cross a = L (3.8 um and 2 um by default), so some of their
+# steps are skipped; a thickness sweep keeps a and L, so all its steps run
+_GEOM_SPANS_UM = {
+    "a": (1.0, 4.6),
+    "L": (1.0, 8.0),
+    "t_aln1": (0.3, 0.5),
+    "t_aln2": (0.54, 0.66),
+    "t_m1": (0.2, 0.3),
+    "t_m2": (0.28, 0.38),
+}
+# the columns the stopband report reads, and the Bloch factors behind them
+_REPORT_COLUMNS = (
+    "f", "t_coeff", "in_stopband", "gamma", "lambda_flex", "eigenvalues", "k", "sigma",
+)
+
+
+@pytest.mark.parametrize("parameter", sorted(_GEOM_SPANS_UM))
+def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, parameter):
+    """Each kept step's rows of the one-pass geometry table are bit for bit the
+    rows of its own sweep, and its geomsweep.csv row is that sweep's primary band."""
+    lo, hi = _GEOM_SPANS_UM[parameter]
+    config = parse_config({
+        "sweep": dict(zip(("f_start_hz", "f_stop_hz", "points"), _GRID)),
+        "geometry_sweep": {"parameter": parameter, "from_um": lo, "to_um": hi, "steps": 9},
+        "output": {"dir": str(tmp_path)},
+    })
+    calls = []
+
+    def recorded(cells, *grid):
+        calls.append((cells, grid, bloch.sweep_cells(cells, *grid)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(workbench, "sweep_cells", recorded)
+    monkeypatch.setattr(workbench, "sweep", None)  # the geometry sweep makes no sweep() call
+    rows = workbench.run_geometry_sweep(config)["rows"]
+    (cells, grid, table), = calls
+    assert grid == _GRID
+    assert len(cells) == len(rows) == len(table) // _GRID[2]
+    skipped = sum("skipped" in line for line in (tmp_path / "geomsweep.csv").open())
+    assert skipped == 9 - len(cells)
+    if parameter in ("a", "L"):
+        assert skipped > 0
+    for i, (cell, row) in enumerate(zip(cells, rows)):
+        own = sweep(cell, *_GRID, with_gamma=False)
+        step = table.rows(i * _GRID[2], (i + 1) * _GRID[2])
+        for name in _REPORT_COLUMNS:
+            assert getattr(step, name).tobytes() == getattr(own, name).tobytes(), (i, name)
+        primary = stopband_report(own).primary_band
+        assert row[1:] == [primary.f_center, primary.f_high - primary.f_low,
+                           primary.max_attenuation]
+        if parameter in ("a", "L"):
+            assert row[0] == (cell.rod_width if parameter == "a" else cell.cell_length)

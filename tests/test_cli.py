@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -211,6 +212,47 @@ def test_geom_sweep_skips_invalid_rows(tmp_path):
     comments, _, rows = read_csv(tmp_path / "out" / "geomsweep.csv")
     assert len(rows) == 3  # a = 4.2 um violates a < L = 3.8 um and is skipped
     assert any("skipped" in c for c in comments)
+
+
+def test_geom_sweep_with_every_step_skipped(tmp_path, monkeypatch):
+    # a relative output directory keeps the config hash independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(
+        tmp_path,
+        {
+            "sweep": {"points": 40},
+            "geometry_sweep": {"parameter": "a", "from_um": 4, "to_um": 5, "steps": 3},
+            "output": {"dir": "out"},
+        },
+    )
+    assert main(["geom-sweep", "--config", str(cfg)]) == 0
+    assert (tmp_path / "out" / "geomsweep.csv").read_text() == (
+        "# rodwave 0.1.0 config_sha256=4ccc168fd16dd7be\n"
+        "# parameter=a\n"
+        "# delta_f_hz=0.0 (max-min of primary-band center)\n"
+        "# note: 1D analytic model; rod-width tunability is not expected to match "
+        "finite-element tunability quantitatively\n"
+        "# skipped a=4e-06: violates a < L\n"
+        "# skipped a=4.499999999999999e-06: violates a < L\n"
+        "# skipped a=4.9999999999999996e-06: violates a < L\n"
+        "param_value,f_center_first_band,band_width,attenuation_peak\n"
+    )
+
+
+def test_geom_sweep_past_the_finite_kl_range_names_the_step(tmp_path, capsys):
+    from rodwave import parse_config, sweep, unit_cell
+
+    doc = {"geometry_sweep": {"parameter": "L", "from_um": 20, "to_um": 200, "steps": 5}}
+    cfg = write_config(tmp_path, dict(doc, output={"dir": str(tmp_path / "out")}))
+    assert main(["geom-sweep", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    named = re.search(r"geometry step L=(\S+) m: non-finite Bloch roots at f=\S+ Hz", err)
+    assert named, err
+    # the first failing step of 20, 65, 110, 155, 200 um: the step before it runs
+    assert float(named.group(1)) == pytest.approx(65e-6)
+    config = parse_config(doc)
+    sweep(unit_cell(config, dataclasses.replace(config.geometry, L=20e-6)), 0.1e9, 6e9, 2000)
+    assert not (tmp_path / "out" / "geomsweep.csv").exists()
 
 
 def test_geom_sweep_single_value(tmp_path):
