@@ -47,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +59,7 @@ from .cell import (
     sigma_slope_arrays,
     translation_phases,
 )
-from .errors import NumericError
+from .errors import non_finite_error
 from .trench import flexural_wavevectors
 
 TOL_BAND = 1e-6  # in_stopband when 1 - |lambda_flex| exceeds this
@@ -127,12 +126,15 @@ class Sweep:
         return self.f.size
 
     def __iter__(self):
-        cols = [getattr(self, field.name).tolist() for field in dataclasses.fields(self)]
+        cols = [getattr(self, name).tolist() for name in _SWEEP_FIELDS]
         return (BlochPoint(f, tuple(ev), *rest) for f, ev, *rest in zip(*cols))
 
     def rows(self, start: int, stop: int) -> Sweep:
         """Rows start..stop-1 as a table of views of these columns."""
-        return Sweep(*(getattr(self, fld.name)[start:stop] for fld in dataclasses.fields(self)))
+        return Sweep(*(getattr(self, name)[start:stop] for name in _SWEEP_FIELDS))
+
+
+_SWEEP_FIELDS = tuple(field.name for field in dataclasses.fields(Sweep))
 
 
 @dataclass(frozen=True)
@@ -183,9 +185,11 @@ class ChainProfile:
 
 
 def _y_parts(kl):
-    """kL-only parts of the closed form: su = c2 + ch2 + (sigma/2) B, pr = C + sigma E."""
+    """kL-only parts of the closed form and of its slope, (c, ch, sn, sh, B, E):
+    cos, cosh, sin and sinh of kL, with su = 2 c + 2 ch + (sigma/2) B and
+    pr = 4 c ch + sigma E."""
     c, ch, sn, sh = np.cos(kl), np.cosh(kl), np.sin(kl), np.sinh(kl)
-    return 2 * c, 2 * ch, sh - sn, 4 * c * ch, c * sh - sn * ch
+    return c, ch, sn, sh, sh - sn, c * sh - sn * ch
 
 
 def _y_closed(parts, s) -> np.ndarray:
@@ -196,9 +200,9 @@ def _y_closed(parts, s) -> np.ndarray:
     pair has no cancellation and stays exactly conjugate.  Only real
     arithmetic is used.
     """
-    c2, ch2, B, C, E = parts
-    su = c2 + ch2 + (s / 2) * B
-    pr = C + s * E
+    c, ch, _, _, B, E = parts
+    su = 2 * c + 2 * ch + (s / 2) * B
+    pr = 4 * c * ch + s * E
     disc2 = su * su - 4 * pr
     d = np.sqrt(np.abs(disc2))
     big = (su + np.copysign(d, su)) / 2
@@ -208,7 +212,7 @@ def _y_closed(parts, s) -> np.ndarray:
     y.real[0] = np.where(pos, big, small)
     y.real[1] = np.where(pos, small, big)
     pair = disc2 < 0
-    if pair.any():
+    if np.count_nonzero(pair):
         y.real[:, pair] = su[pair] / 2
         y.imag[0][pair] = d[pair] / 2
         y.imag[1][pair] = -d[pair] / 2
@@ -224,35 +228,42 @@ def _lambda_pairs(y):
     return outer, 1.0 / outer
 
 
-def _bloch_pairs(kl, s):
+def _bloch_pairs(parts, s):
     """(y, outer, inner), each (n, 2): the two y-roots and their Bloch pairs,
-    the transmitted pair in column 0.
+    the transmitted pair in column 0; parts are _y_parts of kL.
 
     The transmitted pair is the one whose inner factor has the larger
     modulus; on a tie the _y_closed order stands.
     """
-    y = _y_closed(_y_parts(kl), s).T
+    y = _y_closed(parts, s).T
     outer, inner = _lambda_pairs(y)
-    swap = (np.abs(inner[:, 1]) > np.abs(inner[:, 0]))[:, None]
+    mod = np.abs(inner)
+    swap = mod[:, 1] > mod[:, 0]
+    if not np.count_nonzero(swap):
+        return y, outer, inner
+    swap = swap[:, None]
     return tuple(np.where(swap, x[:, ::-1], x) for x in (y, outer, inner))
 
 
-def _y_slope(kl, s, ds, y):
+def _y_slope(kl, s, ds, parts, y):
     """omega dy/domega of the first root in y (n, 2), times |y0 - y1| (0 where
-    the real parts meet), in real arithmetic; ds = omega dsigma/domega.
+    the real parts meet), in real arithmetic; ds = omega dsigma/domega and
+    parts are _y_parts of kL.
 
     From y^2 - su y + pr = 0, y' = (y su' - pr') / (2y - su), and 2y - su is
     y0 - y1 because su is the sum of the roots; omega (kL)' = kL/2.
     """
-    c, ch, sn, sh = np.cos(kl), np.cosh(kl), np.sin(kl), np.sinh(kl)
-    dsu = (kl / 2) * (2 * (sh - sn) + (s / 2) * (ch - c)) + (ds / 2) * (sh - sn)
-    dpr = (kl / 2) * (4 * (c * sh - sn * ch) - 2 * s * sn * sh) + ds * (c * sh - sn * ch)
+    c, ch, sn, sh, B, E = parts
+    half = kl / 2
+    dsu = half * (2 * B + (s / 2) * (ch - c)) + (ds / 2) * B
+    dpr = half * (4 * E - 2 * s * sn * sh) + ds * E
     y0, y1 = y.real.T
     return np.sign(y0 - y1) * (y0 * dsu - dpr)
 
 
 # u = w * _U_SIGNS, with w the half-cell phases
 _U_SIGNS = np.array([-1j, 1, 1j, -1])
+_COMPONENTS = np.arange(4)
 
 
 def _sum4(x: np.ndarray) -> np.ndarray:
@@ -270,11 +281,10 @@ def _eigenvectors(kl, lam):
     of 4.  With the scaled v, T v - lam v = ((sigma/4) w.v - (lam - p_near)) u
     exactly.
     """
-    p = translation_phases(kl)
-    w = translation_phases(kl / 2)
+    p, w = translation_phases(np.array([kl, kl / 2]))
     u = w * _U_SIGNS
     gap = lam[..., None] - p
-    near = np.arange(4) == np.argmin(np.abs(gap), axis=-1)[..., None]
+    near = _COMPONENTS == np.abs(gap).argmin(axis=-1)[..., None]
     g_near = _sum4(np.where(near, gap, 0))  # lam - p_near
     v = u * np.where(near, 1, g_near[..., None] / np.where(near, 1, gap))
     return v, w, g_near
@@ -288,42 +298,44 @@ class _Front:
     k: np.ndarray
     sigma: np.ndarray  # clamped; 0 without coupling
     L: float | np.ndarray  # cell length: one float, or one per point for several cells
-    # omega dsigma/domega at the points of an index (cell.sigma_slope_arrays),
-    # asked for only where the stage needs it, at passband points; 0 without coupling
-    ds: Callable[[np.ndarray], np.ndarray | float]
+    ds: np.ndarray  # omega dsigma/domega (cell.sigma_slope_arrays); 0 without coupling
 
 
 def _front(cell: UnitCellGeometry, f: np.ndarray, *, force_zero_coupling: bool) -> _Front:
     """The front of one cell over an array of frequencies f > 0."""
     if force_zero_coupling:
-        k = flexural_wavevectors(cell.trench, f)
-        return _Front(f, k, np.zeros(f.shape), cell.cell_length, lambda i: 0.0)
+        zero = np.zeros(f.shape)
+        return _Front(f, flexural_wavevectors(cell.trench, f), zero, cell.cell_length, zero)
     k, _, sigma = forcing_arrays(cell, f)
     sigma = clamped_sigma(sigma)
-    return _Front(
-        f, k, sigma, cell.cell_length, lambda i: sigma_slope_arrays(cell, f[i], k[i], sigma[i])
-    )
+    return _Front(f, k, sigma, cell.cell_length, sigma_slope_arrays(cell, f, k, sigma))
 
 
 def _transmitted(fr: _Front):
-    """(kL, y, outer, inner, lambda_flex): the roots and pairs of _bloch_pairs
-    and the transmitted factor.  NumericError where the roots overflow."""
+    """(kL, y, outer, inner, lambda_flex, |lambda_flex|): the roots and pairs of
+    _bloch_pairs and the transmitted factor.  NumericError where the roots
+    overflow."""
     kl = fr.k * fr.L
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        y, outer, inner = _bloch_pairs(kl, fr.sigma)
-    _require_finite(fr.f, kl, np.isfinite(outer).all(axis=1), "Bloch roots")
-    lam = inner[:, 0].copy()  # stopband: the decaying member
-    band = np.flatnonzero(np.abs(np.abs(outer[:, 0]) - 1.0) <= 1e-8)
-    if band.size:
-        # passband: the member whose modulus shrinks under omega -> omega (1 + i eps),
-        # to first order the one with Im(lambda) dy/domega < 0; where that
-        # product is 0 (lambda = +-1, or a flat y) the inner member stays
-        slope = _y_slope(kl[band], fr.sigma[band], fr.ds(band), y[band])
-        lam[band] = np.where(inner[band, 0].imag * slope > 0, outer[band, 0], inner[band, 0])
+    # the roots' overflow is reported just below; the slope is read only at
+    # passband points, and may overflow at the others
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = _y_parts(kl)
+        y, outer, inner = _bloch_pairs(parts, fr.sigma)
+        slope = _y_slope(kl, fr.sigma, fr.ds, parts, y)
+    _require_finite(fr.f, kl, outer, "Bloch roots")
+    # stopband: the decaying member; passband: the member whose modulus shrinks
+    # under omega -> omega (1 + i eps), to first order the one with
+    # Im(lambda) dy/domega < 0; where that product is 0 (lambda = +-1, or a
+    # flat y) the inner member stays
+    out0, in0 = outer[:, 0], inner[:, 0]
+    band = np.abs(np.abs(out0) - 1.0) <= 1e-8
+    lam = np.where(band & (in0.imag * slope > 0), out0, in0)
     mod = np.abs(lam)
-    if (mod > 1.0).any():  # keep |lambda| <= 1 against rounding
-        lam = np.where(mod > 1.0, lam / mod, lam)
-    return kl, y, outer, inner, lam
+    over = mod > 1.0
+    if np.count_nonzero(over):  # keep |lambda| <= 1 against rounding
+        lam = np.where(over, lam / mod, lam)
+        mod = np.abs(lam)
+    return kl, y, outer, inner, lam, mod
 
 
 def _reflection(fr: _Front, kl, lam, other):
@@ -335,14 +347,16 @@ def _reflection(fr: _Front, kl, lam, other):
     near-field, unit incident, no incoming evanescent) lies in the span of
     the two eigenvectors: Cramer's rule on components 2 and 3.
     """
-    eig = _eigenvectors(kl, np.stack([lam, other]))  # v of shape (2, n, 4)
-    (f0, f1, f2, f3), (e0, e1, e2, e3) = eig[0].transpose(0, 2, 1)
-    den = f2 * e3 - e2 * f3
-    coupled = fr.sigma != 0
-    gamma = np.where(coupled, (f0 * e3 - e0 * f3) / den, 0)
-    gamma_e = np.where(coupled, (f1 * e3 - e1 * f3) / den, 0)
-    _require_finite(fr.f, kl, np.isfinite(gamma) & np.isfinite(gamma_e), "Gamma")
-    return gamma, gamma_e, eig
+    eig = _eigenvectors(kl, np.array([lam, other]))  # v of shape (2, n, 4)
+    vf, ve = eig[0]
+    # the numerators of Gamma and Gamma_e, then the determinant, per point
+    cramer = vf[:, :3] * ve[:, 3:] - ve[:, :3] * vf[:, 3:]
+    gammas = cramer[:, :2] / cramer[:, 2:]
+    uncoupled = fr.sigma == 0
+    if np.count_nonzero(uncoupled):
+        gammas[uncoupled] = 0
+    _require_finite(fr.f, kl, gammas, "Gamma")
+    return gammas[:, 0], gammas[:, 1], eig
 
 
 def _backward_error(kl, sigma, v, w, g_near):
@@ -358,7 +372,9 @@ def _backward_error(kl, sigma, v, w, g_near):
         + e**4 * (1 - s4) ** 2
     )
     scale = (1 + e) * np.sqrt(e / t_sq)
-    resid = np.abs(s4 * _sum4(w * v) - g_near) / np.sqrt(_sum4((v * v.conj()).real))
+    # w.v of both eigenpairs, then |v|^2 of both in the real parts
+    sums = _sum4(np.concatenate([w * v, v * v.conj()]))
+    resid = np.abs(s4 * sums[:2] - g_near) / np.sqrt(sums[2:].real)
     return scale * np.maximum(resid[0], resid[1])
 
 
@@ -369,12 +385,12 @@ def _table(fr: _Front, *, with_gamma: bool) -> Sweep:
     gamma_phase and reciprocity_defect are 0 without Gamma.  NumericError
     where roots or Gamma overflow.
     """
-    kl, y, outer, inner, lam = _transmitted(fr)
-    t = np.minimum(np.abs(lam), 1.0)
+    kl, y, outer, inner, lam, mod = _transmitted(fr)
+    t = np.minimum(mod, 1.0)
     if with_gamma:
         gamma, gamma_e, (v, w, g_near) = _reflection(fr, kl, lam, inner[:, 1])
         defect = _backward_error(kl, fr.sigma, v, w, g_near)
-        phase = np.angle(gamma)
+        phase = np.arctan2(gamma.imag, gamma.real)
     else:
         gamma = gamma_e = np.zeros(t.shape, dtype=complex)
         defect = phase = np.zeros(t.shape)
@@ -407,16 +423,14 @@ def _bloch_arrays(
     return _table(_front(cell, f, force_zero_coupling=force_zero_coupling), with_gamma=with_gamma)
 
 
-def _require_finite(f: np.ndarray, kl: np.ndarray, finite: np.ndarray, what: str) -> None:
-    """NumericError naming the first frequency, and its kL, where finite is
-    False; the error's row is that frequency's index."""
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise NumericError(
-            f"non-finite {what} at f={f[i].item()!r} Hz (kL = {kl[i]:.1f}): "
-            "the Bloch closed forms leave the floating-point range at large kL",
-            row=i,
-        )
+def _require_finite(f: np.ndarray, kl: np.ndarray, values: np.ndarray, what: str) -> None:
+    """NumericError naming the first frequency, and its kL, where values, one
+    row per frequency, are not all finite; the error's row is that frequency's
+    index."""
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < finite.size:
+        i = int(np.argmin(finite.reshape(f.size, -1).all(axis=1)))
+        raise non_finite_error(what, f[i].item(), kl[i], row=i)
 
 
 def bloch_point(
@@ -438,8 +452,9 @@ def bloch_point(
         force_zero_coupling=force_zero_coupling,
     )
     L = cell.cell_length
-    arg = np.angle(sw.lambda_flex)
-    branch = np.round((sw.k * L - arg) / (2 * math.pi))
+    lam = sw.lambda_flex
+    arg = np.arctan2(lam.imag, lam.real)
+    branch = np.rint((sw.k * L - arg) / (2 * math.pi))
     sw.k_ef.real = (arg + 2 * math.pi * branch) / L
     return next(iter(sw))
 
@@ -455,7 +470,7 @@ def semi_infinite_reflection(
     if not 0 < f < math.inf:
         raise ValueError("semi_infinite_reflection: f must be > 0 and finite")
     fr = _front(cell, np.array([float(f)]), force_zero_coupling=force_zero_coupling)
-    kl, _, _, inner, lam = _transmitted(fr)
+    kl, _, _, inner, lam, _ = _transmitted(fr)
     gamma, gamma_e, _ = _reflection(fr, kl, lam, inner[:, 1])
     return complex(gamma[0]), complex(gamma_e[0])
 
@@ -527,13 +542,12 @@ def sweep_cells(
     """
     f = _grid(f_start, f_stop, points)
     fronts = [_front(cell, f, force_zero_coupling=False) for cell in cells]
-    ds = np.concatenate([fr.ds(slice(None)) for fr in fronts])
     stacked = _Front(
         f=np.tile(f, len(cells)),
         k=np.concatenate([fr.k for fr in fronts]),
         sigma=np.concatenate([fr.sigma for fr in fronts]),
         L=np.repeat([cell.cell_length for cell in cells], f.size),
-        ds=ds.__getitem__,
+        ds=np.concatenate([fr.ds for fr in fronts]),
     )
     return _table(stacked, with_gamma=False)
 
@@ -562,8 +576,6 @@ def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> Stopb
     n = len(sweep)
     if n < 2:
         raise ValueError("stopband_report: need at least 2 sweep points")
-    f = sweep.f.tolist()
-    t = sweep.t_coeff.tolist()
     starts, ends = _runs(sweep.in_stopband)
     runs = list(zip(starts.tolist(), ends.tolist()))
 
@@ -571,19 +583,20 @@ def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> Stopb
     if cell is not None:
         brackets = [(i, i - 1) for i, _ in runs if i > 0]
         brackets += [(j, j + 1) for _, j in runs if j < n - 1]
-        refined = _refine_edges(cell, [f[a] for a, _ in brackets], [f[b] for _, b in brackets])
-        edges = dict(zip(brackets, refined))
+        at = np.array(brackets, dtype=int).reshape(-1, 2)
+        edges = dict(zip(brackets, _refine_edges(cell, sweep.f[at[:, 0]], sweep.f[at[:, 1]])))
 
     bands: list[Band] = []
     markers: list[float] = []
     narrow = False
     for i, j in runs:
+        f = sweep.f[i : j + 1].tolist()
         # libm log and a left-to-right sum: numpy's may differ in the last bit
-        att = [-math.log(x) if x > 0 else 745.0 for x in t[i : j + 1]]
+        att = [-math.log(x) if x > 0 else 745.0 for x in sweep.t_coeff[i : j + 1].tolist()]
         wsum = sum(att)
-        f_center = sum(x * a for x, a in zip(f[i : j + 1], att)) / wsum if wsum > 0 else f[i]
-        f_low = edges.get((i, i - 1), f[i])
-        f_high = edges.get((j, j + 1), f[j])
+        f_center = sum(x * a for x, a in zip(f, att)) / wsum if wsum > 0 else f[0]
+        f_low = edges.get((i, i - 1), f[0])
+        f_high = edges.get((j, j + 1), f[-1])
         bands.append(
             Band(f_low=f_low, f_high=f_high, f_center=f_center, max_attenuation=max(att))
         )
@@ -594,15 +607,16 @@ def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> Stopb
             if re_max >= MARKER_MIN_REAL:
                 markers.append(f_max)
         else:
-            best = i + int(np.argmax(sweep.gamma.real[i : j + 1]))
-            if sweep.gamma.real[best] >= MARKER_MIN_REAL:
+            best = int(np.argmax(sweep.gamma.real[i : j + 1]))
+            if sweep.gamma.real[i + best] >= MARKER_MIN_REAL:
                 markers.append(f[best])
     coarse = narrow or n < 4
+    f0, f1 = sweep.f[:2].tolist()
     return StopbandReport(
         bands=tuple(bands),
         resonance_markers=tuple(markers),
         coarse_grid_warning=coarse,
-        grid_step=f[1] - f[0],
+        grid_step=f1 - f0,
     )
 
 
@@ -654,7 +668,7 @@ def chain_profile(
     n = operator.index(n_cells)
     if n < 2:
         raise ValueError("chain_profile: n_cells must be >= 2")
-    kl, _, outer, inner, lam_flex = _transmitted(
+    kl, _, outer, inner, lam_flex, _ = _transmitted(
         _front(cell, np.array([float(f)]), force_zero_coupling=force_zero_coupling)
     )
     lam_flex = complex(lam_flex[0])
@@ -662,7 +676,7 @@ def chain_profile(
     v = _eigenvectors(kl, lam[:, None])[0][:, 0]  # (mode, component)
     with np.errstate(divide="ignore"):  # log 0: uncoupled modes at sigma == 0
         log_lam = np.log(lam)
-        rho = n * float(np.max(log_lam[:2].real))
+        rho = n * float(log_lam[:2].real.max())
         # the powers lambda^(j - ref) at j = 0 and j = n, outer ones times e^rho
         # and the j = n rows divided by it
         at_0 = np.exp(np.concatenate([[0.0, 0.0], rho - n * log_lam[2:]]))
@@ -673,8 +687,9 @@ def chain_profile(
         # ln x_j[2], a complex log-sum-exp over the modes at each boundary j
         terms = np.log(c * v[:, 2]) + np.array([0.0, 0.0, rho, rho])
         terms = terms + np.subtract.outer(np.arange(n + 1), [0, 0, n, n]) * log_lam
-        top = terms.real.max(axis=1, keepdims=True)
-        log_x = top[:, 0] + np.log(np.exp(terms - top).sum(axis=1))
+        re = terms.real
+        top = np.maximum(np.maximum(np.maximum(re[:, 0], re[:, 1]), re[:, 2]), re[:, 3])
+        log_x = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
     log_mags = log_x.real.copy()
     log_mags[0] = 0.0  # the unit input, exact by the boundary condition
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, non_finite_error
 from .rod import RodModel, _impedance_arrays
 from .trench import TrenchModel, flexural_wavevectors
 
@@ -275,9 +275,10 @@ _DIAG = np.arange(4)
 def cell_matrices(cell: UnitCellGeometry, f: float) -> CellMatrices:
     """Assemble G, C, D and the cell transfer matrix T = D C D at frequency f."""
     k, _, sigma = _forcing_at(cell, f, "cell_matrices")
-    G, C, D, T = transfer_arrays(cell, np.array([k]), np.array([sigma]))
-    if not np.all(np.isfinite(T)):
-        raise ValueError(f"cell_matrices: non-finite transfer matrix at f={f}")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        G, C, D, T = transfer_arrays(cell, np.array([k]), np.array([sigma]))
+    if not np.isfinite(T).all():
+        raise non_finite_error("transfer matrix", float(f), k * cell.cell_length)
     phi = k * (cell.cell_length + cell.rod_width) / 2.0
     return CellMatrices(G=G[0], C=C[0], D=D[0], T=T[0], f=f, k=k, phi=phi)
 

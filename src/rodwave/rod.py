@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,26 +26,30 @@ _EXACT_POLE_FRACTION = 1e-12
 
 @dataclass(frozen=True)
 class RodModel:
-    """Immutable rod description derived from its laminate section."""
+    """Immutable rod description derived from its laminate section.
+
+    The derived constants are computed on first use and kept: every
+    evaluation of Z_b reads them.
+    """
 
     section: LaminateSection
 
-    @property
+    @cached_property
     def height(self) -> float:
         """Rod height (m), equal to the section thickness."""
         return self.section.thickness
 
-    @property
+    @cached_property
     def velocity(self) -> float:
         """Longitudinal phase velocity in the rod (m/s)."""
         return longitudinal_velocity(self.section)
 
-    @property
+    @cached_property
     def impedance_scale(self) -> float:
         """rho A c per unit width, the magnitude scale of Z_b (kg m^-1 s^-1)."""
         return self.section.effective_rho * self.section.area_per_width * self.velocity
 
-    @property
+    @cached_property
     def first_pole(self) -> float:
         """Quarter-wave frequency c/(4h) where |Z_b| diverges (Hz)."""
         return self.velocity / (4.0 * self.height)
@@ -73,7 +78,7 @@ def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndar
     tan = np.fromiter(map(math.tan, arg.tolist()), float, arg.size)
     im = 0.0 - rod.impedance_scale * tan
     exact = distance < _EXACT_POLE_FRACTION * c / h
-    if exact.any():
+    if np.count_nonzero(exact):
         im[exact] = np.where(tan[exact] >= 0, -math.inf, math.inf)
     return im, distance < NEAR_POLE_WINDOW_FRACTION * c / h
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +27,9 @@ class TrenchModel:
     def thickness(self) -> float:
         return self.section.thickness
 
-    @property
+    @cached_property
     def bending_stiffness(self) -> float:
-        """E*I per unit width (N m)."""
+        """E*I per unit width (N m), computed on first use and kept."""
         return self.section.effective_E * self.section.inertia_per_width
 
 

@@ -504,6 +504,30 @@ def test_out_of_range_kl_is_a_numeric_error():
         bloch_point(cell, 0.5e9)
 
 
+@pytest.mark.parametrize("L_um", [0.5, 3.8, 12.0, 20.0])
+def test_one_point_calls_raise_no_runtime_warning(L_um):
+    # the passband slope is evaluated at stopband points too, though only
+    # passband points read it: no call on the grid may warn
+    cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for f in np.linspace(0.1e9, 6e9, 300).tolist():
+            bloch_point(cell, f)
+            semi_infinite_reflection(cell, f)
+            chain_profile(cell, f, 200)
+
+
+def test_out_of_range_kl_raises_no_runtime_warning():
+    # past the finite kL range the slope overflows with the roots: the
+    # NumericError comes alone
+    cell = unit_cell(parse_config({"geometry": {"L_um": 200, "a_um": 2}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (bloch_point, semi_infinite_reflection, lambda c, f: chain_profile(c, f, 20)):
+            with pytest.raises(NumericError):
+                call(cell, 0.5e9)
+
+
 def test_rod_zero_raises_no_runtime_warning(default_cell):
     # the Bloch factors round onto the uncoupled phases there; the scaled
     # eigenvectors stay finite without a frequency nudge

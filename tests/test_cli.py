@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +299,20 @@ def test_matrices_at_an_exact_pole(tmp_path):
     _, _, rows = read_csv(tmp_path / "out" / "matrices_check.csv")
     assert len(rows) == 16
     assert all(math.isfinite(float(r[2])) for r in rows)
+
+
+def test_matrices_past_the_finite_kl_range_exits_3_naming_the_frequency(tmp_path, capsys):
+    geometry = {"L_um": 200, "a_um": 2}
+    cfg = write_config(tmp_path, {"geometry": geometry, "output": {"dir": str(tmp_path / "out")}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["matrices", "--config", str(cfg), "--freq", "5e9"]) == 3
+    err = capsys.readouterr().err
+    assert re.match(
+        r"numeric failure: non-finite transfer matrix at f=5000000000\.0 Hz \(kL = \d+\.\d\): ",
+        err,
+    ), err
+    assert not (tmp_path / "out" / "matrices.csv").exists()
 
 
 def test_sweep_at_long_pitch_writes_finite_csvs(tmp_path):

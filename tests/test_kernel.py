@@ -3,6 +3,7 @@ closed form, of the transmitted-pair rule, of the passband direction and of
 Gamma, and its independence of batching."""
 
 import dataclasses
+import math
 
 import mpmath
 import numpy as np
@@ -10,7 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rodwave import bloch_point, parse_config, stopband_report, sweep, unit_cell
+from rodwave import (
+    bloch_point,
+    chain_profile,
+    parse_config,
+    semi_infinite_reflection,
+    stopband_report,
+    sweep,
+    unit_cell,
+)
 from rodwave import bloch
 from rodwave.cell import (
     SIGMA_CLAMP,
@@ -81,7 +90,7 @@ def test_transmitted_pair_is_the_least_attenuated(random_draw):
     """Column 0 holds the pair whose |lambda| <= 1 member has the largest
     modulus of the four factors (on an exact tie either pair passes)."""
     kl, sigma = random_draw
-    _, _, inner = bloch._bloch_pairs(kl, sigma)
+    _, _, inner = bloch._bloch_pairs(bloch._y_parts(kl), sigma)
     mismatched = []
     for i, (x, s, lam) in enumerate(zip(kl.tolist(), sigma.tolist(), inner[:, 0].tolist())):
         with mpmath.workdps(_mp_digits(x)):
@@ -204,6 +213,21 @@ def test_bloch_point_is_the_sweep_point(L_um):
     points = list(sweep(cell, 0.1e9, 6e9, 2000))
     for p in points[::9]:
         assert _without_re_kef(bloch_point(cell, p.f)) == _without_re_kef(p), p.f
+
+
+@pytest.mark.parametrize("L_um", [3.8, 8.0])
+def test_one_point_reflection_and_chain_are_the_sweep_rows(L_um):
+    """semi_infinite_reflection and chain_profile run the sweep's stage on one
+    frequency: (Gamma, Gamma_e) and ln|lambda_flex| are its row, bit for bit."""
+    cell = unit_cell(parse_config({"geometry": {"L_um": L_um}}))
+    sw = sweep(cell, 0.1e9, 6e9, 2000)
+    f, gamma, gamma_e, lam = (
+        col.tolist() for col in (sw.f, sw.gamma, sw.gamma_e, sw.lambda_flex)
+    )
+    for i in range(0, len(sw), 9):
+        assert repr(semi_infinite_reflection(cell, f[i])) == repr((gamma[i], gamma_e[i])), f[i]
+        slope = chain_profile(cell, f[i], 20).eigen_slope
+        assert repr(slope) == repr(math.log(abs(lam[i]))), f[i]
 
 
 def test_kernel_chunks_change_no_bit(default_cell):
