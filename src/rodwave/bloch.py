@@ -34,8 +34,9 @@ Every entry point evaluates the pipeline in two parts over an array of
 frequencies: a cell-dependent front (``_front``: k, the clamped sigma, L and
 omega dsigma/domega per point) and one cell-free Bloch stage
 (``_transmitted``, then ``_reflection`` and ``_table``) run once over the
-front.  Fronts of several cells concatenate, so ``sweep_cells`` runs the
-stage once for a whole geometry sweep.  The full table is a ``Sweep``, and
+front.  Several cells make one front, over their constants repeated per
+point (``cell.stacked_cells``), so ``sweep_cells`` runs the front and the
+stage once each for a whole geometry sweep.  The full table is a ``Sweep``, and
 ``bloch_point`` is its row on a one-element array.  The stage builds no 4x4
 matrix and makes no LAPACK call: every step is elementwise, with sums over
 the four components written out, so a point's outputs do not depend on the
@@ -57,6 +58,7 @@ from .cell import (
     clamped_sigma,
     forcing_arrays,
     sigma_slope_arrays,
+    stacked_cells,
     translation_phases,
 )
 from .errors import non_finite_error
@@ -302,7 +304,8 @@ class _Front:
 
 
 def _front(cell: UnitCellGeometry, f: np.ndarray, *, force_zero_coupling: bool) -> _Front:
-    """The front of one cell over an array of frequencies f > 0."""
+    """The front of one cell over an array of frequencies f > 0, or of
+    stacked_cells of several over their grids end to end."""
     if force_zero_coupling:
         zero = np.zeros(f.shape)
         return _Front(f, flexural_wavevectors(cell.trench, f), zero, cell.cell_length, zero)
@@ -534,22 +537,16 @@ def sweep_cells(
 ) -> Sweep:
     """The uniform frequency sweep of each cell, without Gamma, as one table.
 
-    The cells' fronts are concatenated and the Bloch stage runs once over
-    all of them: rows i * points .. (i + 1) * points - 1 are those of
-    cells[i], bit for bit the rows of sweep(cells[i], ..., with_gamma=False)
-    except Re(k_ef), which is 0.  A NumericError's row is its row in this
-    table.
+    The front is one array evaluation over the cells' grids end to end, and
+    the Bloch stage runs once over it: rows i * points .. (i + 1) * points - 1
+    are those of cells[i], bit for bit the rows of sweep(cells[i], ...,
+    with_gamma=False) except Re(k_ef), which is 0.  A NumericError's row is
+    its row in this table.
     """
-    f = _grid(f_start, f_stop, points)
-    fronts = [_front(cell, f, force_zero_coupling=False) for cell in cells]
-    stacked = _Front(
-        f=np.tile(f, len(cells)),
-        k=np.concatenate([fr.k for fr in fronts]),
-        sigma=np.concatenate([fr.sigma for fr in fronts]),
-        L=np.repeat([cell.cell_length for cell in cells], f.size),
-        ds=np.concatenate([fr.ds for fr in fronts]),
+    f = np.tile(_grid(f_start, f_stop, points), len(cells))
+    return _table(
+        _front(stacked_cells(cells, points), f, force_zero_coupling=False), with_gamma=False
     )
-    return _table(stacked, with_gamma=False)
 
 
 def _refine_edges(cell: UnitCellGeometry, f_in, f_out) -> list[float]:
@@ -689,7 +686,10 @@ def chain_profile(
         terms = terms + np.subtract.outer(np.arange(n + 1), [0, 0, n, n]) * log_lam
         re = terms.real
         top = np.maximum(np.maximum(np.maximum(re[:, 0], re[:, 1]), re[:, 2]), re[:, 3])
-        log_x = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+        # the mode sum written out as (x0 + x1) + (x2 + x3), the order numpy
+        # 2.4's axis sum takes on x86-64; an axis sum's order is numpy's choice
+        x = np.exp(terms - top[:, None])
+        log_x = top + np.log((x[:, 0] + x[:, 1]) + (x[:, 2] + x[:, 3]))
     log_mags = log_x.real.copy()
     log_mags[0] = 0.0  # the unit input, exact by the boundary condition
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -124,11 +125,35 @@ def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):
     f_eff = -i omega Z_b = omega Im(Z_b), with Im(Z_b) from the rod layer's
     array evaluation.  At an exact pole its signed-infinite marker makes f_eff
     and sigma infinite; consumers clamp sigma or use its infinite limits.
+    The cell may be stacked_cells of several, with f their grids end to end.
     """
     omega = 2.0 * math.pi * f
     f_eff = omega * _impedance_arrays(cell.rod, f)[0]
     k = flexural_wavevectors(cell.trench, f)
     return k, f_eff, f_eff / (cell.trench.bending_stiffness * k**3)
+
+
+def stacked_cells(cells: list[UnitCellGeometry], points: int) -> SimpleNamespace:
+    """Several cells as one, for forcing_arrays, sigma_slope_arrays and the rod and
+    trench formulas under them, over the cells' frequency grids laid end to end.
+
+    Each constant those read is a per-point array: the value of cells[i] on rows
+    i * points .. (i + 1) * points - 1.  Every formula is elementwise, so those
+    rows are bit for bit the ones of cells[i] on its own grid.
+    """
+
+    def stack(parts, *names):
+        return SimpleNamespace(
+            **{name: np.repeat([getattr(p, name) for p in parts], points) for name in names}
+        )
+
+    return SimpleNamespace(
+        rod=stack([c.rod for c in cells], "velocity", "height", "first_pole", "impedance_scale"),
+        trench=stack(
+            [c.trench for c in cells], "bending_stiffness", "wavevector_num", "wavevector_den"
+        ),
+        cell_length=np.repeat([c.cell_length for c in cells], points),
+    )
 
 
 def sigma_slope_arrays(cell: UnitCellGeometry, f: np.ndarray, k: np.ndarray, sigma: np.ndarray):
@@ -137,6 +162,7 @@ def sigma_slope_arrays(cell: UnitCellGeometry, f: np.ndarray, k: np.ndarray, sig
     sigma = -s0 tan(omega h / c) with s0 = omega rho A c / (E_t I_t k^3) > 0, and
     s0 scales as omega^-1/2, so omega sigma' = -sigma/2 - (omega h / c)(s0 + sigma^2 / s0).
     Written in sigma itself, it stays finite where sigma is clamped at a pole.
+    The cell may be stacked_cells of several, as in forcing_arrays.
     """
     omega = 2.0 * math.pi * f
     s0 = omega * cell.rod.impedance_scale / (cell.trench.bending_stiffness * k**3)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 
@@ -20,7 +21,10 @@ from .workbench import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused: parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rodwave",
         description="Transfer-matrix analysis of locally resonant rod-on-beam unit cells",
@@ -57,12 +61,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A handler on sys.stderr as it is at each record: callers may swap it."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.stream = sys.stderr
+        super().emit(record)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(name)s: %(message)s",
-    )
+    # the level and handler of the package logger, set here on every call:
+    # basicConfig does nothing once the root logger has a handler
+    log = logging.getLogger("rodwave")
+    if not log.handlers:
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+        log.addHandler(handler)
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         config = load_config(args.config)
         if args.command == "sweep":

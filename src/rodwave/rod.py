@@ -67,7 +67,10 @@ def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndar
     Within the exact-pole window Im Z_b is a signed-infinite marker, -inf
     where the tangent is >= 0.  The tangent is libm's (math.tan), not np.tan,
     whose SIMD kernels differ from it in the last bit on some hosts, and
-    Im Z_b = 0.0 - rho A c tan, so that f = 0 gives +0.0.
+    Im Z_b = 0.0 - rho A c tan, so that f = 0 gives +0.0.  The rod's velocity,
+    height, first_pole and impedance_scale are floats for one rod, or per-point
+    arrays for several (cell.stacked_cells); the arithmetic is elementwise either
+    way.
     """
     c, h = rod.velocity, rod.height
     spacing = c / (2.0 * h)  # pole-to-pole spacing

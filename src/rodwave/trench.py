@@ -32,6 +32,16 @@ class TrenchModel:
         """E*I per unit width (N m), computed on first use and kept."""
         return self.section.effective_E * self.section.inertia_per_width
 
+    @cached_property
+    def wavevector_num(self) -> float:
+        """rho^(1/4), the numerator factor of k / (sqrt(2) 3^(1/4) sqrt(omega))."""
+        return self.section.effective_rho**0.25
+
+    @cached_property
+    def wavevector_den(self) -> float:
+        """sqrt(h) E^(1/4), the denominator factor of k / (sqrt(2) 3^(1/4) sqrt(omega))."""
+        return math.sqrt(self.section.thickness) * self.section.effective_E**0.25
+
 
 def flexural_wavevector(trench: TrenchModel, f: float) -> float:
     """Real flexural wavevector k (rad/m) at frequency f > 0.
@@ -51,14 +61,10 @@ def flexural_wavevectors(trench: TrenchModel, f: np.ndarray) -> np.ndarray:
 
 
 def _wavevector(trench: TrenchModel, omega, sqrt):
-    sec = trench.section
-    return (
-        math.sqrt(2.0)
-        * 3.0**0.25
-        * sqrt(omega)
-        * sec.effective_rho**0.25
-        / (math.sqrt(sec.thickness) * sec.effective_E**0.25)
-    )
+    """The closed form of flexural_wavevector.  The trench's wavevector_num and
+    wavevector_den are floats for one trench, or per-point arrays for several
+    (cell.stacked_cells); the arithmetic is elementwise either way."""
+    return math.sqrt(2.0) * 3.0**0.25 * sqrt(omega) * trench.wavevector_num / trench.wavevector_den
 
 
 def wavelength_over_thickness(trench: TrenchModel, f: float) -> float:

@@ -25,6 +25,7 @@ from rodwave import (
 from rodwave import bloch, workbench
 from rodwave.bloch import band_gamma_extrema
 from rodwave.errors import NumericError
+from rodwave.rod import _impedance_arrays
 
 
 @pytest.fixture(scope="module")
@@ -591,3 +592,37 @@ def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, pa
                            primary.max_attenuation]
         if parameter in ("a", "L"):
             assert row[0] == (cell.rod_width if parameter == "a" else cell.cell_length)
+
+
+@pytest.mark.parametrize(
+    "parameter, on_pole", [(p, False) for p in sorted(_GEOM_SPANS_UM)] + [("t_aln2", True)]
+)
+def test_geometry_sweep_front_is_the_step_fronts(monkeypatch, parameter, on_pole):
+    """The one front of sweep_cells, over per-point cell constants, is bit for bit
+    the fronts of its cells laid end to end.  Every step of an a sweep has the
+    same rod; with on_pole the grid starts on one step's rod pole, where its
+    impedance is the signed-infinite marker and no other step's is."""
+    config = parse_config({})
+    lo, hi = _GEOM_SPANS_UM[parameter]
+    cells = []
+    for value in np.linspace(lo, hi, 9) * 1e-6:
+        geo = dataclasses.replace(config.geometry, **{parameter: float(value)})
+        if geo.a < geo.L:
+            cells.append(unit_cell(config, geo))
+    grid = _GRID
+    if on_pole:
+        grid = (cells[4].rod.first_pole,) + _GRID[1:]
+        markers = [np.isinf(_impedance_arrays(c.rod, np.array(grid[:1]))[0][0]) for c in cells]
+        assert markers == [i == 4 for i in range(len(cells))]
+    if parameter == "a":
+        assert len({c.rod.first_pole for c in cells}) == 1
+    fronts = []
+    monkeypatch.setattr(bloch, "_table", lambda front, with_gamma: fronts.append(front))
+    bloch.sweep_cells(cells, *grid)
+    (front,) = fronts
+    f = np.linspace(*grid)
+    own = [bloch._front(c, f, force_zero_coupling=False) for c in cells]
+    for name in ("f", "k", "sigma", "ds"):
+        expected = np.concatenate([getattr(fr, name) for fr in own])
+        assert getattr(front, name).tobytes() == expected.tobytes(), name
+    assert front.L.tobytes() == np.repeat([fr.L for fr in own], f.size).tobytes()

@@ -1,12 +1,18 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rodwave
+from rodwave import cli
 from rodwave.cli import main
 
 
@@ -416,3 +422,54 @@ def test_non_finite_value_past_the_first_block_names_its_row(tmp_path):
         f" (column im_Zb, row f_hz={float(_CSV_BLOCK_ROWS + 3)})"
     )
     assert not path.exists()
+
+
+def test_verbose_holds_on_every_call_in_one_process(tmp_path, capsys):
+    # the logging setup of one call must not fix that of the next
+    cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
+    argv = ["chain", "--config", str(cfg), "--freq", "2.3e9", "--cells", "7"]
+    logged = []
+    for verbose in (False, True, False):
+        assert main(["-v"] * verbose + argv) == 0
+        err = capsys.readouterr().err
+        logged.append(sum(line.startswith("rodwave.config: ") for line in err.splitlines()))
+    assert logged[0] == logged[2] == 0
+    assert logged[1] == 9  # the defaulted geometry (7), materials and sweep
+
+
+def test_back_to_back_commands_write_what_each_writes_alone(tmp_path, monkeypatch):
+    # a relative output directory keeps every file's config hash the same
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(
+        tmp_path,
+        {
+            "sweep": {"f_start_hz": 1.4e9, "f_stop_hz": 3.2e9, "points": 160},
+            "geometry_sweep": {"parameter": "t_aln2", "from_nm": 540, "to_nm": 660,
+                               "steps": 5},
+            "output": {"dir": "out"},
+        },
+    )
+    commands = {
+        ("sweep.csv", "stopbands.csv"): ["sweep"],
+        ("geomsweep.csv",): ["geom-sweep"],
+        ("impedance.csv",): ["impedance", "--f-start", "0", "--f-stop", "6e9",
+                             "--points", "1000"],
+        ("chain.csv",): ["chain", "--freq", "2.9e9", "--cells", "50"],
+    }
+    commands = {names: [cmd[0], "--config", str(cfg), *cmd[1:]]
+                for names, cmd in commands.items()}
+    env = dict(os.environ, PYTHONPATH=str(Path(rodwave.__file__).parents[1]))
+    alone = {}
+    for names, argv in commands.items():
+        subprocess.run([sys.executable, "-m", "rodwave.cli", *argv], env=env, check=True,
+                       capture_output=True)
+        for name in names:
+            path = tmp_path / "out" / name
+            alone[name] = path.read_bytes()
+            path.unlink()
+    for _ in range(2):  # the second round reuses the parser of the first
+        for argv in commands.values():
+            assert main(argv) == 0
+        for name, data in alone.items():
+            assert (tmp_path / "out" / name).read_bytes() == data, name
+    assert cli._build_parser() is cli._build_parser()
