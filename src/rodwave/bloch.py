@@ -588,10 +588,13 @@ def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> Stopb
     narrow = False
     for i, j in runs:
         f = sweep.f[i : j + 1].tolist()
-        # libm log and a left-to-right sum: numpy's may differ in the last bit
+        # libm log and left-to-right sums: numpy's may differ in the last bit,
+        # and built-in sum() of floats is compensated from Python 3.12 on
         att = [-math.log(x) if x > 0 else 745.0 for x in sweep.t_coeff[i : j + 1].tolist()]
-        wsum = sum(att)
-        f_center = sum(x * a for x, a in zip(f, att)) / wsum if wsum > 0 else f[0]
+        wsum = fsum = 0.0
+        for x, a in zip(f, att):
+            wsum, fsum = wsum + a, fsum + x * a
+        f_center = fsum / wsum if wsum > 0 else f[0]
         f_low = edges.get((i, i - 1), f[0])
         f_high = edges.get((j, j + 1), f[-1])
         bands.append(

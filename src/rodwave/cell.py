@@ -99,6 +99,7 @@ class CellMatrices:
     f: float
     k: float
     phi: float
+    sigma: float  # clamped, as assembled
 
 
 def forcing_strength(cell: UnitCellGeometry, f: float) -> tuple[float, float]:
@@ -170,14 +171,12 @@ def sigma_slope_arrays(cell: UnitCellGeometry, f: np.ndarray, k: np.ndarray, sig
 
 
 def _rational_coeffs(k, a, s) -> np.ndarray:
-    """The six closed-form coefficients at finite sigma, along a last axis of 6.
+    """The six closed-form coefficients at one k and finite sigma, as an array.
 
     Order (r, t, r_ef, r_fe, r_e, t_e); each is prefactor * e^{rate a k} *
-    numerator / denominator with the constants below.  Works elementwise on
-    scalars and arrays.
+    numerator / denominator with the constants below.
     """
-    s = np.asarray(s)[..., None]
-    e = np.exp(np.multiply.outer(a * k, _COEFF_RATE))
+    e = np.exp(a * k * _COEFF_RATE)
     return _COEFF_PREFACTOR * e * (s + _COEFF_NUM) / (_COEFF_DEN * s + _COEFF_DEN_ADD)
 
 
@@ -219,9 +218,8 @@ def _assembly_coeffs(k, a, sigma) -> tuple:
     singular (the pinned piston transmits value and near field dependently),
     which would break the rearrangement into C.  Clamping sigma keeps the
     block invertible while staying within ~1e-12 of the limit coefficients.
-    Works elementwise on scalars and arrays.
     """
-    return tuple(np.moveaxis(_rational_coeffs(k, a, clamped_sigma(sigma)), -1, 0))
+    return tuple(_rational_coeffs(k, a, clamped_sigma(sigma)))
 
 
 # G = [[r, r_ef, t, t_ef], [r_fe, r_e, t_fe, t_e], [t, t_ef, r, r_ef], [t_fe, t_e, r_fe, r_e]]
@@ -252,18 +250,17 @@ def coupling_matrix(G: np.ndarray) -> np.ndarray:
         C = [[ M^-1,        -M^-1 R          ],
              [ R M^-1,       M - R M^-1 R    ]]
 
-    in the (propagating, evanescent) x (toward, away) block grouping.  A
-    (..., 4, 4) stack of G gives the stack of C.
+    in the (propagating, evanescent) x (toward, away) block grouping.
     """
-    R = G[..., :2, :2]
-    M = G[..., :2, 2:]
+    R = G[:2, :2]
+    M = G[:2, 2:]
     Minv = np.linalg.inv(M)
     R_Minv = R @ Minv
-    C = np.empty(G.shape, dtype=complex)
-    C[..., :2, :2] = Minv
-    C[..., :2, 2:] = -Minv @ R
-    C[..., 2:, :2] = R_Minv
-    C[..., 2:, 2:] = M - R_Minv @ R
+    C = np.empty((4, 4), dtype=complex)
+    C[:2, :2] = Minv
+    C[:2, 2:] = -Minv @ R
+    C[2:, :2] = R_Minv
+    C[2:, 2:] = M - R_Minv @ R
     return C
 
 
@@ -284,29 +281,22 @@ def propagation_matrix(k: float, phi: float) -> np.ndarray:
     return np.diag(translation_phases(phi))
 
 
-def transfer_arrays(cell: UnitCellGeometry, k: np.ndarray, sigma: np.ndarray):
-    """G, C, D and T = D C D as stacks over arrays of k and sigma (clamped here)."""
-    coeffs = _rational_coeffs(k, cell.rod_width, clamped_sigma(sigma))
-    G = coeffs[..., _G_FROM_RATIONAL]  # t_ef = r_ef and t_fe = r_fe
-    C = coupling_matrix(G)
-    D = np.zeros(C.shape, dtype=complex)
-    D[..., _DIAG, _DIAG] = translation_phases(k * (cell.cell_length + cell.rod_width) / 2.0)
-    return G, C, D, D @ C @ D
-
-
-_G_FROM_RATIONAL = np.array([0, 1, 2, 3, 4, 5, 2, 3])[_G_INDEX]
-_DIAG = np.arange(4)
-
-
 def cell_matrices(cell: UnitCellGeometry, f: float) -> CellMatrices:
     """Assemble G, C, D and the cell transfer matrix T = D C D at frequency f."""
-    k, _, sigma = _forcing_at(cell, f, "cell_matrices")
+    k, f_eff, sigma = _forcing_at(cell, f, "cell_matrices")
+    phi = k * (cell.cell_length + cell.rod_width) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        G, C, D, T = transfer_arrays(cell, np.array([k]), np.array([sigma]))
+        r, t, r_ef, r_fe, r_e, t_e = _assembly_coeffs(k, cell.rod_width, sigma)
+        G = scattering_matrix(ScatterCoeffs(
+            r=r, t=t, r_ef=r_ef, t_ef=r_ef, r_fe=r_fe, t_fe=r_fe, r_e=r_e, t_e=t_e,
+            f_eff=f_eff, sigma=sigma,
+        ))
+        C = coupling_matrix(G)
+        D = propagation_matrix(k, phi)
+        T = D @ C @ D
     if not np.isfinite(T).all():
         raise non_finite_error("transfer matrix", float(f), k * cell.cell_length)
-    phi = k * (cell.cell_length + cell.rod_width) / 2.0
-    return CellMatrices(G=G[0], C=C[0], D=D[0], T=T[0], f=f, k=k, phi=phi)
+    return CellMatrices(G=G, C=C, D=D, T=T, f=f, k=k, phi=phi, sigma=float(clamped_sigma(sigma)))
 
 
 def clamped_sigma(sigma):

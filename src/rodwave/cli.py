@@ -18,6 +18,7 @@ from .workbench import (
     run_geometry_sweep,
     run_impedance,
     run_matrices,
+    run_stopbands,
 )
 
 
@@ -89,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {result['sweep_csv']} and {result['stopbands_csv']} "
                   f"({n_bands} stopbands)")
         elif args.command == "stopbands":
-            result = run_frequency_sweep(config, out_dir=args.out, plot=False)
+            result = run_stopbands(config, out_dir=args.out)
             print(f"wrote {result['stopbands_csv']}")
         elif args.command == "impedance":
             result = run_impedance(config, args.f_start, args.f_stop, args.points)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .cell import UnitCellGeometry
 from .errors import ConfigError
-from .materials import Layer, Material, effective_properties
+from .materials import LaminateSection, Layer, Material, effective_properties
 from .rod import RodModel
 from .trench import TrenchModel
 
@@ -94,6 +94,23 @@ def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"unknown key {path}.{key!r}")
 
 
+def _read_number(obj: dict, key: str, default, path: str, integral: bool = False) -> float:
+    """obj[key] (default if absent) as a finite float, or an int where integral;
+    anything else, bools and strings included, is a ConfigError naming path.key."""
+    raw = obj.get(key, default)
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{path}.{key}: expected a number, got {raw!r}")
+    try:
+        value = float(raw)
+    except OverflowError:  # a JSON integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):  # json reads Infinity, NaN and 1e400
+        raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
+    if integral and not value.is_integer():
+        raise ConfigError(f"{path}.{key}: expected an integer, got {raw!r}")
+    return int(raw) if integral else value
+
+
 def _read_length(obj: dict, base: str, default: float, path: str) -> float:
     """Read a length given as <base>_nm / <base>_um / <base>_m."""
     found = [suffix for suffix in _UNIT_SCALE if f"{base}_{suffix}" in obj]
@@ -102,12 +119,10 @@ def _read_length(obj: dict, base: str, default: float, path: str) -> float:
     if not found:
         log.info("config default: %s.%s = %g m", path, base, default)
         return default
-    raw = obj[f"{base}_{found[0]}"]
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-        raise ConfigError(f"{path}.{base}_{found[0]}: expected a number")
-    value = float(raw) * _UNIT_SCALE[found[0]]
-    if not value > 0 or not math.isfinite(value):
-        raise ConfigError(f"{path}.{base}_{found[0]}: must be positive and finite")
+    key = f"{base}_{found[0]}"
+    value = _read_number(obj, key, None, path) * _UNIT_SCALE[found[0]]
+    if not value > 0:
+        raise ConfigError(f"{path}.{key}: must be positive")
     return value
 
 
@@ -127,15 +142,13 @@ def _parse_materials(obj: dict | None) -> dict[str, Material]:
             raise ConfigError(f"materials.{name}: expected an object")
         _reject_unknown(entry, {"youngs_modulus_pa", "density_kg_m3"}, f"materials.{name}")
         base = materials.get(name)
-        try:
-            e = float(entry.get("youngs_modulus_pa", base.youngs_modulus if base else float("nan")))
-            rho = float(entry.get("density_kg_m3", base.density if base else float("nan")))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"materials.{name}: non-numeric property") from exc
-        if math.isnan(e) or math.isnan(rho):
+        if base is None and not {"youngs_modulus_pa", "density_kg_m3"} <= entry.keys():
             raise ConfigError(
                 f"materials.{name}: new materials need both youngs_modulus_pa and density_kg_m3"
             )
+        e_base, rho_base = (base.youngs_modulus, base.density) if base else (None, None)
+        e = _read_number(entry, "youngs_modulus_pa", e_base, f"materials.{name}")
+        rho = _read_number(entry, "density_kg_m3", rho_base, f"materials.{name}")
         materials[name] = Material(name, youngs_modulus=e, density=rho)
     return materials
 
@@ -169,14 +182,11 @@ def _parse_sweep(obj: dict | None) -> SweepConfig:
     if not isinstance(obj, dict):
         raise ConfigError("sweep: expected an object")
     _reject_unknown(obj, {"f_start_hz", "f_stop_hz", "points"}, "sweep")
-    try:
-        f_start = float(obj.get("f_start_hz", DEFAULT_SWEEP["f_start"]))
-        f_stop = float(obj.get("f_stop_hz", DEFAULT_SWEEP["f_stop"]))
-        points = int(obj.get("points", DEFAULT_SWEEP["points"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("sweep: non-numeric entry") from exc
-    if not 0 < f_start < f_stop < math.inf:
-        raise ConfigError("sweep: need 0 < f_start_hz < f_stop_hz, both finite")
+    f_start = _read_number(obj, "f_start_hz", DEFAULT_SWEEP["f_start"], "sweep")
+    f_stop = _read_number(obj, "f_stop_hz", DEFAULT_SWEEP["f_stop"], "sweep")
+    points = _read_number(obj, "points", DEFAULT_SWEEP["points"], "sweep", integral=True)
+    if not 0 < f_start < f_stop:
+        raise ConfigError("sweep: need 0 < f_start_hz < f_stop_hz")
     if points < 2:
         raise ConfigError("sweep.points: must be >= 2")
     return SweepConfig(f_start=f_start, f_stop=f_stop, points=points)
@@ -198,10 +208,7 @@ def _parse_geom_sweep(obj: dict | None, geometry: GeometryConfig) -> GeomSweepCo
     stop = _read_length(obj, "to", float("nan"), "geometry_sweep")
     if math.isnan(start) or math.isnan(stop):
         raise ConfigError("geometry_sweep: both from_* and to_* are required")
-    try:
-        steps = int(obj.get("steps", 11))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("geometry_sweep.steps: expected an integer") from exc
+    steps = _read_number(obj, "steps", 11, "geometry_sweep", integral=True)
     if steps < 1:
         raise ConfigError("geometry_sweep.steps: must be >= 1")
     return GeomSweepConfig(parameter=parameter, start=start, stop=stop, steps=steps)
@@ -249,7 +256,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
@@ -261,35 +268,20 @@ def _required_material(config: RunConfig, name: str) -> Material:
         raise ConfigError(f"materials: {name!r} is required by the layer stack") from exc
 
 
-def trench_model(config: RunConfig, geometry: GeometryConfig | None = None) -> TrenchModel:
-    geo = geometry or config.geometry
-    section = effective_properties(
-        [
-            Layer(_required_material(config, "AlN"), geo.t_aln1),
-            Layer(_required_material(config, "Pt"), geo.t_m1),
-        ]
-    )
-    return TrenchModel(section=section)
-
-
-def rod_model(config: RunConfig, geometry: GeometryConfig | None = None) -> RodModel:
-    geo = geometry or config.geometry
-    section = effective_properties(
-        [
-            Layer(_required_material(config, "AlN"), geo.t_aln2),
-            Layer(_required_material(config, "Al"), geo.t_m2),
-        ]
-    )
-    return RodModel(section=section)
+def _aln_stack(config: RunConfig, t_aln: float, metal: str, t_metal: float) -> LaminateSection:
+    """The section of an AlN film of thickness t_aln over a metal film of thickness t_metal."""
+    aln, top = _required_material(config, "AlN"), _required_material(config, metal)
+    return effective_properties([Layer(aln, t_aln), Layer(top, t_metal)])
 
 
 def unit_cell(config: RunConfig, geometry: GeometryConfig | None = None) -> UnitCellGeometry:
+    """The unit cell of a geometry, by default the config's."""
     geo = geometry or config.geometry
     return UnitCellGeometry(
         rod_width=geo.a,
         cell_length=geo.L,
-        trench=trench_model(config, geo),
-        rod=rod_model(config, geo),
+        trench=TrenchModel(_aln_stack(config, geo.t_aln1, "Pt", geo.t_m1)),
+        rod=RodModel(_aln_stack(config, geo.t_aln2, "Al", geo.t_m2)),
     )
 
 

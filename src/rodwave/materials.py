@@ -25,10 +25,10 @@ class Material:
     density: float  # kg/m^3
 
     def __post_init__(self) -> None:
-        if not self.youngs_modulus > 0:
-            raise ConfigError(f"material {self.name!r}: youngs_modulus must be > 0")
-        if not self.density > 0:
-            raise ConfigError(f"material {self.name!r}: density must be > 0")
+        if not 0 < self.youngs_modulus < math.inf:
+            raise ConfigError(f"material {self.name!r}: youngs_modulus must be > 0 and finite")
+        if not 0 < self.density < math.inf:
+            raise ConfigError(f"material {self.name!r}: density must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,12 @@ class LaminateSection:
 
 
 def effective_properties(layers: Sequence[Layer]) -> LaminateSection:
-    """Collapse a layer stack into a LaminateSection via thickness-weighted means."""
+    """Collapse a layer stack into a LaminateSection via thickness-weighted means.
+
+    sum() of floats is compensated from Python 3.12 on, but over two layers,
+    the stacks config builds, it still gives the plainly rounded sum: the
+    compensation term is the rounding error of the one addition.
+    """
     if not layers:
         raise ConfigError("effective_properties: layer list is empty")
     h = sum(layer.thickness for layer in layers)

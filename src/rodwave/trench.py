@@ -44,27 +44,25 @@ class TrenchModel:
 
 
 def flexural_wavevector(trench: TrenchModel, f: float) -> float:
-    """Real flexural wavevector k (rad/m) at frequency f > 0.
+    """Real flexural wavevector k (rad/m) at frequency f > 0: the one-element
+    row of flexural_wavevectors."""
+    if not 0 < f < math.inf:
+        raise ValueError("flexural_wavevector: f must be > 0 and finite")
+    return float(flexural_wavevectors(trench, np.array([float(f)]))[0])
+
+
+def flexural_wavevectors(trench: TrenchModel, f: np.ndarray) -> np.ndarray:
+    """Real flexural wavevectors k (rad/m) over an array of frequencies f > 0.
 
     Closed form of the positive real root of E I k^4 = rho A omega^2 for the
     per-unit-width section, i.e.
     k = sqrt(2) * 3^(1/4) * sqrt(omega) * rho^(1/4) / (sqrt(h) * E^(1/4)).
+    The trench's wavevector_num and wavevector_den are floats for one trench,
+    or per-point arrays for several (cell.stacked_cells); the arithmetic is
+    elementwise either way.
     """
-    if not 0 < f < math.inf:
-        raise ValueError("flexural_wavevector: f must be > 0 and finite")
-    return _wavevector(trench, 2.0 * math.pi * f, math.sqrt)
-
-
-def flexural_wavevectors(trench: TrenchModel, f: np.ndarray) -> np.ndarray:
-    """flexural_wavevector over an array of frequencies f > 0, bit for bit."""
-    return _wavevector(trench, 2.0 * math.pi * f, np.sqrt)
-
-
-def _wavevector(trench: TrenchModel, omega, sqrt):
-    """The closed form of flexural_wavevector.  The trench's wavevector_num and
-    wavevector_den are floats for one trench, or per-point arrays for several
-    (cell.stacked_cells); the arithmetic is elementwise either way."""
-    return math.sqrt(2.0) * 3.0**0.25 * sqrt(omega) * trench.wavevector_num / trench.wavevector_den
+    sqrt_omega = np.sqrt(2.0 * math.pi * f)
+    return math.sqrt(2.0) * 3.0**0.25 * sqrt_omega * trench.wavevector_num / trench.wavevector_den
 
 
 def wavelength_over_thickness(trench: TrenchModel, f: float) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bloch import StopbandReport, Sweep, chain_profile, stopband_report, sweep, sweep_cells
-from .cell import cell_matrices, clamped_sigma, forcing_strength
+from .cell import UnitCellGeometry, cell_matrices
 from .config import RunConfig, config_hash, unit_cell
 from .errors import ConfigError, NumericError
 from .rod import _impedance_arrays
@@ -81,13 +81,27 @@ def _resolve_out(config: RunConfig, out_dir: str | None) -> Path:
     return directory
 
 
-def _check_reciprocity(sw: Sweep) -> int:
+def _checked_sweep(config: RunConfig) -> tuple[UnitCellGeometry, Sweep, int]:
+    """(cell, sweep, eigen-check flagged points) of the configured grid;
+    NumericError where a point's eigen-check fails."""
+    cell = unit_cell(config)
+    sw = sweep(cell, config.sweep.f_start, config.sweep.f_stop, config.sweep.points)
     worst = sw.reciprocity_defect.max()
     if worst > RECIPROCITY_FAIL:
         raise NumericError(
             f"eigenvalue reciprocity violated: worst defect {worst:.3e} > {RECIPROCITY_FAIL}"
         )
-    return int(np.count_nonzero(sw.reciprocity_defect > RECIPROCITY_FLAG))
+    return cell, sw, int(np.count_nonzero(sw.reciprocity_defect > RECIPROCITY_FLAG))
+
+
+def run_stopbands(config: RunConfig, out_dir: str | None = None) -> dict:
+    """Sweep the configured frequency grid; write stopbands.csv only."""
+    directory = _resolve_out(config, out_dir)
+    cell, sw, _ = _checked_sweep(config)
+    report = stopband_report(sw, cell)
+    path = directory / "stopbands.csv"
+    _write_stopbands(path, report, config_hash(config))
+    return {"stopbands_csv": path, "report": report}
 
 
 def run_frequency_sweep(
@@ -95,9 +109,7 @@ def run_frequency_sweep(
 ) -> dict:
     """Sweep the configured frequency grid; write sweep.csv and stopbands.csv."""
     directory = _resolve_out(config, out_dir)
-    cell = unit_cell(config)
-    sw = sweep(cell, config.sweep.f_start, config.sweep.f_stop, config.sweep.points)
-    flagged = _check_reciprocity(sw)
+    cell, sw, flagged = _checked_sweep(config)
     report = stopband_report(sw, cell)
     cfg_hash = config_hash(config)
 
@@ -380,9 +392,7 @@ def run_matrices(config: RunConfig, freq: float, out_dir: str | None = None) -> 
     path = directory / "matrices.csv"
     _write_csv(path, columns, cfg_hash, [f"f_hz={freq!r}"])
 
-    # clamped as in the assembled product: at an exact pole sigma is infinite
-    sigma = float(clamped_sigma(forcing_strength(cell, freq)[1]))
-    ref = transfer_matrix_reference(mats.k, cell.rod_width, cell.cell_length, sigma)
+    ref = transfer_matrix_reference(mats.k, cell.rod_width, cell.cell_length, mats.sigma)
     # scalar abs: numpy's array abs of complex differs from it in the last bit
     rel = [abs(d) / max(abs(r), 1e-300) for d, r in zip((mats.T - ref).ravel(), ref.ravel())]
     i, j = np.indices((4, 4)).reshape(2, 16)

@@ -172,6 +172,24 @@ def test_stopband_runs_at_the_sweep_ends(default_cell):
     assert not coarse
 
 
+@pytest.mark.parametrize("L_um", [0.5, 1.0, 3.8, 8.0, 12.0])
+def test_band_centers_are_left_to_right_sums(L_um):
+    # built-in sum() of floats is compensated from Python 3.12 on: the centers
+    # must be the same bits on every Python
+    cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
+    sw = sweep(cell, 0.1e9, 6e9, 800)
+    report = stopband_report(sw)
+    starts, ends = bloch._runs(sw.in_stopband)
+    assert len(report.bands) == len(starts) > 0
+    for band, i, j in zip(report.bands, starts.tolist(), ends.tolist()):
+        weights = weighted = 0.0
+        for f, t in zip(sw.f[i : j + 1].tolist(), sw.t_coeff[i : j + 1].tolist()):
+            att = -math.log(t) if t > 0 else 745.0
+            weights += att
+            weighted += f * att
+        assert repr(band.f_center) == repr(weighted / weights)
+
+
 def test_band_centers_shift_down_with_taller_rod(default_config, default_sweep):
     geo = default_config.geometry
     taller = dataclasses.replace(geo, t_aln2=geo.t_aln2 * 1.1)

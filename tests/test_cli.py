@@ -81,6 +81,25 @@ def test_stopbands_csv(small_config, tmp_path):
     assert all(h > l for l, h in zip(lows, highs))
 
 
+def test_stopbands_writes_only_the_table_sweep_writes(small_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["stopbands", "--config", str(small_config)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["stopbands.csv"]
+    alone = (out / "stopbands.csv").read_bytes()
+    (out / "stopbands.csv").unlink()
+    assert main(["sweep", "--config", str(small_config)]) == 0
+    assert (out / "stopbands.csv").read_bytes() == alone
+
+
+def test_stopbands_keeps_the_reciprocity_check(small_config, tmp_path, capsys, monkeypatch):
+    from rodwave import workbench
+
+    monkeypatch.setattr(workbench, "RECIPROCITY_FAIL", -1.0)  # every defect fails
+    assert main(["stopbands", "--config", str(small_config)]) == 3
+    assert "eigenvalue reciprocity violated" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "stopbands.csv").exists()
+
+
 def test_sweep_determinism(small_config, tmp_path):
     assert main(["sweep", "--config", str(small_config)]) == 0
     first = (tmp_path / "out" / "sweep.csv").read_bytes()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -128,3 +129,65 @@ def test_canonical_roundtrip_is_json():
     doc = canonical_document(parse_config({}))
     json.dumps(doc)  # must be serializable
     assert doc["geometry"]["a_m"] == pytest.approx(2.0e-6)
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"sweep": {"points": "300"}}, "sweep.points"),
+        ({"sweep": {"points": 300.9}}, "sweep.points"),
+        ({"sweep": {"f_start_hz": True}}, "sweep.f_start_hz"),
+        ({"sweep": {"f_stop_hz": "6e9"}}, "sweep.f_stop_hz"),
+        ({"geometry_sweep": {"parameter": "a", "from_um": 1, "to_um": 2, "steps": 2.5}},
+         "geometry_sweep.steps"),
+        ({"geometry_sweep": {"parameter": "a", "from_um": 1, "to_um": 2, "steps": True}},
+         "geometry_sweep.steps"),
+        ({"materials": {"AlN": {"youngs_modulus_pa": "345e9"}}},
+         "materials.AlN.youngs_modulus_pa"),
+        ({"materials": {"W": {"youngs_modulus_pa": 411e9, "density_kg_m3": True}}},
+         "materials.W.density_kg_m3"),
+        ({"geometry": {"a_um": 10**400}}, "geometry.a_um"),
+    ],
+)
+def test_numeric_fields_reject_bools_strings_fractions_and_overflow(doc, where):
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)}: "):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "1e400"])
+def test_non_finite_material_property_exits_2_naming_its_path(tmp_path, capsys, text):
+    from rodwave.cli import main
+
+    path = tmp_path / "cfg.json"
+    path.write_text('{"materials": {"AlN": {"density_kg_m3": %s}}, "output": {"dir": "%s"}}'
+                    % (text, tmp_path / "out"))
+    with pytest.raises(ConfigError, match=r"^materials\.AlN\.density_kg_m3: must be finite"):
+        load_config(path)
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "materials.AlN.density_kg_m3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys):
+    from rodwave.cli import main
+
+    # past the interpreter's int-string digit limit json.loads raises a plain
+    # ValueError; without a limit the count is too large for a float
+    path = tmp_path / "cfg.json"
+    path.write_text('{"sweep": {"points": %s}}' % ("1" * 5000))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["stopbands", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_integral_counts_keep_their_config_hash():
+    # JSON has one number type: 300.0 is the count 300
+    whole = parse_config({"sweep": {"points": 300}, "geometry_sweep": {
+        "parameter": "a", "from_um": 1, "to_um": 2, "steps": 4}})
+    point_zero = parse_config({"sweep": {"points": 300.0}, "geometry_sweep": {
+        "parameter": "a", "from_um": 1, "to_um": 2, "steps": 4.0}})
+    assert point_zero.sweep.points == 300 and type(point_zero.sweep.points) is int
+    assert point_zero.geometry_sweep.steps == 4 and type(point_zero.geometry_sweep.steps) is int
+    assert config_hash(point_zero) == config_hash(whole)
+    assert config_hash(parse_config({})) == "0301bbd033bd8eab"

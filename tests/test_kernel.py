@@ -23,12 +23,14 @@ from rodwave import (
 from rodwave import bloch
 from rodwave.cell import (
     SIGMA_CLAMP,
+    cell_matrices,
     clamped_sigma,
     forcing_arrays,
+    forcing_strength,
     sigma_slope_arrays,
-    transfer_arrays,
     translation_phases,
 )
+from rodwave.trench import flexural_wavevector, flexural_wavevectors
 
 
 def _random_cells(rng, count):
@@ -255,15 +257,15 @@ def test_kernel_chunks_change_no_bit(default_cell):
 def test_transfer_matrix_is_diagonal_plus_rank_one(L_um):
     """D C D = diag(p) + (sigma/4) u w^T, the form the kernel's eigenvectors use."""
     cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
-    k, _, sigma = forcing_arrays(cell, np.random.default_rng(5).uniform(0.1e9, 6e9, 40))
-    sigma = np.clip(sigma, -SIGMA_CLAMP, SIGMA_CLAMP)
-    kl = k * cell.cell_length
-    w = translation_phases(kl / 2)
-    u = w * np.array([-1j, 1, 1j, -1])
-    expected = (sigma / 4)[:, None, None] * u[:, :, None] * w[:, None, :]
-    expected[:, range(4), range(4)] += translation_phases(kl)
-    T = transfer_arrays(cell, k, sigma)[3]
-    assert np.max(np.abs(T - expected) / np.abs(expected)) < 1e-9
+    for f in np.random.default_rng(5).uniform(0.1e9, 6e9, 40).tolist():
+        mats = cell_matrices(cell, f)
+        sigma = np.clip(forcing_strength(cell, f)[1], -SIGMA_CLAMP, SIGMA_CLAMP)
+        assert mats.sigma == sigma
+        kl = mats.k * cell.cell_length
+        w = translation_phases(kl / 2)
+        u = w * np.array([-1j, 1, 1j, -1])
+        expected = np.diag(translation_phases(kl)) + (sigma / 4) * np.outer(u, w)
+        assert np.max(np.abs(mats.T - expected) / np.abs(expected)) < 1e-9, f
 
 
 def _mp_gamma(kl, sigma, lam):
@@ -327,3 +329,22 @@ def test_point_outputs_do_not_depend_on_the_batch(L_um, a_frac, freqs, split):
     for field in dataclasses.fields(bloch.Sweep):
         joined = np.concatenate([getattr(p, field.name) for p in parts])
         assert np.array_equal(getattr(whole, field.name), joined, equal_nan=True), field.name
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # the default stack's rod pole, where the impedance is its infinite marker
+    layers={"t_aln1_nm": 400.0, "t_m1_nm": 250.0, "t_aln2_nm": 600.0, "t_m2_nm": 330.0},
+    f=2416693844.385006,
+)
+@given(
+    layers=st.fixed_dictionaries(
+        {name: st.floats(1.0, 1e5) for name in ("t_aln1_nm", "t_m1_nm", "t_aln2_nm", "t_m2_nm")}
+    ),
+    f=st.floats(1.0, 1e11),
+)
+def test_one_frequency_calls_are_rows_of_their_array_forms(layers, f):
+    cell = unit_cell(parse_config({"geometry": layers}))
+    row = float(flexural_wavevectors(cell.trench, np.array([f]))[0])
+    assert repr(flexural_wavevector(cell.trench, f)) == repr(row)
+    _, f_eff, sigma = forcing_arrays(cell, np.array([f]))
+    assert repr(forcing_strength(cell, f)) == repr((float(f_eff[0]), float(sigma[0])))

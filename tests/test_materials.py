@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,11 @@ def test_empty_layer_list_rejected():
         effective_properties([])
 
 
-@pytest.mark.parametrize("e,rho", [(-1.0, 1000.0), (0.0, 1000.0), (1e9, -5.0), (1e9, 0.0)])
+@pytest.mark.parametrize(
+    "e,rho",
+    [(-1.0, 1000.0), (0.0, 1000.0), (1e9, -5.0), (1e9, 0.0), (math.inf, 1000.0),
+     (1e9, math.inf), (math.nan, 1000.0), (1e9, math.nan)],
+)
 def test_invalid_material_rejected(e, rho):
     with pytest.raises(ConfigError):
         Material("bad", youngs_modulus=e, density=rho)
