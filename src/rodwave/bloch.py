@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import (
+    _PHASE_RATES,
     UnitCellGeometry,
     cell_matrices,
     clamped_sigma,
@@ -263,8 +264,6 @@ def _y_slope(kl, s, ds, parts, y):
     return np.sign(y0 - y1) * (y0 * dsu - dpr)
 
 
-# u = w * _U_SIGNS, with w the half-cell phases
-_U_SIGNS = np.array([-1j, 1, 1j, -1])
 _COMPONENTS = np.arange(4)
 
 
@@ -284,7 +283,8 @@ def _eigenvectors(kl, lam):
     exactly.
     """
     p, w = translation_phases(np.array([kl, kl / 2]))
-    u = w * _U_SIGNS
+    # each component's response to the shear jump is lambda_j / k, its phase rate
+    u = w * _PHASE_RATES
     gap = lam[..., None] - p
     near = _COMPONENTS == np.abs(gap).argmin(axis=-1)[..., None]
     g_near = _sum4(np.where(near, gap, 0))  # lam - p_near
@@ -303,7 +303,7 @@ class _Front:
     ds: np.ndarray  # omega dsigma/domega (cell.sigma_slope_arrays); 0 without coupling
 
 
-def _front(cell: UnitCellGeometry, f: np.ndarray, *, force_zero_coupling: bool) -> _Front:
+def _front(cell: UnitCellGeometry, f: np.ndarray, *, force_zero_coupling: bool = False) -> _Front:
     """The front of one cell over an array of frequencies f > 0, or of
     stacked_cells of several over their grids end to end."""
     if force_zero_coupling:
@@ -354,7 +354,9 @@ def _reflection(fr: _Front, kl, lam, other):
     vf, ve = eig[0]
     # the numerators of Gamma and Gamma_e, then the determinant, per point
     cramer = vf[:, :3] * ve[:, 3:] - ve[:, :3] * vf[:, 3:]
-    gammas = cramer[:, :2] / cramer[:, 2:]
+    # 0/0 where the two factors round together at small kL; reported just below
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gammas = cramer[:, :2] / cramer[:, 2:]
     uncoupled = fr.sigma == 0
     if np.count_nonzero(uncoupled):
         gammas[uncoupled] = 0
@@ -366,7 +368,7 @@ def _backward_error(kl, sigma, v, w, g_near):
     """The worse backward error of the two eigenpairs of _reflection."""
     s4 = sigma / 4
     # ||u|| / ||T||_F in closed form, with e = e^{-kL}: |u|^2 = |w|^2 is
-    # (1, 1/e, 1, e), |T_ii| = |w_i|^2 |1 + (sigma/4) c_i| with c = _U_SIGNS
+    # (1, 1/e, 1, e), |T_ii| = |w_i|^2 |1 + (sigma/4) c_i| with c = _PHASE_RATES
     # and |T_ij| = |sigma/4| |w_i| |w_j| off the diagonal.  Times e^2,
     # ||u||^2 is e (1 + e)^2 and ||T||_F^2 is t_sq, both finite at any kL
     e = np.exp(-kl)
@@ -414,18 +416,6 @@ def _table(fr: _Front, *, with_gamma: bool) -> Sweep:
     )
 
 
-def _bloch_arrays(
-    cell: UnitCellGeometry,
-    f: np.ndarray,
-    *,
-    with_gamma: bool,
-    force_zero_coupling: bool,
-) -> Sweep:
-    """The whole eigen-analysis of one cell over an array of frequencies f > 0:
-    the stage of _table on the cell's front."""
-    return _table(_front(cell, f, force_zero_coupling=force_zero_coupling), with_gamma=with_gamma)
-
-
 def _require_finite(f: np.ndarray, kl: np.ndarray, values: np.ndarray, what: str) -> None:
     """NumericError naming the first frequency, and its kL, where values, one
     row per frequency, are not all finite; the error's row is that frequency's
@@ -450,9 +440,9 @@ def bloch_point(
     """
     if not 0 < f < math.inf:
         raise ValueError("bloch_point: f must be > 0 and finite")
-    sw = _bloch_arrays(
-        cell, np.array([float(f)]), with_gamma=with_gamma,
-        force_zero_coupling=force_zero_coupling,
+    sw = _table(
+        _front(cell, np.array([float(f)]), force_zero_coupling=force_zero_coupling),
+        with_gamma=with_gamma,
     )
     L = cell.cell_length
     lam = sw.lambda_flex
@@ -504,12 +494,12 @@ def _branch_indices(in_stop: np.ndarray, offset: np.ndarray) -> np.ndarray:
     return runs[np.maximum(run_of, 0)]
 
 
-def _grid(f_start: float, f_stop: float, points: int) -> np.ndarray:
-    """The uniform frequency grid of a sweep."""
-    if not (0 < f_start < f_stop):
-        raise ValueError("sweep: need 0 < f_start < f_stop")
+def _grid(f_start: float, f_stop: float, points: int, caller: str) -> np.ndarray:
+    """The uniform frequency grid of a sweep; ValueError naming caller on bad bounds."""
+    if not 0 < f_start < f_stop < math.inf:
+        raise ValueError(f"{caller}: need 0 < f_start < f_stop < inf")
     if points < 2:
-        raise ValueError("sweep: points must be >= 2")
+        raise ValueError(f"{caller}: points must be >= 2")
     return np.linspace(f_start, f_stop, points)
 
 
@@ -522,9 +512,7 @@ def sweep(
     with_gamma: bool = True,
 ) -> Sweep:
     """Uniform frequency sweep with branch-continuous Re(k_ef), as one table."""
-    sw = _bloch_arrays(
-        cell, _grid(f_start, f_stop, points), with_gamma=with_gamma, force_zero_coupling=False
-    )
+    sw = _table(_front(cell, _grid(f_start, f_stop, points, "sweep")), with_gamma=with_gamma)
     L = cell.cell_length
     args = np.unwrap(np.angle(sw.lambda_flex))
     branch = _branch_indices(sw.in_stopband, sw.k * L - args)
@@ -543,10 +531,8 @@ def sweep_cells(
     with_gamma=False) except Re(k_ef), which is 0.  A NumericError's row is
     its row in this table.
     """
-    f = np.tile(_grid(f_start, f_stop, points), len(cells))
-    return _table(
-        _front(stacked_cells(cells, points), f, force_zero_coupling=False), with_gamma=False
-    )
+    f = np.tile(_grid(f_start, f_stop, points, "sweep_cells"), len(cells))
+    return _table(_front(stacked_cells(cells, points), f), with_gamma=False)
 
 
 def _refine_edges(cell: UnitCellGeometry, f_in, f_out) -> list[float]:
@@ -558,7 +544,7 @@ def _refine_edges(cell: UnitCellGeometry, f_in, f_out) -> list[float]:
         if not active.size:
             return (0.5 * (lo + hi)).tolist()
         mid = 0.5 * (lo[active] + hi[active])
-        stop = _bloch_arrays(cell, mid, with_gamma=False, force_zero_coupling=False).in_stopband
+        stop = _table(_front(cell, mid), with_gamma=False).in_stopband
         lo[active] = np.where(stop, mid, lo[active])
         hi[active] = np.where(stop, hi[active], mid)
 
@@ -628,15 +614,15 @@ def band_gamma_extrema(
     Re(Gamma) approaches its extreme values very close to the band edges, so
     the sampling mixes uniform interior points with geometric edge offsets.
     """
+    if not 0 < f_low < f_high < math.inf:
+        raise ValueError("band_gamma_extrema: need 0 < f_low < f_high < inf")
     width = f_high - f_low
-    if width <= 0:
-        raise ValueError("band_gamma_extrema: need f_low < f_high")
     offsets = [1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2]
     fs = [f_low + width * o for o in offsets]
     fs += [f_high - width * o for o in offsets]
     fs += np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, _INTERIOR_SAMPLES).tolist()
     fs.sort()
-    re = _bloch_arrays(cell, np.array(fs), with_gamma=True, force_zero_coupling=False).gamma.real
+    re = _table(_front(cell, np.array(fs)), with_gamma=True).gamma.real
     i, j = int(np.argmax(re)), int(np.argmin(re))
     return (fs[i], float(re[i])), (fs[j], float(re[j]))
 
@@ -736,10 +722,9 @@ def field_profile(
     t_raw = mats.D @ psi
     w_raw = mats.C @ (mats.D @ psi)
 
-    lam_exp = np.array([-1j * k, k, 1j * k, -k])
     x = np.linspace(-L / 2.0, L / 2.0, x_samples)
     # the piston moves with the left span's value at its left face
     right = x > a / 2.0
     x_eval = np.where(~right & (x >= -a / 2.0), -a / 2.0, x)
     coeffs = np.where(right[:, None], w_raw, t_raw)
-    return x, np.sum(coeffs * np.exp(np.multiply.outer(x_eval, lam_exp)), axis=1)
+    return x, np.sum(coeffs * translation_phases(k * x_eval), axis=1)

@@ -88,7 +88,10 @@ class RunConfig:
     output: OutputConfig
 
 
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
+def _reject_unknown(obj, allowed: set[str], path: str) -> None:
+    """Refuse a value at path that is not an object, or holds a key outside allowed."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown key {path}.{key!r}")
@@ -138,8 +141,6 @@ def _parse_materials(obj: dict | None) -> dict[str, Material]:
     if not isinstance(obj, dict):
         raise ConfigError("materials: expected an object")
     for name, entry in obj.items():
-        if not isinstance(entry, dict):
-            raise ConfigError(f"materials.{name}: expected an object")
         _reject_unknown(entry, {"youngs_modulus_pa", "density_kg_m3"}, f"materials.{name}")
         base = materials.get(name)
         if base is None and not {"youngs_modulus_pa", "density_kg_m3"} <= entry.keys():
@@ -149,6 +150,9 @@ def _parse_materials(obj: dict | None) -> dict[str, Material]:
         e_base, rho_base = (base.youngs_modulus, base.density) if base else (None, None)
         e = _read_number(entry, "youngs_modulus_pa", e_base, f"materials.{name}")
         rho = _read_number(entry, "density_kg_m3", rho_base, f"materials.{name}")
+        for key, value in (("youngs_modulus_pa", e), ("density_kg_m3", rho)):
+            if not value > 0:
+                raise ConfigError(f"materials.{name}.{key}: must be positive")
         materials[name] = Material(name, youngs_modulus=e, density=rho)
     return materials
 
@@ -157,8 +161,6 @@ def _parse_geometry(obj: dict | None) -> GeometryConfig:
     if obj is None:
         obj = {}
         log.info("config default: geometry = fabricated-device stack")
-    if not isinstance(obj, dict):
-        raise ConfigError("geometry: expected an object")
     allowed: set[str] = set()
     for base in GEOM_PARAMETERS:
         allowed |= _length_keys(base)
@@ -179,8 +181,6 @@ def _parse_sweep(obj: dict | None) -> SweepConfig:
     if obj is None:
         obj = {}
         log.info("config default: sweep = 0.1-6 GHz, 2000 points")
-    if not isinstance(obj, dict):
-        raise ConfigError("sweep: expected an object")
     _reject_unknown(obj, {"f_start_hz", "f_stop_hz", "points"}, "sweep")
     f_start = _read_number(obj, "f_start_hz", DEFAULT_SWEEP["f_start"], "sweep")
     f_stop = _read_number(obj, "f_stop_hz", DEFAULT_SWEEP["f_stop"], "sweep")
@@ -195,8 +195,6 @@ def _parse_sweep(obj: dict | None) -> SweepConfig:
 def _parse_geom_sweep(obj: dict | None, geometry: GeometryConfig) -> GeomSweepConfig | None:
     if obj is None:
         return None
-    if not isinstance(obj, dict):
-        raise ConfigError("geometry_sweep: expected an object")
     allowed = {"parameter", "steps"} | _length_keys("from") | _length_keys("to")
     _reject_unknown(obj, allowed, "geometry_sweep")
     parameter = obj.get("parameter")
@@ -218,8 +216,6 @@ def _parse_output(obj: dict | None) -> OutputConfig:
     if obj is None:
         obj = {}
         log.info("config default: output = current directory, no plots")
-    if not isinstance(obj, dict):
-        raise ConfigError("output: expected an object")
     _reject_unknown(obj, {"dir", "plot"}, "output")
     directory = obj.get("dir", ".")
     if not isinstance(directory, str):

@@ -22,10 +22,14 @@ class NumericError(RodwaveError):
 
 
 def non_finite_error(what: str, f: float, kl: float, row: int | None = None) -> NumericError:
-    """The NumericError of a closed form that left the floating-point range at
-    frequency f, naming f and its kL."""
+    """The NumericError of a closed form that failed at frequency f, naming f, its
+    kL and the end of the working kL range that kL lies past: at small kL the
+    Bloch factors round together, at large kL the closed forms overflow."""
+    if kl < 1:
+        cause = "lose all precision at small kL"
+    else:
+        cause = "leave the floating-point range at large kL"
+    shown = f"{kl:.1f}" if 0.1 <= kl < 1e6 else f"{kl:.3g}"
     return NumericError(
-        f"non-finite {what} at f={f!r} Hz (kL = {kl:.1f}): "
-        "the closed forms leave the floating-point range at large kL",
-        row=row,
+        f"non-finite {what} at f={f!r} Hz (kL = {shown}): the closed forms {cause}", row=row
     )

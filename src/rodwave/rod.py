@@ -133,22 +133,15 @@ def rod_modeshape(
 def impedance_extrema(rod: RodModel, f_max_search: float) -> list[tuple[float, str]]:
     """Zeros and poles of Z_b up to f_max_search, sorted ascending.
 
-    Zeros sit at n*c/(2h) and poles at (2n-1)*c/(4h), n >= 1, strictly
-    alternating (pole, zero, pole, ...).
+    They share one quarter-wave lattice m*c/(4h), m >= 1: odd m is a pole
+    and even m a zero (n*c/(2h) with n = m/2, exactly), so they alternate
+    (pole, zero, pole, ...).
     """
     if not 0 < f_max_search < math.inf:
         raise ValueError("impedance_extrema: f_max_search must be > 0 and finite")
     out: list[tuple[float, str]] = []
-    n = 1
-    while True:
-        pole = (2 * n - 1) * rod.velocity / (4.0 * rod.height)
-        zero = n * rod.velocity / (2.0 * rod.height)
-        if pole <= f_max_search:
-            out.append((pole, "pole"))
-        if zero <= f_max_search:
-            out.append((zero, "zero"))
-        if pole > f_max_search and zero > f_max_search:
-            break
-        n += 1
-    out.sort(key=lambda item: item[0])
+    m = 1
+    while (f := m * rod.velocity / (4.0 * rod.height)) <= f_max_search:
+        out.append((f, "zero" if m % 2 == 0 else "pole"))
+        m += 1
     return out

@@ -209,21 +209,14 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
     gs = config.geometry_sweep
     directory = _resolve_out(config, out_dir)
     cfg_hash = config_hash(config)
-    values = (
-        [gs.start]
-        if gs.steps == 1
-        else list(np.linspace(gs.start, gs.stop, gs.steps))
-    )
     kept = []  # (value, cell) of the steps that satisfy a < L
     skipped: list[str] = []
-    for value in values:
-        geo = dataclasses.replace(config.geometry, **{gs.parameter: float(value)})
+    for value in np.linspace(gs.start, gs.stop, gs.steps).tolist():
+        geo = dataclasses.replace(config.geometry, **{gs.parameter: value})
         if not geo.a < geo.L:
-            skipped.append(
-                f"skipped {gs.parameter}={float(value)!r}: violates a < L"
-            )
+            skipped.append(f"skipped {gs.parameter}={value!r}: violates a < L")
             continue
-        kept.append((float(value), unit_cell(config, geo)))
+        kept.append((value, unit_cell(config, geo)))
     points = config.sweep.points
     if kept:
         try:

@@ -356,7 +356,7 @@ def _mp_chain(kl, sigma, n, digits):
 
 def _chain_error(cell, f, n):
     """Worst |ln|x_j|| error over j = 0..n and the reflection error of chain_profile."""
-    a = bloch._bloch_arrays(cell, np.array([f]), with_gamma=False, force_zero_coupling=False)
+    a = bloch._table(bloch._front(cell, np.array([f])), with_gamma=False)
     # digits >= 30 + n log10(max|lambda|), plus the decay of the slower inner factor
     outer, inner = a.eigenvalues[0, ::2], a.eigenvalues[0, 1::2]
     digits = 30 + math.ceil(n * math.log10(np.abs(outer).max() / np.abs(inner).max()))
@@ -481,6 +481,19 @@ def test_sweep_argument_validation(default_cell):
         sweep(default_cell, 1e9, 2e9, 1)
     with pytest.raises(ValueError):
         chain_profile(default_cell, 1e9, 1)
+    # non-finite bounds are refused by name before any evaluation, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lo, hi in [(1e9, math.inf), (math.nan, 2e9), (1e9, math.nan), (-math.inf, 2e9)]:
+            for name, call, bounds in [
+                ("sweep", lambda: sweep(default_cell, lo, hi, 10), "f_start < f_stop"),
+                ("sweep_cells", lambda: bloch.sweep_cells([default_cell], lo, hi, 10),
+                 "f_start < f_stop"),
+                ("band_gamma_extrema", lambda: band_gamma_extrema(default_cell, lo, hi),
+                 "f_low < f_high"),
+            ]:
+                with pytest.raises(ValueError, match=rf"^{name}: need 0 < {bounds} < inf$"):
+                    call()
 
 
 @pytest.mark.parametrize("f", [math.inf, math.nan, -1e9])
@@ -545,6 +558,25 @@ def test_out_of_range_kl_raises_no_runtime_warning():
         for call in (bloch_point, semi_infinite_reflection, lambda c, f: chain_profile(c, f, 20)):
             with pytest.raises(NumericError):
                 call(cell, 0.5e9)
+
+
+def test_small_kl_raises_no_runtime_warning(default_cell):
+    # kL = 1e-5 at 1 mHz: the two Bloch pairs round onto each other and Gamma
+    # is 0/0.  The NumericError comes alone and names the small side
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (bloch_point, semi_infinite_reflection):
+            with pytest.raises(
+                NumericError, match=r"f=0\.001 Hz \(kL = 9\.65e-06\): .* at small kL$"
+            ):
+                call(default_cell, 1e-3)
+
+
+def test_kl_far_past_the_range_is_readable(default_cell):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the forcing layer's overflow
+        with pytest.raises(NumericError, match=r"\(kL = 3\.05e\+146\): .* at large kL$"):
+            cell_matrices(default_cell, 1e300)
 
 
 def test_rod_zero_raises_no_runtime_warning(default_cell):

@@ -168,6 +168,30 @@ def test_non_finite_material_property_exits_2_naming_its_path(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["youngs_modulus_pa", "density_kg_m3"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_non_positive_material_property_names_its_path(key, value):
+    with pytest.raises(ConfigError, match=rf"^materials\.AlN\.{key}: must be positive$"):
+        parse_config({"materials": {"AlN": {key: value}}})
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "config root: expected a JSON object"),
+        ({"materials": []}, "materials: expected an object"),
+        ({"materials": {"AlN": 1}}, "materials.AlN: expected an object"),
+        ({"geometry": []}, "geometry: expected an object"),
+        ({"sweep": "x"}, "sweep: expected an object"),
+        ({"geometry_sweep": 3}, "geometry_sweep: expected an object"),
+        ({"output": 0}, "output: expected an object"),
+    ],
+)
+def test_non_object_sections_are_refused_naming_their_path(doc, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(doc)
+
+
 def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys):
     from rodwave.cli import main
 

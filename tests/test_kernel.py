@@ -151,7 +151,7 @@ def test_passband_factor_decays_under_limiting_absorption(L_um, a_frac, layers, 
     arg = 2 * np.pi * f / cell.rod.velocity * cell.rod.height
     checked = 0
     for zero in (False, True):
-        sw = bloch._bloch_arrays(cell, f, with_gamma=False, force_zero_coupling=zero)
+        sw = bloch._table(bloch._front(cell, f, force_zero_coupling=zero), with_gamma=False)
         kl = sw.k * cell.cell_length
         # a real factor on the unit circle is +-1, where both members round to
         # the same value and there is no direction to choose
@@ -240,8 +240,7 @@ def test_kernel_chunks_change_no_bit(default_cell):
     """
     sw = sweep(default_cell, 0.1e9, 6e9, 2000)
     chunks = [
-        bloch._bloch_arrays(default_cell, sw.f[lo : lo + 7], with_gamma=True,
-                            force_zero_coupling=False)
+        bloch._table(bloch._front(default_cell, sw.f[lo : lo + 7]), with_gamma=True)
         for lo in range(0, len(sw), 7)
     ]
     for field in dataclasses.fields(bloch.Sweep):
@@ -297,7 +296,7 @@ def _mp_gamma(kl, sigma, lam):
 def test_gamma_matches_mpmath(L_um):
     cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
     f = np.random.default_rng(31).uniform(0.1e9, 6e9, 300)
-    a = bloch._bloch_arrays(cell, f, with_gamma=True, force_zero_coupling=False)
+    a = bloch._table(bloch._front(cell, f), with_gamma=True)
     worst = 0.0
     for kl, s, lam, g in zip(
         (a.k * cell.cell_length).tolist(), a.sigma.tolist(), a.lambda_flex.tolist(),
@@ -322,7 +321,7 @@ def test_point_outputs_do_not_depend_on_the_batch(L_um, a_frac, freqs, split):
     split = min(split, len(freqs) - 1)
 
     def run(fs):
-        return bloch._bloch_arrays(cell, fs, with_gamma=True, force_zero_coupling=False)
+        return bloch._table(bloch._front(cell, fs), with_gamma=True)
 
     whole = run(f)
     parts = [run(f[:split]), run(f[split:])]

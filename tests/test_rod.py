@@ -131,6 +131,23 @@ def test_extrema_empty_below_first_pole(default_rod):
     assert impedance_extrema(default_rod, 0.5 * default_rod.first_pole) == []
 
 
+@pytest.mark.parametrize(
+    "section", [None, LaminateSection(70e9, 2700.0, 330e-9), LaminateSection(411e9, 19300.0, 7e-6)]
+)
+def test_extrema_lie_on_the_quarter_wave_lattice(default_rod, section):
+    # poles (2n-1) c/(4h) and zeros n c/(2h), bit for bit, over 40 extrema
+    rod = default_rod if section is None else RodModel(section)
+    c, h = rod.velocity, rod.height
+    expected = []
+    for n in range(1, 21):
+        expected += [((2 * n - 1) * c / (4.0 * h), "pole"), (n * c / (2.0 * h), "zero")]
+    last = expected[-1][0]
+    # a search limit equal to an extremum includes it
+    assert repr(impedance_extrema(rod, last)) == repr(expected)
+    assert repr(impedance_extrema(rod, math.nextafter(last, 0.0))) == repr(expected[:-1])
+    assert repr(impedance_extrema(rod, expected[-2][0])) == repr(expected[:-1])
+
+
 def test_extrema_alternate_and_sorted(default_rod):
     ext = impedance_extrema(default_rod, 30e9)
     freqs = [f for f, _ in ext]
