@@ -69,6 +69,8 @@ TOL_BAND = 1e-6  # in_stopband when 1 - |lambda_flex| exceeds this
 EDGE_REFINE_HZ = 1e3  # band edges bisected down to this resolution
 MARKER_MIN_REAL = 0.98  # smallest in-band max(Re Gamma) that counts as a marker
 _INTERIOR_SAMPLES = 17  # uniform in-band samples of band_gamma_extrema
+_EDGE_OFFSETS = (1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2)  # edge samples, per band width
+_TREE_LEVELS = 4  # bisection levels of every edge bracket per stage call
 
 
 @dataclass(frozen=True)
@@ -536,17 +538,45 @@ def sweep_cells(
 
 
 def _refine_edges(cell: UnitCellGeometry, f_in, f_out) -> list[float]:
-    """Bisect in-band/out-of-band brackets down to EDGE_REFINE_HZ, all at once."""
+    """Bisect in-band/out-of-band brackets down to EDGE_REFINE_HZ, all at once.
+
+    Each round evaluates the next _TREE_LEVELS levels of every active
+    bracket's bisection tree in one stage call, then walks each bracket down
+    its tree: the same midpoints 0.5 * (lo + hi) and the same stop at
+    EDGE_REFINE_HZ as one level per call.  A point is in the stopband when
+    |lambda_flex| < 1 - TOL_BAND, as in Sweep.in_stopband.
+    """
     lo = np.array(f_in, dtype=float)
     hi = np.array(f_out, dtype=float)
     while True:
         active = np.flatnonzero(np.abs(hi - lo) > EDGE_REFINE_HZ)
         if not active.size:
             return (0.5 * (lo + hi)).tolist()
-        mid = 0.5 * (lo[active] + hi[active])
-        stop = _table(_front(cell, mid), with_gamma=False).in_stopband
-        lo[active] = np.where(stop, mid, lo[active])
-        hi[active] = np.where(stop, hi[active], mid)
+        # the tree's nodes level by level, (m, 2^level) each; a node's children
+        # are (mid, b), taken when mid is in the stopband, then (a, mid)
+        a, b = lo[active, None], hi[active, None]
+        mids, needed = [], []
+        for _ in range(_TREE_LEVELS):
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            needed.append(np.abs(b - a) > EDGE_REFINE_HZ)
+            a = np.stack([mid, a], axis=2).reshape(a.shape[0], -1)
+            b = np.stack([b, mid], axis=2).reshape(a.shape)
+        mids, needed = np.concatenate(mids, axis=1), np.concatenate(needed, axis=1)
+        stop = np.zeros(mids.shape, dtype=bool)
+        stop[needed] = _transmitted(_front(cell, mids[needed]))[-1] < 1.0 - TOL_BAND
+        # walk each bracket down its tree; level l fills columns 2^l - 1 .. 2^(l+1) - 2
+        rows = np.arange(active.size)
+        node = np.zeros(active.size, dtype=int)
+        a, b = lo[active], hi[active]
+        for level in range(_TREE_LEVELS):
+            at = (1 << level) - 1 + node
+            go = np.abs(b - a) > EDGE_REFINE_HZ
+            s = stop[rows, at]
+            a = np.where(go & s, mids[rows, at], a)
+            b = np.where(go & ~s, mids[rows, at], b)
+            node = 2 * node + ~s
+        lo[active], hi[active] = a, b
 
 
 def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> StopbandReport:
@@ -570,9 +600,10 @@ def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> Stopb
         edges = dict(zip(brackets, _refine_edges(cell, sweep.f[at[:, 0]], sweep.f[at[:, 1]])))
 
     bands: list[Band] = []
-    markers: list[float] = []
+    marks = {}  # band index -> its fixed-constraint marker
+    sampled = []  # (band index, _gamma_samples) of the bands sampled off the grid
     narrow = False
-    for i, j in runs:
+    for b, (i, j) in enumerate(runs):
         f = sweep.f[i : j + 1].tolist()
         # libm log and left-to-right sums: numpy's may differ in the last bit,
         # and built-in sum() of floats is compensated from Python 3.12 on
@@ -589,39 +620,51 @@ def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> Stopb
         if j - i + 1 < 3:
             narrow = True
         if cell is not None and f_high > f_low:
-            (f_max, re_max), _ = band_gamma_extrema(cell, f_low, f_high)
-            if re_max >= MARKER_MIN_REAL:
-                markers.append(f_max)
+            sampled.append((b, _gamma_samples(f_low, f_high)))
         else:
             best = int(np.argmax(sweep.gamma.real[i : j + 1]))
             if sweep.gamma.real[i + best] >= MARKER_MIN_REAL:
-                markers.append(f[best])
+                marks[b] = f[best]
+    if sampled:
+        # one stage call over every sampled band, one row of samples per band
+        fs = np.array([s for _, s in sampled])
+        re = _table(_front(cell, fs.ravel()), with_gamma=True).gamma.real.reshape(fs.shape)
+        for (b, s), row, best in zip(sampled, re, re.argmax(axis=1).tolist()):
+            if row[best] >= MARKER_MIN_REAL:
+                marks[b] = s[best]
     coarse = narrow or n < 4
     f0, f1 = sweep.f[:2].tolist()
     return StopbandReport(
         bands=tuple(bands),
-        resonance_markers=tuple(markers),
+        resonance_markers=tuple(marks[b] for b in sorted(marks)),
         coarse_grid_warning=coarse,
         grid_step=f1 - f0,
     )
 
 
+def _gamma_samples(f_low: float, f_high: float) -> list[float]:
+    """The sorted frequencies at which Re(Gamma) is sampled in a band.
+
+    Re(Gamma) approaches its extreme values very close to the band edges, so
+    the sampling mixes _INTERIOR_SAMPLES uniform interior points with
+    geometric offsets from both edges, the same number in every band.
+    """
+    width = f_high - f_low
+    fs = [f_low + width * o for o in _EDGE_OFFSETS]
+    fs += [f_high - width * o for o in _EDGE_OFFSETS]
+    fs += np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, _INTERIOR_SAMPLES).tolist()
+    fs.sort()
+    return fs
+
+
 def band_gamma_extrema(
     cell: UnitCellGeometry, f_low: float, f_high: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """In-band extrema of Re(Gamma) as ((f_at_max, max), (f_at_min, min)).
-
-    Re(Gamma) approaches its extreme values very close to the band edges, so
-    the sampling mixes uniform interior points with geometric edge offsets.
-    """
+    """In-band extrema of Re(Gamma) as ((f_at_max, max), (f_at_min, min)),
+    over the samples of _gamma_samples."""
     if not 0 < f_low < f_high < math.inf:
         raise ValueError("band_gamma_extrema: need 0 < f_low < f_high < inf")
-    width = f_high - f_low
-    offsets = [1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2]
-    fs = [f_low + width * o for o in offsets]
-    fs += [f_high - width * o for o in offsets]
-    fs += np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, _INTERIOR_SAMPLES).tolist()
-    fs.sort()
+    fs = _gamma_samples(f_low, f_high)
     re = _table(_front(cell, np.array(fs)), with_gamma=True).gamma.real
     i, j = int(np.argmax(re)), int(np.argmin(re))
     return (fs[i], float(re[i])), (fs[j], float(re[j]))
@@ -654,9 +697,13 @@ def chain_profile(
     n = operator.index(n_cells)
     if n < 2:
         raise ValueError("chain_profile: n_cells must be >= 2")
-    kl, _, outer, inner, lam_flex, _ = _transmitted(
+    kl, y, outer, inner, lam_flex, _ = _transmitted(
         _front(cell, np.array([float(f)]), force_zero_coupling=force_zero_coupling)
     )
+    if y[0, 0] == y[0, 1]:
+        # below the small-kL floor both pairs round onto lambda = 1: the four
+        # modes are not independent, and bloch_point's Gamma is 0/0 there
+        raise non_finite_error("Gamma", float(f), kl[0])
     lam_flex = complex(lam_flex[0])
     lam = np.concatenate([inner[0], outer[0]])  # modes: inner, inner, outer, outer
     v = _eigenvectors(kl, lam[:, None])[0][:, 0]  # (mode, component)

@@ -113,11 +113,18 @@ def forcing_strength(cell: UnitCellGeometry, f: float) -> tuple[float, float]:
 
 
 def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, float, float]:
-    """forcing_arrays at one frequency f > 0, as floats (k, f_eff, sigma)."""
+    """forcing_arrays at one frequency f > 0, as floats (k, f_eff, sigma).
+
+    NumericError where sigma is not finite off a pole: at f ~ 1e-300 Hz k**3
+    underflows and sigma is 0/0.
+    """
     if not 0 < f < math.inf:
         raise ValueError(f"{caller}: f must be > 0 and finite")
-    k, f_eff, sigma = forcing_arrays(cell, np.array([float(f)]))
-    return float(k[0]), float(f_eff[0]), float(sigma[0])
+    with np.errstate(invalid="ignore", divide="ignore"):  # reported just below
+        k, f_eff, sigma = (float(x[0]) for x in forcing_arrays(cell, np.array([float(f)])))
+    if not math.isfinite(sigma) and math.isfinite(f_eff):
+        raise non_finite_error("sigma", float(f), k * cell.cell_length)
+    return k, f_eff, sigma
 
 
 def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):

@@ -31,6 +31,8 @@ RECIPROCITY_FAIL = 1e-5
 # rows formatted and written at a time: the formatted text of one block is
 # the writer's largest temporary (about 0.2 MB of text for sweep.csv)
 _CSV_BLOCK_ROWS = 1024
+# %-format of a column by its dtype kind; any other kind is written with %s
+_CSV_FORMATS = {"f": "%r", "i": "%d", "u": "%d", "b": "%d"}
 
 
 def _write_csv(
@@ -60,16 +62,21 @@ def _write_csv(
             f"{path.name}: refusing to write non-finite value {cols[j][row].item()!r} to CSV"
             f" (column {header[j]}, row {header[0]}={cols[0][row].item()})"
         )
-    # str() of a Python float is its repr; bools go through int for 0/1
-    cols = [col.astype(int) if col.dtype.kind == "b" else col for col in cols]
+    # one %-format per block over the values interleaved row by row: %r of a
+    # Python float is its str(), %d writes ints exactly and bools as 0/1
+    row_format = ",".join(_CSV_FORMATS.get(col.dtype.kind, "%s") for col in cols) + "\n"
+    n, width = len(cols[0]), len(cols)
     with path.open("w") as fh:
         fh.write(f"# rodwave {__version__} config_sha256={cfg_hash}\n")
         for note in notes or []:
             fh.write(f"# {note}\n")
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-            cells = [map(str, col[lo:lo + _CSV_BLOCK_ROWS].tolist()) for col in cols]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            rows = min(_CSV_BLOCK_ROWS, n - lo)
+            values = [None] * (rows * width)
+            for j, col in enumerate(cols):
+                values[j::width] = col[lo:lo + rows].tolist()
+            fh.write(row_format * rows % tuple(values))
 
 
 def _resolve_out(config: RunConfig, out_dir: str | None) -> Path:

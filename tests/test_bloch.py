@@ -6,6 +6,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodwave import (
     bloch_point,
@@ -572,6 +574,27 @@ def test_small_kl_raises_no_runtime_warning(default_cell):
                 call(default_cell, 1e-3)
 
 
+@pytest.mark.parametrize("f", [1e-10, 1e-3, 0.03, 0.1, 0.3])
+def test_chain_below_the_small_kl_floor_raises_as_bloch_point(default_cell, f):
+    # both y-roots round to exactly 2 here, so the four modes are one: the
+    # chain raised numpy's LinAlgError, or at 0.03 Hz returned |amp| = 522
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError) as point:
+            bloch_point(default_cell, f)
+        with pytest.raises(NumericError) as chain:
+            chain_profile(default_cell, f, 20)
+    assert str(chain.value) == str(point.value)
+    assert str(chain.value).endswith("at small kL")
+
+
+@pytest.mark.parametrize("f", [0.5, 1.0])
+def test_chain_just_above_the_small_kl_floor_runs(default_cell, f):
+    profile = chain_profile(default_cell, f, 20)
+    assert np.all(np.isfinite(profile.log_magnitudes))
+    assert abs(profile.reflection) < 1
+
+
 def test_kl_far_past_the_range_is_readable(default_cell):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the forcing layer's overflow
@@ -676,3 +699,112 @@ def test_geometry_sweep_front_is_the_step_fronts(monkeypatch, parameter, on_pole
         expected = np.concatenate([getattr(fr, name) for fr in own])
         assert getattr(front, name).tobytes() == expected.tobytes(), name
     assert front.L.tobytes() == np.repeat([fr.L for fr in own], f.size).tobytes()
+
+
+def _one_level_edges(cell, f_in, f_out):
+    """Edge bisection with one level of every bracket per stage call."""
+    lo = np.array(f_in, dtype=float)
+    hi = np.array(f_out, dtype=float)
+    while True:
+        active = np.flatnonzero(np.abs(hi - lo) > bloch.EDGE_REFINE_HZ)
+        if not active.size:
+            return (0.5 * (lo + hi)).tolist()
+        mid = 0.5 * (lo[active] + hi[active])
+        stop = bloch._table(bloch._front(cell, mid), with_gamma=False).in_stopband
+        lo[active] = np.where(stop, mid, lo[active])
+        hi[active] = np.where(stop, hi[active], mid)
+
+
+def _per_band_gamma_extrema(cell, f_low, f_high):
+    """Re(Gamma) extrema from one stage call on the band's own 31 samples."""
+    width = f_high - f_low
+    offsets = [1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2]
+    fs = [f_low + width * o for o in offsets]
+    fs += [f_high - width * o for o in offsets]
+    fs += np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, 17).tolist()
+    fs.sort()
+    re = bloch._table(bloch._front(cell, np.array(fs)), with_gamma=True).gamma.real
+    i, j = int(np.argmax(re)), int(np.argmin(re))
+    return (fs[i], float(re[i])), (fs[j], float(re[j]))
+
+
+def _one_call_per_step_report(sw, cell):
+    """(bands, markers) of the stopband post-pass run one step per stage call:
+    one bisection level per call, then one Gamma call per band."""
+    n = len(sw)
+    grid = stopband_report(sw)  # centres and attenuation; grid-point edges
+    starts, ends = bloch._runs(sw.in_stopband)
+    runs = list(zip(starts.tolist(), ends.tolist()))
+    brackets = [(i, i - 1) for i, _ in runs if i > 0] + [(j, j + 1) for _, j in runs if j < n - 1]
+    at = np.array(brackets, dtype=int).reshape(-1, 2)
+    edges = dict(zip(brackets, _one_level_edges(cell, sw.f[at[:, 0]], sw.f[at[:, 1]])))
+    bands, markers = [], []
+    for band, (i, j) in zip(grid.bands, runs):
+        f_low = edges.get((i, i - 1), band.f_low)
+        f_high = edges.get((j, j + 1), band.f_high)
+        bands.append(dataclasses.replace(band, f_low=f_low, f_high=f_high))
+        if f_high > f_low:
+            high, low = _per_band_gamma_extrema(cell, f_low, f_high)
+            assert band_gamma_extrema(cell, f_low, f_high) == (high, low)
+            if high[1] >= bloch.MARKER_MIN_REAL:
+                markers.append(high[0])
+    return bands, markers
+
+
+def _assert_report_is_one_call_per_step(sw, cell):
+    bands, markers = _one_call_per_step_report(sw, cell)
+    report = stopband_report(sw, cell)
+    fields = [f.name for f in dataclasses.fields(bloch.Band)]
+    assert [[repr(getattr(b, name)) for name in fields] for b in report.bands] == [
+        [repr(getattr(b, name)) for name in fields] for b in bands
+    ]
+    assert [repr(m) for m in report.resonance_markers] == [repr(m) for m in markers]
+    return report
+
+
+@pytest.mark.parametrize("points", [2000, 700])
+@pytest.mark.parametrize("L_um", [0.5, 1.0, 3.8, 8.0, 12.0])
+def test_report_matches_one_stage_call_per_step(L_um, points):
+    """Every band field and marker, by repr, against the post-pass with one
+    bisection level per stage call and one Gamma call per band.  The default
+    2000 points need 12 bisection levels; 700 points need 13, so the last
+    round stops a level into its tree."""
+    config = parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}})
+    cell = unit_cell(config)
+    s = config.sweep
+    report = _assert_report_is_one_call_per_step(sweep(cell, s.f_start, s.f_stop, points), cell)
+    assert report.bands
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    L_um=st.floats(0.5, 12.0),
+    a_frac=st.floats(0.05, 0.95),
+    layers=st.fixed_dictionaries(
+        {name: st.floats(*r) for name, r in {
+            "t_aln1_nm": (200, 800), "t_m1_nm": (100, 500),
+            "t_aln2_nm": (300, 1200), "t_m2_nm": (150, 700),
+        }.items()}
+    ),
+    points=st.integers(50, 2000),
+)
+def test_report_matches_one_stage_call_per_step_on_drawn_geometries(L_um, a_frac, layers, points):
+    config = parse_config({
+        "geometry": dict(layers, L_um=L_um, a_um=a_frac * L_um),
+        "sweep": {"points": points},
+    })
+    cell = unit_cell(config)
+    s = config.sweep
+    _assert_report_is_one_call_per_step(sweep(cell, s.f_start, s.f_stop, s.points), cell)
+
+
+def test_default_sweep_and_report_make_at_most_five_stage_calls(monkeypatch, default_config):
+    # the sweep, three rounds of four bisection levels and one Gamma call
+    calls = []
+    stage = bloch._transmitted
+    monkeypatch.setattr(bloch, "_transmitted", lambda fr: calls.append(fr.f.size) or stage(fr))
+    cell = unit_cell(default_config)
+    s = default_config.sweep
+    report = stopband_report(sweep(cell, s.f_start, s.f_stop, s.points), cell)
+    assert len(report.bands) == 6
+    assert len(calls) <= 5, calls

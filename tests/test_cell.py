@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rodwave import (
     forcing_strength,
     scatter_coefficients,
 )
+from rodwave.errors import NumericError
 from rodwave.cell import scattering_matrix
 from rodwave.workbench import transfer_matrix_reference
 
@@ -220,3 +222,20 @@ def test_geometry_invariant(default_cell):
             trench=default_cell.trench,
             rod=default_cell.rod,
         )
+
+
+@pytest.mark.parametrize("f", [1e-300, 1e-320, 5e-324])
+def test_forcing_below_the_small_kl_floor_names_f(default_cell, f):
+    # k**3 underflows to 0 and sigma is 0/0: an error naming f, no NaN
+    # coefficients and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (forcing_strength, scatter_coefficients, cell_matrices):
+            with pytest.raises(NumericError, match=rf"non-finite sigma at f={f!r} Hz .* small kL$"):
+                call(default_cell, f)
+
+
+def test_forcing_at_the_rod_pole_stays_infinite(default_cell):
+    # the pole's signed-infinite sigma is the model's, not an underflow
+    f_eff, sigma = forcing_strength(default_cell, default_cell.rod.first_pole)
+    assert math.isinf(f_eff) and math.isinf(sigma)

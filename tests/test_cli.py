@@ -196,6 +196,16 @@ def test_chain_csv_log_column_below_underflow(tmp_path):
     assert per_cell == pytest.approx(-7.12 / math.log(10), rel=0.02)
 
 
+def test_chain_below_the_small_kl_floor_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
+    assert main(["chain", "--config", str(cfg), "--freq", "0.3", "--cells", "20"]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: non-finite Gamma at f=0.3 Hz (kL = 0.000167):"
+        " the closed forms lose all precision at small kL\n"
+    )
+    assert not (tmp_path / "out" / "chain.csv").exists()
+
+
 def test_chain_cell_count_limits(tmp_path):
     cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
     assert main(["chain", "--config", str(cfg), "--freq", "2.3e9", "--cells", "1"]) == 2
@@ -441,6 +451,40 @@ def test_non_finite_value_past_the_first_block_names_its_row(tmp_path):
         f" (column im_Zb, row f_hz={float(_CSV_BLOCK_ROWS + 3)})"
     )
     assert not path.exists()
+
+
+def _join_str_rows(columns):
+    """CSV rows as ",".join(map(str, row)), bools through int."""
+    cols = [np.asarray(c) for c in columns.values()]
+    cols = [c.astype(int) if c.dtype.kind == "b" else c for c in cols]
+    return "".join(",".join(map(str, row)) + "\n" for row in zip(*(c.tolist() for c in cols)))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_csv_rows_are_the_joined_str_of_each_value(tmp_path, offset):
+    from rodwave.workbench import _CSV_BLOCK_ROWS, _write_csv
+
+    n = _CSV_BLOCK_ROWS + offset
+    floats = [-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, 0.1, -2.5e-300, 1.0]
+    ints = [2**53 + 1, -(2**63), 2**63 - 1, 0, -7]
+    columns = {
+        "matrix": np.repeat(["G", "C", "D", "T"], -(-n // 4))[:n],  # numpy str
+        "row": np.arange(n) % 4,
+        "x": np.resize(floats, n),
+        "big": np.resize(np.array(ints, dtype=np.int64), n),
+        "flag": np.arange(n) % 3 == 0,
+        "y": [floats[(i * 5) % len(floats)] for i in range(n)],  # a list of Python floats
+    }
+    path = tmp_path / "t.csv"
+    _write_csv(path, columns, "0" * 64, ["note"])
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[:3] == [
+        f"# rodwave {rodwave.__version__} config_sha256={'0' * 64}\n",
+        "# note\n",
+        "matrix,row,x,big,flag,y\n",
+    ]
+    assert "".join(lines[3:]) == _join_str_rows(columns)
+    assert len(lines) == 3 + n
 
 
 def test_verbose_holds_on_every_call_in_one_process(tmp_path, capsys):
