@@ -159,7 +159,6 @@ class StopbandReport:
     bands: tuple[Band, ...]
     resonance_markers: tuple[float, ...]
     coarse_grid_warning: bool
-    grid_step: float
 
     @property
     def primary_band(self) -> Band | None:
@@ -505,16 +504,9 @@ def _grid(f_start: float, f_stop: float, points: int, caller: str) -> np.ndarray
     return np.linspace(f_start, f_stop, points)
 
 
-def sweep(
-    cell: UnitCellGeometry,
-    f_start: float,
-    f_stop: float,
-    points: int,
-    *,
-    with_gamma: bool = True,
-) -> Sweep:
-    """Uniform frequency sweep with branch-continuous Re(k_ef), as one table."""
-    sw = _table(_front(cell, _grid(f_start, f_stop, points, "sweep")), with_gamma=with_gamma)
+def sweep(cell: UnitCellGeometry, f_start: float, f_stop: float, points: int) -> Sweep:
+    """Uniform frequency sweep with branch-continuous Re(k_ef) and Gamma, as one table."""
+    sw = _table(_front(cell, _grid(f_start, f_stop, points, "sweep")), with_gamma=True)
     L = cell.cell_length
     args = np.unwrap(np.angle(sw.lambda_flex))
     branch = _branch_indices(sw.in_stopband, sw.k * L - args)
@@ -529,9 +521,9 @@ def sweep_cells(
 
     The front is one array evaluation over the cells' grids end to end, and
     the Bloch stage runs once over it: rows i * points .. (i + 1) * points - 1
-    are those of cells[i], bit for bit the rows of sweep(cells[i], ...,
-    with_gamma=False) except Re(k_ef), which is 0.  A NumericError's row is
-    its row in this table.
+    are bit for bit the stage's table of cells[i] on its own grid, without
+    Gamma, so Re(k_ef), the Gamma columns and the eigen-check are 0.  A
+    NumericError's row is its row in this table.
     """
     f = np.tile(_grid(f_start, f_stop, points, "sweep_cells"), len(cells))
     return _table(_front(stacked_cells(cells, points), f), with_gamma=False)
@@ -582,9 +574,11 @@ def _refine_edges(cell: UnitCellGeometry, f_in, f_out) -> list[float]:
 def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> StopbandReport:
     """Group a sweep into disjoint stopbands with centers and markers.
 
-    When the cell is provided, band edges are refined by bisection; otherwise
-    the grid brackets are reported.  Markers are the in-band frequencies
-    where Re(Gamma) peaks close to +1 (virtual-fixed-constraint signature).
+    When the cell is provided, band edges are refined by bisection and each
+    band's Re(Gamma) is sampled between its refined edges; the markers are the
+    samples where Re(Gamma) peaks close to +1 (virtual-fixed-constraint
+    signature).  Without the cell the grid brackets are reported and there are
+    no markers.
     """
     n = len(sweep)
     if n < 2:
@@ -600,10 +594,9 @@ def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> Stopb
         edges = dict(zip(brackets, _refine_edges(cell, sweep.f[at[:, 0]], sweep.f[at[:, 1]])))
 
     bands: list[Band] = []
-    marks = {}  # band index -> its fixed-constraint marker
-    sampled = []  # (band index, _gamma_samples) of the bands sampled off the grid
+    sampled = []  # _gamma_samples of each band whose edges differ
     narrow = False
-    for b, (i, j) in enumerate(runs):
+    for i, j in runs:
         f = sweep.f[i : j + 1].tolist()
         # libm log and left-to-right sums: numpy's may differ in the last bit,
         # and built-in sum() of floats is compensated from Python 3.12 on
@@ -620,25 +613,19 @@ def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> Stopb
         if j - i + 1 < 3:
             narrow = True
         if cell is not None and f_high > f_low:
-            sampled.append((b, _gamma_samples(f_low, f_high)))
-        else:
-            best = int(np.argmax(sweep.gamma.real[i : j + 1]))
-            if sweep.gamma.real[i + best] >= MARKER_MIN_REAL:
-                marks[b] = f[best]
+            sampled.append(_gamma_samples(f_low, f_high))
+    markers = []
     if sampled:
         # one stage call over every sampled band, one row of samples per band
-        fs = np.array([s for _, s in sampled])
+        fs = np.array(sampled)
         re = _table(_front(cell, fs.ravel()), with_gamma=True).gamma.real.reshape(fs.shape)
-        for (b, s), row, best in zip(sampled, re, re.argmax(axis=1).tolist()):
+        for s, row, best in zip(sampled, re, re.argmax(axis=1).tolist()):
             if row[best] >= MARKER_MIN_REAL:
-                marks[b] = s[best]
-    coarse = narrow or n < 4
-    f0, f1 = sweep.f[:2].tolist()
+                markers.append(s[best])
     return StopbandReport(
         bands=tuple(bands),
-        resonance_markers=tuple(marks[b] for b in sorted(marks)),
-        coarse_grid_warning=coarse,
-        grid_step=f1 - f0,
+        resonance_markers=tuple(markers),
+        coarse_grid_warning=narrow or n < 4,
     )
 
 
@@ -767,7 +754,7 @@ def field_profile(
     a = cell.rod_width
     L = cell.cell_length
     t_raw = mats.D @ psi
-    w_raw = mats.C @ (mats.D @ psi)
+    w_raw = mats.C @ t_raw
 
     x = np.linspace(-L / 2.0, L / 2.0, x_samples)
     # the piston moves with the left span's value at its left face

@@ -114,12 +114,15 @@ def _read_number(obj: dict, key: str, default, path: str, integral: bool = False
     return int(raw) if integral else value
 
 
-def _read_length(obj: dict, base: str, default: float, path: str) -> float:
-    """Read a length given as <base>_nm / <base>_um / <base>_m."""
+def _read_length(obj: dict, base: str, default: float | None, path: str) -> float:
+    """Read a length given as <base>_nm / <base>_um / <base>_m; a default of
+    None makes it required."""
     found = [suffix for suffix in _UNIT_SCALE if f"{base}_{suffix}" in obj]
     if len(found) > 1:
         raise ConfigError(f"{path}: give {base!r} in exactly one unit, got {found}")
     if not found:
+        if default is None:
+            raise ConfigError(f"{path}: {base}_nm, {base}_um or {base}_m is required")
         log.info("config default: %s.%s = %g m", path, base, default)
         return default
     key = f"{base}_{found[0]}"
@@ -134,22 +137,17 @@ def _length_keys(base: str) -> set[str]:
 
 
 def _parse_materials(obj: dict | None) -> dict[str, Material]:
+    """The stack's three materials, each constant overridable; any other name is refused."""
     materials = dict(DEFAULT_MATERIALS)
     if obj is None:
         log.info("config default: materials = built-in AlN/Al/Pt constants")
         return materials
-    if not isinstance(obj, dict):
-        raise ConfigError("materials: expected an object")
+    _reject_unknown(obj, set(DEFAULT_MATERIALS), "materials")
     for name, entry in obj.items():
         _reject_unknown(entry, {"youngs_modulus_pa", "density_kg_m3"}, f"materials.{name}")
-        base = materials.get(name)
-        if base is None and not {"youngs_modulus_pa", "density_kg_m3"} <= entry.keys():
-            raise ConfigError(
-                f"materials.{name}: new materials need both youngs_modulus_pa and density_kg_m3"
-            )
-        e_base, rho_base = (base.youngs_modulus, base.density) if base else (None, None)
-        e = _read_number(entry, "youngs_modulus_pa", e_base, f"materials.{name}")
-        rho = _read_number(entry, "density_kg_m3", rho_base, f"materials.{name}")
+        base = materials[name]
+        e = _read_number(entry, "youngs_modulus_pa", base.youngs_modulus, f"materials.{name}")
+        rho = _read_number(entry, "density_kg_m3", base.density, f"materials.{name}")
         for key, value in (("youngs_modulus_pa", e), ("density_kg_m3", rho)):
             if not value > 0:
                 raise ConfigError(f"materials.{name}.{key}: must be positive")
@@ -192,7 +190,7 @@ def _parse_sweep(obj: dict | None) -> SweepConfig:
     return SweepConfig(f_start=f_start, f_stop=f_stop, points=points)
 
 
-def _parse_geom_sweep(obj: dict | None, geometry: GeometryConfig) -> GeomSweepConfig | None:
+def _parse_geom_sweep(obj: dict | None) -> GeomSweepConfig | None:
     if obj is None:
         return None
     allowed = {"parameter", "steps"} | _length_keys("from") | _length_keys("to")
@@ -202,10 +200,8 @@ def _parse_geom_sweep(obj: dict | None, geometry: GeometryConfig) -> GeomSweepCo
         raise ConfigError(
             f"geometry_sweep.parameter: must be one of {GEOM_PARAMETERS}, got {parameter!r}"
         )
-    start = _read_length(obj, "from", float("nan"), "geometry_sweep")
-    stop = _read_length(obj, "to", float("nan"), "geometry_sweep")
-    if math.isnan(start) or math.isnan(stop):
-        raise ConfigError("geometry_sweep: both from_* and to_* are required")
+    start = _read_length(obj, "from", None, "geometry_sweep")
+    stop = _read_length(obj, "to", None, "geometry_sweep")
     steps = _read_number(obj, "steps", 11, "geometry_sweep", integral=True)
     if steps < 1:
         raise ConfigError("geometry_sweep.steps: must be >= 1")
@@ -233,12 +229,11 @@ def parse_config(doc: dict) -> RunConfig:
     _reject_unknown(
         doc, {"materials", "geometry", "sweep", "geometry_sweep", "output"}, "config"
     )
-    geometry = _parse_geometry(doc.get("geometry"))
     return RunConfig(
+        geometry=_parse_geometry(doc.get("geometry")),
         materials=_parse_materials(doc.get("materials")),
-        geometry=geometry,
         sweep=_parse_sweep(doc.get("sweep")),
-        geometry_sweep=_parse_geom_sweep(doc.get("geometry_sweep"), geometry),
+        geometry_sweep=_parse_geom_sweep(doc.get("geometry_sweep")),
         output=_parse_output(doc.get("output")),
     )
 
@@ -257,17 +252,10 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(doc)
 
 
-def _required_material(config: RunConfig, name: str) -> Material:
-    try:
-        return config.materials[name]
-    except KeyError as exc:
-        raise ConfigError(f"materials: {name!r} is required by the layer stack") from exc
-
-
 def _aln_stack(config: RunConfig, t_aln: float, metal: str, t_metal: float) -> LaminateSection:
     """The section of an AlN film of thickness t_aln over a metal film of thickness t_metal."""
-    aln, top = _required_material(config, "AlN"), _required_material(config, metal)
-    return effective_properties([Layer(aln, t_aln), Layer(top, t_metal)])
+    mats = config.materials
+    return effective_properties([Layer(mats["AlN"], t_aln), Layer(mats[metal], t_metal)])
 
 
 def unit_cell(config: RunConfig, geometry: GeometryConfig | None = None) -> UnitCellGeometry:

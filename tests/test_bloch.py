@@ -632,7 +632,8 @@ _REPORT_COLUMNS = (
 @pytest.mark.parametrize("parameter", sorted(_GEOM_SPANS_UM))
 def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, parameter):
     """Each kept step's rows of the one-pass geometry table are bit for bit the
-    rows of its own sweep, and its geomsweep.csv row is that sweep's primary band."""
+    stage's table of its own cell and grid, without Gamma, and its geomsweep.csv
+    row is that table's primary band."""
     lo, hi = _GEOM_SPANS_UM[parameter]
     config = parse_config({
         "sweep": dict(zip(("f_start_hz", "f_stop_hz", "points"), _GRID)),
@@ -656,7 +657,7 @@ def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, pa
     if parameter in ("a", "L"):
         assert skipped > 0
     for i, (cell, row) in enumerate(zip(cells, rows)):
-        own = sweep(cell, *_GRID, with_gamma=False)
+        own = bloch._table(bloch._front(cell, np.linspace(*_GRID)), with_gamma=False)
         step = table.rows(i * _GRID[2], (i + 1) * _GRID[2])
         for name in _REPORT_COLUMNS:
             assert getattr(step, name).tobytes() == getattr(own, name).tobytes(), (i, name)

@@ -307,6 +307,41 @@ def test_geom_sweep_single_value(tmp_path):
     assert any("delta_f_hz=0.0" in c for c in comments)
 
 
+def test_geom_sweep_step_without_a_stopband_writes_zeros(tmp_path):
+    # 0.15-0.30 GHz sits between the two lowest gaps of the default cell
+    cfg = write_config(
+        tmp_path,
+        {
+            "sweep": {"f_start_hz": 0.15e9, "f_stop_hz": 0.30e9, "points": 120},
+            "geometry_sweep": {"parameter": "t_aln2", "from_nm": 540, "to_nm": 660,
+                               "steps": 3},
+            "output": {"dir": str(tmp_path / "out")},
+        },
+    )
+    assert main(["geom-sweep", "--config", str(cfg)]) == 0
+    comments, _, rows = read_csv(tmp_path / "out" / "geomsweep.csv")
+    assert [r[1:] for r in rows] == [["0.0", "0.0", "0.0"]] * 3
+    assert "# delta_f_hz=0.0 (max-min of primary-band center)" in comments
+
+
+@pytest.mark.parametrize(
+    "doc, argv, name",
+    [
+        ({"sweep": {"f_start_hz": 1.4e9, "f_stop_hz": 3.2e9, "points": 40},
+          "geometry_sweep": {"parameter": "L", "from_um": 3, "to_um": 5, "steps": 3}},
+         ["geom-sweep"], "geomsweep.svg"),
+        ({}, ["chain", "--freq", "2.3e9", "--cells", "7"], "chain.svg"),
+    ],
+    ids=["geom-sweep", "chain"],
+)
+def test_plot_config_writes_svg(tmp_path, doc, argv, name):
+    cfg = write_config(tmp_path, dict(doc, output={"dir": str(tmp_path / "out"), "plot": True}))
+    assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 0
+    svg = (tmp_path / "out" / name).read_text()
+    assert svg.startswith("<svg")
+    assert "<polyline" in svg
+
+
 def test_matrices_csv(tmp_path):
     cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
     assert main(["matrices", "--config", str(cfg), "--freq", "1.0e9"]) == 0
@@ -406,6 +441,22 @@ def test_non_finite_frequency_is_a_config_error(tmp_path, capsys, sweep, argv):
     cfg = write_config(tmp_path, {"sweep": sweep, "output": {"dir": str(tmp_path / "out")}})
     assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        ({}, ["geom-sweep"], "geometry_sweep section is required for this run"),
+        ({}, ["impedance", "--f-start", "1e8", "--f-stop", "1e9", "--points", "1"],
+         "impedance: points must be >= 2"),
+    ],
+    ids=["geom-sweep-without-section", "impedance-one-point"],
+)
+def test_run_without_what_it_needs_exits_2(tmp_path, capsys, doc, argv, message):
+    cfg = write_config(tmp_path, dict(doc, output={"dir": str(tmp_path / "out")}))
+    assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

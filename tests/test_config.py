@@ -1,11 +1,14 @@
 import json
+import logging
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodwave import ConfigError, load_config, parse_config, sweep, unit_cell
 from rodwave.bloch import stopband_report
-from rodwave.config import config_hash
+from rodwave.config import GEOM_PARAMETERS, canonical_document, config_hash
 
 
 def test_empty_document_gives_full_defaults():
@@ -79,9 +82,20 @@ def test_non_finite_sweep_bound_rejected(tmp_path):
         load_config(path)
 
 
-def test_new_material_requires_both_properties():
-    with pytest.raises(ConfigError, match="both"):
-        parse_config({"materials": {"W": {"density_kg_m3": 19300.0}}})
+def test_unknown_material_name_is_refused_naming_its_path(tmp_path, capsys):
+    from rodwave.cli import main
+
+    # the layer stack reads AlN, Al and Pt only: another name, even with both
+    # constants, is an unknown key like any other
+    doc = {"materials": {"W": {"youngs_modulus_pa": 411e9, "density_kg_m3": 19300.0}}}
+    with pytest.raises(ConfigError, match=r"^unknown key materials\.'W'$"):
+        parse_config(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"materials": {"ALN": {"youngs_modulus_pa": 395e9}},
+                                "output": {"dir": str(tmp_path / "out")}}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "unknown key materials.'ALN'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_geometry_sweep_parsing():
@@ -107,6 +121,18 @@ def test_geometry_sweep_bad_parameter():
         parse_config({"geometry_sweep": {"parameter": "w", "from_um": 1, "to_um": 2}})
 
 
+@pytest.mark.parametrize("given_key, missing", [("from_um", "to"), ("to_nm", "from")])
+def test_geometry_sweep_missing_bound_is_named_and_not_defaulted(caplog, given_key, missing):
+    with caplog.at_level(logging.INFO, logger="rodwave.config"):
+        with pytest.raises(ConfigError) as refused:
+            parse_config({"geometry_sweep": {"parameter": "L", given_key: 1}})
+    assert str(refused.value) == (
+        f"geometry_sweep: {missing}_nm, {missing}_um or {missing}_m is required"
+    )
+    assert not any("nan" in message for message in caplog.messages)
+    assert not any(f"geometry_sweep.{missing}" in message for message in caplog.messages)
+
+
 def test_config_hash_deterministic_and_sensitive():
     a = parse_config({})
     b = parse_config({})
@@ -116,19 +142,78 @@ def test_config_hash_deterministic_and_sensitive():
 
 
 def test_defaults_are_logged(caplog):
-    import logging
-
     with caplog.at_level(logging.INFO, logger="rodwave.config"):
         parse_config({})
     assert any("default" in message for message in caplog.messages)
 
 
 def test_canonical_roundtrip_is_json():
-    from rodwave.config import canonical_document
-
     doc = canonical_document(parse_config({}))
     json.dumps(doc)  # must be serializable
     assert doc["geometry"]["a_m"] == pytest.approx(2.0e-6)
+
+
+_UNITS = {"nm": 1e-9, "um": 1e-6, "m": 1.0}
+
+
+@st.composite
+def _lengths(draw, bases, lo_um, hi_um):
+    """{<base>_<unit>: length} for each base, lo_um to hi_um in a unit drawn per base."""
+    keys = {}
+    for base in bases:
+        unit = draw(st.sampled_from(sorted(_UNITS)))
+        keys[f"{base}_{unit}"] = draw(st.floats(lo_um, hi_um)) * 1e-6 / _UNITS[unit]
+    return keys
+
+
+@st.composite
+def _valid_documents(draw):
+    doc = {}
+    if draw(st.booleans()):
+        constants = st.fixed_dictionaries({}, optional={
+            "youngs_modulus_pa": st.floats(1e9, 1e12) | st.integers(10**9, 10**12),
+            "density_kg_m3": st.floats(1e2, 3e4) | st.integers(100, 30000),
+        })
+        names = draw(st.lists(st.sampled_from(["AlN", "Al", "Pt"]), unique=True))
+        doc["materials"] = {name: draw(constants) for name in names}
+    if draw(st.booleans()):
+        # a < 2 um < L keeps the rod narrower than the cell
+        thickness = [b for b in GEOM_PARAMETERS if b.startswith("t_")]
+        geometry = draw(_lengths(draw(st.lists(st.sampled_from(thickness), unique=True)),
+                                 0.05, 2.0))
+        for base, lo, hi in (("a", 0.1, 1.9), ("L", 2.1, 20.0)):
+            if draw(st.booleans()):
+                geometry.update(draw(_lengths([base], lo, hi)))
+        doc["geometry"] = geometry
+    if draw(st.booleans()):
+        # either bound may fall back to its default, 0.1 or 6 GHz
+        doc["sweep"] = draw(st.fixed_dictionaries({}, optional={
+            "f_start_hz": st.floats(1e6, 5e9),
+            "f_stop_hz": st.floats(6e9, 1e11),
+            "points": st.integers(2, 10**5) | st.integers(2, 10**5).map(float),
+        }))
+    if draw(st.booleans()):
+        section = {"parameter": draw(st.sampled_from(GEOM_PARAMETERS))}
+        section.update(draw(_lengths(["from", "to"], 0.05, 20.0)))
+        if draw(st.booleans()):
+            section["steps"] = draw(st.integers(1, 100))
+        doc["geometry_sweep"] = section
+    if draw(st.booleans()):
+        doc["output"] = draw(st.fixed_dictionaries({}, optional={
+            "dir": st.text(max_size=12), "plot": st.booleans(),
+        }))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_valid_documents())
+def test_canonical_document_parses_back_to_the_same_config(doc):
+    config = parse_config(doc)
+    canonical = json.loads(json.dumps(canonical_document(config)))
+    again = parse_config(canonical)
+    assert again == config
+    assert config_hash(again) == config_hash(config)
+    assert canonical_document(again) == canonical
 
 
 @pytest.mark.parametrize(
@@ -144,8 +229,8 @@ def test_canonical_roundtrip_is_json():
          "geometry_sweep.steps"),
         ({"materials": {"AlN": {"youngs_modulus_pa": "345e9"}}},
          "materials.AlN.youngs_modulus_pa"),
-        ({"materials": {"W": {"youngs_modulus_pa": 411e9, "density_kg_m3": True}}},
-         "materials.W.density_kg_m3"),
+        ({"materials": {"Pt": {"youngs_modulus_pa": 168e9, "density_kg_m3": True}}},
+         "materials.Pt.density_kg_m3"),
         ({"geometry": {"a_um": 10**400}}, "geometry.a_um"),
     ],
 )
@@ -188,6 +273,26 @@ def test_non_positive_material_property_names_its_path(key, value):
     ],
 )
 def test_non_object_sections_are_refused_naming_their_path(doc, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"geometry": {"t_m1_nm": 0}}, "geometry.t_m1_nm: must be positive"),
+        ({"geometry_sweep": {"parameter": "L", "from_um": -1, "to_um": 2}},
+         "geometry_sweep.from_um: must be positive"),
+        ({"sweep": {"f_start_hz": 2e9, "f_stop_hz": 2e9}},
+         "sweep: need 0 < f_start_hz < f_stop_hz"),
+        ({"sweep": {"points": 1}}, "sweep.points: must be >= 2"),
+        ({"geometry_sweep": {"parameter": "a", "from_um": 1, "to_um": 2, "steps": 0}},
+         "geometry_sweep.steps: must be >= 1"),
+        ({"output": {"dir": 3}}, "output.dir: expected a string path"),
+        ({"output": {"plot": 1}}, "output.plot: expected a boolean"),
+    ],
+)
+def test_out_of_range_and_mistyped_entries_are_refused_naming_their_path(doc, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_config(doc)
 
