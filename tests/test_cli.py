@@ -445,16 +445,16 @@ def test_non_finite_frequency_is_a_config_error(tmp_path, capsys, sweep, argv):
 
 
 @pytest.mark.parametrize(
-    "doc, argv, message",
+    "argv, message",
     [
-        ({}, ["geom-sweep"], "geometry_sweep section is required for this run"),
-        ({}, ["impedance", "--f-start", "1e8", "--f-stop", "1e9", "--points", "1"],
+        (["geom-sweep"], "geometry_sweep section is required for this run"),
+        (["impedance", "--f-start", "1e8", "--f-stop", "1e9", "--points", "1"],
          "impedance: points must be >= 2"),
     ],
     ids=["geom-sweep-without-section", "impedance-one-point"],
 )
-def test_run_without_what_it_needs_exits_2(tmp_path, capsys, doc, argv, message):
-    cfg = write_config(tmp_path, dict(doc, output={"dir": str(tmp_path / "out")}))
+def test_run_without_what_it_needs_exits_2(tmp_path, capsys, argv, message):
+    cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
     assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
