@@ -485,11 +485,12 @@ def _branch_indices(in_stop: np.ndarray, offset: np.ndarray) -> np.ndarray:
     (a gap pins the phase at a zone boundary; the physical branch index
     increments across it, so a single global anchor would lag by full
     turns).  Stopband points inherit the branch of the run to their left,
-    leading ones that of the first run.
+    leading ones that of the first run.  A sweep without a passband point is
+    one run, anchored at its midpoint.
     """
     starts, ends = _runs(~in_stop)
     if not starts.size:
-        return np.zeros(in_stop.shape)
+        starts, ends = np.array([0]), np.array([in_stop.size - 1])
     runs = np.round(offset[(starts + ends) // 2] / (2 * math.pi))
     run_of = np.searchsorted(starts, np.arange(in_stop.size), side="right") - 1
     return runs[np.maximum(run_of, 0)]
@@ -529,74 +530,69 @@ def sweep_cells(
     return _table(_front(stacked_cells(cells, points), f), with_gamma=False)
 
 
-def _refine_edges(cell: UnitCellGeometry, f_in, f_out) -> list[float]:
-    """Bisect in-band/out-of-band brackets down to EDGE_REFINE_HZ, all at once.
+def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
+    """Bisect brackets, (m, 2) rows of (in-band end, out-of-band end), down to
+    EDGE_REFINE_HZ, all at once; returns the midpoint of each final bracket.
 
-    Each round evaluates the next _TREE_LEVELS levels of every active
-    bracket's bisection tree in one stage call, then walks each bracket down
-    its tree: the same midpoints 0.5 * (lo + hi) and the same stop at
-    EDGE_REFINE_HZ as one level per call.  A point is in the stopband when
-    |lambda_flex| < 1 - TOL_BAND, as in Sweep.in_stopband.
+    Each round splits every active bracket into 2^_TREE_LEVELS parts by
+    repeated halving, each point 0.5 * (left + right) of its parent part, and
+    tests in one stage call the points whose parent part is wider than
+    EDGE_REFINE_HZ.  Bisection by index on that grid then takes the same
+    midpoints and the same stop as one level per call.  A point is in the
+    stopband when |lambda_flex| < 1 - TOL_BAND, as in Sweep.in_stopband.
     """
-    lo = np.array(f_in, dtype=float)
-    hi = np.array(f_out, dtype=float)
+    brackets = brackets.astype(float)
+    parts = 1 << _TREE_LEVELS
     while True:
-        active = np.flatnonzero(np.abs(hi - lo) > EDGE_REFINE_HZ)
+        active = np.flatnonzero(np.abs(brackets[:, 1] - brackets[:, 0]) > EDGE_REFINE_HZ)
         if not active.size:
-            return (0.5 * (lo + hi)).tolist()
-        # the tree's nodes level by level, (m, 2^level) each; a node's children
-        # are (mid, b), taken when mid is in the stopband, then (a, mid)
-        a, b = lo[active, None], hi[active, None]
-        mids, needed = [], []
-        for _ in range(_TREE_LEVELS):
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            needed.append(np.abs(b - a) > EDGE_REFINE_HZ)
-            a = np.stack([mid, a], axis=2).reshape(a.shape[0], -1)
-            b = np.stack([b, mid], axis=2).reshape(a.shape)
-        mids, needed = np.concatenate(mids, axis=1), np.concatenate(needed, axis=1)
-        stop = np.zeros(mids.shape, dtype=bool)
-        stop[needed] = _transmitted(_front(cell, mids[needed]))[-1] < 1.0 - TOL_BAND
-        # walk each bracket down its tree; level l fills columns 2^l - 1 .. 2^(l+1) - 2
+            return 0.5 * (brackets[:, 0] + brackets[:, 1])
+        grid = np.zeros((active.size, parts + 1))
+        grid[:, [0, parts]] = brackets[active]
+        tested = np.zeros(grid.shape, dtype=bool)
+        step = parts
+        while step > 1:
+            left, right = grid[:, :-1:step], grid[:, step::step]
+            grid[:, step // 2 :: step] = 0.5 * (left + right)
+            tested[:, step // 2 :: step] = np.abs(right - left) > EDGE_REFINE_HZ
+            step //= 2
+        stop = np.zeros(grid.shape, dtype=bool)
+        stop[tested] = _transmitted(_front(cell, grid[tested]))[-1] < 1.0 - TOL_BAND
         rows = np.arange(active.size)
-        node = np.zeros(active.size, dtype=int)
-        a, b = lo[active], hi[active]
-        for level in range(_TREE_LEVELS):
-            at = (1 << level) - 1 + node
-            go = np.abs(b - a) > EDGE_REFINE_HZ
-            s = stop[rows, at]
-            a = np.where(go & s, mids[rows, at], a)
-            b = np.where(go & ~s, mids[rows, at], b)
-            node = 2 * node + ~s
-        lo[active], hi[active] = a, b
+        a, b = np.zeros(active.size, dtype=int), np.full(active.size, parts)
+        for _ in range(_TREE_LEVELS):
+            mid = (a + b) // 2
+            s = stop[rows, mid]
+            a = np.where(s, mid, a)
+            b = np.where(tested[rows, mid] & ~s, mid, b)
+        brackets[active, 0], brackets[active, 1] = grid[rows, a], grid[rows, b]
 
 
 def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> StopbandReport:
     """Group a sweep into disjoint stopbands with centers and markers.
 
-    When the cell is provided, band edges are refined by bisection and each
-    band's Re(Gamma) is sampled between its refined edges; the markers are the
-    samples where Re(Gamma) peaks close to +1 (virtual-fixed-constraint
-    signature).  Without the cell the grid brackets are reported and there are
-    no markers.
+    A band is a run of stopband points.  When the cell is provided, each run
+    end with a passband neighbour is refined by bisection, all in one
+    _refine_edges call, and Re(Gamma) is sampled between each band's refined
+    edges; the markers are the samples where it peaks close to +1
+    (virtual-fixed-constraint signature).  Without the cell the run ends are
+    reported and there are no markers.
     """
     n = len(sweep)
     if n < 2:
         raise ValueError("stopband_report: need at least 2 sweep points")
     starts, ends = _runs(sweep.in_stopband)
-    runs = list(zip(starts.tolist(), ends.tolist()))
-
-    edges = {}  # (point index, neighbour index) -> refined edge frequency
+    f_low, f_high = sweep.f[starts], sweep.f[ends]
     if cell is not None:
-        brackets = [(i, i - 1) for i, _ in runs if i > 0]
-        brackets += [(j, j + 1) for _, j in runs if j < n - 1]
-        at = np.array(brackets, dtype=int).reshape(-1, 2)
-        edges = dict(zip(brackets, _refine_edges(cell, sweep.f[at[:, 0]], sweep.f[at[:, 1]])))
+        left, right = starts > 0, ends < n - 1
+        i, j = starts[left], ends[right]
+        at = np.concatenate([[i, i - 1], [j, j + 1]], axis=1).T
+        edges = _refine_edges(cell, sweep.f[at])
+        f_low[left], f_high[right] = edges[: i.size], edges[i.size :]
 
     bands: list[Band] = []
     sampled = []  # _gamma_samples of each band whose edges differ
-    narrow = False
-    for i, j in runs:
+    for i, j, lo, hi in zip(starts.tolist(), ends.tolist(), f_low.tolist(), f_high.tolist()):
         f = sweep.f[i : j + 1].tolist()
         # libm log and left-to-right sums: numpy's may differ in the last bit,
         # and built-in sum() of floats is compensated from Python 3.12 on
@@ -605,27 +601,20 @@ def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> Stopb
         for x, a in zip(f, att):
             wsum, fsum = wsum + a, fsum + x * a
         f_center = fsum / wsum if wsum > 0 else f[0]
-        f_low = edges.get((i, i - 1), f[0])
-        f_high = edges.get((j, j + 1), f[-1])
-        bands.append(
-            Band(f_low=f_low, f_high=f_high, f_center=f_center, max_attenuation=max(att))
-        )
-        if j - i + 1 < 3:
-            narrow = True
-        if cell is not None and f_high > f_low:
-            sampled.append(_gamma_samples(f_low, f_high))
+        bands.append(Band(f_low=lo, f_high=hi, f_center=f_center, max_attenuation=max(att)))
+        if cell is not None and hi > lo:
+            sampled.append(_gamma_samples(lo, hi))
     markers = []
     if sampled:
         # one stage call over every sampled band, one row of samples per band
         fs = np.array(sampled)
         re = _table(_front(cell, fs.ravel()), with_gamma=True).gamma.real.reshape(fs.shape)
-        for s, row, best in zip(sampled, re, re.argmax(axis=1).tolist()):
-            if row[best] >= MARKER_MIN_REAL:
-                markers.append(s[best])
+        best = (np.arange(len(fs)), re.argmax(axis=1))
+        markers = fs[best][re[best] >= MARKER_MIN_REAL].tolist()
     return StopbandReport(
         bands=tuple(bands),
         resonance_markers=tuple(markers),
-        coarse_grid_warning=narrow or n < 4,
+        coarse_grid_warning=bool((ends - starts < 2).any() or n < 4),
     )
 
 

@@ -112,8 +112,6 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "matrices":
             result = run_matrices(config, args.freq)
             print(f"wrote {result['matrices_csv']} and {result['check_csv']}")
-        else:  # pragma: no cover - argparse enforces the choices
-            return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -40,6 +40,8 @@ def line_plot(
     if not x or not finite:
         raise ValueError("line_plot: nothing to draw")
     x_lo, x_hi = min(x), max(x)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
     y_lo, y_hi = min(finite), max(finite)
     if y_hi == y_lo:
         y_hi = y_lo + 1.0

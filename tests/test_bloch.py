@@ -120,6 +120,21 @@ def test_passband_kef_tracks_uncoupled_wavevector(default_sweep):
             assert abs(p.k_ef.real - p.k) < math.pi / 3.8e-6
 
 
+@pytest.mark.parametrize(
+    "f_start, f_stop, points",
+    [(1.8e9, 2.6e9, 50), (1.8e9, 2.6e9, 51), (5.2e9, 5.24e9, 40), (2.2e9, 2.2001e9, 2)],
+    ids=["1.8-2.6GHz-50", "1.8-2.6GHz-51", "5.2-5.24GHz-40", "2.2-2.2001GHz-2"],
+)
+def test_sweep_without_passband_takes_the_branch_at_its_midpoint(
+    default_cell, f_start, f_stop, points
+):
+    # the whole table is one run anchored at its midpoint, not on branch 0
+    sw = sweep(default_cell, f_start, f_stop, points)
+    assert sw.in_stopband.all()
+    mid = (points - 1) // 2
+    assert sw.k_ef.real[mid] == bloch_point(default_cell, sw.f[mid]).k_ef.real
+
+
 def test_sweep_detects_multiple_bands(default_report):
     assert len(default_report.bands) >= 3
     lows = [b.f_low for b in default_report.bands]
@@ -523,6 +538,23 @@ def test_single_frequency_calls_need_finite_positive_f(default_cell, call, f):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="f must be > 0 and finite"):
             call(default_cell, f)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda cell, sw: stopband_report(sw.rows(0, 1), cell),
+         "stopband_report: need at least 2 sweep points"),
+        (lambda cell, sw: field_profile(cell, 1e9, np.array([1, 0, 0, 0]), 1),
+         "field_profile: x_samples must be >= 2"),
+        (lambda cell, sw: field_profile(cell, 1e9, np.array([1, 0, 0]), 5),
+         "field_profile: amplitudes must be a 4-vector"),
+    ],
+    ids=["stopband_report-one-point", "field_profile-one-sample", "field_profile-3-vector"],
+)
+def test_argument_refusals_name_the_call(default_cell, default_sweep, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(default_cell, default_sweep)
 
 
 @pytest.mark.parametrize("n_cells", [7.5, 7.0, "7"])

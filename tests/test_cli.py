@@ -331,8 +331,20 @@ def test_geom_sweep_step_without_a_stopband_writes_zeros(tmp_path):
           "geometry_sweep": {"parameter": "L", "from_um": 3, "to_um": 5, "steps": 3}},
          ["geom-sweep"], "geomsweep.svg"),
         ({}, ["chain", "--freq", "2.3e9", "--cells", "7"], "chain.svg"),
+        # one step: a zero-width x range
+        ({"sweep": {"f_start_hz": 1.4e9, "f_stop_hz": 3.2e9, "points": 40},
+          "geometry_sweep": {"parameter": "t_aln2", "from_nm": 600, "to_nm": 600, "steps": 1}},
+         ["geom-sweep"], "geomsweep.svg"),
+        # a < L keeps only a = 3 um of the three steps
+        ({"sweep": {"f_start_hz": 1.4e9, "f_stop_hz": 3.2e9, "points": 40},
+          "geometry_sweep": {"parameter": "a", "from_um": 3, "to_um": 5, "steps": 3}},
+         ["geom-sweep"], "geomsweep.svg"),
+        # no stopband in the window: every Im k_ef is 0
+        ({"sweep": {"f_start_hz": 0.15e9, "f_stop_hz": 0.30e9, "points": 40}},
+         ["sweep"], "sweep.svg"),
     ],
-    ids=["geom-sweep", "chain"],
+    ids=["geom-sweep", "chain", "geom-sweep-one-step", "geom-sweep-one-kept-step",
+         "sweep-without-stopband"],
 )
 def test_plot_config_writes_svg(tmp_path, doc, argv, name):
     cfg = write_config(tmp_path, dict(doc, output={"dir": str(tmp_path / "out"), "plot": True}))

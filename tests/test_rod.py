@@ -99,6 +99,12 @@ def test_modeshape_needs_finite_positive_f(default_rod, f):
         rod_modeshape(default_rod, f, 1.0, 10)
 
 
+@pytest.mark.parametrize("z_samples", [1, 0])
+def test_modeshape_needs_two_samples(default_rod, z_samples):
+    with pytest.raises(ValueError, match="^rod_modeshape: z_samples must be >= 2$"):
+        rod_modeshape(default_rod, 1e9, 1.0, z_samples)
+
+
 @pytest.mark.parametrize("f_max", [math.inf, math.nan, 0.0, -1e9])
 def test_extrema_need_finite_positive_search_limit(default_rod, f_max):
     with pytest.raises(ValueError, match="f_max_search must be > 0 and finite"):
