@@ -470,10 +470,13 @@ def semi_infinite_reflection(
 
 
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends) of the runs of True in a 1-D mask, both inclusive."""
-    padded = np.concatenate([[False], mask, [False]])
-    starts = np.flatnonzero(mask & ~padded[:-2])
-    ends = np.flatnonzero(mask & ~padded[2:])
+    """(starts, ends) of the runs of True along the last axis of a mask, both
+    inclusive, as flat indices: no run of a 2-D mask crosses from one row to
+    the next."""
+    edge = np.zeros(mask.shape[:-1] + (1,), dtype=bool)
+    padded = np.concatenate([edge, mask, edge], axis=-1)
+    starts = np.flatnonzero(mask & ~padded[..., :-2])
+    ends = np.flatnonzero(mask & ~padded[..., 2:])
     return starts, ends
 
 
@@ -568,42 +571,78 @@ def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
         brackets[active, 0], brackets[active, 1] = grid[rows, a], grid[rows, b]
 
 
+def _grid_reports(
+    table: Sweep, points: int
+) -> tuple[list[StopbandReport], np.ndarray, np.ndarray]:
+    """The report of each step of a table of step sweeps, `points` rows each,
+    with grid-point edges and no markers; and the (starts, ends) rows of all
+    steps' bands, in table order.
+
+    A band is a run of stopband points within one step.  Its attenuation is
+    -ln|lambda_flex| per point (745.0 where |lambda_flex| is 0), its center
+    the attenuation-weighted mean frequency.  The logs are libm's, one map
+    over every stopband point, and each band's sums run left to right, one
+    cumsum over its slice: numpy's log may differ from libm in the last bit,
+    np.sum and reduceat add pairwise, and built-in sum() of floats is
+    compensated from Python 3.12 on.
+    """
+    stop = table.in_stopband.reshape(-1, points)
+    starts, ends = _runs(stop)
+    t = table.t_coeff[table.in_stopband]
+    att = np.full(t.size, 745.0)
+    positive = t > 0
+    att[positive] = -np.fromiter(map(math.log, t[positive].tolist()), float, positive.sum())
+    # each band's slice of the stopband points
+    lengths = ends - starts + 1
+    last = np.cumsum(lengths)
+    first = last - lengths
+    weights = np.stack([att, table.f[table.in_stopband] * att])
+    f_low = table.f[starts].tolist()
+    centers = []
+    for a, b, f0 in zip(first.tolist(), last.tolist(), f_low):
+        wsum, fsum = np.cumsum(weights[:, a:b], axis=1)[:, -1].tolist()
+        centers.append(fsum / wsum if wsum > 0 else f0)
+    peaks = np.maximum.reduceat(att, first).tolist()
+    bands = list(map(Band, f_low, table.f[ends].tolist(), centers, peaks))
+    step = starts // points
+    coarse = np.full(stop.shape[0], points < 4)
+    coarse[step[lengths < 3]] = True
+    bounds = np.searchsorted(step, np.arange(coarse.size + 1)).tolist()
+    reports = [
+        StopbandReport(tuple(bands[lo:hi]), (), flag)
+        for lo, hi, flag in zip(bounds, bounds[1:], coarse.tolist())
+    ]
+    return reports, starts, ends
+
+
 def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> StopbandReport:
     """Group a sweep into disjoint stopbands with centers and markers.
 
-    A band is a run of stopband points.  When the cell is provided, each run
-    end with a passband neighbour is refined by bisection, all in one
-    _refine_edges call, and Re(Gamma) is sampled between each band's refined
-    edges; the markers are the samples where it peaks close to +1
-    (virtual-fixed-constraint signature).  Without the cell the run ends are
-    reported and there are no markers.
+    A band is a run of stopband points (_grid_reports on the sweep as one
+    step).  When the cell is provided, each run end with a passband
+    neighbour is refined by bisection, all in one _refine_edges call, and
+    Re(Gamma) is sampled between each band's refined edges; the markers are
+    the samples where it peaks close to +1 (virtual-fixed-constraint
+    signature).  Without the cell the run ends are reported and there are no
+    markers.
     """
     n = len(sweep)
     if n < 2:
         raise ValueError("stopband_report: need at least 2 sweep points")
-    starts, ends = _runs(sweep.in_stopband)
+    (report,), starts, ends = _grid_reports(sweep, n)
+    if cell is None:
+        return report
     f_low, f_high = sweep.f[starts], sweep.f[ends]
-    if cell is not None:
-        left, right = starts > 0, ends < n - 1
-        i, j = starts[left], ends[right]
-        at = np.concatenate([[i, i - 1], [j, j + 1]], axis=1).T
-        edges = _refine_edges(cell, sweep.f[at])
-        f_low[left], f_high[right] = edges[: i.size], edges[i.size :]
-
-    bands: list[Band] = []
-    sampled = []  # _gamma_samples of each band whose edges differ
-    for i, j, lo, hi in zip(starts.tolist(), ends.tolist(), f_low.tolist(), f_high.tolist()):
-        f = sweep.f[i : j + 1].tolist()
-        # libm log and left-to-right sums: numpy's may differ in the last bit,
-        # and built-in sum() of floats is compensated from Python 3.12 on
-        att = [-math.log(x) if x > 0 else 745.0 for x in sweep.t_coeff[i : j + 1].tolist()]
-        wsum = fsum = 0.0
-        for x, a in zip(f, att):
-            wsum, fsum = wsum + a, fsum + x * a
-        f_center = fsum / wsum if wsum > 0 else f[0]
-        bands.append(Band(f_low=lo, f_high=hi, f_center=f_center, max_attenuation=max(att)))
-        if cell is not None and hi > lo:
-            sampled.append(_gamma_samples(lo, hi))
+    left, right = starts > 0, ends < n - 1
+    i, j = starts[left], ends[right]
+    at = np.concatenate([[i, i - 1], [j, j + 1]], axis=1).T
+    edges = _refine_edges(cell, sweep.f[at])
+    f_low[left], f_high[right] = edges[: i.size], edges[i.size :]
+    bands = [
+        dataclasses.replace(band, f_low=lo, f_high=hi)
+        for band, lo, hi in zip(report.bands, f_low.tolist(), f_high.tolist())
+    ]
+    sampled = [_gamma_samples(b.f_low, b.f_high) for b in bands if b.f_high > b.f_low]
     markers = []
     if sampled:
         # one stage call over every sampled band, one row of samples per band
@@ -611,11 +650,7 @@ def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> Stopb
         re = _table(_front(cell, fs.ravel()), with_gamma=True).gamma.real.reshape(fs.shape)
         best = (np.arange(len(fs)), re.argmax(axis=1))
         markers = fs[best][re[best] >= MARKER_MIN_REAL].tolist()
-    return StopbandReport(
-        bands=tuple(bands),
-        resonance_markers=tuple(markers),
-        coarse_grid_warning=bool((ends - starts < 2).any() or n < 4),
-    )
+    return dataclasses.replace(report, bands=tuple(bands), resonance_markers=tuple(markers))
 
 
 def _gamma_samples(f_low: float, f_high: float) -> list[float]:

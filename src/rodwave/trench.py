@@ -2,8 +2,12 @@
 
 Only the lowest antisymmetric (flexural) branch is retained; the lateral
 stretching branch is neglected because it does not couple to the vertical rod
-motion.  Thin-beam validity is not gated here: callers can report
-wavelength-over-thickness so users see where the approximation is strained.
+motion.  The beam is Euler-Bernoulli: it drops shear and rotary inertia,
+which is fair while k h_t stays well below 1, that is while the wavelength
+over thickness stays above about THIN_BEAM_MIN_RATIO (Graff, Wave Motion in
+Elastic Solids, 1975).  Thin-beam validity is not gated here: callers can
+report wavelength-over-thickness so users see where the approximation is
+strained.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .materials import LaminateSection
+
+THIN_BEAM_MIN_RATIO = 10.0  # lambda / h_t below which the thin-beam model is strained
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,30 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import logging
 import math
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bloch import StopbandReport, Sweep, chain_profile, stopband_report, sweep, sweep_cells
+from .bloch import (
+    StopbandReport,
+    Sweep,
+    _grid_reports,
+    chain_profile,
+    stopband_report,
+    sweep,
+    sweep_cells,
+)
 from .cell import UnitCellGeometry, cell_matrices
 from .config import RunConfig, config_hash, unit_cell
 from .errors import ConfigError, NumericError
 from .rod import _impedance_arrays
 from .svg import line_plot
+from .trench import THIN_BEAM_MIN_RATIO, wavelength_over_thickness
+
+log = logging.getLogger("rodwave.workbench")
 
 RECIPROCITY_FLAG = 1e-9
 RECIPROCITY_FAIL = 1e-5
@@ -119,11 +131,23 @@ def run_frequency_sweep(
     cell, sw, flagged = _checked_sweep(config)
     report = stopband_report(sw, cell)
     cfg_hash = config_hash(config)
+    lambda_over_ht = 2.0 * math.pi / sw.k / cell.trench.thickness
+    if log.isEnabledFor(logging.INFO):
+        strained = sum(
+            wavelength_over_thickness(cell.trench, b.f_center) < THIN_BEAM_MIN_RATIO
+            for b in report.bands
+        )
+        log.info(
+            "thin-beam range strained (lambda/h_t < %g) at %d of %d sweep points"
+            " and %d of %d bands (by center)",
+            THIN_BEAM_MIN_RATIO, np.count_nonzero(lambda_over_ht < THIN_BEAM_MIN_RATIO),
+            len(sw), strained, len(report.bands),
+        )
 
     columns = {
         "f_hz": sw.f,
         "k_rad_per_m": sw.k,
-        "lambda_over_ht": 2.0 * math.pi / sw.k / cell.trench.thickness,
+        "lambda_over_ht": lambda_over_ht,
         "re_sigma": sw.sigma,
         "T_coeff": sw.t_coeff,
         "R_coeff": sw.r_coeff,
@@ -200,9 +224,10 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
 
     Steps that violate a < L are skipped and named in the notes.  The kept
     steps run as one table: their cells' frequency grids go through the
-    Bloch stage in one pass (bloch.sweep_cells, without Gamma), and each
-    step's stopband report reads its own rows of that table.  A numeric
-    failure names the first step it occurs in.
+    Bloch stage in one pass (bloch.sweep_cells, without Gamma), and one
+    band-summary pass over that table gives every step's stopband report,
+    with grid-point edges (bloch._grid_reports).  A numeric failure names
+    the first step it occurs in.
 
     The per-cell dispersion of this 1D model depends on the rod width a only
     through phase factors that cancel in the transfer-matrix eigenvalues, and
@@ -225,6 +250,7 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
             continue
         kept.append((value, unit_cell(config, geo)))
     points = config.sweep.points
+    reports = []
     if kept:
         try:
             table = sweep_cells(
@@ -233,10 +259,11 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
         except NumericError as exc:
             value = kept[exc.row // points][0]
             raise NumericError(f"geometry step {gs.parameter}={value!r} m: {exc}") from exc
+        reports, _, _ = _grid_reports(table, points)
     rows = []
     centers = []
-    for i, (value, _) in enumerate(kept):
-        primary = stopband_report(table.rows(i * points, (i + 1) * points)).primary_band
+    for (value, _), report in zip(kept, reports):
+        primary = report.primary_band
         if primary is None:
             rows.append([value, 0.0, 0.0, 0.0])
             continue

@@ -196,15 +196,8 @@ def test_band_centers_are_left_to_right_sums(L_um):
     cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
     sw = sweep(cell, 0.1e9, 6e9, 800)
     report = stopband_report(sw)
-    starts, ends = bloch._runs(sw.in_stopband)
-    assert len(report.bands) == len(starts) > 0
-    for band, i, j in zip(report.bands, starts.tolist(), ends.tolist()):
-        weights = weighted = 0.0
-        for f, t in zip(sw.f[i : j + 1].tolist(), sw.t_coeff[i : j + 1].tolist()):
-            att = -math.log(t) if t > 0 else 745.0
-            weights += att
-            weighted += f * att
-        assert repr(band.f_center) == repr(weighted / weights)
+    assert report.bands
+    assert repr(report) == repr(_loop_report(sw))
 
 
 def test_band_centers_shift_down_with_taller_rod(default_config, default_sweep):
@@ -732,6 +725,121 @@ def test_geometry_sweep_front_is_the_step_fronts(monkeypatch, parameter, on_pole
         expected = np.concatenate([getattr(fr, name) for fr in own])
         assert getattr(front, name).tobytes() == expected.tobytes(), name
     assert front.L.tobytes() == np.repeat([fr.L for fr in own], f.size).tobytes()
+
+
+def _loop_report(sw):
+    """The stopband report with grid-point edges and no markers, one band at a
+    time: runs found point by point, libm logs and left-to-right sums in a
+    Python loop."""
+    runs, start = [], None
+    for i, stop in enumerate(sw.in_stopband.tolist() + [False]):
+        if stop and start is None:
+            start = i
+        elif not stop and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    bands = []
+    for i, j in runs:
+        f = sw.f[i : j + 1].tolist()
+        att = [-math.log(x) if x > 0 else 745.0 for x in sw.t_coeff[i : j + 1].tolist()]
+        wsum = fsum = 0.0
+        for x, a in zip(f, att):
+            wsum, fsum = wsum + a, fsum + x * a
+        f_center = fsum / wsum if wsum > 0 else f[0]
+        bands.append(bloch.Band(f[0], f[-1], f_center, max(att)))
+    coarse = any(j - i < 2 for i, j in runs) or len(sw) < 4
+    return bloch.StopbandReport(tuple(bands), (), coarse)
+
+
+def _assert_grid_reports_are_loop_reports(table, points):
+    reports, starts, ends = bloch._grid_reports(table, points)
+    assert len(reports) * points == len(table)
+    assert starts.size == ends.size == sum(len(r.bands) for r in reports)
+    for i, report in enumerate(reports):
+        step = table.rows(i * points, (i + 1) * points)
+        expected = _loop_report(step)
+        assert repr(report) == repr(expected), i
+        assert repr(report.primary_band) == repr(expected.primary_band), i
+        assert repr(stopband_report(step)) == repr(expected), i
+    return reports
+
+
+@pytest.mark.parametrize("parameter", ["t_aln2", "L", "a"])
+def test_grid_reports_of_a_geometry_table_are_the_per_step_loop(parameter):
+    """One band-summary pass over every step of a geometry sweep's table gives,
+    by repr, each step's report from the per-band loop on its own rows."""
+    config = parse_config({"sweep": {"f_start_hz": 1.4e9, "f_stop_hz": 3.2e9, "points": 400}})
+    lo, hi = _GEOM_SPANS_UM[parameter]
+    cells = []
+    for value in np.linspace(lo, hi, 21) * 1e-6:
+        geo = dataclasses.replace(config.geometry, **{parameter: float(value)})
+        if geo.a < geo.L:
+            cells.append(unit_cell(config, geo))
+    table = bloch.sweep_cells(cells, 1.4e9, 3.2e9, 400)
+    reports = _assert_grid_reports_are_loop_reports(table, 400)
+    assert all(r.bands for r in reports)
+
+
+def test_grid_reports_on_synthetic_steps():
+    """Four 7-point steps: no band; bands on the first and the last point; all
+    stopband; a one-point band, the only step whose coarse flag is set.  The
+    step boundaries fall inside runs of stopband points, which must not cross
+    them, and one point has |lambda_flex| = 0 (the 745.0 stand-in)."""
+    stops = [
+        [False] * 7,
+        [True, True, True, False, True, True, True],
+        [True] * 7,
+        [True, True, True, False, True, False, False],
+    ]
+    flags = np.array(stops).ravel()
+    rng = np.random.default_rng(3)
+    t = np.where(flags, rng.uniform(0.05, 0.95, flags.size), 1.0)
+    t[16] = 0.0
+    base = sweep(unit_cell(parse_config({})), 1e9, 1.1e9, flags.size)
+    table = dataclasses.replace(
+        base, f=np.tile(np.linspace(1e9, 1.1e9, 7), 4), in_stopband=flags, t_coeff=t
+    )
+    reports = _assert_grid_reports_are_loop_reports(table, 7)
+    f = table.f[:7].tolist()
+    assert [[(b.f_low, b.f_high) for b in r.bands] for r in reports] == [
+        [],
+        [(f[0], f[2]), (f[4], f[6])],
+        [(f[0], f[6])],
+        [(f[0], f[2]), (f[4], f[4])],
+    ]
+    assert [r.coarse_grid_warning for r in reports] == [False, False, False, True]
+    assert reports[0].primary_band is None
+    assert reports[2].primary_band.max_attenuation == 745.0
+
+
+def test_band_center_and_peak_are_libm_logs_summed_left_to_right():
+    """A band whose left-to-right sums differ from numpy's pairwise sums, and
+    whose smallest |lambda_flex| has a numpy log that differs from libm's where
+    the host has such a value: the report must keep the loop's bits, so a swap
+    to np.sum, reduceat or np.log fails here."""
+    rng = np.random.default_rng(11)
+    candidates = rng.uniform(0.05, 0.95, 20000)
+    libm = np.array([math.log(x) for x in candidates.tolist()])
+    differ = candidates[np.log(candidates) != libm]
+    t = rng.uniform(0.5, 0.95, 300)
+    if differ.size:  # the band's peak sits where numpy's log is off by an ulp
+        t[150] = differ.min()
+        t = np.maximum(t, t[150])
+    n = t.size + 2
+    flags = np.r_[False, np.ones(t.size, dtype=bool), False]
+    base = sweep(unit_cell(parse_config({})), 2e9, 2.1e9, n)
+    table = dataclasses.replace(base, in_stopband=flags, t_coeff=np.r_[1.0, t, 1.0])
+    (band,) = stopband_report(table).bands
+    (expected,) = _loop_report(table).bands
+    assert repr(band.f_center) == repr(expected.f_center)
+    assert repr(band.max_attenuation) == repr(expected.max_attenuation)
+
+    att, f = -np.array([math.log(x) for x in t.tolist()]), table.f[1:-1]
+    pairwise = [np.sum(f * att) / np.sum(att),
+                np.add.reduceat(f * att, [0])[0] / np.add.reduceat(att, [0])[0]]
+    assert all(repr(float(c)) != repr(expected.f_center) for c in pairwise)
+    if differ.size:
+        assert repr(float((-np.log(t)).max())) != repr(expected.max_attenuation)
 
 
 def _one_level_edges(cell, f_in, f_out):

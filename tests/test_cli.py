@@ -599,3 +599,30 @@ def test_back_to_back_commands_write_what_each_writes_alone(tmp_path, monkeypatc
         for name, data in alone.items():
             assert (tmp_path / "out" / name).read_bytes() == data, name
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize(
+    "sweep, line",
+    [
+        ({"f_start_hz": 1e8, "f_stop_hz": 1.4e8, "points": 50}, "0 of 50 sweep points and 0 of 1"),
+        ({}, "1984 of 2000 sweep points and 5 of 6"),
+    ],
+    ids=["below-0.145GHz", "default"],
+)
+def test_verbose_sweep_counts_where_the_thin_beam_is_strained(tmp_path, capsys, sweep, line):
+    # lambda/h_t of the default cell falls to 10 at about 0.145 GHz
+    cfg = write_config(tmp_path, {"sweep": sweep, "output": {"dir": str(tmp_path / "out")}})
+    assert main(["-v", "sweep", "--config", str(cfg)]) == 0
+    logged = [s for s in capsys.readouterr().err.splitlines() if s.startswith("rodwave.workbench:")]
+    assert logged == [
+        f"rodwave.workbench: thin-beam range strained (lambda/h_t < 10) at {line} bands (by center)"
+    ]
+
+
+def test_quiet_sweep_does_not_count_thin_beam_strain(small_config, tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("thin-beam count computed without -v")
+
+    monkeypatch.setattr(rodwave.workbench, "wavelength_over_thickness", refuse)
+    assert main(["sweep", "--config", str(small_config)]) == 0
+    assert "rodwave.workbench" not in capsys.readouterr().err

@@ -5,7 +5,7 @@ import json
 import re
 from pathlib import Path
 
-from rodwave import parse_config
+from rodwave import parse_config, unit_cell, wavelength_over_thickness
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -25,3 +25,14 @@ def test_library_use_example_runs():
     section = README.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
     (block,) = _blocks(section, "python")
     exec(compile(block, "README.md (Library use)", "exec"), {})
+
+
+def test_thin_beam_figures_are_the_default_cells():
+    section = README.split("\n## Model notes and known quirks\n", 1)[1].split("\n## ", 1)[0]
+    (bullet,) = [b for b in section.split("\n- ") if "Euler-Bernoulli" in b]
+    figures = re.findall(r"(\d+\.(\d+)) at (\d+(?:\.\d+)?) GHz", " ".join(bullet.split()))
+    assert len(figures) == 6
+    trench = unit_cell(parse_config({})).trench
+    for text, decimals, f_ghz in figures:
+        value = wavelength_over_thickness(trench, float(f_ghz) * 1e9)
+        assert f"{value:.{len(decimals)}f}" == text, f_ghz
