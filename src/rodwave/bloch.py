@@ -62,7 +62,7 @@ from .cell import (
     stacked_cells,
     translation_phases,
 )
-from .errors import non_finite_error
+from .errors import frequency_row, non_finite_error
 from .trench import flexural_wavevectors
 
 TOL_BAND = 1e-6  # in_stopband when 1 - |lambda_flex| exceeds this
@@ -133,10 +133,6 @@ class Sweep:
     def __iter__(self):
         cols = [getattr(self, name).tolist() for name in _SWEEP_FIELDS]
         return (BlochPoint(f, tuple(ev), *rest) for f, ev, *rest in zip(*cols))
-
-    def rows(self, start: int, stop: int) -> Sweep:
-        """Rows start..stop-1 as a table of views of these columns."""
-        return Sweep(*(getattr(self, name)[start:stop] for name in _SWEEP_FIELDS))
 
 
 _SWEEP_FIELDS = tuple(field.name for field in dataclasses.fields(Sweep))
@@ -439,10 +435,8 @@ def bloch_point(
     Re(k_ef) L is taken on the 2 pi branch closest to the uncoupled kL,
     which makes k_ef = k exact in the zero-coupling limit.
     """
-    if not 0 < f < math.inf:
-        raise ValueError("bloch_point: f must be > 0 and finite")
     sw = _table(
-        _front(cell, np.array([float(f)]), force_zero_coupling=force_zero_coupling),
+        _front(cell, frequency_row(f, "bloch_point"), force_zero_coupling=force_zero_coupling),
         with_gamma=with_gamma,
     )
     L = cell.cell_length
@@ -461,9 +455,8 @@ def semi_infinite_reflection(
     Returns (Gamma, Gamma_e), from the closed-form eigenvectors at f itself:
     they stay finite at band-edge degeneracies, so no frequency is nudged.
     """
-    if not 0 < f < math.inf:
-        raise ValueError("semi_infinite_reflection: f must be > 0 and finite")
-    fr = _front(cell, np.array([float(f)]), force_zero_coupling=force_zero_coupling)
+    f_row = frequency_row(f, "semi_infinite_reflection")
+    fr = _front(cell, f_row, force_zero_coupling=force_zero_coupling)
     kl, _, _, inner, lam, _ = _transmitted(fr)
     gamma, gamma_e, _ = _reflection(fr, kl, lam, inner[:, 1])
     return complex(gamma[0]), complex(gamma_e[0])
@@ -703,13 +696,12 @@ def chain_profile(
     least-squares slope over boundaries 0..n-1; the terminal boundary is
     excluded because the matched exit locally distorts the profile.
     """
-    if not 0 < f < math.inf:
-        raise ValueError("chain_profile: f must be > 0 and finite")
+    f_row = frequency_row(f, "chain_profile")
     n = operator.index(n_cells)
     if n < 2:
         raise ValueError("chain_profile: n_cells must be >= 2")
     kl, y, outer, inner, lam_flex, _ = _transmitted(
-        _front(cell, np.array([float(f)]), force_zero_coupling=force_zero_coupling)
+        _front(cell, f_row, force_zero_coupling=force_zero_coupling)
     )
     if y[0, 0] == y[0, 1]:
         # below the small-kL floor both pairs round onto lambda = 1: the four
@@ -773,6 +765,7 @@ def field_profile(
     psi = np.asarray(amplitudes, dtype=complex)
     if psi.shape != (4,):
         raise ValueError("field_profile: amplitudes must be a 4-vector")
+    frequency_row(f, "field_profile")
     mats = cell_matrices(cell, f)
     k = mats.k
     a = cell.rod_width

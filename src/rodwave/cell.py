@@ -35,7 +35,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, non_finite_error
+from .errors import ConfigError, frequency_row, non_finite_error
 from .rod import RodModel, _impedance_arrays
 from .trench import TrenchModel, flexural_wavevectors
 
@@ -118,10 +118,8 @@ def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, f
     NumericError where sigma is not finite off a pole: at f ~ 1e-300 Hz k**3
     underflows and sigma is 0/0.
     """
-    if not 0 < f < math.inf:
-        raise ValueError(f"{caller}: f must be > 0 and finite")
     with np.errstate(invalid="ignore", divide="ignore"):  # reported just below
-        k, f_eff, sigma = (float(x[0]) for x in forcing_arrays(cell, np.array([float(f)])))
+        k, f_eff, sigma = (float(x[0]) for x in forcing_arrays(cell, frequency_row(f, caller)))
     if not math.isfinite(sigma) and math.isfinite(f_eff):
         raise non_finite_error("sigma", float(f), k * cell.cell_length)
     return k, f_eff, sigma
@@ -211,11 +209,13 @@ def _coeffs_from_sigma(k: float, a: float, sigma: float) -> tuple[complex, ...]:
 def scatter_coefficients(cell: UnitCellGeometry, f: float) -> ScatterCoeffs:
     """Evaluate the closed-form scattering coefficients at frequency f."""
     k, f_eff, sigma = _forcing_at(cell, f, "scatter_coefficients")
-    r, t, r_ef, r_fe, r_e, t_e = _coeffs_from_sigma(k, cell.rod_width, sigma)
-    return ScatterCoeffs(
-        r=r, t=t, r_ef=r_ef, t_ef=r_ef, r_fe=r_fe, t_fe=r_fe, r_e=r_e, t_e=t_e,
-        f_eff=f_eff, sigma=sigma,
-    )
+    return _scatter_coeffs(_coeffs_from_sigma(k, cell.rod_width, sigma), f_eff, sigma)
+
+
+def _scatter_coeffs(six, f_eff: float, sigma: float) -> ScatterCoeffs:
+    """ScatterCoeffs of (r, t, r_ef, r_fe, r_e, t_e): the cell's mirror symmetry sets t_ef, t_fe."""
+    r, t, r_ef, r_fe, r_e, t_e = six
+    return ScatterCoeffs(r, t, r_ef, r_ef, r_fe, r_fe, r_e, t_e, f_eff, sigma)
 
 
 def _assembly_coeffs(k, a, sigma) -> tuple:
@@ -293,11 +293,8 @@ def cell_matrices(cell: UnitCellGeometry, f: float) -> CellMatrices:
     k, f_eff, sigma = _forcing_at(cell, f, "cell_matrices")
     phi = k * (cell.cell_length + cell.rod_width) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        r, t, r_ef, r_fe, r_e, t_e = _assembly_coeffs(k, cell.rod_width, sigma)
-        G = scattering_matrix(ScatterCoeffs(
-            r=r, t=t, r_ef=r_ef, t_ef=r_ef, r_fe=r_fe, t_fe=r_fe, r_e=r_e, t_e=t_e,
-            f_eff=f_eff, sigma=sigma,
-        ))
+        six = _assembly_coeffs(k, cell.rod_width, sigma)
+        G = scattering_matrix(_scatter_coeffs(six, f_eff, sigma))
         C = coupling_matrix(G)
         D = propagation_matrix(k, phi)
         T = D @ C @ D

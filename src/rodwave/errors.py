@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one-point frequency check."""
+
+import numpy as np
 
 
 class RodwaveError(Exception):
@@ -33,3 +35,11 @@ def non_finite_error(what: str, f: float, kl: float, row: int | None = None) -> 
     return NumericError(
         f"non-finite {what} at f={f!r} Hz (kL = {shown}): the closed forms {cause}", row=row
     )
+
+
+def frequency_row(f: float, caller: str, *, dc: bool = False) -> np.ndarray:
+    """f as the one-element float array the array forms take; a ValueError naming
+    the caller, before any evaluation, unless 0 < f < inf (0 <= f < inf with dc)."""
+    if not (0 <= f < np.inf if dc else 0 < f < np.inf):
+        raise ValueError(f"{caller}: f must be {'>=' if dc else '>'} 0 and finite")
+    return np.array([float(f)])

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularFrequencyError
+from .errors import SingularFrequencyError, frequency_row
 from .materials import LaminateSection, longitudinal_velocity
 
 # |f - f_pole| below this fraction of c/h raises the near-pole flag; within
@@ -88,9 +88,7 @@ def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def near_pole(rod: RodModel, f: float) -> bool:
     """True when f falls inside the near-pole window around any impedance pole."""
-    if not 0 <= f < math.inf:
-        raise ValueError("near_pole: f must be >= 0 and finite")
-    return bool(_impedance_arrays(rod, np.array([float(f)]))[1][0])
+    return bool(_impedance_arrays(rod, frequency_row(f, "near_pole", dc=True))[1][0])
 
 
 def driving_impedance(rod: RodModel, f: float) -> complex:
@@ -99,9 +97,8 @@ def driving_impedance(rod: RodModel, f: float) -> complex:
     Purely imaginary for real f.  Exactly at a tangent pole the function
     returns a signed-infinite marker instead of silently overflowing.
     """
-    if not 0 <= f < math.inf:
-        raise ValueError("driving_impedance: f must be >= 0 and finite")
-    return complex(0.0, _impedance_arrays(rod, np.array([float(f)]))[0][0])
+    im = _impedance_arrays(rod, frequency_row(f, "driving_impedance", dc=True))[0]
+    return complex(0.0, im[0])
 
 
 def rod_modeshape(
@@ -114,8 +111,7 @@ def rod_modeshape(
     """
     if z_samples < 2:
         raise ValueError("rod_modeshape: z_samples must be >= 2")
-    if not 0 < f < math.inf:
-        raise ValueError("rod_modeshape: f must be > 0 and finite")
+    frequency_row(f, "rod_modeshape")
     if near_pole(rod, f):
         raise SingularFrequencyError(
             f"rod_modeshape: f={f} is within the near-pole window of Z_b"

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import frequency_row
 from .materials import LaminateSection
 
 THIN_BEAM_MIN_RATIO = 10.0  # lambda / h_t below which the thin-beam model is strained
@@ -52,9 +53,7 @@ class TrenchModel:
 def flexural_wavevector(trench: TrenchModel, f: float) -> float:
     """Real flexural wavevector k (rad/m) at frequency f > 0: the one-element
     row of flexural_wavevectors."""
-    if not 0 < f < math.inf:
-        raise ValueError("flexural_wavevector: f must be > 0 and finite")
-    return float(flexural_wavevectors(trench, np.array([float(f)]))[0])
+    return float(flexural_wavevectors(trench, frequency_row(f, "flexural_wavevector"))[0])
 
 
 def flexural_wavevectors(trench: TrenchModel, f: np.ndarray) -> np.ndarray:
@@ -73,5 +72,10 @@ def flexural_wavevectors(trench: TrenchModel, f: np.ndarray) -> np.ndarray:
 
 def wavelength_over_thickness(trench: TrenchModel, f: float) -> float:
     """Flexural wavelength divided by trench thickness; small values strain the model."""
-    k = flexural_wavevector(trench, f)
+    k = flexural_wavevectors(trench, frequency_row(f, "wavelength_over_thickness"))
+    return float(_lambda_over_ht(trench, k)[0])
+
+
+def _lambda_over_ht(trench: TrenchModel, k: np.ndarray) -> np.ndarray:
+    """2 pi / (k h_t) over an array of flexural wavevectors k of the trench."""
     return 2.0 * math.pi / k / trench.thickness

@@ -32,7 +32,7 @@ from .config import RunConfig, config_hash, unit_cell
 from .errors import ConfigError, NumericError
 from .rod import _impedance_arrays
 from .svg import line_plot
-from .trench import THIN_BEAM_MIN_RATIO, wavelength_over_thickness
+from .trench import THIN_BEAM_MIN_RATIO, _lambda_over_ht, flexural_wavevectors
 
 log = logging.getLogger("rodwave.workbench")
 
@@ -131,12 +131,10 @@ def run_frequency_sweep(
     cell, sw, flagged = _checked_sweep(config)
     report = stopband_report(sw, cell)
     cfg_hash = config_hash(config)
-    lambda_over_ht = 2.0 * math.pi / sw.k / cell.trench.thickness
+    lambda_over_ht = _lambda_over_ht(cell.trench, sw.k)
     if log.isEnabledFor(logging.INFO):
-        strained = sum(
-            wavelength_over_thickness(cell.trench, b.f_center) < THIN_BEAM_MIN_RATIO
-            for b in report.bands
-        )
+        k_centers = flexural_wavevectors(cell.trench, np.array([b.f_center for b in report.bands]))
+        strained = np.count_nonzero(_lambda_over_ht(cell.trench, k_centers) < THIN_BEAM_MIN_RATIO)
         log.info(
             "thin-beam range strained (lambda/h_t < %g) at %d of %d sweep points"
             " and %d of %d bands (by center)",

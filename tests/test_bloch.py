@@ -30,6 +30,11 @@ from rodwave.errors import NumericError
 from rodwave.rod import _impedance_arrays
 
 
+def _rows(table, start, stop):
+    """Rows start..stop-1 of a Sweep table, as a table of views of its columns."""
+    return bloch.Sweep(*(getattr(table, f.name)[start:stop] for f in dataclasses.fields(table)))
+
+
 @pytest.fixture(scope="module")
 def default_sweep(default_cell):
     return sweep(default_cell, 0.1e9, 6e9, 800)
@@ -506,37 +511,33 @@ def test_sweep_argument_validation(default_cell):
                     call()
 
 
+_ONE_POINT_CALLS = {
+    "bloch_point": bloch_point,
+    "semi_infinite_reflection": semi_infinite_reflection,
+    "chain_profile": lambda cell, f: chain_profile(cell, f, 7),
+    "forcing_strength": forcing_strength,
+    "scatter_coefficients": scatter_coefficients,
+    "cell_matrices": cell_matrices,
+    "field_profile": lambda cell, f: field_profile(cell, f, np.array([1, 0, 0, 0]), 5),
+    "flexural_wavevector": lambda cell, f: flexural_wavevector(cell.trench, f),
+    "wavelength_over_thickness": lambda cell, f: wavelength_over_thickness(cell.trench, f),
+}
+
+
 @pytest.mark.parametrize("f", [math.inf, math.nan, -1e9])
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda cell, f: bloch_point(cell, f),
-        lambda cell, f: semi_infinite_reflection(cell, f),
-        lambda cell, f: chain_profile(cell, f, 7),
-        forcing_strength,
-        scatter_coefficients,
-        cell_matrices,
-        lambda cell, f: field_profile(cell, f, np.array([1, 0, 0, 0]), 5),
-        lambda cell, f: flexural_wavevector(cell.trench, f),
-        lambda cell, f: wavelength_over_thickness(cell.trench, f),
-    ],
-    ids=[
-        "bloch_point", "semi_infinite_reflection", "chain_profile", "forcing_strength",
-        "scatter_coefficients", "cell_matrices", "field_profile", "flexural_wavevector",
-        "wavelength_over_thickness",
-    ],
-)
-def test_single_frequency_calls_need_finite_positive_f(default_cell, call, f):
+@pytest.mark.parametrize("name", list(_ONE_POINT_CALLS))
+def test_single_frequency_calls_need_finite_positive_f(default_cell, name, f):
+    """Each one-point call refuses f outside 0 < f < inf under its own name."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="f must be > 0 and finite"):
-            call(default_cell, f)
+        with pytest.raises(ValueError, match=f"^{name}: f must be > 0 and finite$"):
+            _ONE_POINT_CALLS[name](default_cell, f)
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda cell, sw: stopband_report(sw.rows(0, 1), cell),
+        (lambda cell, sw: stopband_report(_rows(sw, 0, 1), cell),
          "stopband_report: need at least 2 sweep points"),
         (lambda cell, sw: field_profile(cell, 1e9, np.array([1, 0, 0, 0]), 1),
          "field_profile: x_samples must be >= 2"),
@@ -683,7 +684,7 @@ def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, pa
         assert skipped > 0
     for i, (cell, row) in enumerate(zip(cells, rows)):
         own = bloch._table(bloch._front(cell, np.linspace(*_GRID)), with_gamma=False)
-        step = table.rows(i * _GRID[2], (i + 1) * _GRID[2])
+        step = _rows(table, i * _GRID[2], (i + 1) * _GRID[2])
         for name in _REPORT_COLUMNS:
             assert getattr(step, name).tobytes() == getattr(own, name).tobytes(), (i, name)
         primary = stopband_report(own).primary_band
@@ -756,7 +757,7 @@ def _assert_grid_reports_are_loop_reports(table, points):
     assert len(reports) * points == len(table)
     assert starts.size == ends.size == sum(len(r.bands) for r in reports)
     for i, report in enumerate(reports):
-        step = table.rows(i * points, (i + 1) * points)
+        step = _rows(table, i * points, (i + 1) * points)
         expected = _loop_report(step)
         assert repr(report) == repr(expected), i
         assert repr(report.primary_band) == repr(expected.primary_band), i

@@ -623,6 +623,6 @@ def test_quiet_sweep_does_not_count_thin_beam_strain(small_config, tmp_path, cap
     def refuse(*args):
         raise AssertionError("thin-beam count computed without -v")
 
-    monkeypatch.setattr(rodwave.workbench, "wavelength_over_thickness", refuse)
+    monkeypatch.setattr(rodwave.workbench, "flexural_wavevectors", refuse)
     assert main(["sweep", "--config", str(small_config)]) == 0
     assert "rodwave.workbench" not in capsys.readouterr().err

@@ -89,13 +89,13 @@ def test_modeshape_rejects_pole(default_rod):
     "call", [driving_impedance, near_pole], ids=["driving_impedance", "near_pole"]
 )
 def test_rod_impedance_needs_finite_non_negative_f(default_rod, call, f):
-    with pytest.raises(ValueError, match="f must be >= 0 and finite"):
+    with pytest.raises(ValueError, match=f"^{call.__name__}: f must be >= 0 and finite$"):
         call(default_rod, f)
 
 
 @pytest.mark.parametrize("f", [math.inf, math.nan, 0.0, -1e9])
 def test_modeshape_needs_finite_positive_f(default_rod, f):
-    with pytest.raises(ValueError, match="f must be > 0 and finite"):
+    with pytest.raises(ValueError, match="^rod_modeshape: f must be > 0 and finite$"):
         rod_modeshape(default_rod, f, 1.0, 10)
 
 
