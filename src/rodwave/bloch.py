@@ -68,7 +68,7 @@ from .trench import flexural_wavevectors
 TOL_BAND = 1e-6  # in_stopband when 1 - |lambda_flex| exceeds this
 EDGE_REFINE_HZ = 1e3  # band edges bisected down to this resolution
 MARKER_MIN_REAL = 0.98  # smallest in-band max(Re Gamma) that counts as a marker
-_INTERIOR_SAMPLES = 17  # uniform in-band samples of band_gamma_extrema
+_INTERIOR_SAMPLES = 17  # uniform in-band samples of _gamma_extrema
 _EDGE_OFFSETS = (1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2)  # edge samples, per band width
 _TREE_LEVELS = 4  # bisection levels of every edge bracket per stage call
 
@@ -312,9 +312,9 @@ def _front(cell: UnitCellGeometry, f: np.ndarray, *, force_zero_coupling: bool =
 
 
 def _transmitted(fr: _Front):
-    """(kL, y, outer, inner, lambda_flex, |lambda_flex|): the roots and pairs of
-    _bloch_pairs and the transmitted factor.  NumericError where the roots
-    overflow."""
+    """(kL, y, outer, inner, lambda_flex, T, in_stopband): the roots and pairs
+    of _bloch_pairs, the transmitted factor, T = min(|lambda_flex|, 1) and the
+    stopband test T < 1 - TOL_BAND.  NumericError where the roots overflow."""
     kl = fr.k * fr.L
     # the roots' overflow is reported just below; the slope is read only at
     # passband points, and may overflow at the others
@@ -335,7 +335,8 @@ def _transmitted(fr: _Front):
     if np.count_nonzero(over):  # keep |lambda| <= 1 against rounding
         lam = np.where(over, lam / mod, lam)
         mod = np.abs(lam)
-    return kl, y, outer, inner, lam, mod
+    t = np.minimum(mod, 1.0)
+    return kl, y, outer, inner, lam, t, t < 1.0 - TOL_BAND
 
 
 def _reflection(fr: _Front, kl, lam, other):
@@ -387,8 +388,7 @@ def _table(fr: _Front, *, with_gamma: bool) -> Sweep:
     gamma_phase and reciprocity_defect are 0 without Gamma.  NumericError
     where roots or Gamma overflow.
     """
-    kl, y, outer, inner, lam, mod = _transmitted(fr)
-    t = np.minimum(mod, 1.0)
+    kl, y, outer, inner, lam, t, stop = _transmitted(fr)
     if with_gamma:
         gamma, gamma_e, (v, w, g_near) = _reflection(fr, kl, lam, inner[:, 1])
         defect = _backward_error(kl, fr.sigma, v, w, g_near)
@@ -408,7 +408,7 @@ def _table(fr: _Front, *, with_gamma: bool) -> Sweep:
     return Sweep(
         f=fr.f, eigenvalues=eigenvalues.reshape(-1, 4), lambda_flex=lam, t_coeff=t,
         r_coeff=1.0 - t, k_ef=k_ef, gamma=gamma, gamma_e=gamma_e, gamma_phase=phase,
-        in_stopband=t < 1.0 - TOL_BAND, k=fr.k, sigma=fr.sigma, reciprocity_defect=defect,
+        in_stopband=stop, k=fr.k, sigma=fr.sigma, reciprocity_defect=defect,
         complex_band=np.abs(y_tr.imag) > 1e-9 * np.maximum(1.0, np.abs(y_tr)),
     )
 
@@ -457,7 +457,7 @@ def semi_infinite_reflection(
     """
     f_row = frequency_row(f, "semi_infinite_reflection")
     fr = _front(cell, f_row, force_zero_coupling=force_zero_coupling)
-    kl, _, _, inner, lam, _ = _transmitted(fr)
+    kl, _, _, inner, lam, _, _ = _transmitted(fr)
     gamma, gamma_e, _ = _reflection(fr, kl, lam, inner[:, 1])
     return complex(gamma[0]), complex(gamma_e[0])
 
@@ -534,8 +534,8 @@ def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
     repeated halving, each point 0.5 * (left + right) of its parent part, and
     tests in one stage call the points whose parent part is wider than
     EDGE_REFINE_HZ.  Bisection by index on that grid then takes the same
-    midpoints and the same stop as one level per call.  A point is in the
-    stopband when |lambda_flex| < 1 - TOL_BAND, as in Sweep.in_stopband.
+    midpoints and the same stop as one level per call.  The stopband test is
+    the stage's, as in Sweep.in_stopband.
     """
     brackets = brackets.astype(float)
     parts = 1 << _TREE_LEVELS
@@ -553,7 +553,7 @@ def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
             tested[:, step // 2 :: step] = np.abs(right - left) > EDGE_REFINE_HZ
             step //= 2
         stop = np.zeros(grid.shape, dtype=bool)
-        stop[tested] = _transmitted(_front(cell, grid[tested]))[-1] < 1.0 - TOL_BAND
+        stop[tested] = _transmitted(_front(cell, grid[tested]))[-1]
         rows = np.arange(active.size)
         a, b = np.zeros(active.size, dtype=int), np.full(active.size, parts)
         for _ in range(_TREE_LEVELS):
@@ -608,70 +608,66 @@ def _grid_reports(
     return reports, starts, ends
 
 
-def stopband_report(sweep: Sweep, cell: UnitCellGeometry | None = None) -> StopbandReport:
+def stopband_report(sweep: Sweep, cell: UnitCellGeometry) -> StopbandReport:
     """Group a sweep into disjoint stopbands with centers and markers.
 
     A band is a run of stopband points (_grid_reports on the sweep as one
-    step).  When the cell is provided, each run end with a passband
-    neighbour is refined by bisection, all in one _refine_edges call, and
-    Re(Gamma) is sampled between each band's refined edges; the markers are
-    the samples where it peaks close to +1 (virtual-fixed-constraint
-    signature).  Without the cell the run ends are reported and there are no
-    markers.
+    step).  Each run end with a passband neighbour is refined by bisection,
+    all in one _refine_edges call, and Re(Gamma) is sampled between each
+    band's edges (_gamma_extrema); the markers are the samples where it
+    peaks close to +1 (virtual-fixed-constraint signature).
     """
     n = len(sweep)
     if n < 2:
         raise ValueError("stopband_report: need at least 2 sweep points")
     (report,), starts, ends = _grid_reports(sweep, n)
-    if cell is None:
-        return report
     f_low, f_high = sweep.f[starts], sweep.f[ends]
     left, right = starts > 0, ends < n - 1
     i, j = starts[left], ends[right]
     at = np.concatenate([[i, i - 1], [j, j + 1]], axis=1).T
     edges = _refine_edges(cell, sweep.f[at])
     f_low[left], f_high[right] = edges[: i.size], edges[i.size :]
+    markers = []
+    if starts.size:
+        f_max, re_max, _, _ = _gamma_extrema(cell, f_low, f_high)
+        markers = f_max[re_max >= MARKER_MIN_REAL].tolist()
     bands = [
         dataclasses.replace(band, f_low=lo, f_high=hi)
         for band, lo, hi in zip(report.bands, f_low.tolist(), f_high.tolist())
     ]
-    sampled = [_gamma_samples(b.f_low, b.f_high) for b in bands if b.f_high > b.f_low]
-    markers = []
-    if sampled:
-        # one stage call over every sampled band, one row of samples per band
-        fs = np.array(sampled)
-        re = _table(_front(cell, fs.ravel()), with_gamma=True).gamma.real.reshape(fs.shape)
-        best = (np.arange(len(fs)), re.argmax(axis=1))
-        markers = fs[best][re[best] >= MARKER_MIN_REAL].tolist()
     return dataclasses.replace(report, bands=tuple(bands), resonance_markers=tuple(markers))
 
 
-def _gamma_samples(f_low: float, f_high: float) -> list[float]:
-    """The sorted frequencies at which Re(Gamma) is sampled in a band.
+def _gamma_extrema(cell: UnitCellGeometry, f_low: np.ndarray, f_high: np.ndarray):
+    """(f_at_max, max, f_at_min, min) of Re(Gamma) in each band f_low..f_high,
+    one entry per band, from one stage call over every band's samples.
 
     Re(Gamma) approaches its extreme values very close to the band edges, so
-    the sampling mixes _INTERIOR_SAMPLES uniform interior points with
-    geometric offsets from both edges, the same number in every band.
+    each band's 31 sorted samples mix _INTERIOR_SAMPLES uniform interior
+    points with geometric offsets from both edges.
     """
     width = f_high - f_low
-    fs = [f_low + width * o for o in _EDGE_OFFSETS]
-    fs += [f_high - width * o for o in _EDGE_OFFSETS]
-    fs += np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, _INTERIOR_SAMPLES).tolist()
-    fs.sort()
-    return fs
+    offsets = np.multiply.outer(width, _EDGE_OFFSETS)
+    interior = np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, _INTERIOR_SAMPLES, axis=1)
+    fs = np.concatenate([f_low[:, None] + offsets, f_high[:, None] - offsets, interior], axis=1)
+    fs.sort(axis=1)
+    re = _table(_front(cell, fs.ravel()), with_gamma=True).gamma.real.reshape(fs.shape)
+    rows = np.arange(fs.shape[0])
+    hi, lo = re.argmax(axis=1), re.argmin(axis=1)
+    return fs[rows, hi], re[rows, hi], fs[rows, lo], re[rows, lo]
 
 
 def band_gamma_extrema(
     cell: UnitCellGeometry, f_low: float, f_high: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """In-band extrema of Re(Gamma) as ((f_at_max, max), (f_at_min, min)),
-    over the samples of _gamma_samples."""
+    """In-band extrema of Re(Gamma) as ((f_at_max, max), (f_at_min, min)): the
+    one-band row of _gamma_extrema."""
     if not 0 < f_low < f_high < math.inf:
         raise ValueError("band_gamma_extrema: need 0 < f_low < f_high < inf")
-    fs = _gamma_samples(f_low, f_high)
-    re = _table(_front(cell, np.array(fs)), with_gamma=True).gamma.real
-    i, j = int(np.argmax(re)), int(np.argmin(re))
-    return (fs[i], float(re[i])), (fs[j], float(re[j]))
+    f_max, re_max, f_min, re_min = (
+        x.item() for x in _gamma_extrema(cell, np.array([f_low], float), np.array([f_high], float))
+    )
+    return (f_max, re_max), (f_min, re_min)
 
 
 def chain_profile(
@@ -700,7 +696,7 @@ def chain_profile(
     n = operator.index(n_cells)
     if n < 2:
         raise ValueError("chain_profile: n_cells must be >= 2")
-    kl, y, outer, inner, lam_flex, _ = _transmitted(
+    kl, y, outer, inner, lam_flex, _, _ = _transmitted(
         _front(cell, f_row, force_zero_coupling=force_zero_coupling)
     )
     if y[0, 0] == y[0, 1]:

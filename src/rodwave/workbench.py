@@ -189,10 +189,8 @@ def run_frequency_sweep(
 
 
 def _normalized(values: list[float]) -> list[float]:
-    top = max((abs(v) for v in values if math.isfinite(v)), default=1.0)
-    if top == 0:
-        top = 1.0
-    return [v / top if math.isfinite(v) else 0.0 for v in values]
+    top = max(map(abs, values)) or 1.0
+    return [v / top for v in values]
 
 
 def _write_stopbands(path: Path, report: StopbandReport, cfg_hash: str) -> None:

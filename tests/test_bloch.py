@@ -183,7 +183,7 @@ def test_stopband_runs_at_the_sweep_ends(default_cell):
             base, f=1e9 + 1e6 * np.arange(11), in_stopband=flags,
             t_coeff=np.where(flags, 0.5, 1.0),
         )
-        r = stopband_report(table)
+        (r,), _, _ = bloch._grid_reports(table, len(table))
         return [(b.f_low, b.f_high) for b in r.bands], r.coarse_grid_warning, table.f.tolist()
 
     edges, coarse, f = report(stops)
@@ -200,17 +200,17 @@ def test_band_centers_are_left_to_right_sums(L_um):
     # must be the same bits on every Python
     cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
     sw = sweep(cell, 0.1e9, 6e9, 800)
-    report = stopband_report(sw)
+    (report,), _, _ = bloch._grid_reports(sw, len(sw))
     assert report.bands
     assert repr(report) == repr(_loop_report(sw))
 
 
-def test_band_centers_shift_down_with_taller_rod(default_config, default_sweep):
+def test_band_centers_shift_down_with_taller_rod(default_config, default_cell, default_sweep):
     geo = default_config.geometry
     taller = dataclasses.replace(geo, t_aln2=geo.t_aln2 * 1.1)
     cell_tall = unit_cell(default_config, taller)
-    base_report = stopband_report(default_sweep)
-    tall_report = stopband_report(sweep(cell_tall, 0.1e9, 6e9, 800))
+    base_report = stopband_report(default_sweep, default_cell)
+    tall_report = stopband_report(sweep(cell_tall, 0.1e9, 6e9, 800), cell_tall)
     assert tall_report.primary_band.f_center < base_report.primary_band.f_center
 
 
@@ -678,7 +678,8 @@ def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, pa
     (cells, grid, table), = calls
     assert grid == _GRID
     assert len(cells) == len(rows) == len(table) // _GRID[2]
-    skipped = sum("skipped" in line for line in (tmp_path / "geomsweep.csv").open())
+    lines = (tmp_path / "geomsweep.csv").read_text().splitlines()
+    skipped = sum("skipped" in line for line in lines)
     assert skipped == 9 - len(cells)
     if parameter in ("a", "L"):
         assert skipped > 0
@@ -687,7 +688,7 @@ def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, pa
         step = _rows(table, i * _GRID[2], (i + 1) * _GRID[2])
         for name in _REPORT_COLUMNS:
             assert getattr(step, name).tobytes() == getattr(own, name).tobytes(), (i, name)
-        primary = stopband_report(own).primary_band
+        primary = bloch._grid_reports(own, len(own))[0][0].primary_band
         assert row[1:] == [primary.f_center, primary.f_high - primary.f_low,
                            primary.max_attenuation]
         if parameter in ("a", "L"):
@@ -761,7 +762,6 @@ def _assert_grid_reports_are_loop_reports(table, points):
         expected = _loop_report(step)
         assert repr(report) == repr(expected), i
         assert repr(report.primary_band) == repr(expected.primary_band), i
-        assert repr(stopband_report(step)) == repr(expected), i
     return reports
 
 
@@ -830,7 +830,7 @@ def test_band_center_and_peak_are_libm_logs_summed_left_to_right():
     flags = np.r_[False, np.ones(t.size, dtype=bool), False]
     base = sweep(unit_cell(parse_config({})), 2e9, 2.1e9, n)
     table = dataclasses.replace(base, in_stopband=flags, t_coeff=np.r_[1.0, t, 1.0])
-    (band,) = stopband_report(table).bands
+    (band,) = bloch._grid_reports(table, len(table))[0][0].bands
     (expected,) = _loop_report(table).bands
     assert repr(band.f_center) == repr(expected.f_center)
     assert repr(band.max_attenuation) == repr(expected.max_attenuation)
@@ -874,7 +874,7 @@ def _one_call_per_step_report(sw, cell):
     """(bands, markers) of the stopband post-pass run one step per stage call:
     one bisection level per call, then one Gamma call per band."""
     n = len(sw)
-    grid = stopband_report(sw)  # centres and attenuation; grid-point edges
+    (grid,), _, _ = bloch._grid_reports(sw, n)  # centres and attenuation; grid-point edges
     starts, ends = bloch._runs(sw.in_stopband)
     runs = list(zip(starts.tolist(), ends.tolist()))
     brackets = [(i, i - 1) for i, _ in runs if i > 0] + [(j, j + 1) for _, j in runs if j < n - 1]
@@ -916,6 +916,20 @@ def test_report_matches_one_stage_call_per_step(L_um, points):
     s = config.sweep
     report = _assert_report_is_one_call_per_step(sweep(cell, s.f_start, s.f_stop, points), cell)
     assert report.bands
+
+
+@pytest.mark.parametrize(
+    "f_start, f_stop, points", [(2.3e9, 2.6e9, 51), (2.35e9, 2.35e9 + 500.0, 7)]
+)
+def test_report_matches_one_stage_call_per_step_without_passband_neighbour(
+    default_cell, f_start, f_stop, points
+):
+    """Windows inside the primary stopband: one band over the whole sweep, no
+    edge to refine (the second with a grid step under EDGE_REFINE_HZ), and its
+    Gamma samples between the grid ends."""
+    sw = sweep(default_cell, f_start, f_stop, points)
+    report = _assert_report_is_one_call_per_step(sw, default_cell)
+    assert [(b.f_low, b.f_high) for b in report.bands] == [(sw.f[0], sw.f[-1])]
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,10 +1,14 @@
 """The README's examples run: every JSON config parses, and the library
-example executes as written."""
+example executes as written; every rodwave name it qualifies by module
+exists."""
 
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
+import rodwave
 from rodwave import parse_config, unit_cell, wavelength_over_thickness
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -36,3 +40,15 @@ def test_thin_beam_figures_are_the_default_cells():
     for text, decimals, f_ghz in figures:
         value = wavelength_over_thickness(trench, float(f_ghz) * 1e9)
         assert f"{value:.{len(decimals)}f}" == text, f_ghz
+
+
+def test_every_module_qualified_name_resolves():
+    """Every backticked `module.name` with a rodwave module on the left names an
+    attribute of that module, so a rename or deletion cannot leave the text
+    stale."""
+    modules = {m.name for m in pkgutil.iter_modules(rodwave.__path__)}
+    names = [(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)`", README) if m in modules]
+    assert names
+    missing = [f"{m}.{n}" for m, n in names
+               if not hasattr(importlib.import_module(f"rodwave.{m}"), n)]
+    assert not missing
