@@ -158,10 +158,13 @@ class StopbandReport:
 
     @property
     def primary_band(self) -> Band | None:
-        """The band with the highest per-cell attenuation."""
-        if not self.bands:
-            return None
-        return max(self.bands, key=lambda b: b.max_attenuation)
+        """The band with the highest per-cell attenuation (_primary)."""
+        return _primary(self.bands)
+
+
+def _primary(bands) -> Band | None:
+    """The first band with the highest per-cell attenuation; None without bands."""
+    return max(bands, key=operator.attrgetter("max_attenuation"), default=None)
 
 
 @dataclass(frozen=True)
@@ -564,12 +567,10 @@ def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
         brackets[active, 0], brackets[active, 1] = grid[rows, a], grid[rows, b]
 
 
-def _grid_reports(
-    table: Sweep, points: int
-) -> tuple[list[StopbandReport], np.ndarray, np.ndarray]:
-    """The report of each step of a table of step sweeps, `points` rows each,
-    with grid-point edges and no markers; and the (starts, ends) rows of all
-    steps' bands, in table order.
+def _bands(table: Sweep, points: int) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """(starts, ends, centers, peaks) of every band of a table of step sweeps,
+    `points` rows each, in table order: the first and last row of each band,
+    as flat indices, and its center and peak attenuation.
 
     A band is a run of stopband points within one step.  Its attenuation is
     -ln|lambda_flex| per point (745.0 where |lambda_flex| is 0), its center
@@ -579,8 +580,7 @@ def _grid_reports(
     np.sum and reduceat add pairwise, and built-in sum() of floats is
     compensated from Python 3.12 on.
     """
-    stop = table.in_stopband.reshape(-1, points)
-    starts, ends = _runs(stop)
+    starts, ends = _runs(table.in_stopband.reshape(-1, points))
     t = table.t_coeff[table.in_stopband]
     att = np.full(t.size, 745.0)
     positive = t > 0
@@ -590,37 +590,27 @@ def _grid_reports(
     last = np.cumsum(lengths)
     first = last - lengths
     weights = np.stack([att, table.f[table.in_stopband] * att])
-    f_low = table.f[starts].tolist()
     centers = []
-    for a, b, f0 in zip(first.tolist(), last.tolist(), f_low):
+    for a, b, f0 in zip(first.tolist(), last.tolist(), table.f[starts].tolist()):
         wsum, fsum = np.cumsum(weights[:, a:b], axis=1)[:, -1].tolist()
         centers.append(fsum / wsum if wsum > 0 else f0)
-    peaks = np.maximum.reduceat(att, first).tolist()
-    bands = list(map(Band, f_low, table.f[ends].tolist(), centers, peaks))
-    step = starts // points
-    coarse = np.full(stop.shape[0], points < 4)
-    coarse[step[lengths < 3]] = True
-    bounds = np.searchsorted(step, np.arange(coarse.size + 1)).tolist()
-    reports = [
-        StopbandReport(tuple(bands[lo:hi]), (), flag)
-        for lo, hi, flag in zip(bounds, bounds[1:], coarse.tolist())
-    ]
-    return reports, starts, ends
+    return starts, ends, centers, np.maximum.reduceat(att, first).tolist()
 
 
 def stopband_report(sweep: Sweep, cell: UnitCellGeometry) -> StopbandReport:
     """Group a sweep into disjoint stopbands with centers and markers.
 
-    A band is a run of stopband points (_grid_reports on the sweep as one
-    step).  Each run end with a passband neighbour is refined by bisection,
-    all in one _refine_edges call, and Re(Gamma) is sampled between each
-    band's edges (_gamma_extrema); the markers are the samples where it
-    peaks close to +1 (virtual-fixed-constraint signature).
+    A band is a run of stopband points (_bands on the sweep as one step).
+    Each run end with a passband neighbour is refined by bisection, all in
+    one _refine_edges call, and Re(Gamma) is sampled between each band's
+    edges (_gamma_extrema); the markers are the samples where it peaks close
+    to +1 (virtual-fixed-constraint signature).  The coarse-grid warning is
+    set below 4 points or on a band of fewer than 3 grid points.
     """
     n = len(sweep)
     if n < 2:
         raise ValueError("stopband_report: need at least 2 sweep points")
-    (report,), starts, ends = _grid_reports(sweep, n)
+    starts, ends, centers, peaks = _bands(sweep, n)
     f_low, f_high = sweep.f[starts], sweep.f[ends]
     left, right = starts > 0, ends < n - 1
     i, j = starts[left], ends[right]
@@ -631,11 +621,9 @@ def stopband_report(sweep: Sweep, cell: UnitCellGeometry) -> StopbandReport:
     if starts.size:
         f_max, re_max, _, _ = _gamma_extrema(cell, f_low, f_high)
         markers = f_max[re_max >= MARKER_MIN_REAL].tolist()
-    bands = [
-        dataclasses.replace(band, f_low=lo, f_high=hi)
-        for band, lo, hi in zip(report.bands, f_low.tolist(), f_high.tolist())
-    ]
-    return dataclasses.replace(report, bands=tuple(bands), resonance_markers=tuple(markers))
+    bands = map(Band, f_low.tolist(), f_high.tolist(), centers, peaks)
+    coarse = n < 4 or bool(np.count_nonzero(ends - starts < 2))
+    return StopbandReport(tuple(bands), tuple(markers), coarse)
 
 
 def _gamma_extrema(cell: UnitCellGeometry, f_low: np.ndarray, f_high: np.ndarray):

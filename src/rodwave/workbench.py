@@ -19,9 +19,11 @@ import numpy as np
 
 from . import __version__
 from .bloch import (
+    Band,
     StopbandReport,
     Sweep,
-    _grid_reports,
+    _bands,
+    _primary,
     chain_profile,
     stopband_report,
     sweep,
@@ -221,9 +223,10 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
     Steps that violate a < L are skipped and named in the notes.  The kept
     steps run as one table: their cells' frequency grids go through the
     Bloch stage in one pass (bloch.sweep_cells, without Gamma), and one
-    band-summary pass over that table gives every step's stopband report,
-    with grid-point edges (bloch._grid_reports).  A numeric failure names
-    the first step it occurs in.
+    band-summary pass over that table gives the bands of every step, with
+    grid-point edges (bloch._bands).  Each step reports its primary band
+    (bloch._primary, the rule of StopbandReport.primary_band), or zeros
+    without a band.  A numeric failure names the first step it occurs in.
 
     The per-cell dispersion of this 1D model depends on the rod width a only
     through phase factors that cancel in the transfer-matrix eigenvalues, and
@@ -246,7 +249,7 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
             continue
         kept.append((value, unit_cell(config, geo)))
     points = config.sweep.points
-    reports = []
+    steps = []  # the bands of each kept step
     if kept:
         try:
             table = sweep_cells(
@@ -255,11 +258,14 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
         except NumericError as exc:
             value = kept[exc.row // points][0]
             raise NumericError(f"geometry step {gs.parameter}={value!r} m: {exc}") from exc
-        reports, _, _ = _grid_reports(table, points)
+        starts, ends, *summaries = _bands(table, points)
+        bands = list(map(Band, table.f[starts].tolist(), table.f[ends].tolist(), *summaries))
+        bounds = np.searchsorted(starts // points, np.arange(len(kept) + 1)).tolist()
+        steps = [bands[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     rows = []
     centers = []
-    for (value, _), report in zip(kept, reports):
-        primary = report.primary_band
+    for (value, _), step in zip(kept, steps):
+        primary = _primary(step)
         if primary is None:
             rows.append([value, 0.0, 0.0, 0.0])
             continue

@@ -183,7 +183,8 @@ def test_stopband_runs_at_the_sweep_ends(default_cell):
             base, f=1e9 + 1e6 * np.arange(11), in_stopband=flags,
             t_coeff=np.where(flags, 0.5, 1.0),
         )
-        (r,), _, _ = bloch._grid_reports(table, len(table))
+        (r,) = _grid_edge_reports(table, len(table), [default_cell])
+        assert r.coarse_grid_warning == _loop_report(table).coarse_grid_warning
         return [(b.f_low, b.f_high) for b in r.bands], r.coarse_grid_warning, table.f.tolist()
 
     edges, coarse, f = report(stops)
@@ -200,7 +201,7 @@ def test_band_centers_are_left_to_right_sums(L_um):
     # must be the same bits on every Python
     cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
     sw = sweep(cell, 0.1e9, 6e9, 800)
-    (report,), _, _ = bloch._grid_reports(sw, len(sw))
+    (report,) = _grid_edge_reports(sw, len(sw), [cell])
     assert report.bands
     assert repr(report) == repr(_loop_report(sw))
 
@@ -688,7 +689,7 @@ def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, pa
         step = _rows(table, i * _GRID[2], (i + 1) * _GRID[2])
         for name in _REPORT_COLUMNS:
             assert getattr(step, name).tobytes() == getattr(own, name).tobytes(), (i, name)
-        primary = bloch._grid_reports(own, len(own))[0][0].primary_band
+        primary = _grid_edge_reports(own, len(own), [cell])[0].primary_band
         assert row[1:] == [primary.f_center, primary.f_high - primary.f_low,
                            primary.max_attenuation]
         if parameter in ("a", "L"):
@@ -753,10 +754,26 @@ def _loop_report(sw):
     return bloch.StopbandReport(tuple(bands), (), coarse)
 
 
-def _assert_grid_reports_are_loop_reports(table, points):
-    reports, starts, ends = bloch._grid_reports(table, points)
-    assert len(reports) * points == len(table)
-    assert starts.size == ends.size == sum(len(r.bands) for r in reports)
+def _grid_edge_reports(table, points, cells):
+    """The report of each `points`-row step of a table, with grid-point edges
+    and no markers: its bands from the columns of bloch._bands, its coarse
+    flag from stopband_report on the step's own rows and cells[i]."""
+    starts, ends, centers, peaks = bloch._bands(table, points)
+    assert starts.size == ends.size == len(centers) == len(peaks)
+    assert len(cells) * points == len(table)
+    bands = list(map(bloch.Band, table.f[starts].tolist(), table.f[ends].tolist(), centers, peaks))
+    reports = []
+    for i, cell in enumerate(cells):
+        own = np.flatnonzero(starts // points == i).tolist()
+        step = _rows(table, i * points, (i + 1) * points)
+        flag = stopband_report(step, cell).coarse_grid_warning
+        reports.append(bloch.StopbandReport(tuple(bands[k] for k in own), (), flag))
+    assert sum(len(r.bands) for r in reports) == len(bands)
+    return reports
+
+
+def _assert_grid_reports_are_loop_reports(table, points, cells):
+    reports = _grid_edge_reports(table, points, cells)
     for i, report in enumerate(reports):
         step = _rows(table, i * points, (i + 1) * points)
         expected = _loop_report(step)
@@ -765,7 +782,7 @@ def _assert_grid_reports_are_loop_reports(table, points):
     return reports
 
 
-@pytest.mark.parametrize("parameter", ["t_aln2", "L", "a"])
+@pytest.mark.parametrize("parameter", sorted(_GEOM_SPANS_UM))
 def test_grid_reports_of_a_geometry_table_are_the_per_step_loop(parameter):
     """One band-summary pass over every step of a geometry sweep's table gives,
     by repr, each step's report from the per-band loop on its own rows."""
@@ -777,7 +794,7 @@ def test_grid_reports_of_a_geometry_table_are_the_per_step_loop(parameter):
         if geo.a < geo.L:
             cells.append(unit_cell(config, geo))
     table = bloch.sweep_cells(cells, 1.4e9, 3.2e9, 400)
-    reports = _assert_grid_reports_are_loop_reports(table, 400)
+    reports = _assert_grid_reports_are_loop_reports(table, 400, cells)
     assert all(r.bands for r in reports)
 
 
@@ -796,11 +813,12 @@ def test_grid_reports_on_synthetic_steps():
     rng = np.random.default_rng(3)
     t = np.where(flags, rng.uniform(0.05, 0.95, flags.size), 1.0)
     t[16] = 0.0
-    base = sweep(unit_cell(parse_config({})), 1e9, 1.1e9, flags.size)
+    cell = unit_cell(parse_config({}))
+    base = sweep(cell, 1e9, 1.1e9, flags.size)
     table = dataclasses.replace(
         base, f=np.tile(np.linspace(1e9, 1.1e9, 7), 4), in_stopband=flags, t_coeff=t
     )
-    reports = _assert_grid_reports_are_loop_reports(table, 7)
+    reports = _assert_grid_reports_are_loop_reports(table, 7, [cell] * 4)
     f = table.f[:7].tolist()
     assert [[(b.f_low, b.f_high) for b in r.bands] for r in reports] == [
         [],
@@ -811,6 +829,41 @@ def test_grid_reports_on_synthetic_steps():
     assert [r.coarse_grid_warning for r in reports] == [False, False, False, True]
     assert reports[0].primary_band is None
     assert reports[2].primary_band.max_attenuation == 745.0
+
+
+def test_geometry_step_reports_the_first_of_two_tied_bands(tmp_path, monkeypatch):
+    """A step whose two bands each hold a |lambda_flex| = 0 point, so both peak at
+    745.0: its geomsweep.csv row is the first band, the narrower one with the
+    smaller attenuation sum, as StopbandReport.primary_band picks; the second
+    step has no band and writes zeros."""
+    config = parse_config({
+        "sweep": {"f_start_hz": 1e9, "f_stop_hz": 1.1e9, "points": 7},
+        "geometry_sweep": {"parameter": "t_aln2", "from_nm": 540, "to_nm": 660, "steps": 2},
+        "output": {"dir": str(tmp_path)},
+    })
+    flags = np.array([False, True, True, False, True, True, True] + [False] * 7)
+    t = np.array([1.0, 0.0, 0.5, 1.0, 0.3, 0.0, 0.4] + [1.0] * 7)
+
+    tables = []
+
+    def synthetic(cells, *grid):
+        table = bloch.sweep_cells(cells, *grid)
+        tables.append(dataclasses.replace(table, in_stopband=flags, t_coeff=t))
+        return tables[-1]
+
+    monkeypatch.setattr(workbench, "sweep_cells", synthetic)
+    rows = workbench.run_geometry_sweep(config)["rows"]
+    (table,) = tables
+    expected = _loop_report(_rows(table, 0, 7))
+    first, second = expected.bands
+    assert first.max_attenuation == second.max_attenuation == 745.0
+    assert expected.primary_band is first
+    assert rows == [
+        [540e-9, first.f_center, first.f_high - first.f_low, 745.0],
+        [660e-9, 0.0, 0.0, 0.0],
+    ]
+    lines = (tmp_path / "geomsweep.csv").read_text().splitlines()
+    assert lines[-2:] == [",".join(map(repr, row)) for row in rows]
 
 
 def test_band_center_and_peak_are_libm_logs_summed_left_to_right():
@@ -830,10 +883,10 @@ def test_band_center_and_peak_are_libm_logs_summed_left_to_right():
     flags = np.r_[False, np.ones(t.size, dtype=bool), False]
     base = sweep(unit_cell(parse_config({})), 2e9, 2.1e9, n)
     table = dataclasses.replace(base, in_stopband=flags, t_coeff=np.r_[1.0, t, 1.0])
-    (band,) = bloch._grid_reports(table, len(table))[0][0].bands
+    _, _, (center,), (peak,) = bloch._bands(table, len(table))
     (expected,) = _loop_report(table).bands
-    assert repr(band.f_center) == repr(expected.f_center)
-    assert repr(band.max_attenuation) == repr(expected.max_attenuation)
+    assert repr(center) == repr(expected.f_center)
+    assert repr(peak) == repr(expected.max_attenuation)
 
     att, f = -np.array([math.log(x) for x in t.tolist()]), table.f[1:-1]
     pairwise = [np.sum(f * att) / np.sum(att),
@@ -874,17 +927,16 @@ def _one_call_per_step_report(sw, cell):
     """(bands, markers) of the stopband post-pass run one step per stage call:
     one bisection level per call, then one Gamma call per band."""
     n = len(sw)
-    (grid,), _, _ = bloch._grid_reports(sw, n)  # centres and attenuation; grid-point edges
-    starts, ends = bloch._runs(sw.in_stopband)
+    starts, ends, centers, peaks = bloch._bands(sw, n)
     runs = list(zip(starts.tolist(), ends.tolist()))
     brackets = [(i, i - 1) for i, _ in runs if i > 0] + [(j, j + 1) for _, j in runs if j < n - 1]
     at = np.array(brackets, dtype=int).reshape(-1, 2)
     edges = dict(zip(brackets, _one_level_edges(cell, sw.f[at[:, 0]], sw.f[at[:, 1]])))
     bands, markers = [], []
-    for band, (i, j) in zip(grid.bands, runs):
-        f_low = edges.get((i, i - 1), band.f_low)
-        f_high = edges.get((j, j + 1), band.f_high)
-        bands.append(dataclasses.replace(band, f_low=f_low, f_high=f_high))
+    for center, peak, (i, j) in zip(centers, peaks, runs):
+        f_low = edges.get((i, i - 1), sw.f[i].item())
+        f_high = edges.get((j, j + 1), sw.f[j].item())
+        bands.append(bloch.Band(f_low, f_high, center, peak))
         if f_high > f_low:
             high, low = _per_band_gamma_extrema(cell, f_low, f_high)
             assert band_gamma_extrema(cell, f_low, f_high) == (high, low)
