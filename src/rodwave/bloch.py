@@ -31,12 +31,13 @@ and matched after the last cell, is a sum over the four Bloch modes, each
 referenced at the end it decays from; one 4x4 solve gives the coefficients.
 
 Every entry point evaluates the pipeline in two parts over an array of
-frequencies: a cell-dependent front (``_front``: k, the clamped sigma, L and
-omega dsigma/domega per point) and one cell-free Bloch stage
-(``_transmitted``, then ``_reflection`` and ``_table``) run once over the
-front.  Several cells make one front, over their constants repeated per
-point (``cell.stacked_cells``), so ``sweep_cells`` runs the front and the
-stage once each for a whole geometry sweep.  The full table is a ``Sweep``, and
+frequencies: a cell-dependent front (``_front``: k, the clamped sigma, L)
+and one cell-free Bloch stage, run over the front as far as a result needs:
+roots and stopband test (``_pairs``), passband direction (``_transmitted``,
+the one user of omega dsigma/domega), ``_reflection`` and ``_table``.  Several
+cells make one front, over their constants repeated per point
+(``cell.stacked_cells``), so ``sweep_cells`` runs the front and the stopband
+test once each for a whole geometry sweep.  The full table is a ``Sweep``, and
 ``bloch_point`` is its row on a one-element array.  The stage builds no 4x4
 matrix and makes no LAPACK call: every step is elementwise, with sums over
 the four components written out, so a point's outputs do not depend on the
@@ -231,23 +232,6 @@ def _lambda_pairs(y):
     return outer, 1.0 / outer
 
 
-def _bloch_pairs(parts, s):
-    """(y, outer, inner), each (n, 2): the two y-roots and their Bloch pairs,
-    the transmitted pair in column 0; parts are _y_parts of kL.
-
-    The transmitted pair is the one whose inner factor has the larger
-    modulus; on a tie the _y_closed order stands.
-    """
-    y = _y_closed(parts, s).T
-    outer, inner = _lambda_pairs(y)
-    mod = np.abs(inner)
-    swap = mod[:, 1] > mod[:, 0]
-    if not np.count_nonzero(swap):
-        return y, outer, inner
-    swap = swap[:, None]
-    return tuple(np.where(swap, x[:, ::-1], x) for x in (y, outer, inner))
-
-
 def _y_slope(kl, s, ds, parts, y):
     """omega dy/domega of the first root in y (n, 2), times |y0 - y1| (0 where
     the real parts meet), in real arithmetic; ds = omega dsigma/domega and
@@ -300,32 +284,51 @@ class _Front:
     k: np.ndarray
     sigma: np.ndarray  # clamped; 0 without coupling
     L: float | np.ndarray  # cell length: one float, or one per point for several cells
-    ds: np.ndarray  # omega dsigma/domega (cell.sigma_slope_arrays); 0 without coupling
+    cell: UnitCellGeometry | None  # for _transmitted's omega dsigma/domega; None uncoupled
 
 
 def _front(cell: UnitCellGeometry, f: np.ndarray, *, force_zero_coupling: bool = False) -> _Front:
     """The front of one cell over an array of frequencies f > 0, or of
     stacked_cells of several over their grids end to end."""
     if force_zero_coupling:
-        zero = np.zeros(f.shape)
-        return _Front(f, flexural_wavevectors(cell.trench, f), zero, cell.cell_length, zero)
+        k = flexural_wavevectors(cell.trench, f)
+        return _Front(f, k, np.zeros(f.shape), cell.cell_length, None)
     k, _, sigma = forcing_arrays(cell, f)
-    sigma = clamped_sigma(sigma)
-    return _Front(f, k, sigma, cell.cell_length, sigma_slope_arrays(cell, f, k, sigma))
+    return _Front(f, k, clamped_sigma(sigma), cell.cell_length, cell)
+
+
+def _pairs(fr: _Front):
+    """(kL, parts, y, outer, inner, |inner|, T, in_stopband): _y_parts of kL,
+    the y-roots and their Bloch pairs, each (n, 2) in _y_closed order, T =
+    min(|inner|, 1) of the least-attenuated pair and the stopband test.
+    NumericError where the roots overflow.  The test needs no passband
+    direction: that picks a member on the unit circle, where T >= 1 - 1e-8.
+    """
+    kl = fr.k * fr.L
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        parts = _y_parts(kl)
+        y = _y_closed(parts, fr.sigma).T
+        outer, inner = _lambda_pairs(y)
+    _require_finite(fr.f, kl, outer, "Bloch roots")
+    mod = np.abs(inner)
+    t = np.minimum(np.maximum(mod[:, 0], mod[:, 1]), 1.0)
+    return kl, parts, y, outer, inner, mod, t, t < 1.0 - TOL_BAND
 
 
 def _transmitted(fr: _Front):
-    """(kL, y, outer, inner, lambda_flex, T, in_stopband): the roots and pairs
-    of _bloch_pairs, the transmitted factor, T = min(|lambda_flex|, 1) and the
-    stopband test T < 1 - TOL_BAND.  NumericError where the roots overflow."""
-    kl = fr.k * fr.L
-    # the roots' overflow is reported just below; the slope is read only at
-    # passband points, and may overflow at the others
+    """(kL, y, outer, inner, lambda_flex, T, in_stopband): the pairs of _pairs
+    with the transmitted one, whose inner factor has the larger modulus, in
+    column 0 (on a tie the _y_closed order stands), the transmitted factor,
+    T = min(|lambda_flex|, 1) and the stopband test of _pairs."""
+    kl, parts, y, outer, inner, mod, _, stop = _pairs(fr)
+    swap = mod[:, 1] > mod[:, 0]
+    if np.count_nonzero(swap):
+        swap = swap[:, None]
+        y, outer, inner = (np.where(swap, x[:, ::-1], x) for x in (y, outer, inner))
+    ds = 0.0 if fr.cell is None else sigma_slope_arrays(fr.cell, fr.f, fr.k, fr.sigma)
+    # the slope is read only at passband points, and may overflow at the others
     with np.errstate(over="ignore", invalid="ignore"):
-        parts = _y_parts(kl)
-        y, outer, inner = _bloch_pairs(parts, fr.sigma)
-        slope = _y_slope(kl, fr.sigma, fr.ds, parts, y)
-    _require_finite(fr.f, kl, outer, "Bloch roots")
+        slope = _y_slope(kl, fr.sigma, ds, parts, y)
     # stopband: the decaying member; passband: the member whose modulus shrinks
     # under omega -> omega (1 + i eps), to first order the one with
     # Im(lambda) dy/domega < 0; where that product is 0 (lambda = +-1, or a
@@ -338,8 +341,7 @@ def _transmitted(fr: _Front):
     if np.count_nonzero(over):  # keep |lambda| <= 1 against rounding
         lam = np.where(over, lam / mod, lam)
         mod = np.abs(lam)
-    t = np.minimum(mod, 1.0)
-    return kl, y, outer, inner, lam, t, t < 1.0 - TOL_BAND
+    return kl, y, outer, inner, lam, np.minimum(mod, 1.0), stop
 
 
 def _reflection(fr: _Front, kl, lam, other):
@@ -516,17 +518,15 @@ def sweep(cell: UnitCellGeometry, f_start: float, f_stop: float, points: int) ->
 
 def sweep_cells(
     cells: list[UnitCellGeometry], f_start: float, f_stop: float, points: int
-) -> Sweep:
-    """The uniform frequency sweep of each cell, without Gamma, as one table.
-
-    The front is one array evaluation over the cells' grids end to end, and
-    the Bloch stage runs once over it: rows i * points .. (i + 1) * points - 1
-    are bit for bit the stage's table of cells[i] on its own grid, without
-    Gamma, so Re(k_ef), the Gamma columns and the eigen-check are 0.  A
-    NumericError's row is its row in this table.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, T, in_stopband) of the uniform frequency sweep of each cell, the
+    grids end to end: one front, and the stage once as far as its stopband
+    test (_pairs).  Rows i * points .. (i + 1) * points - 1 are, bit for bit,
+    the in_stopband of cells[i]'s own table and its t_coeff at every stopband
+    point.  A NumericError's row is its row in these columns.
     """
     f = np.tile(_grid(f_start, f_stop, points, "sweep_cells"), len(cells))
-    return _table(_front(stacked_cells(cells, points), f), with_gamma=False)
+    return (f, *_pairs(_front(stacked_cells(cells, points), f))[-2:])
 
 
 def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
@@ -538,7 +538,7 @@ def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
     tests in one stage call the points whose parent part is wider than
     EDGE_REFINE_HZ.  Bisection by index on that grid then takes the same
     midpoints and the same stop as one level per call.  The stopband test is
-    the stage's, as in Sweep.in_stopband.
+    the stage's (_pairs), as in Sweep.in_stopband.
     """
     brackets = brackets.astype(float)
     parts = 1 << _TREE_LEVELS
@@ -556,7 +556,7 @@ def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
             tested[:, step // 2 :: step] = np.abs(right - left) > EDGE_REFINE_HZ
             step //= 2
         stop = np.zeros(grid.shape, dtype=bool)
-        stop[tested] = _transmitted(_front(cell, grid[tested]))[-1]
+        stop[tested] = _pairs(_front(cell, grid[tested]))[-1]
         rows = np.arange(active.size)
         a, b = np.zeros(active.size, dtype=int), np.full(active.size, parts)
         for _ in range(_TREE_LEVELS):
@@ -567,21 +567,22 @@ def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
         brackets[active, 0], brackets[active, 1] = grid[rows, a], grid[rows, b]
 
 
-def _bands(table: Sweep, points: int) -> tuple[np.ndarray, np.ndarray, list, list]:
-    """(starts, ends, centers, peaks) of every band of a table of step sweeps,
-    `points` rows each, in table order: the first and last row of each band,
-    as flat indices, and its center and peak attenuation.
+def _bands(f, t, in_stopband, points: int) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """(starts, ends, centers, peaks) of every band of step sweeps given as
+    columns of frequency, T and the stopband mask, `points` rows each, in row
+    order: the first and last row of each band, as flat indices, and its
+    center and peak attenuation.  T is read at stopband points only.
 
     A band is a run of stopband points within one step.  Its attenuation is
-    -ln|lambda_flex| per point (745.0 where |lambda_flex| is 0), its center
-    the attenuation-weighted mean frequency.  The logs are libm's, one map
+    -ln T per point (745.0 where T is 0), its center the attenuation-weighted
+    mean frequency.  The logs are libm's, one map
     over every stopband point, and each band's sums run left to right, one
     cumsum over its slice: numpy's log may differ from libm in the last bit,
     np.sum and reduceat add pairwise, and built-in sum() of floats is
     compensated from Python 3.12 on.
     """
-    starts, ends = _runs(table.in_stopband.reshape(-1, points))
-    t = table.t_coeff[table.in_stopband]
+    starts, ends = _runs(in_stopband.reshape(-1, points))
+    t = t[in_stopband]
     att = np.full(t.size, 745.0)
     positive = t > 0
     att[positive] = -np.fromiter(map(math.log, t[positive].tolist()), float, positive.sum())
@@ -589,9 +590,9 @@ def _bands(table: Sweep, points: int) -> tuple[np.ndarray, np.ndarray, list, lis
     lengths = ends - starts + 1
     last = np.cumsum(lengths)
     first = last - lengths
-    weights = np.stack([att, table.f[table.in_stopband] * att])
+    weights = np.stack([att, f[in_stopband] * att])
     centers = []
-    for a, b, f0 in zip(first.tolist(), last.tolist(), table.f[starts].tolist()):
+    for a, b, f0 in zip(first.tolist(), last.tolist(), f[starts].tolist()):
         wsum, fsum = np.cumsum(weights[:, a:b], axis=1)[:, -1].tolist()
         centers.append(fsum / wsum if wsum > 0 else f0)
     return starts, ends, centers, np.maximum.reduceat(att, first).tolist()
@@ -610,7 +611,7 @@ def stopband_report(sweep: Sweep, cell: UnitCellGeometry) -> StopbandReport:
     n = len(sweep)
     if n < 2:
         raise ValueError("stopband_report: need at least 2 sweep points")
-    starts, ends, centers, peaks = _bands(sweep, n)
+    starts, ends, centers, peaks = _bands(sweep.f, sweep.t_coeff, sweep.in_stopband, n)
     f_low, f_high = sweep.f[starts], sweep.f[ends]
     left, right = starts > 0, ends < n - 1
     i, j = starts[left], ends[right]

@@ -39,9 +39,6 @@ from .errors import ConfigError, frequency_row, non_finite_error
 from .rod import RodModel, _impedance_arrays
 from .trench import TrenchModel, flexural_wavevectors
 
-# above this |sigma| the closed forms switch to their infinite-stiffness
-# limits; the switch is continuous to ~1e-8 and avoids cancellation.
-SIGMA_LIMIT_SWITCH = 1e8
 # working clamp so that characteristic-polynomial arithmetic stays finite
 # when sigma is evaluated essentially on a pole
 SIGMA_CLAMP = 1e12
@@ -107,7 +104,7 @@ def forcing_strength(cell: UnitCellGeometry, f: float) -> tuple[float, float]:
 
     f_eff = -i omega Z_b is real for real f because Z_b is purely imaginary;
     sigma divides it by E_t I_t k^3.  Near an impedance pole both are huge;
-    downstream consumers switch to analytic limits.
+    downstream consumers clamp sigma, or take its limits at an exact pole.
     """
     return _forcing_at(cell, f, "forcing_strength")[1:]
 
@@ -196,10 +193,11 @@ _COEFF_DEN_ADD = np.array([4 + 4j, 2 + 2j, 4 + 4j, 4 + 4j, 4 + 4j, 2 + 2j])
 
 
 def _coeffs_from_sigma(k: float, a: float, sigma: float) -> tuple[complex, ...]:
-    """The six closed-form coefficients (r, t, r_ef, r_fe, r_e, t_e)."""
-    if abs(sigma) > SIGMA_LIMIT_SWITCH:
-        # infinite-stiffness limits (virtual fixed constraint): sigma -> inf
-        # in _rational_coeffs
+    """The six closed-form coefficients (r, t, r_ef, r_fe, r_e, t_e): the
+    rational form, accurate to rounding at any finite sigma."""
+    if math.isinf(sigma):
+        # the exact-pole marker: the infinite-stiffness limits (virtual fixed
+        # constraint), sigma -> inf in _rational_coeffs
         coeffs = _COEFF_PREFACTOR * np.exp(a * k * _COEFF_RATE) / _COEFF_DEN
     else:
         coeffs = _rational_coeffs(k, a, sigma)

@@ -221,10 +221,10 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
     """Sweep one geometry parameter; track the primary-band center per value.
 
     Steps that violate a < L are skipped and named in the notes.  The kept
-    steps run as one table: their cells' frequency grids go through the
-    Bloch stage in one pass (bloch.sweep_cells, without Gamma), and one
-    band-summary pass over that table gives the bands of every step, with
-    grid-point edges (bloch._bands).  Each step reports its primary band
+    steps run as one: their cells' frequency grids go through the Bloch
+    stage in one pass, as far as the stopband test (bloch.sweep_cells), and
+    one band-summary pass over its columns gives the bands of every step,
+    with grid-point edges (bloch._bands).  Each step reports its primary band
     (bloch._primary, the rule of StopbandReport.primary_band), or zeros
     without a band.  A numeric failure names the first step it occurs in.
 
@@ -252,14 +252,14 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
     steps = []  # the bands of each kept step
     if kept:
         try:
-            table = sweep_cells(
+            f, t, in_stopband = sweep_cells(
                 [cell for _, cell in kept], config.sweep.f_start, config.sweep.f_stop, points
             )
         except NumericError as exc:
             value = kept[exc.row // points][0]
             raise NumericError(f"geometry step {gs.parameter}={value!r} m: {exc}") from exc
-        starts, ends, *summaries = _bands(table, points)
-        bands = list(map(Band, table.f[starts].tolist(), table.f[ends].tolist(), *summaries))
+        starts, ends, *summaries = _bands(f, t, in_stopband, points)
+        bands = list(map(Band, f[starts].tolist(), f[ends].tolist(), *summaries))
         bounds = np.searchsorted(starts // points, np.arange(len(kept) + 1)).tolist()
         steps = [bands[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     rows = []

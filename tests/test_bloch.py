@@ -650,17 +650,22 @@ _GEOM_SPANS_UM = {
     "t_m1": (0.2, 0.3),
     "t_m2": (0.28, 0.38),
 }
-# the columns the stopband report reads, and the Bloch factors behind them
-_REPORT_COLUMNS = (
-    "f", "t_coeff", "in_stopband", "gamma", "lambda_flex", "eigenvalues", "k", "sigma",
-)
+
+
+def _mask_table(f, t, in_stopband):
+    """A Sweep of the columns sweep_cells returns, every other column 0: the
+    stopband report, _rows and _loop_report read only these three."""
+    zero = np.zeros(f.size)
+    return bloch.Sweep(**{name: zero for name in bloch._SWEEP_FIELDS}
+                       | {"f": f, "t_coeff": t, "in_stopband": in_stopband})
 
 
 @pytest.mark.parametrize("parameter", sorted(_GEOM_SPANS_UM))
 def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, parameter):
-    """Each kept step's rows of the one-pass geometry table are bit for bit the
-    stage's table of its own cell and grid, without Gamma, and its geomsweep.csv
-    row is that table's primary band."""
+    """Each kept step's rows of the one-pass geometry columns are bit for bit
+    the frequencies and stopband mask of the stage's table of its own cell and
+    grid, and its t_coeff at every stopband point, and its geomsweep.csv row is
+    that table's primary band."""
     lo, hi = _GEOM_SPANS_UM[parameter]
     config = parse_config({
         "sweep": dict(zip(("f_start_hz", "f_stop_hz", "points"), _GRID)),
@@ -676,9 +681,9 @@ def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, pa
     monkeypatch.setattr(workbench, "sweep_cells", recorded)
     monkeypatch.setattr(workbench, "sweep", None)  # the geometry sweep makes no sweep() call
     rows = workbench.run_geometry_sweep(config)["rows"]
-    (cells, grid, table), = calls
+    (cells, grid, (f, t, in_stopband)), = calls
     assert grid == _GRID
-    assert len(cells) == len(rows) == len(table) // _GRID[2]
+    assert len(cells) == len(rows) == f.size // _GRID[2]
     lines = (tmp_path / "geomsweep.csv").read_text().splitlines()
     skipped = sum("skipped" in line for line in lines)
     assert skipped == 9 - len(cells)
@@ -686,9 +691,11 @@ def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, pa
         assert skipped > 0
     for i, (cell, row) in enumerate(zip(cells, rows)):
         own = bloch._table(bloch._front(cell, np.linspace(*_GRID)), with_gamma=False)
-        step = _rows(table, i * _GRID[2], (i + 1) * _GRID[2])
-        for name in _REPORT_COLUMNS:
-            assert getattr(step, name).tobytes() == getattr(own, name).tobytes(), (i, name)
+        step = slice(i * _GRID[2], (i + 1) * _GRID[2])
+        assert f[step].tobytes() == own.f.tobytes(), i
+        assert in_stopband[step].tobytes() == own.in_stopband.tobytes(), i
+        stop = own.in_stopband
+        assert t[step][stop].tobytes() == own.t_coeff[stop].tobytes(), i
         primary = _grid_edge_reports(own, len(own), [cell])[0].primary_band
         assert row[1:] == [primary.f_center, primary.f_high - primary.f_low,
                            primary.max_attenuation]
@@ -719,15 +726,47 @@ def test_geometry_sweep_front_is_the_step_fronts(monkeypatch, parameter, on_pole
     if parameter == "a":
         assert len({c.rod.first_pole for c in cells}) == 1
     fronts = []
-    monkeypatch.setattr(bloch, "_table", lambda front, with_gamma: fronts.append(front))
+    stage = bloch._pairs
+    monkeypatch.setattr(bloch, "_pairs", lambda front: fronts.append(front) or stage(front))
     bloch.sweep_cells(cells, *grid)
     (front,) = fronts
     f = np.linspace(*grid)
     own = [bloch._front(c, f, force_zero_coupling=False) for c in cells]
-    for name in ("f", "k", "sigma", "ds"):
+    for name in ("f", "k", "sigma"):
         expected = np.concatenate([getattr(fr, name) for fr in own])
         assert getattr(front, name).tobytes() == expected.tobytes(), name
     assert front.L.tobytes() == np.repeat([fr.L for fr in own], f.size).tobytes()
+
+
+def test_geometry_sweep_and_edge_bisection_take_no_passband_step(tmp_path, monkeypatch):
+    """The geometry sweep and the edge bisection stop the stage at the stopband
+    test: no omega dsigma/domega and no Sweep table, which bloch_point, counted
+    the same way, makes one of each."""
+    config = parse_config({
+        "sweep": dict(zip(("f_start_hz", "f_stop_hz", "points"), _GRID)),
+        "geometry_sweep": {"parameter": "t_aln2", "from_nm": 540, "to_nm": 660, "steps": 3},
+        "output": {"dir": str(tmp_path)},
+    })
+    cell = unit_cell(config)
+    sw = sweep(cell, *_GRID)
+    starts, ends = bloch._runs(sw.in_stopband)
+    i, j = starts[starts > 0], ends[ends < sw.f.size - 1]
+    brackets = sw.f[np.concatenate([[i, i - 1], [j, j + 1]], axis=1).T]
+    calls = []
+
+    def counted(name):
+        original = getattr(bloch, name)
+        return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+    for name in ("sigma_slope_arrays", "Sweep"):
+        monkeypatch.setattr(bloch, name, counted(name))
+    rows = workbench.run_geometry_sweep(config)["rows"]
+    edges = bloch._refine_edges(cell, brackets)
+    assert calls == []
+    assert len(rows) == 3 and all(row[1] > 0 for row in rows)
+    assert edges.size == brackets.shape[0] > 0
+    bloch_point(cell, 2e9)
+    assert calls == ["sigma_slope_arrays", "Sweep"]
 
 
 def _loop_report(sw):
@@ -758,7 +797,7 @@ def _grid_edge_reports(table, points, cells):
     """The report of each `points`-row step of a table, with grid-point edges
     and no markers: its bands from the columns of bloch._bands, its coarse
     flag from stopband_report on the step's own rows and cells[i]."""
-    starts, ends, centers, peaks = bloch._bands(table, points)
+    starts, ends, centers, peaks = bloch._bands(table.f, table.t_coeff, table.in_stopband, points)
     assert starts.size == ends.size == len(centers) == len(peaks)
     assert len(cells) * points == len(table)
     bands = list(map(bloch.Band, table.f[starts].tolist(), table.f[ends].tolist(), centers, peaks))
@@ -793,7 +832,7 @@ def test_grid_reports_of_a_geometry_table_are_the_per_step_loop(parameter):
         geo = dataclasses.replace(config.geometry, **{parameter: float(value)})
         if geo.a < geo.L:
             cells.append(unit_cell(config, geo))
-    table = bloch.sweep_cells(cells, 1.4e9, 3.2e9, 400)
+    table = _mask_table(*bloch.sweep_cells(cells, 1.4e9, 3.2e9, 400))
     reports = _assert_grid_reports_are_loop_reports(table, 400, cells)
     assert all(r.bands for r in reports)
 
@@ -847,9 +886,9 @@ def test_geometry_step_reports_the_first_of_two_tied_bands(tmp_path, monkeypatch
     tables = []
 
     def synthetic(cells, *grid):
-        table = bloch.sweep_cells(cells, *grid)
-        tables.append(dataclasses.replace(table, in_stopband=flags, t_coeff=t))
-        return tables[-1]
+        f, _, _ = bloch.sweep_cells(cells, *grid)
+        tables.append(_mask_table(f, t, flags))
+        return f, t, flags
 
     monkeypatch.setattr(workbench, "sweep_cells", synthetic)
     rows = workbench.run_geometry_sweep(config)["rows"]
@@ -883,7 +922,7 @@ def test_band_center_and_peak_are_libm_logs_summed_left_to_right():
     flags = np.r_[False, np.ones(t.size, dtype=bool), False]
     base = sweep(unit_cell(parse_config({})), 2e9, 2.1e9, n)
     table = dataclasses.replace(base, in_stopband=flags, t_coeff=np.r_[1.0, t, 1.0])
-    _, _, (center,), (peak,) = bloch._bands(table, len(table))
+    _, _, (center,), (peak,) = bloch._bands(table.f, table.t_coeff, table.in_stopband, len(table))
     (expected,) = _loop_report(table).bands
     assert repr(center) == repr(expected.f_center)
     assert repr(peak) == repr(expected.max_attenuation)
@@ -927,7 +966,7 @@ def _one_call_per_step_report(sw, cell):
     """(bands, markers) of the stopband post-pass run one step per stage call:
     one bisection level per call, then one Gamma call per band."""
     n = len(sw)
-    starts, ends, centers, peaks = bloch._bands(sw, n)
+    starts, ends, centers, peaks = bloch._bands(sw.f, sw.t_coeff, sw.in_stopband, n)
     runs = list(zip(starts.tolist(), ends.tolist()))
     brackets = [(i, i - 1) for i, _ in runs if i > 0] + [(j, j + 1) for _, j in runs if j < n - 1]
     at = np.array(brackets, dtype=int).reshape(-1, 2)
@@ -1007,10 +1046,11 @@ def test_report_matches_one_stage_call_per_step_on_drawn_geometries(L_um, a_frac
 
 
 def test_default_sweep_and_report_make_at_most_five_stage_calls(monkeypatch, default_config):
-    # the sweep, three rounds of four bisection levels and one Gamma call
+    # the sweep, three rounds of four bisection levels and one Gamma call, each
+    # one call of the shared root stage
     calls = []
-    stage = bloch._transmitted
-    monkeypatch.setattr(bloch, "_transmitted", lambda fr: calls.append(fr.f.size) or stage(fr))
+    stage = bloch._pairs
+    monkeypatch.setattr(bloch, "_pairs", lambda fr: calls.append(fr.f.size) or stage(fr))
     cell = unit_cell(default_config)
     s = default_config.sweep
     report = stopband_report(sweep(cell, s.f_start, s.f_stop, s.points), cell)

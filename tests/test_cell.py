@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -90,6 +91,39 @@ def test_scatter_limit_switch_is_continuous(default_cell):
     above = _coeffs_from_sigma(k, default_cell.rod_width, 1.001e8)
     for lo, hi in zip(below, above):
         assert lo == pytest.approx(hi, rel=1e-6, abs=1e-12)
+
+
+def _mp_coeffs(k: float, a: float, sigma: float) -> list:
+    """(r, t, r_ef, r_fe, r_e, t_e) from their closed forms in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        s, ak = mpmath.mpf(sigma), mpmath.mpf(a) * mpmath.mpf(k)
+        delay, mixed, grow = mpmath.exp(-1j * ak), mpmath.exp((1 - 1j) * ak / 2), mpmath.exp(ak)
+        den = 2 * s + 4 + 4j
+        return [
+            -(1 - 1j) * delay * s / den,
+            (1 + 1j) / 2 * delay * (s + 4) / (s + 2 + 2j),
+            -(1 - 1j) * mixed * s / den,
+            -(1 + 1j) * mixed * s / den,
+            -(1 + 1j) * grow * s / den,
+            (1 - 1j) / 2 * grow * (s + 4j) / (s + 2 + 2j),
+        ]
+
+
+@pytest.mark.parametrize("f", [0.5e9, 2.0e9, 5.5e9])
+def test_scatter_coefficients_near_a_pole_match_mpmath(default_cell, f):
+    """Every finite sigma takes the rational closed form, which stays accurate
+    to rounding as |sigma| grows toward a pole: within 1e-14 relative of
+    mpmath over |sigma| from 1e6 to 1e12, both signs."""
+    from rodwave.cell import _coeffs_from_sigma
+
+    k = flexural_wavevector(default_cell.trench, f)
+    a = default_cell.rod_width
+    magnitudes = np.concatenate([np.geomspace(1e6, 1e12, 49), [0.999e8, 1.001e8]])
+    worst = 0.0
+    for sigma in np.concatenate([magnitudes, -magnitudes]).tolist():
+        for got, want in zip(_coeffs_from_sigma(k, a, sigma), _mp_coeffs(k, a, sigma)):
+            worst = max(worst, float(abs(got - want) / abs(want)))
+    assert worst <= 1e-14
 
 
 def test_energy_conservation_random_frequencies(default_cell):

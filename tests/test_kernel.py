@@ -30,6 +30,7 @@ from rodwave.cell import (
     sigma_slope_arrays,
     translation_phases,
 )
+from rodwave.rod import impedance_extrema
 from rodwave.trench import flexural_wavevector, flexural_wavevectors
 
 
@@ -92,7 +93,9 @@ def test_transmitted_pair_is_the_least_attenuated(random_draw):
     """Column 0 holds the pair whose |lambda| <= 1 member has the largest
     modulus of the four factors (on an exact tie either pair passes)."""
     kl, sigma = random_draw
-    _, _, inner = bloch._bloch_pairs(bloch._y_parts(kl), sigma)
+    # a front of the drawn points with L = 1 (kL stands in for f, which only
+    # names a point in an error)
+    inner = bloch._transmitted(bloch._Front(kl, kl, sigma, 1.0, None))[3]
     mismatched = []
     for i, (x, s, lam) in enumerate(zip(kl.tolist(), sigma.tolist(), inner[:, 0].tolist())):
         with mpmath.workdps(_mp_digits(x)):
@@ -100,6 +103,25 @@ def test_transmitted_pair_is_the_least_attenuated(random_draw):
             if abs(abs(lam) - slowest) > 1e-12 * slowest:
                 mismatched.append(i)
     assert not mismatched, f"{len(mismatched)} of {kl.size} points differ, first {mismatched[:5]}"
+
+
+def test_stopband_test_needs_no_passband_direction():
+    """The stopband test of _pairs, made before any passband direction, is bit
+    for bit the table's mask and the test on its t_coeff, and its T is the
+    table's t_coeff at every stopband point: 20 seeded cells at 500
+    frequencies each, 1 MHz-20 GHz, and at each cell's exact rod poles."""
+    rng = np.random.default_rng(2525)
+    counts = np.zeros(2, dtype=int)
+    for cell in _random_cells(rng, 20):
+        poles = [p for p, kind in impedance_extrema(cell.rod, 2e10) if kind == "pole"]
+        fr = bloch._front(cell, np.concatenate([rng.uniform(1e6, 2e10, 500), poles]))
+        t, stop = bloch._pairs(fr)[-2:]
+        table = bloch._table(fr, with_gamma=False)
+        assert stop.tobytes() == table.in_stopband.tobytes()
+        assert stop.tobytes() == (table.t_coeff < 1.0 - bloch.TOL_BAND).tobytes()
+        assert t[stop].tobytes() == table.t_coeff[stop].tobytes()
+        counts += np.count_nonzero(stop), np.count_nonzero(~stop)
+    assert counts.min() > 1000, counts
 
 
 def _mp_shrinks(kl, sigma, arg, lam):
