@@ -63,7 +63,7 @@ from .cell import (
     stacked_cells,
     translation_phases,
 )
-from .errors import frequency_row, non_finite_error
+from .errors import FOUR, ONE, THREE, TWO, ZERO, constant, frequency_row, non_finite_error
 from .trench import flexural_wavevectors
 
 TOL_BAND = 1e-6  # in_stopband when 1 - |lambda_flex| exceeds this
@@ -72,6 +72,9 @@ MARKER_MIN_REAL = 0.98  # smallest in-band max(Re Gamma) that counts as a marker
 _INTERIOR_SAMPLES = 17  # uniform in-band samples of _gamma_extrema
 _EDGE_OFFSETS = (1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2)  # edge samples, per band width
 _TREE_LEVELS = 4  # bisection levels of every edge bracket per stage call
+# the stage's ufunc operands (errors.constant), complex ones beside complex arrays
+_C_ONE, _C_TWO, _C_FOUR = (constant(x, complex) for x in (1, 2, 4))
+_STOP_BELOW, _ON_CIRCLE, _COMPLEX_BAND_TOL = map(constant, (1.0 - TOL_BAND, 1e-8, 1e-9))
 
 
 @dataclass(frozen=True)
@@ -205,31 +208,29 @@ def _y_closed(parts, s) -> np.ndarray:
     arithmetic is used.
     """
     c, ch, _, _, B, E = parts
-    su = 2 * c + 2 * ch + (s / 2) * B
-    pr = 4 * c * ch + s * E
-    disc2 = su * su - 4 * pr
+    su = TWO * c + TWO * ch + (s / TWO) * B
+    pr = FOUR * c * ch + s * E
+    disc2 = su * su - FOUR * pr
     d = np.sqrt(np.abs(disc2))
-    big = (su + np.copysign(d, su)) / 2
+    big = (su + np.copysign(d, su)) / TWO
     small = pr / big
-    pos = su >= 0
-    y = np.zeros((2,) + su.shape, dtype=complex)
-    y.real[0] = np.where(pos, big, small)
-    y.real[1] = np.where(pos, small, big)
-    pair = disc2 < 0
+    pos = su >= ZERO
+    y = np.array([np.where(pos, big, small), np.where(pos, small, big)], dtype=complex)
+    pair = disc2 < ZERO
     if np.count_nonzero(pair):
-        y.real[:, pair] = su[pair] / 2
-        y.imag[0][pair] = d[pair] / 2
-        y.imag[1][pair] = -d[pair] / 2
+        y.real[:, pair] = su[pair] / TWO
+        y.imag[0][pair] = d[pair] / TWO
+        y.imag[1][pair] = -d[pair] / TWO
     return y
 
 
 def _lambda_pairs(y):
     """Roots of lambda^2 - y lambda + 1 = 0 as (outer, inner), |outer| >= |inner|."""
-    root = np.sqrt(y * y - 4)
-    lp = (y + root) / 2
-    lm = (y - root) / 2
+    root = np.sqrt(y * y - _C_FOUR)
+    lp = (y + root) / _C_TWO
+    lm = (y - root) / _C_TWO
     outer = np.where(np.abs(lp) >= np.abs(lm), lp, lm)
-    return outer, 1.0 / outer
+    return outer, _C_ONE / outer
 
 
 def _y_slope(kl, s, ds, parts, y):
@@ -241,9 +242,9 @@ def _y_slope(kl, s, ds, parts, y):
     y0 - y1 because su is the sum of the roots; omega (kL)' = kL/2.
     """
     c, ch, sn, sh, B, E = parts
-    half = kl / 2
-    dsu = half * (2 * B + (s / 2) * (ch - c)) + (ds / 2) * B
-    dpr = half * (4 * E - 2 * s * sn * sh) + ds * E
+    half = kl / TWO
+    dsu = half * (TWO * B + (s / TWO) * (ch - c)) + (ds / TWO) * B
+    dpr = half * (FOUR * E - TWO * s * sn * sh) + ds * E
     y0, y1 = y.real.T
     return np.sign(y0 - y1) * (y0 * dsu - dpr)
 
@@ -266,13 +267,13 @@ def _eigenvectors(kl, lam):
     of 4.  With the scaled v, T v - lam v = ((sigma/4) w.v - (lam - p_near)) u
     exactly.
     """
-    p, w = translation_phases(np.array([kl, kl / 2]))
+    p, w = translation_phases(np.array([kl, kl / TWO]))
     # each component's response to the shear jump is lambda_j / k, its phase rate
     u = w * _PHASE_RATES
     gap = lam[..., None] - p
     near = _COMPONENTS == np.abs(gap).argmin(axis=-1)[..., None]
-    g_near = _sum4(np.where(near, gap, 0))  # lam - p_near
-    v = u * np.where(near, 1, g_near[..., None] / np.where(near, 1, gap))
+    g_near = gap[near].reshape(lam.shape)  # lam - p_near, one per row
+    v = u * np.where(near, _C_ONE, g_near[..., None] / np.where(near, _C_ONE, gap))
     return v, w, g_near
 
 
@@ -311,8 +312,8 @@ def _pairs(fr: _Front):
         outer, inner = _lambda_pairs(y)
     _require_finite(fr.f, kl, outer, "Bloch roots")
     mod = np.abs(inner)
-    t = np.minimum(np.maximum(mod[:, 0], mod[:, 1]), 1.0)
-    return kl, parts, y, outer, inner, mod, t, t < 1.0 - TOL_BAND
+    t = np.minimum(np.maximum(mod[:, 0], mod[:, 1]), ONE)
+    return kl, parts, y, outer, inner, mod, t, t < _STOP_BELOW
 
 
 def _transmitted(fr: _Front):
@@ -325,23 +326,24 @@ def _transmitted(fr: _Front):
     if np.count_nonzero(swap):
         swap = swap[:, None]
         y, outer, inner = (np.where(swap, x[:, ::-1], x) for x in (y, outer, inner))
-    ds = 0.0 if fr.cell is None else sigma_slope_arrays(fr.cell, fr.f, fr.k, fr.sigma)
-    # the slope is read only at passband points, and may overflow at the others
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope = _y_slope(kl, fr.sigma, ds, parts, y)
     # stopband: the decaying member; passband: the member whose modulus shrinks
     # under omega -> omega (1 + i eps), to first order the one with
     # Im(lambda) dy/domega < 0; where that product is 0 (lambda = +-1, or a
     # flat y) the inner member stays
-    out0, in0 = outer[:, 0], inner[:, 0]
-    band = np.abs(np.abs(out0) - 1.0) <= 1e-8
-    lam = np.where(band & (in0.imag * slope > 0), out0, in0)
+    out0, lam = outer[:, 0], inner[:, 0]
+    band = np.abs(np.abs(out0) - ONE) <= _ON_CIRCLE
+    if np.count_nonzero(band):
+        ds = ZERO if fr.cell is None else sigma_slope_arrays(fr.cell, fr.f, fr.k, fr.sigma)
+        # the slope is read only at passband points, and may overflow at the others
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = _y_slope(kl, fr.sigma, ds, parts, y)
+        lam = np.where(band & (lam.imag * slope > ZERO), out0, lam)
     mod = np.abs(lam)
-    over = mod > 1.0
+    over = mod > ONE
     if np.count_nonzero(over):  # keep |lambda| <= 1 against rounding
         lam = np.where(over, lam / mod, lam)
         mod = np.abs(lam)
-    return kl, y, outer, inner, lam, np.minimum(mod, 1.0), stop
+    return kl, y, outer, inner, lam, np.minimum(mod, ONE), stop
 
 
 def _reflection(fr: _Front, kl, lam, other):
@@ -360,7 +362,7 @@ def _reflection(fr: _Front, kl, lam, other):
     # 0/0 where the two factors round together at small kL; reported just below
     with np.errstate(invalid="ignore", divide="ignore"):
         gammas = cramer[:, :2] / cramer[:, 2:]
-    uncoupled = fr.sigma == 0
+    uncoupled = fr.sigma == ZERO
     if np.count_nonzero(uncoupled):
         gammas[uncoupled] = 0
     _require_finite(fr.f, kl, gammas, "Gamma")
@@ -369,17 +371,17 @@ def _reflection(fr: _Front, kl, lam, other):
 
 def _backward_error(kl, sigma, v, w, g_near):
     """The worse backward error of the two eigenpairs of _reflection."""
-    s4 = sigma / 4
+    s4 = sigma / FOUR
     # ||u|| / ||T||_F in closed form, with e = e^{-kL}: |u|^2 = |w|^2 is
     # (1, 1/e, 1, e), |T_ii| = |w_i|^2 |1 + (sigma/4) c_i| with c = _PHASE_RATES
     # and |T_ij| = |sigma/4| |w_i| |w_j| off the diagonal.  Times e^2,
     # ||u||^2 is e (1 + e)^2 and ||T||_F^2 is t_sq, both finite at any kL
     e = np.exp(-kl)
     t_sq = (
-        (1 + s4) ** 2 + 4 * s4 * s4 * e * (1 + e * e) + 2 * e * e * (1 + 3 * s4 * s4)
-        + e**4 * (1 - s4) ** 2
+        (ONE + s4) ** 2 + FOUR * s4 * s4 * e * (ONE + e * e) + TWO * e * e * (ONE + THREE * s4 * s4)
+        + e**4 * (ONE - s4) ** 2
     )
-    scale = (1 + e) * np.sqrt(e / t_sq)
+    scale = (ONE + e) * np.sqrt(e / t_sq)
     # w.v of both eigenpairs, then |v|^2 of both in the real parts
     sums = _sum4(np.concatenate([w * v, v * v.conj()]))
     resid = np.abs(s4 * sums[:2] - g_near) / np.sqrt(sums[2:].real)
@@ -412,9 +414,9 @@ def _table(fr: _Front, *, with_gamma: bool) -> Sweep:
     y_tr = y[:, 0]
     return Sweep(
         f=fr.f, eigenvalues=eigenvalues.reshape(-1, 4), lambda_flex=lam, t_coeff=t,
-        r_coeff=1.0 - t, k_ef=k_ef, gamma=gamma, gamma_e=gamma_e, gamma_phase=phase,
+        r_coeff=ONE - t, k_ef=k_ef, gamma=gamma, gamma_e=gamma_e, gamma_phase=phase,
         in_stopband=stop, k=fr.k, sigma=fr.sigma, reciprocity_defect=defect,
-        complex_band=np.abs(y_tr.imag) > 1e-9 * np.maximum(1.0, np.abs(y_tr)),
+        complex_band=np.abs(y_tr.imag) > _COMPLEX_BAND_TOL * np.maximum(ONE, np.abs(y_tr)),
     )
 
 
@@ -444,10 +446,11 @@ def bloch_point(
         _front(cell, frequency_row(f, "bloch_point"), force_zero_coupling=force_zero_coupling),
         with_gamma=with_gamma,
     )
+    # the branch in Python floats after numpy's arctan2; round() rounds half to even
     L = cell.cell_length
     lam = sw.lambda_flex
-    arg = np.arctan2(lam.imag, lam.real)
-    branch = np.rint((sw.k * L - arg) / (2 * math.pi))
+    arg = np.arctan2(lam.imag, lam.real).item()
+    branch = round((sw.k.item() * L - arg) / (2 * math.pi))
     sw.k_ef.real = (arg + 2 * math.pi * branch) / L
     return next(iter(sw))
 
@@ -640,7 +643,9 @@ def _gamma_extrema(cell: UnitCellGeometry, f_low: np.ndarray, f_high: np.ndarray
     interior = np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, _INTERIOR_SAMPLES, axis=1)
     fs = np.concatenate([f_low[:, None] + offsets, f_high[:, None] - offsets, interior], axis=1)
     fs.sort(axis=1)
-    re = _table(_front(cell, fs.ravel()), with_gamma=True).gamma.real.reshape(fs.shape)
+    fr = _front(cell, fs.ravel())
+    kl, _, _, inner, lam, _, _ = _transmitted(fr)
+    re = _reflection(fr, kl, lam, inner[:, 1])[0].real.reshape(fs.shape)
     rows = np.arange(fs.shape[0])
     hi, lo = re.argmax(axis=1), re.argmin(axis=1)
     return fs[rows, hi], re[rows, hi], fs[rows, lo], re[rows, lo]

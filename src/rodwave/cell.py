@@ -35,13 +35,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, frequency_row, non_finite_error
+from .errors import TWO, TWO_PI, ConfigError, constant, frequency_row, non_finite_error
 from .rod import RodModel, _impedance_arrays
 from .trench import TrenchModel, flexural_wavevectors
 
 # working clamp so that characteristic-polynomial arithmetic stays finite
 # when sigma is evaluated essentially on a pole
 SIGMA_CLAMP = 1e12
+_CLAMP_LOW, _CLAMP_HIGH = constant(-SIGMA_CLAMP), constant(SIGMA_CLAMP)
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):
     and sigma infinite; consumers clamp sigma or use its infinite limits.
     The cell may be stacked_cells of several, with f their grids end to end.
     """
-    omega = 2.0 * math.pi * f
+    omega = TWO_PI * f
     f_eff = omega * _impedance_arrays(cell.rod, f)[0]
     k = flexural_wavevectors(cell.trench, f)
     return k, f_eff, f_eff / (cell.trench.bending_stiffness * k**3)
@@ -167,9 +168,9 @@ def sigma_slope_arrays(cell: UnitCellGeometry, f: np.ndarray, k: np.ndarray, sig
     Written in sigma itself, it stays finite where sigma is clamped at a pole.
     The cell may be stacked_cells of several, as in forcing_arrays.
     """
-    omega = 2.0 * math.pi * f
+    omega = TWO_PI * f
     s0 = omega * cell.rod.impedance_scale / (cell.trench.bending_stiffness * k**3)
-    return -sigma / 2 - omega / cell.rod.velocity * cell.rod.height * (s0 + sigma * sigma / s0)
+    return -sigma / TWO - omega / cell.rod.velocity * cell.rod.height * (s0 + sigma * sigma / s0)
 
 
 def _rational_coeffs(k, a, s) -> np.ndarray:
@@ -303,4 +304,4 @@ def cell_matrices(cell: UnitCellGeometry, f: float) -> CellMatrices:
 
 def clamped_sigma(sigma):
     """Clamp sigma to +-SIGMA_CLAMP so polynomial arithmetic stays finite (elementwise)."""
-    return np.minimum(np.maximum(sigma, -SIGMA_CLAMP), SIGMA_CLAMP)
+    return np.minimum(np.maximum(sigma, _CLAMP_LOW), _CLAMP_HIGH)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one-point frequency check."""
+"""Exception types shared across the package, the one-point frequency check and
+the numeric operands the array formulas share."""
 
 import numpy as np
 
@@ -43,3 +44,14 @@ def frequency_row(f: float, caller: str, *, dc: bool = False) -> np.ndarray:
     if not (0 <= f < np.inf if dc else 0 < f < np.inf):
         raise ValueError(f"{caller}: f must be {'>=' if dc else '>'} 0 and finite")
     return np.array([float(f)])
+
+
+def constant(value, dtype=float) -> np.ndarray:
+    """value as a read-only 0-d array for a ufunc operand: numpy converts a Python number
+    on every call (NEP 50); a 0-d array of the other operand's dtype gives the same bits."""
+    a = np.array(value, dtype)
+    a.flags.writeable = False
+    return a
+
+
+ZERO, ONE, TWO, THREE, FOUR, TWO_PI = map(constant, (0.0, 1.0, 2.0, 3.0, 4.0, 2.0 * np.pi))

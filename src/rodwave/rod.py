@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularFrequencyError, frequency_row
+from .errors import TWO_PI, ZERO, SingularFrequencyError, frequency_row
 from .materials import LaminateSection, longitudinal_velocity
 
 # |f - f_pole| below this fraction of c/h raises the near-pole flag; within
@@ -75,11 +75,11 @@ def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndar
     c, h = rod.velocity, rod.height
     spacing = c / (2.0 * h)  # pole-to-pole spacing
     first = rod.first_pole
-    n = np.maximum(np.rint((f - first) / spacing), 0.0)
+    n = np.maximum(np.rint((f - first) / spacing), ZERO)
     distance = np.abs(f - (first + n * spacing))
-    arg = 2.0 * math.pi * f / c * h
+    arg = TWO_PI * f / c * h
     tan = np.fromiter(map(math.tan, arg.tolist()), float, arg.size)
-    im = 0.0 - rod.impedance_scale * tan
+    im = ZERO - rod.impedance_scale * tan
     exact = distance < _EXACT_POLE_FRACTION * c / h
     if np.count_nonzero(exact):
         im[exact] = np.where(tan[exact] >= 0, -math.inf, math.inf)

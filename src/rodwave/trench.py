@@ -18,10 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import frequency_row
+from .errors import TWO_PI, constant, frequency_row
 from .materials import LaminateSection
 
 THIN_BEAM_MIN_RATIO = 10.0  # lambda / h_t below which the thin-beam model is strained
+_ROOT_FACTOR = constant(math.sqrt(2.0) * 3.0**0.25)  # the numeric factor of k's closed form
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,8 @@ def flexural_wavevectors(trench: TrenchModel, f: np.ndarray) -> np.ndarray:
     or per-point arrays for several (cell.stacked_cells); the arithmetic is
     elementwise either way.
     """
-    sqrt_omega = np.sqrt(2.0 * math.pi * f)
-    return math.sqrt(2.0) * 3.0**0.25 * sqrt_omega * trench.wavevector_num / trench.wavevector_den
+    sqrt_omega = np.sqrt(TWO_PI * f)
+    return _ROOT_FACTOR * sqrt_omega * trench.wavevector_num / trench.wavevector_den
 
 
 def wavelength_over_thickness(trench: TrenchModel, f: float) -> float:
@@ -78,4 +79,4 @@ def wavelength_over_thickness(trench: TrenchModel, f: float) -> float:
 
 def _lambda_over_ht(trench: TrenchModel, k: np.ndarray) -> np.ndarray:
     """2 pi / (k h_t) over an array of flexural wavevectors k of the trench."""
-    return 2.0 * math.pi / k / trench.thickness
+    return TWO_PI / k / trench.thickness

@@ -741,7 +741,8 @@ def test_geometry_sweep_front_is_the_step_fronts(monkeypatch, parameter, on_pole
 def test_geometry_sweep_and_edge_bisection_take_no_passband_step(tmp_path, monkeypatch):
     """The geometry sweep and the edge bisection stop the stage at the stopband
     test: no omega dsigma/domega and no Sweep table, which bloch_point, counted
-    the same way, makes one of each."""
+    the same way, makes one of each at a passband point.  At a stopband point,
+    where no pair is on the unit circle, it makes the table alone."""
     config = parse_config({
         "sweep": dict(zip(("f_start_hz", "f_stop_hz", "points"), _GRID)),
         "geometry_sweep": {"parameter": "t_aln2", "from_nm": 540, "to_nm": 660, "steps": 3},
@@ -765,8 +766,11 @@ def test_geometry_sweep_and_edge_bisection_take_no_passband_step(tmp_path, monke
     assert calls == []
     assert len(rows) == 3 and all(row[1] > 0 for row in rows)
     assert edges.size == brackets.shape[0] > 0
-    bloch_point(cell, 2e9)
+    assert not bloch_point(cell, 1.5e9).in_stopband
     assert calls == ["sigma_slope_arrays", "Sweep"]
+    calls.clear()
+    assert bloch_point(cell, 2.5e9).in_stopband
+    assert calls == ["Sweep"]
 
 
 def _loop_report(sw):

@@ -82,15 +82,22 @@ def test_scatter_infinite_coupling_limits(default_cell):
     assert abs(c.r) ** 2 + abs(c.t) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
-def test_scatter_limit_switch_is_continuous(default_cell):
-    # closed forms just below the switch agree with the limits used above it
-    k = flexural_wavevector(default_cell.trench, 2.0e9)
+def test_scatter_coefficients_approach_the_pole_limits_as_one_over_sigma(default_cell):
+    """The rational form at finite sigma tends to the exact-pole marker's limits
+    at rate 1/|sigma|: each coefficient is P e (s + N) / (D s + A) and its limit
+    P e / D, so |s| |c(s) - c(inf)| / |c(inf)| = |N - A/D| / |1 + A/(D s)|, and
+    |N - A/D| is 2 sqrt(2) for all six.  The allowance is that 1/|s| term plus
+    8 ulps of c(s), which the difference magnifies |s|-fold."""
     from rodwave.cell import _coeffs_from_sigma
 
-    below = _coeffs_from_sigma(k, default_cell.rod_width, 0.999e8)
-    above = _coeffs_from_sigma(k, default_cell.rod_width, 1.001e8)
-    for lo, hi in zip(below, above):
-        assert lo == pytest.approx(hi, rel=1e-6, abs=1e-12)
+    k = flexural_wavevector(default_cell.trench, 2.0e9)
+    for sign in (1.0, -1.0):
+        limits = np.array(_coeffs_from_sigma(k, default_cell.rod_width, sign * math.inf))
+        for s in (1e8, 1e10, 1e12):
+            coeffs = np.array(_coeffs_from_sigma(k, default_cell.rod_width, sign * s))
+            rate = s * np.abs(coeffs - limits) / np.abs(limits)
+            tol = 3.0 / s + 8 * np.finfo(float).eps * s
+            assert rate == pytest.approx(np.full(6, 2 * math.sqrt(2)), rel=tol)
 
 
 def _mp_coeffs(k: float, a: float, sigma: float) -> list:
