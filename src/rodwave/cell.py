@@ -29,6 +29,7 @@ diag(e^{-ikL}, e^{+kL}, e^{+ikL}, e^{-kL}).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -206,9 +207,16 @@ def _coeffs_from_sigma(k: float, a: float, sigma: float) -> tuple[complex, ...]:
 
 
 def scatter_coefficients(cell: UnitCellGeometry, f: float) -> ScatterCoeffs:
-    """Evaluate the closed-form scattering coefficients at frequency f."""
+    """Evaluate the closed-form scattering coefficients at frequency f.
+
+    NumericError naming f and kL where e^{ak} leaves the floating-point range.
+    """
     k, f_eff, sigma = _forcing_at(cell, f, "scatter_coefficients")
-    return _scatter_coeffs(_coeffs_from_sigma(k, cell.rod_width, sigma), f_eff, sigma)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        six = _coeffs_from_sigma(k, cell.rod_width, sigma)
+    if not all(map(cmath.isfinite, six)):
+        raise non_finite_error("scattering coefficients", float(f), k * cell.cell_length)
+    return _scatter_coeffs(six, f_eff, sigma)
 
 
 def _scatter_coeffs(six, f_eff: float, sigma: float) -> ScatterCoeffs:

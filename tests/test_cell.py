@@ -12,7 +12,9 @@ from rodwave import (
     cell_matrices,
     flexural_wavevector,
     forcing_strength,
+    parse_config,
     scatter_coefficients,
+    unit_cell,
 )
 from rodwave.errors import NumericError
 from rodwave.cell import scattering_matrix
@@ -274,6 +276,24 @@ def test_forcing_below_the_small_kl_floor_names_f(default_cell, f):
         for call in (forcing_strength, scatter_coefficients, cell_matrices):
             with pytest.raises(NumericError, match=rf"non-finite sigma at f={f!r} Hz .* small kL$"):
                 call(default_cell, f)
+
+
+def test_scatter_coefficients_past_the_large_kl_range_name_f():
+    # a = 100 um: e^{ak} leaves the floating-point range near 7.8 GHz, where the
+    # coefficients were inf or nan behind a RuntimeWarning; just below it they
+    # are huge but finite
+    cell = unit_cell(parse_config({"geometry": {"L_um": 200, "a_um": 100}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        c = scatter_coefficients(cell, 7e9)
+        assert all(map(cmath.isfinite, (c.r, c.t, c.r_ef, c.r_fe, c.r_e, c.t_e)))
+        assert c.r_e.real == pytest.approx(5.7115e290, rel=1e-4)
+        with pytest.raises(
+            NumericError,
+            match=r"^non-finite scattering coefficients at f=7900000000\.0 Hz \(kL = 1427\.0\): "
+            r".* at large kL$",
+        ):
+            scatter_coefficients(cell, 7.9e9)
 
 
 def test_forcing_at_the_rod_pole_stays_infinite(default_cell):

@@ -1,6 +1,7 @@
 """The model against the beam's physical variables: a 50-digit Euler-Bernoulli
-transfer matrix in (w, w', w'', w''') for the Bloch roots, and energy
-conservation for the reflection of a lossless chain.
+transfer matrix in (w, w', w'', w''') for the Bloch roots, energy
+conservation for the reflection of a lossless chain, and the direction of the
+energy flux of the transmitted Bloch mode.
 
 The rod's force on the piston per unit displacement is f_eff = -i omega Z_b
 (cell.forcing_arrays), so the beam feels the reaction, a shear jump
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from rodwave import bloch, parse_config, sweep, unit_cell
-from rodwave.cell import forcing_arrays
+from rodwave.cell import _PHASE_RATES, forcing_arrays
 
 _FLIPPED_SIGN = pytest.mark.xfail(
     strict=True, raises=AssertionError, reason="sign of the rod's reaction, ROADMAP item 1"
@@ -80,3 +81,62 @@ def test_passband_reflection_conserves_energy(L_um):
     sw = sweep(_cell(L_um), 0.1e9, 6e9, 2000)
     above = ~sw.in_stopband & (np.abs(sw.gamma) > 1 + 1e-9)
     assert np.count_nonzero(above) == 0, f"|Gamma| > 1 at {np.count_nonzero(above)} passband points"
+
+
+def _passband_pairs(L_um: float):
+    """kL, the transmitted pair (outer, inner) and lambda_flex at every passband
+    point of a 2000-point sweep over 0.1-6 GHz."""
+    cell = _cell(L_um)
+    sw = sweep(cell, 0.1e9, 6e9, 2000)
+    band = ~sw.in_stopband
+    return sw.k[band] * cell.cell_length, sw.eigenvalues[band, :2], sw.lambda_flex[band]
+
+
+def _mode_flux(kl, lam):
+    """Im(w'' conj w' - w''' conj w) / k^3 of the Bloch mode of each factor lam
+    at the cell edge, in a uniform span: the mode's energy flux toward +x up to
+    a positive factor.  w^(n) / k^n sums the eigenvector's amplitudes times the
+    n-th power of their phase rates (-i, 1, i, -1)."""
+    v = bloch._eigenvectors(kl, lam)[0]
+    w0, w1, w2, w3 = (np.sum(v * _PHASE_RATES**n, axis=-1) for n in range(4))
+    return (w2 * w1.conj() - w3 * w0.conj()).imag
+
+
+def _flux_closed_form(kl, lam):
+    """_mode_flux of lam = e^{i theta} on the unit circle, up to a positive factor.
+
+    With v = (lam - p)^-1 u, _mode_flux is 2 (|v2|^2 - |v0|^2) + 4 Im(conj(v1) v3),
+    a positive multiple of sin(theta) [sn ((1 - ch cos theta)^2 + (sh sin theta)^2)
+    - sh ((1 - c cos theta)^2 - (sn sin theta)^2)], with c, ch, sn, sh the cos,
+    cosh, sin and sinh of kL.  sigma enters only through lam.
+    """
+    c, ch, sn, sh = np.cos(kl), np.cosh(kl), np.sin(kl), np.sinh(kl)
+    cos_t, sin_t = lam.real, lam.imag
+    return sin_t * (
+        sn * ((1 - ch * cos_t) ** 2 + (sh * sin_t) ** 2)
+        - sh * ((1 - c * cos_t) ** 2 - (sn * sin_t) ** 2)
+    )
+
+
+@pytest.mark.parametrize("L_um", [0.5, 1.0, 2.0, 3.8, 8.0, 12.0])
+def test_flux_closed_form_has_the_sign_of_the_mode_flux(L_um):
+    """Both members of the transmitted pair carry a nonzero flux, of the sign
+    the closed form gives, at every passband point."""
+    kl, pair, _ = _passband_pairs(L_um)
+    flux = _mode_flux(kl[:, None], pair)
+    assert np.count_nonzero(flux == 0) == 0
+    assert np.array_equal(np.sign(_flux_closed_form(kl[:, None], pair)), np.sign(flux))
+
+
+@pytest.mark.parametrize(
+    "L_um",
+    [pytest.param(L, marks=_FLIPPED_SIGN) for L in (0.5, 1.0, 2.0)] + [3.8, 8.0, 12.0],
+)
+def test_transmitted_passband_mode_carries_energy_into_the_chain(L_um):
+    """In a lossless periodic medium the energy velocity is the group velocity
+    (Brillouin, Wave Propagation in Periodic Structures, 1946), so the Bloch
+    mode that a wave from the left excites carries energy toward +x: a
+    positive flux at every passband point of a 2000-point sweep over 0.1-6 GHz."""
+    kl, _, lam = _passband_pairs(L_um)
+    back = _mode_flux(kl, lam) <= 0
+    assert np.count_nonzero(back) == 0, f"flux toward -x at {np.count_nonzero(back)} passband points"
