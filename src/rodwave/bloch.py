@@ -355,16 +355,17 @@ def _reflection(fr: _Front, kl, lam, other):
     near-field, unit incident, no incoming evanescent) lies in the span of
     the two eigenvectors: Cramer's rule on components 2 and 3.
     """
-    eig = _eigenvectors(kl, np.array([lam, other]))  # v of shape (2, n, 4)
-    vf, ve = eig[0]
-    # the numerators of Gamma and Gamma_e, then the determinant, per point
-    cramer = vf[:, :3] * ve[:, 3:] - ve[:, :3] * vf[:, 3:]
     # 0/0 where the two factors round together at small kL; reported just below
     with np.errstate(invalid="ignore", divide="ignore"):
+        eig = _eigenvectors(kl, np.array([lam, other]))  # v of shape (2, n, 4)
+        vf, ve = eig[0]
+        # the numerators of Gamma and Gamma_e, then the determinant, per point
+        cramer = vf[:, :3] * ve[:, 3:] - ve[:, :3] * vf[:, 3:]
         gammas = cramer[:, :2] / cramer[:, 2:]
     uncoupled = fr.sigma == ZERO
     if np.count_nonzero(uncoupled):
-        gammas[uncoupled] = 0
+        # nothing reflects without coupling, where the eigenvectors are finite
+        gammas[uncoupled & np.isfinite(cramer).all(axis=1)] = 0
     _require_finite(fr.f, kl, gammas, "Gamma")
     return gammas[:, 0], gammas[:, 1], eig
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, floatrepr
 from .bloch import (
     Band,
     StopbandReport,
@@ -47,6 +47,13 @@ RECIPROCITY_FAIL = 1e-5
 _CSV_BLOCK_ROWS = 1024
 # %-format of a column by its dtype kind; any other kind is written with %s
 _CSV_FORMATS = {"f": "%r", "i": "%d", "u": "%d", "b": "%d"}
+# A table of float64 and bool columns with at least this many values is written
+# through floatrepr.  Its numpy calls cost about 0.35 ms a block whatever the
+# block's size, so %r is faster below about 400 values (2-vCPU x86 host); the
+# floor keeps a margin above that.
+_VECTOR_MIN_VALUES = 1000
+# floats per floatrepr block: the temporaries of a block peak below 1 MB
+_VECTOR_BLOCK_FLOATS = 2048
 
 
 def _write_csv(
@@ -76,21 +83,65 @@ def _write_csv(
             f"{path.name}: refusing to write non-finite value {cols[j][row].item()!r} to CSV"
             f" (column {header[j]}, row {header[0]}={cols[0][row].item()})"
         )
-    # one %-format per block over the values interleaved row by row: %r of a
-    # Python float is its str(), %d writes ints exactly and bools as 0/1
-    row_format = ",".join(_CSV_FORMATS.get(col.dtype.kind, "%s") for col in cols) + "\n"
     n, width = len(cols[0]), len(cols)
+    vector = n * width >= _VECTOR_MIN_VALUES and all(
+        col.dtype == np.float64 or col.dtype.kind == "b" for col in cols
+    )
     with path.open("w") as fh:
         fh.write(f"# rodwave {__version__} config_sha256={cfg_hash}\n")
         for note in notes or []:
             fh.write(f"# {note}\n")
         fh.write(",".join(header) + "\n")
-        for lo in range(0, n, _CSV_BLOCK_ROWS):
-            rows = min(_CSV_BLOCK_ROWS, n - lo)
-            values = [None] * (rows * width)
-            for j, col in enumerate(cols):
-                values[j::width] = col[lo:lo + rows].tolist()
-            fh.write(row_format * rows % tuple(values))
+        fh.writelines(_vector_blocks(cols) if vector else _format_blocks(cols))
+
+
+def _format_blocks(cols: list[np.ndarray]):
+    """The rows of the columns as text, a block of _CSV_BLOCK_ROWS at a time:
+    one %-format per block over the values interleaved row by row (%r of a
+    Python float is its str(), %d writes ints exactly and bools as 0/1)."""
+    row_format = ",".join(_CSV_FORMATS.get(col.dtype.kind, "%s") for col in cols) + "\n"
+    n, width = len(cols[0]), len(cols)
+    for lo in range(0, n, _CSV_BLOCK_ROWS):
+        rows = min(_CSV_BLOCK_ROWS, n - lo)
+        values = [None] * (rows * width)
+        for j, col in enumerate(cols):
+            values[j::width] = col[lo:lo + rows].tolist()
+        yield row_format * rows % tuple(values)
+
+
+def _vector_blocks(cols: list[np.ndarray]):
+    """The rows of float64 and bool columns as text, _VECTOR_BLOCK_FLOATS
+    floats at a time: one _vector_rows call a block, so that a block's arrays
+    are freed before the next block's are made."""
+    floats = sum(col.dtype.kind == "f" for col in cols)
+    step = max(1, _VECTOR_BLOCK_FLOATS // max(floats, 1))
+    for lo in range(0, len(cols[0]), step):
+        yield _vector_rows([col[lo:lo + step] for col in cols])
+
+
+def _vector_rows(cols: list[np.ndarray]) -> str:
+    """The rows of float64 and bool columns as text, the same as _format_blocks
+    writes: a row is a run of uint64 words, 4 a float (floatrepr.repr_words)
+    and 1 a bool, with each column's separator in the top byte of its last
+    word; the text is their bytes with the NULs removed."""
+    floats = [col for col in cols if col.dtype.kind == "f"]
+    rows = len(cols[0])
+    if floats:
+        words = floatrepr.repr_words(np.stack(floats, axis=1)).reshape(4, rows, len(floats))
+        float_words = iter(words.transpose(2, 1, 0))  # (rows, 4) of each float column
+    parts = []
+    for j, col in enumerate(cols):
+        sep = ord(",") if j < len(cols) - 1 else ord("\n")
+        if col.dtype.kind == "f":
+            part = next(float_words)
+            part[:, 3] |= np.uint64(sep << 56)
+        else:
+            part = (col + np.uint64(ord("0") | sep << 8))[:, None]
+        parts.append(part)
+    block = np.empty((rows, sum(part.shape[1] for part in parts)), np.uint64)
+    np.concatenate(parts, axis=1, out=block)
+    text = block.astype("<u8", copy=False).view(np.uint8)
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def _resolve_out(config: RunConfig, out_dir: str | None) -> Path:

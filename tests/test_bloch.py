@@ -601,6 +601,21 @@ def test_small_kl_raises_no_runtime_warning(default_cell):
                 call(default_cell, 1e-3)
 
 
+def test_uncoupled_below_the_small_kl_floor_raises_as_chain_profile(default_cell):
+    # the uncoupled eigenvectors are 0/0 there: bloch_point returned a NaN
+    # reciprocity defect and semi_infinite_reflection (0j, 0j), both with a
+    # RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError) as chain:
+            chain_profile(default_cell, 1e-30, 20, force_zero_coupling=True)
+        for call in (bloch_point, semi_infinite_reflection):
+            with pytest.raises(NumericError) as point:
+                call(default_cell, 1e-30, force_zero_coupling=True)
+            assert str(point.value) == str(chain.value)
+    assert str(chain.value).startswith("non-finite Gamma at f=1e-30 Hz (kL = 3.05e-19): ")
+
+
 @pytest.mark.parametrize("f", [1e-10, 1e-3, 0.03, 0.1, 0.3])
 def test_chain_below_the_small_kl_floor_raises_as_bloch_point(default_cell, f):
     # both y-roots round to exactly 2 here, so the four modes are one: the

@@ -550,6 +550,70 @@ def test_csv_rows_are_the_joined_str_of_each_value(tmp_path, offset):
     assert len(lines) == 3 + n
 
 
+def _float_bool_rows():
+    """Row counts of a 4-column float/bool table: around the vectorised
+    writer's size floor, and around and past one and two of its blocks."""
+    from rodwave.workbench import _VECTOR_BLOCK_FLOATS, _VECTOR_MIN_VALUES
+
+    floor, block = _VECTOR_MIN_VALUES // 4, _VECTOR_BLOCK_FLOATS // 3
+    return [floor - 1, floor, floor + 1, block - 1, block, block + 1, 2 * block + 1]
+
+
+@pytest.mark.parametrize("n", _float_bool_rows())
+def test_float_and_bool_rows_are_the_joined_str_of_each_value(tmp_path, monkeypatch, n):
+    from rodwave import workbench
+    from rodwave.workbench import _VECTOR_MIN_VALUES, _write_csv
+
+    calls = []
+    repr_words = workbench.floatrepr.repr_words
+    monkeypatch.setattr(
+        workbench.floatrepr, "repr_words", lambda v: calls.append(v.size) or repr_words(v)
+    )
+    rng = np.random.default_rng(n)
+    floats = [-0.0, 0.0, 5e-324, 1e-5, 0.0001, 1e16, 1.7976931348623157e308, 0.1,
+              -2.5e-300, 1.0, 123456789012345678.0, 2.5e9, 1e15]
+    columns = {
+        "x": np.resize(floats, n),
+        "flag": np.arange(n) % 3 == 0,
+        "y": [floats[(i * 5) % len(floats)] for i in range(n)],  # a list of Python floats
+        "z": rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n),
+    }
+    path = tmp_path / "t.csv"
+    _write_csv(path, columns, "0" * 64, ["note"])
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[:3] == [
+        f"# rodwave {rodwave.__version__} config_sha256={'0' * 64}\n",
+        "# note\n",
+        "x,flag,y,z\n",
+    ]
+    assert "".join(lines[3:]) == _join_str_rows(columns)
+    # the three float columns go through floatrepr from the floor on
+    assert sum(calls) == (3 * n if 4 * n >= _VECTOR_MIN_VALUES else 0)
+
+
+def test_vectorised_writer_keeps_its_temporaries_small(tmp_path):
+    import tracemalloc
+
+    from rodwave.workbench import _write_csv
+
+    n = 100_000
+    rng = np.random.default_rng(1)
+    columns = {
+        "f_hz": np.linspace(0.0, 1e10, n),
+        "im_Zb": rng.standard_normal(n) * 1e3,
+        "flag_near_pole": rng.random(n) < 0.01,
+    }
+    path = tmp_path / "impedance.csv"
+    _write_csv(path, columns, "0" * 64)  # builds the formatter's tables
+    tracemalloc.start()
+    try:
+        _write_csv(path, columns, "0" * 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
 def test_verbose_holds_on_every_call_in_one_process(tmp_path, capsys):
     # the logging setup of one call must not fix that of the next
     cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
