@@ -364,8 +364,9 @@ def _reflection(fr: _Front, kl, lam, other):
         gammas = cramer[:, :2] / cramer[:, 2:]
     uncoupled = fr.sigma == ZERO
     if np.count_nonzero(uncoupled):
-        # nothing reflects without coupling, where the eigenvectors are finite
-        gammas[uncoupled & np.isfinite(cramer).all(axis=1)] = 0
+        # nothing reflects without coupling, where Gamma is finite: below the
+        # small-kL floor the two pairs round together and it is 0/0 there too
+        gammas[uncoupled & np.isfinite(gammas).all(axis=1)] = 0
     _require_finite(fr.f, kl, gammas, "Gamma")
     return gammas[:, 0], gammas[:, 1], eig
 

@@ -42,9 +42,6 @@ RECIPROCITY_FLAG = 1e-9
 RECIPROCITY_FAIL = 1e-5
 
 
-# rows formatted and written at a time: the formatted text of one block is
-# the writer's largest temporary (about 0.2 MB of text for sweep.csv)
-_CSV_BLOCK_ROWS = 1024
 # %-format of a column by its dtype kind; any other kind is written with %s
 _CSV_FORMATS = {"f": "%r", "i": "%d", "u": "%d", "b": "%d"}
 # A table of float64 and bool columns with at least this many values is written
@@ -52,8 +49,9 @@ _CSV_FORMATS = {"f": "%r", "i": "%d", "u": "%d", "b": "%d"}
 # block's size, so %r is faster below about 400 values (2-vCPU x86 host); the
 # floor keeps a margin above that.
 _VECTOR_MIN_VALUES = 1000
-# floats per floatrepr block: the temporaries of a block peak below 1 MB
-_VECTOR_BLOCK_FLOATS = 2048
+# floats rendered and written at a time, whatever the renderer: a floatrepr
+# block's temporaries peak below 1 MB
+_BLOCK_FLOATS = 2048
 
 
 def _write_csv(
@@ -62,7 +60,8 @@ def _write_csv(
     cfg_hash: str,
     notes: list[str] | None = None,
 ) -> None:
-    """Write named, equally long columns as CSV, streamed in row blocks.
+    """Write named, equally long columns as CSV, streamed in row blocks of
+    at most _BLOCK_FLOATS floats, whichever renderer a table takes.
 
     Floats are written with repr, bools as 0/1, ints and strings as they are.
     Every float column is checked first: a non-finite value refuses the table
@@ -87,40 +86,32 @@ def _write_csv(
     vector = n * width >= _VECTOR_MIN_VALUES and all(
         col.dtype == np.float64 or col.dtype.kind == "b" for col in cols
     )
+    render = _vector_rows if vector else _format_rows
+    step = max(1, _BLOCK_FLOATS // max(1, sum(col.dtype.kind == "f" for col in cols)))
     with path.open("w") as fh:
         fh.write(f"# rodwave {__version__} config_sha256={cfg_hash}\n")
         for note in notes or []:
             fh.write(f"# {note}\n")
         fh.write(",".join(header) + "\n")
-        fh.writelines(_vector_blocks(cols) if vector else _format_blocks(cols))
+        # one block's text and arrays are freed before the next block's are made
+        for lo in range(0, n, step):
+            fh.write(render([col[lo:lo + step] for col in cols]))
 
 
-def _format_blocks(cols: list[np.ndarray]):
-    """The rows of the columns as text, a block of _CSV_BLOCK_ROWS at a time:
-    one %-format per block over the values interleaved row by row (%r of a
-    Python float is its str(), %d writes ints exactly and bools as 0/1)."""
+def _format_rows(cols: list[np.ndarray]) -> str:
+    """The rows of the columns as text: one %-format over the values
+    interleaved row by row (%r of a Python float is its str(), %d writes ints
+    exactly and bools as 0/1)."""
     row_format = ",".join(_CSV_FORMATS.get(col.dtype.kind, "%s") for col in cols) + "\n"
     n, width = len(cols[0]), len(cols)
-    for lo in range(0, n, _CSV_BLOCK_ROWS):
-        rows = min(_CSV_BLOCK_ROWS, n - lo)
-        values = [None] * (rows * width)
-        for j, col in enumerate(cols):
-            values[j::width] = col[lo:lo + rows].tolist()
-        yield row_format * rows % tuple(values)
-
-
-def _vector_blocks(cols: list[np.ndarray]):
-    """The rows of float64 and bool columns as text, _VECTOR_BLOCK_FLOATS
-    floats at a time: one _vector_rows call a block, so that a block's arrays
-    are freed before the next block's are made."""
-    floats = sum(col.dtype.kind == "f" for col in cols)
-    step = max(1, _VECTOR_BLOCK_FLOATS // max(floats, 1))
-    for lo in range(0, len(cols[0]), step):
-        yield _vector_rows([col[lo:lo + step] for col in cols])
+    values = [None] * (n * width)
+    for j, col in enumerate(cols):
+        values[j::width] = col.tolist()
+    return row_format * n % tuple(values)
 
 
 def _vector_rows(cols: list[np.ndarray]) -> str:
-    """The rows of float64 and bool columns as text, the same as _format_blocks
+    """The rows of float64 and bool columns as text, the same as _format_rows
     writes: a row is a run of uint64 words, 4 a float (floatrepr.repr_words)
     and 1 a bool, with each column's separator in the top byte of its last
     word; the text is their bytes with the NULs removed."""

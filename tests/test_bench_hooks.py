@@ -72,3 +72,15 @@ def test_sweep_result_rows_can_be_read_twice(tmp_path):
     assert len(eigenvalues) == len(lambda_flex) == 50
     assert all(len(ev) == 4 for ev in eigenvalues)
     assert all(isinstance(lam, complex) for lam in lambda_flex)
+
+
+@pytest.mark.parametrize("f, in_stopband", [(2.3e9, True), (2.9e9, False)])
+def test_bloch_point_without_gamma_keeps_the_bloch_fields(f, in_stopband):
+    # the point-queries check reads bloch_point(cell, f, with_gamma=False).in_stopband
+    cell = rodwave.unit_cell(parse_config({}))
+    full = rodwave.bloch_point(cell, f)
+    bare = rodwave.bloch_point(cell, f, with_gamma=False)
+    assert bare.in_stopband == full.in_stopband == in_stopband
+    assert bare.t_coeff == full.t_coeff
+    assert bare.eigenvalues == full.eigenvalues
+    assert bare.gamma == 0

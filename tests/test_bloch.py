@@ -602,18 +602,20 @@ def test_small_kl_raises_no_runtime_warning(default_cell):
 
 
 def test_uncoupled_below_the_small_kl_floor_raises_as_chain_profile(default_cell):
-    # the uncoupled eigenvectors are 0/0 there: bloch_point returned a NaN
-    # reciprocity defect and semi_infinite_reflection (0j, 0j), both with a
-    # RuntimeWarning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericError) as chain:
-            chain_profile(default_cell, 1e-30, 20, force_zero_coupling=True)
-        for call in (bloch_point, semi_infinite_reflection):
-            with pytest.raises(NumericError) as point:
-                call(default_cell, 1e-30, force_zero_coupling=True)
-            assert str(point.value) == str(chain.value)
-    assert str(chain.value).startswith("non-finite Gamma at f=1e-30 Hz (kL = 3.05e-19): ")
+    # at 1e-30 Hz the uncoupled eigenvectors are 0/0: bloch_point returned a
+    # NaN reciprocity defect and semi_infinite_reflection (0j, 0j), both with a
+    # RuntimeWarning.  At 1 mHz the eigenvectors are finite but both pairs
+    # round to lambda = 1, so Gamma is 0/0: both returned Gamma = 0
+    for f, kl in [(1e-30, "3.05e-19"), (1e-3, "9.65e-06")]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError) as chain:
+                chain_profile(default_cell, f, 20, force_zero_coupling=True)
+            for call in (bloch_point, semi_infinite_reflection):
+                with pytest.raises(NumericError) as point:
+                    call(default_cell, f, force_zero_coupling=True)
+                assert str(point.value) == str(chain.value)
+        assert str(chain.value).startswith(f"non-finite Gamma at f={f} Hz (kL = {kl}): ")
 
 
 @pytest.mark.parametrize("f", [1e-10, 1e-3, 0.03, 0.1, 0.3])
@@ -635,6 +637,23 @@ def test_chain_just_above_the_small_kl_floor_runs(default_cell, f):
     profile = chain_profile(default_cell, f, 20)
     assert np.all(np.isfinite(profile.log_magnitudes))
     assert abs(profile.reflection) < 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="between kL ~ 5e-5 and 2.4e-4 the closed-form discriminant cannot resolve"
+    " the two Bloch pairs: a complex-band stopband with T = 0.99988 and no error",
+)
+def test_uncoupled_just_above_the_small_kl_floor_is_no_silent_stopband(default_cell):
+    # kL = 7.4e-5 on the default cell, 1 - T = 1.2e-4
+    f = 0.05877938969484743
+    try:
+        point = bloch_point(default_cell, f, force_zero_coupling=True)
+    except NumericError as exc:
+        assert str(exc).endswith("at small kL")
+        return
+    assert not point.in_stopband
+    assert abs(point.t_coeff - 1.0) <= 4 * np.finfo(float).eps
 
 
 def test_kl_far_past_the_range_is_readable(default_cell):

@@ -5,6 +5,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from rodwave import (
     ConfigError,
@@ -18,6 +20,7 @@ from rodwave import (
 )
 from rodwave.errors import NumericError
 from rodwave.cell import scattering_matrix
+from rodwave.rod import near_pole
 from rodwave.workbench import transfer_matrix_reference
 
 
@@ -145,6 +148,45 @@ def test_energy_conservation_random_frequencies(default_cell):
             continue
         assert abs(c.r) ** 2 + abs(c.t) ** 2 == pytest.approx(1.0, abs=1e-12)
         count += 1
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+_MATERIAL = st.fixed_dictionaries(
+    {"youngs_modulus_pa": _log_uniform(1e9, 3e12), "density_kg_m3": _log_uniform(300, 1e5)}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    materials=st.fixed_dictionaries({name: _MATERIAL for name in ("AlN", "Al", "Pt")}),
+    layers=st.fixed_dictionaries(
+        {name: _log_uniform(1, 1e5) for name in ("t_aln1_nm", "t_m1_nm", "t_aln2_nm", "t_m2_nm")}
+    ),
+    L_um=_log_uniform(0.1, 300),
+    a_frac=st.floats(0, 1, exclude_min=True, exclude_max=True),
+    f=_log_uniform(1e-3, 1e12),
+)
+def test_energy_conservation_over_the_accepted_config_space(materials, layers, L_um, a_frac, f):
+    """|r|^2 + |t|^2 = 1 to criterion 3's bound on drawn materials, layers, L,
+    a < L and f, off the near-pole window; a NumericError is the loud
+    outcome the model allows where its closed forms leave the float range."""
+    try:
+        cell = unit_cell(parse_config({
+            "materials": materials,
+            "geometry": dict(layers, L_um=L_um, a_um=a_frac * L_um),
+        }))
+    except ConfigError:  # a_frac * L_um rounded to 0 or to L_um: not an accepted config
+        assume(False)
+    assume(not near_pole(cell.rod, f))
+    try:
+        c = scatter_coefficients(cell, f)
+    except NumericError:
+        event("NumericError")
+        return
+    assert abs(abs(c.r) ** 2 + abs(c.t) ** 2 - 1.0) <= 1e-10
 
 
 def test_reflection_magnitude_at_1ghz(default_cell):
