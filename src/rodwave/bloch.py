@@ -290,11 +290,14 @@ class _Front:
 
 def _front(cell: UnitCellGeometry, f: np.ndarray, *, force_zero_coupling: bool = False) -> _Front:
     """The front of one cell over an array of frequencies f > 0, or of
-    stacked_cells of several over their grids end to end."""
-    if force_zero_coupling:
-        k = flexural_wavevectors(cell.trench, f)
-        return _Front(f, k, np.zeros(f.shape), cell.cell_length, None)
-    k, _, sigma = forcing_arrays(cell, f)
+    stacked_cells of several over their grids end to end.  Where 2 pi f or k**3
+    overflows, k or sigma is inf or NaN, and so are the roots, which the stage
+    reports (_pairs); the rod layer raises where its phase overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _pairs
+        if force_zero_coupling:
+            k = flexural_wavevectors(cell.trench, f)
+            return _Front(f, k, np.zeros(f.shape), cell.cell_length, None)
+        k, _, sigma = forcing_arrays(cell, f)
     return _Front(f, k, clamped_sigma(sigma), cell.cell_length, cell)
 
 

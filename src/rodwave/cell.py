@@ -114,12 +114,14 @@ def forcing_strength(cell: UnitCellGeometry, f: float) -> tuple[float, float]:
 def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, float, float]:
     """forcing_arrays at one frequency f > 0, as floats (k, f_eff, sigma).
 
-    NumericError where sigma is not finite off a pole: at f ~ 1e-300 Hz k**3
-    underflows and sigma is 0/0.
+    NumericError where sigma is NaN, or infinite off a pole: at f ~ 1e-300 Hz
+    k**3 underflows and sigma is 0/0, and from about 4.9e201 Hz k**3 overflows,
+    where the rod's pole marker gives -inf/inf.  Under a finite k**3 the marker
+    gives sigma = +-inf.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):  # reported just below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported just below
         k, f_eff, sigma = (float(x[0]) for x in forcing_arrays(cell, frequency_row(f, caller)))
-    if not math.isfinite(sigma) and math.isfinite(f_eff):
+    if math.isnan(sigma) or math.isinf(sigma) and math.isfinite(f_eff):
         raise non_finite_error("sigma", float(f), k * cell.cell_length)
     return k, f_eff, sigma
 

@@ -31,33 +31,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Transfer-matrix analysis of locally resonant rod-on-beam unit cells",
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="log applied defaults")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, parents=[common])
 
-    p_sweep = sub.add_parser("sweep", help="frequency sweep: sweep.csv + stopbands.csv")
-    p_sweep.add_argument("--config", required=True)
+    p_sweep = add("sweep", help="frequency sweep: sweep.csv + stopbands.csv")
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--plot", action="store_true")
 
-    p_bands = sub.add_parser("stopbands", help="stopband table only: stopbands.csv")
-    p_bands.add_argument("--config", required=True)
+    p_bands = add("stopbands", help="stopband table only: stopbands.csv")
     p_bands.add_argument("--out", default=None)
 
-    p_imp = sub.add_parser("impedance", help="rod driving-impedance spectrum")
-    p_imp.add_argument("--config", required=True)
+    p_imp = add("impedance", help="rod driving-impedance spectrum")
     p_imp.add_argument("--f-start", type=float, required=True)
     p_imp.add_argument("--f-stop", type=float, required=True)
     p_imp.add_argument("--points", type=int, required=True)
 
-    p_chain = sub.add_parser("chain", help="finite-chain decay profile")
-    p_chain.add_argument("--config", required=True)
+    p_chain = add("chain", help="finite-chain decay profile")
     p_chain.add_argument("--freq", type=float, required=True)
     p_chain.add_argument("--cells", type=int, required=True)
 
-    p_geom = sub.add_parser("geom-sweep", help="geometry-parameter sweep")
-    p_geom.add_argument("--config", required=True)
+    add("geom-sweep", help="geometry-parameter sweep")
 
-    p_mat = sub.add_parser("matrices", help="dump G, C, D, T at one frequency")
-    p_mat.add_argument("--config", required=True)
+    p_mat = add("matrices", help="dump G, C, D, T at one frequency")
     p_mat.add_argument("--freq", type=float, required=True)
     return parser
 

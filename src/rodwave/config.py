@@ -3,7 +3,8 @@
 The config is a single JSON document.  Unknown keys are rejected with the
 offending JSON path.  Lengths are given with an explicit unit suffix
 (``_nm``, ``_um`` or ``_m``); frequencies are plain Hz.  Any omitted entry is
-filled from the documented defaults below and the substitution is logged.
+filled from the default of its field on the section's dataclass below (the
+materials from DEFAULT_MATERIALS) and the substitution is logged.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .cell import UnitCellGeometry
@@ -30,39 +31,29 @@ DEFAULT_MATERIALS = {
     "Pt": Material("Pt", youngs_modulus=168e9, density=21450.0),
 }
 
-# fabricated-device layer stack; rod pitch chosen so that the principal
-# stopband brackets the rod quarter-wave frequency
-DEFAULT_GEOMETRY = {
-    "t_aln1": 400e-9,
-    "t_aln2": 600e-9,
-    "t_m1": 250e-9,
-    "t_m2": 330e-9,
-    "a": 2.0e-6,
-    "L": 3.8e-6,
-}
-
-DEFAULT_SWEEP = {"f_start": 0.1e9, "f_stop": 6.0e9, "points": 2000}
-
-GEOM_PARAMETERS = ("a", "L", "t_aln1", "t_aln2", "t_m1", "t_m2")
-
 _UNIT_SCALE = {"nm": 1e-9, "um": 1e-6, "m": 1.0}
 
 
 @dataclass(frozen=True)
 class GeometryConfig:
-    t_aln1: float
-    t_aln2: float
-    t_m1: float
-    t_m2: float
-    a: float
-    L: float
+    # fabricated-device layer stack; rod pitch chosen so that the principal
+    # stopband brackets the rod quarter-wave frequency
+    a: float = 2.0e-6
+    L: float = 3.8e-6
+    t_aln1: float = 400e-9
+    t_aln2: float = 600e-9
+    t_m1: float = 250e-9
+    t_m2: float = 330e-9
+
+
+GEOM_PARAMETERS = tuple(field.name for field in fields(GeometryConfig))
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    f_start: float
-    f_stop: float
-    points: int
+    f_start: float = 0.1e9
+    f_stop: float = 6.0e9
+    points: int = 2000
 
 
 @dataclass(frozen=True)
@@ -70,13 +61,13 @@ class GeomSweepConfig:
     parameter: str
     start: float
     stop: float
-    steps: int
+    steps: int = 11
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str
-    plot: bool
+    directory: str = "."
+    plot: bool = False
 
 
 @dataclass(frozen=True)
@@ -159,15 +150,10 @@ def _parse_geometry(obj: dict | None) -> GeometryConfig:
     if obj is None:
         obj = {}
         log.info("config default: geometry = fabricated-device stack")
-    allowed: set[str] = set()
-    for base in GEOM_PARAMETERS:
-        allowed |= _length_keys(base)
-    _reject_unknown(obj, allowed, "geometry")
-    values = {
-        base: _read_length(obj, base, DEFAULT_GEOMETRY[base], "geometry")
-        for base in GEOM_PARAMETERS
-    }
-    geo = GeometryConfig(**values)
+    _reject_unknown(obj, set().union(*map(_length_keys, GEOM_PARAMETERS)), "geometry")
+    geo = GeometryConfig(
+        *(_read_length(obj, fd.name, fd.default, "geometry") for fd in fields(GeometryConfig))
+    )
     if not geo.a < geo.L:
         raise ConfigError(
             f"geometry: rod width a ({geo.a} m) must be smaller than cell length L ({geo.L} m)"
@@ -180,9 +166,9 @@ def _parse_sweep(obj: dict | None) -> SweepConfig:
         obj = {}
         log.info("config default: sweep = 0.1-6 GHz, 2000 points")
     _reject_unknown(obj, {"f_start_hz", "f_stop_hz", "points"}, "sweep")
-    f_start = _read_number(obj, "f_start_hz", DEFAULT_SWEEP["f_start"], "sweep")
-    f_stop = _read_number(obj, "f_stop_hz", DEFAULT_SWEEP["f_stop"], "sweep")
-    points = _read_number(obj, "points", DEFAULT_SWEEP["points"], "sweep", integral=True)
+    f_start = _read_number(obj, "f_start_hz", SweepConfig.f_start, "sweep")
+    f_stop = _read_number(obj, "f_stop_hz", SweepConfig.f_stop, "sweep")
+    points = _read_number(obj, "points", SweepConfig.points, "sweep", integral=True)
     if not 0 < f_start < f_stop:
         raise ConfigError("sweep: need 0 < f_start_hz < f_stop_hz")
     if points < 2:
@@ -202,7 +188,7 @@ def _parse_geom_sweep(obj: dict | None) -> GeomSweepConfig | None:
         )
     start = _read_length(obj, "from", None, "geometry_sweep")
     stop = _read_length(obj, "to", None, "geometry_sweep")
-    steps = _read_number(obj, "steps", 11, "geometry_sweep", integral=True)
+    steps = _read_number(obj, "steps", GeomSweepConfig.steps, "geometry_sweep", integral=True)
     if steps < 1:
         raise ConfigError("geometry_sweep.steps: must be >= 1")
     return GeomSweepConfig(parameter=parameter, start=start, stop=stop, steps=steps)
@@ -213,10 +199,10 @@ def _parse_output(obj: dict | None) -> OutputConfig:
         obj = {}
         log.info("config default: output = current directory, no plots")
     _reject_unknown(obj, {"dir", "plot"}, "output")
-    directory = obj.get("dir", ".")
+    directory = obj.get("dir", OutputConfig.directory)
     if not isinstance(directory, str):
         raise ConfigError("output.dir: expected a string path")
-    plot = obj.get("plot", False)
+    plot = obj.get("plot", OutputConfig.plot)
     if not isinstance(plot, bool):
         raise ConfigError("output.plot: expected a boolean")
     return OutputConfig(directory=directory, plot=plot)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import TWO_PI, ZERO, SingularFrequencyError, frequency_row
+from .errors import TWO_PI, ZERO, NumericError, SingularFrequencyError, frequency_row
 from .materials import LaminateSection, longitudinal_velocity
 
 # |f - f_pole| below this fraction of c/h raises the near-pole flag; within
@@ -70,7 +70,9 @@ def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndar
     Im Z_b = 0.0 - rho A c tan, so that f = 0 gives +0.0.  The rod's velocity,
     height, first_pole and impedance_scale are floats for one rod, or per-point
     arrays for several (cell.stacked_cells); the arithmetic is elementwise either
-    way.
+    way.  Where the phase 2 pi f h / c overflows, a NumericError names the first
+    such f, with its index as the error's row; callers silence the overflow
+    warning (np.errstate) that comes before it.
     """
     c, h = rod.velocity, rod.height
     spacing = c / (2.0 * h)  # pole-to-pole spacing
@@ -78,7 +80,14 @@ def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndar
     n = np.maximum(np.rint((f - first) / spacing), ZERO)
     distance = np.abs(f - (first + n * spacing))
     arg = TWO_PI * f / c * h
-    tan = np.fromiter(map(math.tan, arg.tolist()), float, arg.size)
+    try:
+        tan = np.fromiter(map(math.tan, arg.tolist()), float, arg.size)
+    except ValueError:  # math.tan(inf): above about 2.86e307 Hz 2 pi f overflows
+        i = int(np.argmin(np.isfinite(arg)))
+        raise NumericError(
+            f"rod phase 2 pi f h / c leaves the floating-point range at f={f[i].item()!r} Hz",
+            row=i,
+        ) from None
     im = ZERO - rod.impedance_scale * tan
     exact = distance < _EXACT_POLE_FRACTION * c / h
     if np.count_nonzero(exact):
@@ -86,9 +95,16 @@ def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndar
     return im, distance < NEAR_POLE_WINDOW_FRACTION * c / h
 
 
+def _impedance_at(rod: RodModel, f: float, caller: str) -> tuple[float, bool]:
+    """_impedance_arrays at one frequency 0 <= f < inf, as (Im Z_b, near-pole flag)."""
+    with np.errstate(over="ignore"):  # reported by _impedance_arrays
+        im, flag = _impedance_arrays(rod, frequency_row(f, caller, dc=True))
+    return im.item(), flag.item()
+
+
 def near_pole(rod: RodModel, f: float) -> bool:
     """True when f falls inside the near-pole window around any impedance pole."""
-    return bool(_impedance_arrays(rod, frequency_row(f, "near_pole", dc=True))[1][0])
+    return _impedance_at(rod, f, "near_pole")[1]
 
 
 def driving_impedance(rod: RodModel, f: float) -> complex:
@@ -97,8 +113,7 @@ def driving_impedance(rod: RodModel, f: float) -> complex:
     Purely imaginary for real f.  Exactly at a tangent pole the function
     returns a signed-infinite marker instead of silently overflowing.
     """
-    im = _impedance_arrays(rod, frequency_row(f, "driving_impedance", dc=True))[0]
-    return complex(0.0, im[0])
+    return complex(0.0, _impedance_at(rod, f, "driving_impedance")[0])
 
 
 def rod_modeshape(

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import TWO_PI, constant, frequency_row
+from .errors import TWO_PI, NumericError, constant, frequency_row
 from .materials import LaminateSection
 
 THIN_BEAM_MIN_RATIO = 10.0  # lambda / h_t below which the thin-beam model is strained
@@ -54,7 +54,20 @@ class TrenchModel:
 def flexural_wavevector(trench: TrenchModel, f: float) -> float:
     """Real flexural wavevector k (rad/m) at frequency f > 0: the one-element
     row of flexural_wavevectors."""
-    return float(flexural_wavevectors(trench, frequency_row(f, "flexural_wavevector"))[0])
+    return _wavevector_at(trench, f, "flexural_wavevector").item()
+
+
+def _wavevector_at(trench: TrenchModel, f: float, caller: str) -> np.ndarray:
+    """flexural_wavevectors at one frequency 0 < f < inf, as a one-element row;
+    NumericError naming f where k leaves the floating-point range (2 pi f
+    overflows above about 2.86e307 Hz)."""
+    with np.errstate(over="ignore"):  # reported just below
+        k = flexural_wavevectors(trench, frequency_row(f, caller))
+    if not np.isfinite(k[0]):
+        raise NumericError(
+            f"flexural wavevector leaves the floating-point range at f={float(f)!r} Hz"
+        )
+    return k
 
 
 def flexural_wavevectors(trench: TrenchModel, f: np.ndarray) -> np.ndarray:
@@ -73,8 +86,8 @@ def flexural_wavevectors(trench: TrenchModel, f: np.ndarray) -> np.ndarray:
 
 def wavelength_over_thickness(trench: TrenchModel, f: float) -> float:
     """Flexural wavelength divided by trench thickness; small values strain the model."""
-    k = flexural_wavevectors(trench, frequency_row(f, "wavelength_over_thickness"))
-    return float(_lambda_over_ht(trench, k)[0])
+    k = _wavevector_at(trench, f, "wavelength_over_thickness")
+    return _lambda_over_ht(trench, k).item()
 
 
 def _lambda_over_ht(trench: TrenchModel, k: np.ndarray) -> np.ndarray:

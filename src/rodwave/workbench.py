@@ -409,7 +409,8 @@ def run_impedance(
     rod = unit_cell(config).rod
     cfg_hash = config_hash(config)
     f = np.linspace(f_start, f_stop, points)
-    im, flag = _impedance_arrays(rod, f)
+    with np.errstate(over="ignore"):  # reported by _impedance_arrays
+        im, flag = _impedance_arrays(rod, f)
     # exact-pole marker: clamp for file finiteness, the flag carries the info
     pole = np.isinf(im)
     im[pole] = np.copysign(1e308, im[pole])

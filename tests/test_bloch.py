@@ -13,10 +13,13 @@ from rodwave import (
     bloch_point,
     cell_matrices,
     chain_profile,
+    driving_impedance,
     field_profile,
     flexural_wavevector,
     forcing_strength,
+    near_pole,
     parse_config,
+    rod_modeshape,
     scatter_coefficients,
     semi_infinite_reflection,
     stopband_report,
@@ -657,10 +660,52 @@ def test_uncoupled_just_above_the_small_kl_floor_is_no_silent_stopband(default_c
 
 
 def test_kl_far_past_the_range_is_readable(default_cell):
+    with pytest.raises(NumericError, match=r"\(kL = 3\.05e\+146\): .* at large kL$"):
+        cell_matrices(default_cell, 1e300)
+
+
+# every public call that takes a frequency, on the default cell: the Bloch-level
+# ones, the cell-level ones, then the rod and trench ones
+_BLOCH_CALLS = {
+    "bloch_point": bloch_point,
+    "semi_infinite_reflection": semi_infinite_reflection,
+    "chain_profile": lambda cell, f: chain_profile(cell, f, 20),
+    "sweep": lambda cell, f: sweep(cell, f / 2, f, 3),
+    "sweep_cells": lambda cell, f: bloch.sweep_cells([cell], f / 2, f, 3),
+    "band_gamma_extrema": lambda cell, f: band_gamma_extrema(cell, f / 2, f),
+}
+_CELL_CALLS = {
+    "cell_matrices": cell_matrices,
+    "scatter_coefficients": scatter_coefficients,
+    "forcing_strength": forcing_strength,
+    "field_profile": lambda cell, f: field_profile(cell, f, np.ones(4), 5),
+}
+_LAYER_CALLS = {
+    "flexural_wavevector": lambda cell, f: flexural_wavevector(cell.trench, f),
+    "wavelength_over_thickness": lambda cell, f: wavelength_over_thickness(cell.trench, f),
+    "driving_impedance": lambda cell, f: driving_impedance(cell.rod, f),
+    "near_pole": lambda cell, f: near_pole(cell.rod, f),
+    "rod_modeshape": lambda cell, f: rod_modeshape(cell.rod, f, 1.0, 5),
+}
+
+
+@pytest.mark.parametrize(
+    "f, name", [(1.7e308, name) for name in _BLOCH_CALLS | _CELL_CALLS | _LAYER_CALLS]
+    + [(1e300, name) for name in _BLOCH_CALLS | _CELL_CALLS]
+    + [(1e-300, name) for name in _BLOCH_CALLS]
+)
+def test_frequency_at_either_end_of_the_float_range_is_a_numeric_error_naming_f(default_cell, f, name):
+    # above about 2.86e307 Hz 2 pi f overflows: the rod layer's math.tan(inf)
+    # raised a ValueError, and the trench calls returned k = inf and
+    # lambda/h_t = 0.0.  At 1e300 Hz k**3 overflows: forcing_strength returned
+    # sigma = -inf/inf = NaN, the others raised behind a RuntimeWarning, as the
+    # Bloch-level calls did at 1e-300 Hz, where sigma is 0/0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the forcing layer's overflow
-        with pytest.raises(NumericError, match=r"\(kL = 3\.05e\+146\): .* at large kL$"):
-            cell_matrices(default_cell, 1e300)
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r" at f=\S+ Hz") as exc:
+            (_BLOCH_CALLS | _CELL_CALLS | _LAYER_CALLS)[name](default_cell, f)
+    if name == "sweep_cells":  # the error's row is the named frequency's
+        assert f"f={np.linspace(f / 2, f, 3)[exc.value.row].item()!r} Hz" in str(exc.value)
 
 
 def test_rod_zero_raises_no_runtime_warning(default_cell):

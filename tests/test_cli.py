@@ -448,6 +448,34 @@ def test_sweep_past_the_finite_kl_range_exits_3_naming_the_frequency(tmp_path, c
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "sweep, argv",
+    [
+        ({"f_stop_hz": 1.7e308}, ["sweep"]),
+        ({"f_stop_hz": 1.7e308}, ["stopbands"]),
+        ({"f_stop_hz": 1.7e308}, ["geom-sweep"]),
+        ({}, ["chain", "--freq", "1.7e308", "--cells", "7"]),
+        ({}, ["matrices", "--freq", "1.7e308"]),
+        ({}, ["impedance", "--f-start", "0", "--f-stop", "1.7e308", "--points", "3"]),
+    ],
+    ids=["sweep", "stopbands", "geom-sweep", "chain", "matrices", "impedance"],
+)
+def test_frequency_past_the_float_range_exits_3_naming_it(tmp_path, capsys, sweep, argv):
+    # 2 pi f overflows above about 2.86e307 Hz: every command died with a
+    # traceback from the rod layer's math.tan(inf)
+    cfg = write_config(tmp_path, {
+        "sweep": sweep,
+        "geometry_sweep": {"parameter": "t_aln2", "from_nm": 540, "to_nm": 660, "steps": 3},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numeric failure: .* range at f=\S+ Hz\n", err), err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"geometry": {"a_um": 9.0}}')
