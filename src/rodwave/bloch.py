@@ -285,7 +285,9 @@ class _Front:
     k: np.ndarray
     sigma: np.ndarray  # clamped; 0 without coupling
     L: float | np.ndarray  # cell length: one float, or one per point for several cells
-    cell: UnitCellGeometry | None  # for _transmitted's omega dsigma/domega; None uncoupled
+    # read by _transmitted for omega dsigma/domega, so one cell there; stacked_cells
+    # of several only in fronts that stop at _pairs (sweep_cells); None uncoupled
+    cell: UnitCellGeometry | None
 
 
 def _front(cell: UnitCellGeometry, f: np.ndarray, *, force_zero_coupling: bool = False) -> _Front:
@@ -349,18 +351,20 @@ def _transmitted(fr: _Front):
     return kl, y, outer, inner, lam, np.minimum(mod, ONE), stop
 
 
-def _reflection(fr: _Front, kl, lam, other):
-    """(Gamma, Gamma_e, eigenvectors) from the transmitted factor lam and the
-    inner factor of the other pair; the eigenvectors are _eigenvectors of
-    both, stacked on a first axis of 2.  NumericError where Gamma overflows.
+def _reflection(fr: _Front, transmitted):
+    """(Gamma, Gamma_e, eigenvectors) of a front from its _transmitted tuple,
+    through two of its factors: the transmitted one and the inner factor of
+    the other pair.  The eigenvectors are _eigenvectors of both, stacked on a
+    first axis of 2.  NumericError where Gamma overflows.
 
     The interface state [Gamma, Gamma_e, 1, 0] (reflected, reflected
     near-field, unit incident, no incoming evanescent) lies in the span of
     the two eigenvectors: Cramer's rule on components 2 and 3.
     """
+    kl, _, _, inner, lam, _, _ = transmitted
     # 0/0 where the two factors round together at small kL; reported just below
     with np.errstate(invalid="ignore", divide="ignore"):
-        eig = _eigenvectors(kl, np.array([lam, other]))  # v of shape (2, n, 4)
+        eig = _eigenvectors(kl, np.array([lam, inner[:, 1]]))  # v of shape (2, n, 4)
         vf, ve = eig[0]
         # the numerators of Gamma and Gamma_e, then the determinant, per point
         cramer = vf[:, :3] * ve[:, 3:] - ve[:, :3] * vf[:, 3:]
@@ -400,9 +404,9 @@ def _table(fr: _Front, *, with_gamma: bool) -> Sweep:
     gamma_phase and reciprocity_defect are 0 without Gamma.  NumericError
     where roots or Gamma overflow.
     """
-    kl, y, outer, inner, lam, t, stop = _transmitted(fr)
+    kl, y, outer, inner, lam, t, stop = transmitted = _transmitted(fr)
     if with_gamma:
-        gamma, gamma_e, (v, w, g_near) = _reflection(fr, kl, lam, inner[:, 1])
+        gamma, gamma_e, (v, w, g_near) = _reflection(fr, transmitted)
         defect = _backward_error(kl, fr.sigma, v, w, g_near)
         phase = np.arctan2(gamma.imag, gamma.real)
     else:
@@ -470,8 +474,7 @@ def semi_infinite_reflection(
     """
     f_row = frequency_row(f, "semi_infinite_reflection")
     fr = _front(cell, f_row, force_zero_coupling=force_zero_coupling)
-    kl, _, _, inner, lam, _, _ = _transmitted(fr)
-    gamma, gamma_e, _ = _reflection(fr, kl, lam, inner[:, 1])
+    gamma, gamma_e, _ = _reflection(fr, _transmitted(fr))
     return complex(gamma[0]), complex(gamma_e[0])
 
 
@@ -649,8 +652,7 @@ def _gamma_extrema(cell: UnitCellGeometry, f_low: np.ndarray, f_high: np.ndarray
     fs = np.concatenate([f_low[:, None] + offsets, f_high[:, None] - offsets, interior], axis=1)
     fs.sort(axis=1)
     fr = _front(cell, fs.ravel())
-    kl, _, _, inner, lam, _, _ = _transmitted(fr)
-    re = _reflection(fr, kl, lam, inner[:, 1])[0].real.reshape(fs.shape)
+    re = _reflection(fr, _transmitted(fr))[0].real.reshape(fs.shape)
     rows = np.arange(fs.shape[0])
     hi, lo = re.argmax(axis=1), re.argmin(axis=1)
     return fs[rows, hi], re[rows, hi], fs[rows, lo], re[rows, lo]

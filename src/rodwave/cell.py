@@ -141,8 +141,10 @@ def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):
 
 
 def stacked_cells(cells: list[UnitCellGeometry], points: int) -> SimpleNamespace:
-    """Several cells as one, for forcing_arrays, sigma_slope_arrays and the rod and
-    trench formulas under them, over the cells' frequency grids laid end to end.
+    """Several cells as one, for forcing_arrays and the rod and trench formulas
+    under it, over the cells' frequency grids laid end to end.  The Bloch stage
+    reads them only as far as its stopband test (bloch.sweep_cells), which
+    needs no passband slope (sigma_slope_arrays).
 
     Each constant those read is a per-point array: the value of cells[i] on rows
     i * points .. (i + 1) * points - 1.  Every formula is elementwise, so those
@@ -169,7 +171,6 @@ def sigma_slope_arrays(cell: UnitCellGeometry, f: np.ndarray, k: np.ndarray, sig
     sigma = -s0 tan(omega h / c) with s0 = omega rho A c / (E_t I_t k^3) > 0, and
     s0 scales as omega^-1/2, so omega sigma' = -sigma/2 - (omega h / c)(s0 + sigma^2 / s0).
     Written in sigma itself, it stays finite where sigma is clamped at a pole.
-    The cell may be stacked_cells of several, as in forcing_arrays.
     """
     omega = TWO_PI * f
     s0 = omega * cell.rod.impedance_scale / (cell.trench.bending_stiffness * k**3)

@@ -122,7 +122,9 @@ def rod_modeshape(
     """Vertical displacement profile u_z(z) for a base force amplitude f_amp.
 
     Returns (z, u_z) with z sampled on [0, h].  The stress-free top face makes
-    du_z/dz vanish at z = h for every valid frequency.
+    du_z/dz vanish at z = h for every valid frequency.  Where u_z leaves the
+    floating-point range (at low f: below about 2.3e-151 Hz on the default rod
+    with f_amp = 1), a NumericError names f.
     """
     if z_samples < 2:
         raise ValueError("rod_modeshape: z_samples must be >= 2")
@@ -135,9 +137,12 @@ def rod_modeshape(
     k_rod = omega / rod.velocity
     h = rod.height
     z = np.linspace(0.0, h, z_samples)
-    u = -f_amp / (omega * rod.impedance_scale) * (
-        np.sin(k_rod * z) + np.cos(k_rod * z) / math.tan(k_rod * h)
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # reported below
+        u = -f_amp / (omega * rod.impedance_scale) * (
+            np.sin(k_rod * z) + np.cos(k_rod * z) / math.tan(k_rod * h)
+        )
+    if not np.isfinite(u).all():
+        raise NumericError(f"rod_modeshape: displacement is not finite at f={f!r} Hz")
     return z, u.astype(complex)
 
 

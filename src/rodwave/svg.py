@@ -19,7 +19,8 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     first = math.ceil(lo / step) * step
     out = []
     t = first
-    while t <= hi + 1e-12 * abs(hi):
+    # a step below the float spacing at t no longer moves it: that tick ends the list
+    while t <= hi + 1e-12 * abs(hi) and (not out or t != out[-1]):
         out.append(t)
         t += step
     return out

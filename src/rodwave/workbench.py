@@ -206,11 +206,9 @@ def run_frequency_sweep(
     bands_path = directory / "stopbands.csv"
     _write_stopbands(bands_path, report, cfg_hash)
 
-    svg_path = None
     if plot if plot is not None else config.output.plot:
-        svg_path = directory / "sweep.svg"
         line_plot(
-            svg_path,
+            directory / "sweep.svg",
             (sw.f / 1e9).tolist(),
             [
                 ("T", sw.t_coeff.tolist()),
@@ -222,14 +220,7 @@ def run_frequency_sweep(
             xlabel="f (GHz)",
             ylabel="T, R, scaled Im k_ef",
         )
-    return {
-        "sweep_csv": sweep_path,
-        "stopbands_csv": bands_path,
-        "svg": svg_path,
-        "report": report,
-        "points": sw,
-        "cell": cell,
-    }
+    return {"sweep_csv": sweep_path, "stopbands_csv": bands_path, "report": report, "points": sw}
 
 
 def _normalized(values: list[float]) -> list[float]:
@@ -305,21 +296,10 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
         bounds = np.searchsorted(starts // points, np.arange(len(kept) + 1)).tolist()
         steps = [bands[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     rows = []
-    centers = []
     for (value, _), step in zip(kept, steps):
-        primary = _primary(step)
-        if primary is None:
-            rows.append([value, 0.0, 0.0, 0.0])
-            continue
-        centers.append(primary.f_center)
-        rows.append(
-            [
-                value,
-                primary.f_center,
-                primary.f_high - primary.f_low,
-                primary.max_attenuation,
-            ]
-        )
+        band = _primary(step) or Band(0.0, 0.0, 0.0, 0.0)
+        rows.append([value, band.f_center, band.f_high - band.f_low, band.max_attenuation])
+    centers = [row[1] for row, step in zip(rows, steps) if step]
     delta_f = (max(centers) - min(centers)) if centers else 0.0
     notes = [
         f"parameter={gs.parameter}",
@@ -333,18 +313,16 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
     _write_csv(
         path, {name: [r[j] for r in rows] for j, name in enumerate(header)}, cfg_hash, notes
     )
-    svg_path = None
     if config.output.plot and rows:
-        svg_path = directory / "geomsweep.svg"
         line_plot(
-            svg_path,
+            directory / "geomsweep.svg",
             [r[0] * 1e6 for r in rows],
             [("f_center (GHz)", [r[1] / 1e9 for r in rows])],
             title=f"primary-band center vs {gs.parameter}",
             xlabel=f"{gs.parameter} (um)",
             ylabel="f_center (GHz)",
         )
-    return {"geomsweep_csv": path, "svg": svg_path, "delta_f": delta_f, "rows": rows}
+    return {"geomsweep_csv": path, "delta_f": delta_f, "rows": rows}
 
 
 def run_chain(
@@ -379,18 +357,16 @@ def run_chain(
         cfg_hash,
         notes,
     )
-    svg_path = None
     if config.output.plot:
-        svg_path = directory / "chain.svg"
         line_plot(
-            svg_path,
+            directory / "chain.svg",
             np.arange(log10.size, dtype=float).tolist(),
             [("log10|amplitude|", log10.tolist())],
             title=f"chain decay at {freq / 1e9:.4f} GHz",
             xlabel="cell boundary",
             ylabel="log10 amplitude",
         )
-    return {"chain_csv": path, "svg": svg_path, "profile": profile}
+    return {"chain_csv": path, "profile": profile}
 
 
 def run_impedance(
@@ -484,4 +460,4 @@ def run_matrices(config: RunConfig, freq: float, out_dir: str | None = None) -> 
             "relative to the assembled product; the product is trusted",
         ],
     )
-    return {"matrices_csv": path, "check_csv": check_path, "matrices": mats}
+    return {"matrices_csv": path, "check_csv": check_path}

@@ -367,9 +367,16 @@ def test_geom_sweep_step_without_a_stopband_writes_zeros(tmp_path):
         # no stopband in the window: every Im k_ef is 0
         ({"sweep": {"f_start_hz": 0.15e9, "f_stop_hz": 0.30e9, "points": 40}},
          ["sweep"], "sweep.svg"),
+        # x ranges a few ulps wide: the tick step is below the float spacing there
+        ({"sweep": {"f_start_hz": 1e9, "f_stop_hz": 1000000000.0000002, "points": 5}},
+         ["sweep", "--plot"], "sweep.svg"),
+        ({"sweep": {"f_start_hz": 1.4e9, "f_stop_hz": 3.2e9, "points": 40},
+          "geometry_sweep": {"parameter": "t_aln2", "from_nm": 600,
+                             "to_nm": 600.0000000000001, "steps": 3}},
+         ["geom-sweep"], "geomsweep.svg"),
     ],
     ids=["geom-sweep", "chain", "geom-sweep-one-step", "geom-sweep-one-kept-step",
-         "sweep-without-stopband"],
+         "sweep-without-stopband", "sweep-ulps-wide", "geom-sweep-ulps-wide"],
 )
 def test_plot_config_writes_svg(tmp_path, doc, argv, name):
     cfg = write_config(tmp_path, dict(doc, output={"dir": str(tmp_path / "out"), "plot": True}))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rodwave import (
+    NumericError,
     SingularFrequencyError,
     driving_impedance,
     impedance_extrema,
@@ -77,6 +78,19 @@ def test_modeshape_base_velocity_consistent_with_impedance(default_rod):
         lhs = u[0] * (-1j * omega)
         rhs = 1.0 / driving_impedance(default_rod, f)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("f", [1e-160, 1e-300, 5e-324])
+def test_modeshape_past_the_float_range_names_the_frequency(default_rod, f):
+    # overflow in a product, overflow in a quotient and a division by zero
+    message = f"^rod_modeshape: displacement is not finite at f={f!r} Hz$"
+    with pytest.raises(NumericError, match=message):
+        rod_modeshape(default_rod, f, 1.0, 10)
+
+
+def test_modeshape_is_finite_at_low_frequency(default_rod):
+    _, u = rod_modeshape(default_rod, 1e-140, 1.0, 10)
+    assert np.isfinite(u).all()
 
 
 def test_modeshape_rejects_pole(default_rod):
