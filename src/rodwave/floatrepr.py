@@ -16,7 +16,12 @@ scales `4c - 2`, `4c` and `4c + 2` (the rounding interval and `x`, shifted by
 10^-k))) + 1` from a 617-entry table of 128-bit values, and keeps the top 64
 bits of each 192-bit product, rounded to odd.  Of the decimals `s` and `s + 1`
 at `10^k`, and of their multiples of ten, it picks the shorter one inside the
-interval, or the closer one.  The products run on 32-bit limbs in uint64.
+interval, or the closer one.  The products run on 32-bit limbs in uint64,
+one 32-bit column at a time for all three scalings, with one carry: each
+column's limb products are made when it is summed, and columns 2-3 are
+folded into the sticky bit and 4-5 into the result as each is done.  So the
+block's scratch peaks at about 105 bytes a value in the digits and 112 in
+all of `repr_words`.
 
 Layout.  The digits `N` (the significand, or the whole integer part where
 fixed notation appends zeros) fill 24 bytes right-aligned as ASCII, 8 digits a
@@ -94,55 +99,94 @@ def _tables() -> tuple[np.ndarray, ...]:
     return limbs, keep, shifted, dots, exps
 
 
-def _scaled(g: np.ndarray, c: np.ndarray, lc: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Schubfach's (vbl, vb, vbr): the top 64 bits, rounded to odd, of g cp
-    for cp = (4c - 2 + lc, 4c, 4c + 2) << h, with g as (4, n) 32-bit limbs."""
-    cb = c << (h + _U(2))
-    p_lo, p_hi = g * (cb & _M32), g * (cb >> _U(32))
-    t = np.empty((6, 3, c.size), np.int64)  # 32-bit columns by variant; vbl's may go negative
-    x = t[:, 1]
-    x[:4] = p_lo & _M32
-    x[4:] = 0
-    x[1:5] += (p_lo >> _U(32)).view(np.int64)
-    x[1:5] += (p_hi & _M32).view(np.int64)
-    x[2:] += (p_hi >> _U(32)).view(np.int64)
-    del p_lo, p_hi  # before the two copies: the block's peak memory
-    t[:, 0] = x
-    t[:, 2] = x
-    g, h = g.view(np.int64), h.view(np.int64)
-    t[:4, 0] += ((lc - 2) << h) * g
-    t[:4, 2] += (2 << h) * g
+def _scaled(row: np.ndarray, c: np.ndarray, lc: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Schubfach's (vbl, vb, vbr), (3, n): the top 64 bits, rounded to odd, of
+    g cp for cp = (4c - 2 + lc, 4c, 4c + 2) << h, with g the table's 128 bits
+    at row and h (uint8) at most 4.
+
+    The 192-bit products are six 32-bit columns, summed and carried one at a
+    time for all three: the products of each 32-bit limb of g with the two
+    halves of 4c << h, and for vbl and vbr the limb times (lc - 2) << h or
+    2 << h.  Columns 2 and 3 only decide the sticky bit, 4 and 5 are the
+    result."""
+    limbs = _tables()[0]
+    cb = c << (h + 2)
+    halves = np.stack((cb & _M32, cb >> _U(32))).astype(np.uint32)
+    del cb
+    # vbl's and vbr's cp less 4c << h
+    offsets = (np.stack((lc - 2, np.full_like(h, 2))) << h).astype(np.int8)
+    col = np.zeros((3, c.size), np.int64)  # the carry into a column, then the column
+    ahead = np.zeros((2, c.size), np.int64)  # what is due in the next two columns
     for j in range(5):
-        t[j + 1] += t[j] >> 32
-    sticky = ((t[3] << 32) | (t[2] & 0xFFFFFFFF)).view(np.uint64) > _U(1)
-    return ((t[5] << 32) | (t[4] & 0xFFFFFFFF)).view(np.uint64) | sticky
+        if j < 4:
+            g = np.take(limbs[j], row)
+            col[::2] += offsets * g.view(np.int64)
+            p = g * halves
+            del g
+            low = (p & _M32).view(np.int64)
+            p >>= _U(32)
+            high = p.view(np.int64)
+            low[0] += ahead[0]
+            col += low[0]
+            low[1] += ahead[1]
+            np.add(low[1], high[0], out=ahead[0])
+            ahead[1] = high[1]
+            del p, low, high
+        else:
+            col += ahead[0]
+        if j == 2:
+            sticky = (col & 0xFFFFFFFF) > 1
+        elif j == 3:
+            sticky |= (col & 0xFFFFFFFF) != 0
+        elif j == 4:
+            top = col & 0xFFFFFFFF
+        col >>= 32
+    col += ahead[1]
+    col <<= 32
+    top |= col
+    top |= sticky
+    return top.view(np.uint64)
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d, e10) of the shortest round-trip decimal d 10^e10 of each positive
-    finite double given by its bits, with no trailing zeros in d."""
+    finite double given by its bits, with no trailing zeros in d.  Each
+    temporary is dropped after its last use, so the peak is in _scaled."""
     t = bits & _U((1 << 52) - 1)
     biased = (bits >> _U(52)).astype(np.int64)
     c = t | (biased > 0).astype(np.uint64) << _U(52)
-    q = np.maximum(biased, 1) - 1075
     lc = (t == 0) & (biased > 1)
+    del t
+    q = np.maximum(biased, 1) - 1075
+    del biased
     k = (q * 1262611 - 524031 * lc) >> 22
-    h = (q + ((-k * 1741647) >> 19) + 1).astype(np.uint64)
-    vbl, vb, vbr = _scaled(np.take(_tables()[0], 292 - k, axis=1), c, lc, h)
+    h = (q + ((-k * 1741647) >> 19) + 1).astype(np.uint8)
+    del q
+    row = 292 - k
+    del k
+    vbl, vb, vbr = _scaled(row, c, lc, h)
+    del h, lc
     odd = c & _U(1)
+    del c
     lower, upper = vbl + odd, vbr - odd
+    del vbl, vbr, odd
     # one digit shorter: sp or sp + 1 at 10^(k+1), where exactly one is inside
     sp = vb // _U(40)
     up_in = lower <= sp * _U(40)
     wp_in = sp * _U(40) + _U(40) <= upper
     shorter = (sp > 0) & (up_in != wp_in)
+    del up_in
     # else s or s + 1 at 10^k: the one inside, or the closer (ties to even)
     s4 = vb & ~_U(3)
     w_in = s4 + _U(4) <= upper
+    del upper
     closer_up = (vb & _U(3)) + (vb >> _U(2) & _U(1)) > _U(2)
     up = w_in & ((lower > s4) | closer_up)
+    del lower, s4, w_in, closer_up
     d = np.where(shorter, sp + wp_in, (vb >> _U(2)) + up)
-    e10 = k + shorter
+    del sp, wp_in, vb, up
+    e10 = 292 - row + shorter
+    del row, shorter
     for p in (16, 8, 4, 2, 1):
         cut = d // _POW10[p]
         zeros = cut * _POW10[p] == d
@@ -171,22 +215,29 @@ def repr_words(v: np.ndarray) -> np.ndarray:
     zero = magnitude == 0
     magnitude |= zero  # any positive double; its digits are replaced by 0
     d, e10 = _shortest(magnitude)
+    del magnitude
     d = np.where(zero, _U(0), d)
     e10 = np.where(zero, 0, e10)
+    del zero
     n = np.searchsorted(_POW10[1:], d, side="right") + 1
     decpt = n + e10
+    del e10
+    out = np.empty((4, d.size), np.uint64)
+    out[3] = np.take(exps, decpt + 323)
     fixed = (decpt > -4) & (decpt <= 16)
     # fixed notation past the last digit prints the zeros up to the point
     d = d * np.take(_POW10, np.where(fixed & (decpt > n), decpt - n, 0))
     width = np.where(fixed, np.maximum(np.maximum(n, decpt), n - decpt + 1), n)
     after = np.where(fixed, np.maximum(n - decpt, 0), np.where(n > 1, n - 1, _NODOT))
+    del n, decpt, fixed
     sel = width * 25 + after
+    del width, after
     top = d // _E8
     head = top // _E8
-    out = np.empty((4, d.size), np.uint64)
     out[0] = head << _U(56) | _ASCII0
     out[1] = top - head * _E8
     out[2] = d - top * _E8
+    del d, top, head
     digits = out[:3]
     digits[1:] = _swar8(digits[1:])
     moved = digits >> _U(8)
@@ -194,7 +245,7 @@ def repr_words(v: np.ndarray) -> np.ndarray:
     moved &= np.take(shifted, sel, axis=1)
     digits &= np.take(keep, sel, axis=1)
     digits |= moved
-    out[3] = np.take(exps, decpt + 323)
+    del moved
     out |= np.take(dots, sel, axis=1)
     out[0] |= (bits >> _U(63)) * _U(ord("-"))
     return out

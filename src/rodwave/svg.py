@@ -17,10 +17,15 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     first = math.ceil(lo / step) * step
+    # at most one tick per step up to hi, so at most n + 1: below the float
+    # spacing a step moves t by whole ulps, and a tolerance in units of hi
+    # spans thousands of them; a step that no longer moves t ends the list
+    end = hi + min(1e-12 * abs(hi), 1e-9 * step)
     out = []
     t = first
-    # a step below the float spacing at t no longer moves it: that tick ends the list
-    while t <= hi + 1e-12 * abs(hi) and (not out or t != out[-1]):
+    for _ in range(math.floor((hi - first) / step + 1e-9) + 1):
+        if t > end or (out and t == out[-1]):
+            break
         out.append(t)
         t += step
     return out

@@ -45,13 +45,13 @@ RECIPROCITY_FAIL = 1e-5
 # %-format of a column by its dtype kind; any other kind is written with %s
 _CSV_FORMATS = {"f": "%r", "i": "%d", "u": "%d", "b": "%d"}
 # A table of float64 and bool columns with at least this many values is written
-# through floatrepr.  Its numpy calls cost about 0.35 ms a block whatever the
-# block's size, so %r is faster below about 400 values (2-vCPU x86 host); the
-# floor keeps a margin above that.
+# through floatrepr.  Its numpy calls cost about 0.25 ms a block whatever the
+# block's size, so %r is faster below about 700 values (2-vCPU x86 host); at
+# the floor floatrepr takes about 0.75 of %r's time.
 _VECTOR_MIN_VALUES = 1000
 # floats rendered and written at a time, whatever the renderer: a floatrepr
-# block's temporaries peak below 1 MB
-_BLOCK_FLOATS = 2048
+# block's temporaries peak at about 1.2 MB, and larger blocks are no faster
+_BLOCK_FLOATS = 8192
 
 
 def _write_csv(

@@ -386,6 +386,15 @@ def test_plot_config_writes_svg(tmp_path, doc, argv, name):
     assert "<polyline" in svg
 
 
+def test_sweep_plot_over_a_few_ulps_writes_at_most_seven_x_labels(tmp_path):
+    doc = {"sweep": {"f_start_hz": 1e9, "f_stop_hz": 1000000000.000001, "points": 5},
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main(["sweep", "--config", str(write_config(tmp_path, doc)), "--plot"]) == 0
+    svg = (tmp_path / "out" / "sweep.svg").read_text()
+    # x tick labels sit 18 px below the plot's bottom edge (y = 36 + 434)
+    assert 1 <= svg.count(' y="488" text-anchor="middle">') <= 7
+
+
 def test_matrices_csv(tmp_path):
     cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
     assert main(["matrices", "--config", str(cfg), "--freq", "1.0e9"]) == 0
@@ -655,6 +664,13 @@ def test_float_and_bool_rows_are_the_joined_str_of_each_value(tmp_path, monkeypa
     assert sum(calls) == (3 * n if 4 * n >= _VECTOR_MIN_VALUES else 0)
 
 
+def _sweep_shaped(rng, n):
+    """n rows of 11 float columns and a bool, as sweep.csv."""
+    columns = {f"x{j}": rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for j in range(11)}
+    columns["flag"] = rng.random(n) < 0.1
+    return columns
+
+
 def test_vectorised_writer_keeps_its_temporaries_small(tmp_path):
     import tracemalloc
 
@@ -662,20 +678,48 @@ def test_vectorised_writer_keeps_its_temporaries_small(tmp_path):
 
     n = 100_000
     rng = np.random.default_rng(1)
-    columns = {
+    impedance = {
         "f_hz": np.linspace(0.0, 1e10, n),
         "im_Zb": rng.standard_normal(n) * 1e3,
         "flag_near_pole": rng.random(n) < 0.01,
     }
-    path = tmp_path / "impedance.csv"
-    _write_csv(path, columns, "0" * 64)  # builds the formatter's tables
-    tracemalloc.start()
-    try:
-        _write_csv(path, columns, "0" * 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5e6
+    for columns in (impedance, _sweep_shaped(rng, 2000)):
+        path = tmp_path / "table.csv"
+        _write_csv(path, columns, "0" * 64)  # builds the formatter's tables
+        tracemalloc.start()
+        try:
+            _write_csv(path, columns, "0" * 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+
+@pytest.mark.parametrize("shape", ["impedance", "sweep"])
+def test_vectorised_writer_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, shape):
+    from rodwave import workbench
+
+    rng = np.random.default_rng(32)
+    special = [-0.0, 0.0, 5e-324, 1e16, -1e16, 2.2250738585072009e-308, 1e-310, -4.9e-320, 0.1]
+    if shape == "impedance":
+        n = 1500
+        columns = {"f_hz": np.linspace(0.0, 6e9, n), "im_Zb": rng.standard_normal(n) * 1e3,
+                   "flag_near_pole": rng.random(n) < 0.01}
+        columns["im_Zb"][:len(special)] = special
+    else:
+        n = 400
+        columns = _sweep_shaped(rng, n)
+        for j, name in enumerate(list(columns)[:11]):
+            columns[name][j:j + len(special)] = special
+    texts = set()
+    for block in (1, 7, 2048, workbench._BLOCK_FLOATS):
+        monkeypatch.setattr(workbench, "_BLOCK_FLOATS", block)
+        path = tmp_path / f"{block}.csv"
+        workbench._write_csv(path, columns, "0" * 64)
+        texts.add(path.read_bytes())
+    assert len(texts) == 1
+    body = texts.pop().decode().split("\n", 2)[2]
+    assert body == _join_str_rows(columns)
 
 
 def test_verbose_holds_on_every_call_in_one_process(tmp_path, capsys):

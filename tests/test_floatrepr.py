@@ -2,13 +2,15 @@
 of random bit patterns and the cases where shortest-digit algorithms go
 wrong, and on hypothesis' floats."""
 
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rodwave.floatrepr import repr_words
+from rodwave.floatrepr import _scaled, repr_words
 
 CHUNK = 1 << 16  # values per repr_words call, to bound the temporaries
 
@@ -64,3 +66,39 @@ def test_corpus_is_repr_byte_for_byte():
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
 def test_any_finite_floats_are_repr(values):
     _assert_repr(np.array(values, dtype=np.float64))
+
+
+def _g(row: int) -> int:
+    """Schubfach's g at 10^-k, k = 292 - row: floor(10^-k 2^(127 - floor(log2
+    10^-k))) + 1, in exact rationals."""
+    x = Fraction(10) ** (row - 292)
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    if Fraction(2) ** e > x:
+        e -= 1
+    return math.floor(x * Fraction(2) ** (127 - e)) + 1
+
+
+def test_scaled_is_the_top_of_g_cp_rounded_to_odd():
+    rng = np.random.default_rng(192)
+    size = 6 * 617
+    row = np.tile(np.arange(617), 6)  # every decimal exponent of the table
+    c = np.concatenate([
+        rng.integers(1 << 52, 1 << 53, size=3 * 617, dtype=np.uint64),  # normal
+        rng.integers(1, 1 << 52, size=617, dtype=np.uint64),  # subnormal
+        np.full(617, 1 << 52, np.uint64),  # a power of two: the closer lower neighbour
+        np.resize(np.array([1, 2, (1 << 53) - 1, (1 << 52) + 1], np.uint64), 617),
+    ])
+    lc = np.zeros(size, bool)
+    lc[4 * 617:5 * 617] = True
+    h = rng.integers(1, 5, size=size).astype(np.uint8)
+    h[::3] = 4  # the largest shift
+    got = _scaled(row, c, lc, h)
+    assert got.shape == (3, size) and got.dtype == np.uint64
+    g = [_g(r) for r in range(617)]
+    for i in range(size):
+        cb = int(c[i]) << 2
+        for variant, cp in enumerate((cb - 2 + int(lc[i]), cb, cb + 2)):
+            product = g[row[i]] * (cp << int(h[i]))
+            sticky = (product >> 64) & (2**64 - 1) > 1
+            want = (product >> 128) | sticky
+            assert int(got[variant, i]) == want, (variant, int(row[i]), int(c[i]), int(h[i]))

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from rodwave.svg import line_plot
+from rodwave.svg import _ticks, line_plot
 
 
 def test_line_plot_refuses_nothing_to_draw(tmp_path):
@@ -17,3 +17,12 @@ def test_line_plot_shades_only_bands_inside_the_x_range(tmp_path):
     assert svg.count('fill="#f2d8d8"') == 1
     # the shading runs from x = 1.5, halfway across the plot, to its right edge
     assert '<rect x="455.00" y="36" width="385.00" ' in svg
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0 + 4 * 2**-52), (1e9, 1000000000.000001)])
+def test_an_axis_a_few_ulps_wide_gets_at_most_n_plus_one_ticks_on_it(lo, hi):
+    # the tick step is below the float spacing there: t moves by whole ulps
+    ticks = _ticks(lo, hi)
+    assert 1 <= len(ticks) <= 7
+    assert all(lo <= t <= hi for t in ticks)
+    assert ticks == sorted(set(ticks))
