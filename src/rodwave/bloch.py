@@ -546,10 +546,11 @@ def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
 
     Each round splits every active bracket into 2^_TREE_LEVELS parts by
     repeated halving, each point 0.5 * (left + right) of its parent part, and
-    tests in one stage call the points whose parent part is wider than
-    EDGE_REFINE_HZ.  Bisection by index on that grid then takes the same
-    midpoints and the same stop as one level per call.  The stopband test is
-    the stage's (_pairs), as in Sweep.in_stopband.
+    tests its 2^_TREE_LEVELS - 1 inner points in one stage call.  Bisection
+    by index on that grid, a step only while the bracket is wider than
+    EDGE_REFINE_HZ, then takes the same midpoints and the same stop as one
+    level per call.  The stopband test is the stage's (_pairs), as in
+    Sweep.in_stopband.
     """
     brackets = brackets.astype(float)
     parts = 1 << _TREE_LEVELS
@@ -559,22 +560,20 @@ def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
             return 0.5 * (brackets[:, 0] + brackets[:, 1])
         grid = np.zeros((active.size, parts + 1))
         grid[:, [0, parts]] = brackets[active]
-        tested = np.zeros(grid.shape, dtype=bool)
         step = parts
         while step > 1:
-            left, right = grid[:, :-1:step], grid[:, step::step]
-            grid[:, step // 2 :: step] = 0.5 * (left + right)
-            tested[:, step // 2 :: step] = np.abs(right - left) > EDGE_REFINE_HZ
+            grid[:, step // 2 :: step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
             step //= 2
-        stop = np.zeros(grid.shape, dtype=bool)
-        stop[tested] = _pairs(_front(cell, grid[tested]))[-1]
+        # the stopband test at inner point j is stop[:, j - 1]
+        stop = _pairs(_front(cell, grid[:, 1:-1].ravel()))[-1].reshape(-1, parts - 1)
         rows = np.arange(active.size)
         a, b = np.zeros(active.size, dtype=int), np.full(active.size, parts)
         for _ in range(_TREE_LEVELS):
             mid = (a + b) // 2
-            s = stop[rows, mid]
-            a = np.where(s, mid, a)
-            b = np.where(tested[rows, mid] & ~s, mid, b)
+            wide = np.abs(grid[rows, b] - grid[rows, a]) > EDGE_REFINE_HZ
+            s = stop[rows, mid - 1]
+            a = np.where(wide & s, mid, a)
+            b = np.where(wide & ~s, mid, b)
         brackets[active, 0], brackets[active, 1] = grid[rows, a], grid[rows, b]
 
 

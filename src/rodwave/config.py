@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -202,6 +203,12 @@ def _parse_output(obj: dict | None) -> OutputConfig:
     directory = obj.get("dir", OutputConfig.directory)
     if not isinstance(directory, str):
         raise ConfigError("output.dir: expected a string path")
+    try:
+        nul = b"\0" in os.fsencode(directory)  # no file system path holds one
+    except UnicodeEncodeError as exc:  # a lone surrogate, as JSON's "\ud800"
+        raise ConfigError(f"output.dir: not a file system path: {exc.reason}") from exc
+    if nul:
+        raise ConfigError("output.dir: must not contain a NUL character")
     plot = obj.get("plot", OutputConfig.plot)
     if not isinstance(plot, bool):
         raise ConfigError("output.plot: expected a boolean")
@@ -229,11 +236,11 @@ def load_config(path: str | Path) -> RunConfig:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 

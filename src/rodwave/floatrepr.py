@@ -224,7 +224,7 @@ def repr_words(v: np.ndarray) -> np.ndarray:
     del e10
     out = np.empty((4, d.size), np.uint64)
     out[3] = np.take(exps, decpt + 323)
-    fixed = (decpt > -4) & (decpt <= 16)
+    fixed = out[3] == 0  # the exponent table's rule: no exponent, fixed notation
     # fixed notation past the last digit prints the zeros up to the point
     d = d * np.take(_POW10, np.where(fixed & (decpt > n), decpt - n, 0))
     width = np.where(fixed, np.maximum(np.maximum(n, decpt), n - decpt + 1), n)

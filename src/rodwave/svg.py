@@ -16,19 +16,11 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     raw = (hi - lo) / n
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
-    first = math.ceil(lo / step) * step
-    # at most one tick per step up to hi, so at most n + 1: below the float
-    # spacing a step moves t by whole ulps, and a tolerance in units of hi
-    # spans thousands of them; a step that no longer moves t ends the list
-    end = hi + min(1e-12 * abs(hi), 1e-9 * step)
-    out = []
-    t = first
-    for _ in range(math.floor((hi - first) / step + 1e-9) + 1):
-        if t > end or (out and t == out[-1]):
-            break
-        out.append(t)
-        t += step
-    return out
+    # each tick a multiple k * step, clamped onto the axis and kept once: an
+    # end a rounding off a multiple keeps its tick (-0.6 / 0.2 is -2.9999...),
+    # and below the float spacing the clamped ticks fall together
+    ks = range(math.ceil(lo / step - 1e-9), math.floor(hi / step + 1e-9) + 1)
+    return list(dict.fromkeys(min(max(k * step, lo), hi) for k in ks))
 
 
 def line_plot(
@@ -45,12 +37,13 @@ def line_plot(
     finite = [v for _, ys in series for v in ys if math.isfinite(v)]
     if not x or not finite:
         raise ValueError("line_plot: nothing to draw")
+    # a one-value axis spans to value + 1, or from 2^53 on to the next float
     x_lo, x_hi = min(x), max(x)
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
     y_lo, y_hi = min(finite), max(finite)
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = max(y_lo + 1.0, math.nextafter(y_lo, math.inf))
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     pw = _WIDTH - _MARGIN_L - _MARGIN_R

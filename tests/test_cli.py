@@ -374,9 +374,14 @@ def test_geom_sweep_step_without_a_stopband_writes_zeros(tmp_path):
           "geometry_sweep": {"parameter": "t_aln2", "from_nm": 600,
                              "to_nm": 600.0000000000001, "steps": 3}},
          ["geom-sweep"], "geomsweep.svg"),
+        # one step at x = 1e16 um: adding 1 does not widen the zero-width x range
+        ({"sweep": {"f_start_hz": 1.4e9, "f_stop_hz": 3.2e9, "points": 40},
+          "geometry_sweep": {"parameter": "t_aln2", "from_m": 1e10, "to_m": 1e10, "steps": 1}},
+         ["geom-sweep"], "geomsweep.svg"),
     ],
     ids=["geom-sweep", "chain", "geom-sweep-one-step", "geom-sweep-one-kept-step",
-         "sweep-without-stopband", "sweep-ulps-wide", "geom-sweep-ulps-wide"],
+         "sweep-without-stopband", "sweep-ulps-wide", "geom-sweep-ulps-wide",
+         "geom-sweep-one-step-past-2-to-the-53"],
 )
 def test_plot_config_writes_svg(tmp_path, doc, argv, name):
     cfg = write_config(tmp_path, dict(doc, output={"dir": str(tmp_path / "out"), "plot": True}))
@@ -393,6 +398,17 @@ def test_sweep_plot_over_a_few_ulps_writes_at_most_seven_x_labels(tmp_path):
     svg = (tmp_path / "out" / "sweep.svg").read_text()
     # x tick labels sit 18 px below the plot's bottom edge (y = 36 + 434)
     assert 1 <= svg.count(' y="488" text-anchor="middle">') <= 7
+
+
+def test_chain_plot_labels_its_zero_tick_0(tmp_path):
+    # a running sum of the tick step left 1.73472e-18 where the zero tick is
+    doc = {"output": {"dir": str(tmp_path / "out"), "plot": True}}
+    argv = ["chain", "--config", str(write_config(tmp_path, doc)), "--freq", "3.1e9"]
+    assert main([*argv, "--cells", "7"]) == 0
+    svg = (tmp_path / "out" / "chain.svg").read_text()
+    labels = re.findall(r'text-anchor="end">([^<]*)</text>', svg)
+    assert "0" in labels
+    assert all(label == "0" or abs(float(label)) > 1e-12 for label in labels), labels
 
 
 def test_matrices_csv(tmp_path):
@@ -498,6 +514,31 @@ def test_config_error_exit_code(tmp_path):
     assert main(["sweep", "--config", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["sweep", "--config", str(missing)]) == 2
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ('{"output": {"dir": "caf\xe9"}}'.encode("latin-1"),
+         "cannot read config file {path}: 'utf-8' codec can't decode byte 0xe9"),
+        (b"[" * 100_000 + b"]" * 100_000,
+         "config {path} is not valid JSON: maximum recursion depth exceeded"),
+        (b'{"output": {"dir": "a\\u0000b"}}',
+         "output.dir: must not contain a NUL character\n"),
+        (b'{"output": {"dir": "a\\ud800b"}}',
+         "output.dir: not a file system path: surrogates not allowed\n"),
+    ],
+    ids=["not-utf-8", "nested-100000-deep", "nul-in-output-dir", "lone-surrogate-in-output-dir"],
+)
+def test_config_the_run_cannot_read_or_use_exits_2_naming_it(
+    tmp_path, capsys, monkeypatch, data, message
+):
+    monkeypatch.chdir(tmp_path)  # the default output directory
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    assert main(["stopbands", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: " + message.format(path=path))
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_unwritable_output_exit_code(tmp_path):

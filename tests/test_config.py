@@ -200,8 +200,10 @@ def _valid_documents(draw):
             section["steps"] = draw(st.integers(1, 100))
         doc["geometry_sweep"] = section
     if draw(st.booleans()):
+        # a path holds no NUL and no lone surrogate (both refused)
+        path_chars = st.characters(exclude_characters="\0", exclude_categories=("Cs",))
         doc["output"] = draw(st.fixed_dictionaries({}, optional={
-            "dir": st.text(max_size=12), "plot": st.booleans(),
+            "dir": st.text(path_chars, max_size=12), "plot": st.booleans(),
         }))
     return doc
 
