@@ -114,14 +114,15 @@ def forcing_strength(cell: UnitCellGeometry, f: float) -> tuple[float, float]:
 def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, float, float]:
     """forcing_arrays at one frequency f > 0, as floats (k, f_eff, sigma).
 
-    NumericError where sigma is NaN, or infinite off a pole: at f ~ 1e-300 Hz
-    k**3 underflows and sigma is 0/0, and from about 4.9e201 Hz k**3 overflows,
-    where the rod's pole marker gives -inf/inf.  Under a finite k**3 the marker
-    gives sigma = +-inf.
+    NumericError where sigma is NaN, infinite off a pole or 0 off a rod zero: at
+    f ~ 1e-300 Hz k**3 underflows and sigma is 0/0, and from about 4.9e201 Hz
+    k**3 overflows and sigma is f_eff/inf: NaN under the rod's pole marker, 0
+    off it.  Under a finite k**3 the marker gives sigma = +-inf.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported just below
         k, f_eff, sigma = (float(x[0]) for x in forcing_arrays(cell, frequency_row(f, caller)))
-    if math.isnan(sigma) or math.isinf(sigma) and math.isfinite(f_eff):
+    if (math.isnan(sigma) or math.isinf(sigma) and math.isfinite(f_eff)
+            or sigma == 0 and f_eff != 0):
         raise non_finite_error("sigma", float(f), k * cell.cell_length)
     return k, f_eff, sigma
 

@@ -80,19 +80,36 @@ class RunConfig:
     output: OutputConfig
 
 
-def _reject_unknown(obj, allowed: set[str], path: str) -> None:
-    """Refuse a value at path that is not an object, or holds a key outside allowed."""
+# field -> JSON key of each flat section, for its allowed keys, reads and canonical_document
+_SWEEP_KEYS = {"f_start": "f_start_hz", "f_stop": "f_stop_hz", "points": "points"}
+_OUTPUT_KEYS = {"directory": "dir", "plot": "plot"}
+_MATERIAL_KEYS = {"youngs_modulus": "youngs_modulus_pa", "density": "density_kg_m3"}
+
+
+def _section(obj, allowed, path: str) -> dict:
+    """obj as a section, {} where it is absent (None); a ConfigError naming path
+    where it is not an object or holds a key outside allowed."""
+    if obj is None:
+        return {}
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown key {path}.{key!r}")
+    return obj
 
 
-def _read_number(obj: dict, key: str, default, path: str, integral: bool = False) -> float:
-    """obj[key] (default if absent) as a finite float, or an int where integral;
-    anything else, bools and strings included, is a ConfigError naming path.key."""
-    raw = obj.get(key, default)
+def _entry(obj: dict, key: str, default, path: str):
+    """obj[key], or default, logged under its JSON path, where the key is absent."""
+    if key not in obj:
+        log.info("config default: %s.%s = %r", path, key, default)
+    return obj.get(key, default)
+
+
+def _read_number(obj: dict, key: str, default, path: str) -> float:
+    """obj[key] (default if absent) as a finite float, or an int where the default is
+    one; anything else, bools and strings included, is a ConfigError naming path.key."""
+    raw = _entry(obj, key, default, path)
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {raw!r}")
     try:
@@ -101,9 +118,16 @@ def _read_number(obj: dict, key: str, default, path: str, integral: bool = False
         value = math.inf
     if not math.isfinite(value):  # json reads Infinity, NaN and 1e400
         raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
+    integral = isinstance(default, int)
     if integral and not value.is_integer():
         raise ConfigError(f"{path}.{key}: expected an integer, got {raw!r}")
     return int(raw) if integral else value
+
+
+def _read_keys(obj: dict, keys: dict[str, str], defaults, path: str, read=_read_number) -> dict:
+    """{field: read(obj, key, default, path)} over a key table, each default that
+    field of defaults."""
+    return {field: read(obj, key, getattr(defaults, field), path) for field, key in keys.items()}
 
 
 def _read_length(obj: dict, base: str, default: float | None, path: str) -> float:
@@ -124,34 +148,29 @@ def _read_length(obj: dict, base: str, default: float | None, path: str) -> floa
     return value
 
 
-def _length_keys(base: str) -> set[str]:
-    return {f"{base}_{suffix}" for suffix in _UNIT_SCALE}
+def _length_keys(*bases: str) -> set[str]:
+    return {f"{base}_{suffix}" for base in bases for suffix in _UNIT_SCALE}
 
 
 def _parse_materials(obj: dict | None) -> dict[str, Material]:
     """The stack's three materials, each constant overridable; any other name is refused."""
-    materials = dict(DEFAULT_MATERIALS)
-    if obj is None:
-        log.info("config default: materials = built-in AlN/Al/Pt constants")
-        return materials
-    _reject_unknown(obj, set(DEFAULT_MATERIALS), "materials")
-    for name, entry in obj.items():
-        _reject_unknown(entry, {"youngs_modulus_pa", "density_kg_m3"}, f"materials.{name}")
-        base = materials[name]
-        e = _read_number(entry, "youngs_modulus_pa", base.youngs_modulus, f"materials.{name}")
-        rho = _read_number(entry, "density_kg_m3", base.density, f"materials.{name}")
-        for key, value in (("youngs_modulus_pa", e), ("density_kg_m3", rho)):
-            if not value > 0:
-                raise ConfigError(f"materials.{name}.{key}: must be positive")
-        materials[name] = Material(name, youngs_modulus=e, density=rho)
+    obj = _section(obj, DEFAULT_MATERIALS, "materials")
+    materials = dict.fromkeys(DEFAULT_MATERIALS)
+    for name in dict.fromkeys([*obj, *materials]):  # the document's order first
+        path = f"materials.{name}"
+        if name in obj and obj[name] is None:  # a null section is absent; a null entry is not
+            raise ConfigError(f"{path}: expected an object")
+        entry = _section(obj.get(name), _MATERIAL_KEYS.values(), path)
+        values = _read_keys(entry, _MATERIAL_KEYS, DEFAULT_MATERIALS[name], path)
+        for field, key in _MATERIAL_KEYS.items():
+            if not values[field] > 0:
+                raise ConfigError(f"{path}.{key}: must be positive")
+        materials[name] = Material(name, **values)
     return materials
 
 
 def _parse_geometry(obj: dict | None) -> GeometryConfig:
-    if obj is None:
-        obj = {}
-        log.info("config default: geometry = fabricated-device stack")
-    _reject_unknown(obj, set().union(*map(_length_keys, GEOM_PARAMETERS)), "geometry")
+    obj = _section(obj, _length_keys(*GEOM_PARAMETERS), "geometry")
     geo = GeometryConfig(
         *(_read_length(obj, fd.name, fd.default, "geometry") for fd in fields(GeometryConfig))
     )
@@ -163,25 +182,19 @@ def _parse_geometry(obj: dict | None) -> GeometryConfig:
 
 
 def _parse_sweep(obj: dict | None) -> SweepConfig:
-    if obj is None:
-        obj = {}
-        log.info("config default: sweep = 0.1-6 GHz, 2000 points")
-    _reject_unknown(obj, {"f_start_hz", "f_stop_hz", "points"}, "sweep")
-    f_start = _read_number(obj, "f_start_hz", SweepConfig.f_start, "sweep")
-    f_stop = _read_number(obj, "f_stop_hz", SweepConfig.f_stop, "sweep")
-    points = _read_number(obj, "points", SweepConfig.points, "sweep", integral=True)
-    if not 0 < f_start < f_stop:
+    obj = _section(obj, _SWEEP_KEYS.values(), "sweep")
+    config = SweepConfig(**_read_keys(obj, _SWEEP_KEYS, SweepConfig, "sweep"))
+    if not 0 < config.f_start < config.f_stop:
         raise ConfigError("sweep: need 0 < f_start_hz < f_stop_hz")
-    if points < 2:
+    if config.points < 2:
         raise ConfigError("sweep.points: must be >= 2")
-    return SweepConfig(f_start=f_start, f_stop=f_stop, points=points)
+    return config
 
 
 def _parse_geom_sweep(obj: dict | None) -> GeomSweepConfig | None:
     if obj is None:
         return None
-    allowed = {"parameter", "steps"} | _length_keys("from") | _length_keys("to")
-    _reject_unknown(obj, allowed, "geometry_sweep")
+    obj = _section(obj, {"parameter", "steps", *_length_keys("from", "to")}, "geometry_sweep")
     parameter = obj.get("parameter")
     if parameter not in GEOM_PARAMETERS:
         raise ConfigError(
@@ -189,27 +202,22 @@ def _parse_geom_sweep(obj: dict | None) -> GeomSweepConfig | None:
         )
     start = _read_length(obj, "from", None, "geometry_sweep")
     stop = _read_length(obj, "to", None, "geometry_sweep")
-    steps = _read_number(obj, "steps", GeomSweepConfig.steps, "geometry_sweep", integral=True)
+    steps = _read_number(obj, "steps", GeomSweepConfig.steps, "geometry_sweep")
     if steps < 1:
         raise ConfigError("geometry_sweep.steps: must be >= 1")
     return GeomSweepConfig(parameter=parameter, start=start, stop=stop, steps=steps)
 
 
 def _parse_output(obj: dict | None) -> OutputConfig:
-    if obj is None:
-        obj = {}
-        log.info("config default: output = current directory, no plots")
-    _reject_unknown(obj, {"dir", "plot"}, "output")
-    directory = obj.get("dir", OutputConfig.directory)
+    obj = _section(obj, _OUTPUT_KEYS.values(), "output")
+    directory, plot = _read_keys(obj, _OUTPUT_KEYS, OutputConfig, "output", _entry).values()
     if not isinstance(directory, str):
         raise ConfigError("output.dir: expected a string path")
     try:
-        nul = b"\0" in os.fsencode(directory)  # no file system path holds one
+        if b"\0" in os.fsencode(directory):  # no file system path holds one
+            raise ConfigError("output.dir: must not contain a NUL character")
     except UnicodeEncodeError as exc:  # a lone surrogate, as JSON's "\ud800"
         raise ConfigError(f"output.dir: not a file system path: {exc.reason}") from exc
-    if nul:
-        raise ConfigError("output.dir: must not contain a NUL character")
-    plot = obj.get("plot", OutputConfig.plot)
     if not isinstance(plot, bool):
         raise ConfigError("output.plot: expected a boolean")
     return OutputConfig(directory=directory, plot=plot)
@@ -219,9 +227,7 @@ def parse_config(doc: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected a JSON object")
-    _reject_unknown(
-        doc, {"materials", "geometry", "sweep", "geometry_sweep", "output"}, "config"
-    )
+    _section(doc, {field.name for field in fields(RunConfig)}, "config")
     return RunConfig(
         geometry=_parse_geometry(doc.get("geometry")),
         materials=_parse_materials(doc.get("materials")),
@@ -262,25 +268,20 @@ def unit_cell(config: RunConfig, geometry: GeometryConfig | None = None) -> Unit
     )
 
 
+def _keyed(section, keys: dict[str, str]) -> dict:
+    """{JSON key: value} of a section's fields through its key table."""
+    return {key: getattr(section, name) for name, key in keys.items()}
+
+
 def canonical_document(config: RunConfig) -> dict:
     """Fully resolved config as a plain dict (units: m, Hz)."""
     doc: dict = {
         "materials": {
-            name: {
-                "youngs_modulus_pa": mat.youngs_modulus,
-                "density_kg_m3": mat.density,
-            }
-            for name, mat in sorted(config.materials.items())
+            name: _keyed(mat, _MATERIAL_KEYS) for name, mat in sorted(config.materials.items())
         },
-        "geometry": {
-            f"{base}_m": getattr(config.geometry, base) for base in GEOM_PARAMETERS
-        },
-        "sweep": {
-            "f_start_hz": config.sweep.f_start,
-            "f_stop_hz": config.sweep.f_stop,
-            "points": config.sweep.points,
-        },
-        "output": {"dir": config.output.directory, "plot": config.output.plot},
+        "geometry": {f"{base}_m": getattr(config.geometry, base) for base in GEOM_PARAMETERS},
+        "sweep": _keyed(config.sweep, _SWEEP_KEYS),
+        "output": _keyed(config.output, _OUTPUT_KEYS),
     }
     if config.geometry_sweep is not None:
         doc["geometry_sweep"] = {

@@ -95,10 +95,33 @@ def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndar
     return im, distance < NEAR_POLE_WINDOW_FRACTION * c / h
 
 
-def _impedance_at(rod: RodModel, f: float, caller: str) -> tuple[float, bool]:
-    """_impedance_arrays at one frequency 0 <= f < inf, as (Im Z_b, near-pole flag)."""
+def _past_top(rod: RodModel, f: np.ndarray) -> np.ndarray:
+    """Where f is past the rod's top frequency: the float spacing of f is wider
+    than the exact-pole window (from 2^46 Hz on the default rod), so a distance
+    to a pole there is rounding noise."""
+    return np.spacing(f) > _EXACT_POLE_FRACTION * rod.velocity / rod.height
+
+
+def _impedance_rows(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_impedance_arrays for the rod's own outputs, whose markers and flags hold only
+    up to the top frequency: past it a NumericError names the first such f, with
+    its index as the error's row."""
     with np.errstate(over="ignore"):  # reported by _impedance_arrays
-        im, flag = _impedance_arrays(rod, frequency_row(f, caller, dc=True))
+        im, flag = _impedance_arrays(rod, f)
+    past = _past_top(rod, f)
+    if np.count_nonzero(past):
+        i = int(np.argmax(past))
+        raise NumericError(
+            "rod impedance: the float spacing of f is wider than the exact-pole window "
+            f"1e-12 c/h past the rod's top frequency, at f={f[i].item()!r} Hz",
+            row=i,
+        )
+    return im, flag
+
+
+def _impedance_at(rod: RodModel, f: float, caller: str) -> tuple[float, bool]:
+    """_impedance_rows at one frequency 0 <= f < inf, as (Im Z_b, near-pole flag)."""
+    im, flag = _impedance_rows(rod, frequency_row(f, caller, dc=True))
     return im.item(), flag.item()
 
 
@@ -124,7 +147,7 @@ def rod_modeshape(
     Returns (z, u_z) with z sampled on [0, h].  The stress-free top face makes
     du_z/dz vanish at z = h for every valid frequency.  Where u_z leaves the
     floating-point range (at low f: below about 2.3e-151 Hz on the default rod
-    with f_amp = 1), a NumericError names f.
+    with f_amp = 1), and past the rod's top frequency, a NumericError names f.
     """
     if z_samples < 2:
         raise ValueError("rod_modeshape: z_samples must be >= 2")

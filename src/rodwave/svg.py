@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 _WIDTH, _HEIGHT = 860, 520
@@ -10,10 +11,19 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 36, 50
 _COLORS = ("#1f77b4", "#d62728", "#7f4f24", "#2ca02c")
 
 
+def _ratio(a: float, b: float, lo: float, hi: float) -> float:
+    """(a - b) / (hi - lo), from halves where either difference overflows."""
+    if hi - lo < math.inf and a - b < math.inf:
+        return (a - b) / (hi - lo)
+    return (a / 2 - b / 2) / (hi / 2 - lo / 2)
+
+
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / n
+    # (hi - lo) / n, held at the smallest normal float so that its power of ten
+    # is a float: on an axis a few subnormals wide it rounds to 0
+    raw = max(_ratio(hi, lo, 0, n), sys.float_info.min)
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     # each tick a multiple k * step, clamped onto the axis and kept once: an
@@ -21,6 +31,17 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     # and below the float spacing the clamped ticks fall together
     ks = range(math.ceil(lo / step - 1e-9), math.floor(hi / step + 1e-9) + 1)
     return list(dict.fromkeys(min(max(k * step, lo), hi) for k in ks))
+
+
+def _axis(values: list[float]) -> tuple[float, float]:
+    """(min, max) of values; a one-value axis spans to value + 1, from 2^53 on to
+    the next float, and at the largest float from the float below it."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        hi = max(lo + 1.0, math.nextafter(lo, math.inf))
+        if hi == math.inf:
+            lo, hi = math.nextafter(lo, 0), lo
+    return lo, hi
 
 
 def line_plot(
@@ -37,23 +58,20 @@ def line_plot(
     finite = [v for _, ys in series for v in ys if math.isfinite(v)]
     if not x or not finite:
         raise ValueError("line_plot: nothing to draw")
-    # a one-value axis spans to value + 1, or from 2^53 on to the next float
-    x_lo, x_hi = min(x), max(x)
-    if x_hi == x_lo:
-        x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
-    y_lo, y_hi = min(finite), max(finite)
-    if y_hi == y_lo:
-        y_hi = max(y_lo + 1.0, math.nextafter(y_lo, math.inf))
+    x_lo, x_hi = _axis(x)
+    y_lo, y_hi = _axis(finite)
+    # 5 % of the span on each side, where the padded axis stays in the float range
     pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    if math.isfinite(y_lo - pad) and math.isfinite(y_hi + pad):
+        y_lo, y_hi = y_lo - pad, y_hi + pad
     pw = _WIDTH - _MARGIN_L - _MARGIN_R
     ph = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(v: float) -> float:
-        return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * pw
+        return _MARGIN_L + _ratio(v, x_lo, x_lo, x_hi) * pw
 
     def sy(v: float) -> float:
-        return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * ph
+        return _MARGIN_T + _ratio(y_hi, v, y_lo, y_hi) * ph
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '

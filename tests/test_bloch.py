@@ -31,6 +31,7 @@ from rodwave import bloch, workbench
 from rodwave.bloch import band_gamma_extrema
 from rodwave.errors import NumericError
 from rodwave.rod import _impedance_arrays
+from test_kernel import _THICKNESS
 
 
 def _rows(table, start, stop):
@@ -48,18 +49,35 @@ def default_report(default_cell, default_sweep):
     return stopband_report(default_sweep, default_cell)
 
 
-def test_zero_coupling_point_is_transparent(default_cell):
-    p = bloch_point(default_cell, 2.2e9, force_zero_coupling=True)
-    k = flexural_wavevector(default_cell.trench, 2.2e9)
-    kl = k * default_cell.cell_length
+def _assert_transparent_without_coupling(cell, f):
+    p = bloch_point(cell, f, force_zero_coupling=True)
+    k = flexural_wavevector(cell.trench, f)
+    kl = k * cell.cell_length
     expected = {cmath.exp(-1j * kl), cmath.exp(kl), cmath.exp(1j * kl), cmath.exp(-kl)}
     for ev in p.eigenvalues:
         assert min(abs(ev - e) for e in expected) < 1e-9 * max(abs(ev), 1.0)
     assert p.t_coeff == pytest.approx(1.0, abs=1e-12)
     assert p.k_ef.real == pytest.approx(k, rel=1e-9)
-    assert p.k_ef.imag == pytest.approx(0.0, abs=1e-9 / default_cell.cell_length)
+    assert p.k_ef.imag == pytest.approx(0.0, abs=1e-9 / cell.cell_length)
     assert not p.in_stopband
     assert p.gamma == 0
+    assert semi_infinite_reflection(cell, f, force_zero_coupling=True) == (0, 0)
+
+
+def test_zero_coupling_point_is_transparent(default_cell):
+    _assert_transparent_without_coupling(default_cell, 2.2e9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L_um=st.floats(0.5, 12.0),
+    a_frac=st.floats(0.05, 0.95),
+    layers=st.fixed_dictionaries({name: st.floats(*r) for name, r in _THICKNESS.items()}),
+    f=st.floats(0.1e9, 6e9),
+)
+def test_zero_coupling_is_transparent_on_drawn_cells(L_um, a_frac, layers, f):
+    cell = unit_cell(parse_config({"geometry": dict(layers, L_um=L_um, a_um=a_frac * L_um)}))
+    _assert_transparent_without_coupling(cell, f)
 
 
 def test_eigenvalues_agree_with_lapack(default_cell):

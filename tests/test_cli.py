@@ -171,6 +171,16 @@ def test_impedance_csv_pins_dc_and_exact_pole_rows(tmp_path):
     assert path.read_text().splitlines()[2] == "0.0,0.0,0"
 
 
+def test_impedance_past_the_rod_top_frequency_exits_3_naming_f(tmp_path, capsys):
+    # the exact-pole marker fired on rounding noise there: 3 rows of -1e+308, flagged
+    cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
+    assert main(["impedance", "--config", str(cfg), "--f-start", "1e19", "--f-stop", "1e21",
+                 "--points", "100000"]) == 3
+    err = capsys.readouterr().err
+    assert err.endswith("past the rod's top frequency, at f=1e+19 Hz\n"), err
+    assert not (tmp_path / "out" / "impedance.csv").exists()
+
+
 def test_chain_csv(tmp_path):
     cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
     assert main(["chain", "--config", str(cfg), "--freq", "2.3e9", "--cells", "7"]) == 0
@@ -773,7 +783,8 @@ def test_verbose_holds_on_every_call_in_one_process(tmp_path, capsys):
         err = capsys.readouterr().err
         logged.append(sum(line.startswith("rodwave.config: ") for line in err.splitlines()))
     assert logged[0] == logged[2] == 0
-    assert logged[1] == 9  # the defaulted geometry (7), materials and sweep
+    # one line a substituted default: geometry (6), materials (6), sweep (3), output.plot
+    assert logged[1] == 16
 
 
 def test_back_to_back_commands_write_what_each_writes_alone(tmp_path, monkeypatch):

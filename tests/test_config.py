@@ -148,6 +148,22 @@ def test_defaults_are_logged(caplog):
     assert any("default" in message for message in caplog.messages)
 
 
+def test_every_substituted_default_is_logged_once_by_its_path(caplog):
+    doc = {"sweep": {"f_start_hz": 2e8}, "output": {"dir": "x"},
+           "materials": {"AlN": {"density_kg_m3": 3000}},
+           "geometry_sweep": {"parameter": "a", "from_um": 1, "to_um": 2}}
+    with caplog.at_level(logging.INFO, logger="rodwave.config"):
+        parse_config(doc)
+    logged = [re.fullmatch(r"config default: (\S+) = .+", m).group(1) for m in caplog.messages]
+    assert logged == [
+        *(f"geometry.{base}" for base in GEOM_PARAMETERS),
+        "materials.AlN.youngs_modulus_pa",
+        *(f"materials.{name}.{key}" for name in ("Al", "Pt")
+          for key in ("youngs_modulus_pa", "density_kg_m3")),
+        "sweep.f_stop_hz", "sweep.points", "geometry_sweep.steps", "output.plot",
+    ]
+
+
 def test_canonical_roundtrip_is_json():
     doc = canonical_document(parse_config({}))
     json.dumps(doc)  # must be serializable
@@ -269,6 +285,7 @@ def test_non_positive_material_property_names_its_path(key, value):
         ([], "config root: expected a JSON object"),
         ({"materials": []}, "materials: expected an object"),
         ({"materials": {"AlN": 1}}, "materials.AlN: expected an object"),
+        ({"materials": {"AlN": None}}, "materials.AlN: expected an object"),
         ({"geometry": []}, "geometry: expected an object"),
         ({"sweep": "x"}, "sweep: expected an object"),
         ({"geometry_sweep": 3}, "geometry_sweep: expected an object"),

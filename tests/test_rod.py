@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,23 @@ def test_modeshape_rejects_pole(default_rod):
 def test_rod_impedance_needs_finite_non_negative_f(default_rod, call, f):
     with pytest.raises(ValueError, match=f"^{call.__name__}: f must be >= 0 and finite$"):
         call(default_rod, f)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [driving_impedance, near_pole, lambda rod, f: rod_modeshape(rod, f, 1.0, 5)],
+    ids=["driving_impedance", "near_pole", "rod_modeshape"],
+)
+def test_rod_outputs_past_the_top_frequency_name_f(default_rod, call):
+    # from 2^46 Hz the float spacing of f (2^-6 Hz) is wider than the 9.67e-3 Hz
+    # exact-pole window: driving_impedance gave the -infj marker at 9.48718e19 Hz,
+    # 13 259 Hz from the nearest pole
+    assert np.spacing(2.0**46) > 1e-12 * default_rod.velocity / default_rod.height
+    call(default_rod, math.nextafter(2.0**46, 0))
+    for f in (2.0**46, 9.48718e19):
+        message = re.escape(f"past the rod's top frequency, at f={f!r} Hz") + "$"
+        with pytest.raises(NumericError, match=message):
+            call(default_rod, f)
 
 
 @pytest.mark.parametrize("f", [math.inf, math.nan, 0.0, -1e9])
