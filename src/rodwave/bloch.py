@@ -34,14 +34,21 @@ Every entry point evaluates the pipeline in two parts over an array of
 frequencies: a cell-dependent front (``_front``: k, the clamped sigma, L)
 and one cell-free Bloch stage, run over the front as far as a result needs:
 roots and stopband test (``_pairs``), passband direction (``_transmitted``,
-the one user of omega dsigma/domega), ``_reflection`` and ``_table``.  Several
-cells make one front, over their constants repeated per point
-(``cell.stacked_cells``), so ``sweep_cells`` runs the front and the stopband
-test once each for a whole geometry sweep.  The full table is a ``Sweep``, and
-``bloch_point`` is its row on a one-element array.  The stage builds no 4x4
+the one user of omega dsigma/domega), ``_reflection`` and the columns of the
+table (``_columns``).  The front reads one cell's constants as one-element
+arrays (``UnitCellGeometry._operands``).  Several cells make one front, over
+their constants repeated per point (``cell.stacked_cells``), so
+``sweep_cells`` runs the front and the stopband test once each for a whole
+geometry sweep.  The full table is a ``Sweep``, and ``bloch_point`` reads its
+one row from the columns on a one-element array.  The stage builds no 4x4
 matrix and makes no LAPACK call: every step is elementwise, with sums over
 the four components written out, so a point's outputs do not depend on the
 batch it was evaluated in.
+
+Each run of the stage enters one np.errstate (``_quiet``), where the entry
+point starts it: overflow and 0/0 in the front, the roots and Gamma are left
+to the stage's own finiteness checks, and the chain's log 0 is exact.  The
+eigen-check and the table assembly run after the block.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ import dataclasses
 import math
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -214,8 +222,8 @@ def _y_closed(parts, s) -> np.ndarray:
     d = np.sqrt(np.abs(disc2))
     big = (su + np.copysign(d, su)) / TWO
     small = pr / big
-    pos = su >= ZERO
-    y = np.array([np.where(pos, big, small), np.where(pos, small, big)], dtype=complex)
+    both = np.array([big, small], dtype=complex)
+    y = np.where(su >= ZERO, both, both[::-1])
     pair = disc2 < ZERO
     if np.count_nonzero(pair):
         y.real[:, pair] = su[pair] / TWO
@@ -284,22 +292,35 @@ class _Front:
     f: np.ndarray
     k: np.ndarray
     sigma: np.ndarray  # clamped; 0 without coupling
-    L: float | np.ndarray  # cell length: one float, or one per point for several cells
+    L: float | np.ndarray  # cell length: a float or one-element array, or one per point
     # read by _transmitted for omega dsigma/domega, so one cell there; stacked_cells
     # of several only in fronts that stop at _pairs (sweep_cells); None uncoupled
-    cell: UnitCellGeometry | None
+    cell: UnitCellGeometry | SimpleNamespace | None
 
 
-def _front(cell: UnitCellGeometry, f: np.ndarray, *, force_zero_coupling: bool = False) -> _Front:
+def _quiet() -> np.errstate:
+    """The one np.errstate of a run of the Bloch stage, entered by the entry
+    point that starts the run: over the front and the stage steps whose
+    non-finite results the stage's own checks report (the roots and Gamma,
+    _require_finite) or handle (the chain's log 0).  The eigen-check
+    (_backward_error) and the table assembly run after it, so a warning there
+    still surfaces."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _front(
+    cell: UnitCellGeometry | SimpleNamespace, f: np.ndarray, *, force_zero_coupling: bool = False
+) -> _Front:
     """The front of one cell over an array of frequencies f > 0, or of
-    stacked_cells of several over their grids end to end.  Where 2 pi f or k**3
-    overflows, k or sigma is inf or NaN, and so are the roots, which the stage
-    reports (_pairs); the rod layer raises where its phase overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by _pairs
-        if force_zero_coupling:
-            k = flexural_wavevectors(cell.trench, f)
-            return _Front(f, k, np.zeros(f.shape), cell.cell_length, None)
-        k, _, sigma = forcing_arrays(cell, f)
+    stacked_cells of several over their grids end to end; the entry points
+    hand it a cell's _operands, the same constants as arrays.  Where 2 pi f or
+    k**3 overflows, k or sigma is inf or NaN, and so are the roots, which the
+    stage reports (_pairs); the rod layer raises where its phase overflows.
+    Run under the stage's _quiet."""
+    if force_zero_coupling:
+        k = flexural_wavevectors(cell.trench, f)
+        return _Front(f, k, np.zeros(f.shape), cell.cell_length, None)
+    k, _, sigma = forcing_arrays(cell, f)
     return _Front(f, k, clamped_sigma(sigma), cell.cell_length, cell)
 
 
@@ -307,14 +328,14 @@ def _pairs(fr: _Front):
     """(kL, parts, y, outer, inner, |inner|, T, in_stopband): _y_parts of kL,
     the y-roots and their Bloch pairs, each (n, 2) in _y_closed order, T =
     min(|inner|, 1) of the least-attenuated pair and the stopband test.
-    NumericError where the roots overflow.  The test needs no passband
-    direction: that picks a member on the unit circle, where T >= 1 - 1e-8.
+    NumericError where the roots overflow, which _quiet leaves to this check.
+    The test needs no passband direction: that picks a member on the unit
+    circle, where T >= 1 - 1e-8.
     """
     kl = fr.k * fr.L
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        parts = _y_parts(kl)
-        y = _y_closed(parts, fr.sigma).T
-        outer, inner = _lambda_pairs(y)
+    parts = _y_parts(kl)
+    y = _y_closed(parts, fr.sigma).T
+    outer, inner = _lambda_pairs(y)
     _require_finite(fr.f, kl, outer, "Bloch roots")
     mod = np.abs(inner)
     t = np.minimum(np.maximum(mod[:, 0], mod[:, 1]), ONE)
@@ -328,7 +349,10 @@ def _transmitted(fr: _Front):
     T = min(|lambda_flex|, 1) and the stopband test of _pairs."""
     kl, parts, y, outer, inner, mod, _, stop = _pairs(fr)
     swap = mod[:, 1] > mod[:, 0]
-    if np.count_nonzero(swap):
+    swaps = np.count_nonzero(swap)
+    if swaps == swap.size:  # at every point: the columns reversed, as views
+        y, outer, inner = y[:, ::-1], outer[:, ::-1], inner[:, ::-1]
+    elif swaps:
         swap = swap[:, None]
         y, outer, inner = (np.where(swap, x[:, ::-1], x) for x in (y, outer, inner))
     # stopband: the decaying member; passband: the member whose modulus shrinks
@@ -340,8 +364,7 @@ def _transmitted(fr: _Front):
     if np.count_nonzero(band):
         ds = ZERO if fr.cell is None else sigma_slope_arrays(fr.cell, fr.f, fr.k, fr.sigma)
         # the slope is read only at passband points, and may overflow at the others
-        with np.errstate(over="ignore", invalid="ignore"):
-            slope = _y_slope(kl, fr.sigma, ds, parts, y)
+        slope = _y_slope(kl, fr.sigma, ds, parts, y)
         lam = np.where(band & (lam.imag * slope > ZERO), out0, lam)
     mod = np.abs(lam)
     over = mod > ONE
@@ -362,13 +385,12 @@ def _reflection(fr: _Front, transmitted):
     the two eigenvectors: Cramer's rule on components 2 and 3.
     """
     kl, _, _, inner, lam, _, _ = transmitted
-    # 0/0 where the two factors round together at small kL; reported just below
-    with np.errstate(invalid="ignore", divide="ignore"):
-        eig = _eigenvectors(kl, np.array([lam, inner[:, 1]]))  # v of shape (2, n, 4)
-        vf, ve = eig[0]
-        # the numerators of Gamma and Gamma_e, then the determinant, per point
-        cramer = vf[:, :3] * ve[:, 3:] - ve[:, :3] * vf[:, 3:]
-        gammas = cramer[:, :2] / cramer[:, 2:]
+    eig = _eigenvectors(kl, np.array([lam, inner[:, 1]]))  # v of shape (2, n, 4)
+    vf, ve = eig[0]
+    # the numerators of Gamma and Gamma_e, then the determinant, per point; 0/0
+    # where the two factors round together at small kL, reported just below
+    cramer = vf[:, :3] * ve[:, 3:] - ve[:, :3] * vf[:, 3:]
+    gammas = cramer[:, :2] / cramer[:, 2:]
     uncoupled = fr.sigma == ZERO
     if np.count_nonzero(uncoupled):
         # nothing reflects without coupling, where Gamma is finite: below the
@@ -388,7 +410,7 @@ def _backward_error(kl, sigma, v, w, g_near):
     e = np.exp(-kl)
     t_sq = (
         (ONE + s4) ** 2 + FOUR * s4 * s4 * e * (ONE + e * e) + TWO * e * e * (ONE + THREE * s4 * s4)
-        + e**4 * (ONE - s4) ** 2
+        + e**FOUR * (ONE - s4) ** 2
     )
     scale = (ONE + e) * np.sqrt(e / t_sq)
     # w.v of both eigenpairs, then |v|^2 of both in the real parts
@@ -397,21 +419,29 @@ def _backward_error(kl, sigma, v, w, g_near):
     return scale * np.maximum(resid[0], resid[1])
 
 
-def _table(fr: _Front, *, with_gamma: bool) -> Sweep:
-    """The Bloch stage over a front, as a Sweep table.
+def _columns(
+    cell: UnitCellGeometry, f: np.ndarray, *, with_gamma: bool, force_zero_coupling: bool = False
+) -> tuple:
+    """The Bloch stage over frequencies f of one cell, as the columns of a
+    Sweep table in field order: one run under one _quiet, then the
+    eigen-check and the assembly.
 
     Re(k_ef) is 0: each caller sets its own 2 pi branch.  gamma, gamma_e,
     gamma_phase and reciprocity_defect are 0 without Gamma.  NumericError
     where roots or Gamma overflow.
     """
-    kl, y, outer, inner, lam, t, stop = transmitted = _transmitted(fr)
-    if with_gamma:
-        gamma, gamma_e, (v, w, g_near) = _reflection(fr, transmitted)
-        defect = _backward_error(kl, fr.sigma, v, w, g_near)
-        phase = np.arctan2(gamma.imag, gamma.real)
-    else:
+    with _quiet():
+        fr = _front(cell._operands, f, force_zero_coupling=force_zero_coupling)
+        transmitted = _transmitted(fr)
+        reflection = _reflection(fr, transmitted) if with_gamma else None
+    kl, y, outer, inner, lam, t, stop = transmitted
+    if reflection is None:
         gamma = gamma_e = np.zeros(t.shape, dtype=complex)
         defect = phase = np.zeros(t.shape)
+    else:
+        gamma, gamma_e, (v, w, g_near) = reflection
+        defect = _backward_error(kl, fr.sigma, v, w, g_near)
+        phase = np.arctan2(gamma.imag, gamma.real)
     # (outer, inner) of the transmitted pair, then of the other pair
     eigenvalues = np.empty((t.size, 2, 2), dtype=complex)
     eigenvalues[:, :, 0] = outer
@@ -421,12 +451,18 @@ def _table(fr: _Front, *, with_gamma: bool) -> Sweep:
     k_ef = np.zeros(t.shape, dtype=complex)
     k_ef.imag = -np.log(t) / fr.L
     y_tr = y[:, 0]
-    return Sweep(
-        f=fr.f, eigenvalues=eigenvalues.reshape(-1, 4), lambda_flex=lam, t_coeff=t,
-        r_coeff=ONE - t, k_ef=k_ef, gamma=gamma, gamma_e=gamma_e, gamma_phase=phase,
-        in_stopband=stop, k=fr.k, sigma=fr.sigma, reciprocity_defect=defect,
-        complex_band=np.abs(y_tr.imag) > _COMPLEX_BAND_TOL * np.maximum(ONE, np.abs(y_tr)),
+    complex_band = np.abs(y_tr.imag) > _COMPLEX_BAND_TOL * np.maximum(ONE, np.abs(y_tr))
+    return (
+        f, eigenvalues.reshape(-1, 4), lam, t, ONE - t, k_ef, gamma, gamma_e, phase, stop,
+        fr.k, fr.sigma, defect, complex_band,
     )
+
+
+def _table(
+    cell: UnitCellGeometry, f: np.ndarray, *, with_gamma: bool, force_zero_coupling: bool = False
+) -> Sweep:
+    """The columns of _columns as a Sweep table."""
+    return Sweep(*_columns(cell, f, with_gamma=with_gamma, force_zero_coupling=force_zero_coupling))
 
 
 def _require_finite(f: np.ndarray, kl: np.ndarray, values: np.ndarray, what: str) -> None:
@@ -451,17 +487,20 @@ def bloch_point(
     Re(k_ef) L is taken on the 2 pi branch closest to the uncoupled kL,
     which makes k_ef = k exact in the zero-coupling limit.
     """
-    sw = _table(
-        _front(cell, frequency_row(f, "bloch_point"), force_zero_coupling=force_zero_coupling),
-        with_gamma=with_gamma,
+    f_row, eigenvalues, lam, t, r, k_ef, gamma, gamma_e, phase, stop, k, sigma, defect, band = (
+        _columns(
+            cell, frequency_row(f, "bloch_point"),
+            with_gamma=with_gamma, force_zero_coupling=force_zero_coupling,
+        )
     )
     # the branch in Python floats after numpy's arctan2; round() rounds half to even
     L = cell.cell_length
-    lam = sw.lambda_flex
     arg = np.arctan2(lam.imag, lam.real).item()
-    branch = round((sw.k.item() * L - arg) / (2 * math.pi))
-    sw.k_ef.real = (arg + 2 * math.pi * branch) / L
-    return next(iter(sw))
+    branch = round((k.item() * L - arg) / (2 * math.pi))
+    k_ef.real = (arg + 2 * math.pi * branch) / L
+    # the one row, read column by column: no Sweep is built for one point
+    row = (lam, t, r, k_ef, gamma, gamma_e, phase, stop, k, sigma, defect, band)
+    return BlochPoint(f_row.item(), tuple(eigenvalues[0].tolist()), *map(np.ndarray.item, row))
 
 
 def semi_infinite_reflection(
@@ -473,8 +512,9 @@ def semi_infinite_reflection(
     they stay finite at band-edge degeneracies, so no frequency is nudged.
     """
     f_row = frequency_row(f, "semi_infinite_reflection")
-    fr = _front(cell, f_row, force_zero_coupling=force_zero_coupling)
-    gamma, gamma_e, _ = _reflection(fr, _transmitted(fr))
+    with _quiet():
+        fr = _front(cell._operands, f_row, force_zero_coupling=force_zero_coupling)
+        gamma, gamma_e, _ = _reflection(fr, _transmitted(fr))
     return complex(gamma[0]), complex(gamma_e[0])
 
 
@@ -519,7 +559,7 @@ def _grid(f_start: float, f_stop: float, points: int, caller: str) -> np.ndarray
 
 def sweep(cell: UnitCellGeometry, f_start: float, f_stop: float, points: int) -> Sweep:
     """Uniform frequency sweep with branch-continuous Re(k_ef) and Gamma, as one table."""
-    sw = _table(_front(cell, _grid(f_start, f_stop, points, "sweep")), with_gamma=True)
+    sw = _table(cell, _grid(f_start, f_stop, points, "sweep"), with_gamma=True)
     L = cell.cell_length
     args = np.unwrap(np.angle(sw.lambda_flex))
     branch = _branch_indices(sw.in_stopband, sw.k * L - args)
@@ -537,7 +577,8 @@ def sweep_cells(
     point.  A NumericError's row is its row in these columns.
     """
     f = np.tile(_grid(f_start, f_stop, points, "sweep_cells"), len(cells))
-    return (f, *_pairs(_front(stacked_cells(cells, points), f))[-2:])
+    with _quiet():
+        return (f, *_pairs(_front(stacked_cells(cells, points), f))[-2:])
 
 
 def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
@@ -565,7 +606,8 @@ def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
             grid[:, step // 2 :: step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
             step //= 2
         # the stopband test at inner point j is stop[:, j - 1]
-        stop = _pairs(_front(cell, grid[:, 1:-1].ravel()))[-1].reshape(-1, parts - 1)
+        with _quiet():
+            stop = _pairs(_front(cell._operands, grid[:, 1:-1].ravel()))[-1].reshape(-1, parts - 1)
         rows = np.arange(active.size)
         a, b = np.zeros(active.size, dtype=int), np.full(active.size, parts)
         for _ in range(_TREE_LEVELS):
@@ -650,8 +692,9 @@ def _gamma_extrema(cell: UnitCellGeometry, f_low: np.ndarray, f_high: np.ndarray
     interior = np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, _INTERIOR_SAMPLES, axis=1)
     fs = np.concatenate([f_low[:, None] + offsets, f_high[:, None] - offsets, interior], axis=1)
     fs.sort(axis=1)
-    fr = _front(cell, fs.ravel())
-    re = _reflection(fr, _transmitted(fr))[0].real.reshape(fs.shape)
+    with _quiet():
+        fr = _front(cell._operands, fs.ravel())
+        re = _reflection(fr, _transmitted(fr))[0].real.reshape(fs.shape)
     rows = np.arange(fs.shape[0])
     hi, lo = re.argmax(axis=1), re.argmin(axis=1)
     return fs[rows, hi], re[rows, hi], fs[rows, lo], re[rows, lo]
@@ -696,17 +739,18 @@ def chain_profile(
     n = operator.index(n_cells)
     if n < 2:
         raise ValueError("chain_profile: n_cells must be >= 2")
-    kl, y, outer, inner, lam_flex, _, _ = _transmitted(
-        _front(cell, f_row, force_zero_coupling=force_zero_coupling)
-    )
-    if y[0, 0] == y[0, 1]:
-        # below the small-kL floor both pairs round onto lambda = 1: the four
-        # modes are not independent, and bloch_point's Gamma is 0/0 there
-        raise non_finite_error("Gamma", float(f), kl[0])
-    lam_flex = complex(lam_flex[0])
-    lam = np.concatenate([inner[0], outer[0]])  # modes: inner, inner, outer, outer
-    v = _eigenvectors(kl, lam[:, None])[0][:, 0]  # (mode, component)
-    with np.errstate(divide="ignore"):  # log 0: uncoupled modes at sigma == 0
+    # the stage, through log 0 of the uncoupled modes at sigma == 0
+    with _quiet():
+        kl, y, outer, inner, lam_flex, _, _ = _transmitted(
+            _front(cell._operands, f_row, force_zero_coupling=force_zero_coupling)
+        )
+        if y[0, 0] == y[0, 1]:
+            # below the small-kL floor both pairs round onto lambda = 1: the four
+            # modes are not independent, and bloch_point's Gamma is 0/0 there
+            raise non_finite_error("Gamma", f_row.item(), kl[0])
+        lam_flex = complex(lam_flex[0])
+        lam = np.concatenate([inner[0], outer[0]])  # modes: inner, inner, outer, outer
+        v = _eigenvectors(kl, lam[:, None])[0][:, 0]  # (mode, component)
         log_lam = np.log(lam)
         rho = n * float(log_lam[:2].real.max())
         # the powers lambda^(j - ref) at j = 0 and j = n, outer ones times e^rho
@@ -731,7 +775,7 @@ def chain_profile(
     j = np.arange(n) - (n - 1) / 2
     slope = 12 * float(j @ log_mags[:n]) / (n * (n * n - 1))
     return ChainProfile(
-        f=f,
+        f=f_row.item(),
         n_cells=n,
         magnitudes=np.exp(log_mags),
         fitted_slope=slope,

@@ -32,13 +32,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import TWO, TWO_PI, ConfigError, constant, frequency_row, non_finite_error
-from .rod import RodModel, _impedance_arrays
-from .trench import TrenchModel, flexural_wavevectors
+from .errors import THREE, TWO, TWO_PI, ConfigError, constant, frequency_row, non_finite_error
+from .rod import RodModel, _pole_impedance
+from .trench import TrenchModel, _omega_wavevectors
 
 # working clamp so that characteristic-polynomial arithmetic stays finite
 # when sigma is evaluated essentially on a pole
@@ -61,6 +62,14 @@ class UnitCellGeometry:
                 f"unit cell requires 0 < a < L, got a={self.rod_width}, "
                 f"L={self.cell_length}"
             )
+
+    @cached_property
+    def _operands(self) -> SimpleNamespace:
+        """stacked_cells of this cell alone over one point, built on first use
+        and kept: the constants the front reads, as one-element arrays.  A ufunc
+        converts a Python float operand on every call (NEP 50); a float64 array
+        gives the same bits without that."""
+        return stacked_cells([self], 1)
 
 
 @dataclass(frozen=True)
@@ -133,19 +142,21 @@ def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):
     f_eff = -i omega Z_b = omega Im(Z_b), with Im(Z_b) from the rod layer's
     array evaluation.  At an exact pole its signed-infinite marker makes f_eff
     and sigma infinite; consumers clamp sigma or use its infinite limits.
-    The cell may be stacked_cells of several, with f their grids end to end.
+    The cell may be stacked_cells of several, with f their grids end to end,
+    or one cell's _operands.
     """
-    omega = TWO_PI * f
-    f_eff = omega * _impedance_arrays(cell.rod, f)[0]
-    k = flexural_wavevectors(cell.trench, f)
-    return k, f_eff, f_eff / (cell.trench.bending_stiffness * k**3)
+    omega = TWO_PI * f  # one product for the rod phase, f_eff and k
+    f_eff = omega * _pole_impedance(cell.rod, f, omega)[0]
+    k = _omega_wavevectors(cell.trench, omega)
+    return k, f_eff, f_eff / (cell.trench.bending_stiffness * k**THREE)
 
 
 def stacked_cells(cells: list[UnitCellGeometry], points: int) -> SimpleNamespace:
-    """Several cells as one, for forcing_arrays and the rod and trench formulas
-    under it, over the cells' frequency grids laid end to end.  The Bloch stage
-    reads them only as far as its stopband test (bloch.sweep_cells), which
-    needs no passband slope (sigma_slope_arrays).
+    """Several cells as one, for forcing_arrays, sigma_slope_arrays and the rod
+    and trench formulas under them, over the cells' frequency grids laid end to
+    end.  Several cells reach the Bloch stage only as far as its stopband test
+    (bloch.sweep_cells), which needs no passband slope; one cell over one point
+    is the cell's own _operands, which broadcast over any grid.
 
     Each constant those read is a per-point array: the value of cells[i] on rows
     i * points .. (i + 1) * points - 1.  Every formula is elementwise, so those
@@ -158,7 +169,10 @@ def stacked_cells(cells: list[UnitCellGeometry], points: int) -> SimpleNamespace
         )
 
     return SimpleNamespace(
-        rod=stack([c.rod for c in cells], "velocity", "height", "first_pole", "impedance_scale"),
+        rod=stack(
+            [c.rod for c in cells],
+            "velocity", "height", "first_pole", "first_zero", "exact_pole_window", "impedance_scale",
+        ),
         trench=stack(
             [c.trench for c in cells], "bending_stiffness", "wavevector_num", "wavevector_den"
         ),
@@ -174,7 +188,7 @@ def sigma_slope_arrays(cell: UnitCellGeometry, f: np.ndarray, k: np.ndarray, sig
     Written in sigma itself, it stays finite where sigma is clamped at a pole.
     """
     omega = TWO_PI * f
-    s0 = omega * cell.rod.impedance_scale / (cell.trench.bending_stiffness * k**3)
+    s0 = omega * cell.rod.impedance_scale / (cell.trench.bending_stiffness * k**THREE)
     return -sigma / TWO - omega / cell.rod.velocity * cell.rod.height * (s0 + sigma * sigma / s0)
 
 

@@ -56,30 +56,43 @@ class RodModel:
 
     @property
     def first_zero(self) -> float:
-        """Half-wave frequency c/(2h) where Z_b vanishes (Hz)."""
+        """Half-wave frequency c/(2h) where Z_b vanishes (Hz), also the pole spacing."""
         return self.velocity / (2.0 * self.height)
+
+    @cached_property
+    def exact_pole_window(self) -> float:
+        """1e-12 c/h (Hz): within this distance of a pole Z_b is a signed-infinite marker."""
+        return _EXACT_POLE_FRACTION * self.velocity / self.height
 
 
 def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Im Z_b, near-pole flag) over a 1-D array of frequencies f >= 0.
+    """(Im Z_b, near-pole flag) over a 1-D array of frequencies f >= 0: the
+    impedance of _pole_impedance, and the flag from its distance to the nearest
+    pole."""
+    im, distance = _pole_impedance(rod, f, TWO_PI * f)
+    return im, distance < NEAR_POLE_WINDOW_FRACTION * rod.velocity / rod.height
 
-    Both come from one distance to the nearest pole (2n-1)*c/(4h), n >= 1.
-    Within the exact-pole window Im Z_b is a signed-infinite marker, -inf
-    where the tangent is >= 0.  The tangent is libm's (math.tan), not np.tan,
-    whose SIMD kernels differ from it in the last bit on some hosts, and
-    Im Z_b = 0.0 - rho A c tan, so that f = 0 gives +0.0.  The rod's velocity,
-    height, first_pole and impedance_scale are floats for one rod, or per-point
-    arrays for several (cell.stacked_cells); the arithmetic is elementwise either
-    way.  Where the phase 2 pi f h / c overflows, a NumericError names the first
-    such f, with its index as the error's row; callers silence the overflow
-    warning (np.errstate) that comes before it.
+
+def _pole_impedance(rod: RodModel, f: np.ndarray, omega: np.ndarray):
+    """(Im Z_b, distance to the nearest pole) over a 1-D array of frequencies
+    f >= 0 and their omega = 2 pi f, which the forcing shares
+    (cell.forcing_arrays).
+
+    The distance is to the nearest pole (2n-1)*c/(4h), n >= 1.  Within the
+    exact-pole window Im Z_b is a signed-infinite marker, -inf where the
+    tangent is >= 0.  The tangent is libm's (math.tan), not np.tan, whose SIMD
+    kernels differ from it in the last bit on some hosts, and
+    Im Z_b = 0.0 - rho A c tan, so that f = 0 gives +0.0.  The rod's constants
+    are floats for one rod, or arrays for cell.stacked_cells of one cell or
+    several; the arithmetic is elementwise either way.  Where the phase
+    2 pi f h / c overflows, a NumericError names the first such f, with its
+    index as the error's row; callers silence the overflow warning
+    (np.errstate) that comes before it.
     """
-    c, h = rod.velocity, rod.height
-    spacing = c / (2.0 * h)  # pole-to-pole spacing
-    first = rod.first_pole
+    first, spacing = rod.first_pole, rod.first_zero  # poles are first_zero apart
     n = np.maximum(np.rint((f - first) / spacing), ZERO)
     distance = np.abs(f - (first + n * spacing))
-    arg = TWO_PI * f / c * h
+    arg = omega / rod.velocity * rod.height
     try:
         tan = np.fromiter(map(math.tan, arg.tolist()), float, arg.size)
     except ValueError:  # math.tan(inf): above about 2.86e307 Hz 2 pi f overflows
@@ -89,17 +102,17 @@ def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndar
             row=i,
         ) from None
     im = ZERO - rod.impedance_scale * tan
-    exact = distance < _EXACT_POLE_FRACTION * c / h
+    exact = distance < rod.exact_pole_window
     if np.count_nonzero(exact):
         im[exact] = np.where(tan[exact] >= 0, -math.inf, math.inf)
-    return im, distance < NEAR_POLE_WINDOW_FRACTION * c / h
+    return im, distance
 
 
 def _past_top(rod: RodModel, f: np.ndarray) -> np.ndarray:
     """Where f is past the rod's top frequency: the float spacing of f is wider
     than the exact-pole window (from 2^46 Hz on the default rod), so a distance
     to a pole there is rounding noise."""
-    return np.spacing(f) > _EXACT_POLE_FRACTION * rod.velocity / rod.height
+    return np.spacing(f) > rod.exact_pole_window
 
 
 def _impedance_rows(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

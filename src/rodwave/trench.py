@@ -80,8 +80,12 @@ def flexural_wavevectors(trench: TrenchModel, f: np.ndarray) -> np.ndarray:
     or per-point arrays for several (cell.stacked_cells); the arithmetic is
     elementwise either way.
     """
-    sqrt_omega = np.sqrt(TWO_PI * f)
-    return _ROOT_FACTOR * sqrt_omega * trench.wavevector_num / trench.wavevector_den
+    return _omega_wavevectors(trench, TWO_PI * f)
+
+
+def _omega_wavevectors(trench: TrenchModel, omega: np.ndarray) -> np.ndarray:
+    """flexural_wavevectors over the angular frequencies omega = 2 pi f."""
+    return _ROOT_FACTOR * np.sqrt(omega) * trench.wavevector_num / trench.wavevector_den
 
 
 def wavelength_over_thickness(trench: TrenchModel, f: float) -> float:

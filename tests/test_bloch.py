@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 import math
 import warnings
 
@@ -27,7 +28,7 @@ from rodwave import (
     unit_cell,
     wavelength_over_thickness,
 )
-from rodwave import bloch, workbench
+from rodwave import bloch, cli, workbench
 from rodwave.bloch import band_gamma_extrema
 from rodwave.errors import NumericError
 from rodwave.rod import _impedance_arrays
@@ -393,7 +394,7 @@ def _mp_chain(kl, sigma, n, digits):
 
 def _chain_error(cell, f, n):
     """Worst |ln|x_j|| error over j = 0..n and the reflection error of chain_profile."""
-    a = bloch._table(bloch._front(cell, np.array([f])), with_gamma=False)
+    a = bloch._table(cell, np.array([f]), with_gamma=False)
     # digits >= 30 + n log10(max|lambda|), plus the decay of the slower inner factor
     outer, inner = a.eigenvalues[0, ::2], a.eigenvalues[0, 1::2]
     digits = 30 + math.ceil(n * math.log10(np.abs(outer).max() / np.abs(inner).max()))
@@ -579,6 +580,13 @@ def test_chain_cell_count_must_be_an_integer(default_cell, n_cells):
         chain_profile(default_cell, 1e9, n_cells)
 
 
+@pytest.mark.parametrize("f", [np.float64(2e9), 2_000_000_000, 2e9])
+def test_chain_profile_f_is_the_evaluated_float(default_cell, f):
+    # the frequency of the evaluated one-element row, as BlochPoint.f is
+    assert type(chain_profile(default_cell, f, 5).f) is float
+    assert chain_profile(default_cell, f, 5).f == bloch_point(default_cell, f).f == 2e9
+
+
 def test_out_of_range_kl_is_a_numeric_error():
     # kL = 359 at 0.5 GHz: su * su of the closed form overflows
     cell = unit_cell(parse_config({"geometry": {"L_um": 200, "a_um": 2}}))
@@ -597,6 +605,53 @@ def test_one_point_calls_raise_no_runtime_warning(L_um):
             bloch_point(cell, f)
             semi_infinite_reflection(cell, f)
             chain_profile(cell, f, 200)
+
+
+def _counted_errstates(monkeypatch) -> list:
+    """The keyword sets of every numpy.errstate entered from here on."""
+    entries = []
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: entries.append(kw) or errstate(**kw))
+    return entries
+
+
+@pytest.mark.parametrize("f, in_stopband", [(1.5e9, False), (2.0e9, True)])
+def test_one_point_calls_enter_one_errstate(default_cell, monkeypatch, f, in_stopband):
+    # one run of the stage under one block (bloch._quiet), passband slope included
+    assert bloch_point(default_cell, f).in_stopband is in_stopband
+    entries = _counted_errstates(monkeypatch)
+    for call in (bloch_point, semi_infinite_reflection, lambda c, f: chain_profile(c, f, 200)):
+        entries.clear()
+        call(default_cell, f)
+        assert entries == [dict(over="ignore", invalid="ignore", divide="ignore")]
+
+
+def test_default_sweep_enters_one_errstate_per_stage_call(tmp_path, monkeypatch):
+    # the five stage calls of test_default_sweep_and_report_make_at_most_five_stage_calls
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output": {"dir": str(tmp_path)}}))
+    entries = _counted_errstates(monkeypatch)
+    assert cli.main(["sweep", "--config", str(config)]) == 0
+    assert len(entries) == 5
+
+
+def test_stage_leaves_the_error_state_as_it_found_it(default_cell):
+    before = np.geterr()
+    bloch_point(default_cell, 2e9)
+    assert np.geterr() == before
+    with pytest.raises(NumericError, match="f=1e-300 Hz"):
+        bloch_point(default_cell, 1e-300)
+    assert np.geterr() == before
+
+
+def test_eigen_check_runs_after_the_stage_block(default_cell, monkeypatch):
+    # an overflow in _backward_error is not silenced: sigma = 1e300 overflows s4**2
+    check = bloch._backward_error
+    monkeypatch.setattr(
+        bloch, "_backward_error", lambda kl, sigma, *eig: check(kl, np.full_like(sigma, 1e300), *eig)
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        bloch_point(default_cell, 2e9)
 
 
 def test_out_of_range_kl_raises_no_runtime_warning():
@@ -787,7 +842,7 @@ def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, pa
     if parameter in ("a", "L"):
         assert skipped > 0
     for i, (cell, row) in enumerate(zip(cells, rows)):
-        own = bloch._table(bloch._front(cell, np.linspace(*_GRID)), with_gamma=False)
+        own = bloch._table(cell, np.linspace(*_GRID), with_gamma=False)
         step = slice(i * _GRID[2], (i + 1) * _GRID[2])
         assert f[step].tobytes() == own.f.tobytes(), i
         assert in_stopband[step].tobytes() == own.in_stopband.tobytes(), i
@@ -837,9 +892,10 @@ def test_geometry_sweep_front_is_the_step_fronts(monkeypatch, parameter, on_pole
 
 def test_geometry_sweep_and_edge_bisection_take_no_passband_step(tmp_path, monkeypatch):
     """The geometry sweep and the edge bisection stop the stage at the stopband
-    test: no omega dsigma/domega and no Sweep table, which bloch_point, counted
-    the same way, makes one of each at a passband point.  At a stopband point,
-    where no pair is on the unit circle, it makes the table alone."""
+    test: no omega dsigma/domega and no table (bloch._columns), which
+    bloch_point, counted the same way, makes one of each at a passband point.
+    At a stopband point, where no pair is on the unit circle, it makes the
+    table alone."""
     config = parse_config({
         "sweep": dict(zip(("f_start_hz", "f_stop_hz", "points"), _GRID)),
         "geometry_sweep": {"parameter": "t_aln2", "from_nm": 540, "to_nm": 660, "steps": 3},
@@ -856,7 +912,7 @@ def test_geometry_sweep_and_edge_bisection_take_no_passband_step(tmp_path, monke
         original = getattr(bloch, name)
         return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
 
-    for name in ("sigma_slope_arrays", "Sweep"):
+    for name in ("sigma_slope_arrays", "_columns"):
         monkeypatch.setattr(bloch, name, counted(name))
     rows = workbench.run_geometry_sweep(config)["rows"]
     edges = bloch._refine_edges(cell, brackets)
@@ -864,10 +920,10 @@ def test_geometry_sweep_and_edge_bisection_take_no_passband_step(tmp_path, monke
     assert len(rows) == 3 and all(row[1] > 0 for row in rows)
     assert edges.size == brackets.shape[0] > 0
     assert not bloch_point(cell, 1.5e9).in_stopband
-    assert calls == ["sigma_slope_arrays", "Sweep"]
+    assert sorted(calls) == ["_columns", "sigma_slope_arrays"]
     calls.clear()
     assert bloch_point(cell, 2.5e9).in_stopband
-    assert calls == ["Sweep"]
+    assert calls == ["_columns"]
 
 
 def _loop_report(sw):
@@ -1045,7 +1101,7 @@ def _one_level_edges(cell, f_in, f_out):
         if not active.size:
             return (0.5 * (lo + hi)).tolist()
         mid = 0.5 * (lo[active] + hi[active])
-        stop = bloch._table(bloch._front(cell, mid), with_gamma=False).in_stopband
+        stop = bloch._table(cell, mid, with_gamma=False).in_stopband
         lo[active] = np.where(stop, mid, lo[active])
         hi[active] = np.where(stop, hi[active], mid)
 
@@ -1058,7 +1114,7 @@ def _per_band_gamma_extrema(cell, f_low, f_high):
     fs += [f_high - width * o for o in offsets]
     fs += np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, 17).tolist()
     fs.sort()
-    re = bloch._table(bloch._front(cell, np.array(fs)), with_gamma=True).gamma.real
+    re = bloch._table(cell, np.array(fs), with_gamma=True).gamma.real
     i, j = int(np.argmax(re)), int(np.argmin(re))
     return (fs[i], float(re[i])), (fs[j], float(re[j]))
 

@@ -114,9 +114,9 @@ def test_stopband_test_needs_no_passband_direction():
     counts = np.zeros(2, dtype=int)
     for cell in _random_cells(rng, 20):
         poles = [p for p, kind in impedance_extrema(cell.rod, 2e10) if kind == "pole"]
-        fr = bloch._front(cell, np.concatenate([rng.uniform(1e6, 2e10, 500), poles]))
-        t, stop = bloch._pairs(fr)[-2:]
-        table = bloch._table(fr, with_gamma=False)
+        f = np.concatenate([rng.uniform(1e6, 2e10, 500), poles])
+        t, stop = bloch._pairs(bloch._front(cell, f))[-2:]
+        table = bloch._table(cell, f, with_gamma=False)
         assert stop.tobytes() == table.in_stopband.tobytes()
         assert stop.tobytes() == (table.t_coeff < 1.0 - bloch.TOL_BAND).tobytes()
         assert t[stop].tobytes() == table.t_coeff[stop].tobytes()
@@ -173,7 +173,7 @@ def test_passband_factor_decays_under_limiting_absorption(L_um, a_frac, layers, 
     arg = 2 * np.pi * f / cell.rod.velocity * cell.rod.height
     checked = 0
     for zero in (False, True):
-        sw = bloch._table(bloch._front(cell, f, force_zero_coupling=zero), with_gamma=False)
+        sw = bloch._table(cell, f, with_gamma=False, force_zero_coupling=zero)
         kl = sw.k * cell.cell_length
         # a real factor on the unit circle is +-1, where both members round to
         # the same value and there is no direction to choose
@@ -262,7 +262,7 @@ def test_kernel_chunks_change_no_bit(default_cell):
     """
     sw = sweep(default_cell, 0.1e9, 6e9, 2000)
     chunks = [
-        bloch._table(bloch._front(default_cell, sw.f[lo : lo + 7]), with_gamma=True)
+        bloch._table(default_cell, sw.f[lo : lo + 7], with_gamma=True)
         for lo in range(0, len(sw), 7)
     ]
     for field in dataclasses.fields(bloch.Sweep):
@@ -318,7 +318,7 @@ def _mp_gamma(kl, sigma, lam):
 def test_gamma_matches_mpmath(L_um):
     cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
     f = np.random.default_rng(31).uniform(0.1e9, 6e9, 300)
-    a = bloch._table(bloch._front(cell, f), with_gamma=True)
+    a = bloch._table(cell, f, with_gamma=True)
     worst = 0.0
     for kl, s, lam, g in zip(
         (a.k * cell.cell_length).tolist(), a.sigma.tolist(), a.lambda_flex.tolist(),
@@ -343,7 +343,7 @@ def test_point_outputs_do_not_depend_on_the_batch(L_um, a_frac, freqs, split):
     split = min(split, len(freqs) - 1)
 
     def run(fs):
-        return bloch._table(bloch._front(cell, fs), with_gamma=True)
+        return bloch._table(cell, fs, with_gamma=True)
 
     whole = run(f)
     parts = [run(f[:split]), run(f[split:])]

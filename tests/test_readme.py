@@ -52,3 +52,12 @@ def test_every_module_qualified_name_resolves():
     missing = [f"{m}.{n}" for m, n in names
                if not hasattr(importlib.import_module(f"rodwave.{m}"), n)]
     assert not missing
+
+
+def test_every_named_timing_file_exists_and_parses():
+    """Every BENCH_<n>.json the README names is a committed JSON file."""
+    root = Path(__file__).resolve().parents[1]
+    names = set(re.findall(r"`(BENCH_\d+\.json)`", README))
+    assert {"BENCH_28.json", "BENCH_32.json", "BENCH_36.json"} <= names
+    for name in sorted(names):
+        assert isinstance(json.loads((root / name).read_text()), dict), name
