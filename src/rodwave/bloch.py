@@ -315,8 +315,9 @@ def _front(
     stacked_cells of several over their grids end to end; the entry points
     hand it a cell's _operands, the same constants as arrays.  Where 2 pi f or
     k**3 overflows, k or sigma is inf or NaN, and so are the roots, which the
-    stage reports (_pairs); the rod layer raises where its phase overflows.
-    Run under the stage's _quiet."""
+    stage reports (_pairs); the rod kernel raises where its phase overflows and
+    past the rod's top frequency, which the uncoupled front never reads.  Run
+    under the stage's _quiet."""
     if force_zero_coupling:
         k = flexural_wavevectors(cell.trench, f)
         return _Front(f, k, np.zeros(f.shape), cell.cell_length, None)

@@ -124,9 +124,10 @@ def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, f
     """forcing_arrays at one frequency f > 0, as floats (k, f_eff, sigma).
 
     NumericError where sigma is NaN, infinite off a pole or 0 off a rod zero: at
-    f ~ 1e-300 Hz k**3 underflows and sigma is 0/0, and from about 4.9e201 Hz
-    k**3 overflows and sigma is f_eff/inf: NaN under the rod's pole marker, 0
-    off it.  Under a finite k**3 the marker gives sigma = +-inf.
+    f ~ 1e-300 Hz k**3 underflows and sigma is 0/0; where k**3 overflows (from
+    4.9e201 Hz on the default cell, past the rod's top frequency, which
+    forcing_arrays refuses first) sigma is f_eff/inf: NaN under the rod's pole
+    marker, 0 off it.  Under a finite k**3 the marker gives sigma = +-inf.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported just below
         k, f_eff, sigma = (float(x[0]) for x in forcing_arrays(cell, frequency_row(f, caller)))
@@ -139,11 +140,13 @@ def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, f
 def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):
     """(k, f_eff, sigma) over an array of frequencies f > 0.
 
-    f_eff = -i omega Z_b = omega Im(Z_b), with Im(Z_b) from the rod layer's
-    array evaluation.  At an exact pole its signed-infinite marker makes f_eff
-    and sigma infinite; consumers clamp sigma or use its infinite limits.
-    The cell may be stacked_cells of several, with f their grids end to end,
-    or one cell's _operands.
+    f_eff = -i omega Z_b = omega Im(Z_b), with Im(Z_b) from the rod kernel
+    (rod._pole_impedance), and its NumericError where the rod phase overflows
+    or f is past the rod's top frequency.  At an exact pole its signed-infinite
+    marker makes f_eff and sigma infinite; consumers clamp sigma or use its
+    infinite limits.  The cell may be stacked_cells of several, with f their
+    grids end to end (the error's row is the failing entry of f), or one cell's
+    _operands.
     """
     omega = TWO_PI * f  # one product for the rod phase, f_eff and k
     f_eff = omega * _pole_impedance(cell.rod, f, omega)[0]

@@ -66,10 +66,11 @@ class RodModel:
 
 
 def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Im Z_b, near-pole flag) over a 1-D array of frequencies f >= 0: the
-    impedance of _pole_impedance, and the flag from its distance to the nearest
-    pole."""
-    im, distance = _pole_impedance(rod, f, TWO_PI * f)
+    """(Im Z_b, near-pole flag) over a 1-D array of frequencies f >= 0, for the
+    rod's outputs: _pole_impedance without the overflow warning its NumericError
+    reports, and the flag from its distance to the nearest pole."""
+    with np.errstate(over="ignore"):  # reported by _pole_impedance
+        im, distance = _pole_impedance(rod, f, TWO_PI * f)
     return im, distance < NEAR_POLE_WINDOW_FRACTION * rod.velocity / rod.height
 
 
@@ -84,10 +85,10 @@ def _pole_impedance(rod: RodModel, f: np.ndarray, omega: np.ndarray):
     kernels differ from it in the last bit on some hosts, and
     Im Z_b = 0.0 - rho A c tan, so that f = 0 gives +0.0.  The rod's constants
     are floats for one rod, or arrays for cell.stacked_cells of one cell or
-    several; the arithmetic is elementwise either way.  Where the phase
-    2 pi f h / c overflows, a NumericError names the first such f, with its
-    index as the error's row; callers silence the overflow warning
-    (np.errstate) that comes before it.
+    several; the arithmetic is elementwise either way.  A NumericError names the
+    first f where the phase 2 pi f h / c overflows, else the first f past the
+    rod's top frequency (_past_top), with its index as the error's row, for
+    every caller; callers silence the overflow warning (np.errstate) before it.
     """
     first, spacing = rod.first_pole, rod.first_zero  # poles are first_zero apart
     n = np.maximum(np.rint((f - first) / spacing), ZERO)
@@ -101,6 +102,14 @@ def _pole_impedance(rod: RodModel, f: np.ndarray, omega: np.ndarray):
             f"rod phase 2 pi f h / c leaves the floating-point range at f={f[i].item()!r} Hz",
             row=i,
         ) from None
+    past = _past_top(rod, f)
+    if np.count_nonzero(past):
+        i = int(np.argmax(past))
+        raise NumericError(
+            "rod impedance: the float spacing of f is wider than the exact-pole window "
+            f"1e-12 c/h past the rod's top frequency, at f={f[i].item()!r} Hz",
+            row=i,
+        )
     im = ZERO - rod.impedance_scale * tan
     exact = distance < rod.exact_pole_window
     if np.count_nonzero(exact):
@@ -115,26 +124,9 @@ def _past_top(rod: RodModel, f: np.ndarray) -> np.ndarray:
     return np.spacing(f) > rod.exact_pole_window
 
 
-def _impedance_rows(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_impedance_arrays for the rod's own outputs, whose markers and flags hold only
-    up to the top frequency: past it a NumericError names the first such f, with
-    its index as the error's row."""
-    with np.errstate(over="ignore"):  # reported by _impedance_arrays
-        im, flag = _impedance_arrays(rod, f)
-    past = _past_top(rod, f)
-    if np.count_nonzero(past):
-        i = int(np.argmax(past))
-        raise NumericError(
-            "rod impedance: the float spacing of f is wider than the exact-pole window "
-            f"1e-12 c/h past the rod's top frequency, at f={f[i].item()!r} Hz",
-            row=i,
-        )
-    return im, flag
-
-
 def _impedance_at(rod: RodModel, f: float, caller: str) -> tuple[float, bool]:
-    """_impedance_rows at one frequency 0 <= f < inf, as (Im Z_b, near-pole flag)."""
-    im, flag = _impedance_rows(rod, frequency_row(f, caller, dc=True))
+    """_impedance_arrays at one frequency 0 <= f < inf, as (Im Z_b, near-pole flag)."""
+    im, flag = _impedance_arrays(rod, frequency_row(f, caller, dc=True))
     return im.item(), flag.item()
 
 
@@ -187,10 +179,12 @@ def impedance_extrema(rod: RodModel, f_max_search: float) -> list[tuple[float, s
 
     They share one quarter-wave lattice m*c/(4h), m >= 1: odd m is a pole
     and even m a zero (n*c/(2h) with n = m/2, exactly), so they alternate
-    (pole, zero, pole, ...).
+    (pole, zero, pole, ...).  An f_max_search the rod refuses (_pole_impedance)
+    is a NumericError: below the rod's top there are under about 36 000 extrema.
     """
     if not 0 < f_max_search < math.inf:
         raise ValueError("impedance_extrema: f_max_search must be > 0 and finite")
+    _impedance_arrays(rod, np.array([float(f_max_search)]))
     out: list[tuple[float, str]] = []
     m = 1
     while (f := m * rod.velocity / (4.0 * rod.height)) <= f_max_search:

@@ -32,7 +32,7 @@ from .bloch import (
 from .cell import UnitCellGeometry, cell_matrices
 from .config import RunConfig, config_hash, unit_cell
 from .errors import ConfigError, NumericError
-from .rod import _impedance_rows
+from .rod import _impedance_arrays
 from .svg import line_plot
 from .trench import THIN_BEAM_MIN_RATIO, _lambda_over_ht, flexural_wavevectors
 
@@ -385,7 +385,7 @@ def run_impedance(
     rod = unit_cell(config).rod
     cfg_hash = config_hash(config)
     f = np.linspace(f_start, f_stop, points)
-    im, flag = _impedance_rows(rod, f)
+    im, flag = _impedance_arrays(rod, f)
     # exact-pole marker: clamp for file finiteness, the flag carries the info
     pole = np.isinf(im)
     im[pole] = np.copysign(1e308, im[pole])

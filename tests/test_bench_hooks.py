@@ -11,10 +11,12 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rodwave
-from rodwave import parse_config
+from rodwave import bloch, parse_config
+from rodwave.rod import _impedance_arrays, _past_top
 from rodwave.workbench import run_frequency_sweep
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -84,3 +86,29 @@ def test_bloch_point_without_gamma_keeps_the_bloch_fields(f, in_stopband):
     assert bare.t_coeff == full.t_coeff
     assert bare.eigenvalues == full.eigenvalues
     assert bare.gamma == 0
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(_SPANS.parent))
+    return importlib.import_module("workloads")
+
+
+def test_workload_windows_run_on_the_nominal_cell(workloads):
+    # the rod kernel refuses f past the rod's top frequency (2^46 Hz on the
+    # nominal rod); the workloads' windows, 0.1-6 GHz (sweep-default,
+    # point-queries, impedance-spectrum from 0 Hz) and 1.4-3.2 GHz (geom-sweep),
+    # sit about 10^4 times below it, so the refusal adds no failed operations
+    geo = {f"{name}_nm": t for name, t in workloads.NOMINAL_NM.items()} | {"a_um": 2.0, "L_um": 3.8}
+    cell = rodwave.unit_cell(parse_config({"materials": workloads.MATERIALS, "geometry": geo}))
+    f_stop = workloads.ImpedanceSpectrum.F_STOP
+    assert not _past_top(cell.rod, 1e4 * f_stop) and _past_top(cell.rod, 2.0**46)
+    kinds = [kind for _, kind in rodwave.impedance_extrema(cell.rod, f_stop)]
+    assert kinds == ["pole", "zero"]
+    rodwave.sweep(cell, 0.1e9, f_stop, 50)
+    bloch.sweep_cells([cell], workloads.GeomSweep.F_START, workloads.GeomSweep.F_STOP, 50)
+    for f in (0.1e9, f_stop):
+        rodwave.bloch_point(cell, f)
+        rodwave.semi_infinite_reflection(cell, f)
+        rodwave.chain_profile(cell, f, 200)
+    _impedance_arrays(cell.rod, np.linspace(0.0, f_stop, 50))  # rodwave impedance's kernel

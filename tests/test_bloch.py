@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import mpmath
@@ -31,7 +32,7 @@ from rodwave import (
 from rodwave import bloch, cli, workbench
 from rodwave.bloch import band_gamma_extrema
 from rodwave.errors import NumericError
-from rodwave.rod import _impedance_arrays
+from rodwave.rod import _impedance_arrays, _past_top
 from test_kernel import _THICKNESS
 
 
@@ -733,8 +734,10 @@ def test_uncoupled_just_above_the_small_kl_floor_is_no_silent_stopband(default_c
 
 
 def test_kl_far_past_the_range_is_readable(default_cell):
+    # uncoupled, so the rod is not read: coupled, the rod's top frequency
+    # (2^46 Hz on the default rod) is refused first
     with pytest.raises(NumericError, match=r"\(kL = 3\.05e\+146\): .* at large kL$"):
-        cell_matrices(default_cell, 1e300)
+        bloch_point(default_cell, 1e300, force_zero_coupling=True)
 
 
 # every public call that takes a frequency, on the default cell: the Bloch-level
@@ -770,15 +773,64 @@ _LAYER_CALLS = {
 def test_frequency_at_either_end_of_the_float_range_is_a_numeric_error_naming_f(default_cell, f, name):
     # above about 2.86e307 Hz 2 pi f overflows: the rod layer's math.tan(inf)
     # raised a ValueError, and the trench calls returned k = inf and
-    # lambda/h_t = 0.0.  At 1e300 Hz k**3 overflows: forcing_strength returned
-    # sigma = -inf/inf = NaN, the others raised behind a RuntimeWarning, as the
-    # Bloch-level calls did at 1e-300 Hz, where sigma is 0/0
+    # lambda/h_t = 0.0.  At 1e300 Hz, past the default rod's top frequency, the
+    # rod kernel refuses f before k**3 overflows (the overflow below a rod's top
+    # has its own test).  The Bloch-level calls raised behind a RuntimeWarning
+    # at 1e-300 Hz, where sigma is 0/0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=r" at f=\S+ Hz") as exc:
             (_BLOCH_CALLS | _CELL_CALLS | _LAYER_CALLS)[name](default_cell, f)
     if name == "sweep_cells":  # the error's row is the named frequency's
         assert f"f={np.linspace(f / 2, f, 3)[exc.value.row].item()!r} Hz" in str(exc.value)
+
+
+@pytest.fixture(scope="module")
+def three_cm_rod_cell(default_config):
+    """The default cell on a 3 cm tall rod, whose top frequency is 2^31 Hz."""
+    return unit_cell(default_config, dataclasses.replace(default_config.geometry, t_aln2=0.03))
+
+
+@pytest.mark.parametrize("name", _BLOCH_CALLS | _CELL_CALLS)
+def test_every_coupled_call_refuses_the_rods_top_frequency(three_cm_rod_cell, name):
+    # past it the float spacing of f is wider than the exact-pole window, so
+    # the rod's tangent and pole marker are rounding noise: the cell and Bloch
+    # layers refuse f there as the rod's own outputs do
+    cell, top = three_cm_rod_cell, 2.0**31
+    assert not _past_top(cell.rod, math.nextafter(top, 0)) and _past_top(cell.rod, top)
+    call, named = (_BLOCH_CALLS | _CELL_CALLS)[name], top
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(cell, math.nextafter(top, 0))
+        if name == "band_gamma_extrema":  # samples inside f/2..f; from f up, the first is f (1 + 1e-6)
+            call(cell, top)
+            call, named = lambda cell, f: band_gamma_extrema(cell, f, 2 * f), top + top * 1e-6
+        message = re.escape(f"past the rod's top frequency, at f={named!r} Hz") + "$"
+        with pytest.raises(NumericError, match=message):
+            call(cell, top)
+
+
+@pytest.mark.parametrize("name", _BLOCH_CALLS | _CELL_CALLS)
+def test_k_cubed_overflow_below_the_rods_top_frequency_is_a_numeric_error(default_config, name):
+    # a 2e-200 m rod tops out past 1e203 Hz, where k**3 overflows and sigma is
+    # f_eff/inf = 0 off a rod zero; on the default cell the rod's top (2^46 Hz)
+    # comes first
+    geo = dataclasses.replace(default_config.geometry, t_aln2=1e-200, t_m2=1e-200)
+    cell = unit_cell(default_config, geo)
+    assert not _past_top(cell.rod, 1e203)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r" at f=\S+ Hz \(kL = \S+\): .* at large kL$"):
+            (_BLOCH_CALLS | _CELL_CALLS)[name](cell, 1e203)
+
+
+def test_uncoupled_point_on_a_rod_past_its_top_frequency_runs(default_config, default_cell):
+    # a 1e10 m rod's top frequency is about 4.6 mHz; the uncoupled call never
+    # reads the rod, so it gives the default cell's uncoupled point
+    cell = unit_cell(default_config, dataclasses.replace(default_config.geometry, t_aln2=1e10))
+    assert _past_top(cell.rod, 1e9)
+    expected = bloch_point(default_cell, 1e9, force_zero_coupling=True)
+    assert repr(bloch_point(cell, 1e9, force_zero_coupling=True)) == repr(expected)
 
 
 def test_rod_zero_raises_no_runtime_warning(default_cell):

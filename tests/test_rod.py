@@ -13,7 +13,9 @@ from rodwave import (
     driving_impedance,
     impedance_extrema,
     near_pole,
+    parse_config,
     rod_modeshape,
+    unit_cell,
 )
 from rodwave.cell import forcing_arrays
 from rodwave.materials import LaminateSection
@@ -141,6 +143,17 @@ def test_modeshape_needs_two_samples(default_rod, z_samples):
 def test_extrema_need_finite_positive_search_limit(default_rod, f_max):
     with pytest.raises(ValueError, match="f_max_search must be > 0 and finite"):
         impedance_extrema(default_rod, f_max)
+
+
+def test_extrema_refuse_a_search_limit_past_the_rod_top_frequency():
+    # a 1 km rod tops out at 2^16 Hz; up to 6 GHz its quarter-wave lattice
+    # would have about 2.3e9 entries
+    rod = unit_cell(parse_config({"geometry": {"t_aln2_m": 1e3}})).rod
+    message = re.escape("past the rod's top frequency, at f=6000000000.0 Hz") + "$"
+    with pytest.raises(NumericError, match=message):
+        impedance_extrema(rod, 6e9)
+    ext = impedance_extrema(rod, math.nextafter(2.0**16, 0))
+    assert 25_000 < len(ext) < 36_000
 
 
 def test_extrema_closed_form_positions(default_rod):

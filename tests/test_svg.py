@@ -60,6 +60,8 @@ def test_ticks_are_multiples_of_their_step_from_axis_end_to_axis_end(lo, hi, lab
         ([1.0, 2.0], [-1e308, 1e308], "70.00,470.00 840.00,36.00"),
         # a one-value axis at the largest float spans down to the float below it
         ([1.0], [sys.float_info.max], "70.00,36.00"),
+        # one x at 1e16, past 2^53: adding 1 does not widen it, the next float does
+        ([1e16], [1.0], "70.00,450.27"),
     ],
 )
 def test_line_plot_draws_axes_of_subnormals_and_at_the_float_range_ends(tmp_path, x, ys, points):
