@@ -195,14 +195,16 @@ def sigma_slope_arrays(cell: UnitCellGeometry, f: np.ndarray, k: np.ndarray, sig
     return -sigma / TWO - omega / cell.rod.velocity * cell.rod.height * (s0 + sigma * sigma / s0)
 
 
-def _rational_coeffs(k, a, s) -> np.ndarray:
-    """The six closed-form coefficients at one k and finite sigma, as an array.
-
-    Order (r, t, r_ef, r_fe, r_e, t_e); each is prefactor * e^{rate a k} *
-    numerator / denominator with the constants below.
+def _coeffs(k, a, sigma) -> np.ndarray:
+    """The six closed-form coefficients (r, t, r_ef, r_fe, r_e, t_e) at one k, as
+    an array: prefactor * e^{rate a k} * numerator / denominator with the
+    constants below, accurate to rounding at any finite sigma.  At the exact-pole
+    marker sigma = +-inf, their infinite-stiffness limits (virtual fixed constraint).
     """
-    e = np.exp(a * k * _COEFF_RATE)
-    return _COEFF_PREFACTOR * e * (s + _COEFF_NUM) / (_COEFF_DEN * s + _COEFF_DEN_ADD)
+    e = _COEFF_PREFACTOR * np.exp(a * k * _COEFF_RATE)
+    if math.isinf(sigma):
+        return e / _COEFF_DEN
+    return e * (sigma + _COEFF_NUM) / (_COEFF_DEN * sigma + _COEFF_DEN_ADD)
 
 
 # r = -(1-i) e^{-iak} s / (2s+4+4i),          t = (1+i)/2 e^{-iak} (s+4) / (s+2+2i)
@@ -215,18 +217,6 @@ _COEFF_DEN = np.array([2, 1, 2, 2, 2, 1])
 _COEFF_DEN_ADD = np.array([4 + 4j, 2 + 2j, 4 + 4j, 4 + 4j, 4 + 4j, 2 + 2j])
 
 
-def _coeffs_from_sigma(k: float, a: float, sigma: float) -> tuple[complex, ...]:
-    """The six closed-form coefficients (r, t, r_ef, r_fe, r_e, t_e): the
-    rational form, accurate to rounding at any finite sigma."""
-    if math.isinf(sigma):
-        # the exact-pole marker: the infinite-stiffness limits (virtual fixed
-        # constraint), sigma -> inf in _rational_coeffs
-        coeffs = _COEFF_PREFACTOR * np.exp(a * k * _COEFF_RATE) / _COEFF_DEN
-    else:
-        coeffs = _rational_coeffs(k, a, sigma)
-    return tuple(coeffs.tolist())
-
-
 def scatter_coefficients(cell: UnitCellGeometry, f: float) -> ScatterCoeffs:
     """Evaluate the closed-form scattering coefficients at frequency f.
 
@@ -234,7 +224,7 @@ def scatter_coefficients(cell: UnitCellGeometry, f: float) -> ScatterCoeffs:
     """
     k, f_eff, sigma = _forcing_at(cell, f, "scatter_coefficients")
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        six = _coeffs_from_sigma(k, cell.rod_width, sigma)
+        six = _coeffs(k, cell.rod_width, sigma).tolist()
     if not all(map(cmath.isfinite, six)):
         raise non_finite_error("scattering coefficients", float(f), k * cell.cell_length)
     return _scatter_coeffs(six, f_eff, sigma)
@@ -244,17 +234,6 @@ def _scatter_coeffs(six, f_eff: float, sigma: float) -> ScatterCoeffs:
     """ScatterCoeffs of (r, t, r_ef, r_fe, r_e, t_e): the cell's mirror symmetry sets t_ef, t_fe."""
     r, t, r_ef, r_fe, r_e, t_e = six
     return ScatterCoeffs(r, t, r_ef, r_ef, r_fe, r_fe, r_e, t_e, f_eff, sigma)
-
-
-def _assembly_coeffs(k, a, sigma) -> tuple:
-    """Coefficients for matrix assembly: clamped sigma instead of exact limits.
-
-    The exact infinite-stiffness limit makes the transmission block of G
-    singular (the pinned piston transmits value and near field dependently),
-    which would break the rearrangement into C.  Clamping sigma keeps the
-    block invertible while staying within ~1e-12 of the limit coefficients.
-    """
-    return tuple(_rational_coeffs(k, a, clamped_sigma(sigma)))
 
 
 # G = [[r, r_ef, t, t_ef], [r_fe, r_e, t_fe, t_e], [t, t_ef, r, r_ef], [t_fe, t_e, r_fe, r_e]]
@@ -311,7 +290,7 @@ def translation_phases(phi) -> np.ndarray:
 _PHASE_RATES = np.array([-1j, 1, 1j, -1])
 
 
-def propagation_matrix(k: float, phi: float) -> np.ndarray:
+def propagation_matrix(phi: float) -> np.ndarray:
     """Diagonal half-cell translation D = diag(e^{-i phi}, e^{phi}, e^{i phi}, e^{-phi})."""
     return np.diag(translation_phases(phi))
 
@@ -319,16 +298,19 @@ def propagation_matrix(k: float, phi: float) -> np.ndarray:
 def cell_matrices(cell: UnitCellGeometry, f: float) -> CellMatrices:
     """Assemble G, C, D and the cell transfer matrix T = D C D at frequency f."""
     k, f_eff, sigma = _forcing_at(cell, f, "cell_matrices")
+    # the exact limits make the transmission block of G singular (the pinned
+    # piston transmits value and near field dependently), so C could not be
+    # formed; the clamp keeps it invertible within ~1e-12 of those limits
+    sigma = clamped_sigma(sigma)
     phi = k * (cell.cell_length + cell.rod_width) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        six = _assembly_coeffs(k, cell.rod_width, sigma)
-        G = scattering_matrix(_scatter_coeffs(six, f_eff, sigma))
+        G = scattering_matrix(_scatter_coeffs(_coeffs(k, cell.rod_width, sigma), f_eff, sigma))
         C = coupling_matrix(G)
-        D = propagation_matrix(k, phi)
+        D = propagation_matrix(phi)
         T = D @ C @ D
     if not np.isfinite(T).all():
         raise non_finite_error("transfer matrix", float(f), k * cell.cell_length)
-    return CellMatrices(G=G, C=C, D=D, T=T, f=f, k=k, phi=phi, sigma=float(clamped_sigma(sigma)))
+    return CellMatrices(G=G, C=C, D=D, T=T, f=f, k=k, phi=phi, sigma=float(sigma))
 
 
 def clamped_sigma(sigma):

@@ -80,9 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.command == "sweep":
-            result = run_frequency_sweep(
-                config, out_dir=args.out, plot=args.plot or None
-            )
+            result = run_frequency_sweep(config, out_dir=args.out, plot=args.plot)
             n_bands = len(result["report"].bands)
             print(f"wrote {result['sweep_csv']} and {result['stopbands_csv']} "
                   f"({n_bands} stopbands)")

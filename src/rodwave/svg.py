@@ -18,12 +18,12 @@ def _ratio(a: float, b: float, lo: float, hi: float) -> float:
     return (a / 2 - b / 2) / (hi / 2 - lo / 2)
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    # (hi - lo) / n, held at the smallest normal float so that its power of ten
+    # (hi - lo) / 6, held at the smallest normal float so that its power of ten
     # is a float: on an axis a few subnormals wide it rounds to 0
-    raw = max(_ratio(hi, lo, 0, n), sys.float_info.min)
+    raw = max(_ratio(hi, lo, 0, 6), sys.float_info.min)
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     # each tick a multiple k * step, clamped onto the axis and kept once: an

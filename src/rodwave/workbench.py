@@ -167,10 +167,9 @@ def run_stopbands(config: RunConfig, out_dir: str | None = None) -> dict:
     return {"stopbands_csv": path, "report": report}
 
 
-def run_frequency_sweep(
-    config: RunConfig, out_dir: str | None = None, plot: bool | None = None
-) -> dict:
-    """Sweep the configured frequency grid; write sweep.csv and stopbands.csv."""
+def run_frequency_sweep(config: RunConfig, out_dir: str | None = None, plot: bool = False) -> dict:
+    """Sweep the configured frequency grid; write sweep.csv and stopbands.csv,
+    and sweep.svg where plot or config.output.plot is set."""
     directory = _resolve_out(config, out_dir)
     cell, sw, flagged = _checked_sweep(config)
     report = stopband_report(sw, cell)
@@ -206,7 +205,7 @@ def run_frequency_sweep(
     bands_path = directory / "stopbands.csv"
     _write_stopbands(bands_path, report, cfg_hash)
 
-    if plot if plot is not None else config.output.plot:
+    if plot or config.output.plot:
         line_plot(
             directory / "sweep.svg",
             (sw.f / 1e9).tolist(),
@@ -386,13 +385,12 @@ def run_impedance(
     cfg_hash = config_hash(config)
     f = np.linspace(f_start, f_stop, points)
     im, flag = _impedance_arrays(rod, f)
-    # exact-pole marker: clamp for file finiteness, the flag carries the info
+    # exact-pole marker: clamp for file finiteness; the near-pole flag, whose
+    # window holds the exact-pole one, carries the info
     pole = np.isinf(im)
     im[pole] = np.copysign(1e308, im[pole])
     path = directory / "impedance.csv"
-    _write_csv(
-        path, {"f_hz": f, "im_Zb": im, "flag_near_pole": flag | pole}, cfg_hash
-    )
+    _write_csv(path, {"f_hz": f, "im_Zb": im, "flag_near_pole": flag}, cfg_hash)
     return {"impedance_csv": path}
 
 

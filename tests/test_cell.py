@@ -20,7 +20,7 @@ from rodwave import (
     unit_cell,
 )
 from rodwave.errors import NumericError
-from rodwave.cell import scattering_matrix
+from rodwave.cell import SIGMA_CLAMP, scattering_matrix
 from rodwave.workbench import transfer_matrix_reference
 
 
@@ -93,13 +93,13 @@ def test_scatter_coefficients_approach_the_pole_limits_as_one_over_sigma(default
     P e / D, so |s| |c(s) - c(inf)| / |c(inf)| = |N - A/D| / |1 + A/(D s)|, and
     |N - A/D| is 2 sqrt(2) for all six.  The allowance is that 1/|s| term plus
     8 ulps of c(s), which the difference magnifies |s|-fold."""
-    from rodwave.cell import _coeffs_from_sigma
+    from rodwave.cell import _coeffs
 
     k = flexural_wavevector(default_cell.trench, 2.0e9)
     for sign in (1.0, -1.0):
-        limits = np.array(_coeffs_from_sigma(k, default_cell.rod_width, sign * math.inf))
+        limits = _coeffs(k, default_cell.rod_width, sign * math.inf)
         for s in (1e8, 1e10, 1e12):
-            coeffs = np.array(_coeffs_from_sigma(k, default_cell.rod_width, sign * s))
+            coeffs = _coeffs(k, default_cell.rod_width, sign * s)
             rate = s * np.abs(coeffs - limits) / np.abs(limits)
             tol = 3.0 / s + 8 * np.finfo(float).eps * s
             assert rate == pytest.approx(np.full(6, 2 * math.sqrt(2)), rel=tol)
@@ -126,14 +126,14 @@ def test_scatter_coefficients_near_a_pole_match_mpmath(default_cell, f):
     """Every finite sigma takes the rational closed form, which stays accurate
     to rounding as |sigma| grows toward a pole: within 1e-14 relative of
     mpmath over |sigma| from 1e6 to 1e12, both signs."""
-    from rodwave.cell import _coeffs_from_sigma
+    from rodwave.cell import _coeffs
 
     k = flexural_wavevector(default_cell.trench, f)
     a = default_cell.rod_width
     magnitudes = np.concatenate([np.geomspace(1e6, 1e12, 49), [0.999e8, 1.001e8]])
     worst = 0.0
     for sigma in np.concatenate([magnitudes, -magnitudes]).tolist():
-        for got, want in zip(_coeffs_from_sigma(k, a, sigma), _mp_coeffs(k, a, sigma)):
+        for got, want in zip(_coeffs(k, a, sigma), _mp_coeffs(k, a, sigma)):
             worst = max(worst, float(abs(got - want) / abs(want)))
     assert worst <= 1e-14
 
@@ -229,6 +229,24 @@ def test_transfer_matrix_zero_coupling_diagonal(default_cell):
 def test_transfer_matrix_is_product(default_cell):
     mats = cell_matrices(default_cell, 1.0e9)
     assert np.abs(mats.T - mats.D @ mats.C @ mats.D).max() == 0.0
+
+
+@pytest.mark.parametrize("L_um, a_um", [(1.0, 0.5), (3.8, 2.0), (12.0, 2.0)])
+def test_scatter_coefficients_and_cell_matrices_share_one_closed_form(L_um, a_um):
+    """Where the clamp leaves sigma alone, G of cell_matrices is bit for bit the
+    scattering matrix of scatter_coefficients; at a pole, scatter_coefficients
+    keeps the exact-pole marker and cell_matrices reports its clamp."""
+    cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": a_um}}))
+    compared = 0
+    for f in np.random.default_rng(59).uniform(0.1e9, 6e9, 400).tolist():
+        c = scatter_coefficients(cell, f)
+        if abs(c.sigma) <= SIGMA_CLAMP:
+            assert scattering_matrix(c).tobytes() == cell_matrices(cell, f).G.tobytes(), f
+            compared += 1
+    assert compared == 400  # no seeded draw falls within the clamp of a pole
+    for f in (cell.rod.first_pole, 3 * cell.rod.first_pole):
+        assert scatter_coefficients(cell, f).sigma == -math.inf
+        assert cell_matrices(cell, f).sigma == -SIGMA_CLAMP
 
 
 def test_phi_definition(default_cell):

@@ -615,7 +615,7 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     from rodwave import cli
     from rodwave.errors import NumericError
 
-    def boom(config, out_dir=None, plot=None):
+    def boom(config, out_dir=None, plot=False):
         raise NumericError("synthetic invariant violation")
 
     monkeypatch.setattr(cli, "run_frequency_sweep", boom)

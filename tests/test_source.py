@@ -1,0 +1,83 @@
+"""Two source rules for src/rodwave, read with ast (no linter is a dependency):
+every import is used, and every module-level private name is referenced
+somewhere in the package besides its definition, so a deleted helper does not
+live on as a name that only the tests call."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "rodwave").glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The strings of a module-level __all__ list."""
+    return {
+        element.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for element in node.value.elts
+    }
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every bare name the module reads."""
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name the module reads, bare, as an attribute or by import."""
+    names = _read_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Names a module binds at its top level by def, class or assignment that
+    start with one underscore (dunders excluded)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.extend(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def test_the_package_sources_are_found():
+    assert "cell.py" in TREES and "__init__.py" in TREES
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    used = _read_names(tree) | _exported(tree)
+    unused = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in used
+    ]
+    assert unused == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_private_module_name_is_referenced_in_the_package(module):
+    referenced = set().union(*map(_references, TREES.values()))
+    unreferenced = [n for n in _private_definitions(TREES[module]) if n not in referenced]
+    assert unreferenced == []
