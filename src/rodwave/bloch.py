@@ -31,11 +31,12 @@ and matched after the last cell, is a sum over the four Bloch modes, each
 referenced at the end it decays from; one 4x4 solve gives the coefficients.
 
 Every entry point evaluates the pipeline in two parts over an array of
-frequencies: a cell-dependent front (``_front``: k, the clamped sigma, L)
-and one cell-free Bloch stage, run over the front as far as a result needs:
-roots and stopband test (``_pairs``), passband direction (``_transmitted``,
-the one user of omega dsigma/domega), ``_reflection`` and the columns of the
-table (``_columns``).  The front reads one cell's constants as one-element
+frequencies: a cell-dependent front (``_front``: k, the clamped sigma, L,
+and s0 and the rod phase for omega dsigma/domega) and one cell-free Bloch
+stage that reads only the front, run as far as a result needs: roots and
+stopband test (``_pairs``), passband direction (``_transmitted``, the one
+user of omega dsigma/domega), ``_reflection`` and the table's columns
+(``_columns``).  The front reads one cell's constants as one-element
 arrays (``UnitCellGeometry._operands``).  Several cells make one front, over
 their constants repeated per point (``cell.stacked_cells``), so
 ``sweep_cells`` runs the front and the stopband test once each for a whole
@@ -257,7 +258,7 @@ def _y_slope(kl, s, ds, parts, y):
     return np.sign(y0 - y1) * (y0 * dsu - dpr)
 
 
-_COMPONENTS = np.arange(4)
+_COMPONENTS = constant(np.arange(4))
 
 
 def _sum4(x: np.ndarray) -> np.ndarray:
@@ -287,15 +288,15 @@ def _eigenvectors(kl, lam):
 
 @dataclass
 class _Front:
-    """The cell-dependent inputs of the Bloch stage, one entry per frequency."""
+    """The cell-dependent inputs of the Bloch stage, one entry per frequency: all it reads."""
 
     f: np.ndarray
     k: np.ndarray
     sigma: np.ndarray  # clamped; 0 without coupling
     L: float | np.ndarray  # cell length: a float or one-element array, or one per point
-    # read by _transmitted for omega dsigma/domega, so one cell there; stacked_cells
-    # of several only in fronts that stop at _pairs (sweep_cells); None uncoupled
-    cell: UnitCellGeometry | SimpleNamespace | None
+    # s0 and rod phase of cell.forcing_arrays for omega dsigma/domega; None uncoupled
+    s0: np.ndarray | None = None
+    phase: np.ndarray | None = None
 
 
 def _quiet() -> np.errstate:
@@ -319,10 +320,9 @@ def _front(
     past the rod's top frequency, which the uncoupled front never reads.  Run
     under the stage's _quiet."""
     if force_zero_coupling:
-        k = flexural_wavevectors(cell.trench, f)
-        return _Front(f, k, np.zeros(f.shape), cell.cell_length, None)
-    k, _, sigma = forcing_arrays(cell, f)
-    return _Front(f, k, clamped_sigma(sigma), cell.cell_length, cell)
+        return _Front(f, flexural_wavevectors(cell.trench, f), np.zeros(f.shape), cell.cell_length)
+    k, _, sigma, s0, phase = forcing_arrays(cell, f)
+    return _Front(f, k, clamped_sigma(sigma), cell.cell_length, s0, phase)
 
 
 def _pairs(fr: _Front):
@@ -363,7 +363,7 @@ def _transmitted(fr: _Front):
     out0, lam = outer[:, 0], inner[:, 0]
     band = np.abs(np.abs(out0) - ONE) <= _ON_CIRCLE
     if np.count_nonzero(band):
-        ds = ZERO if fr.cell is None else sigma_slope_arrays(fr.cell, fr.f, fr.k, fr.sigma)
+        ds = ZERO if fr.s0 is None else sigma_slope_arrays(fr.sigma, fr.s0, fr.phase)
         # the slope is read only at passband points, and may overflow at the others
         slope = _y_slope(kl, fr.sigma, ds, parts, y)
         lam = np.where(band & (lam.imag * slope > ZERO), out0, lam)
@@ -392,11 +392,10 @@ def _reflection(fr: _Front, transmitted):
     # where the two factors round together at small kL, reported just below
     cramer = vf[:, :3] * ve[:, 3:] - ve[:, :3] * vf[:, 3:]
     gammas = cramer[:, :2] / cramer[:, 2:]
-    uncoupled = fr.sigma == ZERO
-    if np.count_nonzero(uncoupled):
+    if fr.s0 is None:
         # nothing reflects without coupling, where Gamma is finite: below the
         # small-kL floor the two pairs round together and it is 0/0 there too
-        gammas[uncoupled & np.isfinite(gammas).all(axis=1)] = 0
+        gammas[np.isfinite(gammas).all(axis=1)] = 0
     _require_finite(fr.f, kl, gammas, "Gamma")
     return gammas[:, 0], gammas[:, 1], eig
 

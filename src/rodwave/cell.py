@@ -130,7 +130,7 @@ def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, f
     marker, 0 off it.  Under a finite k**3 the marker gives sigma = +-inf.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported just below
-        k, f_eff, sigma = (float(x[0]) for x in forcing_arrays(cell, frequency_row(f, caller)))
+        k, f_eff, sigma = (float(x[0]) for x in forcing_arrays(cell, frequency_row(f, caller))[:3])
     if (math.isnan(sigma) or math.isinf(sigma) and math.isfinite(f_eff)
             or sigma == 0 and f_eff != 0):
         raise non_finite_error("sigma", float(f), k * cell.cell_length)
@@ -138,37 +138,43 @@ def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, f
 
 
 def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):
-    """(k, f_eff, sigma) over an array of frequencies f > 0.
+    """(k, f_eff, sigma, s0, phase) over an array of frequencies f > 0.
 
-    f_eff = -i omega Z_b = omega Im(Z_b), with Im(Z_b) from the rod kernel
-    (rod._pole_impedance), and its NumericError where the rod phase overflows
-    or f is past the rod's top frequency.  At an exact pole its signed-infinite
-    marker makes f_eff and sigma infinite; consumers clamp sigma or use its
-    infinite limits.  The cell may be stacked_cells of several, with f their
-    grids end to end (the error's row is the failing entry of f), or one cell's
-    _operands.
+    f_eff = -i omega Z_b = omega Im(Z_b), with Im(Z_b) and the rod phase from
+    the rod kernel (rod._pole_impedance), and its NumericError where the phase
+    overflows or f is past the rod's top frequency.  At an exact pole its
+    signed-infinite marker makes f_eff and sigma infinite; consumers clamp
+    sigma or use its infinite limits.  sigma and s0 = omega rho A c / (E_t I_t
+    k^3) share one E_t I_t k^3; s0 and the phase feed sigma_slope_arrays.  The
+    cell may be stacked_cells of several, with f their grids end to end (the
+    error's row is the failing entry of f), or one cell's _operands.
     """
     omega = TWO_PI * f  # one product for the rod phase, f_eff and k
-    f_eff = omega * _pole_impedance(cell.rod, f, omega)[0]
+    im, _, phase = _pole_impedance(cell.rod, f, omega)
+    f_eff = omega * im
     k = _omega_wavevectors(cell.trench, omega)
-    return k, f_eff, f_eff / (cell.trench.bending_stiffness * k**THREE)
+    stiffness = cell.trench.bending_stiffness * k**THREE
+    return k, f_eff, f_eff / stiffness, omega * cell.rod.impedance_scale / stiffness, phase
 
 
 def stacked_cells(cells: list[UnitCellGeometry], points: int) -> SimpleNamespace:
-    """Several cells as one, for forcing_arrays, sigma_slope_arrays and the rod
-    and trench formulas under them, over the cells' frequency grids laid end to
-    end.  Several cells reach the Bloch stage only as far as its stopband test
-    (bloch.sweep_cells), which needs no passband slope; one cell over one point
-    is the cell's own _operands, which broadcast over any grid.
+    """Several cells as one, for forcing_arrays and the rod and trench formulas
+    under it, over the cells' frequency grids laid end to end; their front runs
+    the whole Bloch stage.  One cell over one point is the cell's own _operands,
+    which broadcast over any grid.
 
     Each constant those read is a per-point array: the value of cells[i] on rows
     i * points .. (i + 1) * points - 1.  Every formula is elementwise, so those
-    rows are bit for bit the ones of cells[i] on its own grid.
+    rows are bit for bit the ones of cells[i] on its own grid.  The arrays are
+    read-only, as _operands keeps them on a frozen cell.
     """
+
+    def repeat(values):
+        return constant(np.repeat(values, points))
 
     def stack(parts, *names):
         return SimpleNamespace(
-            **{name: np.repeat([getattr(p, name) for p in parts], points) for name in names}
+            **{name: repeat([getattr(p, name) for p in parts]) for name in names}
         )
 
     return SimpleNamespace(
@@ -179,20 +185,18 @@ def stacked_cells(cells: list[UnitCellGeometry], points: int) -> SimpleNamespace
         trench=stack(
             [c.trench for c in cells], "bending_stiffness", "wavevector_num", "wavevector_den"
         ),
-        cell_length=np.repeat([c.cell_length for c in cells], points),
+        cell_length=repeat([c.cell_length for c in cells]),
     )
 
 
-def sigma_slope_arrays(cell: UnitCellGeometry, f: np.ndarray, k: np.ndarray, sigma: np.ndarray):
-    """omega dsigma/domega over arrays of f > 0, their k and their (clamped) sigma.
+def sigma_slope_arrays(sigma: np.ndarray, s0: np.ndarray, phase: np.ndarray):
+    """omega dsigma/domega from the (clamped) sigma and forcing_arrays' s0 and phase.
 
-    sigma = -s0 tan(omega h / c) with s0 = omega rho A c / (E_t I_t k^3) > 0, and
-    s0 scales as omega^-1/2, so omega sigma' = -sigma/2 - (omega h / c)(s0 + sigma^2 / s0).
-    Written in sigma itself, it stays finite where sigma is clamped at a pole.
+    sigma = -s0 tan(phase) with s0 > 0, and s0 scales as omega^-1/2, so
+    omega sigma' = -sigma/2 - phase (s0 + sigma^2 / s0).  Written in sigma
+    itself, it stays finite where sigma is clamped at a pole.
     """
-    omega = TWO_PI * f
-    s0 = omega * cell.rod.impedance_scale / (cell.trench.bending_stiffness * k**THREE)
-    return -sigma / TWO - omega / cell.rod.velocity * cell.rod.height * (s0 + sigma * sigma / s0)
+    return -sigma / TWO - phase * (s0 + sigma * sigma / s0)
 
 
 def _coeffs(k, a, sigma) -> np.ndarray:
@@ -210,11 +214,11 @@ def _coeffs(k, a, sigma) -> np.ndarray:
 # r = -(1-i) e^{-iak} s / (2s+4+4i),          t = (1+i)/2 e^{-iak} (s+4) / (s+2+2i)
 # r_ef = -(1-i) e^{(1-i)ak/2} s / (2s+4+4i),  r_fe = -(1+i) e^{(1-i)ak/2} s / (2s+4+4i)
 # r_e = -(1+i) e^{ak} s / (2s+4+4i),          t_e = (1-i)/2 e^{ak} (s+4i) / (s+2+2i)
-_COEFF_PREFACTOR = np.array([-(1 - 1j), 0.5 + 0.5j, -(1 - 1j), -(1 + 1j), -(1 + 1j), 0.5 - 0.5j])
-_COEFF_RATE = np.array([-1j, -1j, 0.5 - 0.5j, 0.5 - 0.5j, 1, 1])
-_COEFF_NUM = np.array([0, 4, 0, 0, 0, 4j])
-_COEFF_DEN = np.array([2, 1, 2, 2, 2, 1])
-_COEFF_DEN_ADD = np.array([4 + 4j, 2 + 2j, 4 + 4j, 4 + 4j, 4 + 4j, 2 + 2j])
+_COEFF_PREFACTOR = constant([-(1 - 1j), 0.5 + 0.5j, -(1 - 1j), -(1 + 1j), -(1 + 1j), 0.5 - 0.5j])
+_COEFF_RATE = constant([-1j, -1j, 0.5 - 0.5j, 0.5 - 0.5j, 1, 1])
+_COEFF_NUM = constant([0, 4, 0, 0, 0, 4j])
+_COEFF_DEN = constant([2, 1, 2, 2, 2, 1])
+_COEFF_DEN_ADD = constant([4 + 4j, 2 + 2j, 4 + 4j, 4 + 4j, 4 + 4j, 2 + 2j])
 
 
 def scatter_coefficients(cell: UnitCellGeometry, f: float) -> ScatterCoeffs:
@@ -239,7 +243,7 @@ def _scatter_coeffs(six, f_eff: float, sigma: float) -> ScatterCoeffs:
 # G = [[r, r_ef, t, t_ef], [r_fe, r_e, t_fe, t_e], [t, t_ef, r, r_ef], [t_fe, t_e, r_fe, r_e]]
 # as indices into (r, t, r_ef, r_fe, r_e, t_e, t_ef, t_fe); the cell is mirror
 # symmetric, so the same blocks appear twice
-_G_INDEX = np.array([[0, 2, 1, 6], [3, 4, 7, 5], [1, 6, 0, 2], [7, 5, 3, 4]])
+_G_INDEX = constant([[0, 2, 1, 6], [3, 4, 7, 5], [1, 6, 0, 2], [7, 5, 3, 4]])
 
 
 def scattering_matrix(coeffs: ScatterCoeffs) -> np.ndarray:
@@ -287,7 +291,7 @@ def translation_phases(phi) -> np.ndarray:
     return np.exp(np.multiply.outer(phi, _PHASE_RATES))
 
 
-_PHASE_RATES = np.array([-1j, 1, 1j, -1])
+_PHASE_RATES = constant([-1j, 1, 1j, -1])
 
 
 def propagation_matrix(phi: float) -> np.ndarray:

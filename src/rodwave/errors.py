@@ -1,5 +1,7 @@
 """Exception types shared across the package, the one-point frequency check and
-the numeric operands the array formulas share."""
+the read-only numeric operands and tables the array formulas share."""
+
+import numbers
 
 import numpy as np
 
@@ -39,17 +41,23 @@ def non_finite_error(what: str, f: float, kl: float, row: int | None = None) -> 
 
 
 def frequency_row(f: float, caller: str, *, dc: bool = False) -> np.ndarray:
-    """f as the one-element float array the array forms take; a ValueError naming
-    the caller, before any evaluation, unless 0 < f < inf (0 <= f < inf with dc)."""
+    """f as the one-element float array the array forms take.  Before any
+    evaluation, an error naming the caller: a TypeError unless f is a real
+    number (a bool is not one), a ValueError unless 0 < f < inf (0 <= f < inf
+    with dc)."""
+    if isinstance(f, bool) or not isinstance(f, numbers.Real):
+        raise TypeError(f"{caller}: f must be a real number, got {f!r}")
     if not (0 <= f < np.inf if dc else 0 < f < np.inf):
         raise ValueError(f"{caller}: f must be {'>=' if dc else '>'} 0 and finite")
     return np.array([float(f)])
 
 
-def constant(value, dtype=float) -> np.ndarray:
-    """value as a read-only 0-d array for a ufunc operand: numpy converts a Python number
-    on every call (NEP 50); a 0-d array of the other operand's dtype gives the same bits."""
-    a = np.array(value, dtype)
+def constant(value, dtype=None) -> np.ndarray:
+    """value as a read-only array, of dtype or the one numpy infers, and not
+    copied if it is one already: a table the package shares, or a 0-d ufunc
+    operand, since numpy converts a Python number on every call (NEP 50) and a
+    0-d array of the other operand's dtype gives the same bits."""
+    a = np.asarray(value, dtype)
     a.flags.writeable = False
     return a
 

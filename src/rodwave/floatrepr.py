@@ -46,10 +46,12 @@ import functools
 
 import numpy as np
 
+from .errors import constant
+
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
 _E8 = _U(10**8)
-_POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
+_POW10 = constant([10**i for i in range(18)], np.uint64)
 _ASCII0 = _U(0x3030303030303030)
 _NODOT = 24  # value of `after` that inserts no point
 

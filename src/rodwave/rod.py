@@ -70,14 +70,14 @@ def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndar
     rod's outputs: _pole_impedance without the overflow warning its NumericError
     reports, and the flag from its distance to the nearest pole."""
     with np.errstate(over="ignore"):  # reported by _pole_impedance
-        im, distance = _pole_impedance(rod, f, TWO_PI * f)
+        im, distance, _ = _pole_impedance(rod, f, TWO_PI * f)
     return im, distance < NEAR_POLE_WINDOW_FRACTION * rod.velocity / rod.height
 
 
 def _pole_impedance(rod: RodModel, f: np.ndarray, omega: np.ndarray):
-    """(Im Z_b, distance to the nearest pole) over a 1-D array of frequencies
-    f >= 0 and their omega = 2 pi f, which the forcing shares
-    (cell.forcing_arrays).
+    """(Im Z_b, distance to the nearest pole, rod phase omega h / c) over a 1-D
+    array of frequencies f >= 0 and their omega = 2 pi f: cell.forcing_arrays
+    shares omega and hands the phase on to the passband slope.
 
     The distance is to the nearest pole (2n-1)*c/(4h), n >= 1.  Within the
     exact-pole window Im Z_b is a signed-infinite marker, -inf where the
@@ -114,7 +114,7 @@ def _pole_impedance(rod: RodModel, f: np.ndarray, omega: np.ndarray):
     exact = distance < rod.exact_pole_window
     if np.count_nonzero(exact):
         im[exact] = np.where(tan[exact] >= 0, -math.inf, math.inf)
-    return im, distance
+    return im, distance, arg
 
 
 def _past_top(rod: RodModel, f: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import warnings
 
 import mpmath
@@ -367,7 +368,7 @@ def test_chain_transmission_consistent_with_gamma(default_cell, default_report):
 
 
 def _mp_chain(kl, sigma, n, digits):
-    """(ln|x_j[2]| for j = 0..n, x_0[0]) of the finite-chain boundary-value
+    """(ln|x_j[2]| for j = 0..n, x_0[0], x_n[2]) of the finite-chain boundary-value
     problem x_0[2:4] = (1, 0), x_n[0:2] = 0, x_{j+1} = T x_j, at the given digits.
 
     T = diag(p) + (sigma/4) u w^T is built from kL and sigma alone; x_0 comes
@@ -390,21 +391,33 @@ def _mp_chain(kl, sigma, n, digits):
             state = [mpmath.fsum(row[k] * state[k] for k in range(4)) for row in t]
             with mpmath.workdps(20):
                 logs.append(float(mpmath.log(abs(state[2]))))
-        return np.array(logs), complex(r0)
+        return np.array(logs), complex(r0), state[2]
 
 
 def _chain_error(cell, f, n):
-    """Worst |ln|x_j|| error over j = 0..n and the reflection error of chain_profile."""
+    """Worst |ln|x_j|| error over j = 0..n, the reflection error and the relative
+    transmission error of chain_profile; the last is None where the reference
+    x_n[2] lies below the float range, where only its log is checked."""
     a = bloch._table(cell, np.array([f]), with_gamma=False)
     # digits >= 30 + n log10(max|lambda|), plus the decay of the slower inner factor
     outer, inner = a.eigenvalues[0, ::2], a.eigenvalues[0, 1::2]
     digits = 30 + math.ceil(n * math.log10(np.abs(outer).max() / np.abs(inner).max()))
-    logs, reflection = _mp_chain(float(a.k[0] * cell.cell_length), float(a.sigma[0]), n, digits)
+    logs, reflection, transmission = _mp_chain(
+        float(a.k[0] * cell.cell_length), float(a.sigma[0]), n, digits
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         profile = chain_profile(cell, f, n)
     assert np.all(np.isfinite(profile.log_magnitudes))
-    return np.max(np.abs(profile.log_magnitudes - logs)), abs(profile.reflection - reflection)
+    transmission_err = None
+    if abs(transmission) >= sys.float_info.min:
+        reference = complex(transmission)
+        transmission_err = abs(profile.transmission - reference) / abs(reference)
+    return (
+        np.max(np.abs(profile.log_magnitudes - logs)),
+        abs(profile.reflection - reflection),
+        transmission_err,
+    )
 
 
 def _fabricated_cells(config, seed, count):
@@ -437,24 +450,32 @@ def test_chain_matches_mpmath(default_config, default_cell, case):
     cells.update(
         (f"fabricated {i}", pair) for i, pair in enumerate(_fabricated_cells(default_config, 8, 3))
     )
-    log_err, reflection_err = _chain_error(*cells[case], 200)
+    log_err, reflection_err, transmission_err = _chain_error(*cells[case], 200)
     assert log_err <= 1e-7
     assert reflection_err <= 1e-10
+    # at 2.006 GHz x_n[2] is e^-1424, below the float range: its log is checked
+    if case == "2.006 GHz":
+        assert transmission_err is None
+    else:
+        assert transmission_err <= 1e-7
 
 
 def test_chain_at_band_edges_matches_mpmath(default_config, default_cell):
     # the two modes of the flexural pair coalesce at an edge, so the mode
-    # basis is ill-conditioned there: measured worst 6e-9 in ln|x| and
-    # 2.3e-9 in the reflection on 60 cells
+    # basis is ill-conditioned there: measured worst 2.6e-8 in ln|x|, 1.0e-8
+    # in the reflection and 2.8e-8 in the transmission on 60 cells
     sw = default_config.sweep
     report = stopband_report(sweep(default_cell, sw.f_start, sw.f_stop, sw.points), default_cell)
     edges = [f for band in report.bands for f in (band.f_low, band.f_high)]
     assert len(edges) >= 10
     for edge in edges:
         for offset in (0.0, 1e-3, -1e-3, 1.0, -1.0):
-            log_err, reflection_err = _chain_error(default_cell, edge + offset, 60)
+            log_err, reflection_err, transmission_err = _chain_error(
+                default_cell, edge + offset, 60
+            )
             assert log_err <= 1e-7, (edge, offset)
             assert reflection_err <= 1e-7, (edge, offset)
+            assert transmission_err <= 1e-7, (edge, offset)
 
 
 def test_field_profile_zero_coupling_unit_wave(default_cell):
@@ -556,6 +577,24 @@ def test_single_frequency_calls_need_finite_positive_f(default_cell, name, f):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{name}: f must be > 0 and finite$"):
             _ONE_POINT_CALLS[name](default_cell, f)
+
+
+_ROD_CALLS = {
+    "driving_impedance": lambda cell, f: driving_impedance(cell.rod, f),
+    "near_pole": lambda cell, f: near_pole(cell.rod, f),
+    "rod_modeshape": lambda cell, f: rod_modeshape(cell.rod, f, 1.0, 5),
+}
+
+
+@pytest.mark.parametrize("f", [True, np.True_, "1e9", None, 1j], ids=repr)
+@pytest.mark.parametrize("name", [*_ONE_POINT_CALLS, *_ROD_CALLS])
+def test_single_frequency_calls_need_a_real_f(default_cell, name, f):
+    """Each one-point call refuses a bool or a non-number under its own name,
+    before any evaluation: True is not 1 Hz, nor "1e9" a comparison error."""
+    call = _ONE_POINT_CALLS.get(name) or _ROD_CALLS[name]
+    message = rf"^{name}: f must be a real number, got {re.escape(repr(f))}$"
+    with pytest.raises(TypeError, match=message):
+        call(default_cell, f)
 
 
 @pytest.mark.parametrize(
@@ -912,9 +951,11 @@ def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, pa
 )
 def test_geometry_sweep_front_is_the_step_fronts(monkeypatch, parameter, on_pole):
     """The one front of sweep_cells, over per-point cell constants, is bit for bit
-    the fronts of its cells laid end to end.  Every step of an a sweep has the
-    same rod; with on_pole the grid starts on one step's rod pole, where its
-    impedance is the signed-infinite marker and no other step's is."""
+    the fronts of its cells laid end to end, and runs the whole stage: its
+    transmitted pairs, T and Gamma are those of the cells' own fronts.  Every
+    step of an a sweep has the same rod; with on_pole the grid starts on one
+    step's rod pole, where its impedance is the signed-infinite marker and no
+    other step's is."""
     config = parse_config({})
     lo, hi = _GEOM_SPANS_UM[parameter]
     cells = []
@@ -936,10 +977,25 @@ def test_geometry_sweep_front_is_the_step_fronts(monkeypatch, parameter, on_pole
     (front,) = fronts
     f = np.linspace(*grid)
     own = [bloch._front(c, f, force_zero_coupling=False) for c in cells]
-    for name in ("f", "k", "sigma"):
+    for name in ("f", "k", "sigma", "s0", "phase"):
         expected = np.concatenate([getattr(fr, name) for fr in own])
         assert getattr(front, name).tobytes() == expected.tobytes(), name
     assert front.L.tobytes() == np.repeat([fr.L for fr in own], f.size).tobytes()
+
+    def whole_stage(fr):
+        """(outer, inner, lambda_flex, T, Gamma, Gamma_e) of the whole stage on fr."""
+        with bloch._quiet():
+            _, _, outer, inner, lam, t, _ = transmitted = bloch._transmitted(fr)
+            gamma, gamma_e, _ = bloch._reflection(fr, transmitted)
+        return outer, inner, lam, t, gamma, gamma_e
+
+    stacked = whole_stage(front)
+    for i, fr in enumerate(own):
+        rows = slice(i * f.size, (i + 1) * f.size)
+        for name, whole, part in zip(
+            ("outer", "inner", "lambda_flex", "T", "Gamma", "Gamma_e"), stacked, whole_stage(fr)
+        ):
+            assert whole[rows].tobytes() == part.tobytes(), (i, name)
 
 
 def test_geometry_sweep_and_edge_bisection_take_no_passband_step(tmp_path, monkeypatch):

@@ -58,7 +58,7 @@ def random_draw():
     kls, sigmas = [], []
     for cell in _random_cells(rng, 50):
         f = rng.uniform(1e6, 2e10, 200)
-        k, _, sigma = forcing_arrays(cell, f)
+        k, _, sigma, _, _ = forcing_arrays(cell, f)
         kls.append(k * cell.cell_length)
         sigmas.append(np.clip(sigma, -SIGMA_CLAMP, SIGMA_CLAMP))
     return np.concatenate(kls), np.concatenate(sigmas)
@@ -194,9 +194,9 @@ def test_sigma_slope_matches_mpmath_derivative(L_um):
     rod, stiffness = cell.rod, cell.trench.bending_stiffness
     f = np.random.default_rng(11).uniform(0.1e9, 20e9, 60)
     f = f[np.abs(np.cos(2 * np.pi * f / rod.velocity * rod.height)) > 1e-3]  # off the poles
-    k, _, sigma = forcing_arrays(cell, f)
-    slope = sigma_slope_arrays(cell, f, k, sigma)
-    for f0, k0, s0, d0 in zip(f.tolist(), k.tolist(), sigma.tolist(), slope.tolist()):
+    k, _, sigma, s0, phase = forcing_arrays(cell, f)
+    slope = sigma_slope_arrays(sigma, s0, phase)
+    for f0, k0, sig0, d0 in zip(f.tolist(), k.tolist(), sigma.tolist(), slope.tolist()):
         with mpmath.workdps(30):
             def sig(x):
                 omega = 2 * mpmath.pi * x
@@ -204,12 +204,12 @@ def test_sigma_slope_matches_mpmath_derivative(L_um):
                 tan = mpmath.tan(omega / rod.velocity * rod.height)
                 return -omega * rod.impedance_scale * tan / (stiffness * kx**3)
 
-            assert abs(sig(f0) - s0) <= 1e-12 * abs(s0)
+            assert abs(sig(f0) - sig0) <= 1e-12 * abs(sig0)
             ref = f0 * mpmath.diff(sig, mpmath.mpf(f0))
             assert abs(d0 - ref) <= 1e-8 * abs(ref), f0
     pole = np.array([rod.first_pole])
-    k, _, sigma = forcing_arrays(cell, pole)
-    assert np.isfinite(sigma_slope_arrays(cell, pole, k, clamped_sigma(sigma))).all()
+    _, _, sigma, s0, phase = forcing_arrays(cell, pole)
+    assert np.isfinite(sigma_slope_arrays(clamped_sigma(sigma), s0, phase)).all()
 
 
 def test_closed_form_roots_match_mpmath(random_draw):
@@ -274,6 +274,16 @@ def test_kernel_chunks_change_no_bit(default_cell):
         assert column.tobytes() == joined.tobytes(), field.name
 
 
+def _rank_one_deviation(mats, L):
+    """Worst relative deviation of cell_matrices' T, for a cell of length L, from
+    diag(p) + (sigma/4) u w^T at its own k and clamped sigma."""
+    kl = mats.k * L
+    w = translation_phases(kl / 2)
+    u = w * np.array([-1j, 1, 1j, -1])
+    expected = np.diag(translation_phases(kl)) + (mats.sigma / 4) * np.outer(u, w)
+    return np.max(np.abs(mats.T - expected) / np.abs(expected))
+
+
 @pytest.mark.parametrize("L_um", [0.5, 3.8, 8.0, 12.0])
 def test_transfer_matrix_is_diagonal_plus_rank_one(L_um):
     """D C D = diag(p) + (sigma/4) u w^T, the form the kernel's eigenvectors use."""
@@ -282,11 +292,24 @@ def test_transfer_matrix_is_diagonal_plus_rank_one(L_um):
         mats = cell_matrices(cell, f)
         sigma = np.clip(forcing_strength(cell, f)[1], -SIGMA_CLAMP, SIGMA_CLAMP)
         assert mats.sigma == sigma
-        kl = mats.k * cell.cell_length
-        w = translation_phases(kl / 2)
-        u = w * np.array([-1j, 1, 1j, -1])
-        expected = np.diag(translation_phases(kl)) + (sigma / 4) * np.outer(u, w)
-        assert np.max(np.abs(mats.T - expected) / np.abs(expected)) < 1e-9, f
+        assert _rank_one_deviation(mats, cell.cell_length) < 1e-9, f
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND on cell.cell_matrices at a rod pole: with sigma clamped to "
+    "1e12, T misses the rank-one form by 2.75e-6 to 1.16e-4 relative",
+)
+def test_transfer_matrix_is_diagonal_plus_rank_one_at_the_rod_poles():
+    """The check of test_transfer_matrix_is_diagonal_plus_rank_one, at the same
+    1e-9 bound, exactly at rod.first_pole and 3 * first_pole, where sigma is
+    clamped (L from 0.5 to 12 um, a = L/2)."""
+    worst = 0.0
+    for L_um in (0.5, 1.0, 2.0, 3.8, 8.0, 12.0):
+        cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
+        for f in (cell.rod.first_pole, 3 * cell.rod.first_pole):
+            worst = max(worst, _rank_one_deviation(cell_matrices(cell, f), cell.cell_length))
+    assert worst < 1e-9
 
 
 def _mp_gamma(kl, sigma, lam):
@@ -367,5 +390,5 @@ def test_one_frequency_calls_are_rows_of_their_array_forms(layers, f):
     cell = unit_cell(parse_config({"geometry": layers}))
     row = float(flexural_wavevectors(cell.trench, np.array([f]))[0])
     assert repr(flexural_wavevector(cell.trench, f)) == repr(row)
-    _, f_eff, sigma = forcing_arrays(cell, np.array([f]))
+    _, f_eff, sigma, _, _ = forcing_arrays(cell, np.array([f]))
     assert repr(forcing_strength(cell, f)) == repr((float(f_eff[0]), float(sigma[0])))

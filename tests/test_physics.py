@@ -62,7 +62,7 @@ def test_bloch_roots_match_the_physical_transfer_matrix(L_um, reaction):
     shear jump reaction * f_eff w, to 1e-12 relative, at 25 frequencies."""
     cell = _cell(L_um)
     f = np.linspace(0.1e9, 6e9, 25)
-    k, f_eff, _ = forcing_arrays(cell, f)
+    k, f_eff, _, _, _ = forcing_arrays(cell, f)
     y = bloch._pairs(bloch._front(cell, f))[2]
     for i in range(f.size):
         jump = reaction * f_eff[i] / cell.trench.bending_stiffness

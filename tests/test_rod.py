@@ -268,6 +268,6 @@ def test_array_impedance_matches_scalar_oracle_bit_for_bit(
         assert near_pole(rod, fv) == flag
 
     cell = dataclasses.replace(default_cell, rod=rod)
-    _, f_eff, _ = forcing_arrays(cell, f[f > 0])
+    _, f_eff, _, _, _ = forcing_arrays(cell, f[f > 0])
     expected = [2.0 * math.pi * fv * zi for fv, zi in zip(f.tolist(), ref_im) if fv > 0]
     assert np.array_equal(_bits(f_eff), _bits(expected))

@@ -1,12 +1,19 @@
-"""Two source rules for src/rodwave, read with ast (no linter is a dependency):
-every import is used, and every module-level private name is referenced
-somewhere in the package besides its definition, so a deleted helper does not
-live on as a name that only the tests call."""
+"""Three source rules for src/rodwave.  Two read the sources with ast (no
+linter is a dependency): every import is used, and every module-level private
+name is referenced somewhere in the package besides its definition, so a
+deleted helper does not live on as a name that only the tests call.  The third
+imports the package: every array it shares between calls is read-only, so no
+in-place write can change a later result."""
 
 import ast
+import importlib
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+
+from rodwave import parse_config, unit_cell
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "rodwave").glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
@@ -81,3 +88,25 @@ def test_every_private_module_name_is_referenced_in_the_package(module):
     referenced = set().union(*map(_references, TREES.values()))
     unreferenced = [n for n in _private_definitions(TREES[module]) if n not in referenced]
     assert unreferenced == []
+
+
+def _arrays(namespace, prefix):
+    """(name, array) of every np.ndarray in a namespace, nested namespaces included."""
+    for name, value in vars(namespace).items():
+        if isinstance(value, np.ndarray):
+            yield prefix + name, value
+        elif isinstance(value, SimpleNamespace):
+            yield from _arrays(value, f"{prefix}{name}.")
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_shared_array_is_read_only(module):
+    """The module-level arrays, and for cell.py the constants a cell keeps in
+    its _operands and hands to every later call, as one-element arrays."""
+    name = "rodwave" if module == "__init__.py" else f"rodwave.{module[:-3]}"
+    shared = list(_arrays(importlib.import_module(name), ""))
+    if module == "cell.py":
+        shared += _arrays(unit_cell(parse_config({}))._operands, "_operands.")
+        assert any(label.startswith("_operands.") for label, _ in shared)
+    writable = [label for label, array in shared if array.flags.writeable]
+    assert writable == []
