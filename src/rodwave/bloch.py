@@ -30,21 +30,30 @@ A finite chain of n cells, driven by a unit propagating wave at boundary 0
 and matched after the last cell, is a sum over the four Bloch modes, each
 referenced at the end it decays from; one 4x4 solve gives the coefficients.
 
-Every entry point evaluates the pipeline in two parts over an array of
-frequencies: a cell-dependent front (``_front``: k, the clamped sigma, L,
-and s0 and the rod phase for omega dsigma/domega) and one cell-free Bloch
-stage that reads only the front, run as far as a result needs: roots and
-stopband test (``_pairs``), passband direction (``_transmitted``, the one
-user of omega dsigma/domega), ``_reflection`` and the table's columns
-(``_columns``).  The front reads one cell's constants as one-element
-arrays (``UnitCellGeometry._operands``).  Several cells make one front, over
-their constants repeated per point (``cell.stacked_cells``), so
-``sweep_cells`` runs the front and the stopband test once each for a whole
-geometry sweep.  The full table is a ``Sweep``, and ``bloch_point`` reads its
-one row from the columns on a one-element array.  The stage builds no 4x4
-matrix and makes no LAPACK call: every step is elementwise, with sums over
-the four components written out, so a point's outputs do not depend on the
-batch it was evaluated in.
+Every entry point evaluates the pipeline in two parts: a cell-dependent
+front (``_front``: k, the clamped sigma, L, and s0 and the rod phase for
+omega dsigma/domega) and one cell-free Bloch stage that reads only the
+front, run as far as a result needs: roots and stopband test (``_pairs``),
+passband direction (``_transmitted``, the one user of omega dsigma/domega),
+``_reflection`` and the table's columns (``_columns``).  A sweep runs them
+over a 1-D array of frequencies, a one-point call (``bloch_point``,
+``semi_infinite_reflection``, ``chain_profile``) over the numpy float64
+scalar of ``errors.frequency_row``, through the same functions: the front's
+per-point values are then numpy scalars, and only the pair axis (2) and the
+component axis (4) stay arrays, which every step indexes from the end
+(``...``).  numpy's scalar math gives the bits of the array loops for real
++ - * /, complex / and any ufunc call, but not for ``**`` (libm pow), a
+complex scalar product or builtin abs() of a complex scalar; so the stage
+squares and raises powers through np.square and np.power, keeps complex
+products on the pair and component arrays, and takes np.abs.  The front
+reads one cell's constants as numpy scalars (``UnitCellGeometry._operands``).
+Several cells make one front, over their constants repeated per point
+(``cell.stacked_cells``), so ``sweep_cells`` runs the front and the stopband
+test once each for a whole geometry sweep.  The full table is a ``Sweep``,
+and ``bloch_point`` reads its one row from the scalar columns.  The stage
+builds no 4x4 matrix and makes no LAPACK call: every step is elementwise,
+with sums over the four components written out, so a point's outputs do not
+depend on the batch it was evaluated in, nor on whether it was one.
 
 Each run of the stage enters one np.errstate (``_quiet``), where the entry
 point starts it: overflow and 0/0 in the front, the roots and Gamma are left
@@ -72,7 +81,19 @@ from .cell import (
     stacked_cells,
     translation_phases,
 )
-from .errors import FOUR, ONE, THREE, TWO, ZERO, constant, frequency_row, non_finite_error
+from .errors import (
+    FOUR,
+    ONE,
+    THREE,
+    TWO,
+    ZERO,
+    constant,
+    count_true,
+    frequency_row,
+    libm,
+    non_finite_error,
+    real_number,
+)
 from .trench import flexural_wavevectors
 
 TOL_BAND = 1e-6  # in_stopband when 1 - |lambda_flex| exceeds this
@@ -211,10 +232,10 @@ def _y_parts(kl):
 def _y_closed(parts, s) -> np.ndarray:
     """Closed-form y-roots ((su + disc)/2, (su - disc)/2), stacked on a new first axis.
 
-    For real kL and sigma.  A real pair takes the root without cancellation
-    from the quadratic formula and the other one as pr / root; a complex
-    pair has no cancellation and stays exactly conjugate.  Only real
-    arithmetic is used.
+    For real kL and sigma, arrays or numpy scalars.  A real pair takes the
+    root without cancellation from the quadratic formula and the other one as
+    pr / root; a complex pair has no cancellation and stays exactly
+    conjugate.  Only real arithmetic is used.
     """
     c, ch, _, _, B, E = parts
     su = TWO * c + TWO * ch + (s / TWO) * B
@@ -226,10 +247,9 @@ def _y_closed(parts, s) -> np.ndarray:
     both = np.array([big, small], dtype=complex)
     y = np.where(su >= ZERO, both, both[::-1])
     pair = disc2 < ZERO
-    if np.count_nonzero(pair):
-        y.real[:, pair] = su[pair] / TWO
-        y.imag[0][pair] = d[pair] / TWO
-        y.imag[1][pair] = -d[pair] / TWO
+    if count_true(pair):
+        np.copyto(y.real, su / TWO, where=pair)
+        np.copyto(y.imag, np.array([d, -d]) / TWO, where=pair)
     return y
 
 
@@ -243,7 +263,7 @@ def _lambda_pairs(y):
 
 
 def _y_slope(kl, s, ds, parts, y):
-    """omega dy/domega of the first root in y (n, 2), times |y0 - y1| (0 where
+    """omega dy/domega of the first root in y (..., 2), times |y0 - y1| (0 where
     the real parts meet), in real arithmetic; ds = omega dsigma/domega and
     parts are _y_parts of kL.
 
@@ -288,15 +308,16 @@ def _eigenvectors(kl, lam):
 
 @dataclass
 class _Front:
-    """The cell-dependent inputs of the Bloch stage, one entry per frequency: all it reads."""
+    """The cell-dependent inputs of the Bloch stage, one entry per frequency: all
+    it reads.  Each is a 1-D array, or a numpy scalar on a one-point call."""
 
-    f: np.ndarray
-    k: np.ndarray
-    sigma: np.ndarray  # clamped; 0 without coupling
-    L: float | np.ndarray  # cell length: a float or one-element array, or one per point
+    f: np.ndarray | np.float64
+    k: np.ndarray | np.float64
+    sigma: np.ndarray | np.float64  # clamped; 0 without coupling
+    L: np.ndarray | np.float64  # cell length: one cell's scalar, or one per point
     # s0 and rod phase of cell.forcing_arrays for omega dsigma/domega; None uncoupled
-    s0: np.ndarray | None = None
-    phase: np.ndarray | None = None
+    s0: np.ndarray | np.float64 | None = None
+    phase: np.ndarray | np.float64 | None = None
 
 
 def _quiet() -> np.errstate:
@@ -312,13 +333,14 @@ def _quiet() -> np.errstate:
 def _front(
     cell: UnitCellGeometry | SimpleNamespace, f: np.ndarray, *, force_zero_coupling: bool = False
 ) -> _Front:
-    """The front of one cell over an array of frequencies f > 0, or of
-    stacked_cells of several over their grids end to end; the entry points
-    hand it a cell's _operands, the same constants as arrays.  Where 2 pi f or
-    k**3 overflows, k or sigma is inf or NaN, and so are the roots, which the
-    stage reports (_pairs); the rod kernel raises where its phase overflows and
-    past the rod's top frequency, which the uncoupled front never reads.  Run
-    under the stage's _quiet."""
+    """The front of one cell over an array of frequencies f > 0 or at the
+    numpy scalar of a one-point call, or of stacked_cells of several over
+    their grids end to end; the entry points hand it a cell's _operands, its
+    constants as numpy scalars.  Where 2 pi f or k**3 overflows, k or sigma is
+    inf or NaN, and so are the roots, which the stage reports (_pairs); the
+    rod kernel raises where its phase overflows and past the rod's top
+    frequency, which the uncoupled front never reads.  Run under the stage's
+    _quiet."""
     if force_zero_coupling:
         return _Front(f, flexural_wavevectors(cell.trench, f), np.zeros(f.shape), cell.cell_length)
     k, _, sigma, s0, phase = forcing_arrays(cell, f)
@@ -327,7 +349,7 @@ def _front(
 
 def _pairs(fr: _Front):
     """(kL, parts, y, outer, inner, |inner|, T, in_stopband): _y_parts of kL,
-    the y-roots and their Bloch pairs, each (n, 2) in _y_closed order, T =
+    the y-roots and their Bloch pairs, each (..., 2) in _y_closed order, T =
     min(|inner|, 1) of the least-attenuated pair and the stopband test.
     NumericError where the roots overflow, which _quiet leaves to this check.
     The test needs no passband direction: that picks a member on the unit
@@ -339,7 +361,7 @@ def _pairs(fr: _Front):
     outer, inner = _lambda_pairs(y)
     _require_finite(fr.f, kl, outer, "Bloch roots")
     mod = np.abs(inner)
-    t = np.minimum(np.maximum(mod[:, 0], mod[:, 1]), ONE)
+    t = np.minimum(np.maximum(mod[..., 0], mod[..., 1]), ONE)
     return kl, parts, y, outer, inner, mod, t, t < _STOP_BELOW
 
 
@@ -349,27 +371,27 @@ def _transmitted(fr: _Front):
     column 0 (on a tie the _y_closed order stands), the transmitted factor,
     T = min(|lambda_flex|, 1) and the stopband test of _pairs."""
     kl, parts, y, outer, inner, mod, _, stop = _pairs(fr)
-    swap = mod[:, 1] > mod[:, 0]
-    swaps = np.count_nonzero(swap)
+    swap = mod[..., 1] > mod[..., 0]
+    swaps = count_true(swap)
     if swaps == swap.size:  # at every point: the columns reversed, as views
-        y, outer, inner = y[:, ::-1], outer[:, ::-1], inner[:, ::-1]
+        y, outer, inner = y[..., ::-1], outer[..., ::-1], inner[..., ::-1]
     elif swaps:
-        swap = swap[:, None]
-        y, outer, inner = (np.where(swap, x[:, ::-1], x) for x in (y, outer, inner))
+        swap = swap[..., None]
+        y, outer, inner = (np.where(swap, x[..., ::-1], x) for x in (y, outer, inner))
     # stopband: the decaying member; passband: the member whose modulus shrinks
     # under omega -> omega (1 + i eps), to first order the one with
     # Im(lambda) dy/domega < 0; where that product is 0 (lambda = +-1, or a
     # flat y) the inner member stays
-    out0, lam = outer[:, 0], inner[:, 0]
+    out0, lam = outer[..., 0], inner[..., 0]
     band = np.abs(np.abs(out0) - ONE) <= _ON_CIRCLE
-    if np.count_nonzero(band):
+    if count_true(band):
         ds = ZERO if fr.s0 is None else sigma_slope_arrays(fr.sigma, fr.s0, fr.phase)
         # the slope is read only at passband points, and may overflow at the others
         slope = _y_slope(kl, fr.sigma, ds, parts, y)
         lam = np.where(band & (lam.imag * slope > ZERO), out0, lam)
     mod = np.abs(lam)
     over = mod > ONE
-    if np.count_nonzero(over):  # keep |lambda| <= 1 against rounding
+    if count_true(over):  # keep |lambda| <= 1 against rounding
         lam = np.where(over, lam / mod, lam)
         mod = np.abs(lam)
     return kl, y, outer, inner, lam, np.minimum(mod, ONE), stop
@@ -386,18 +408,18 @@ def _reflection(fr: _Front, transmitted):
     the two eigenvectors: Cramer's rule on components 2 and 3.
     """
     kl, _, _, inner, lam, _, _ = transmitted
-    eig = _eigenvectors(kl, np.array([lam, inner[:, 1]]))  # v of shape (2, n, 4)
+    eig = _eigenvectors(kl, np.array([lam, inner[..., 1]]))  # v of shape (2, ..., 4)
     vf, ve = eig[0]
     # the numerators of Gamma and Gamma_e, then the determinant, per point; 0/0
     # where the two factors round together at small kL, reported just below
-    cramer = vf[:, :3] * ve[:, 3:] - ve[:, :3] * vf[:, 3:]
-    gammas = cramer[:, :2] / cramer[:, 2:]
+    cramer = vf[..., :3] * ve[..., 3:] - ve[..., :3] * vf[..., 3:]
+    gammas = cramer[..., :2] / cramer[..., 2:]
     if fr.s0 is None:
         # nothing reflects without coupling, where Gamma is finite: below the
         # small-kL floor the two pairs round together and it is 0/0 there too
-        gammas[np.isfinite(gammas).all(axis=1)] = 0
+        gammas[np.isfinite(gammas).all(axis=-1)] = 0
     _require_finite(fr.f, kl, gammas, "Gamma")
-    return gammas[:, 0], gammas[:, 1], eig
+    return gammas[..., 0], gammas[..., 1], eig
 
 
 def _backward_error(kl, sigma, v, w, g_near):
@@ -409,8 +431,8 @@ def _backward_error(kl, sigma, v, w, g_near):
     # ||u||^2 is e (1 + e)^2 and ||T||_F^2 is t_sq, both finite at any kL
     e = np.exp(-kl)
     t_sq = (
-        (ONE + s4) ** 2 + FOUR * s4 * s4 * e * (ONE + e * e) + TWO * e * e * (ONE + THREE * s4 * s4)
-        + e**FOUR * (ONE - s4) ** 2
+        np.square(ONE + s4) + FOUR * s4 * s4 * e * (ONE + e * e)
+        + TWO * e * e * (ONE + THREE * s4 * s4) + np.power(e, FOUR) * np.square(ONE - s4)
     )
     scale = (ONE + e) * np.sqrt(e / t_sq)
     # w.v of both eigenpairs, then |v|^2 of both in the real parts
@@ -422,9 +444,10 @@ def _backward_error(kl, sigma, v, w, g_near):
 def _columns(
     cell: UnitCellGeometry, f: np.ndarray, *, with_gamma: bool, force_zero_coupling: bool = False
 ) -> tuple:
-    """The Bloch stage over frequencies f of one cell, as the columns of a
-    Sweep table in field order: one run under one _quiet, then the
-    eigen-check and the assembly.
+    """The Bloch stage over a 1-D array of frequencies f of one cell, or at a
+    one-point call's numpy scalar f, as the columns of a Sweep table in field
+    order (numpy scalars, and eigenvalues of shape (1, 4), for a scalar f): one
+    run under one _quiet, then the eigen-check and the assembly.
 
     Re(k_ef) is 0: each caller sets its own 2 pi branch.  gamma, gamma_e,
     gamma_phase and reciprocity_defect are 0 without Gamma.  NumericError
@@ -444,13 +467,13 @@ def _columns(
         phase = np.arctan2(gamma.imag, gamma.real)
     # (outer, inner) of the transmitted pair, then of the other pair
     eigenvalues = np.empty((t.size, 2, 2), dtype=complex)
-    eigenvalues[:, :, 0] = outer
-    eigenvalues[:, :, 1] = inner
+    eigenvalues[..., 0] = outer
+    eigenvalues[..., 1] = inner
     # Re(k_ef) is left to the callers; setting imag alone keeps a -0.0 that
     # re + 1j * im would turn into +0.0.  t > 0, as outer is finite
     k_ef = np.zeros(t.shape, dtype=complex)
     k_ef.imag = -np.log(t) / fr.L
-    y_tr = y[:, 0]
+    y_tr = y[..., 0]
     complex_band = np.abs(y_tr.imag) > _COMPLEX_BAND_TOL * np.maximum(ONE, np.abs(y_tr))
     return (
         f, eigenvalues.reshape(-1, 4), lam, t, ONE - t, k_ef, gamma, gamma_e, phase, stop,
@@ -467,12 +490,12 @@ def _table(
 
 def _require_finite(f: np.ndarray, kl: np.ndarray, values: np.ndarray, what: str) -> None:
     """NumericError naming the first frequency, and its kL, where values, one
-    row per frequency, are not all finite; the error's row is that frequency's
-    index."""
+    row per frequency of an array f or one for a numpy scalar f, are not all
+    finite; the error's row is that frequency's index, 0 for a scalar."""
     finite = np.isfinite(values)
     if np.count_nonzero(finite) < finite.size:
         i = int(np.argmin(finite.reshape(f.size, -1).all(axis=1)))
-        raise non_finite_error(what, f[i].item(), kl[i], row=i)
+        raise non_finite_error(what, f.flat[i].item(), kl.flat[i], row=i)
 
 
 def bloch_point(
@@ -500,7 +523,7 @@ def bloch_point(
     k_ef.real = (arg + 2 * math.pi * branch) / L
     # the one row, read column by column: no Sweep is built for one point
     row = (lam, t, r, k_ef, gamma, gamma_e, phase, stop, k, sigma, defect, band)
-    return BlochPoint(f_row.item(), tuple(eigenvalues[0].tolist()), *map(np.ndarray.item, row))
+    return BlochPoint(f_row.item(), tuple(eigenvalues[0].tolist()), *(x.item() for x in row))
 
 
 def semi_infinite_reflection(
@@ -515,7 +538,7 @@ def semi_infinite_reflection(
     with _quiet():
         fr = _front(cell._operands, f_row, force_zero_coupling=force_zero_coupling)
         gamma, gamma_e, _ = _reflection(fr, _transmitted(fr))
-    return complex(gamma[0]), complex(gamma_e[0])
+    return complex(gamma), complex(gamma_e)
 
 
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -549,7 +572,10 @@ def _branch_indices(in_stop: np.ndarray, offset: np.ndarray) -> np.ndarray:
 
 
 def _grid(f_start: float, f_stop: float, points: int, caller: str) -> np.ndarray:
-    """The uniform frequency grid of a sweep; ValueError naming caller on bad bounds."""
+    """The uniform frequency grid of a sweep; TypeError (errors.real_number) or
+    ValueError naming caller on bad bounds."""
+    f_start = real_number(f_start, caller, "f_start")
+    f_stop = real_number(f_stop, caller, "f_stop")
     if not 0 < f_start < f_stop < math.inf:
         raise ValueError(f"{caller}: need 0 < f_start < f_stop < inf")
     if points < 2:
@@ -637,7 +663,7 @@ def _bands(f, t, in_stopband, points: int) -> tuple[np.ndarray, np.ndarray, list
     t = t[in_stopband]
     att = np.full(t.size, 745.0)
     positive = t > 0
-    att[positive] = -np.fromiter(map(math.log, t[positive].tolist()), float, positive.sum())
+    att[positive] = -libm(math.log, t[positive])
     # each band's slice of the stopband points
     lengths = ends - starts + 1
     last = np.cumsum(lengths)
@@ -704,7 +730,10 @@ def band_gamma_extrema(
     cell: UnitCellGeometry, f_low: float, f_high: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """In-band extrema of Re(Gamma) as ((f_at_max, max), (f_at_min, min)): the
-    one-band row of _gamma_extrema."""
+    one-band row of _gamma_extrema; TypeError (errors.real_number) or
+    ValueError on bad bounds."""
+    caller = "band_gamma_extrema"
+    f_low, f_high = real_number(f_low, caller, "f_low"), real_number(f_high, caller, "f_high")
     if not 0 < f_low < f_high < math.inf:
         raise ValueError("band_gamma_extrema: need 0 < f_low < f_high < inf")
     f_max, re_max, f_min, re_min = (
@@ -744,13 +773,13 @@ def chain_profile(
         kl, y, outer, inner, lam_flex, _, _ = _transmitted(
             _front(cell._operands, f_row, force_zero_coupling=force_zero_coupling)
         )
-        if y[0, 0] == y[0, 1]:
+        if y[..., 0] == y[..., 1]:
             # below the small-kL floor both pairs round onto lambda = 1: the four
             # modes are not independent, and bloch_point's Gamma is 0/0 there
-            raise non_finite_error("Gamma", f_row.item(), kl[0])
-        lam_flex = complex(lam_flex[0])
-        lam = np.concatenate([inner[0], outer[0]])  # modes: inner, inner, outer, outer
-        v = _eigenvectors(kl, lam[:, None])[0][:, 0]  # (mode, component)
+            raise non_finite_error("Gamma", f_row.item(), kl)
+        lam_flex = complex(lam_flex)
+        lam = np.concatenate([inner, outer])  # modes: inner, inner, outer, outer
+        v = _eigenvectors(kl, lam)[0]  # (mode, component)
         log_lam = np.log(lam)
         rho = n * float(log_lam[:2].real.max())
         # the powers lambda^(j - ref) at j = 0 and j = n, outer ones times e^rho

@@ -65,11 +65,13 @@ class UnitCellGeometry:
 
     @cached_property
     def _operands(self) -> SimpleNamespace:
-        """stacked_cells of this cell alone over one point, built on first use
-        and kept: the constants the front reads, as one-element arrays.  A ufunc
-        converts a Python float operand on every call (NEP 50); a float64 array
-        gives the same bits without that."""
-        return stacked_cells([self], 1)
+        """The constants the front reads, those of stacked_cells, as numpy
+        float64 scalars, built on first use and kept.  On a one-point scalar f
+        the front then runs numpy's scalar math, and over an array f they
+        broadcast.  A ufunc converts a Python float operand on every call
+        (NEP 50); a numpy scalar gives the same bits without that, and is
+        immutable."""
+        return _cell_constants([self], lambda values: np.float64(values[0]))
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, f
     marker, 0 off it.  Under a finite k**3 the marker gives sigma = +-inf.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported just below
-        k, f_eff, sigma = (float(x[0]) for x in forcing_arrays(cell, frequency_row(f, caller))[:3])
+        k, f_eff, sigma = map(float, forcing_arrays(cell, frequency_row(f, caller))[:3])
     if (math.isnan(sigma) or math.isinf(sigma) and math.isfinite(f_eff)
             or sigma == 0 and f_eff != 0):
         raise non_finite_error("sigma", float(f), k * cell.cell_length)
@@ -138,7 +140,8 @@ def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, f
 
 
 def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):
-    """(k, f_eff, sigma, s0, phase) over an array of frequencies f > 0.
+    """(k, f_eff, sigma, s0, phase) over an array of frequencies f > 0, or at a
+    numpy scalar f, where it runs numpy's scalar math.
 
     f_eff = -i omega Z_b = omega Im(Z_b), with Im(Z_b) and the rod phase from
     the rod kernel (rod._pole_impedance), and its NumericError where the phase
@@ -153,29 +156,30 @@ def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):
     im, _, phase = _pole_impedance(cell.rod, f, omega)
     f_eff = omega * im
     k = _omega_wavevectors(cell.trench, omega)
-    stiffness = cell.trench.bending_stiffness * k**THREE
+    stiffness = cell.trench.bending_stiffness * np.power(k, THREE)
     return k, f_eff, f_eff / stiffness, omega * cell.rod.impedance_scale / stiffness, phase
 
 
 def stacked_cells(cells: list[UnitCellGeometry], points: int) -> SimpleNamespace:
     """Several cells as one, for forcing_arrays and the rod and trench formulas
     under it, over the cells' frequency grids laid end to end; their front runs
-    the whole Bloch stage.  One cell over one point is the cell's own _operands,
-    which broadcast over any grid.
+    the whole Bloch stage.  A cell's own _operands are the same constants as
+    numpy scalars, which broadcast over any grid.
 
     Each constant those read is a per-point array: the value of cells[i] on rows
     i * points .. (i + 1) * points - 1.  Every formula is elementwise, so those
     rows are bit for bit the ones of cells[i] on its own grid.  The arrays are
-    read-only, as _operands keeps them on a frozen cell.
+    read-only (errors.constant).
     """
+    return _cell_constants(cells, lambda values: constant(np.repeat(values, points)))
 
-    def repeat(values):
-        return constant(np.repeat(values, points))
+
+def _cell_constants(cells: list[UnitCellGeometry], form) -> SimpleNamespace:
+    """The constants of the cells that forcing_arrays and the rod and trench
+    formulas under it read, each as form of its list of values over the cells."""
 
     def stack(parts, *names):
-        return SimpleNamespace(
-            **{name: repeat([getattr(p, name) for p in parts]) for name in names}
-        )
+        return SimpleNamespace(**{name: form([getattr(p, name) for p in parts]) for name in names})
 
     return SimpleNamespace(
         rod=stack(
@@ -185,7 +189,7 @@ def stacked_cells(cells: list[UnitCellGeometry], points: int) -> SimpleNamespace
         trench=stack(
             [c.trench for c in cells], "bending_stiffness", "wavevector_num", "wavevector_den"
         ),
-        cell_length=repeat([c.cell_length for c in cells]),
+        cell_length=form([c.cell_length for c in cells]),
     )
 
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, the one-point frequency check and
-the read-only numeric operands and tables the array formulas share."""
+"""Exception types shared across the package, the one-point frequency check,
+the immutable numeric operands and tables the formulas share, and the libm
+maps and mask counts that take a numpy scalar as they take an array."""
 
+import math
 import numbers
 
 import numpy as np
@@ -40,26 +42,51 @@ def non_finite_error(what: str, f: float, kl: float, row: int | None = None) -> 
     )
 
 
-def frequency_row(f: float, caller: str, *, dc: bool = False) -> np.ndarray:
-    """f as the one-element float array the array forms take.  Before any
-    evaluation, an error naming the caller: a TypeError unless f is a real
-    number (a bool is not one), a ValueError unless 0 < f < inf (0 <= f < inf
-    with dc)."""
-    if isinstance(f, bool) or not isinstance(f, numbers.Real):
-        raise TypeError(f"{caller}: f must be a real number, got {f!r}")
-    if not (0 <= f < np.inf if dc else 0 < f < np.inf):
+def frequency_row(f: float, caller: str, *, dc: bool = False) -> np.float64:
+    """f as the numpy float64 scalar a one-point call hands the array formulas,
+    which then run numpy's scalar math: the front and the Bloch stage take a
+    scalar as they take a 1-D array.  Before any evaluation, an error naming the
+    caller: a TypeError unless f is a real number (a bool is not one), a
+    ValueError unless 0 < f < inf (0 <= f < inf with dc)."""
+    f = real_number(f, caller, "f")
+    if not (0 <= f < math.inf if dc else 0 < f < math.inf):
         raise ValueError(f"{caller}: f must be {'>=' if dc else '>'} 0 and finite")
-    return np.array([float(f)])
+    return np.float64(f)
 
 
-def constant(value, dtype=None) -> np.ndarray:
-    """value as a read-only array, of dtype or the one numpy infers, and not
-    copied if it is one already: a table the package shares, or a 0-d ufunc
-    operand, since numpy converts a Python number on every call (NEP 50) and a
-    0-d array of the other operand's dtype gives the same bits."""
+def real_number(x, caller: str, name: str) -> float:
+    """x as a float; a TypeError naming the caller and the argument unless x is
+    a real number: a bool is not one, nor a numeric string."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{caller}: {name} must be a real number, got {x!r}")
+    return float(x)
+
+
+def constant(value, dtype=None):
+    """value as an immutable numpy operand, of dtype or the one numpy infers: a
+    number as a numpy scalar, a table as a read-only array (not copied if it is
+    one already).  numpy converts a Python-number ufunc operand on every call
+    (NEP 50), and a scalar of the other operand's dtype gives the same bits."""
     a = np.asarray(value, dtype)
+    if a.ndim == 0:
+        return a[()]
     a.flags.writeable = False
     return a
+
+
+def libm(func, x):
+    """func, a function of the math module, over a 1-D float array or a numpy
+    scalar x, as the same: libm's value, where numpy's own ufunc may differ from
+    it in the last bit on some hosts."""
+    if x.ndim == 0:
+        return np.float64(func(x))
+    return np.fromiter(map(func, x.tolist()), float, x.size)
+
+
+def count_true(mask) -> int:
+    """np.count_nonzero of a boolean array or numpy bool mask, the latter
+    without the conversion to an array (about 1 us) np.count_nonzero makes."""
+    return int(mask) if mask.ndim == 0 else np.count_nonzero(mask)
 
 
 ZERO, ONE, TWO, THREE, FOUR, TWO_PI = map(constant, (0.0, 1.0, 2.0, 3.0, 4.0, 2.0 * np.pi))

@@ -15,7 +15,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import TWO_PI, ZERO, NumericError, SingularFrequencyError, frequency_row
+from .errors import (
+    TWO_PI,
+    ZERO,
+    NumericError,
+    SingularFrequencyError,
+    count_true,
+    frequency_row,
+    libm,
+    real_number,
+)
 from .materials import LaminateSection, longitudinal_velocity
 
 # |f - f_pole| below this fraction of c/h raises the near-pole flag; within
@@ -66,7 +75,7 @@ class RodModel:
 
 
 def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Im Z_b, near-pole flag) over a 1-D array of frequencies f >= 0, for the
+    """(Im Z_b, near-pole flag) over a 1-D array or numpy scalar f >= 0, for the
     rod's outputs: _pole_impedance without the overflow warning its NumericError
     reports, and the flag from its distance to the nearest pole."""
     with np.errstate(over="ignore"):  # reported by _pole_impedance
@@ -76,44 +85,46 @@ def _impedance_arrays(rod: RodModel, f: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _pole_impedance(rod: RodModel, f: np.ndarray, omega: np.ndarray):
     """(Im Z_b, distance to the nearest pole, rod phase omega h / c) over a 1-D
-    array of frequencies f >= 0 and their omega = 2 pi f: cell.forcing_arrays
-    shares omega and hands the phase on to the passband slope.
+    array of frequencies f >= 0, or a numpy scalar f, and their omega = 2 pi f:
+    cell.forcing_arrays shares omega and hands the phase on to the passband
+    slope.
 
     The distance is to the nearest pole (2n-1)*c/(4h), n >= 1.  Within the
     exact-pole window Im Z_b is a signed-infinite marker, -inf where the
-    tangent is >= 0.  The tangent is libm's (math.tan), not np.tan, whose SIMD
-    kernels differ from it in the last bit on some hosts, and
+    tangent is >= 0.  The tangent is libm's (errors.libm of math.tan), not
+    np.tan, whose SIMD kernels differ from it in the last bit on some hosts, and
     Im Z_b = 0.0 - rho A c tan, so that f = 0 gives +0.0.  The rod's constants
-    are floats for one rod, or arrays for cell.stacked_cells of one cell or
-    several; the arithmetic is elementwise either way.  A NumericError names the
-    first f where the phase 2 pi f h / c overflows, else the first f past the
-    rod's top frequency (_past_top), with its index as the error's row, for
-    every caller; callers silence the overflow warning (np.errstate) before it.
+    are floats for one rod, or numpy scalars or arrays for a cell's _operands or
+    cell.stacked_cells of several; the arithmetic is elementwise either way.  A
+    NumericError names the first f where the phase 2 pi f h / c overflows, else
+    the first f past the rod's top frequency (_past_top), with its index as the
+    error's row (0 for a scalar), for every caller; callers silence the overflow
+    warning (np.errstate) before it.
     """
     first, spacing = rod.first_pole, rod.first_zero  # poles are first_zero apart
     n = np.maximum(np.rint((f - first) / spacing), ZERO)
     distance = np.abs(f - (first + n * spacing))
     arg = omega / rod.velocity * rod.height
     try:
-        tan = np.fromiter(map(math.tan, arg.tolist()), float, arg.size)
+        tan = libm(math.tan, arg)
     except ValueError:  # math.tan(inf): above about 2.86e307 Hz 2 pi f overflows
         i = int(np.argmin(np.isfinite(arg)))
         raise NumericError(
-            f"rod phase 2 pi f h / c leaves the floating-point range at f={f[i].item()!r} Hz",
+            f"rod phase 2 pi f h / c leaves the floating-point range at f={f.flat[i].item()!r} Hz",
             row=i,
         ) from None
     past = _past_top(rod, f)
-    if np.count_nonzero(past):
+    if count_true(past):
         i = int(np.argmax(past))
         raise NumericError(
             "rod impedance: the float spacing of f is wider than the exact-pole window "
-            f"1e-12 c/h past the rod's top frequency, at f={f[i].item()!r} Hz",
+            f"1e-12 c/h past the rod's top frequency, at f={f.flat[i].item()!r} Hz",
             row=i,
         )
     im = ZERO - rod.impedance_scale * tan
     exact = distance < rod.exact_pole_window
-    if np.count_nonzero(exact):
-        im[exact] = np.where(tan[exact] >= 0, -math.inf, math.inf)
+    if count_true(exact):
+        im = np.where(exact, np.where(tan >= ZERO, -math.inf, math.inf), im)
     return im, distance, arg
 
 
@@ -179,12 +190,14 @@ def impedance_extrema(rod: RodModel, f_max_search: float) -> list[tuple[float, s
 
     They share one quarter-wave lattice m*c/(4h), m >= 1: odd m is a pole
     and even m a zero (n*c/(2h) with n = m/2, exactly), so they alternate
-    (pole, zero, pole, ...).  An f_max_search the rod refuses (_pole_impedance)
-    is a NumericError: below the rod's top there are under about 36 000 extrema.
+    (pole, zero, pole, ...).  A TypeError unless f_max_search is a real number
+    (errors.real_number); an f_max_search the rod refuses (_pole_impedance) is
+    a NumericError: below the rod's top there are under about 36 000 extrema.
     """
+    f_max_search = real_number(f_max_search, "impedance_extrema", "f_max_search")
     if not 0 < f_max_search < math.inf:
         raise ValueError("impedance_extrema: f_max_search must be > 0 and finite")
-    _impedance_arrays(rod, np.array([float(f_max_search)]))
+    _impedance_arrays(rod, np.float64(f_max_search))
     out: list[tuple[float, str]] = []
     m = 1
     while (f := m * rod.velocity / (4.0 * rod.height)) <= f_max_search:

@@ -52,18 +52,18 @@ class TrenchModel:
 
 
 def flexural_wavevector(trench: TrenchModel, f: float) -> float:
-    """Real flexural wavevector k (rad/m) at frequency f > 0: the one-element
-    row of flexural_wavevectors."""
+    """Real flexural wavevector k (rad/m) at frequency f > 0: flexural_wavevectors
+    on the one-point scalar of errors.frequency_row."""
     return _wavevector_at(trench, f, "flexural_wavevector").item()
 
 
-def _wavevector_at(trench: TrenchModel, f: float, caller: str) -> np.ndarray:
-    """flexural_wavevectors at one frequency 0 < f < inf, as a one-element row;
+def _wavevector_at(trench: TrenchModel, f: float, caller: str) -> np.float64:
+    """flexural_wavevectors at one frequency 0 < f < inf, as a numpy scalar;
     NumericError naming f where k leaves the floating-point range (2 pi f
     overflows above about 2.86e307 Hz)."""
     with np.errstate(over="ignore"):  # reported just below
         k = flexural_wavevectors(trench, frequency_row(f, caller))
-    if not np.isfinite(k[0]):
+    if not np.isfinite(k):
         raise NumericError(
             f"flexural wavevector leaves the floating-point range at f={float(f)!r} Hz"
         )
@@ -71,14 +71,15 @@ def _wavevector_at(trench: TrenchModel, f: float, caller: str) -> np.ndarray:
 
 
 def flexural_wavevectors(trench: TrenchModel, f: np.ndarray) -> np.ndarray:
-    """Real flexural wavevectors k (rad/m) over an array of frequencies f > 0.
+    """Real flexural wavevectors k (rad/m) over an array of frequencies f > 0,
+    or at a numpy scalar f.
 
     Closed form of the positive real root of E I k^4 = rho A omega^2 for the
     per-unit-width section, i.e.
     k = sqrt(2) * 3^(1/4) * sqrt(omega) * rho^(1/4) / (sqrt(h) * E^(1/4)).
     The trench's wavevector_num and wavevector_den are floats for one trench,
-    or per-point arrays for several (cell.stacked_cells); the arithmetic is
-    elementwise either way.
+    numpy scalars for a cell's _operands or per-point arrays for several
+    (cell.stacked_cells); the arithmetic is elementwise either way.
     """
     return _omega_wavevectors(trench, TWO_PI * f)
 

@@ -33,7 +33,7 @@ from rodwave import (
 from rodwave import bloch, cli, workbench
 from rodwave.bloch import band_gamma_extrema
 from rodwave.errors import NumericError
-from rodwave.rod import _impedance_arrays, _past_top
+from rodwave.rod import _impedance_arrays, _past_top, impedance_extrema
 from test_kernel import _THICKNESS
 
 
@@ -595,6 +595,28 @@ def test_single_frequency_calls_need_a_real_f(default_cell, name, f):
     message = rf"^{name}: f must be a real number, got {re.escape(repr(f))}$"
     with pytest.raises(TypeError, match=message):
         call(default_cell, f)
+
+
+_BOUNDED_CALLS = [
+    ("sweep", "f_start", lambda cell, x: sweep(cell, x, 5e9, 3)),
+    ("sweep", "f_stop", lambda cell, x: sweep(cell, 1e9, x, 3)),
+    ("sweep_cells", "f_start", lambda cell, x: bloch.sweep_cells([cell], x, 5e9, 3)),
+    ("band_gamma_extrema", "f_low", lambda cell, x: band_gamma_extrema(cell, x, 2e9)),
+    ("band_gamma_extrema", "f_high", lambda cell, x: band_gamma_extrema(cell, 1e9, x)),
+    ("impedance_extrema", "f_max_search", lambda cell, x: impedance_extrema(cell.rod, x)),
+]
+
+
+@pytest.mark.parametrize("x", [True, np.True_, "1e9", None, 1j], ids=repr)
+@pytest.mark.parametrize(
+    "name, bound, call", _BOUNDED_CALLS, ids=[f"{n}-{b}" for n, b, _ in _BOUNDED_CALLS]
+)
+def test_frequency_bounds_need_a_real_number(default_cell, name, bound, call, x):
+    """A bound of a sweep or a search is refused by name unless it is a real
+    number: True is not 1 Hz, nor "1e9" a bare comparison error."""
+    message = rf"^{name}: {bound} must be a real number, got {re.escape(repr(x))}$"
+    with pytest.raises(TypeError, match=message):
+        call(default_cell, x)
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from rodwave import (
     sweep,
     unit_cell,
 )
-from rodwave import bloch
+from rodwave import NumericError, bloch
 from rodwave.cell import (
     SIGMA_CLAMP,
     cell_matrices,
@@ -252,6 +252,48 @@ def test_one_point_reflection_and_chain_are_the_sweep_rows(L_um):
         assert repr(semi_infinite_reflection(cell, f[i])) == repr((gamma[i], gamma_e[i])), f[i]
         slope = chain_profile(cell, f[i], 20).eigen_slope
         assert repr(slope) == repr(math.log(abs(lam[i]))), f[i]
+
+
+_GEOMETRIES = st.builds(
+    lambda L, ratio, t1, m1, t2, m2: {
+        "L_um": L, "a_um": L * ratio,
+        "t_aln1_nm": t1, "t_m1_nm": m1, "t_aln2_nm": t2, "t_m2_nm": m2,
+    },
+    st.floats(0.5, 20.0), st.floats(0.05, 0.95), st.floats(200, 800), st.floats(100, 500),
+    st.floats(300, 1200), st.floats(150, 700),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@example(geo={}, f=2416693844.385006, zero=False)  # the default rod pole: sigma clamped
+@example(geo={}, f=2004320216.0108006, zero=False)  # a complex-band point of the default cell
+@example(geo={}, f=1697003097.4960136 - 1, zero=False)  # 1 Hz either side of a default
+@example(geo={}, f=1697003097.4960136 + 1, zero=False)  # band edge
+@example(geo={}, f=1.5e9, zero=True)
+@given(geo=_GEOMETRIES, f=st.floats(1e6, 2e10), zero=st.booleans())
+def test_one_point_calls_are_their_table_rows_on_drawn_cells(geo, f, zero):
+    """The one-point calls run the stage on numpy scalars, the table on an
+    array: bloch_point, (Gamma, Gamma_e) and ln|lambda_flex| are the table's row,
+    bit for bit."""
+    cell = unit_cell(parse_config({"geometry": geo}))
+    row = next(iter(bloch._table(cell, np.array([f]), with_gamma=True, force_zero_coupling=zero)))
+    assert _without_re_kef(bloch_point(cell, f, force_zero_coupling=zero)) == _without_re_kef(row)
+    gammas = semi_infinite_reflection(cell, f, force_zero_coupling=zero)
+    assert repr(gammas) == repr((row.gamma, row.gamma_e))
+    slope = chain_profile(cell, f, 20, force_zero_coupling=zero).eigen_slope
+    assert repr(slope) == repr(math.log(abs(row.lambda_flex)))
+
+
+@pytest.mark.parametrize("f", [1e-300, 2.0**46], ids=["1e-300", "rod-top"])
+def test_one_point_errors_are_the_table_errors(default_cell, f):
+    """Where the closed forms underflow and past the rod's top frequency, each
+    one-point call raises the one-element table's NumericError: message and row."""
+    with pytest.raises(NumericError) as table:
+        bloch._table(default_cell, np.array([f]), with_gamma=True)
+    for call in (bloch_point, semi_infinite_reflection, lambda c, x: chain_profile(c, x, 20)):
+        with pytest.raises(NumericError) as one:
+            call(default_cell, f)
+        assert (str(one.value), one.value.row) == (str(table.value), table.value.row)
 
 
 def test_kernel_chunks_change_no_bit(default_cell):

@@ -1,7 +1,8 @@
-"""Three source rules for src/rodwave.  Two read the sources with ast (no
-linter is a dependency): every import is used, and every module-level private
+"""Four source rules for src/rodwave.  Three read the sources with ast (no
+linter is a dependency): every import is used, every module-level private
 name is referenced somewhere in the package besides its definition, so a
-deleted helper does not live on as a name that only the tests call.  The third
+deleted helper does not live on as a name that only the tests call, and no
+`**` is left where a one-point call runs numpy's scalar math.  The fourth
 imports the package: every array it shares between calls is read-only, so no
 in-place write can change a later result."""
 
@@ -90,23 +91,63 @@ def test_every_private_module_name_is_referenced_in_the_package(module):
     assert unreferenced == []
 
 
+# the stage, and the front functions that run on a one-point call's numpy
+# scalars: there `**` runs libm pow, which differs in the last bit from the
+# array loop of np.power or np.square that a sweep runs
+_SCALAR_MATH = {
+    "bloch.py": None,
+    "cell.py": {"forcing_arrays", "sigma_slope_arrays"},
+    "rod.py": {"_pole_impedance"},
+    "trench.py": {"_omega_wavevectors"},
+}
+
+
+def _functions(tree: ast.Module, names):
+    """The module (names None) or its top-level functions of those names."""
+    if names is None:
+        return [tree]
+    found = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
+    assert {n.name for n in found} == names
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(_SCALAR_MATH))
+def test_no_power_operator_where_one_point_calls_run_scalar_math(module):
+    powers = [
+        node.lineno
+        for scope in _functions(TREES[module], _SCALAR_MATH[module])
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Pow)
+    ]
+    assert powers == []
+
+
+def _leaves(namespace, prefix):
+    """(name, value) of every value in a namespace, nested namespaces walked."""
+    for name, value in vars(namespace).items():
+        if isinstance(value, SimpleNamespace):
+            yield from _leaves(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name, value
+
+
 def _arrays(namespace, prefix):
     """(name, array) of every np.ndarray in a namespace, nested namespaces included."""
-    for name, value in vars(namespace).items():
-        if isinstance(value, np.ndarray):
-            yield prefix + name, value
-        elif isinstance(value, SimpleNamespace):
-            yield from _arrays(value, f"{prefix}{name}.")
+    return ((name, v) for name, v in _leaves(namespace, prefix) if isinstance(v, np.ndarray))
 
 
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_shared_array_is_read_only(module):
     """The module-level arrays, and for cell.py the constants a cell keeps in
-    its _operands and hands to every later call, as one-element arrays."""
+    its _operands and hands to every later call: each of those is a numpy
+    scalar, which is immutable, or a read-only array."""
     name = "rodwave" if module == "__init__.py" else f"rodwave.{module[:-3]}"
     shared = list(_arrays(importlib.import_module(name), ""))
     if module == "cell.py":
-        shared += _arrays(unit_cell(parse_config({}))._operands, "_operands.")
-        assert any(label.startswith("_operands.") for label, _ in shared)
+        operands = list(_leaves(unit_cell(parse_config({}))._operands, "_operands."))
+        assert operands
+        mutable = [label for label, v in operands if not isinstance(v, (np.generic, np.ndarray))]
+        assert mutable == []
+        shared += [(label, v) for label, v in operands if isinstance(v, np.ndarray)]
     writable = [label for label, array in shared if array.flags.writeable]
     assert writable == []
