@@ -87,12 +87,14 @@ from .errors import (
     THREE,
     TWO,
     ZERO,
+    NumericError,
     constant,
+    count,
     count_true,
+    frequency_bounds,
     frequency_row,
     libm,
     non_finite_error,
-    real_number,
 )
 from .trench import flexural_wavevectors
 
@@ -330,9 +332,7 @@ def _quiet() -> np.errstate:
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _front(
-    cell: UnitCellGeometry | SimpleNamespace, f: np.ndarray, *, force_zero_coupling: bool = False
-) -> _Front:
+def _front(cell: SimpleNamespace, f: np.ndarray, *, force_zero_coupling: bool = False) -> _Front:
     """The front of one cell over an array of frequencies f > 0 or at the
     numpy scalar of a one-point call, or of stacked_cells of several over
     their grids end to end; the entry points hand it a cell's _operands, its
@@ -572,15 +572,10 @@ def _branch_indices(in_stop: np.ndarray, offset: np.ndarray) -> np.ndarray:
 
 
 def _grid(f_start: float, f_stop: float, points: int, caller: str) -> np.ndarray:
-    """The uniform frequency grid of a sweep; TypeError (errors.real_number) or
-    ValueError naming caller on bad bounds."""
-    f_start = real_number(f_start, caller, "f_start")
-    f_stop = real_number(f_stop, caller, "f_stop")
-    if not 0 < f_start < f_stop < math.inf:
-        raise ValueError(f"{caller}: need 0 < f_start < f_stop < inf")
-    if points < 2:
-        raise ValueError(f"{caller}: points must be >= 2")
-    return np.linspace(f_start, f_stop, points)
+    """The uniform frequency grid of a sweep, its bounds and count checked in
+    the caller's name (errors.frequency_bounds, errors.count)."""
+    f_start, f_stop = frequency_bounds(f_start, f_stop, caller, ("f_start", "f_stop"))
+    return np.linspace(f_start, f_stop, count(points, caller, "points"))
 
 
 def sweep(cell: UnitCellGeometry, f_start: float, f_stop: float, points: int) -> Sweep:
@@ -730,14 +725,11 @@ def band_gamma_extrema(
     cell: UnitCellGeometry, f_low: float, f_high: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """In-band extrema of Re(Gamma) as ((f_at_max, max), (f_at_min, min)): the
-    one-band row of _gamma_extrema; TypeError (errors.real_number) or
-    ValueError on bad bounds."""
-    caller = "band_gamma_extrema"
-    f_low, f_high = real_number(f_low, caller, "f_low"), real_number(f_high, caller, "f_high")
-    if not 0 < f_low < f_high < math.inf:
-        raise ValueError("band_gamma_extrema: need 0 < f_low < f_high < inf")
+    one-band row of _gamma_extrema, its bounds checked by
+    errors.frequency_bounds."""
+    f_low, f_high = frequency_bounds(f_low, f_high, "band_gamma_extrema", ("f_low", "f_high"))
     f_max, re_max, f_min, re_min = (
-        x.item() for x in _gamma_extrema(cell, np.array([f_low], float), np.array([f_high], float))
+        x.item() for x in _gamma_extrema(cell, np.array([f_low]), np.array([f_high]))
     )
     return (f_max, re_max), (f_min, re_min)
 
@@ -765,9 +757,7 @@ def chain_profile(
     excluded because the matched exit locally distorts the profile.
     """
     f_row = frequency_row(f, "chain_profile")
-    n = operator.index(n_cells)
-    if n < 2:
-        raise ValueError("chain_profile: n_cells must be >= 2")
+    n = count(n_cells, "chain_profile", "n_cells")
     # the stage, through log 0 of the uncoupled modes at sigma == 0
     with _quiet():
         kl, y, outer, inner, lam_flex, _, _ = _transmitted(
@@ -827,24 +817,28 @@ def field_profile(
     trench spans carry four-component fields and the piston region |x| < a/2
     moves uniformly.  Continuity of value, slope and curvature across the
     piston and the shear jump proportional to sigma are inherited from the
-    cell matrices.
+    cell matrices.  The amplitudes must be a finite 4-vector; where they
+    carry the field out of the floating-point range a NumericError names f.
     """
-    if x_samples < 2:
-        raise ValueError("field_profile: x_samples must be >= 2")
+    x_samples = count(x_samples, "field_profile", "x_samples")
     psi = np.asarray(amplitudes, dtype=complex)
     if psi.shape != (4,):
         raise ValueError("field_profile: amplitudes must be a 4-vector")
+    if not np.isfinite(psi).all():
+        raise ValueError("field_profile: amplitudes must be finite")
     frequency_row(f, "field_profile")
     mats = cell_matrices(cell, f)
     k = mats.k
     a = cell.rod_width
     L = cell.cell_length
-    t_raw = mats.D @ psi
-    w_raw = mats.C @ t_raw
-
     x = np.linspace(-L / 2.0, L / 2.0, x_samples)
     # the piston moves with the left span's value at its left face
     right = x > a / 2.0
     x_eval = np.where(~right & (x >= -a / 2.0), -a / 2.0, x)
-    coeffs = np.where(right[:, None], w_raw, t_raw)
-    return x, np.sum(coeffs * translation_phases(k * x_eval), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        t_raw = mats.D @ psi
+        coeffs = np.where(right[:, None], mats.C @ t_raw, t_raw)
+        v = np.sum(coeffs * translation_phases(k * x_eval), axis=1)
+    if not np.isfinite(v).all():
+        raise NumericError(f"field_profile: displacement is not finite at f={f!r} Hz")
+    return x, v

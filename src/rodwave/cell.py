@@ -132,14 +132,14 @@ def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, f
     marker, 0 off it.  Under a finite k**3 the marker gives sigma = +-inf.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported just below
-        k, f_eff, sigma = map(float, forcing_arrays(cell, frequency_row(f, caller))[:3])
+        k, f_eff, sigma = map(float, forcing_arrays(cell._operands, frequency_row(f, caller))[:3])
     if (math.isnan(sigma) or math.isinf(sigma) and math.isfinite(f_eff)
             or sigma == 0 and f_eff != 0):
         raise non_finite_error("sigma", float(f), k * cell.cell_length)
     return k, f_eff, sigma
 
 
-def forcing_arrays(cell: UnitCellGeometry, f: np.ndarray):
+def forcing_arrays(cell: SimpleNamespace, f: np.ndarray):
     """(k, f_eff, sigma, s0, phase) over an array of frequencies f > 0, or at a
     numpy scalar f, where it runs numpy's scalar math.
 

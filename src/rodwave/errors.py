@@ -1,6 +1,7 @@
-"""Exception types shared across the package, the one-point frequency check,
-the immutable numeric operands and tables the formulas share, and the libm
-maps and mask counts that take a numpy scalar as they take an array."""
+"""Exception types shared across the package, the one check of each kind of
+argument (a frequency, a frequency range, a count), the immutable numeric
+operands and tables the formulas share, and the libm maps and mask counts
+that take a numpy scalar as they take an array."""
 
 import math
 import numbers
@@ -42,24 +43,39 @@ def non_finite_error(what: str, f: float, kl: float, row: int | None = None) -> 
     )
 
 
-def frequency_row(f: float, caller: str, *, dc: bool = False) -> np.float64:
+def frequency_row(f: float, caller: str, name: str = "f", *, dc: bool = False) -> np.float64:
     """f as the numpy float64 scalar a one-point call hands the array formulas,
     which then run numpy's scalar math: the front and the Bloch stage take a
-    scalar as they take a 1-D array.  Before any evaluation, an error naming the
-    caller: a TypeError unless f is a real number (a bool is not one), a
-    ValueError unless 0 < f < inf (0 <= f < inf with dc)."""
-    f = real_number(f, caller, "f")
+    scalar as they take a 1-D array.  The one check of a frequency argument,
+    before any evaluation, with an error naming the caller and the argument: a
+    TypeError unless f is a real number (a bool is not one, nor a numeric
+    string), a ValueError unless 0 < f < inf (0 <= f < inf with dc)."""
+    if isinstance(f, bool) or not isinstance(f, numbers.Real):
+        raise TypeError(f"{caller}: {name} must be a real number, got {f!r}")
+    f = float(f)
     if not (0 <= f < math.inf if dc else 0 < f < math.inf):
-        raise ValueError(f"{caller}: f must be {'>=' if dc else '>'} 0 and finite")
+        raise ValueError(f"{caller}: {name} must be {'>=' if dc else '>'} 0 and finite")
     return np.float64(f)
 
 
-def real_number(x, caller: str, name: str) -> float:
-    """x as a float; a TypeError naming the caller and the argument unless x is
-    a real number: a bool is not one, nor a numeric string."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise TypeError(f"{caller}: {name} must be a real number, got {x!r}")
-    return float(x)
+def frequency_bounds(lo, hi, caller: str, names: tuple[str, str]) -> tuple[np.float64, np.float64]:
+    """The bounds (lo, hi) of a frequency range, each through frequency_row
+    under its name, then a ValueError naming the caller unless lo < hi."""
+    lo, hi = (frequency_row(x, caller, name) for x, name in zip((lo, hi), names))
+    if not lo < hi:
+        raise ValueError(f"{caller}: need 0 < {names[0]} < {names[1]} < inf")
+    return lo, hi
+
+
+def count(n, caller: str, name: str) -> int:
+    """n as an int, a count of points or cells: a TypeError naming the caller
+    and the argument unless n is an integer (a bool is not one, nor a whole
+    float), a ValueError naming them below 2."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise TypeError(f"{caller}: {name} must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError(f"{caller}: {name} must be >= 2")
+    return int(n)
 
 
 def constant(value, dtype=None):

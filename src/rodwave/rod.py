@@ -20,10 +20,10 @@ from .errors import (
     ZERO,
     NumericError,
     SingularFrequencyError,
+    count,
     count_true,
     frequency_row,
     libm,
-    real_number,
 )
 from .materials import LaminateSection, longitudinal_velocity
 
@@ -135,15 +135,9 @@ def _past_top(rod: RodModel, f: np.ndarray) -> np.ndarray:
     return np.spacing(f) > rod.exact_pole_window
 
 
-def _impedance_at(rod: RodModel, f: float, caller: str) -> tuple[float, bool]:
-    """_impedance_arrays at one frequency 0 <= f < inf, as (Im Z_b, near-pole flag)."""
-    im, flag = _impedance_arrays(rod, frequency_row(f, caller, dc=True))
-    return im.item(), flag.item()
-
-
 def near_pole(rod: RodModel, f: float) -> bool:
     """True when f falls inside the near-pole window around any impedance pole."""
-    return _impedance_at(rod, f, "near_pole")[1]
+    return _impedance_arrays(rod, frequency_row(f, "near_pole", dc=True))[1].item()
 
 
 def driving_impedance(rod: RodModel, f: float) -> complex:
@@ -152,7 +146,8 @@ def driving_impedance(rod: RodModel, f: float) -> complex:
     Purely imaginary for real f.  Exactly at a tangent pole the function
     returns a signed-infinite marker instead of silently overflowing.
     """
-    return complex(0.0, _impedance_at(rod, f, "driving_impedance")[0])
+    im, _ = _impedance_arrays(rod, frequency_row(f, "driving_impedance", dc=True))
+    return complex(0.0, im.item())
 
 
 def rod_modeshape(
@@ -165,10 +160,8 @@ def rod_modeshape(
     floating-point range (at low f: below about 2.3e-151 Hz on the default rod
     with f_amp = 1), and past the rod's top frequency, a NumericError names f.
     """
-    if z_samples < 2:
-        raise ValueError("rod_modeshape: z_samples must be >= 2")
-    frequency_row(f, "rod_modeshape")
-    if near_pole(rod, f):
+    z_samples = count(z_samples, "rod_modeshape", "z_samples")
+    if _impedance_arrays(rod, frequency_row(f, "rod_modeshape"))[1]:
         raise SingularFrequencyError(
             f"rod_modeshape: f={f} is within the near-pole window of Z_b"
         )
@@ -190,14 +183,12 @@ def impedance_extrema(rod: RodModel, f_max_search: float) -> list[tuple[float, s
 
     They share one quarter-wave lattice m*c/(4h), m >= 1: odd m is a pole
     and even m a zero (n*c/(2h) with n = m/2, exactly), so they alternate
-    (pole, zero, pole, ...).  A TypeError unless f_max_search is a real number
-    (errors.real_number); an f_max_search the rod refuses (_pole_impedance) is
-    a NumericError: below the rod's top there are under about 36 000 extrema.
+    (pole, zero, pole, ...).  f_max_search goes through errors.frequency_row;
+    one the rod refuses (_pole_impedance) is a NumericError: below the rod's
+    top there are under about 36 000 extrema.
     """
-    f_max_search = real_number(f_max_search, "impedance_extrema", "f_max_search")
-    if not 0 < f_max_search < math.inf:
-        raise ValueError("impedance_extrema: f_max_search must be > 0 and finite")
-    _impedance_arrays(rod, np.float64(f_max_search))
+    f_max_search = frequency_row(f_max_search, "impedance_extrema", "f_max_search")
+    _impedance_arrays(rod, f_max_search)
     out: list[tuple[float, str]] = []
     m = 1
     while (f := m * rod.velocity / (4.0 * rod.height)) <= f_max_search:

@@ -19,8 +19,7 @@ def _ratio(a: float, b: float, lo: float, hi: float) -> float:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
+    """The tick values of an axis lo < hi, as _axis gives it."""
     # (hi - lo) / 6, held at the smallest normal float so that its power of ten
     # is a float: on an axis a few subnormals wide it rounds to 0
     raw = max(_ratio(hi, lo, 0, 6), sys.float_info.min)

@@ -58,7 +58,7 @@ def random_draw():
     kls, sigmas = [], []
     for cell in _random_cells(rng, 50):
         f = rng.uniform(1e6, 2e10, 200)
-        k, _, sigma, _, _ = forcing_arrays(cell, f)
+        k, _, sigma, _, _ = forcing_arrays(cell._operands, f)
         kls.append(k * cell.cell_length)
         sigmas.append(np.clip(sigma, -SIGMA_CLAMP, SIGMA_CLAMP))
     return np.concatenate(kls), np.concatenate(sigmas)
@@ -115,7 +115,7 @@ def test_stopband_test_needs_no_passband_direction():
     for cell in _random_cells(rng, 20):
         poles = [p for p, kind in impedance_extrema(cell.rod, 2e10) if kind == "pole"]
         f = np.concatenate([rng.uniform(1e6, 2e10, 500), poles])
-        t, stop = bloch._pairs(bloch._front(cell, f))[-2:]
+        t, stop = bloch._pairs(bloch._front(cell._operands, f))[-2:]
         table = bloch._table(cell, f, with_gamma=False)
         assert stop.tobytes() == table.in_stopband.tobytes()
         assert stop.tobytes() == (table.t_coeff < 1.0 - bloch.TOL_BAND).tobytes()
@@ -194,7 +194,7 @@ def test_sigma_slope_matches_mpmath_derivative(L_um):
     rod, stiffness = cell.rod, cell.trench.bending_stiffness
     f = np.random.default_rng(11).uniform(0.1e9, 20e9, 60)
     f = f[np.abs(np.cos(2 * np.pi * f / rod.velocity * rod.height)) > 1e-3]  # off the poles
-    k, _, sigma, s0, phase = forcing_arrays(cell, f)
+    k, _, sigma, s0, phase = forcing_arrays(cell._operands, f)
     slope = sigma_slope_arrays(sigma, s0, phase)
     for f0, k0, sig0, d0 in zip(f.tolist(), k.tolist(), sigma.tolist(), slope.tolist()):
         with mpmath.workdps(30):
@@ -208,7 +208,7 @@ def test_sigma_slope_matches_mpmath_derivative(L_um):
             ref = f0 * mpmath.diff(sig, mpmath.mpf(f0))
             assert abs(d0 - ref) <= 1e-8 * abs(ref), f0
     pole = np.array([rod.first_pole])
-    _, _, sigma, s0, phase = forcing_arrays(cell, pole)
+    _, _, sigma, s0, phase = forcing_arrays(cell._operands, pole)
     assert np.isfinite(sigma_slope_arrays(clamped_sigma(sigma), s0, phase)).all()
 
 
@@ -432,5 +432,5 @@ def test_one_frequency_calls_are_rows_of_their_array_forms(layers, f):
     cell = unit_cell(parse_config({"geometry": layers}))
     row = float(flexural_wavevectors(cell.trench, np.array([f]))[0])
     assert repr(flexural_wavevector(cell.trench, f)) == repr(row)
-    _, f_eff, sigma, _, _ = forcing_arrays(cell, np.array([f]))
+    _, f_eff, sigma, _, _ = forcing_arrays(cell._operands, np.array([f]))
     assert repr(forcing_strength(cell, f)) == repr((float(f_eff[0]), float(sigma[0])))

@@ -1,7 +1,8 @@
 """The model against the beam's physical variables: a 50-digit Euler-Bernoulli
 transfer matrix in (w, w', w'', w''') for the Bloch roots, energy
 conservation for the reflection of a lossless chain, and the direction of the
-energy flux of the transmitted Bloch mode.
+energy flux of the transmitted Bloch mode, and the long-wavelength limit,
+where the chain is a beam carrying the rods' mass.
 
 The rod's force on the piston per unit displacement is f_eff = -i omega Z_b
 (cell.forcing_arrays), so the beam feels the reaction, a shear jump
@@ -10,11 +11,15 @@ sigma = f_eff / (EI k^3), that is +f_eff w; the cases that need the physical
 sign are strict expected failures until the sign is flipped.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
-from rodwave import bloch, parse_config, sweep, unit_cell
+from rodwave import bloch, bloch_point, flexural_wavevector, parse_config, sweep, unit_cell
 from rodwave.cell import _PHASE_RATES, forcing_arrays
 
 _FLIPPED_SIGN = pytest.mark.xfail(
@@ -62,8 +67,8 @@ def test_bloch_roots_match_the_physical_transfer_matrix(L_um, reaction):
     shear jump reaction * f_eff w, to 1e-12 relative, at 25 frequencies."""
     cell = _cell(L_um)
     f = np.linspace(0.1e9, 6e9, 25)
-    k, f_eff, _, _, _ = forcing_arrays(cell, f)
-    y = bloch._pairs(bloch._front(cell, f))[2]
+    k, f_eff, _, _, _ = forcing_arrays(cell._operands, f)
+    y = bloch._pairs(bloch._front(cell._operands, f))[2]
     for i in range(f.size):
         jump = reaction * f_eff[i] / cell.trench.bending_stiffness
         want = _ordered(_oracle_y_roots(k[i], jump, cell.cell_length))
@@ -140,3 +145,46 @@ def test_transmitted_passband_mode_carries_energy_into_the_chain(L_um):
     kl, _, lam = _passband_pairs(L_um)
     back = _mode_flux(kl, lam) <= 0
     assert np.count_nonzero(back) == 0, f"flux toward -x at {np.count_nonzero(back)} passband points"
+
+
+@pytest.mark.parametrize(
+    "sign", [pytest.param(1.0, marks=_FLIPPED_SIGN), -1.0], ids=["m_t+m_add", "m_t-m_add"]
+)
+# no shrinking: the expected failure of the physical sign would spend ~20 s on it
+@settings(max_examples=30, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    L_um=st.floats(0.5, 20.0), t_aln1=st.floats(200, 800), t_m1=st.floats(100, 500),
+    t_aln2=st.floats(300, 1200), t_m2=st.floats(150, 700), kl=st.floats(0.05, 0.1),
+)
+def test_long_wavelength_limit_is_the_beam_carrying_the_rods_mass(
+    sign, L_um, t_aln1, t_m1, t_aln2, t_m2, kl
+):
+    """For kL << 1 the chain is a uniform beam of mass m_t per length carrying
+    m_add = m_r tan(phi) / (phi L) more (phi = omega h / c, m_r = rho A h of the
+    rod, read from the model), so Re k_ef / k -> r0 = (1 + c)^(1/4) with
+    c = sign m_add / m_t; the physical sign is +.  The y-quadratic expands to
+    Re k_ef / k = r0 (1 + c^2 / (2880 (1 + c)) (kL)^4 + O((kL)^8)), so the gap
+    is held within twice that next term, plus 16 eps / (kL)^4 for the kernel's
+    rounding, which grows so at small kL (ROADMAP items 10 and 14; at most
+    2.3 eps / (kL)^4 over 1500 drawn cells).  Draws are at 0.05 <= kL <= 0.1.
+    With the minus sign only cells with m_add < m_t are drawn: a heavier
+    negative mass puts the kernel in a stopband there."""
+    geometry = {
+        "L_um": L_um, "a_um": L_um / 2, "t_aln1_nm": t_aln1, "t_m1_nm": t_m1,
+        "t_aln2_nm": t_aln2, "t_m2_nm": t_m2,
+    }
+    cell = unit_cell(parse_config({"geometry": geometry}))
+    rod, trench, L = cell.rod, cell.trench, cell.cell_length
+    f = 1e9 * (kl / (flexural_wavevector(trench, 1e9) * L)) ** 2  # k grows as sqrt(f)
+    x = flexural_wavevector(trench, f) * L
+    phi = 2 * math.pi * f * rod.height / rod.velocity
+    m_r = rod.impedance_scale / rod.velocity * rod.height
+    m_t = trench.section.effective_rho * trench.section.area_per_width
+    c = sign * m_r * math.tan(phi) / (phi * L) / m_t
+    assume(c > -1)
+    r0 = (1 + c) ** 0.25
+    next_term = r0 * c * c / (2880 * (1 + c)) * x**4
+    ratio = bloch_point(cell, f).k_ef.real * L / x
+    assert abs(ratio - r0) <= 2 * next_term + 16 * np.finfo(float).eps / x**4, (
+        f"Re k_ef / k = {ratio!r} against the limit {r0!r} at kL = {x!r}"
+    )

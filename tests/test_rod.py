@@ -101,15 +101,6 @@ def test_modeshape_rejects_pole(default_rod):
         rod_modeshape(default_rod, default_rod.first_pole, 1.0, 10)
 
 
-@pytest.mark.parametrize("f", [math.inf, math.nan, -1e9])
-@pytest.mark.parametrize(
-    "call", [driving_impedance, near_pole], ids=["driving_impedance", "near_pole"]
-)
-def test_rod_impedance_needs_finite_non_negative_f(default_rod, call, f):
-    with pytest.raises(ValueError, match=f"^{call.__name__}: f must be >= 0 and finite$"):
-        call(default_rod, f)
-
-
 @pytest.mark.parametrize(
     "call",
     [driving_impedance, near_pole, lambda rod, f: rod_modeshape(rod, f, 1.0, 5)],
@@ -125,24 +116,6 @@ def test_rod_outputs_past_the_top_frequency_name_f(default_rod, call):
         message = re.escape(f"past the rod's top frequency, at f={f!r} Hz") + "$"
         with pytest.raises(NumericError, match=message):
             call(default_rod, f)
-
-
-@pytest.mark.parametrize("f", [math.inf, math.nan, 0.0, -1e9])
-def test_modeshape_needs_finite_positive_f(default_rod, f):
-    with pytest.raises(ValueError, match="^rod_modeshape: f must be > 0 and finite$"):
-        rod_modeshape(default_rod, f, 1.0, 10)
-
-
-@pytest.mark.parametrize("z_samples", [1, 0])
-def test_modeshape_needs_two_samples(default_rod, z_samples):
-    with pytest.raises(ValueError, match="^rod_modeshape: z_samples must be >= 2$"):
-        rod_modeshape(default_rod, 1e9, 1.0, z_samples)
-
-
-@pytest.mark.parametrize("f_max", [math.inf, math.nan, 0.0, -1e9])
-def test_extrema_need_finite_positive_search_limit(default_rod, f_max):
-    with pytest.raises(ValueError, match="f_max_search must be > 0 and finite"):
-        impedance_extrema(default_rod, f_max)
 
 
 def test_extrema_refuse_a_search_limit_past_the_rod_top_frequency():
@@ -268,6 +241,6 @@ def test_array_impedance_matches_scalar_oracle_bit_for_bit(
         assert near_pole(rod, fv) == flag
 
     cell = dataclasses.replace(default_cell, rod=rod)
-    _, f_eff, _, _, _ = forcing_arrays(cell, f[f > 0])
+    _, f_eff, _, _, _ = forcing_arrays(cell._operands, f[f > 0])
     expected = [2.0 * math.pi * fv * zi for fv, zi in zip(f.tolist(), ref_im) if fv > 0]
     assert np.array_equal(_bits(f_eff), _bits(expected))

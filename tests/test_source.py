@@ -1,10 +1,11 @@
-"""Four source rules for src/rodwave.  Three read the sources with ast (no
+"""Five source rules for src/rodwave.  Four read the sources with ast (no
 linter is a dependency): every import is used, every module-level private
 name is referenced somewhere in the package besides its definition, so a
-deleted helper does not live on as a name that only the tests call, and no
-`**` is left where a one-point call runs numpy's scalar math.  The fourth
-imports the package: every array it shares between calls is read-only, so no
-in-place write can change a later result."""
+deleted helper does not live on as a name that only the tests call, no `**`
+is left where a one-point call runs numpy's scalar math, and every refusal
+of an argument names its call.  The fifth imports the package: every array
+it shares between calls is read-only, so no in-place write can change a
+later result."""
 
 import ast
 import importlib
@@ -120,6 +121,53 @@ def test_no_power_operator_where_one_point_calls_run_scalar_math(module):
         if isinstance(node, ast.Pow)
     ]
     assert powers == []
+
+
+def _refusals(tree: ast.AST, function: str | None = None):
+    """(enclosing function, message node or None) of each raise of a
+    ValueError or TypeError under tree, the innermost function's name."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _refusals(node, node.name)
+            continue
+        if isinstance(node, ast.Raise):
+            exc = node.exc
+            call = exc if isinstance(exc, ast.Call) else None
+            name = call.func if call else exc
+            if isinstance(name, ast.Name) and name.id in ("ValueError", "TypeError"):
+                yield function, call.args[0] if call and call.args else None
+        yield from _refusals(node, function)
+
+
+def _opening(message) -> str | None:
+    """The literal text a message node starts with: a string constant's, or
+    an f-string's leading constant part."""
+    if isinstance(message, ast.JoinedStr) and message.values:
+        message = message.values[0]
+    if isinstance(message, ast.Constant) and isinstance(message.value, str):
+        return message.value
+    return None
+
+
+# errors.py states the argument checks, which name the caller they are given
+_REFUSING = sorted(set(TREES) - {"errors.py"})
+
+
+@pytest.mark.parametrize("module", _REFUSING)
+def test_every_refusal_names_its_call(module):
+    """Outside errors.py, each raise ValueError(...) or TypeError(...) has a
+    message that starts with its enclosing function's name and a colon."""
+    unnamed = [
+        (function, ast.unparse(message) if message else None)
+        for function, message in _refusals(TREES[module])
+        if function is None or not (_opening(message) or "").startswith(f"{function}: ")
+    ]
+    assert unnamed == []
+
+
+def test_the_refusal_rule_finds_the_refusals():
+    found = {(m, f) for m in _REFUSING for f, _ in _refusals(TREES[m])}
+    assert {("bloch.py", "field_profile"), ("svg.py", "line_plot")} <= found
 
 
 def _leaves(namespace, prefix):

@@ -49,13 +49,6 @@ def test_monotone_increasing_and_concave(default_trench):
     assert np.all(np.diff(dk) < 0)
 
 
-def test_domain_error(default_trench):
-    with pytest.raises(ValueError):
-        flexural_wavevector(default_trench, 0.0)
-    with pytest.raises(ValueError):
-        flexural_wavevector(default_trench, -1e9)
-
-
 def test_wavelength_over_thickness_reported(default_trench):
     # thin-beam strain indicator at the device resonance is of order a few
     ratio = wavelength_over_thickness(default_trench, 2.35e9)
