@@ -481,13 +481,6 @@ def _columns(
     )
 
 
-def _table(
-    cell: UnitCellGeometry, f: np.ndarray, *, with_gamma: bool, force_zero_coupling: bool = False
-) -> Sweep:
-    """The columns of _columns as a Sweep table."""
-    return Sweep(*_columns(cell, f, with_gamma=with_gamma, force_zero_coupling=force_zero_coupling))
-
-
 def _require_finite(f: np.ndarray, kl: np.ndarray, values: np.ndarray, what: str) -> None:
     """NumericError naming the first frequency, and its kL, where values, one
     row per frequency of an array f or one for a numpy scalar f, are not all
@@ -580,7 +573,7 @@ def _grid(f_start: float, f_stop: float, points: int, caller: str) -> np.ndarray
 
 def sweep(cell: UnitCellGeometry, f_start: float, f_stop: float, points: int) -> Sweep:
     """Uniform frequency sweep with branch-continuous Re(k_ef) and Gamma, as one table."""
-    sw = _table(cell, _grid(f_start, f_stop, points, "sweep"), with_gamma=True)
+    sw = Sweep(*_columns(cell, _grid(f_start, f_stop, points, "sweep"), with_gamma=True))
     L = cell.cell_length
     args = np.unwrap(np.angle(sw.lambda_flex))
     branch = _branch_indices(sw.in_stopband, sw.k * L - args)
@@ -826,7 +819,7 @@ def field_profile(
         raise ValueError("field_profile: amplitudes must be a 4-vector")
     if not np.isfinite(psi).all():
         raise ValueError("field_profile: amplitudes must be finite")
-    frequency_row(f, "field_profile")
+    f = frequency_row(f, "field_profile").item()
     mats = cell_matrices(cell, f)
     k = mats.k
     a = cell.rod_width

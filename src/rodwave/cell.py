@@ -119,11 +119,12 @@ def forcing_strength(cell: UnitCellGeometry, f: float) -> tuple[float, float]:
     sigma divides it by E_t I_t k^3.  Near an impedance pole both are huge;
     downstream consumers clamp sigma, or take its limits at an exact pole.
     """
-    return _forcing_at(cell, f, "forcing_strength")[1:]
+    return _forcing_at(cell, f, "forcing_strength")[2:]
 
 
-def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, float, float]:
-    """forcing_arrays at one frequency f > 0, as floats (k, f_eff, sigma).
+def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, float, float, float]:
+    """forcing_arrays at one frequency f > 0, as floats (f, k, f_eff, sigma),
+    where f is errors.frequency_row's value: the one f the callers store and name.
 
     NumericError where sigma is NaN, infinite off a pole or 0 off a rod zero: at
     f ~ 1e-300 Hz k**3 underflows and sigma is 0/0; where k**3 overflows (from
@@ -131,12 +132,13 @@ def _forcing_at(cell: UnitCellGeometry, f: float, caller: str) -> tuple[float, f
     forcing_arrays refuses first) sigma is f_eff/inf: NaN under the rod's pole
     marker, 0 off it.  Under a finite k**3 the marker gives sigma = +-inf.
     """
+    f = frequency_row(f, caller)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported just below
-        k, f_eff, sigma = map(float, forcing_arrays(cell._operands, frequency_row(f, caller))[:3])
+        f, k, f_eff, sigma = map(float, (f, *forcing_arrays(cell._operands, f)[:3]))
     if (math.isnan(sigma) or math.isinf(sigma) and math.isfinite(f_eff)
             or sigma == 0 and f_eff != 0):
-        raise non_finite_error("sigma", float(f), k * cell.cell_length)
-    return k, f_eff, sigma
+        raise non_finite_error("sigma", f, k * cell.cell_length)
+    return f, k, f_eff, sigma
 
 
 def forcing_arrays(cell: SimpleNamespace, f: np.ndarray):
@@ -230,11 +232,11 @@ def scatter_coefficients(cell: UnitCellGeometry, f: float) -> ScatterCoeffs:
 
     NumericError naming f and kL where e^{ak} leaves the floating-point range.
     """
-    k, f_eff, sigma = _forcing_at(cell, f, "scatter_coefficients")
+    f, k, f_eff, sigma = _forcing_at(cell, f, "scatter_coefficients")
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         six = _coeffs(k, cell.rod_width, sigma).tolist()
     if not all(map(cmath.isfinite, six)):
-        raise non_finite_error("scattering coefficients", float(f), k * cell.cell_length)
+        raise non_finite_error("scattering coefficients", f, k * cell.cell_length)
     return _scatter_coeffs(six, f_eff, sigma)
 
 
@@ -305,7 +307,7 @@ def propagation_matrix(phi: float) -> np.ndarray:
 
 def cell_matrices(cell: UnitCellGeometry, f: float) -> CellMatrices:
     """Assemble G, C, D and the cell transfer matrix T = D C D at frequency f."""
-    k, f_eff, sigma = _forcing_at(cell, f, "cell_matrices")
+    f, k, f_eff, sigma = _forcing_at(cell, f, "cell_matrices")
     # the exact limits make the transmission block of G singular (the pinned
     # piston transmits value and near field dependently), so C could not be
     # formed; the clamp keeps it invertible within ~1e-12 of those limits
@@ -317,7 +319,7 @@ def cell_matrices(cell: UnitCellGeometry, f: float) -> CellMatrices:
         D = propagation_matrix(phi)
         T = D @ C @ D
     if not np.isfinite(T).all():
-        raise non_finite_error("transfer matrix", float(f), k * cell.cell_length)
+        raise non_finite_error("transfer matrix", f, k * cell.cell_length)
     return CellMatrices(G=G, C=C, D=D, T=T, f=f, k=k, phi=phi, sigma=float(sigma))
 
 

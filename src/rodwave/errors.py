@@ -1,7 +1,7 @@
 """Exception types shared across the package, the one check of each kind of
-argument (a frequency, a frequency range, a count), the immutable numeric
-operands and tables the formulas share, and the libm maps and mask counts
-that take a numpy scalar as they take an array."""
+argument (a frequency, a frequency range, a count, an amplitude), the
+immutable numeric operands and tables the formulas share, and the libm maps
+and mask counts that take a numpy scalar as they take an array."""
 
 import math
 import numbers
@@ -50,12 +50,28 @@ def frequency_row(f: float, caller: str, name: str = "f", *, dc: bool = False) -
     before any evaluation, with an error naming the caller and the argument: a
     TypeError unless f is a real number (a bool is not one, nor a numeric
     string), a ValueError unless 0 < f < inf (0 <= f < inf with dc)."""
-    if isinstance(f, bool) or not isinstance(f, numbers.Real):
-        raise TypeError(f"{caller}: {name} must be a real number, got {f!r}")
-    f = float(f)
+    f = _real(f, caller, name)
     if not (0 <= f < math.inf if dc else 0 < f < math.inf):
         raise ValueError(f"{caller}: {name} must be {'>=' if dc else '>'} 0 and finite")
     return np.float64(f)
+
+
+def _real(x, caller: str, name: str) -> float:
+    """x as a float: a TypeError naming the caller and the argument unless x is
+    a real number (a bool is not one, nor a numeric string)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{caller}: {name} must be a real number, got {x!r}")
+    return float(x)
+
+
+def finite_number(x, caller: str, name: str) -> float:
+    """x as a float, the one check of an amplitude: frequency_row's TypeError
+    unless a real number, a ValueError naming the caller and the argument
+    unless finite."""
+    x = _real(x, caller, name)
+    if not math.isfinite(x):
+        raise ValueError(f"{caller}: {name} must be finite")
+    return x
 
 
 def frequency_bounds(lo, hi, caller: str, names: tuple[str, str]) -> tuple[np.float64, np.float64]:

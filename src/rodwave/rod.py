@@ -22,6 +22,7 @@ from .errors import (
     SingularFrequencyError,
     count,
     count_true,
+    finite_number,
     frequency_row,
     libm,
 )
@@ -156,16 +157,19 @@ def rod_modeshape(
     """Vertical displacement profile u_z(z) for a base force amplitude f_amp.
 
     Returns (z, u_z) with z sampled on [0, h].  The stress-free top face makes
-    du_z/dz vanish at z = h for every valid frequency.  Where u_z leaves the
-    floating-point range (at low f: below about 2.3e-151 Hz on the default rod
-    with f_amp = 1), and past the rod's top frequency, a NumericError names f.
+    du_z/dz vanish at z = h for every valid frequency.  f_amp is a finite real
+    number (errors.finite_number).  Where u_z leaves the floating-point range
+    (at low f: below about 2.3e-151 Hz on the default rod with f_amp = 1), and
+    past the rod's top frequency, a NumericError names f.
     """
     z_samples = count(z_samples, "rod_modeshape", "z_samples")
-    if _impedance_arrays(rod, frequency_row(f, "rod_modeshape"))[1]:
+    f_amp = finite_number(f_amp, "rod_modeshape", "f_amp")
+    f = frequency_row(f, "rod_modeshape")
+    if _impedance_arrays(rod, f)[1]:
         raise SingularFrequencyError(
             f"rod_modeshape: f={f} is within the near-pole window of Z_b"
         )
-    omega = 2.0 * math.pi * f
+    omega = TWO_PI * f  # as the rod kernel forms it
     k_rod = omega / rod.velocity
     h = rod.height
     z = np.linspace(0.0, h, z_samples)
@@ -174,7 +178,7 @@ def rod_modeshape(
             np.sin(k_rod * z) + np.cos(k_rod * z) / math.tan(k_rod * h)
         )
     if not np.isfinite(u).all():
-        raise NumericError(f"rod_modeshape: displacement is not finite at f={f!r} Hz")
+        raise NumericError(f"rod_modeshape: displacement is not finite at f={f.item()!r} Hz")
     return z, u.astype(complex)
 
 

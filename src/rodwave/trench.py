@@ -61,11 +61,12 @@ def _wavevector_at(trench: TrenchModel, f: float, caller: str) -> np.float64:
     """flexural_wavevectors at one frequency 0 < f < inf, as a numpy scalar;
     NumericError naming f where k leaves the floating-point range (2 pi f
     overflows above about 2.86e307 Hz)."""
+    f = frequency_row(f, caller)
     with np.errstate(over="ignore"):  # reported just below
-        k = flexural_wavevectors(trench, frequency_row(f, caller))
+        k = flexural_wavevectors(trench, f)
     if not np.isfinite(k):
         raise NumericError(
-            f"flexural wavevector leaves the floating-point range at f={float(f)!r} Hz"
+            f"flexural wavevector leaves the floating-point range at f={f.item()!r} Hz"
         )
     return k
 

@@ -1,14 +1,17 @@
 """The argument rules of the public calls, read from their signatures.
 
 Every parameter of a call in rodwave.__all__, or of bloch.sweep_cells or
-bloch.band_gamma_extrema, that is a frequency, a frequency bound or a count
-goes through its one check in rodwave.errors (frequency_row,
-frequency_bounds, count): a bad value is refused under the call's and the
-parameter's name, before any evaluation and with no numpy warning.  The
+bloch.band_gamma_extrema, that is a frequency, a frequency bound, a count or
+an amplitude goes through its one check in rodwave.errors (frequency_row,
+frequency_bounds, count, finite_number): a bad value is refused under the
+call's and the parameter's name, before any evaluation and with no numpy
+warning, and a good one is read only as the float the check returns.  The
 table is built from inspect.signature, so a new call or parameter is covered
 without being listed here, and a call the table cannot fill fails it.
 """
 
+import dataclasses
+import fractions
 import inspect
 import math
 import re
@@ -27,6 +30,7 @@ _CALLS = [
 ]
 _FREQUENCIES = {"f", "f_start", "f_stop", "f_low", "f_high", "f_max_search"}
 _COUNTS = {"points", "n_cells", "x_samples", "z_samples"}
+_AMPLITUDES = {"f_amp"}
 _BOUNDS = [("f_start", "f_stop"), ("f_low", "f_high")]
 _DC = {"driving_impedance", "near_pole"}  # Z_b is defined at f = 0
 
@@ -50,7 +54,7 @@ _PAIRS = [
     (call, name)
     for call in _CALLS
     for name in inspect.signature(call).parameters
-    if name in _FREQUENCIES | _COUNTS
+    if name in _FREQUENCIES | _COUNTS | _AMPLITUDES
 ]
 _CHECKED = list(dict.fromkeys(call for call, _ in _PAIRS))
 
@@ -78,11 +82,17 @@ def _refusals(call, name: str) -> list:
               for x in (True, np.True_, 7.5, 7.0, np.float64(5), "7", None)),
             *((x, ValueError, f"{c}: {p} must be >= 2") for x in (1, 0, -1, np.int64(1))),
         ]
+    real = [
+        (x, TypeError, f"{c}: {p} must be a real number, got {x!r}")
+        for x in (True, np.True_, "1e9", None, 1j)
+    ]
+    if name in _AMPLITUDES:
+        not_finite = (math.inf, -math.inf, math.nan)
+        return [*real, *((x, ValueError, f"{c}: {p} must be finite") for x in not_finite)]
     dc = c in _DC
     outside = (math.inf, math.nan, -1e9) if dc else (math.inf, math.nan, -1e9, 0.0)
     return [
-        *((x, TypeError, f"{c}: {p} must be a real number, got {x!r}")
-          for x in (True, np.True_, "1e9", None, 1j)),
+        *real,
         *((x, ValueError, f"{c}: {p} must be {'>=' if dc else '>'} 0 and finite") for x in outside),
     ]
 
@@ -92,19 +102,21 @@ _CASES = [(call, name, *case) for call, name in _PAIRS for case in _refusals(cal
 
 def test_the_table_finds_every_kind_of_parameter():
     names = {name for _, name in _PAIRS}
-    assert names == _FREQUENCIES | _COUNTS
+    assert names == _FREQUENCIES | _COUNTS | _AMPLITUDES
     assert {bloch.sweep_cells, bloch.band_gamma_extrema, rodwave.sweep} <= set(_CHECKED)
 
 
 @pytest.mark.parametrize("call", _CALLS, ids=lambda c: c.__name__)
 def test_every_number_parameter_of_a_public_call_is_in_the_table(call):
-    """A float or int parameter is a frequency, a bound, a count or one the
-    table fills: a new number parameter cannot slip past the table."""
+    """A float or int parameter is a frequency, a bound, a count or an
+    amplitude, which the table both fills and refuses: a new number parameter
+    cannot slip past its check."""
     numbers = [
         p.name for p in inspect.signature(call).parameters.values()
         if p.annotation in ("float", "int") and p.default is inspect.Parameter.empty
     ]
     assert set(numbers) <= set(_NUMBERS)
+    assert {(call, name) for name in numbers} <= set(_PAIRS)
 
 
 @pytest.mark.parametrize("call", _CHECKED, ids=lambda c: c.__name__)
@@ -141,3 +153,39 @@ def test_frequency_bounds_must_be_in_order(default_cell, call, lo, hi, swap):
     text = f"{call.__name__}: need 0 < {lo} < {hi} < inf"
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         _call(call, default_cell, **bounds)
+
+
+def _canonical(result):
+    """result as nested tuples that compare equal only when bit for bit equal:
+    an array by dtype, shape and bytes, a dataclass field by field, a tuple or
+    list element by element, anything else by repr."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if dataclasses.is_dataclass(result):
+        return tuple(
+            (field.name, _canonical(getattr(result, field.name)))
+            for field in dataclasses.fields(result)
+        )
+    if isinstance(result, (tuple, list)):
+        return type(result).__name__, tuple(map(_canonical, result))
+    return repr(result)
+
+
+_CONVERSIONS = [np.float32, int, np.int64, fractions.Fraction]
+_FREQUENCY_PAIRS = [(call, name) for call, name in _PAIRS if name in _FREQUENCIES]
+
+
+@pytest.mark.parametrize(
+    "call, name, convert",
+    [(call, name, convert) for call, name in _FREQUENCY_PAIRS for convert in _CONVERSIONS],
+    ids=[f"{c.__name__}-{n}-{t.__name__}" for c, n in _FREQUENCY_PAIRS for t in _CONVERSIONS],
+)
+def test_a_frequency_is_read_as_the_float_its_check_returns(default_cell, call, name, convert):
+    """Every call evaluates, stores and names the float64 of its frequency
+    check: the table's value as another real type gives the float call's
+    result, bit for bit.  The table's frequencies are whole numbers that
+    float32 holds exactly, so only arithmetic in the other type could differ."""
+    value = _NUMBERS[name]
+    assert float(convert(value)) == value
+    expected = _canonical(_call(call, default_cell))
+    assert _canonical(_call(call, default_cell, **{name: convert(value)})) == expected

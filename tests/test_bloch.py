@@ -20,6 +20,7 @@ from rodwave import (
     field_profile,
     flexural_wavevector,
     forcing_strength,
+    impedance_extrema,
     near_pole,
     parse_config,
     rod_modeshape,
@@ -34,6 +35,7 @@ from rodwave import bloch, cli, workbench
 from rodwave.bloch import band_gamma_extrema
 from rodwave.errors import NumericError
 from rodwave.rod import _impedance_arrays, _past_top
+from test_arguments import _FREQUENCIES, _PAIRS
 from test_kernel import _THICKNESS
 
 
@@ -398,7 +400,7 @@ def _chain_error(cell, f, n):
     """Worst |ln|x_j|| error over j = 0..n, the reflection error and the relative
     transmission error of chain_profile; the last is None where the reference
     x_n[2] lies below the float range, where only its log is checked."""
-    a = bloch._table(cell, np.array([f]), with_gamma=False)
+    a = bloch.Sweep(*bloch._columns(cell, np.array([f]), with_gamma=False))
     # digits >= 30 + n log10(max|lambda|), plus the decay of the slower inner factor
     outer, inner = a.eigenvalues[0, ::2], a.eigenvalues[0, 1::2]
     digits = 30 + math.ceil(n * math.log10(np.abs(outer).max() / np.abs(inner).max()))
@@ -768,7 +770,15 @@ _LAYER_CALLS = {
     "driving_impedance": lambda cell, f: driving_impedance(cell.rod, f),
     "near_pole": lambda cell, f: near_pole(cell.rod, f),
     "rod_modeshape": lambda cell, f: rod_modeshape(cell.rod, f, 1.0, 5),
+    "impedance_extrema": lambda cell, f: impedance_extrema(cell.rod, f),
 }
+
+
+def test_the_failure_tables_name_every_call_with_a_frequency_parameter():
+    # the calls of tests/test_arguments.py's signature-driven table, so a new
+    # public call with a frequency parameter cannot be left out of the tables
+    named = {call.__name__ for call, name in _PAIRS if name in _FREQUENCIES}
+    assert named == set(_BLOCH_CALLS | _CELL_CALLS | _LAYER_CALLS)
 
 
 @pytest.mark.parametrize(
@@ -900,7 +910,7 @@ def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, pa
     if parameter in ("a", "L"):
         assert skipped > 0
     for i, (cell, row) in enumerate(zip(cells, rows)):
-        own = bloch._table(cell, np.linspace(*_GRID), with_gamma=False)
+        own = bloch.Sweep(*bloch._columns(cell, np.linspace(*_GRID), with_gamma=False))
         step = slice(i * _GRID[2], (i + 1) * _GRID[2])
         assert f[step].tobytes() == own.f.tobytes(), i
         assert in_stopband[step].tobytes() == own.in_stopband.tobytes(), i
@@ -1176,7 +1186,7 @@ def _one_level_edges(cell, f_in, f_out):
         if not active.size:
             return (0.5 * (lo + hi)).tolist()
         mid = 0.5 * (lo[active] + hi[active])
-        stop = bloch._table(cell, mid, with_gamma=False).in_stopband
+        stop = bloch.Sweep(*bloch._columns(cell, mid, with_gamma=False)).in_stopband
         lo[active] = np.where(stop, mid, lo[active])
         hi[active] = np.where(stop, hi[active], mid)
 
@@ -1189,7 +1199,7 @@ def _per_band_gamma_extrema(cell, f_low, f_high):
     fs += [f_high - width * o for o in offsets]
     fs += np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, 17).tolist()
     fs.sort()
-    re = bloch._table(cell, np.array(fs), with_gamma=True).gamma.real
+    re = bloch.Sweep(*bloch._columns(cell, np.array(fs), with_gamma=True)).gamma.real
     i, j = int(np.argmax(re)), int(np.argmin(re))
     return (fs[i], float(re[i])), (fs[j], float(re[j]))
 

@@ -116,7 +116,7 @@ def test_stopband_test_needs_no_passband_direction():
         poles = [p for p, kind in impedance_extrema(cell.rod, 2e10) if kind == "pole"]
         f = np.concatenate([rng.uniform(1e6, 2e10, 500), poles])
         t, stop = bloch._pairs(bloch._front(cell._operands, f))[-2:]
-        table = bloch._table(cell, f, with_gamma=False)
+        table = bloch.Sweep(*bloch._columns(cell, f, with_gamma=False))
         assert stop.tobytes() == table.in_stopband.tobytes()
         assert stop.tobytes() == (table.t_coeff < 1.0 - bloch.TOL_BAND).tobytes()
         assert t[stop].tobytes() == table.t_coeff[stop].tobytes()
@@ -173,7 +173,7 @@ def test_passband_factor_decays_under_limiting_absorption(L_um, a_frac, layers, 
     arg = 2 * np.pi * f / cell.rod.velocity * cell.rod.height
     checked = 0
     for zero in (False, True):
-        sw = bloch._table(cell, f, with_gamma=False, force_zero_coupling=zero)
+        sw = bloch.Sweep(*bloch._columns(cell, f, with_gamma=False, force_zero_coupling=zero))
         kl = sw.k * cell.cell_length
         # a real factor on the unit circle is +-1, where both members round to
         # the same value and there is no direction to choose
@@ -276,7 +276,8 @@ def test_one_point_calls_are_their_table_rows_on_drawn_cells(geo, f, zero):
     array: bloch_point, (Gamma, Gamma_e) and ln|lambda_flex| are the table's row,
     bit for bit."""
     cell = unit_cell(parse_config({"geometry": geo}))
-    row = next(iter(bloch._table(cell, np.array([f]), with_gamma=True, force_zero_coupling=zero)))
+    columns = bloch._columns(cell, np.array([f]), with_gamma=True, force_zero_coupling=zero)
+    row = next(iter(bloch.Sweep(*columns)))
     assert _without_re_kef(bloch_point(cell, f, force_zero_coupling=zero)) == _without_re_kef(row)
     gammas = semi_infinite_reflection(cell, f, force_zero_coupling=zero)
     assert repr(gammas) == repr((row.gamma, row.gamma_e))
@@ -289,7 +290,7 @@ def test_one_point_errors_are_the_table_errors(default_cell, f):
     """Where the closed forms underflow and past the rod's top frequency, each
     one-point call raises the one-element table's NumericError: message and row."""
     with pytest.raises(NumericError) as table:
-        bloch._table(default_cell, np.array([f]), with_gamma=True)
+        bloch.Sweep(*bloch._columns(default_cell, np.array([f]), with_gamma=True))
     for call in (bloch_point, semi_infinite_reflection, lambda c, x: chain_profile(c, x, 20)):
         with pytest.raises(NumericError) as one:
             call(default_cell, f)
@@ -304,7 +305,7 @@ def test_kernel_chunks_change_no_bit(default_cell):
     """
     sw = sweep(default_cell, 0.1e9, 6e9, 2000)
     chunks = [
-        bloch._table(default_cell, sw.f[lo : lo + 7], with_gamma=True)
+        bloch.Sweep(*bloch._columns(default_cell, sw.f[lo : lo + 7], with_gamma=True))
         for lo in range(0, len(sw), 7)
     ]
     for field in dataclasses.fields(bloch.Sweep):
@@ -383,7 +384,7 @@ def _mp_gamma(kl, sigma, lam):
 def test_gamma_matches_mpmath(L_um):
     cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
     f = np.random.default_rng(31).uniform(0.1e9, 6e9, 300)
-    a = bloch._table(cell, f, with_gamma=True)
+    a = bloch.Sweep(*bloch._columns(cell, f, with_gamma=True))
     worst = 0.0
     for kl, s, lam, g in zip(
         (a.k * cell.cell_length).tolist(), a.sigma.tolist(), a.lambda_flex.tolist(),
@@ -408,7 +409,7 @@ def test_point_outputs_do_not_depend_on_the_batch(L_um, a_frac, freqs, split):
     split = min(split, len(freqs) - 1)
 
     def run(fs):
-        return bloch._table(cell, fs, with_gamma=True)
+        return bloch.Sweep(*bloch._columns(cell, fs, with_gamma=True))
 
     whole = run(f)
     parts = [run(f[:split]), run(f[split:])]

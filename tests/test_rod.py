@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rodwave import (
     NumericError,
+    RodwaveError,
     SingularFrequencyError,
     driving_impedance,
     impedance_extrema,
@@ -99,6 +100,20 @@ def test_modeshape_is_finite_at_low_frequency(default_rod):
 def test_modeshape_rejects_pole(default_rod):
     with pytest.raises(SingularFrequencyError):
         rod_modeshape(default_rod, default_rod.first_pole, 1.0, 10)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="rod_modeshape refuses the poles of Z_b, where its displacement is finite, "
+    "and answers at its zeros, where the displacement diverges (ROADMAP item 17)",
+)
+def test_modeshape_at_an_impedance_zero_is_refused(default_rod):
+    # u(0) (-i omega) / F = 1 / Z_b: under a base force the displacement
+    # diverges where Z_b vanishes.  At first_zero the call returns max|u| =
+    # 1.05e4 m for f_amp = 1 (1.0e-11 m at 1 GHz), with no error
+    f = default_rod.first_zero
+    with pytest.raises(RodwaveError, match=f"f={re.escape(repr(f))}"):
+        rod_modeshape(default_rod, f, 1.0, 9)
 
 
 @pytest.mark.parametrize(

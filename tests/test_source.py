@@ -1,11 +1,12 @@
-"""Five source rules for src/rodwave.  Four read the sources with ast (no
+"""Six source rules for src/rodwave.  Five read the sources with ast (no
 linter is a dependency): every import is used, every module-level private
 name is referenced somewhere in the package besides its definition, so a
 deleted helper does not live on as a name that only the tests call, no `**`
-is left where a one-point call runs numpy's scalar math, and every refusal
-of an argument names its call.  The fifth imports the package: every array
-it shares between calls is read-only, so no in-place write can change a
-later result."""
+is left where a one-point call runs numpy's scalar math, every refusal of an
+argument names its call, and a checked argument is read only as the value
+its check returns.  The sixth imports the package: every array it shares
+between calls is read-only, so no in-place write can change a later
+result."""
 
 import ast
 import importlib
@@ -168,6 +169,71 @@ def test_every_refusal_names_its_call(module):
 def test_the_refusal_rule_finds_the_refusals():
     found = {(m, f) for m in _REFUSING for f, _ in _refusals(TREES[m])}
     assert {("bloch.py", "field_profile"), ("svg.py", "line_plot")} <= found
+
+
+# the argument checks of errors, each with the number of leading arguments it checks
+_CHECKS = {"frequency_row": 1, "count": 1, "finite_number": 1, "frequency_bounds": 2}
+
+
+def _checked_parameters(function: ast.FunctionDef):
+    """(parameter, check call) of each of the function's own parameters that
+    it passes as a checked argument of one of _CHECKS."""
+    parameters = {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
+    for call in ast.walk(function):
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+            for arg in call.args[: _CHECKS.get(call.func.id, 0)]:
+                if isinstance(arg, ast.Name) and arg.id in parameters:
+                    yield arg.id, call
+
+
+def _rebinds(function: ast.FunctionDef, name: str, call: ast.Call) -> bool:
+    """Whether an assignment in the function binds name to a value holding call."""
+    return any(
+        isinstance(node, ast.Assign)
+        and any(call is n for n in ast.walk(node.value))
+        and any(isinstance(n, ast.Name) and n.id == name for t in node.targets for n in ast.walk(t))
+        for node in ast.walk(function)
+    )
+
+
+def _raw_reads(tree: ast.Module):
+    """(function, parameter, line) of each read of a checked parameter after
+    its check, in a function that did not rebind it to the check's result."""
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for name, call in _checked_parameters(function):
+            if _rebinds(function, name, call):
+                continue
+            end = (call.end_lineno, call.end_col_offset)
+            yield from (
+                (function.name, name, node.lineno)
+                for node in ast.walk(function)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id == name and (node.lineno, node.col_offset) >= end
+            )
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_a_checked_argument_is_read_only_as_its_checks_value(module):
+    """A function that passes its own parameter to an errors check either
+    rebinds the parameter to the check's result or reads it no more: every
+    later statement sees the one value the check returns."""
+    assert list(_raw_reads(TREES[module])) == []
+
+
+def test_the_check_rule_finds_the_checked_parameters():
+    found = {
+        (m, f.name, name)
+        for m, tree in TREES.items()
+        for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+        for name, _ in _checked_parameters(f)
+    }
+    assert {
+        ("bloch.py", "field_profile", "f"), ("bloch.py", "_grid", "f_stop"),
+        ("bloch.py", "_grid", "points"), ("cell.py", "_forcing_at", "f"),
+        ("rod.py", "rod_modeshape", "f_amp"), ("trench.py", "_wavevector_at", "f"),
+    } <= found
 
 
 def _leaves(namespace, prefix):
