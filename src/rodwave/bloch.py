@@ -139,6 +139,9 @@ class BlochPoint:
     complex_band: bool = False
 
 
+_SWEEP_FIELDS = tuple(field.name for field in dataclasses.fields(BlochPoint))
+
+
 @dataclass(frozen=True, eq=False)
 class Sweep:
     """Eigen-analysis over an array of frequencies: one column per BlochPoint
@@ -148,20 +151,10 @@ class Sweep:
     elementwise == on the columns has no single truth value.
     """
 
-    f: np.ndarray
-    eigenvalues: np.ndarray
-    lambda_flex: np.ndarray
-    t_coeff: np.ndarray
-    r_coeff: np.ndarray
-    k_ef: np.ndarray
-    gamma: np.ndarray
-    gamma_e: np.ndarray
-    gamma_phase: np.ndarray
-    in_stopband: np.ndarray
-    k: np.ndarray
-    sigma: np.ndarray
-    reciprocity_defect: np.ndarray
-    complex_band: np.ndarray
+    # BlochPoint's fields, in its order, each an np.ndarray column: the
+    # annotations dataclasses.make_dataclass would write, as strings like the
+    # module's other annotations (from __future__ import annotations)
+    __annotations__ = dict.fromkeys(_SWEEP_FIELDS, "np.ndarray")
 
     def __len__(self) -> int:
         return self.f.size
@@ -169,9 +162,6 @@ class Sweep:
     def __iter__(self):
         cols = [getattr(self, name).tolist() for name in _SWEEP_FIELDS]
         return (BlochPoint(f, tuple(ev), *rest) for f, ev, *rest in zip(*cols))
-
-
-_SWEEP_FIELDS = tuple(field.name for field in dataclasses.fields(Sweep))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ class ConfigError(RodwaveError):
 
 
 class SingularFrequencyError(RodwaveError):
-    """Requested evaluation exactly at a resonance pole where the model diverges."""
+    """Requested evaluation at a frequency where the model diverges (rod_modeshape
+    near a zero of Z_b)."""
 
 
 class NumericError(RodwaveError):
@@ -84,13 +85,19 @@ def frequency_bounds(lo, hi, caller: str, names: tuple[str, str]) -> tuple[np.fl
 
 
 def count(n, caller: str, name: str) -> int:
-    """n as an int, a count of points or cells: a TypeError naming the caller
-    and the argument unless n is an integer (a bool is not one, nor a whole
-    float), a ValueError naming them below 2."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise TypeError(f"{caller}: {name} must be an integer, got {n!r}")
+    """n as an int, a count of points or cells: _integer's TypeError unless n
+    is an integer, a ValueError naming the caller and the argument below 2."""
+    n = _integer(n, caller, name)
     if n < 2:
         raise ValueError(f"{caller}: {name} must be >= 2")
+    return n
+
+
+def _integer(n, caller: str, name: str) -> int:
+    """n as an int: a TypeError naming the caller and the argument unless n is
+    an integer (a bool is not one, nor a whole float)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise TypeError(f"{caller}: {name} must be an integer, got {n!r}")
     return int(n)
 
 

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ONE,
     TWO_PI,
     ZERO,
     NumericError,
@@ -28,8 +29,9 @@ from .errors import (
 )
 from .materials import LaminateSection, longitudinal_velocity
 
-# |f - f_pole| below this fraction of c/h raises the near-pole flag; within
-# 1e-12 of a pole the impedance is reported as a signed-infinite marker.
+# |f - f_pole| below this fraction of c/h raises the near-pole flag, and
+# |f - f_zero| below it is rod_modeshape's refusal; within 1e-12 of a pole the
+# impedance is reported as a signed-infinite marker.
 NEAR_POLE_WINDOW_FRACTION = 1e-4
 _EXACT_POLE_FRACTION = 1e-12
 
@@ -158,16 +160,24 @@ def rod_modeshape(
 
     Returns (z, u_z) with z sampled on [0, h].  The stress-free top face makes
     du_z/dz vanish at z = h for every valid frequency.  f_amp is a finite real
-    number (errors.finite_number).  Where u_z leaves the floating-point range
-    (at low f: below about 2.3e-151 Hz on the default rod with f_amp = 1), and
-    past the rod's top frequency, a NumericError names f.
+    number (errors.finite_number).  Since u_z(0) (-i omega) / f_amp = 1 / Z_b,
+    u_z diverges at the zeros n c/(2h), n >= 1, of Z_b and stays finite at its
+    poles: within the near-pole window's width of a zero (1e-4 c/h) a
+    SingularFrequencyError names f.  Where u_z leaves the floating-point range
+    (at low f, towards the zero of Z_b at f = 0: below about 2.3e-151 Hz on
+    the default rod with f_amp = 1), and past the rod's top frequency, a
+    NumericError names f.
     """
     z_samples = count(z_samples, "rod_modeshape", "z_samples")
     f_amp = finite_number(f_amp, "rod_modeshape", "f_amp")
     f = frequency_row(f, "rod_modeshape")
-    if _impedance_arrays(rod, f)[1]:
+    _impedance_arrays(rod, f)  # refuses an f past the rod's top frequency
+    spacing = rod.first_zero
+    zero = np.maximum(np.rint(f / spacing), ONE) * spacing  # the nearest n c/(2h), n >= 1
+    if np.abs(f - zero) < NEAR_POLE_WINDOW_FRACTION * rod.velocity / rod.height:
         raise SingularFrequencyError(
-            f"rod_modeshape: f={f} is within the near-pole window of Z_b"
+            f"rod_modeshape: f={f.item()!r} Hz is within the near-zero window of Z_b,"
+            " where the displacement under a base force diverges"
         )
     omega = TWO_PI * f  # as the rod kernel forms it
     k_rod = omega / rod.velocity

@@ -4,7 +4,10 @@ Every CSV starts with a comment line recording the tool version and the
 resolved-config hash, so identical configs reproduce byte-identical files.
 All numeric columns are finite; near-pole frequencies are handled upstream
 through analytic limits, and a table with a non-finite value is refused
-before its file is opened.
+before its file is opened.  A run's frequency that is not a real number, or
+count that is not an integer, is the TypeError of errors._real or
+errors._integer naming it, and one out of range a ConfigError, before the
+output directory is made.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .bloch import (
 )
 from .cell import UnitCellGeometry, cell_matrices
 from .config import RunConfig, config_hash, unit_cell
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, _integer, _real
 from .rod import _impedance_arrays
 from .svg import line_plot
 from .trench import THIN_BEAM_MIN_RATIO, _lambda_over_ht, flexural_wavevectors
@@ -331,6 +334,8 @@ def run_chain(
     out_dir: str | None = None,
 ) -> dict:
     """Finite-chain decay profile at one frequency; write chain.csv."""
+    freq = _real(freq, "run_chain", "freq")
+    n_cells = _integer(n_cells, "run_chain", "n_cells")
     if not 0 < freq < math.inf:
         raise ConfigError("chain: --freq must be > 0 and finite")
     if not 2 <= n_cells <= 200:
@@ -376,6 +381,9 @@ def run_impedance(
     out_dir: str | None = None,
 ) -> dict:
     """Rod driving-impedance spectrum; write impedance.csv."""
+    f_start = _real(f_start, "run_impedance", "f_start")
+    f_stop = _real(f_stop, "run_impedance", "f_stop")
+    points = _integer(points, "run_impedance", "points")
     if not 0 <= f_start < f_stop < math.inf:
         raise ConfigError("impedance: need 0 <= f_start < f_stop, both finite")
     if points < 2:
@@ -422,6 +430,7 @@ def transfer_matrix_reference(k: float, a: float, L: float, sigma: float) -> np.
 
 def run_matrices(config: RunConfig, freq: float, out_dir: str | None = None) -> dict:
     """Dump G, C, D, T at one frequency plus the closed-form discrepancy report."""
+    freq = _real(freq, "run_matrices", "freq")
     if not 0 < freq < math.inf:
         raise ConfigError("matrices: --freq must be > 0 and finite")
     directory = _resolve_out(config, out_dir)

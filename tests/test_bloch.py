@@ -1,9 +1,12 @@
+import ast
 import cmath
 import dataclasses
+import inspect
 import json
 import math
 import re
 import sys
+import textwrap
 import warnings
 
 import mpmath
@@ -52,6 +55,23 @@ def default_sweep(default_cell):
 @pytest.fixture(scope="module")
 def default_report(default_cell, default_sweep):
     return stopband_report(default_sweep, default_cell)
+
+
+def test_sweep_columns_are_the_blochpoint_fields(default_sweep):
+    """One declaration of a Bloch result: the table's columns are BlochPoint's
+    fields, by name and in order, none declared by hand; the table stays
+    frozen, compares by identity and iterates into BlochPoint rows."""
+    names = [field.name for field in dataclasses.fields(bloch.BlochPoint)]
+    assert [field.name for field in dataclasses.fields(bloch.Sweep)] == names
+    body = ast.parse(textwrap.dedent(inspect.getsource(bloch.Sweep))).body[0].body
+    assert not [node for node in body if isinstance(node, ast.AnnAssign)]
+    assert all(isinstance(getattr(default_sweep, name), np.ndarray) for name in names)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        default_sweep.f = default_sweep.f
+    same_columns = bloch.Sweep(*(getattr(default_sweep, name) for name in names))
+    assert default_sweep == default_sweep and default_sweep != same_columns
+    row = next(iter(default_sweep))
+    assert isinstance(row, bloch.BlochPoint) and row.f == default_sweep.f[0]
 
 
 def _assert_transparent_without_coupling(cell, f):

@@ -601,14 +601,50 @@ def test_non_finite_frequency_is_a_config_error(tmp_path, capsys, sweep, argv):
         (["geom-sweep"], "geometry_sweep section is required for this run"),
         (["impedance", "--f-start", "1e8", "--f-stop", "1e9", "--points", "1"],
          "impedance: points must be >= 2"),
+        (["impedance", "--f-start", "2e9", "--f-stop", "1e9", "--points", "5"],
+         "impedance: need 0 <= f_start < f_stop, both finite"),
+        (["chain", "--freq", "0", "--cells", "10"], "chain: --freq must be > 0 and finite"),
+        (["chain", "--freq", "2e9", "--cells", "201"], "chain: --cells must be in [2, 200]"),
+        (["matrices", "--freq", "0"], "matrices: --freq must be > 0 and finite"),
     ],
-    ids=["geom-sweep-without-section", "impedance-one-point"],
+    ids=[
+        "geom-sweep-without-section", "impedance-one-point", "impedance-reversed",
+        "chain-zero-freq", "chain-201-cells", "matrices-zero-freq",
+    ],
 )
 def test_run_without_what_it_needs_exits_2(tmp_path, capsys, argv, message):
     cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
     assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# a run function's argument that is not a real number, or a count that is not
+# an integer: each ran on (a True f_start wrote an impedance.csv from 1 Hz), or
+# failed with a bare numpy or comparison TypeError, or refused only after the
+# output directory was made
+_RUN_TYPE_REFUSALS = [
+    ("run_impedance", (True, 2e9, 5), "run_impedance: f_start must be a real number, got True"),
+    ("run_impedance", (0.0, "2e9", 5), "run_impedance: f_stop must be a real number, got '2e9'"),
+    ("run_impedance", (0.0, 2e9, 5.0), "run_impedance: points must be an integer, got 5.0"),
+    ("run_chain", (True, 10), "run_chain: freq must be a real number, got True"),
+    ("run_chain", (2.0e9, 10.0), "run_chain: n_cells must be an integer, got 10.0"),
+    ("run_matrices", ("1e9",), "run_matrices: freq must be a real number, got '1e9'"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, args, message", _RUN_TYPE_REFUSALS, ids=[m for _, _, m in _RUN_TYPE_REFUSALS]
+)
+def test_a_run_refuses_an_argument_of_the_wrong_type_before_its_directory(
+    tmp_path, name, args, message
+):
+    from rodwave import workbench
+
+    out = tmp_path / "out"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        getattr(workbench, name)(rodwave.parse_config({}), *args, out_dir=str(out))
+    assert not out.exists()
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from rodwave import (
 )
 from rodwave.cell import forcing_arrays
 from rodwave.materials import LaminateSection
-from rodwave.rod import RodModel, _impedance_arrays
+from rodwave.rod import NEAR_POLE_WINDOW_FRACTION, RodModel, _impedance_arrays
 
 
 def test_impedance_zero_at_dc(default_rod):
@@ -97,23 +98,57 @@ def test_modeshape_is_finite_at_low_frequency(default_rod):
     assert np.isfinite(u).all()
 
 
-def test_modeshape_rejects_pole(default_rod):
-    with pytest.raises(SingularFrequencyError):
-        rod_modeshape(default_rod, default_rod.first_pole, 1.0, 10)
+def _modeshape_mpmath(rod, f, z):
+    """The mode-shape formula -F / (omega rho A c) (sin kz + cos kz / tan kh),
+    F = 1, at 50 digits on the same float inputs (f, the rod's constants, z)."""
+    with mpmath.workdps(50):
+        omega = 2 * mpmath.pi * mpmath.mpf(f)
+        k = omega / mpmath.mpf(rod.velocity)
+        cot_kh = 1 / mpmath.tan(k * mpmath.mpf(rod.height))
+        scale = -1 / (omega * mpmath.mpf(rod.impedance_scale))
+        u = [scale * (mpmath.sin(k * x) + mpmath.cos(k * x) * cot_kh) for x in map(mpmath.mpf, z)]
+        return np.array([float(x) for x in u])
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="rod_modeshape refuses the poles of Z_b, where its displacement is finite, "
-    "and answers at its zeros, where the displacement diverges (ROADMAP item 17)",
-)
+def _relative_deviation(rod, f):
+    """max |u - u_mpmath| / max |u_mpmath| of the mode shape at f on 9 samples."""
+    z, u = rod_modeshape(rod, f, 1.0, 9)
+    assert not u.imag.any()
+    reference = _modeshape_mpmath(rod, f, z.tolist())
+    return np.abs(u.real - reference).max() / np.abs(reference).max()
+
+
+@pytest.mark.parametrize("poles", [1, 3])
+def test_modeshape_at_a_pole_matches_mpmath(default_rod, poles):
+    # at a pole of Z_b the base is a virtual fixed constraint: cos kz / tan kh
+    # vanishes and u = -F sin kz / (omega rho A c) stays finite (max|u| =
+    # 2.6e-12 m at first_pole for F = 1).  Deviation below 1e-15 of max|u|
+    assert _relative_deviation(default_rod, poles * default_rod.first_pole) < 1e-14
+
+
 def test_modeshape_at_an_impedance_zero_is_refused(default_rod):
     # u(0) (-i omega) / F = 1 / Z_b: under a base force the displacement
-    # diverges where Z_b vanishes.  At first_zero the call returns max|u| =
-    # 1.05e4 m for f_amp = 1 (1.0e-11 m at 1 GHz), with no error
+    # diverges where Z_b vanishes.  At first_zero the formula gave max|u| =
+    # 1.05e4 m for f_amp = 1 (1.0e-11 m at 1 GHz)
     f = default_rod.first_zero
     with pytest.raises(RodwaveError, match=f"f={re.escape(repr(f))}"):
         rod_modeshape(default_rod, f, 1.0, 9)
+
+
+@pytest.mark.parametrize("zeros", [1, 2])
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+def test_modeshape_refusal_window_edges(default_rod, zeros, side):
+    # the window is |f - n c/(2h)| < 1e-4 c/h, the near-pole window's width:
+    # refused just inside, answered just outside.  There max|u| is about 2e-9 m
+    # and the phase's last-bit rounding is amplified by 1 / tan kh ~ 1.6e3, so
+    # the deviation from mpmath is up to 1.3e-12 of max|u|
+    window = NEAR_POLE_WINDOW_FRACTION * default_rod.velocity / default_rod.height
+    zero = zeros * default_rod.first_zero
+    inside = zero + side * 0.999 * window
+    message = f"^rod_modeshape: f={re.escape(repr(inside))} Hz is within the near-zero window"
+    with pytest.raises(SingularFrequencyError, match=message):
+        rod_modeshape(default_rod, inside, 1.0, 9)
+    assert _relative_deviation(default_rod, zero + side * 1.001 * window) < 1e-11
 
 
 @pytest.mark.parametrize(

@@ -172,7 +172,10 @@ def test_the_refusal_rule_finds_the_refusals():
 
 
 # the argument checks of errors, each with the number of leading arguments it checks
-_CHECKS = {"frequency_row": 1, "count": 1, "finite_number": 1, "frequency_bounds": 2}
+_CHECKS = {
+    "frequency_row": 1, "count": 1, "finite_number": 1, "frequency_bounds": 2,
+    "_real": 1, "_integer": 1,
+}
 
 
 def _checked_parameters(function: ast.FunctionDef):
@@ -233,6 +236,8 @@ def test_the_check_rule_finds_the_checked_parameters():
         ("bloch.py", "field_profile", "f"), ("bloch.py", "_grid", "f_stop"),
         ("bloch.py", "_grid", "points"), ("cell.py", "_forcing_at", "f"),
         ("rod.py", "rod_modeshape", "f_amp"), ("trench.py", "_wavevector_at", "f"),
+        ("workbench.py", "run_chain", "n_cells"), ("workbench.py", "run_impedance", "f_start"),
+        ("workbench.py", "run_matrices", "freq"),
     } <= found
 
 
