@@ -47,18 +47,21 @@ complex scalar product or builtin abs() of a complex scalar; so the stage
 squares and raises powers through np.square and np.power, keeps complex
 products on the pair and component arrays, and takes np.abs.  The front
 reads one cell's constants as numpy scalars (``UnitCellGeometry._operands``).
-Several cells make one front, over their constants repeated per point
+Several cells make one front, over their constants taken per row
 (``cell.stacked_cells``), so ``sweep_cells`` runs the front and the stopband
-test once each for a whole geometry sweep.  The full table is a ``Sweep``,
+test over a whole geometry sweep's rows.  The full table is a ``Sweep``,
 and ``bloch_point`` reads its one row from the scalar columns.  The stage
 builds no 4x4 matrix and makes no LAPACK call: every step is elementwise,
 with sums over the four components written out, so a point's outputs do not
-depend on the batch it was evaluated in, nor on whether it was one.
+depend on the batch it was evaluated in, nor on whether it was one.  So an
+array of more than ``_CHUNK`` frequencies runs in chunks of at most that
+many (``_chunked``), which bounds the stage's temporaries, and each chunk's
+columns are written into the whole ones.
 
-Each run of the stage enters one np.errstate (``_quiet``), where the entry
-point starts it: overflow and 0/0 in the front, the roots and Gamma are left
-to the stage's own finiteness checks, and the chain's log 0 is exact.  The
-eigen-check and the table assembly run after the block.
+Each run of the stage, one per chunk, enters one np.errstate (``_quiet``),
+where the entry point starts it: overflow and 0/0 in the front, the roots
+and Gamma are left to the stage's own finiteness checks, and the chain's
+log 0 is exact.  The eigen-check and the table assembly run after the block.
 """
 
 from __future__ import annotations
@@ -104,6 +107,7 @@ MARKER_MIN_REAL = 0.98  # smallest in-band max(Re Gamma) that counts as a marker
 _INTERIOR_SAMPLES = 17  # uniform in-band samples of _gamma_extrema
 _EDGE_OFFSETS = (1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2)  # edge samples, per band width
 _TREE_LEVELS = 4  # bisection levels of every edge bracket per stage call
+_CHUNK = 2048  # the most frequencies one run of the stage takes (_chunked)
 # the stage's ufunc operands (errors.constant), complex ones beside complex arrays
 _C_ONE, _C_TWO, _C_FOUR = (constant(x, complex) for x in (1, 2, 4))
 _STOP_BELOW, _ON_CIRCLE, _COMPLEX_BAND_TOL = map(constant, (1.0 - TOL_BAND, 1e-8, 1e-9))
@@ -325,7 +329,7 @@ def _quiet() -> np.errstate:
 def _front(cell: SimpleNamespace, f: np.ndarray, *, force_zero_coupling: bool = False) -> _Front:
     """The front of one cell over an array of frequencies f > 0 or at the
     numpy scalar of a one-point call, or of stacked_cells of several over
-    their grids end to end; the entry points hand it a cell's _operands, its
+    their rows; the entry points hand it a cell's _operands, its
     constants as numpy scalars.  Where 2 pi f or k**3 overflows, k or sigma is
     inf or NaN, and so are the roots, which the stage reports (_pairs); the
     rod kernel raises where its phase overflows and past the rod's top
@@ -471,6 +475,36 @@ def _columns(
     )
 
 
+def _chunked(stage, f: np.ndarray, *per_row: np.ndarray) -> tuple:
+    """stage(f, *per_row), a run of the Bloch stage over the 1-D array of
+    frequencies f that returns a tuple of columns with one row per frequency,
+    run over consecutive chunks of at most _CHUNK rows of f and of the per-row
+    arrays beside it, so the stage's temporaries are those of one chunk.
+
+    A run of at most _CHUNK rows is the one call.  A longer one writes each
+    chunk's columns into whole columns allocated from the first chunk's.
+    Every step of the stage is elementwise, so each row is bit for bit the
+    row of one call over f.  The first failing chunk raises, its
+    NumericError's row made a row of f; later chunks do not run.
+    """
+    n = f.size
+    if n <= _CHUNK:
+        return stage(f, *per_row)
+    columns = ()
+    for lo in range(0, n, _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        try:
+            part = stage(f[rows], *(x[rows] for x in per_row))
+        except NumericError as exc:
+            exc.row += lo
+            raise
+        if not columns:
+            columns = tuple(np.empty((n, *x.shape[1:]), x.dtype) for x in part)
+        for column, x in zip(columns, part):
+            column[rows] = x
+    return columns
+
+
 def _require_finite(f: np.ndarray, kl: np.ndarray, values: np.ndarray, what: str) -> None:
     """NumericError naming the first frequency, and its kL, where values, one
     row per frequency of an array f or one for a numpy scalar f, are not all
@@ -563,7 +597,8 @@ def _grid(f_start: float, f_stop: float, points: int, caller: str) -> np.ndarray
 
 def sweep(cell: UnitCellGeometry, f_start: float, f_stop: float, points: int) -> Sweep:
     """Uniform frequency sweep with branch-continuous Re(k_ef) and Gamma, as one table."""
-    sw = Sweep(*_columns(cell, _grid(f_start, f_stop, points, "sweep"), with_gamma=True))
+    f = _grid(f_start, f_stop, points, "sweep")
+    sw = Sweep(*_chunked(lambda fs: _columns(cell, fs, with_gamma=True), f))
     L = cell.cell_length
     args = np.unwrap(np.angle(sw.lambda_flex))
     branch = _branch_indices(sw.in_stopband, sw.k * L - args)
@@ -575,14 +610,28 @@ def sweep_cells(
     cells: list[UnitCellGeometry], f_start: float, f_stop: float, points: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(f, T, in_stopband) of the uniform frequency sweep of each cell, the
-    grids end to end: one front, and the stage once as far as its stopband
-    test (_pairs).  Rows i * points .. (i + 1) * points - 1 are, bit for bit,
-    the in_stopband of cells[i]'s own table and its t_coeff at every stopband
-    point.  A NumericError's row is its row in these columns.
+    grids end to end: the front and the stage as far as its stopband test
+    (_stopband_test) over the rows in _chunked runs, each on the constants of
+    the cells its rows belong to (cell.stacked_cells of those cells only, so
+    a chunk's cost does not grow with the number of cells).  Rows i * points
+    .. (i + 1) * points - 1 are, bit for bit, the in_stopband of cells[i]'s
+    own table and its t_coeff at every stopband point.  A NumericError's row
+    is its row in these columns.
     """
     f = np.tile(_grid(f_start, f_stop, points, "sweep_cells"), len(cells))
+
+    def stage(fs, owner):
+        first = owner[0]
+        return _stopband_test(stacked_cells(cells[first : owner[-1] + 1], owner - first), fs)
+
+    return (f, *_chunked(stage, f, np.repeat(np.arange(len(cells)), points)))
+
+
+def _stopband_test(operands: SimpleNamespace, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, in_stopband) of the front of operands (a cell's _operands or
+    stacked_cells) over f and the stage's root part (_pairs), under one _quiet."""
     with _quiet():
-        return (f, *_pairs(_front(stacked_cells(cells, points), f))[-2:])
+        return _pairs(_front(operands, f))[-2:]
 
 
 def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
@@ -591,10 +640,10 @@ def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
 
     Each round splits every active bracket into 2^_TREE_LEVELS parts by
     repeated halving, each point 0.5 * (left + right) of its parent part, and
-    tests its 2^_TREE_LEVELS - 1 inner points in one stage call.  Bisection
-    by index on that grid, a step only while the bracket is wider than
-    EDGE_REFINE_HZ, then takes the same midpoints and the same stop as one
-    level per call.  The stopband test is the stage's (_pairs), as in
+    tests its 2^_TREE_LEVELS - 1 inner points in one stage call (_chunked).
+    Bisection by index on that grid, a step only while the bracket is wider
+    than EDGE_REFINE_HZ, then takes the same midpoints and the same stop as
+    one level per call.  The stopband test is the stage's (_pairs), as in
     Sweep.in_stopband.
     """
     brackets = brackets.astype(float)
@@ -610,8 +659,9 @@ def _refine_edges(cell: UnitCellGeometry, brackets: np.ndarray) -> np.ndarray:
             grid[:, step // 2 :: step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
             step //= 2
         # the stopband test at inner point j is stop[:, j - 1]
-        with _quiet():
-            stop = _pairs(_front(cell._operands, grid[:, 1:-1].ravel()))[-1].reshape(-1, parts - 1)
+        tested = grid[:, 1:-1].ravel()
+        stop = _chunked(lambda f: _stopband_test(cell._operands, f), tested)[1]
+        stop = stop.reshape(-1, parts - 1)
         rows = np.arange(active.size)
         a, b = np.zeros(active.size, dtype=int), np.full(active.size, parts)
         for _ in range(_TREE_LEVELS):
@@ -685,7 +735,8 @@ def stopband_report(sweep: Sweep, cell: UnitCellGeometry) -> StopbandReport:
 
 def _gamma_extrema(cell: UnitCellGeometry, f_low: np.ndarray, f_high: np.ndarray):
     """(f_at_max, max, f_at_min, min) of Re(Gamma) in each band f_low..f_high,
-    one entry per band, from one stage call over every band's samples.
+    one entry per band, from one stage call over every band's samples
+    (_chunked).
 
     Re(Gamma) approaches its extreme values very close to the band edges, so
     each band's 31 sorted samples mix _INTERIOR_SAMPLES uniform interior
@@ -696,9 +747,13 @@ def _gamma_extrema(cell: UnitCellGeometry, f_low: np.ndarray, f_high: np.ndarray
     interior = np.linspace(f_low + 0.05 * width, f_high - 0.05 * width, _INTERIOR_SAMPLES, axis=1)
     fs = np.concatenate([f_low[:, None] + offsets, f_high[:, None] - offsets, interior], axis=1)
     fs.sort(axis=1)
-    with _quiet():
-        fr = _front(cell._operands, fs.ravel())
-        re = _reflection(fr, _transmitted(fr))[0].real.reshape(fs.shape)
+
+    def re_gamma(f):
+        with _quiet():
+            fr = _front(cell._operands, f)
+            return (_reflection(fr, _transmitted(fr))[0].real,)
+
+    re = _chunked(re_gamma, fs.ravel())[0].reshape(fs.shape)
     rows = np.arange(fs.shape[0])
     hi, lo = re.argmax(axis=1), re.argmin(axis=1)
     return fs[rows, hi], re[rows, hi], fs[rows, lo], re[rows, lo]

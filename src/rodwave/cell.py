@@ -151,8 +151,8 @@ def forcing_arrays(cell: SimpleNamespace, f: np.ndarray):
     signed-infinite marker makes f_eff and sigma infinite; consumers clamp
     sigma or use its infinite limits.  sigma and s0 = omega rho A c / (E_t I_t
     k^3) share one E_t I_t k^3; s0 and the phase feed sigma_slope_arrays.  The
-    cell may be stacked_cells of several, with f their grids end to end (the
-    error's row is the failing entry of f), or one cell's _operands.
+    cell may be stacked_cells of several, with f their rows (the error's row
+    is the failing entry of f), or one cell's _operands.
     """
     omega = TWO_PI * f  # one product for the rod phase, f_eff and k
     im, _, phase = _pole_impedance(cell.rod, f, omega)
@@ -162,18 +162,18 @@ def forcing_arrays(cell: SimpleNamespace, f: np.ndarray):
     return k, f_eff, f_eff / stiffness, omega * cell.rod.impedance_scale / stiffness, phase
 
 
-def stacked_cells(cells: list[UnitCellGeometry], points: int) -> SimpleNamespace:
+def stacked_cells(cells: list[UnitCellGeometry], owner: np.ndarray) -> SimpleNamespace:
     """Several cells as one, for forcing_arrays and the rod and trench formulas
-    under it, over the cells' frequency grids laid end to end; their front runs
-    the whole Bloch stage.  A cell's own _operands are the same constants as
-    numpy scalars, which broadcast over any grid.
+    under it, over rows of frequencies each of one cell, cells[owner[j]] on row
+    j; their front runs the whole Bloch stage.  A cell's own _operands are the
+    same constants as numpy scalars, which broadcast over any grid.
 
-    Each constant those read is a per-point array: the value of cells[i] on rows
-    i * points .. (i + 1) * points - 1.  Every formula is elementwise, so those
-    rows are bit for bit the ones of cells[i] on its own grid.  The arrays are
-    read-only (errors.constant).
+    Each constant those read is a per-row array, the cells' values taken by
+    owner (np.take).  Every formula is elementwise, so each row is bit for bit
+    the one of its cell on its own grid.  The arrays are read-only
+    (errors.constant).
     """
-    return _cell_constants(cells, lambda values: constant(np.repeat(values, points)))
+    return _cell_constants(cells, lambda values: constant(np.take(values, owner)))
 
 
 def _cell_constants(cells: list[UnitCellGeometry], form) -> SimpleNamespace:

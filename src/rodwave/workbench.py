@@ -257,11 +257,14 @@ def run_geometry_sweep(config: RunConfig, out_dir: str | None = None) -> dict:
 
     Steps that violate a < L are skipped and named in the notes.  The kept
     steps run as one: their cells' frequency grids go through the Bloch
-    stage in one pass, as far as the stopband test (bloch.sweep_cells), and
-    one band-summary pass over its columns gives the bands of every step,
-    with grid-point edges (bloch._bands).  Each step reports its primary band
-    (bloch._primary, the rule of StopbandReport.primary_band), or zeros
-    without a band.  A numeric failure names the first step it occurs in.
+    stage end to end, in chunks of rows, as far as the stopband test
+    (bloch.sweep_cells), and one band-summary pass over its columns gives the
+    bands of every step, with grid-point edges (bloch._bands).  Each step
+    reports its primary band (bloch._primary, the rule of
+    StopbandReport.primary_band), or zeros without a band.  A numeric failure
+    names the step of the first failing chunk's error: the first failing
+    step, unless one chunk holds two failing steps' rows and the later step's
+    rod error comes before the earlier one's root error.
 
     The per-cell dispersion of this 1D model depends on the rod width a only
     through phase factors that cancel in the transfer-matrix eigenvalues, and
