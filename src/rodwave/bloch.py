@@ -8,9 +8,13 @@ palindromic and reduces through y = lambda + 1/lambda to a quadratic
     su = 2 cos kL + 2 cosh kL + (sigma/2)(sinh kL - sin kL),
     pr = 4 cos kL cosh kL + sigma (cos kL sinh kL - sin kL cosh kL).
 
-Its roots are taken from this closed form, stably: the root without
-cancellation from the quadratic formula, the other one as pr / root.  Each
-y-root gives a reciprocal pair of Bloch factors.  The transmitted pair is
+Its roots are taken in the shifted variable z = y - 2, from z^2 - sz z + q =
+0 with sz = su - 4 and q = 4 - 2 su + pr written without their cancellation
+near y = 2 (_z_parts), stably: the root without cancellation from the
+quadratic formula, the other one as q / root.  Each root gives a reciprocal
+pair of Bloch factors, carried with their offsets lambda - 1 = (z +-
+sqrt(z (z + 4)))/2, so a small kL loses no digit; a root near y = -2 carries
+its pair from -1 instead (_odd_edge_pairs).  The transmitted pair is
 the least attenuated one: the pair whose |lambda| <= 1 member has the larger
 modulus (Mead, J. Sound Vib. 27(2), 1973).  Its factor with |lambda| <= 1
 gives the transmission T = |lambda| per cell and the effective wavevector
@@ -23,8 +27,11 @@ quadratic in real arithmetic: y' = (y su' - pr') / (y - y_other).
 
 The cell matrix is T = diag(p) + (sigma/4) u w^T, with p = (e^{-ikL}, e^{kL},
 e^{ikL}, e^{-kL}), w the same at kL/2 and u = w * (-i, 1, i, -1).  A Bloch
-factor lambda has the eigenvector (lambda - p)^-1 u, and the reflection
-Gamma of a semi-infinite chain is a 2x2 Cramer solve on two of them.
+factor lambda has the eigenvector (lambda - p)^-1 u.  The reflection Gamma of
+a semi-infinite chain, Cramer's rule on two of them, is a closed form in the
+two factors and p, taken from the table lambda - p of their offsets and p -
+1 (p + 1 for a factor taken from -1); the eigen-check is the secular
+function on the same table.
 
 A finite chain of n cells, driven by a unit propagating wave at boundary 0
 and matched after the last cell, is a sum over the four Bloch modes, each
@@ -35,7 +42,8 @@ front (``_front``: k, the clamped sigma, L, and s0 and the rod phase for
 omega dsigma/domega) and one cell-free Bloch stage that reads only the
 front, run as far as a result needs: roots and stopband test (``_pairs``),
 passband direction (``_transmitted``, the one user of omega dsigma/domega),
-``_reflection`` and the table's columns (``_columns``).  A sweep runs them
+``_reflection`` and the table's columns (``_columns``).  Gamma and the finite
+chain are refused below KL_FLOOR.  A sweep runs them
 over a 1-D array of frequencies, a one-point call (``bloch_point``,
 ``semi_infinite_reflection``, ``chain_profile``) over the numpy float64
 scalar of ``errors.frequency_row``, through the same functions: the front's
@@ -44,8 +52,8 @@ component axis (4) stay arrays, which every step indexes from the end
 (``...``).  numpy's scalar math gives the bits of the array loops for real
 + - * /, complex / and any ufunc call, but not for ``**`` (libm pow), a
 complex scalar product or builtin abs() of a complex scalar; so the stage
-squares and raises powers through np.square and np.power, keeps complex
-products on the pair and component arrays, and takes np.abs.  The front
+squares as products, keeps complex products on the pair and component
+arrays, and takes np.abs.  The front
 reads one cell's constants as numpy scalars (``UnitCellGeometry._operands``).
 Several cells make one front, over their constants taken per row
 (``cell.stacked_cells``), so ``sweep_cells`` runs the front and the stopband
@@ -108,9 +116,17 @@ _INTERIOR_SAMPLES = 17  # uniform in-band samples of _gamma_extrema
 _EDGE_OFFSETS = (1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2)  # edge samples, per band width
 _TREE_LEVELS = 4  # bisection levels of every edge bracket per stage call
 _CHUNK = 2048  # the most frequencies one run of the stage takes (_chunked)
+_ITER_ROWS = 256  # the rows of a Sweep converted to Python values at a time
+# Gamma and the finite chain are refused below this kL (0.43 Hz on the default
+# cell) with the small-kL NumericError: the floor the earlier closed forms had
+# there, kept as a plain bound; the shifted roots and Gamma stay accurate far
+# below it (README, "Numerics of the Bloch kernel")
+KL_FLOOR = 2e-4
 # the stage's ufunc operands (errors.constant), complex ones beside complex arrays
-_C_ONE, _C_TWO, _C_FOUR = (constant(x, complex) for x in (1, 2, 4))
-_STOP_BELOW, _ON_CIRCLE, _COMPLEX_BAND_TOL = map(constant, (1.0 - TOL_BAND, 1e-8, 1e-9))
+_C_ZERO, _C_ONE, _C_TWO, _C_FOUR = (constant(x, complex) for x in (0, 1, 2, 4))
+_STOP_BELOW, _ON_CIRCLE, _COMPLEX_BAND_TOL, _KL_FLOOR = map(
+    constant, (1.0 - TOL_BAND, 1e-8, 1e-9, KL_FLOOR)
+)
 
 
 @dataclass(frozen=True)
@@ -151,8 +167,10 @@ class Sweep:
     """Eigen-analysis over an array of frequencies: one column per BlochPoint
     field, under the same name, with eigenvalues of shape (n, 4).
 
-    Iterating the table yields its BlochPoint rows.  Compared by identity:
-    elementwise == on the columns has no single truth value.
+    Iterating the table yields its BlochPoint rows, converted to Python values
+    _ITER_ROWS rows at a time, so an iteration holds the objects of one block,
+    not of the whole table.  Compared by identity: elementwise == on the
+    columns has no single truth value.
     """
 
     # BlochPoint's fields, in its order, each an np.ndarray column: the
@@ -164,8 +182,11 @@ class Sweep:
         return self.f.size
 
     def __iter__(self):
-        cols = [getattr(self, name).tolist() for name in _SWEEP_FIELDS]
-        return (BlochPoint(f, tuple(ev), *rest) for f, ev, *rest in zip(*cols))
+        columns = [getattr(self, name) for name in _SWEEP_FIELDS]
+        for lo in range(0, len(self), _ITER_ROWS):
+            block = [column[lo : lo + _ITER_ROWS].tolist() for column in columns]
+            for f, ev, *rest in zip(*block):
+                yield BlochPoint(f, tuple(ev), *rest)
 
 
 @dataclass(frozen=True)
@@ -217,80 +238,161 @@ class ChainProfile:
     log_magnitudes: np.ndarray
 
 
-def _y_parts(kl):
-    """kL-only parts of the closed form and of its slope, (c, ch, sn, sh, B, E):
-    cos, cosh, sin and sinh of kL, with su = 2 c + 2 ch + (sigma/2) B and
-    pr = 4 c ch + sigma E."""
-    c, ch, sn, sh = np.cos(kl), np.cosh(kl), np.sin(kl), np.sinh(kl)
-    return c, ch, sn, sh, sh - sn, c * sh - sn * ch
+# B = sinh x - sin x and D = 2 (cosh x + cos x - 2) as x^3 and x^4 times a
+# polynomial in x^4, by Horner from the highest term: B's odd series sum 2
+# x^(4n+3)/(4n+3)!, D's even one sum 4 x^(4n+4)/(4n+4)!; six terms reach the
+# rounding of the leading one below x = 1
+_SERIES = constant(
+    [[2 / math.factorial(4 * n + 3), 4 / math.factorial(4 * n + 4)] for n in reversed(range(6))]
+)
+_SIXTEEN = constant(16.0)
+# a root within _ODD_BAND of z = y - 2 = -4, y = -2 (lambda within about 1/32
+# of -1), takes its pair as offsets from -1 (_odd_edge_pairs)
+_ODD_BAND = constant(1.0 / 1024.0)
 
 
-def _y_closed(parts, s) -> np.ndarray:
-    """Closed-form y-roots ((su + disc)/2, (su - disc)/2), stacked on a new first axis.
+def _z_parts(kl):
+    """kL-only parts of the shifted closed form and of its slope, (half, s2,
+    sh2, sn, sh, B, D, G): kL/2, sin^2(kL/2), sinh^2(kL/2), sin kL, sinh kL, B
+    = sh - sn, D = 4 sh2 - 4 s2 and G = -2 (s2 sh + sh2 sn), with sz = D +
+    (sigma/2) B and q = sigma G - 16 s2 sh2.  Below kL = 1, B and D come from
+    their series (_SERIES), where the differences cancel; G has no
+    cancellation there."""
+    half = kl / TWO
+    sn_h, sh_h = np.sin(half), np.sinh(half)
+    s2, sh2 = sn_h * sn_h, sh_h * sh_h
+    sn, sh = np.sin(kl), np.sinh(kl)
+    B, D = sh - sn, FOUR * (sh2 - s2)
+    small = kl < ONE
+    if count_true(small):
+        x2 = kl * kl
+        x4 = x2 * x2
+        acc = _SERIES[0]
+        for coeff in _SERIES[1:]:
+            acc = acc * x4[..., None] + coeff
+        B = _pick(small, acc[..., 0] * (x2 * kl), B)
+        D = _pick(small, acc[..., 1] * x4, D)
+    return half, s2, sh2, sn, sh, B, D, -TWO * (s2 * sh + sh2 * sn)
 
-    For real kL and sigma, arrays or numpy scalars.  A real pair takes the
-    root without cancellation from the quadratic formula and the other one as
-    pr / root; a complex pair has no cancellation and stays exactly
-    conjugate.  Only real arithmetic is used.
+
+def _z_closed(parts, s):
+    """(z, odd): the closed-form roots in z = y - 2, ((sz + disc)/2, (sz -
+    disc)/2), stacked on a new first axis, and the mask of the points where
+    a real root lies within _ODD_BAND of z = -4 (y = -2), which
+    _odd_edge_pairs then takes from -1; None where there is none.
+
+    With y = z + 2 the quadratic is z^2 - sz z + q = 0, sz = su - 4 and q =
+    4 - 2 su + pr, whose coefficients (_z_parts) are free of the cancellation
+    of su and pr near y = 2.  For real kL and sigma, arrays or numpy scalars.
+    A real pair takes the root without cancellation from the quadratic formula
+    and the other one as q / root; a complex pair has no cancellation and
+    stays exactly conjugate.  Only real arithmetic is used.
     """
-    c, ch, _, _, B, E = parts
-    su = TWO * c + TWO * ch + (s / TWO) * B
-    pr = FOUR * c * ch + s * E
-    disc2 = su * su - FOUR * pr
+    _, s2, sh2, _, _, B, D, G = parts
+    sz = D + (s / TWO) * B
+    q = s * G - _SIXTEEN * s2 * sh2
+    disc2 = sz * sz - FOUR * q
     d = np.sqrt(np.abs(disc2))
-    big = (su + np.copysign(d, su)) / TWO
-    small = pr / big
-    both = np.array([big, small], dtype=complex)
-    y = np.where(su >= ZERO, both, both[::-1])
+    big = (sz + np.copysign(d, sz)) / TWO
+    small = q / big
+    z = np.array([big, small], dtype=complex)
+    # both rare, so tested at once: sz < 0, where big is the second root, and a
+    # root near z = -4; big has the sign of sz, so only small is near -4 at sz >= 0
+    neg, odd = sz < ZERO, None
+    if count_true(neg | (abs(small + FOUR) <= _ODD_BAND)):
+        z = _pick(neg, z[::-1], z)
+        odd = (abs(big + FOUR) <= _ODD_BAND) | (abs(small + FOUR) <= _ODD_BAND)
+        odd = odd if count_true(odd) else None
     pair = disc2 < ZERO
     if count_true(pair):
-        np.copyto(y.real, su / TWO, where=pair)
-        np.copyto(y.imag, np.array([d, -d]) / TWO, where=pair)
-    return y
+        np.copyto(z.real, sz / TWO, where=pair)
+        np.copyto(z.imag, np.array([d, -d]) / TWO, where=pair)
+    return z, odd
 
 
-def _lambda_pairs(y):
-    """Roots of lambda^2 - y lambda + 1 = 0 as (outer, inner), |outer| >= |inner|."""
-    root = np.sqrt(y * y - _C_FOUR)
-    lp = (y + root) / _C_TWO
-    lm = (y - root) / _C_TWO
-    outer = np.where(np.abs(lp) >= np.abs(lm), lp, lm)
-    return outer, _C_ONE / outer
+def _lambda_pairs(z):
+    """(outer, inner, outer - 1): the roots of lambda^2 - (z + 2) lambda + 1 =
+    0, |outer| >= |inner|, and the outer one's offset from 1.
 
-
-def _y_slope(kl, s, ds, parts, y):
-    """omega dy/domega of the first root in y (..., 2), times |y0 - y1| (0 where
-    the real parts meet), in real arithmetic; ds = omega dsigma/domega and
-    parts are _y_parts of kL.
-
-    From y^2 - su y + pr = 0, y' = (y su' - pr') / (2y - su), and 2y - su is
-    y0 - y1 because su is the sum of the roots; omega (kL)' = kL/2.
+    lambda - 1 = (z +- sqrt(z (z + 4)))/2: the member without cancellation,
+    the larger in modulus, is outer - 1, and inner is 1 / outer; inner - 1 =
+    -(outer - 1) / outer (_transmitted), so neither offset cancels against 1.
     """
-    c, ch, sn, sh, B, E = parts
-    half = kl / TWO
-    dsu = half * (TWO * B + (s / TWO) * (ch - c)) + (ds / TWO) * B
-    dpr = half * (FOUR * E - TWO * s * sn * sh) + ds * E
-    y0, y1 = y.real.T
-    return np.sign(y0 - y1) * (y0 * dsu - dpr)
+    root = np.sqrt(z * (z + _C_FOUR))
+    plus, minus = z + root, z - root
+    m_out = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / _C_TWO
+    outer = _C_ONE + m_out
+    return outer, _C_ONE / outer, m_out
+
+
+def _odd_edge_pairs(roots, parts, s, odd):
+    """The indices (as np.nonzero gives them) of the roots near y = -2 taken
+    from -1, None where there is none, with their pairs rewritten in the (z,
+    outer, inner, outer - 1) of _lambda_pairs: outer and inner from -1, and
+    the offset outer + 1.  Only the points of _z_closed's mask odd are read.
+
+    A root within _ODD_BAND of z = -4 whose partner is not is near y = -2,
+    lambda near -1, where z + 4 and lambda - 1 cancel.  There w = y + 2 is
+    Q(-2) / w' by Vieta, w' = z' + 4 of the other root, with Q(-2) = 16 c2
+    ch2 + 2 sigma (c2 sh - ch2 sn) free of cancellation (c2, ch2 = cos^2,
+    cosh^2 of kL/2), and lambda + 1 = (w +- sqrt(w (w - 4)))/2, the larger in
+    modulus for the outer factor.  Only those roots are evaluated: the others
+    keep every bit.  Two roots near -4 are a double root of y, which neither
+    form resolves.
+    """
+    z, outer, inner, m_out = roots
+    rows = () if odd.ndim == 0 else np.nonzero(odd)  # () on a one-point call
+    w = z[rows] + _C_FOUR
+    near = np.abs(w) <= _ODD_BAND
+    near = near > near[..., ::-1]  # near y = -2, and the other root is not
+    if not count_true(near):
+        return None
+    sub = np.nonzero(near)
+    points = tuple(r[sub[0]] for r in rows)
+    at = (*points, sub[-1])
+    half, _, sh2, sn, sh = (x[points] for x in parts[:5])
+    c = np.cos(half)
+    c2, ch2 = c * c, ONE + sh2
+    q_minus = _SIXTEEN * c2 * ch2 + TWO * s[points] * (c2 * sh - ch2 * sn)
+    w = q_minus / w[..., ::-1][sub]
+    root = np.sqrt(w * (w - _C_FOUR))
+    plus, minus = w + root, w - root
+    m = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / _C_TWO
+    outer[at] = m - _C_ONE
+    inner[at] = _C_ONE / outer[at]
+    m_out[at] = m
+    return at
+
+
+def _z_slope(s, ds, parts, z):
+    """omega dz/domega of the first root in z (..., 2), times |z0 - z1| (0 where
+    the real parts meet), in real arithmetic; ds = omega dsigma/domega and
+    parts are _z_parts of kL.
+
+    From z^2 - sz z + q = 0, z' = (z sz' - q') / (2z - sz), and 2z - sz is
+    z0 - z1 because sz is the sum of the roots; omega (kL)' = kL/2, with
+    dsz/dkL = 2 B + (sigma/2)(ch - c), dq/dkL = 4 G - sigma (2 sn sh + ch - c)
+    and ch - c = 2 (sh2 + s2).  z' = y', so its sign is the passband direction's.
+    """
+    half, s2, sh2, sn, sh, B, _, G = parts
+    spread = TWO * (sh2 + s2)
+    dsz = half * (TWO * B + (s / TWO) * spread) + (ds / TWO) * B
+    dq = half * (FOUR * G - s * (TWO * sn * sh + spread)) + ds * G
+    z0, z1 = z.real.T
+    return np.sign(z0 - z1) * (z0 * dsz - dq)
 
 
 _COMPONENTS = constant(np.arange(4))
 
 
-def _sum4(x: np.ndarray) -> np.ndarray:
-    """Sum over a last axis of 4, written out: an axis reduction may add in
-    an order that depends on the batch size."""
-    return x[..., 0] + x[..., 1] + x[..., 2] + x[..., 3]
-
-
 def _eigenvectors(kl, lam):
-    """(v, w, lam - p_near): the eigenvectors of T for the Bloch factors lam.
+    """The eigenvectors of T for the Bloch factors lam, the finite chain's four
+    modes (chain_profile); Gamma and the eigen-check need none (_reflection).
 
     Each eigenvector (lam - p)^-1 u is scaled by lam - p_near, p_near the
     entry of p nearest lam, so it stays finite where lam rounds onto p.  lam
     has the shape of kl with any leading axes; v runs along a new last axis
-    of 4.  With the scaled v, T v - lam v = ((sigma/4) w.v - (lam - p_near)) u
-    exactly.
+    of 4.
     """
     p, w = translation_phases(np.array([kl, kl / TWO]))
     # each component's response to the shear jump is lambda_j / k, its phase rate
@@ -298,8 +400,7 @@ def _eigenvectors(kl, lam):
     gap = lam[..., None] - p
     near = _COMPONENTS == np.abs(gap).argmin(axis=-1)[..., None]
     g_near = gap[near].reshape(lam.shape)  # lam - p_near, one per row
-    v = u * np.where(near, _C_ONE, g_near[..., None] / np.where(near, _C_ONE, gap))
-    return v, w, g_near
+    return u * np.where(near, _C_ONE, g_near[..., None] / np.where(near, _C_ONE, gap))
 
 
 @dataclass
@@ -341,97 +442,168 @@ def _front(cell: SimpleNamespace, f: np.ndarray, *, force_zero_coupling: bool = 
     return _Front(f, k, clamped_sigma(sigma), cell.cell_length, s0, phase)
 
 
+def _pick(mask, new, old):
+    """np.where(mask, new, old) for a mask over the points: old where no point
+    is set and new where every one is, as on a one-point call, without the
+    call; the same values either way."""
+    n = count_true(mask)
+    if n == mask.size:
+        return new
+    return np.where(mask, new, old) if n else old
+
+
 def _pairs(fr: _Front):
-    """(kL, parts, y, outer, inner, |inner|, T, in_stopband): _y_parts of kL,
-    the y-roots and their Bloch pairs, each (..., 2) in _y_closed order, T =
-    min(|inner|, 1) of the least-attenuated pair and the stopband test.
+    """(kL, parts, roots, from_minus_one, |inner|, T, in_stopband): _z_parts
+    of kL, the roots (z, outer, inner, outer - a) of _z_closed and
+    _lambda_pairs with their anchors a = 1, or a = -1 where the mask of
+    _odd_edge_pairs is set (None where it is nowhere), each (..., 2) in
+    _z_closed order, T = min(|inner|, 1) of the least-attenuated pair and the
+    stopband test.
     NumericError where the roots overflow, which _quiet leaves to this check.
     The test needs no passband direction: that picks a member on the unit
     circle, where T >= 1 - 1e-8.
     """
     kl = fr.k * fr.L
-    parts = _y_parts(kl)
-    y = _y_closed(parts, fr.sigma).T
-    outer, inner = _lambda_pairs(y)
-    _require_finite(fr.f, kl, outer, "Bloch roots")
-    mod = np.abs(inner)
-    t = np.minimum(np.maximum(mod[..., 0], mod[..., 1]), ONE)
-    return kl, parts, y, outer, inner, mod, t, t < _STOP_BELOW
+    parts = _z_parts(kl)
+    z, odd = _z_closed(parts, fr.sigma)
+    z = z.T
+    roots = (z, *_lambda_pairs(z))
+    at = None if odd is None else _odd_edge_pairs(roots, parts, fr.sigma, odd)
+    _require_finite(fr.f, kl, roots[1], "Bloch roots")
+    mod = np.abs(roots[2])
+    t = np.maximum(mod[..., 0], mod[..., 1])
+    if count_true(t > ONE):  # only where rounding lifts |inner| past 1
+        t = np.minimum(t, ONE)
+    return kl, parts, roots, at, mod, t, t < _STOP_BELOW
 
 
 def _transmitted(fr: _Front):
-    """(kL, y, outer, inner, lambda_flex, T, in_stopband): the pairs of _pairs
-    with the transmitted one, whose inner factor has the larger modulus, in
-    column 0 (on a tie the _y_closed order stands), the transmitted factor,
-    T = min(|lambda_flex|, 1) and the stopband test of _pairs."""
-    kl, parts, y, outer, inner, mod, _, stop = _pairs(fr)
+    """(kL, z, outer, inner, lambda_flex, T, in_stopband, offsets,
+    from_minus_one): the pairs of _pairs with the transmitted one, whose
+    inner factor has the larger modulus, in column 0 (on a tie the _z_closed
+    order stands), the transmitted factor, T = min(|lambda_flex|, 1), the
+    stopband test of _pairs, the offsets lambda - a of the two factors behind
+    Gamma, lambda_flex and the inner factor of the other pair, stacked on a
+    first axis of 2, and the indices into them of the factors taken from a =
+    -1 (_odd_edge_pairs; None where none is)."""
+    kl, parts, roots, at, mod, _, stop = _pairs(fr)
     swap = mod[..., 1] > mod[..., 0]
     swaps = count_true(swap)
     if swaps == swap.size:  # at every point: the columns reversed, as views
-        y, outer, inner = y[..., ::-1], outer[..., ::-1], inner[..., ::-1]
+        roots = (x[..., ::-1] for x in roots)
+        at = at if at is None else (*at[:-1], 1 - at[-1])
     elif swaps:
+        at = at if at is None else (*at[:-1], np.where(swap[at[:-1]], 1 - at[-1], at[-1]))
         swap = swap[..., None]
-        y, outer, inner = (np.where(swap, x[..., ::-1], x) for x in (y, outer, inner))
+        roots = (np.where(swap, x[..., ::-1], x) for x in roots)
+    z, outer, inner, m_out = roots
     # stopband: the decaying member; passband: the member whose modulus shrinks
     # under omega -> omega (1 + i eps), to first order the one with
     # Im(lambda) dy/domega < 0; where that product is 0 (lambda = +-1, or a
-    # flat y) the inner member stays
-    out0, lam = outer[..., 0], inner[..., 0]
+    # flat y) the inner member stays; inner - a = -a (outer - a) / outer
+    m_in = -m_out / outer
+    if at is not None:
+        m_in[at] = m_out[at] / outer[at]
+    out0, lam, m = outer[..., 0], inner[..., 0], m_in[..., 0]
     band = np.abs(np.abs(out0) - ONE) <= _ON_CIRCLE
     if count_true(band):
         ds = ZERO if fr.s0 is None else sigma_slope_arrays(fr.sigma, fr.s0, fr.phase)
         # the slope is read only at passband points, and may overflow at the others
-        slope = _y_slope(kl, fr.sigma, ds, parts, y)
-        lam = np.where(band & (lam.imag * slope > ZERO), out0, lam)
+        outward = band & (lam.imag * _z_slope(fr.sigma, ds, parts, z) > ZERO)
+        lam, m = _pick(outward, out0, lam), _pick(outward, m_out[..., 0], m)
     mod = np.abs(lam)
     over = mod > ONE
-    if count_true(over):  # keep |lambda| <= 1 against rounding
-        lam = np.where(over, lam / mod, lam)
+    if count_true(over):  # keep |lambda| <= 1 against rounding; m stays the root's
+        lam = _pick(over, lam / mod, lam)
         mod = np.abs(lam)
-    return kl, y, outer, inner, lam, np.minimum(mod, ONE), stop
+        if count_true(mod > ONE):
+            mod = np.minimum(mod, ONE)
+    offsets = np.array([m, m_in[..., 1]])
+    return kl, z, outer, inner, lam, mod, stop, offsets, at if at is None else (at[-1], *at[:-1])
 
 
 def _reflection(fr: _Front, transmitted):
-    """(Gamma, Gamma_e, eigenvectors) of a front from its _transmitted tuple,
-    through two of its factors: the transmitted one and the inner factor of
-    the other pair.  The eigenvectors are _eigenvectors of both, stacked on a
-    first axis of 2.  NumericError where Gamma overflows.
+    """(Gamma, Gamma_e, (w, u, d)) of a front from its _transmitted tuple,
+    through two of its factors: lf, the transmitted one, and le, the inner
+    factor of the other pair.  w is translation_phases of kL/2, u = w *
+    _PHASE_RATES the shear response, and d the table lambda - p of both factors,
+    of shape (2, ..., 4), from the offsets lambda - a of _transmitted and p -
+    a: p - 1 is expm1 of kL times the phase rates, p + 1 that plus 2 and, on
+    the oscillating components 0 and 2, 2 cos(kL/2) w.  NumericError where
+    Gamma overflows and below KL_FLOOR.
 
     The interface state [Gamma, Gamma_e, 1, 0] (reflected, reflected
-    near-field, unit incident, no incoming evanescent) lies in the span of
-    the two eigenvectors: Cramer's rule on components 2 and 3.
+    near-field, unit incident, no incoming evanescent) lies in the span of the
+    eigenvectors (lambda - p)^-1 u of lf and le.  Cramer's rule on components
+    2 and 3, with the factors lambda - p_3 and lf - le cancelled, gives
+
+        Gamma = (u0/u2) (p3-p0)/(p3-p2) (lf-p2)(le-p2) / ((lf-p0)(le-p0)),
+
+    and Gamma_e the same with index 1 in place of 0.  Both are v_2 / v_j with
+    v_i = (lf-p_i)/(p3-p_i) (le-p_i) / u_i, each factor of which stays in
+    range wherever the roots do; lf = p2 without coupling makes them 0.
     """
-    kl, _, _, inner, lam, _, _ = transmitted
-    eig = _eigenvectors(kl, np.array([lam, inner[..., 1]]))  # v of shape (2, ..., 4)
-    vf, ve = eig[0]
-    # the numerators of Gamma and Gamma_e, then the determinant, per point; 0/0
-    # where the two factors round together at small kL, reported just below
-    cramer = vf[..., :3] * ve[..., 3:] - ve[..., :3] * vf[..., 3:]
-    gammas = cramer[..., :2] / cramer[..., 2:]
+    kl, *_, m, at = transmitted
+    rates = kl[..., None] * _PHASE_RATES
+    w = np.exp(rates / _C_TWO)
+    u = w * _PHASE_RATES
+    p1 = np.expm1(rates)
+    d = m[..., None] - p1
+    if at is not None:
+        # the factors taken from -1, against p + 1: 2 cos(kL/2) w on the two
+        # oscillating components, where p itself may be near -1
+        points = at[1:]  # () on a one-point call
+        p_plus = p1[points] + _C_TWO
+        w_at = w[points]
+        p_plus[..., ::2] = w_at[..., ::2] * (TWO * w_at[..., 2:3].real)
+        d[at] = m[at][..., None] - p_plus
+    v = d[0, ..., :3] / (p1[..., 3:] - p1[..., :3]) * d[1, ..., :3] / u[..., :3]
+    gammas = v[..., 2:] / v[..., :2]
     if fr.s0 is None:
-        # nothing reflects without coupling, where Gamma is finite: below the
-        # small-kL floor the two pairs round together and it is 0/0 there too
+        # nothing reflects without coupling, where Gamma is finite
         gammas[np.isfinite(gammas).all(axis=-1)] = 0
+    low = kl < _KL_FLOOR
+    if count_true(low):  # refused below the floor, reported just below
+        gammas[low] = np.nan
     _require_finite(fr.f, kl, gammas, "Gamma")
-    return gammas[..., 0], gammas[..., 1], eig
+    return gammas[..., 0], gammas[..., 1], (w, u, d)
 
 
-def _backward_error(kl, sigma, v, w, g_near):
-    """The worse backward error of the two eigenpairs of _reflection."""
+def _backward_error(kl, sigma, w, u, d):
+    """The worse backward error ||T v - lambda v|| / (||T||_F ||v||) of the two
+    eigenpairs of _reflection, from its w, u and table d = lambda - p.
+
+    With v = (lambda - p)^-1 u, T v - lambda v = -F u, F = 1 - (sigma/4) sum_i
+    w_i u_i / d_i the secular function: the residual is |F| ||u|| / ||v||,
+    with |u_i| = |w_i|.  A row of d with an entry exactly 0 is scaled by it,
+    as v by lambda - p_near: F becomes -(sigma/4) w_near u_near and v
+    becomes u_near e_near.
+    """
     s4 = sigma / FOUR
     # ||u|| / ||T||_F in closed form, with e = e^{-kL}: |u|^2 = |w|^2 is
-    # (1, 1/e, 1, e), |T_ii| = |w_i|^2 |1 + (sigma/4) c_i| with c = _PHASE_RATES
-    # and |T_ij| = |sigma/4| |w_i| |w_j| off the diagonal.  Times e^2,
-    # ||u||^2 is e (1 + e)^2 and ||T||_F^2 is t_sq, both finite at any kL
+    # (1, 1/e, 1, e), |T_ii| = |w_i|^2 |1 + (sigma/4) c_i| and |T_ij| =
+    # |sigma/4| |w_i| |w_j| off the diagonal.  Times e^2, ||u||^2 is e (1 +
+    # e)^2 and ||T||_F^2 is t_sq, both finite at any kL
     e = np.exp(-kl)
+    e2 = e * e
     t_sq = (
-        np.square(ONE + s4) + FOUR * s4 * s4 * e * (ONE + e * e)
-        + TWO * e * e * (ONE + THREE * s4 * s4) + np.power(e, FOUR) * np.square(ONE - s4)
+        (ONE + s4) * (ONE + s4) + FOUR * s4 * s4 * e * (ONE + e2)
+        + TWO * e2 * (ONE + THREE * s4 * s4) + e2 * e2 * ((ONE - s4) * (ONE - s4))
     )
     scale = (ONE + e) * np.sqrt(e / t_sq)
-    # w.v of both eigenpairs, then |v|^2 of both in the real parts
-    sums = _sum4(np.concatenate([w * v, v * v.conj()]))
-    resid = np.abs(s4 * sums[:2] - g_near) / np.sqrt(sums[2:].real)
+    zero = d == _C_ZERO
+    if count_true(zero):
+        row = zero.any(axis=-1)
+        g = np.where(row, ZERO, ONE)
+        q = np.where(row[..., None], w * zero, w / np.where(zero, _C_ONE, d))
+    else:
+        g, q = ONE, w / d
+    # w.u/d of both eigenpairs times g, then ||v||^2 of both in the real parts,
+    # summed over the components written out: an axis reduction may add in an
+    # order that depends on the batch size
+    x = np.concatenate([u * q, q * q.conj()])
+    sums = x[..., 0] + x[..., 1] + x[..., 2] + x[..., 3]
+    resid = np.abs(g - s4 * sums[:2]) / np.sqrt(sums[2:].real)
     return scale * np.maximum(resid[0], resid[1])
 
 
@@ -451,13 +623,13 @@ def _columns(
         fr = _front(cell._operands, f, force_zero_coupling=force_zero_coupling)
         transmitted = _transmitted(fr)
         reflection = _reflection(fr, transmitted) if with_gamma else None
-    kl, y, outer, inner, lam, t, stop = transmitted
+    kl, z, outer, inner, lam, t, stop, *_ = transmitted
     if reflection is None:
         gamma = gamma_e = np.zeros(t.shape, dtype=complex)
         defect = phase = np.zeros(t.shape)
     else:
-        gamma, gamma_e, (v, w, g_near) = reflection
-        defect = _backward_error(kl, fr.sigma, v, w, g_near)
+        gamma, gamma_e, table = reflection
+        defect = _backward_error(kl, fr.sigma, *table)
         phase = np.arctan2(gamma.imag, gamma.real)
     # (outer, inner) of the transmitted pair, then of the other pair
     eigenvalues = np.empty((t.size, 2, 2), dtype=complex)
@@ -467,8 +639,10 @@ def _columns(
     # re + 1j * im would turn into +0.0.  t > 0, as outer is finite
     k_ef = np.zeros(t.shape, dtype=complex)
     k_ef.imag = -np.log(t) / fr.L
-    y_tr = y[..., 0]
-    complex_band = np.abs(y_tr.imag) > _COMPLEX_BAND_TOL * np.maximum(ONE, np.abs(y_tr))
+    # |Im y| > tol max(1, |y|) of the transmitted root y = z + 2
+    z_tr = z[..., 0]
+    im = np.abs(z_tr.imag)
+    complex_band = (im > _COMPLEX_BAND_TOL) & (im > _COMPLEX_BAND_TOL * np.abs(z_tr + TWO))
     return (
         f, eigenvalues.reshape(-1, 4), lam, t, ONE - t, k_ef, gamma, gamma_e, phase, stop,
         fr.k, fr.sigma, defect, complex_band,
@@ -798,16 +972,14 @@ def chain_profile(
     n = count(n_cells, "chain_profile", "n_cells")
     # the stage, through log 0 of the uncoupled modes at sigma == 0
     with _quiet():
-        kl, y, outer, inner, lam_flex, _, _ = _transmitted(
+        kl, _, outer, inner, lam_flex, *_ = _transmitted(
             _front(cell._operands, f_row, force_zero_coupling=force_zero_coupling)
         )
-        if y[..., 0] == y[..., 1]:
-            # below the small-kL floor both pairs round onto lambda = 1: the four
-            # modes are not independent, and bloch_point's Gamma is 0/0 there
+        if kl < _KL_FLOOR:  # refused as bloch_point's Gamma is
             raise non_finite_error("Gamma", f_row.item(), kl)
         lam_flex = complex(lam_flex)
         lam = np.concatenate([inner, outer])  # modes: inner, inner, outer, outer
-        v = _eigenvectors(kl, lam)[0]  # (mode, component)
+        v = _eigenvectors(kl, lam)  # (mode, component)
         log_lam = np.log(lam)
         rho = n * float(log_lam[:2].real.max())
         # the powers lambda^(j - ref) at j = 0 and j = n, outer ones times e^rho
@@ -817,7 +989,7 @@ def chain_profile(
         c = np.linalg.solve(
             np.concatenate([v[:, 2:].T * at_0, v[:, :2].T * at_n]), [1.0, 0.0, 0.0, 0.0]
         )
-        # ln x_j[2], a complex log-sum-exp over the modes at each boundary j
+        # ln x_j[2], a log-sum-exp over the modes at each boundary j
         terms = np.log(c * v[:, 2]) + np.array([0.0, 0.0, rho, rho])
         terms = terms + np.subtract.outer(np.arange(n + 1), [0, 0, n, n]) * log_lam
         re = terms.real
@@ -825,8 +997,9 @@ def chain_profile(
         # the mode sum written out as (x0 + x1) + (x2 + x3), the order numpy
         # 2.4's axis sum takes on x86-64; an axis sum's order is numpy's choice
         x = np.exp(terms - top[:, None])
-        log_x = top + np.log((x[:, 0] + x[:, 1]) + (x[:, 2] + x[:, 3]))
-    log_mags = log_x.real.copy()
+        total = (x[:, 0] + x[:, 1]) + (x[:, 2] + x[:, 3])
+        # ln|x_j[2]| in real arithmetic: the phase of the complex log is not read
+        log_mags = top + np.log(np.abs(total))
     log_mags[0] = 0.0  # the unit input, exact by the boundary condition
 
     j = np.arange(n) - (n - 1) / 2
@@ -838,7 +1011,7 @@ def chain_profile(
         fitted_slope=slope,
         eigen_slope=math.log(abs(lam_flex)) if lam_flex else -math.inf,
         reflection=complex(v[:, 0] @ (c * at_0)),
-        transmission=complex(np.exp(log_x[n])),
+        transmission=complex(np.exp(top[n]) * total[n]),
         log_magnitudes=log_mags,
     )
 

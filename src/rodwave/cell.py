@@ -37,7 +37,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import THREE, TWO, TWO_PI, ConfigError, constant, frequency_row, non_finite_error
+from .errors import (
+    THREE,
+    TWO,
+    TWO_PI,
+    ConfigError,
+    constant,
+    count_true,
+    frequency_row,
+    non_finite_error,
+)
 from .rod import RodModel, _pole_impedance
 from .trench import TrenchModel, _omega_wavevectors
 
@@ -324,5 +333,8 @@ def cell_matrices(cell: UnitCellGeometry, f: float) -> CellMatrices:
 
 
 def clamped_sigma(sigma):
-    """Clamp sigma to +-SIGMA_CLAMP so polynomial arithmetic stays finite (elementwise)."""
-    return np.minimum(np.maximum(sigma, _CLAMP_LOW), _CLAMP_HIGH)
+    """Clamp sigma to +-SIGMA_CLAMP so polynomial arithmetic stays finite
+    (elementwise); sigma itself where no entry needs the clamp."""
+    if count_true(np.abs(sigma) > _CLAMP_HIGH):
+        return np.minimum(np.maximum(sigma, _CLAMP_LOW), _CLAMP_HIGH)
+    return sigma

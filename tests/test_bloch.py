@@ -683,6 +683,25 @@ def test_eigen_check_runs_after_the_stage_block(default_cell, monkeypatch):
         bloch_point(default_cell, 2e9)
 
 
+@pytest.mark.parametrize("f", [1.5e9, 2.0e9], ids=["passband", "stopband"])
+def test_only_the_chain_builds_eigenvectors(default_cell, monkeypatch, f):
+    # Gamma and the eigen-check are closed forms in the Bloch factors; the
+    # finite chain solves for its four modes' coefficients on their eigenvectors
+    calls = []
+    build = bloch._eigenvectors
+    monkeypatch.setattr(bloch, "_eigenvectors", lambda *args: calls.append(1) or build(*args))
+    runs = {
+        "bloch_point": (lambda: bloch_point(default_cell, f), 0),
+        "semi_infinite_reflection": (lambda: semi_infinite_reflection(default_cell, f), 0),
+        "sweep": (lambda: stopband_report(sweep(default_cell, 0.1e9, 6e9, 200), default_cell), 0),
+        "chain_profile": (lambda: chain_profile(default_cell, f, 20), 1),
+    }
+    for name, (run, expected) in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == expected, name
+
+
 def test_out_of_range_kl_raises_no_runtime_warning():
     # past the finite kL range the slope overflows with the roots: the
     # NumericError comes alone
@@ -744,21 +763,17 @@ def test_chain_just_above_the_small_kl_floor_runs(default_cell, f):
     assert abs(profile.reflection) < 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="between kL ~ 5e-5 and 2.4e-4 the closed-form discriminant cannot resolve"
-    " the two Bloch pairs: a complex-band stopband with T = 0.99988 and no error",
-)
 def test_uncoupled_just_above_the_small_kl_floor_is_no_silent_stopband(default_cell):
-    # kL = 7.4e-5 on the default cell, 1 - T = 1.2e-4
+    # kL = 7.4e-5 on the default cell: the y-root closed form gave a
+    # complex-band stopband with 1 - T = 1.2e-4 and no error.  The point lies
+    # below bloch.KL_FLOOR, so only the roots answer there; Gamma is refused
     f = 0.05877938969484743
-    try:
-        point = bloch_point(default_cell, f, force_zero_coupling=True)
-    except NumericError as exc:
-        assert str(exc).endswith("at small kL")
-        return
-    assert not point.in_stopband
-    assert abs(point.t_coeff - 1.0) <= 4 * np.finfo(float).eps
+    for zero in (True, False):
+        point = bloch_point(default_cell, f, force_zero_coupling=zero, with_gamma=False)
+        assert not point.in_stopband and not point.complex_band
+        assert abs(point.t_coeff - 1.0) <= 4 * np.finfo(float).eps
+        with pytest.raises(NumericError, match="at small kL$"):
+            bloch_point(default_cell, f, force_zero_coupling=zero)
 
 
 def test_kl_far_past_the_range_is_readable(default_cell):
@@ -982,7 +997,7 @@ def test_geometry_sweep_front_is_the_step_fronts(monkeypatch, parameter, on_pole
     def whole_stage(fr):
         """(outer, inner, lambda_flex, T, Gamma, Gamma_e) of the whole stage on fr."""
         with bloch._quiet():
-            _, _, outer, inner, lam, t, _ = transmitted = bloch._transmitted(fr)
+            _, _, outer, inner, lam, t, *_ = transmitted = bloch._transmitted(fr)
             gamma, gamma_e, _ = bloch._reflection(fr, transmitted)
         return outer, inner, lam, t, gamma, gamma_e
 

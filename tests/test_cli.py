@@ -240,6 +240,35 @@ def test_chain_below_the_small_kl_floor_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out" / "chain.csv").exists()
 
 
+@pytest.mark.parametrize("f_start", [1e-3, 0.45], ids=["below", "above"])
+def test_sweep_at_the_small_kl_floor_writes_finite_csvs_or_exits_3_naming_f(
+    tmp_path, capsys, f_start
+):
+    # f_start = 1e-3 Hz passes parse_config; the default cell's kL reaches
+    # bloch.KL_FLOOR = 2e-4 at 0.43 Hz, so the first grid starts below it and
+    # exits 3 naming its first point, and the second starts just above it
+    cfg = write_config(
+        tmp_path,
+        {
+            "sweep": {"f_start_hz": f_start, "f_stop_hz": 10.0, "points": 200},
+            "output": {"dir": str(tmp_path / "out")},
+        },
+    )
+    code = main(["sweep", "--config", str(cfg)])
+    if f_start < 0.43:
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"numeric failure: non-finite Gamma at f={f_start!r} Hz (kL = 9.65e-06):"
+            " the closed forms lose all precision at small kL\n"
+        )
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+        return
+    assert code == 0
+    _, _, rows = read_csv(tmp_path / "out" / "sweep.csv")
+    assert len(rows) == 200
+    assert np.isfinite(np.array(rows, dtype=float)).all()
+
+
 def test_chain_cell_count_limits(tmp_path):
     cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
     assert main(["chain", "--config", str(cfg), "--freq", "2.3e9", "--cells", "1"]) == 2
@@ -325,13 +354,9 @@ def test_geom_sweep_past_the_finite_kl_range_names_the_step(tmp_path, capsys):
     assert not (tmp_path / "out" / "geomsweep.csv").exists()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="between kL ~ 5e-5 and 2.4e-4 the closed-form discriminant cannot resolve"
-    " the two Bloch pairs, and geom-sweep has no eigen-check to refuse the band",
-)
-def test_geom_sweep_just_above_the_small_kl_floor_writes_no_spurious_band(tmp_path, capsys):
-    # every step wrote a primary band at 0.16419597989949747 Hz, 1 - T = 1.2e-4
+def test_geom_sweep_just_above_the_small_kl_floor_writes_no_spurious_band(tmp_path):
+    # with the y-root closed form every step wrote a primary band at
+    # 0.16419597989949747 Hz, 1 - T = 1.2e-4
     cfg = write_config(
         tmp_path,
         {
@@ -341,11 +366,8 @@ def test_geom_sweep_just_above_the_small_kl_floor_writes_no_spurious_band(tmp_pa
             "output": {"dir": str(tmp_path / "out")},
         },
     )
-    code = main(["geom-sweep", "--config", str(cfg)])
-    if code == 3:
-        assert capsys.readouterr().err.endswith("at small kL\n")
-        return
-    assert code == 0
+    # the geometry sweep reads no Gamma, so bloch.KL_FLOOR does not refuse it
+    assert main(["geom-sweep", "--config", str(cfg)]) == 0
     _, _, rows = read_csv(tmp_path / "out" / "geomsweep.csv")
     assert [r[1:] for r in rows] == [["0.0", "0.0", "0.0"]] * 3
 

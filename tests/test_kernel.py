@@ -214,14 +214,15 @@ def test_sigma_slope_matches_mpmath_derivative(L_um):
 
 def test_closed_form_roots_match_mpmath(random_draw):
     kl, sigma = random_draw
-    y1, y2 = bloch._y_closed(bloch._y_parts(kl), sigma)
+    (z1, z2), _ = bloch._z_closed(bloch._z_parts(kl), sigma)
     worst = 0.0
-    for x, s, r1, r2 in zip(kl.tolist(), sigma.tolist(), y1.tolist(), y2.tolist()):
+    for x, s, r1, r2 in zip(kl.tolist(), sigma.tolist(), z1.tolist(), z2.tolist()):
         with mpmath.workdps(_mp_digits(x)):
-            for y, ref in zip((r1, r2), _mp_roots(x, s)):
-                # relative error; a root near 0 (mid-passband) is a difference of
-                # terms of size 1 and is resolved only to absolute accuracy
-                err = abs(mpmath.mpc(y.real, y.imag) - ref) / max(abs(ref), 1)
+            for z, ref in zip((r1, r2), _mp_roots(x, s)):
+                # relative error of y = z + 2; a root near 0 (mid-passband) is a
+                # difference of terms of size 1 and is resolved only to absolute
+                # accuracy
+                err = abs(mpmath.mpc(z.real, z.imag) + 2 - ref) / max(abs(ref), 1)
                 worst = max(worst, float(err))
     assert worst <= 1e-12
 
@@ -270,6 +271,8 @@ _GEOMETRIES = st.builds(
 @example(geo={}, f=1697003097.4960136 - 1, zero=False)  # 1 Hz either side of a default
 @example(geo={}, f=1697003097.4960136 + 1, zero=False)  # band edge
 @example(geo={}, f=1.5e9, zero=True)
+@example(geo={}, f=1.0, zero=False)  # kL = 3e-4: the roots' series branch
+@example(geo={}, f=1e4, zero=True)
 @given(geo=_GEOMETRIES, f=st.floats(1e6, 2e10), zero=st.booleans())
 def test_one_point_calls_are_their_table_rows_on_drawn_cells(geo, f, zero):
     """The one-point calls run the stage on numpy scalars, the table on an
@@ -371,13 +374,20 @@ def _mp_gamma(kl, sigma, lam):
         key=lambda zi: abs(zi[0] - mpmath.mpc(lam.real, lam.imag)),
     )
     lam_e = min(pairs[1 - i], key=abs)
+    return _mp_cramer(kl, lam_f, lam_e)[0]
+
+
+def _mp_cramer(kl, lam_f, lam_e):
+    """(Gamma, Gamma_e) of the factors lam_f and lam_e at kL = kl: Cramer's rule
+    on their unscaled eigenvectors (lambda - p)^-1 u."""
     x = mpmath.mpf(kl)
     rates = [mpmath.mpc(0, -1), 1, mpmath.mpc(0, 1), -1]
     p = [mpmath.exp(r * x) for r in rates]
     u = [r * mpmath.exp(r * x / 2) for r in rates]
     vf = [ui / (lam_f - pi) for ui, pi in zip(u, p)]
     ve = [ui / (lam_e - pi) for ui, pi in zip(u, p)]
-    return (vf[0] * ve[3] - ve[0] * vf[3]) / (vf[2] * ve[3] - ve[2] * vf[3])
+    det = vf[2] * ve[3] - ve[2] * vf[3]
+    return (vf[0] * ve[3] - ve[0] * vf[3]) / det, (vf[1] * ve[3] - ve[1] * vf[3]) / det
 
 
 @pytest.mark.parametrize("L_um", [1.0, 3.8, 8.0, 12.0])
@@ -394,6 +404,108 @@ def test_gamma_matches_mpmath(L_um):
             ref = _mp_gamma(kl, s, lam)
             worst = max(worst, float(abs(mpmath.mpc(g.real, g.imag) - ref) / max(abs(ref), 1)))
     assert worst <= 1e-10
+
+
+def _mp_gammas(kl, sigma, lam, lam_e):
+    """(Gamma, Gamma_e) of the exact Bloch factors nearest the kernel's
+    transmitted factor lam and other-pair inner factor lam_e (callers set the
+    working precision)."""
+    exact = [z for pair in _mp_pairs(kl, sigma) for z in pair]
+    return _mp_cramer(kl, *(
+        min(exact, key=lambda z: abs(z - mpmath.mpc(x.real, x.imag))) for x in (lam, lam_e)
+    ))
+
+
+# the worst errors of Gamma and Gamma_e relative to |exact| at the band edges
+# of test_gamma_at_band_edges_and_rod_poles_matches_mpmath with the y-root
+# closed form and a Cramer solve, by pitch (BENCH_45.json, precision)
+_EDGE_ERRORS_OF_THE_Y_ROOT_FORM = {
+    0.5: (2.96e-11, 2.52e-11),
+    1.0: (2.25e-13, 3.22e-10),
+    3.8: (3.44e-11, 1.27e-8),
+    8.0: (7.54e-11, 5.37e-9),
+    12.0: (1.19e-10, 7.54e-9),
+}
+
+
+@pytest.mark.parametrize("L_um", sorted(_EDGE_ERRORS_OF_THE_Y_ROOT_FORM))
+def test_gamma_at_band_edges_and_rod_poles_matches_mpmath(L_um):
+    """Gamma and Gamma_e against mpmath, relative to |exact|, at 0.1 Hz and
+    10 Hz either side of every refined band edge of a 2000-point sweep over
+    0.1-6 GHz and at the rod's poles, where sigma is clamped; a = L/2.  Near an
+    edge the transmitted pair is a near-double root, whose rounding sets the
+    worst error; at the odd edges (lambda near -1) the factors are offsets
+    from -1.  Neither may be worse than with the y-root closed form."""
+    cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
+    edges = [e for b in stopband_report(sweep(cell, 0.1e9, 6e9, 2000), cell).bands
+             for e in (b.f_low, b.f_high)]
+    poles = [p for p, kind in impedance_extrema(cell.rod, 6e9) if kind == "pole"]
+    f = np.concatenate([np.add.outer(edges, [-10.0, -0.1, 0.1, 10.0]).ravel(), poles])
+    t = bloch.Sweep(*bloch._columns(cell, f, with_gamma=True))
+    worst = [0.0, 0.0]
+    for kl, s, lam, lam_e, g, g_e in zip(
+        (t.k * cell.cell_length).tolist(), t.sigma.tolist(), t.lambda_flex.tolist(),
+        t.eigenvalues[:, 3].tolist(), t.gamma.tolist(), t.gamma_e.tolist(),
+    ):
+        with mpmath.workdps(_mp_digits(kl)):
+            for i, (value, ref) in enumerate(zip((g, g_e), _mp_gammas(kl, s, lam, lam_e))):
+                err = abs(mpmath.mpc(value.real, value.imag) - ref) / abs(ref)
+                worst[i] = max(worst[i], float(err))
+    bounds = _EDGE_ERRORS_OF_THE_Y_ROOT_FORM[L_um]
+    assert worst[0] <= bounds[0] and worst[1] <= bounds[1], (worst, bounds)
+
+
+def test_one_point_calls_are_the_rows_of_a_batch_with_odd_edge_points():
+    """A batch whose points near an odd band edge (lambda near -1) take their
+    factors from -1 and whose others do not: every one-point call is its row,
+    bit for bit, whether or not its own call takes a factor from -1."""
+    cell = unit_cell(parse_config({"geometry": {"L_um": 3.8, "a_um": 1.9}}))
+    edges = [e for b in stopband_report(sweep(cell, 0.1e9, 6e9, 400), cell).bands
+             for e in (b.f_low, b.f_high)]
+    f = np.concatenate([np.add.outer(edges, [-10.0, 0.1]).ravel(), np.linspace(0.1e9, 6e9, 25)])
+    with bloch._quiet():
+        points, _ = bloch._pairs(bloch._front(cell._operands, f))[3]  # the roots taken from -1
+    assert 0 < np.unique(points).size < f.size
+    rows = bloch.Sweep(*bloch._columns(cell, f, with_gamma=True))
+    for fi, row in zip(f.tolist(), rows):
+        assert _without_re_kef(bloch_point(cell, fi)) == _without_re_kef(row)
+        assert repr(semi_infinite_reflection(cell, fi)) == repr((row.gamma, row.gamma_e))
+
+
+def _low_kl_cells(count):
+    """Seeded cells of _random_cells' range, the default cell first."""
+    return [unit_cell(parse_config({}))] + _random_cells(np.random.default_rng(1405), count)
+
+
+@pytest.mark.parametrize("cell_index", range(4))
+def test_low_kl_factor_transmission_and_wavevector_match_mpmath(cell_index):
+    """lambda_flex, T and Re(k_ef) against mpmath from 0.05 Hz to 1 MHz, 24
+    log-spaced frequencies on each of four cells, with the roots taken in z = y -
+    2; above bloch.KL_FLOOR Gamma too.  The y-root closed form kept only about
+    four digits of lambda_flex here and fails this test."""
+    cell = _low_kl_cells(3)[cell_index]
+    L = cell.cell_length
+    worst = dict.fromkeys(("lambda", "T", "re_kef", "gamma"), 0.0)
+    for f in np.logspace(np.log10(0.05), 6, 24).tolist():
+        point = bloch_point(cell, f, with_gamma=False)
+        kl = point.k * L
+        with mpmath.workdps(60 + int(8 * -math.log10(kl)) if kl < 1 else _mp_digits(kl)):
+            exact = min((z for pair in _mp_pairs(kl, point.sigma) for z in pair),
+                        key=lambda z: abs(z - point.lambda_flex))
+            lam = mpmath.mpc(point.lambda_flex.real, point.lambda_flex.imag)
+            branch = round((kl - math.atan2(lam.imag, lam.real)) / (2 * math.pi))
+            re_kef = (mpmath.arg(exact) + 2 * mpmath.pi * branch) / L
+            worst["lambda"] = max(worst["lambda"], float(abs(lam - exact)))
+            worst["T"] = max(worst["T"], float(abs(point.t_coeff - min(abs(exact), 1))))
+            worst["re_kef"] = max(worst["re_kef"], float(abs(point.k_ef.real - re_kef) / re_kef))
+            if kl >= bloch.KL_FLOOR:
+                gamma = bloch_point(cell, f).gamma
+                (ref, _) = _mp_gammas(kl, point.sigma, point.lambda_flex, point.eigenvalues[3])
+                err = abs(mpmath.mpc(gamma.real, gamma.imag) - ref) / abs(ref)
+                worst["gamma"] = max(worst["gamma"], float(err))
+    eps = np.finfo(float).eps
+    assert worst["lambda"] <= 4 * eps and worst["T"] <= 4 * eps, worst
+    assert worst["re_kef"] <= 1e-14 and worst["gamma"] <= 1e-12, worst
 
 
 @settings(max_examples=25, deadline=None)

@@ -68,7 +68,7 @@ def test_bloch_roots_match_the_physical_transfer_matrix(L_um, reaction):
     cell = _cell(L_um)
     f = np.linspace(0.1e9, 6e9, 25)
     k, f_eff, _, _, _ = forcing_arrays(cell._operands, f)
-    y = bloch._pairs(bloch._front(cell._operands, f))[2]
+    y = bloch._pairs(bloch._front(cell._operands, f))[2][0] + 2  # the roots in z = y - 2
     for i in range(f.size):
         jump = reaction * f_eff[i] / cell.trench.bending_stiffness
         want = _ordered(_oracle_y_roots(k[i], jump, cell.cell_length))
@@ -102,7 +102,7 @@ def _mode_flux(kl, lam):
     at the cell edge, in a uniform span: the mode's energy flux toward +x up to
     a positive factor.  w^(n) / k^n sums the eigenvector's amplitudes times the
     n-th power of their phase rates (-i, 1, i, -1)."""
-    v = bloch._eigenvectors(kl, lam)[0]
+    v = bloch._eigenvectors(kl, lam)
     w0, w1, w2, w3 = (np.sum(v * _PHASE_RATES**n, axis=-1) for n in range(4))
     return (w2 * w1.conj() - w3 * w0.conj()).imag
 
