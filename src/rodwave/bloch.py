@@ -55,16 +55,17 @@ complex scalar product or builtin abs() of a complex scalar; so the stage
 squares as products, keeps complex products on the pair and component
 arrays, and takes np.abs.  The front
 reads one cell's constants as numpy scalars (``UnitCellGeometry._operands``).
-Several cells make one front, over their constants taken per row
-(``cell.stacked_cells``), so ``sweep_cells`` runs the front and the stopband
-test over a whole geometry sweep's rows.  The full table is a ``Sweep``,
-and ``bloch_point`` reads its one row from the scalar columns.  The stage
-builds no 4x4 matrix and makes no LAPACK call: every step is elementwise,
-with sums over the four components written out, so a point's outputs do not
-depend on the batch it was evaluated in, nor on whether it was one.  So an
-array of more than ``_CHUNK`` frequencies runs in chunks of at most that
-many (``_chunked``), which bounds the stage's temporaries, and each chunk's
-columns are written into the whole ones.
+Several cells make one front: their constants form one table, built once
+(``cell.constants_table``), and each run takes its rows' columns of it by one
+``np.take`` (``cell.stacked_cells``), so ``sweep_cells`` runs the front and
+the stopband test over a whole geometry sweep's rows.  The full table is a
+``Sweep``, and ``bloch_point`` reads its one row from the scalar columns.
+The stage builds no 4x4 matrix and makes no LAPACK call: every step is
+elementwise, with sums over the four components written out, so a point's
+outputs do not depend on the batch it was evaluated in, nor on whether it
+was one.  So an array of more than ``_CHUNK`` frequencies runs in chunks of
+at most that many (``_chunked``), which bounds the stage's temporaries, and
+each chunk's columns are written into the whole ones.
 
 Each run of the stage, one per chunk, enters one np.errstate (``_quiet``),
 where the entry point starts it: overflow and 0/0 in the front, the roots
@@ -87,6 +88,7 @@ from .cell import (
     UnitCellGeometry,
     cell_matrices,
     clamped_sigma,
+    constants_table,
     forcing_arrays,
     sigma_slope_arrays,
     stacked_cells,
@@ -429,13 +431,13 @@ def _quiet() -> np.errstate:
 
 def _front(cell: SimpleNamespace, f: np.ndarray, *, force_zero_coupling: bool = False) -> _Front:
     """The front of one cell over an array of frequencies f > 0 or at the
-    numpy scalar of a one-point call, or of stacked_cells of several over
-    their rows; the entry points hand it a cell's _operands, its
-    constants as numpy scalars.  Where 2 pi f or k**3 overflows, k or sigma is
-    inf or NaN, and so are the roots, which the stage reports (_pairs); the
-    rod kernel raises where its phase overflows and past the rod's top
-    frequency, which the uncoupled front never reads.  Run under the stage's
-    _quiet."""
+    numpy scalar of a one-point call, or of several cells over their rows
+    (stacked_cells of their constants_table); the entry points hand it a
+    cell's _operands, its constants as numpy scalars.  Where 2 pi f or k**3
+    overflows, k or sigma is inf or NaN, and so are the roots, which the stage
+    reports (_pairs); the rod kernel raises where its phase overflows and past
+    the rod's top frequency, which the uncoupled front never reads.  Run under
+    the stage's _quiet."""
     if force_zero_coupling:
         return _Front(f, flexural_wavevectors(cell.trench, f), np.zeros(f.shape), cell.cell_length)
     k, _, sigma, s0, phase = forcing_arrays(cell, f)
@@ -786,17 +788,18 @@ def sweep_cells(
     """(f, T, in_stopband) of the uniform frequency sweep of each cell, the
     grids end to end: the front and the stage as far as its stopband test
     (_stopband_test) over the rows in _chunked runs, each on the constants of
-    the cells its rows belong to (cell.stacked_cells of those cells only, so
-    a chunk's cost does not grow with the number of cells).  Rows i * points
-    .. (i + 1) * points - 1 are, bit for bit, the in_stopband of cells[i]'s
-    own table and its t_coeff at every stopband point.  A NumericError's row
-    is its row in these columns.
+    its own rows' cells: the cells' constants_table is built once, and each
+    chunk takes its rows' columns of it (cell.stacked_cells, so a chunk's cost
+    does not grow with the number of cells).  Rows i * points .. (i + 1) *
+    points - 1 are, bit for bit, the in_stopband of cells[i]'s own table and
+    its t_coeff at every stopband point.  A NumericError's row is its row in
+    these columns.
     """
     f = np.tile(_grid(f_start, f_stop, points, "sweep_cells"), len(cells))
+    table = constants_table(cells)
 
     def stage(fs, owner):
-        first = owner[0]
-        return _stopband_test(stacked_cells(cells[first : owner[-1] + 1], owner - first), fs)
+        return _stopband_test(stacked_cells(table, owner), fs)
 
     return (f, *_chunked(stage, f, np.repeat(np.arange(len(cells)), points)))
 

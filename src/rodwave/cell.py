@@ -33,6 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,6 +56,14 @@ from .trench import TrenchModel, _omega_wavevectors
 SIGMA_CLAMP = 1e12
 _CLAMP_LOW, _CLAMP_HIGH = constant(-SIGMA_CLAMP), constant(SIGMA_CLAMP)
 
+# the constants of a cell that forcing_arrays and the rod and trench formulas
+# under it read, in the order they read them, as attribute paths on the cell
+_CONSTANTS = (
+    "rod.velocity", "rod.height", "rod.first_pole", "rod.first_zero", "rod.exact_pole_window",
+    "rod.impedance_scale", "trench.bending_stiffness", "trench.wavevector_num",
+    "trench.wavevector_den", "cell_length",
+)
+
 
 @dataclass(frozen=True)
 class UnitCellGeometry:
@@ -75,12 +84,12 @@ class UnitCellGeometry:
     @cached_property
     def _operands(self) -> SimpleNamespace:
         """The constants the front reads, those of stacked_cells, as numpy
-        float64 scalars, built on first use and kept.  On a one-point scalar f
-        the front then runs numpy's scalar math, and over an array f they
-        broadcast.  A ufunc converts a Python float operand on every call
-        (NEP 50); a numpy scalar gives the same bits without that, and is
-        immutable."""
-        return _cell_constants([self], lambda values: np.float64(values[0]))
+        float64 scalars (its one column taken by a scalar owner), built on
+        first use and kept.  On a one-point scalar f the front then runs
+        numpy's scalar math, and over an array f they broadcast.  A ufunc
+        converts a Python float operand on every call (NEP 50); a numpy scalar
+        gives the same bits without that, and is immutable."""
+        return stacked_cells(constants_table([self]), 0)
 
 
 @dataclass(frozen=True)
@@ -160,8 +169,8 @@ def forcing_arrays(cell: SimpleNamespace, f: np.ndarray):
     signed-infinite marker makes f_eff and sigma infinite; consumers clamp
     sigma or use its infinite limits.  sigma and s0 = omega rho A c / (E_t I_t
     k^3) share one E_t I_t k^3; s0 and the phase feed sigma_slope_arrays.  The
-    cell may be stacked_cells of several, with f their rows (the error's row
-    is the failing entry of f), or one cell's _operands.
+    cell may be several, stacked_cells of their constants_table with f their
+    rows (the error's row is the failing entry of f), or one cell's _operands.
     """
     omega = TWO_PI * f  # one product for the rod phase, f_eff and k
     im, _, phase = _pole_impedance(cell.rod, f, omega)
@@ -171,37 +180,30 @@ def forcing_arrays(cell: SimpleNamespace, f: np.ndarray):
     return k, f_eff, f_eff / stiffness, omega * cell.rod.impedance_scale / stiffness, phase
 
 
-def stacked_cells(cells: list[UnitCellGeometry], owner: np.ndarray) -> SimpleNamespace:
-    """Several cells as one, for forcing_arrays and the rod and trench formulas
-    under it, over rows of frequencies each of one cell, cells[owner[j]] on row
-    j; their front runs the whole Bloch stage.  A cell's own _operands are the
-    same constants as numpy scalars, which broadcast over any grid.
-
-    Each constant those read is a per-row array, the cells' values taken by
-    owner (np.take).  Every formula is elementwise, so each row is bit for bit
-    the one of its cell on its own grid.  The arrays are read-only
-    (errors.constant).
-    """
-    return _cell_constants(cells, lambda values: constant(np.take(values, owner)))
-
-
-def _cell_constants(cells: list[UnitCellGeometry], form) -> SimpleNamespace:
+def constants_table(cells: list[UnitCellGeometry]) -> np.ndarray:
     """The constants of the cells that forcing_arrays and the rod and trench
-    formulas under it read, each as form of its list of values over the cells."""
+    formulas under it read, as one read-only float64 table: row i is
+    _CONSTANTS[i], column j is cells[j]."""
+    return constant([list(map(attrgetter(name), cells)) for name in _CONSTANTS], float)
 
-    def stack(parts, *names):
-        return SimpleNamespace(**{name: form([getattr(p, name) for p in parts]) for name in names})
 
-    return SimpleNamespace(
-        rod=stack(
-            [c.rod for c in cells],
-            "velocity", "height", "first_pole", "first_zero", "exact_pole_window", "impedance_scale",
-        ),
-        trench=stack(
-            [c.trench for c in cells], "bending_stiffness", "wavevector_num", "wavevector_den"
-        ),
-        cell_length=form([c.cell_length for c in cells]),
-    )
+def stacked_cells(table: np.ndarray, owner: np.ndarray) -> SimpleNamespace:
+    """Several cells as one, for forcing_arrays and the rod and trench formulas
+    under it, over rows of frequencies each of one cell, the cell of column
+    owner[j] of their constants_table on row j; their front runs the whole
+    Bloch stage.
+
+    Each constant is a per-row array, a row of one np.take of the table's
+    columns by owner, laid out as on a cell (rod.velocity, ..., cell_length);
+    a scalar owner gives numpy scalars, as a cell's _operands.  Every formula
+    is elementwise, so each row is bit for bit the one of its cell on its own
+    grid.  The rows are read-only (errors.constant).
+    """
+    ns = SimpleNamespace(rod=SimpleNamespace(), trench=SimpleNamespace())
+    for name, value in zip(_CONSTANTS, constant(np.take(table, owner, axis=1))):
+        part, _, leaf = name.rpartition(".")
+        setattr(getattr(ns, part) if part else ns, leaf, value)
+    return ns
 
 
 def sigma_slope_arrays(sigma: np.ndarray, s0: np.ndarray, phase: np.ndarray):

@@ -97,8 +97,9 @@ def _pole_impedance(rod: RodModel, f: np.ndarray, omega: np.ndarray):
     tangent is >= 0.  The tangent is libm's (errors.libm of math.tan), not
     np.tan, whose SIMD kernels differ from it in the last bit on some hosts, and
     Im Z_b = 0.0 - rho A c tan, so that f = 0 gives +0.0.  The rod's constants
-    are floats for one rod, or numpy scalars or arrays for a cell's _operands or
-    cell.stacked_cells of several; the arithmetic is elementwise either way.  A
+    are floats for one rod, numpy scalars for a cell's _operands, or per-row
+    arrays for several (cell.stacked_cells, one take of their constants_table's
+    columns); the arithmetic is elementwise either way.  A
     NumericError names the first f where the phase 2 pi f h / c overflows, else
     the first f past the rod's top frequency (_past_top), with its index as the
     error's row (0 for a scalar), for every caller; callers silence the overflow

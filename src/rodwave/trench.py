@@ -80,7 +80,8 @@ def flexural_wavevectors(trench: TrenchModel, f: np.ndarray) -> np.ndarray:
     k = sqrt(2) * 3^(1/4) * sqrt(omega) * rho^(1/4) / (sqrt(h) * E^(1/4)).
     The trench's wavevector_num and wavevector_den are floats for one trench,
     numpy scalars for a cell's _operands or per-point arrays for several
-    (cell.stacked_cells); the arithmetic is elementwise either way.
+    (cell.stacked_cells, one take of their constants_table's columns); the
+    arithmetic is elementwise either way.
     """
     return _omega_wavevectors(trench, TWO_PI * f)
 

@@ -4,12 +4,13 @@ first failing chunk with its row in the whole array."""
 
 import dataclasses
 import json
+import operator
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rodwave import bloch, cli, stopband_report, sweep, unit_cell
+from rodwave import bloch, cell, cli, stopband_report, sweep, unit_cell
 from rodwave.errors import NumericError
 
 
@@ -161,13 +162,41 @@ def test_no_front_takes_more_than_a_chunk(tmp_path, monkeypatch, command, doc, r
 
 def test_a_chunk_stacks_only_the_cells_of_its_rows(default_config, monkeypatch):
     # stacking every cell for every chunk made a geometry sweep's cost grow
-    # with steps^2: 5001 steps x 100 points took 1.26 s against 0.18 s
+    # with steps^2: 5001 steps x 100 points took 1.26 s against 0.18 s.  The
+    # cells' table is built once, and each chunk takes its own rows only
     cells = _t_aln2_cells(default_config, 500)
-    stacked = []
-    stack = bloch.stacked_cells
+    tables, owners = [], []
+    table, stack = bloch.constants_table, bloch.stacked_cells
+    monkeypatch.setattr(bloch, "constants_table", lambda cs: tables.append(len(cs)) or table(cs))
     monkeypatch.setattr(
-        bloch, "stacked_cells", lambda cs, owner: stacked.append(len(cs)) or stack(cs, owner)
+        bloch, "stacked_cells", lambda t, owner: owners.append(owner.copy()) or stack(t, owner)
     )
     bloch.sweep_cells(cells, 1.4e9, 3.2e9, 10)
-    assert len(stacked) == 3  # 5000 rows
-    assert max(stacked) <= bloch._CHUNK // 10 + 2
+    assert tables == [500]
+    assert len(owners) == 3  # 5000 rows
+    assert max(owner.size for owner in owners) <= bloch._CHUNK
+    assert np.concatenate(owners).tolist() == np.repeat(np.arange(500), 10).tolist()
+
+
+def test_a_stacked_front_is_its_owner_cells_constants(default_config, monkeypatch):
+    """Every row of every chunk's stacked constants is, by repr, the constant
+    of the cell that owns the row, as that cell's own _operands hold it; the
+    chunk seams of 21 steps x 300 points fall inside steps."""
+    cells = _t_aln2_cells(default_config, 21)
+    stacked = []
+    stack = bloch.stacked_cells
+
+    def recorded(table, owner):
+        stacked.append((owner.copy(), stack(table, owner)))
+        return stacked[-1][1]
+
+    monkeypatch.setattr(bloch, "stacked_cells", recorded)
+    bloch.sweep_cells(cells, 1.4e9, 3.2e9, 300)
+    assert len(stacked) == 4 and bloch._CHUNK % 300
+    assert sum(owner.size for owner, _ in stacked) == 21 * 300
+    for name in cell._CONSTANTS:
+        get = operator.attrgetter(name)
+        own = [repr(get(c._operands)) for c in cells]
+        assert own == [repr(np.float64(get(c))) for c in cells], name
+        for owner, front in stacked:
+            assert list(map(repr, get(front))) == [own[i] for i in owner], name

@@ -10,6 +10,7 @@ result."""
 
 import ast
 import importlib
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from rodwave import parse_config, unit_cell
+from rodwave.cell import constants_table, stacked_cells
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "rodwave").glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
@@ -259,14 +261,22 @@ def _arrays(namespace, prefix):
 def test_every_shared_array_is_read_only(module):
     """The module-level arrays, and for cell.py the constants a cell keeps in
     its _operands and hands to every later call: each of those is a numpy
-    scalar, which is immutable, or a read-only array."""
+    scalar, which is immutable, or a read-only array; and the constants_table
+    of several cells and every leaf of its stacked_cells, which a geometry
+    sweep shares between its chunks and the front."""
     name = "rodwave" if module == "__init__.py" else f"rodwave.{module[:-3]}"
     shared = list(_arrays(importlib.import_module(name), ""))
     if module == "cell.py":
-        operands = list(_leaves(unit_cell(parse_config({}))._operands, "_operands."))
+        config = parse_config({})
+        operands = list(_leaves(unit_cell(config)._operands, "_operands."))
         assert operands
         mutable = [label for label, v in operands if not isinstance(v, (np.generic, np.ndarray))]
         assert mutable == []
         shared += [(label, v) for label, v in operands if isinstance(v, np.ndarray)]
+        cells = [unit_cell(config, replace(config.geometry, L=L)) for L in (3.8e-6, 4e-6)]
+        table = constants_table(cells)
+        stacked = list(_leaves(stacked_cells(table, np.array([0, 1, 1])), "stacked."))
+        assert len(stacked) == len(table) and all(isinstance(v, np.ndarray) for _, v in stacked)
+        shared += [("constants_table", table), *stacked]
     writable = [label for label, array in shared if array.flags.writeable]
     assert writable == []
