@@ -12,9 +12,11 @@ Its roots are taken in the shifted variable z = y - 2, from z^2 - sz z + q =
 0 with sz = su - 4 and q = 4 - 2 su + pr written without their cancellation
 near y = 2 (_z_parts), stably: the root without cancellation from the
 quadratic formula, the other one as q / root.  Each root gives a reciprocal
-pair of Bloch factors, carried with their offsets lambda - 1 = (z +-
-sqrt(z (z + 4)))/2, so a small kL loses no digit; a root near y = -2 carries
-its pair from -1 instead (_odd_edge_pairs).  The transmitted pair is
+pair of Bloch factors, carried with their offsets from the anchor a nearer
+them, a = -1 where Re y < 0 and a = +1 elsewhere: lambda - a = (v +- sqrt(v
+(v + 4a)))/2 with v = y - 2a, the root in z, or in x = y + 2 from the same
+quadratic about y = -2 (_z_closed), so neither a small kL nor a factor near
+-1 loses a digit.  The transmitted pair is
 the least attenuated one: the pair whose |lambda| <= 1 member has the larger
 modulus (Mead, J. Sound Vib. 27(2), 1973).  Its factor with |lambda| <= 1
 gives the transmission T = |lambda| per cell and the effective wavevector
@@ -29,9 +31,9 @@ The cell matrix is T = diag(p) + (sigma/4) u w^T, with p = (e^{-ikL}, e^{kL},
 e^{ikL}, e^{-kL}), w the same at kL/2 and u = w * (-i, 1, i, -1).  A Bloch
 factor lambda has the eigenvector (lambda - p)^-1 u.  The reflection Gamma of
 a semi-infinite chain, Cramer's rule on two of them, is a closed form in the
-two factors and p, taken from the table lambda - p of their offsets and p -
-1 (p + 1 for a factor taken from -1); the eigen-check is the secular
-function on the same table.
+two factors and p, taken from the table lambda - p = (lambda - a) - (p - a)
+of their offsets and p - a; the eigen-check is the secular function on the
+same table.
 
 A finite chain of n cells, driven by a unit propagating wave at boundary 0
 and matched after the last cell, is a sum over the four Bloch modes, each
@@ -125,7 +127,7 @@ _ITER_ROWS = 256  # the rows of a Sweep converted to Python values at a time
 # below it (README, "Numerics of the Bloch kernel")
 KL_FLOOR = 2e-4
 # the stage's ufunc operands (errors.constant), complex ones beside complex arrays
-_C_ZERO, _C_ONE, _C_TWO, _C_FOUR = (constant(x, complex) for x in (0, 1, 2, 4))
+_C_ZERO, _C_ONE, _C_TWO = (constant(x, complex) for x in (0, 1, 2))
 _STOP_BELOW, _ON_CIRCLE, _COMPLEX_BAND_TOL, _KL_FLOOR = map(
     constant, (1.0 - TOL_BAND, 1e-8, 1e-9, KL_FLOOR)
 )
@@ -248,9 +250,7 @@ _SERIES = constant(
     [[2 / math.factorial(4 * n + 3), 4 / math.factorial(4 * n + 4)] for n in reversed(range(6))]
 )
 _SIXTEEN = constant(16.0)
-# a root within _ODD_BAND of z = y - 2 = -4, y = -2 (lambda within about 1/32
-# of -1), takes its pair as offsets from -1 (_odd_edge_pairs)
-_ODD_BAND = constant(1.0 / 1024.0)
+_OPPOSITE = constant([2, 3, 0, 1])  # the component of each with the opposite phase rate
 
 
 def _z_parts(kl):
@@ -277,93 +277,75 @@ def _z_parts(kl):
     return half, s2, sh2, sn, sh, B, D, -TWO * (s2 * sh + sh2 * sn)
 
 
-def _z_closed(parts, s):
-    """(z, odd): the closed-form roots in z = y - 2, ((sz + disc)/2, (sz -
-    disc)/2), stacked on a new first axis, and the mask of the points where
-    a real root lies within _ODD_BAND of z = -4 (y = -2), which
-    _odd_edge_pairs then takes from -1; None where there is none.
+def _formula_roots(sv, qv, d, pair):
+    """The roots ((sv + disc)/2, (sv - disc)/2) of r^2 - sv r + qv = 0,
+    stacked on a new first axis, from d = |disc| and the mask pair of the
+    points where disc^2 < 0.  A real pair takes the root without
+    cancellation from the quadratic formula and the other one as qv / root;
+    a complex pair has no cancellation and stays exactly conjugate.  Only
+    real arithmetic is used."""
+    big = (sv + np.copysign(d, sv)) / TWO
+    r = np.array([big, qv / big], dtype=complex)
+    neg = sv < ZERO
+    if count_true(neg):  # rare: big is the second root
+        r = _pick(neg, r[::-1], r)
+    if count_true(pair):
+        np.copyto(r.real, sv / TWO, where=pair)
+        np.copyto(r.imag, np.array([d, -d]) / TWO, where=pair)
+    return r
 
-    With y = z + 2 the quadratic is z^2 - sz z + q = 0, sz = su - 4 and q =
-    4 - 2 su + pr, whose coefficients (_z_parts) are free of the cancellation
-    of su and pr near y = 2.  For real kL and sigma, arrays or numpy scalars.
-    A real pair takes the root without cancellation from the quadratic formula
-    and the other one as q / root; a complex pair has no cancellation and
-    stays exactly conjugate.  Only real arithmetic is used.
+
+def _z_closed(parts, s):
+    """(z, v, a, minus): the closed-form roots in z = y - 2, ((sz + disc)/2,
+    (sz - disc)/2), stacked on a new first axis; each root as v = y - 2a
+    from its anchor a, -1 where Re y < 0 and +1 elsewhere, so z where a = 1
+    and x = y + 2 where a = -1; the anchors, the numpy scalar 1 where no root
+    has Re y < 0; and the mask of the roots anchored at -1.
+
+    With y = z + 2 the quadratic is z^2 - sz z + Q(2) = 0, sz = su - 4 and
+    Q(2) = q = 4 - 2 su + pr, whose coefficients (_z_parts) are free of the
+    cancellation of su and pr near y = 2.  Near y = -2, z + 4 cancels, so a
+    root with Re y < 0 is taken in x = y + 2, from x^2 - sx x + Q(-2) = 0:
+    sx = su + 4 = 4 (c2 + ch2) + (sigma/2) B and Q(-2) = 16 c2 ch2 + 2 sigma
+    (c2 sh - ch2 sn), with c2 = cos^2(kL/2) from cos(kL/2) itself and ch2 =
+    1 + sh2, free of cancellation there.  Both quadratics share one
+    discriminant, so x_i is z_i + 4 in the same order (_formula_roots).  For
+    real kL and sigma, arrays or numpy scalars.
     """
-    _, s2, sh2, _, _, B, D, G = parts
-    sz = D + (s / TWO) * B
+    half, s2, sh2, sn, sh, B, D, G = parts
+    sb = (s / TWO) * B
+    sz = D + sb
     q = s * G - _SIXTEEN * s2 * sh2
     disc2 = sz * sz - FOUR * q
     d = np.sqrt(np.abs(disc2))
-    big = (sz + np.copysign(d, sz)) / TWO
-    small = q / big
-    z = np.array([big, small], dtype=complex)
-    # both rare, so tested at once: sz < 0, where big is the second root, and a
-    # root near z = -4; big has the sign of sz, so only small is near -4 at sz >= 0
-    neg, odd = sz < ZERO, None
-    if count_true(neg | (abs(small + FOUR) <= _ODD_BAND)):
-        z = _pick(neg, z[::-1], z)
-        odd = (abs(big + FOUR) <= _ODD_BAND) | (abs(small + FOUR) <= _ODD_BAND)
-        odd = odd if count_true(odd) else None
     pair = disc2 < ZERO
-    if count_true(pair):
-        np.copyto(z.real, sz / TWO, where=pair)
-        np.copyto(z.imag, np.array([d, -d]) / TWO, where=pair)
-    return z, odd
-
-
-def _lambda_pairs(z):
-    """(outer, inner, outer - 1): the roots of lambda^2 - (z + 2) lambda + 1 =
-    0, |outer| >= |inner|, and the outer one's offset from 1.
-
-    lambda - 1 = (z +- sqrt(z (z + 4)))/2: the member without cancellation,
-    the larger in modulus, is outer - 1, and inner is 1 / outer; inner - 1 =
-    -(outer - 1) / outer (_transmitted), so neither offset cancels against 1.
-    """
-    root = np.sqrt(z * (z + _C_FOUR))
-    plus, minus = z + root, z - root
-    m_out = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / _C_TWO
-    outer = _C_ONE + m_out
-    return outer, _C_ONE / outer, m_out
-
-
-def _odd_edge_pairs(roots, parts, s, odd):
-    """The indices (as np.nonzero gives them) of the roots near y = -2 taken
-    from -1, None where there is none, with their pairs rewritten in the (z,
-    outer, inner, outer - 1) of _lambda_pairs: outer and inner from -1, and
-    the offset outer + 1.  Only the points of _z_closed's mask odd are read.
-
-    A root within _ODD_BAND of z = -4 whose partner is not is near y = -2,
-    lambda near -1, where z + 4 and lambda - 1 cancel.  There w = y + 2 is
-    Q(-2) / w' by Vieta, w' = z' + 4 of the other root, with Q(-2) = 16 c2
-    ch2 + 2 sigma (c2 sh - ch2 sn) free of cancellation (c2, ch2 = cos^2,
-    cosh^2 of kL/2), and lambda + 1 = (w +- sqrt(w (w - 4)))/2, the larger in
-    modulus for the outer factor.  Only those roots are evaluated: the others
-    keep every bit.  Two roots near -4 are a double root of y, which neither
-    form resolves.
-    """
-    z, outer, inner, m_out = roots
-    rows = () if odd.ndim == 0 else np.nonzero(odd)  # () on a one-point call
-    w = z[rows] + _C_FOUR
-    near = np.abs(w) <= _ODD_BAND
-    near = near > near[..., ::-1]  # near y = -2, and the other root is not
-    if not count_true(near):
-        return None
-    sub = np.nonzero(near)
-    points = tuple(r[sub[0]] for r in rows)
-    at = (*points, sub[-1])
-    half, _, sh2, sn, sh = (x[points] for x in parts[:5])
+    z = _formula_roots(sz, q, d, pair)
+    minus = z.real < -TWO
+    if not count_true(minus):
+        return z, z, _C_ONE, minus
     c = np.cos(half)
     c2, ch2 = c * c, ONE + sh2
-    q_minus = _SIXTEEN * c2 * ch2 + TWO * s[points] * (c2 * sh - ch2 * sn)
-    w = q_minus / w[..., ::-1][sub]
-    root = np.sqrt(w * (w - _C_FOUR))
-    plus, minus = w + root, w - root
-    m = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / _C_TWO
-    outer[at] = m - _C_ONE
-    inner[at] = _C_ONE / outer[at]
-    m_out[at] = m
-    return at
+    sx = FOUR * (c2 + ch2) + sb
+    qx = _SIXTEEN * c2 * ch2 + TWO * s * (c2 * sh - ch2 * sn)
+    x = _formula_roots(sx, qx, d, pair)
+    return z, np.where(minus, x, z), np.where(minus, -_C_ONE, _C_ONE), minus
+
+
+def _lambda_pairs(v, a):
+    """(outer, inner, outer - a): the roots of lambda^2 - (v + 2a) lambda + 1
+    = 0, |outer| >= |inner|, and the outer one's offset from its anchor a
+    (_z_closed).
+
+    lambda - a = (v +- sqrt(v (v + 4a)))/2: the member without cancellation,
+    the larger in modulus, is outer - a, and inner is 1 / outer; inner - a =
+    -a (outer - a) / outer (_transmitted), so neither offset cancels against
+    a.
+    """
+    root = np.sqrt(v * (v + FOUR * a))
+    hi, lo = v + root, v - root
+    m_out = np.where(np.abs(hi) >= np.abs(lo), hi, lo) / _C_TWO
+    outer = a + m_out
+    return outer, _C_ONE / outer, m_out
 
 
 def _z_slope(s, ds, parts, z):
@@ -455,11 +437,10 @@ def _pick(mask, new, old):
 
 
 def _pairs(fr: _Front):
-    """(kL, parts, roots, from_minus_one, |inner|, T, in_stopband): _z_parts
-    of kL, the roots (z, outer, inner, outer - a) of _z_closed and
-    _lambda_pairs with their anchors a = 1, or a = -1 where the mask of
-    _odd_edge_pairs is set (None where it is nowhere), each (..., 2) in
-    _z_closed order, T = min(|inner|, 1) of the least-attenuated pair and the
+    """(kL, parts, roots, |inner|, T, in_stopband): _z_parts of kL, the roots
+    (z, outer, inner, outer - a, minus) of _z_closed and _lambda_pairs, each
+    (..., 2) in _z_closed order, with the mask minus of the factors whose
+    anchor a is -1, T = min(|inner|, 1) of the least-attenuated pair and the
     stopband test.
     NumericError where the roots overflow, which _quiet leaves to this check.
     The test needs no passband direction: that picks a member on the unit
@@ -467,45 +448,39 @@ def _pairs(fr: _Front):
     """
     kl = fr.k * fr.L
     parts = _z_parts(kl)
-    z, odd = _z_closed(parts, fr.sigma)
-    z = z.T
-    roots = (z, *_lambda_pairs(z))
-    at = None if odd is None else _odd_edge_pairs(roots, parts, fr.sigma, odd)
+    z, v, a, minus = _z_closed(parts, fr.sigma)
+    roots = (z.T, *_lambda_pairs(v.T, a.T), minus.T)
     _require_finite(fr.f, kl, roots[1], "Bloch roots")
     mod = np.abs(roots[2])
     t = np.maximum(mod[..., 0], mod[..., 1])
     if count_true(t > ONE):  # only where rounding lifts |inner| past 1
         t = np.minimum(t, ONE)
-    return kl, parts, roots, at, mod, t, t < _STOP_BELOW
+    return kl, parts, roots, mod, t, t < _STOP_BELOW
 
 
 def _transmitted(fr: _Front):
-    """(kL, z, outer, inner, lambda_flex, T, in_stopband, offsets,
-    from_minus_one): the pairs of _pairs with the transmitted one, whose
-    inner factor has the larger modulus, in column 0 (on a tie the _z_closed
-    order stands), the transmitted factor, T = min(|lambda_flex|, 1), the
-    stopband test of _pairs, the offsets lambda - a of the two factors behind
-    Gamma, lambda_flex and the inner factor of the other pair, stacked on a
-    first axis of 2, and the indices into them of the factors taken from a =
-    -1 (_odd_edge_pairs; None where none is)."""
-    kl, parts, roots, at, mod, _, stop = _pairs(fr)
+    """(kL, z, outer, inner, lambda_flex, T, in_stopband, offsets, minus): the
+    pairs of _pairs with the transmitted one, whose inner factor has the
+    larger modulus, in column 0 (on a tie the _z_closed order stands), the
+    transmitted factor, T = min(|lambda_flex|, 1), the stopband test of
+    _pairs, the offsets lambda - a of the two factors behind Gamma,
+    lambda_flex and the inner factor of the other pair, stacked on a first
+    axis of 2, and the mask of those two whose anchor a is -1, of the same
+    shape."""
+    kl, parts, roots, mod, _, stop = _pairs(fr)
     swap = mod[..., 1] > mod[..., 0]
     swaps = count_true(swap)
     if swaps == swap.size:  # at every point: the columns reversed, as views
         roots = (x[..., ::-1] for x in roots)
-        at = at if at is None else (*at[:-1], 1 - at[-1])
     elif swaps:
-        at = at if at is None else (*at[:-1], np.where(swap[at[:-1]], 1 - at[-1], at[-1]))
         swap = swap[..., None]
         roots = (np.where(swap, x[..., ::-1], x) for x in roots)
-    z, outer, inner, m_out = roots
+    z, outer, inner, m_out, minus = roots
     # stopband: the decaying member; passband: the member whose modulus shrinks
     # under omega -> omega (1 + i eps), to first order the one with
     # Im(lambda) dy/domega < 0; where that product is 0 (lambda = +-1, or a
     # flat y) the inner member stays; inner - a = -a (outer - a) / outer
-    m_in = -m_out / outer
-    if at is not None:
-        m_in[at] = m_out[at] / outer[at]
+    m_in = _pick(minus, m_out, -m_out) / outer
     out0, lam, m = outer[..., 0], inner[..., 0], m_in[..., 0]
     band = np.abs(np.abs(out0) - ONE) <= _ON_CIRCLE
     if count_true(band):
@@ -521,7 +496,7 @@ def _transmitted(fr: _Front):
         if count_true(mod > ONE):
             mod = np.minimum(mod, ONE)
     offsets = np.array([m, m_in[..., 1]])
-    return kl, z, outer, inner, lam, mod, stop, offsets, at if at is None else (at[-1], *at[:-1])
+    return kl, z, outer, inner, lam, mod, stop, offsets, minus.T
 
 
 def _reflection(fr: _Front, transmitted):
@@ -530,9 +505,10 @@ def _reflection(fr: _Front, transmitted):
     factor of the other pair.  w is translation_phases of kL/2, u = w *
     _PHASE_RATES the shear response, and d the table lambda - p of both factors,
     of shape (2, ..., 4), from the offsets lambda - a of _transmitted and p -
-    a: p - 1 is expm1 of kL times the phase rates, p + 1 that plus 2 and, on
-    the oscillating components 0 and 2, 2 cos(kL/2) w.  NumericError where
-    Gamma overflows and below KL_FLOOR.
+    a: p - 1 is expm1 of kL times the phase rates and p + 1 = w (w + 1/w),
+    with 1/w the half-cell phase of the opposite component, so 2 cos(kL/2) w
+    on the oscillating components 0 and 2.  NumericError where Gamma
+    overflows and below KL_FLOOR.
 
     The interface state [Gamma, Gamma_e, 1, 0] (reflected, reflected
     near-field, unit incident, no incoming evanescent) lies in the span of the
@@ -545,20 +521,17 @@ def _reflection(fr: _Front, transmitted):
     v_i = (lf-p_i)/(p3-p_i) (le-p_i) / u_i, each factor of which stays in
     range wherever the roots do; lf = p2 without coupling makes them 0.
     """
-    kl, *_, m, at = transmitted
+    kl, *_, m, minus = transmitted
     rates = kl[..., None] * _PHASE_RATES
     w = np.exp(rates / _C_TWO)
     u = w * _PHASE_RATES
     p1 = np.expm1(rates)
     d = m[..., None] - p1
-    if at is not None:
-        # the factors taken from -1, against p + 1: 2 cos(kL/2) w on the two
-        # oscillating components, where p itself may be near -1
-        points = at[1:]  # () on a one-point call
-        p_plus = p1[points] + _C_TWO
-        w_at = w[points]
-        p_plus[..., ::2] = w_at[..., ::2] * (TWO * w_at[..., 2:3].real)
-        d[at] = m[at][..., None] - p_plus
+    if count_true(minus):
+        # the factors anchored at -1, against p + 1, which keeps its digits
+        # where p itself is near -1
+        p_plus = w * (w + w[..., _OPPOSITE])
+        np.subtract(m[..., None], p_plus, out=d, where=minus[..., None])
     v = d[0, ..., :3] / (p1[..., 3:] - p1[..., :3]) * d[1, ..., :3] / u[..., :3]
     gammas = v[..., 2:] / v[..., :2]
     if fr.s0 is None:

@@ -213,18 +213,29 @@ def test_sigma_slope_matches_mpmath_derivative(L_um):
 
 
 def test_closed_form_roots_match_mpmath(random_draw):
+    """The roots in z = y - 2, and in x = y + 2 where Re y < 0 (anchor -1),
+    against mpmath.  x is held relative to |x|, which reaches 5e-5 on these
+    draws; the worst error measured is 1.2e-12, at kL = 177, where Q(-2) is
+    a difference of terms of size e^kL."""
     kl, sigma = random_draw
-    (z1, z2), _ = bloch._z_closed(bloch._z_parts(kl), sigma)
-    worst = 0.0
-    for x, s, r1, r2 in zip(kl.tolist(), sigma.tolist(), z1.tolist(), z2.tolist()):
+    z, v, _, minus = bloch._z_closed(bloch._z_parts(kl), sigma)
+    assert 0 < np.count_nonzero(minus) < minus.size
+    assert v[~minus].tobytes() == z[~minus].tobytes()
+    worst = [0.0, 0.0]
+    for x, s, zs, vs, ms in zip(kl.tolist(), sigma.tolist(), z.T.tolist(), v.T.tolist(),
+                                minus.T.tolist()):
         with mpmath.workdps(_mp_digits(x)):
-            for z, ref in zip((r1, r2), _mp_roots(x, s)):
+            for r, rv, m, ref in zip(zs, vs, ms, _mp_roots(x, s)):
+                assert m == (ref.real < 0)
                 # relative error of y = z + 2; a root near 0 (mid-passband) is a
                 # difference of terms of size 1 and is resolved only to absolute
                 # accuracy
-                err = abs(mpmath.mpc(z.real, z.imag) + 2 - ref) / max(abs(ref), 1)
-                worst = max(worst, float(err))
-    assert worst <= 1e-12
+                err = abs(mpmath.mpc(r.real, r.imag) + 2 - ref) / max(abs(ref), 1)
+                worst[0] = max(worst[0], float(err))
+                if m:
+                    err = abs(mpmath.mpc(rv.real, rv.imag) - (ref + 2)) / abs(ref + 2)
+                    worst[1] = max(worst[1], float(err))
+    assert worst[0] <= 1e-12 and worst[1] <= 2e-12, worst
 
 
 def _without_re_kef(p):
@@ -416,9 +427,10 @@ def _mp_gammas(kl, sigma, lam, lam_e):
     ))
 
 
-# the worst errors of Gamma and Gamma_e relative to |exact| at the band edges
-# of test_gamma_at_band_edges_and_rod_poles_matches_mpmath with the y-root
-# closed form and a Cramer solve, by pitch (BENCH_45.json, precision)
+# the worst errors of Gamma and Gamma_e relative to |exact| with the y-root
+# closed form and a Cramer solve, by pitch (BENCH_45.json, precision, parent):
+# at the band edges and rod poles, and over the 2000 sweep points, of
+# test_gamma_at_band_edges_and_rod_poles_matches_mpmath
 _EDGE_ERRORS_OF_THE_Y_ROOT_FORM = {
     0.5: (2.96e-11, 2.52e-11),
     1.0: (2.25e-13, 3.22e-10),
@@ -426,46 +438,68 @@ _EDGE_ERRORS_OF_THE_Y_ROOT_FORM = {
     8.0: (7.54e-11, 5.37e-9),
     12.0: (1.19e-10, 7.54e-9),
 }
+_SWEEP_ERRORS_OF_THE_Y_ROOT_FORM = {
+    0.5: (1.20e-12, 1.20e-12),
+    1.0: (5.60e-12, 5.60e-12),
+    3.8: (2.16e-12, 1.01e-11),
+    8.0: (1.24e-12, 1.58e-12),
+    12.0: (9.57e-13, 6.21e-12),
+}
+
+
+def _worst_gamma_errors(table, L):
+    """The worst errors of a table's Gamma and Gamma_e against mpmath,
+    relative to |exact|, with the exact factors nearest its lambda_flex and
+    its other pair's inner factor."""
+    worst = [0.0, 0.0]
+    for kl, s, lam, lam_e, g, g_e in zip(
+        (table.k * L).tolist(), table.sigma.tolist(), table.lambda_flex.tolist(),
+        table.eigenvalues[:, 3].tolist(), table.gamma.tolist(), table.gamma_e.tolist(),
+    ):
+        with mpmath.workdps(_mp_digits(kl)):
+            for i, (value, ref) in enumerate(zip((g, g_e), _mp_gammas(kl, s, lam, lam_e))):
+                err = abs(mpmath.mpc(value.real, value.imag) - ref) / abs(ref)
+                worst[i] = max(worst[i], float(err))
+    return worst
 
 
 @pytest.mark.parametrize("L_um", sorted(_EDGE_ERRORS_OF_THE_Y_ROOT_FORM))
 def test_gamma_at_band_edges_and_rod_poles_matches_mpmath(L_um):
     """Gamma and Gamma_e against mpmath, relative to |exact|, at 0.1 Hz and
     10 Hz either side of every refined band edge of a 2000-point sweep over
-    0.1-6 GHz and at the rod's poles, where sigma is clamped; a = L/2.  Near an
-    edge the transmitted pair is a near-double root, whose rounding sets the
-    worst error; at the odd edges (lambda near -1) the factors are offsets
-    from -1.  Neither may be worse than with the y-root closed form."""
+    0.1-6 GHz and at the rod's poles, where sigma is clamped, and at the
+    sweep's own points; a = L/2.  Near an edge the transmitted pair is a
+    near-double root, whose rounding sets the worst error; at the odd edges
+    (lambda near -1) the factors are offsets from -1, as at every point where
+    Re y < 0.  Neither input may be worse than with the y-root closed form."""
     cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
-    edges = [e for b in stopband_report(sweep(cell, 0.1e9, 6e9, 2000), cell).bands
-             for e in (b.f_low, b.f_high)]
+    table = sweep(cell, 0.1e9, 6e9, 2000)
+    edges = [e for b in stopband_report(table, cell).bands for e in (b.f_low, b.f_high)]
     poles = [p for p, kind in impedance_extrema(cell.rod, 6e9) if kind == "pole"]
     f = np.concatenate([np.add.outer(edges, [-10.0, -0.1, 0.1, 10.0]).ravel(), poles])
-    t = bloch.Sweep(*bloch._columns(cell, f, with_gamma=True))
-    worst = [0.0, 0.0]
-    for kl, s, lam, lam_e, g, g_e in zip(
-        (t.k * cell.cell_length).tolist(), t.sigma.tolist(), t.lambda_flex.tolist(),
-        t.eigenvalues[:, 3].tolist(), t.gamma.tolist(), t.gamma_e.tolist(),
-    ):
-        with mpmath.workdps(_mp_digits(kl)):
-            for i, (value, ref) in enumerate(zip((g, g_e), _mp_gammas(kl, s, lam, lam_e))):
-                err = abs(mpmath.mpc(value.real, value.imag) - ref) / abs(ref)
-                worst[i] = max(worst[i], float(err))
-    bounds = _EDGE_ERRORS_OF_THE_Y_ROOT_FORM[L_um]
-    assert worst[0] <= bounds[0] and worst[1] <= bounds[1], (worst, bounds)
+    at_edges = bloch.Sweep(*bloch._columns(cell, f, with_gamma=True))
+    for t, bounds in ((at_edges, _EDGE_ERRORS_OF_THE_Y_ROOT_FORM[L_um]),
+                      (table, _SWEEP_ERRORS_OF_THE_Y_ROOT_FORM[L_um])):
+        worst = _worst_gamma_errors(t, cell.cell_length)
+        assert worst[0] <= bounds[0] and worst[1] <= bounds[1], (len(t), worst, bounds)
 
 
 def test_one_point_calls_are_the_rows_of_a_batch_with_odd_edge_points():
-    """A batch whose points near an odd band edge (lambda near -1) take their
-    factors from -1 and whose others do not: every one-point call is its row,
-    bit for bit, whether or not its own call takes a factor from -1."""
+    """A batch near every band edge, the odd ones (lambda near -1) included,
+    and across the band diagram, in which some points anchor a factor at -1
+    and the others anchor every factor at +1, both among the roots and among
+    the two factors behind Gamma: every one-point call is its row, bit for
+    bit, whether or not its own call anchors a factor at -1."""
     cell = unit_cell(parse_config({"geometry": {"L_um": 3.8, "a_um": 1.9}}))
     edges = [e for b in stopband_report(sweep(cell, 0.1e9, 6e9, 400), cell).bands
              for e in (b.f_low, b.f_high)]
     f = np.concatenate([np.add.outer(edges, [-10.0, 0.1]).ravel(), np.linspace(0.1e9, 6e9, 25)])
     with bloch._quiet():
-        points, _ = bloch._pairs(bloch._front(cell._operands, f))[3]  # the roots taken from -1
-    assert 0 < np.unique(points).size < f.size
+        fr = bloch._front(cell._operands, f)
+        roots_minus = bloch._pairs(fr)[2][-1].any(axis=-1)
+        factors_minus = bloch._transmitted(fr)[-1].any(axis=0)
+    for minus in (roots_minus, factors_minus):
+        assert 0 < np.count_nonzero(minus) < f.size
     rows = bloch.Sweep(*bloch._columns(cell, f, with_gamma=True))
     for fi, row in zip(f.tolist(), rows):
         assert _without_re_kef(bloch_point(cell, fi)) == _without_re_kef(row)
