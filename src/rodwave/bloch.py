@@ -16,7 +16,10 @@ pair of Bloch factors, carried with their offsets from the anchor a nearer
 them, a = -1 where Re y < 0 and a = +1 elsewhere: lambda - a = (v +- sqrt(v
 (v + 4a)))/2 with v = y - 2a, the root in z, or in x = y + 2 from the same
 quadratic about y = -2 (_z_closed), so neither a small kL nor a factor near
--1 loses a digit.  The transmitted pair is
+-1 loses a digit.  The anchors travel as the mask of the roots anchored at
+-1 and its count, counted once per run of the stage: a step for those roots
+alone runs behind the count, v is written into the array of the x roots,
+and no complex anchor array is built.  The transmitted pair is
 the least attenuated one: the pair whose |lambda| <= 1 member has the larger
 modulus (Mead, J. Sound Vib. 27(2), 1973).  Its factor with |lambda| <= 1
 gives the transmission T = |lambda| per cell and the effective wavevector
@@ -55,7 +58,10 @@ component axis (4) stay arrays, which every step indexes from the end
 + - * /, complex / and any ufunc call, but not for ``**`` (libm pow), a
 complex scalar product or builtin abs() of a complex scalar; so the stage
 squares as products, keeps complex products on the pair and component
-arrays, and takes np.abs.  The front
+arrays, and takes np.abs.  numpy's complex array product is not bitwise
+commutative either (with AVX-512, x * y and y * x can differ in the last
+bit), so every complex product keeps its operand order, an in-place one
+too: np.multiply(v, w, out=w), not w *= v.  The front
 reads one cell's constants as numpy scalars (``UnitCellGeometry._operands``).
 Several cells make one front: their constants form one table, built once
 (``cell.constants_table``), and each run takes its rows' columns of it by one
@@ -285,22 +291,26 @@ def _formula_roots(sv, qv, d, pair):
     a complex pair has no cancellation and stays exactly conjugate.  Only
     real arithmetic is used."""
     big = (sv + np.copysign(d, sv)) / TWO
-    r = np.array([big, qv / big], dtype=complex)
+    small = qv / big
     neg = sv < ZERO
     if count_true(neg):  # rare: big is the second root
-        r = _pick(neg, r[::-1], r)
+        big, small = _pick(neg, small, big), _pick(neg, big, small)
+    r = np.array([big, small], dtype=complex)
     if count_true(pair):
         np.copyto(r.real, sv / TWO, where=pair)
-        np.copyto(r.imag, np.array([d, -d]) / TWO, where=pair)
+        half_d = d / TWO
+        np.copyto(r.imag[0, ...], half_d, where=pair)
+        np.copyto(r.imag[1, ...], -half_d, where=pair)
     return r
 
 
 def _z_closed(parts, s):
-    """(z, v, a, minus): the closed-form roots in z = y - 2, ((sz + disc)/2,
+    """(z, v, minus, n): the closed-form roots in z = y - 2, ((sz + disc)/2,
     (sz - disc)/2), stacked on a new first axis; each root as v = y - 2a
     from its anchor a, -1 where Re y < 0 and +1 elsewhere, so z where a = 1
-    and x = y + 2 where a = -1; the anchors, the numpy scalar 1 where no root
-    has Re y < 0; and the mask of the roots anchored at -1.
+    and x = y + 2 where a = -1; the mask minus of the roots anchored at -1,
+    and its count n.  v is z itself where n is 0, else a new array: z is
+    never written.
 
     With y = z + 2 the quadratic is z^2 - sz z + Q(2) = 0, sz = su - 4 and
     Q(2) = q = 4 - 2 su + pr, whose coefficients (_z_parts) are free of the
@@ -321,30 +331,40 @@ def _z_closed(parts, s):
     pair = disc2 < ZERO
     z = _formula_roots(sz, q, d, pair)
     minus = z.real < -TWO
-    if not count_true(minus):
-        return z, z, _C_ONE, minus
+    n = count_true(minus)
+    if not n:
+        return z, z, minus, n
+    del sz, q, disc2  # else held through the x pass, which would set a chunk's peak
     c = np.cos(half)
     c2, ch2 = c * c, ONE + sh2
     sx = FOUR * (c2 + ch2) + sb
     qx = _SIXTEEN * c2 * ch2 + TWO * s * (c2 * sh - ch2 * sn)
-    x = _formula_roots(sx, qx, d, pair)
-    return z, np.where(minus, x, z), np.where(minus, -_C_ONE, _C_ONE), minus
+    v = _formula_roots(sx, qx, d, pair)
+    if n < minus.size:
+        np.copyto(v, z, where=~minus)
+    return z, v, minus, n
 
 
-def _lambda_pairs(v, a):
+def _lambda_pairs(v, minus, n):
     """(outer, inner, outer - a): the roots of lambda^2 - (v + 2a) lambda + 1
-    = 0, |outer| >= |inner|, and the outer one's offset from its anchor a
-    (_z_closed).
+    = 0, |outer| >= |inner|, and the outer one's offset from its anchor a,
+    from v and the mask minus of the entries anchored at -1 and its count n
+    (_z_closed).  v is not written.
 
     lambda - a = (v +- sqrt(v (v + 4a)))/2: the member without cancellation,
     the larger in modulus, is outer - a, and inner is 1 / outer; inner - a =
     -a (outer - a) / outer (_transmitted), so neither offset cancels against
-    a.
+    a.  v + 4a and a + (outer - a) are _at_anchors sums; the other steps
+    write into the arrays of earlier ones, so no complex array is made
+    besides the three returned.
     """
-    root = np.sqrt(v * (v + FOUR * a))
-    hi, lo = v + root, v - root
-    m_out = np.where(np.abs(hi) >= np.abs(lo), hi, lo) / _C_TWO
-    outer = a + m_out
+    w = _at_anchors(v, FOUR * _C_ONE, minus, n)  # 4a, complex beside v
+    root = np.sqrt(np.multiply(v, w, out=w), out=w)
+    hi = v + root
+    lo = np.subtract(v, root, out=root)
+    np.copyto(lo, hi, where=np.abs(hi) >= np.abs(lo))
+    m_out = np.divide(lo, _C_TWO, out=lo)
+    outer = _at_anchors(m_out, _C_ONE, minus, n, out=hi)
     return outer, _C_ONE / outer, m_out
 
 
@@ -426,6 +446,20 @@ def _front(cell: SimpleNamespace, f: np.ndarray, *, force_zero_coupling: bool = 
     return _Front(f, k, clamped_sigma(sigma), cell.cell_length, s0, phase)
 
 
+def _at_anchors(x, y, minus, n, out=None):
+    """x + a y, into out if given, for the anchors a of the mask minus and its
+    count n: a = -1 where minus is set, +1 elsewhere.  One op over every
+    entry, then one masked op over the entries of minus; one op alone where
+    none or every entry is set.  For y real, or complex with imaginary part
+    +0, x - y has the bits of x + a y with the complex anchor (-1, -0.0)."""
+    if n == minus.size:
+        return np.subtract(x, y, out=out)
+    r = np.add(x, y, out=out)
+    if n:
+        np.subtract(x, y, out=r, where=minus)
+    return r
+
+
 def _pick(mask, new, old):
     """np.where(mask, new, old) for a mask over the points: old where no point
     is set and new where every one is, as on a one-point call, without the
@@ -437,37 +471,39 @@ def _pick(mask, new, old):
 
 
 def _pairs(fr: _Front):
-    """(kL, parts, roots, |inner|, T, in_stopband): _z_parts of kL, the roots
-    (z, outer, inner, outer - a, minus) of _z_closed and _lambda_pairs, each
-    (..., 2) in _z_closed order, with the mask minus of the factors whose
-    anchor a is -1, T = min(|inner|, 1) of the least-attenuated pair and the
-    stopband test.
+    """(kL, parts, roots, n, |inner|, T, in_stopband): _z_parts of kL, the
+    roots (z, outer, inner, outer - a, minus) of _z_closed and _lambda_pairs,
+    each (..., 2) in _z_closed order, with the mask minus of the factors
+    whose anchor a is -1, its count n, T = min(|inner|, 1) of the
+    least-attenuated pair and the stopband test.
     NumericError where the roots overflow, which _quiet leaves to this check.
     The test needs no passband direction: that picks a member on the unit
     circle, where T >= 1 - 1e-8.
     """
     kl = fr.k * fr.L
     parts = _z_parts(kl)
-    z, v, a, minus = _z_closed(parts, fr.sigma)
-    roots = (z.T, *_lambda_pairs(v.T, a.T), minus.T)
+    z, v, minus, n = _z_closed(parts, fr.sigma)
+    roots = (z.T, *_lambda_pairs(v.T, minus.T, n), minus.T)
+    del v  # the x roots' array where n > 0, not read again
     _require_finite(fr.f, kl, roots[1], "Bloch roots")
     mod = np.abs(roots[2])
     t = np.maximum(mod[..., 0], mod[..., 1])
     if count_true(t > ONE):  # only where rounding lifts |inner| past 1
         t = np.minimum(t, ONE)
-    return kl, parts, roots, mod, t, t < _STOP_BELOW
+    return kl, parts, roots, n, mod, t, t < _STOP_BELOW
 
 
 def _transmitted(fr: _Front):
-    """(kL, z, outer, inner, lambda_flex, T, in_stopband, offsets, minus): the
-    pairs of _pairs with the transmitted one, whose inner factor has the
+    """(kL, z, outer, inner, lambda_flex, T, in_stopband, offsets, n, minus):
+    the pairs of _pairs with the transmitted one, whose inner factor has the
     larger modulus, in column 0 (on a tie the _z_closed order stands), the
     transmitted factor, T = min(|lambda_flex|, 1), the stopband test of
     _pairs, the offsets lambda - a of the two factors behind Gamma,
     lambda_flex and the inner factor of the other pair, stacked on a first
     axis of 2, and the mask of those two whose anchor a is -1, of the same
-    shape."""
-    kl, parts, roots, mod, _, stop = _pairs(fr)
+    shape, with its count n: the pair swap permutes _pairs' mask and keeps
+    its count."""
+    kl, parts, roots, n, mod, _, stop = _pairs(fr)
     swap = mod[..., 1] > mod[..., 0]
     swaps = count_true(swap)
     if swaps == swap.size:  # at every point: the columns reversed, as views
@@ -480,7 +516,10 @@ def _transmitted(fr: _Front):
     # under omega -> omega (1 + i eps), to first order the one with
     # Im(lambda) dy/domega < 0; where that product is 0 (lambda = +-1, or a
     # flat y) the inner member stays; inner - a = -a (outer - a) / outer
-    m_in = _pick(minus, m_out, -m_out) / outer
+    m_in = -m_out
+    if n:
+        np.copyto(m_in, m_out, where=minus)
+    m_in /= outer
     out0, lam, m = outer[..., 0], inner[..., 0], m_in[..., 0]
     band = np.abs(np.abs(out0) - ONE) <= _ON_CIRCLE
     if count_true(band):
@@ -496,7 +535,7 @@ def _transmitted(fr: _Front):
         if count_true(mod > ONE):
             mod = np.minimum(mod, ONE)
     offsets = np.array([m, m_in[..., 1]])
-    return kl, z, outer, inner, lam, mod, stop, offsets, minus.T
+    return kl, z, outer, inner, lam, mod, stop, offsets, n, minus.T
 
 
 def _reflection(fr: _Front, transmitted):
@@ -504,11 +543,12 @@ def _reflection(fr: _Front, transmitted):
     through two of its factors: lf, the transmitted one, and le, the inner
     factor of the other pair.  w is translation_phases of kL/2, u = w *
     _PHASE_RATES the shear response, and d the table lambda - p of both factors,
-    of shape (2, ..., 4), from the offsets lambda - a of _transmitted and p -
-    a: p - 1 is expm1 of kL times the phase rates and p + 1 = w (w + 1/w),
-    with 1/w the half-cell phase of the opposite component, so 2 cos(kL/2) w
-    on the oscillating components 0 and 2.  NumericError where Gamma
-    overflows and below KL_FLOOR.
+    of shape (2, ..., 4), from the offsets lambda - a of _transmitted, with
+    their mask of a = -1 and its count, and p - a: p - 1 is expm1 of kL
+    times the phase rates and p + 1 = w (w + 1/w), with 1/w the half-cell
+    phase of the opposite component, so 2 cos(kL/2) w on the oscillating
+    components 0 and 2.  NumericError where Gamma overflows and below
+    KL_FLOOR.
 
     The interface state [Gamma, Gamma_e, 1, 0] (reflected, reflected
     near-field, unit incident, no incoming evanescent) lies in the span of the
@@ -521,13 +561,13 @@ def _reflection(fr: _Front, transmitted):
     v_i = (lf-p_i)/(p3-p_i) (le-p_i) / u_i, each factor of which stays in
     range wherever the roots do; lf = p2 without coupling makes them 0.
     """
-    kl, *_, m, minus = transmitted
+    kl, *_, m, n, minus = transmitted
     rates = kl[..., None] * _PHASE_RATES
     w = np.exp(rates / _C_TWO)
     u = w * _PHASE_RATES
     p1 = np.expm1(rates)
     d = m[..., None] - p1
-    if count_true(minus):
+    if n:
         # the factors anchored at -1, against p + 1, which keeps its digits
         # where p itself is near -1
         p_plus = w * (w + w[..., _OPPOSITE])

@@ -67,6 +67,25 @@ def test_sweep_cells_memory_is_its_columns_and_one_chunk(default_config):
     assert peak / 100_000 <= 40, peak / 100_000
 
 
+def test_a_geometry_chunk_peaks_below_the_stage_before_the_anchors_at_minus_one(default_config):
+    """One _CHUNK-row chunk of the benchmark's geometry rows (t_aln2 540-660
+    nm, 21 steps x 400 points, 1.4-3.2 GHz) as sweep_cells runs it, its
+    rows' stacked_cells and _stopband_test, traced warm.  Measured 704 KiB.
+    With the anchors built as complex arrays and v as a third copy of the
+    roots the chunk peaked at 956 KiB, and before roots were anchored at -1
+    at 823.5 KiB; the bound is 823 KiB."""
+    cells = _t_aln2_cells(default_config, 21)
+    table = cell.constants_table(cells)
+    f = np.tile(np.linspace(1.4e9, 3.2e9, 400), 21)[: bloch._CHUNK]
+    owner = np.repeat(np.arange(21), 400)[: bloch._CHUNK]
+
+    def chunk():
+        bloch._stopband_test(bloch.stacked_cells(table, owner), f)
+
+    chunk()
+    assert _traced_peak(chunk) <= 823 * 1024
+
+
 @pytest.mark.parametrize(
     "chunk, points", [(7, 21), (7, 22), (7, 2000), (300, 600), (300, 601), (300, 2000)]
 )

@@ -30,6 +30,7 @@ from rodwave.cell import (
     sigma_slope_arrays,
     translation_phases,
 )
+from rodwave.errors import frequency_row
 from rodwave.rod import impedance_extrema
 from rodwave.trench import flexural_wavevector, flexural_wavevectors
 
@@ -218,7 +219,7 @@ def test_closed_form_roots_match_mpmath(random_draw):
     draws; the worst error measured is 1.2e-12, at kL = 177, where Q(-2) is
     a difference of terms of size e^kL."""
     kl, sigma = random_draw
-    z, v, _, minus = bloch._z_closed(bloch._z_parts(kl), sigma)
+    z, v, minus, _ = bloch._z_closed(bloch._z_parts(kl), sigma)
     assert 0 < np.count_nonzero(minus) < minus.size
     assert v[~minus].tobytes() == z[~minus].tobytes()
     worst = [0.0, 0.0]
@@ -504,6 +505,52 @@ def test_one_point_calls_are_the_rows_of_a_batch_with_odd_edge_points():
     for fi, row in zip(f.tolist(), rows):
         assert _without_re_kef(bloch_point(cell, fi)) == _without_re_kef(row)
         assert repr(semi_infinite_reflection(cell, fi)) == repr((row.gamma, row.gamma_e))
+
+
+def _bits(x):
+    """x as comparable bits: a tuple item by item, an array by dtype, shape
+    and bytes, anything else by repr."""
+    if isinstance(x, tuple):
+        return tuple(map(_bits, x))
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    return repr(x)
+
+
+def test_the_stage_writes_into_no_front_array_and_no_earlier_output():
+    """_pairs and _transmitted, each run twice on one front: a batch with
+    roots at Re y < 0, one without, and one-point fronts with none, one and
+    two of them.  After both runs the front and the first run's outputs, z
+    among them, are unchanged, and the second run's outputs are the first's
+    bit for bit: no step writes into z, which is v where no root is anchored
+    at -1, nor into a front array; and z stays the roots of the factors, z +
+    2 = outer + inner to 1e-12 (measured 1.7e-15), which a write into z
+    within the run breaks."""
+    cell = unit_cell(parse_config({"geometry": {"L_um": 3.8, "a_um": 1.9}}))
+    grid = np.linspace(0.1e9, 6e9, 400)
+    with bloch._quiet():
+        counts = np.count_nonzero(bloch._pairs(bloch._front(cell._operands, grid))[2][-1], axis=-1)
+    one_point = [grid[np.argmax(counts == k)] for k in (0, 1, 2)]
+    assert (counts[np.searchsorted(grid, one_point)] == [0, 1, 2]).all()
+    batches = [grid, np.linspace(1e3, 1e6, 50)]
+    fronts = [bloch._front(cell._operands, f) for f in batches]
+    fronts += [bloch._front(cell._operands, frequency_row(f, "test")) for f in one_point]
+    anchored = []
+    for fr in fronts:
+        front = _bits(tuple(vars(fr).values()))
+        with bloch._quiet():
+            for stage in (bloch._pairs, bloch._transmitted):
+                first = stage(fr)
+                first_bits = _bits(first)
+                z, outer, inner = (first[2] if stage is bloch._pairs else first[1:])[:3]
+                y = outer + inner
+                assert (np.abs(z + 2 - y) <= 1e-12 * np.maximum(np.abs(y), 1)).all()
+                second = stage(fr)
+                assert _bits(first) == first_bits, stage.__name__
+                assert _bits(second) == first_bits, stage.__name__
+            anchored.append(first[-2])
+        assert _bits(tuple(vars(fr).values())) == front
+    assert anchored[0] > 0 and anchored[1] == 0 and anchored[2:] == [0, 1, 2]
 
 
 def _low_kl_cells(count):
