@@ -133,7 +133,7 @@ _ITER_ROWS = 256  # the rows of a Sweep converted to Python values at a time
 # below it (README, "Numerics of the Bloch kernel")
 KL_FLOOR = 2e-4
 # the stage's ufunc operands (errors.constant), complex ones beside complex arrays
-_C_ZERO, _C_ONE, _C_TWO = (constant(x, complex) for x in (0, 1, 2))
+_C_ZERO, _C_ONE, _C_TWO, _C_FOUR = (constant(x, complex) for x in (0, 1, 2, 4))
 _STOP_BELOW, _ON_CIRCLE, _COMPLEX_BAND_TOL, _KL_FLOOR = map(
     constant, (1.0 - TOL_BAND, 1e-8, 1e-9, KL_FLOOR)
 )
@@ -358,7 +358,7 @@ def _lambda_pairs(v, minus, n):
     write into the arrays of earlier ones, so no complex array is made
     besides the three returned.
     """
-    w = _at_anchors(v, FOUR * _C_ONE, minus, n)  # 4a, complex beside v
+    w = _at_anchors(v, _C_FOUR, minus, n)  # 4a, complex beside v
     root = np.sqrt(np.multiply(v, w, out=w), out=w)
     hi = v + root
     lo = np.subtract(v, root, out=root)
@@ -387,6 +387,10 @@ def _z_slope(s, ds, parts, z):
 
 
 _COMPONENTS = constant(np.arange(4))
+# the finite chain's boundary values (x_0[2], x_0[3], x_n[0], x_n[1]) and the
+# modes referenced at boundary n, the outer ones (chain_profile)
+_UNIT_INPUT = constant([1.0, 0.0, 0.0, 0.0])
+_AT_END = constant([[0], [0], [1], [1]])
 
 
 def _eigenvectors(kl, lam):
@@ -499,10 +503,11 @@ def _transmitted(fr: _Front):
     larger modulus, in column 0 (on a tie the _z_closed order stands), the
     transmitted factor, T = min(|lambda_flex|, 1), the stopband test of
     _pairs, the offsets lambda - a of the two factors behind Gamma,
-    lambda_flex and the inner factor of the other pair, stacked on a first
-    axis of 2, and the mask of those two whose anchor a is -1, of the same
-    shape, with its count n: the pair swap permutes _pairs' mask and keeps
-    its count."""
+    lambda_flex and the inner factor of the other pair, on a first axis of 2
+    (the transposed view of the inner offsets, lambda_flex's written into
+    column 0 where it is the outer member), and the mask of those two whose
+    anchor a is -1, of the same shape, with its count n: the pair swap
+    permutes _pairs' mask and keeps its count."""
     kl, parts, roots, n, mod, _, stop = _pairs(fr)
     swap = mod[..., 1] > mod[..., 0]
     swaps = count_true(swap)
@@ -520,22 +525,22 @@ def _transmitted(fr: _Front):
     if n:
         np.copyto(m_in, m_out, where=minus)
     m_in /= outer
-    out0, lam, m = outer[..., 0], inner[..., 0], m_in[..., 0]
+    out0, lam = outer[..., 0], inner[..., 0]
     band = np.abs(np.abs(out0) - ONE) <= _ON_CIRCLE
     if count_true(band):
         ds = ZERO if fr.s0 is None else sigma_slope_arrays(fr.sigma, fr.s0, fr.phase)
         # the slope is read only at passband points, and may overflow at the others
         outward = band & (lam.imag * _z_slope(fr.sigma, ds, parts, z) > ZERO)
-        lam, m = _pick(outward, out0, lam), _pick(outward, m_out[..., 0], m)
+        lam = _pick(outward, out0, lam)
+        np.copyto(m_in[..., 0], m_out[..., 0], where=outward)  # its offset, in place
     mod = np.abs(lam)
     over = mod > ONE
-    if count_true(over):  # keep |lambda| <= 1 against rounding; m stays the root's
+    if count_true(over):  # keep |lambda| <= 1 against rounding; its offset stays the root's
         lam = _pick(over, lam / mod, lam)
         mod = np.abs(lam)
         if count_true(mod > ONE):
             mod = np.minimum(mod, ONE)
-    offsets = np.array([m, m_in[..., 1]])
-    return kl, z, outer, inner, lam, mod, stop, offsets, n, minus.T
+    return kl, z, outer, inner, lam, mod, stop, m_in.T, n, minus.T
 
 
 def _reflection(fr: _Front, transmitted):
@@ -606,19 +611,21 @@ def _backward_error(kl, sigma, w, u, d):
         + TWO * e2 * (ONE + THREE * s4 * s4) + e2 * e2 * ((ONE - s4) * (ONE - s4))
     )
     scale = (ONE + e) * np.sqrt(e / t_sq)
-    zero = d == _C_ZERO
-    if count_true(zero):
+    if np.count_nonzero(d) < d.size:  # some entry is exactly 0
+        zero = d == _C_ZERO
         row = zero.any(axis=-1)
         g = np.where(row, ZERO, ONE)
         q = np.where(row[..., None], w * zero, w / np.where(zero, _C_ONE, d))
     else:
         g, q = ONE, w / d
-    # w.u/d of both eigenpairs times g, then ||v||^2 of both in the real parts,
-    # summed over the components written out: an axis reduction may add in an
-    # order that depends on the batch size
-    x = np.concatenate([u * q, q * q.conj()])
-    sums = x[..., 0] + x[..., 1] + x[..., 2] + x[..., 3]
-    resid = np.abs(g - s4 * sums[:2]) / np.sqrt(sums[2:].real)
+    # w.u/d of both eigenpairs times g, and ||v||^2 of both, the real parts of
+    # q conj(q), each summed over the components written out: an axis
+    # reduction may add in an order that depends on the batch size
+    x = u * q
+    dot = x[..., 0] + x[..., 1] + x[..., 2] + x[..., 3]
+    x = (q * q.conj()).real
+    norm2 = x[..., 0] + x[..., 1] + x[..., 2] + x[..., 3]
+    resid = np.abs(g - s4 * dot) / np.sqrt(norm2)
     return scale * np.maximum(resid[0], resid[1])
 
 
@@ -657,7 +664,9 @@ def _columns(
     # |Im y| > tol max(1, |y|) of the transmitted root y = z + 2
     z_tr = z[..., 0]
     im = np.abs(z_tr.imag)
-    complex_band = (im > _COMPLEX_BAND_TOL) & (im > _COMPLEX_BAND_TOL * np.abs(z_tr + TWO))
+    complex_band = im > _COMPLEX_BAND_TOL
+    if count_true(complex_band):  # the relative test only where the absolute one holds
+        complex_band = complex_band & (im > _COMPLEX_BAND_TOL * np.abs(z_tr + TWO))
     return (
         f, eigenvalues.reshape(-1, 4), lam, t, ONE - t, k_ef, gamma, gamma_e, phase, stop,
         fr.k, fr.sigma, defect, complex_band,
@@ -724,12 +733,16 @@ def bloch_point(
     )
     # the branch in Python floats after numpy's arctan2; round() rounds half to even
     L = cell.cell_length
-    arg = np.arctan2(lam.imag, lam.real).item()
-    branch = round((k.item() * L - arg) / (2 * math.pi))
-    k_ef.real = (arg + 2 * math.pi * branch) / L
-    # the one row, read column by column: no Sweep is built for one point
-    row = (lam, t, r, k_ef, gamma, gamma_e, phase, stop, k, sigma, defect, band)
-    return BlochPoint(f_row.item(), tuple(eigenvalues[0].tolist()), *(x.item() for x in row))
+    arg = float(np.arctan2(lam.imag, lam.real))
+    branch = round((float(k) * L - arg) / (2 * math.pi))
+    k_ef = complex((arg + 2 * math.pi * branch) / L, float(k_ef.imag))
+    # the one row, read column by column through the builtin types (the values
+    # of .item(), at a tenth of its cost): no Sweep is built for one point
+    return BlochPoint(
+        float(f_row), tuple(eigenvalues[0].tolist()), complex(lam), float(t), float(r), k_ef,
+        complex(gamma), complex(gamma_e), float(phase), bool(stop), float(k), float(sigma),
+        float(defect), bool(band),
+    )
 
 
 def semi_infinite_reflection(
@@ -992,28 +1005,30 @@ def chain_profile(
             _front(cell._operands, f_row, force_zero_coupling=force_zero_coupling)
         )
         if kl < _KL_FLOOR:  # refused as bloch_point's Gamma is
-            raise non_finite_error("Gamma", f_row.item(), kl)
+            raise non_finite_error("Gamma", float(f_row), kl)
         lam_flex = complex(lam_flex)
         lam = np.concatenate([inner, outer])  # modes: inner, inner, outer, outer
         v = _eigenvectors(kl, lam)  # (mode, component)
         log_lam = np.log(lam)
         rho = n * float(log_lam[:2].real.max())
         # the powers lambda^(j - ref) at j = 0 and j = n, outer ones times e^rho
-        # and the j = n rows divided by it
-        at_0 = np.exp(np.concatenate([[0.0, 0.0], rho - n * log_lam[2:]]))
-        at_n = np.exp(np.concatenate([n * log_lam[:2] - rho, [0.0, 0.0]]))
-        c = np.linalg.solve(
-            np.concatenate([v[:, 2:].T * at_0, v[:, :2].T * at_n]), [1.0, 0.0, 0.0, 0.0]
-        )
-        # ln x_j[2], a log-sum-exp over the modes at each boundary j
-        terms = np.log(c * v[:, 2]) + np.array([0.0, 0.0, rho, rho])
-        terms = terms + np.subtract.outer(np.arange(n + 1), [0, 0, n, n]) * log_lam
+        # and the j = n rows divided by it, from one exp: 1 where j = ref
+        powers = np.zeros((2, 4), dtype=complex)
+        n_log = n * log_lam
+        np.subtract(rho, n_log[2:], out=powers[0, 2:])
+        np.subtract(n_log[:2], rho, out=powers[1, :2])
+        at_0, at_n = np.exp(powers)
+        c = np.linalg.solve(np.concatenate([v[:, 2:].T * at_0, v[:, :2].T * at_n]), _UNIT_INPUT)
+        # ln x_j[2], a log-sum-exp over the modes at each boundary j, laid out
+        # (mode, boundary) so that every loop runs along the n + 1 boundaries
+        terms = (np.log(c * v[:, 2]) + np.array([0.0, 0.0, rho, rho]))[:, None]
+        terms = terms + (np.arange(n + 1) - n * _AT_END) * log_lam[:, None]
         re = terms.real
-        top = np.maximum(np.maximum(np.maximum(re[:, 0], re[:, 1]), re[:, 2]), re[:, 3])
+        top = np.maximum(np.maximum(np.maximum(re[0], re[1]), re[2]), re[3])
         # the mode sum written out as (x0 + x1) + (x2 + x3), the order numpy
         # 2.4's axis sum takes on x86-64; an axis sum's order is numpy's choice
-        x = np.exp(terms - top[:, None])
-        total = (x[:, 0] + x[:, 1]) + (x[:, 2] + x[:, 3])
+        x = np.exp(terms - top)
+        total = (x[0] + x[1]) + (x[2] + x[3])
         # ln|x_j[2]| in real arithmetic: the phase of the complex log is not read
         log_mags = top + np.log(np.abs(total))
     log_mags[0] = 0.0  # the unit input, exact by the boundary condition
@@ -1021,7 +1036,7 @@ def chain_profile(
     j = np.arange(n) - (n - 1) / 2
     slope = 12 * float(j @ log_mags[:n]) / (n * (n * n - 1))
     return ChainProfile(
-        f=f_row.item(),
+        f=float(f_row),
         n_cells=n,
         magnitudes=np.exp(log_mags),
         fitted_slope=slope,

@@ -124,8 +124,11 @@ def libm(func, x):
 
 def count_true(mask) -> int:
     """np.count_nonzero of a boolean array or numpy bool mask, the latter
-    without the conversion to an array (about 1 us) np.count_nonzero makes."""
-    return int(mask) if mask.ndim == 0 else np.count_nonzero(mask)
+    without the conversion to an array (about 1 us) np.count_nonzero makes,
+    and from its truth value (int() of a numpy bool takes about 0.3 us)."""
+    if mask.ndim == 0:
+        return 1 if mask else 0
+    return np.count_nonzero(mask)
 
 
 ZERO, ONE, TWO, THREE, FOUR, TWO_PI = map(constant, (0.0, 1.0, 2.0, 3.0, 4.0, 2.0 * np.pi))

@@ -106,7 +106,9 @@ def _pole_impedance(rod: RodModel, f: np.ndarray, omega: np.ndarray):
     warning (np.errstate) before it.
     """
     first, spacing = rod.first_pole, rod.first_zero  # poles are first_zero apart
-    n = np.maximum(np.rint((f - first) / spacing), ZERO)
+    n = np.rint((f - first) / spacing)
+    if count_true(n < ZERO):  # -1 only by rounding near f = 0, as first = spacing / 2
+        n = np.maximum(n, ZERO)
     distance = np.abs(f - (first + n * spacing))
     arg = omega / rod.velocity * rod.height
     try:

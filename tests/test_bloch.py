@@ -915,6 +915,15 @@ def _mask_table(f, t, in_stopband):
                        | {"f": f, "t_coeff": t, "in_stopband": in_stopband})
 
 
+def test_sweep_cells_of_no_cell_is_three_empty_columns():
+    """No cell, no row: sweep_cells([]) runs the stage over an empty chunk and
+    returns empty f, T and in_stopband columns, of the dtypes a sweep's."""
+    f, t, in_stopband = bloch.sweep_cells([], 1.4e9, 3.2e9, 400)
+    assert [(x.dtype, x.shape) for x in (f, t, in_stopband)] == [
+        (np.dtype(float), (0,)), (np.dtype(float), (0,)), (np.dtype(bool), (0,))
+    ]
+
+
 @pytest.mark.parametrize("parameter", sorted(_GEOM_SPANS_UM))
 def test_geometry_sweep_table_rows_are_the_step_sweeps(tmp_path, monkeypatch, parameter):
     """Each kept step's rows of the one-pass geometry columns are bit for bit

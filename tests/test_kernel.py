@@ -370,6 +370,51 @@ def test_transfer_matrix_is_diagonal_plus_rank_one_at_the_rod_poles():
     assert worst < 1e-9
 
 
+def _assembled_backward_error(kl, sigma, lam, d):
+    """||T v - lam v|| / (||T||_F ||v||) of the factor lam with the assembled
+    T = diag(p) + (sigma/4) u w^T at kL = kl, v = (lam - p)^-1 u; where its
+    table row d (lam - p) has an exact 0, lam is that p_j and v is e_j, the
+    limit of (lam - p_j) v."""
+    p, w = translation_phases(np.array([kl, kl / 2]))
+    u = w * np.array([-1j, 1, 1j, -1])
+    T = np.diag(p) + (sigma / 4) * np.outer(u, w)
+    if (d == 0).any():
+        j = int(np.argmax(d == 0))
+        lam, v = p[j], np.eye(4)[j]
+    else:
+        v = u / (lam - p)
+    return np.linalg.norm(T @ v - lam * v) / (np.linalg.norm(T) * np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("L_um", [0.5, 1.0, 3.8, 12.0])
+def test_eigen_check_is_the_backward_error_of_the_assembled_matrix(L_um):
+    """The eigen-check by value: with the two factors behind Gamma moved off
+    the roots by a seeded delta of about 1e-6, so that the residual is not
+    rounding, bloch._backward_error of the moved table is the worse of the two
+    factors' ||T v - lambda v|| / (||T||_F ||v||) on the assembled T, to 1e-8
+    relative (measured 8.6e-10 at worst); one factor's row with an exact 0 in
+    its table takes the scaled path."""
+    cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
+    f = np.linspace(0.1e9, 6e9, 37)
+    with bloch._quiet():
+        fr = bloch._front(cell._operands, f)
+        transmitted = bloch._transmitted(fr)
+        _, _, (w, u, d) = bloch._reflection(fr, transmitted)
+    kl, inner, lam_flex = transmitted[0], transmitted[3], transmitted[4]
+    rng = np.random.default_rng(4905)
+    delta = 1e-6 * (rng.standard_normal((2, f.size)) + 1j * rng.standard_normal((2, f.size)))
+    moved = d + delta[..., None]
+    moved[0, 5, 2] = 0.0  # the transmitted factor at one row, exactly on p_2
+    got = bloch._backward_error(kl, fr.sigma, w, u, moved)
+    factors = np.array([lam_flex, inner[:, 1]]) + delta
+    for i in range(f.size):
+        expected = max(
+            _assembled_backward_error(kl[i], fr.sigma[i], factors[k, i], moved[k, i])
+            for k in range(2)
+        )
+        assert abs(got[i] - expected) <= 1e-8 * expected, (i, got[i], expected)
+
+
 def _mp_gamma(kl, sigma, lam):
     """Gamma from the kernel's pair rule, at the working precision (callers
     set _mp_digits(kl)).
