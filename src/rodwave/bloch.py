@@ -32,15 +32,14 @@ quadratic in real arithmetic: y' = (y su' - pr') / (y - y_other).
 
 The cell matrix is T = diag(p) + (sigma/4) u w^T, with p = (e^{-ikL}, e^{kL},
 e^{ikL}, e^{-kL}), w the same at kL/2 and u = w * (-i, 1, i, -1).  A Bloch
-factor lambda has the eigenvector (lambda - p)^-1 u.  The reflection Gamma of
-a semi-infinite chain, Cramer's rule on two of them, is a closed form in the
-two factors and p, taken from the table lambda - p = (lambda - a) - (p - a)
-of their offsets and p - a; the eigen-check is the secular function on the
-same table.
-
-A finite chain of n cells, driven by a unit propagating wave at boundary 0
-and matched after the last cell, is a sum over the four Bloch modes, each
-referenced at the end it decays from; one 4x4 solve gives the coefficients.
+factor lambda has the eigenvector (lambda - p)^-1 u.  Every use of it reads
+one table, lambda - p = (lambda - a) - (p - a) of the factors' offsets and p
+- a (_offset_table), never lambda itself: the reflection Gamma of a
+semi-infinite chain, a closed form by Cramer's rule on two eigenvectors; the
+eigen-check, the secular function on the table; and a finite chain of n
+cells, driven by a unit propagating wave at boundary 0 and matched after the
+last cell, a sum over the four Bloch modes, each referenced at the end it
+decays from, whose coefficients one 4x4 solve gives.
 
 Every entry point evaluates the pipeline in two parts: a cell-dependent
 front (``_front``: k, the clamped sigma, L, and s0 and the rod phase for
@@ -393,22 +392,33 @@ _UNIT_INPUT = constant([1.0, 0.0, 0.0, 0.0])
 _AT_END = constant([[0], [0], [1], [1]])
 
 
-def _eigenvectors(kl, lam):
-    """The eigenvectors of T for the Bloch factors lam, the finite chain's four
-    modes (chain_profile); Gamma and the eigen-check need none (_reflection).
-
-    Each eigenvector (lam - p)^-1 u is scaled by lam - p_near, p_near the
-    entry of p nearest lam, so it stays finite where lam rounds onto p.  lam
-    has the shape of kl with any leading axes; v runs along a new last axis
-    of 4.
-    """
-    p, w = translation_phases(np.array([kl, kl / TWO]))
-    # each component's response to the shear jump is lambda_j / k, its phase rate
+def _offset_table(kl, m, minus, n):
+    """(w, u, p - 1, d) of Bloch factors from their offsets m = lambda - a, the
+    mask minus of those anchored at a = -1 and its count n: w is
+    translation_phases of kL/2, u = w * _PHASE_RATES, and d = (lambda - a) -
+    (p - a) the table lambda - p, m's shape with a last axis of 4.  p - 1 is
+    expm1 of kL times the phase rates and p + 1 = w (w + 1/w), 1/w the
+    opposite component's half-cell phase, keeps its digits where p is near -1:
+    d keeps the offsets' digits as kL -> 0, where every lambda and p near 1."""
+    rates = kl[..., None] * _PHASE_RATES
+    w = np.exp(rates / _C_TWO)
     u = w * _PHASE_RATES
-    gap = lam[..., None] - p
-    near = _COMPONENTS == np.abs(gap).argmin(axis=-1)[..., None]
-    g_near = gap[near].reshape(lam.shape)  # lam - p_near, one per row
-    return u * np.where(near, _C_ONE, g_near[..., None] / np.where(near, _C_ONE, gap))
+    p1 = np.expm1(rates)
+    d = m[..., None] - p1
+    if n:
+        np.subtract(m[..., None], w * (w + w[..., _OPPOSITE]), out=d, where=minus[..., None])
+    return w, u, p1, d
+
+
+def _modes(u, d):
+    """The eigenvectors (lambda - p)^-1 u of the rows of the table d
+    (_offset_table), the finite chain's modes; Gamma and the eigen-check need
+    none.  Each is scaled by its entry d_near of smallest modulus, u_i d_near
+    / d_i and u_near at near, so it stays finite where an offset is 0."""
+    near = _COMPONENTS == np.abs(d).argmin(axis=-1)[..., None]
+    v = u * (d[near].reshape(*d.shape[:-1], 1) / d)
+    np.copyto(v, u, where=near)
+    return v
 
 
 @dataclass
@@ -498,16 +508,14 @@ def _pairs(fr: _Front):
 
 
 def _transmitted(fr: _Front):
-    """(kL, z, outer, inner, lambda_flex, T, in_stopband, offsets, n, minus):
-    the pairs of _pairs with the transmitted one, whose inner factor has the
-    larger modulus, in column 0 (on a tie the _z_closed order stands), the
-    transmitted factor, T = min(|lambda_flex|, 1), the stopband test of
-    _pairs, the offsets lambda - a of the two factors behind Gamma,
-    lambda_flex and the inner factor of the other pair, on a first axis of 2
-    (the transposed view of the inner offsets, lambda_flex's written into
-    column 0 where it is the outer member), and the mask of those two whose
-    anchor a is -1, of the same shape, with its count n: the pair swap
-    permutes _pairs' mask and keeps its count."""
+    """(kL, z, outer, inner, lambda_flex, T, in_stopband, m_in, m_out, offsets,
+    n, minus): the pairs of _pairs with the transmitted one, whose inner
+    factor has the larger modulus, in column 0 (on a tie the _z_closed order
+    stands), the transmitted factor, T = min(|lambda_flex|, 1), the stopband
+    test of _pairs, the offsets lambda - a of the inner and outer factors,
+    those of Gamma's two, lambda_flex and the other pair's inner factor,
+    transposed to a first axis of 2, and the mask of the pairs anchored at a
+    = -1 in that layout, with its count n: the swap keeps _pairs' count."""
     kl, parts, roots, n, mod, _, stop = _pairs(fr)
     swap = mod[..., 1] > mod[..., 0]
     swaps = count_true(swap)
@@ -525,6 +533,7 @@ def _transmitted(fr: _Front):
     if n:
         np.copyto(m_in, m_out, where=minus)
     m_in /= outer
+    m_flex = m_in  # Gamma's offsets: lambda_flex's and the other pair's inner one
     out0, lam = outer[..., 0], inner[..., 0]
     band = np.abs(np.abs(out0) - ONE) <= _ON_CIRCLE
     if count_true(band):
@@ -532,7 +541,8 @@ def _transmitted(fr: _Front):
         # the slope is read only at passband points, and may overflow at the others
         outward = band & (lam.imag * _z_slope(fr.sigma, ds, parts, z) > ZERO)
         lam = _pick(outward, out0, lam)
-        np.copyto(m_in[..., 0], m_out[..., 0], where=outward)  # its offset, in place
+        m_flex = m_in.copy()  # m_in stays as it is for the chain
+        np.copyto(m_flex[..., 0], m_out[..., 0], where=outward)
     mod = np.abs(lam)
     over = mod > ONE
     if count_true(over):  # keep |lambda| <= 1 against rounding; its offset stays the root's
@@ -540,19 +550,14 @@ def _transmitted(fr: _Front):
         mod = np.abs(lam)
         if count_true(mod > ONE):
             mod = np.minimum(mod, ONE)
-    return kl, z, outer, inner, lam, mod, stop, m_in.T, n, minus.T
+    return kl, z, outer, inner, lam, mod, stop, m_in, m_out, m_flex.T, n, minus.T
 
 
 def _reflection(fr: _Front, transmitted):
     """(Gamma, Gamma_e, (w, u, d)) of a front from its _transmitted tuple,
     through two of its factors: lf, the transmitted one, and le, the inner
-    factor of the other pair.  w is translation_phases of kL/2, u = w *
-    _PHASE_RATES the shear response, and d the table lambda - p of both factors,
-    of shape (2, ..., 4), from the offsets lambda - a of _transmitted, with
-    their mask of a = -1 and its count, and p - a: p - 1 is expm1 of kL
-    times the phase rates and p + 1 = w (w + 1/w), with 1/w the half-cell
-    phase of the opposite component, so 2 cos(kL/2) w on the oscillating
-    components 0 and 2.  NumericError where Gamma overflows and below
+    factor of the other pair.  (w, u, d) is _offset_table of their offsets,
+    d of shape (2, ..., 4).  NumericError where Gamma overflows and below
     KL_FLOOR.
 
     The interface state [Gamma, Gamma_e, 1, 0] (reflected, reflected
@@ -567,16 +572,7 @@ def _reflection(fr: _Front, transmitted):
     range wherever the roots do; lf = p2 without coupling makes them 0.
     """
     kl, *_, m, n, minus = transmitted
-    rates = kl[..., None] * _PHASE_RATES
-    w = np.exp(rates / _C_TWO)
-    u = w * _PHASE_RATES
-    p1 = np.expm1(rates)
-    d = m[..., None] - p1
-    if n:
-        # the factors anchored at -1, against p + 1, which keeps its digits
-        # where p itself is near -1
-        p_plus = w * (w + w[..., _OPPOSITE])
-        np.subtract(m[..., None], p_plus, out=d, where=minus[..., None])
+    w, u, p1, d = _offset_table(kl, m, minus, n)
     v = d[0, ..., :3] / (p1[..., 3:] - p1[..., :3]) * d[1, ..., :3] / u[..., :3]
     gammas = v[..., 2:] / v[..., :2]
     if fr.s0 is None:
@@ -750,8 +746,8 @@ def semi_infinite_reflection(
 ) -> tuple[complex, complex]:
     """Reflection of a unit propagating wave off an infinite chain of cells.
 
-    Returns (Gamma, Gamma_e), from the closed-form eigenvectors at f itself:
-    they stay finite at band-edge degeneracies, so no frequency is nudged.
+    Returns (Gamma, Gamma_e), a closed form on the offset table at f itself
+    (_reflection), finite at band-edge degeneracies: no frequency is nudged.
     """
     f_row = frequency_row(f, "semi_infinite_reflection")
     with _quiet():
@@ -989,26 +985,29 @@ def chain_profile(
     x_0[2:4] = (1, 0) and x_n[0:2] = 0.  It is the sum of the four Bloch
     modes, x_j = sum_m c_m lambda_m^(j - ref_m) v_m, each referenced at the
     end it decays from: the inner factors (|lambda| <= 1) at boundary 0, the
-    outer ones at boundary n.  The outer coefficients are carried as
-    c' e^rho, rho = n ln|lambda| of the slower inner factor, so every power
-    in the 4x4 system is at most 1 in modulus and no coefficient underflows
-    for any chain length.  ln|x_j[2]| is a log-sum-exp over the modes, which
-    tracks deep decay below the floating-point range.  The decay slope is the
-    least-squares slope over boundaries 0..n-1; the terminal boundary is
-    excluded because the matched exit locally distorts the profile.
+    outer ones at boundary n.  The eigenvectors v_m come from the factors'
+    offset table (_offset_table, _modes), which keeps its digits at small kL.
+    The outer coefficients are carried as c' e^rho, rho = n ln|lambda| of the
+    slower inner factor, so every power in the 4x4 system is at most 1 in
+    modulus and no coefficient underflows for any chain length.  ln|x_j[2]|
+    is a log-sum-exp over the modes, which tracks deep decay below the
+    floating-point range.  The decay slope is the least-squares slope over
+    boundaries 0..n-1; the terminal boundary is excluded because the matched
+    exit locally distorts the profile.
     """
     f_row = frequency_row(f, "chain_profile")
     n = count(n_cells, "chain_profile", "n_cells")
     # the stage, through log 0 of the uncoupled modes at sigma == 0
     with _quiet():
-        kl, _, outer, inner, lam_flex, *_ = _transmitted(
+        kl, _, outer, inner, lam_flex, _, _, m_in, m_out, _, anchored, minus = _transmitted(
             _front(cell._operands, f_row, force_zero_coupling=force_zero_coupling)
         )
         if kl < _KL_FLOOR:  # refused as bloch_point's Gamma is
             raise non_finite_error("Gamma", float(f_row), kl)
-        lam_flex = complex(lam_flex)
         lam = np.concatenate([inner, outer])  # modes: inner, inner, outer, outer
-        v = _eigenvectors(kl, lam)  # (mode, component)
+        m_lam, minus = np.concatenate([m_in, m_out]), np.concatenate([minus, minus])
+        _, u, _, d = _offset_table(kl, m_lam, minus, anchored)  # a pair's members share its anchor
+        v = _modes(u, d)  # (mode, component)
         log_lam = np.log(lam)
         rho = n * float(log_lam[:2].real.max())
         # the powers lambda^(j - ref) at j = 0 and j = n, outer ones times e^rho
@@ -1040,7 +1039,7 @@ def chain_profile(
         n_cells=n,
         magnitudes=np.exp(log_mags),
         fitted_slope=slope,
-        eigen_slope=math.log(abs(lam_flex)) if lam_flex else -math.inf,
+        eigen_slope=math.log(abs(complex(lam_flex))) if lam_flex else -math.inf,
         reflection=complex(v[:, 0] @ (c * at_0)),
         transmission=complex(np.exp(top[n]) * total[n]),
         log_magnitudes=log_mags,

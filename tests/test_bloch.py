@@ -12,7 +12,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from rodwave import (
@@ -36,9 +36,10 @@ from rodwave import (
 )
 from rodwave import bloch, cli, workbench
 from rodwave.bloch import band_gamma_extrema
-from rodwave.errors import NumericError
+from rodwave.errors import ConfigError, NumericError
 from rodwave.rod import _impedance_arrays, _past_top
 from test_arguments import _FREQUENCIES, _PAIRS
+from test_cell import _MATERIAL, _log_uniform
 from test_kernel import _THICKNESS
 
 
@@ -369,10 +370,11 @@ def test_chain_long_cascade_stays_finite(default_cell):
     assert profile.magnitudes[-1] < 1e-12
 
 
-def test_chain_decay_below_underflow_matches_eigen_slope(default_cell):
-    # 7.12 Np/cell over 200 cells decays far below the smallest double; the
-    # slope comes from the accumulated logarithms, not underflowed magnitudes
-    profile = chain_profile(default_cell, 2.006e9, 200)
+def test_chain_decay_below_underflow_matches_eigen_slope(default_cell, deepest_stop_f):
+    # more than 7 Np a cell over 200 cells decays far below the smallest
+    # double; the slope comes from the accumulated logarithms, not underflowed
+    # magnitudes
+    profile = chain_profile(default_cell, deepest_stop_f, 200)
     assert profile.eigen_slope < -7.0
     assert np.all(np.isfinite(profile.log_magnitudes))
     assert profile.magnitudes[-1] == 0.0
@@ -461,13 +463,14 @@ def _fabricated_cells(config, seed, count):
 
 
 @pytest.mark.parametrize(
-    "case", ["rod pole", "2.006 GHz", "fabricated 0", "fabricated 1", "fabricated 2"]
+    "case", ["rod pole", "deepest stop", "fabricated 0", "fabricated 1", "fabricated 2"]
 )
-def test_chain_matches_mpmath(default_config, default_cell, case):
-    # 200 cells: 175 Np at the rod pole, 1424 Np at 2.006 GHz, terminal boundary included
+def test_chain_matches_mpmath(default_config, default_cell, deepest_stop_f, case):
+    # 200 cells: 175 Np at the rod pole, 1424 Np at the deepest stopband point
+    # of the default sweep (2.0067 GHz), terminal boundary included
     cells = {
         "rod pole": (default_cell, default_cell.rod.first_pole),
-        "2.006 GHz": (default_cell, 2.006e9),
+        "deepest stop": (default_cell, deepest_stop_f),
     }
     cells.update(
         (f"fabricated {i}", pair) for i, pair in enumerate(_fabricated_cells(default_config, 8, 3))
@@ -475,8 +478,8 @@ def test_chain_matches_mpmath(default_config, default_cell, case):
     log_err, reflection_err, transmission_err = _chain_error(*cells[case], 200)
     assert log_err <= 1e-7
     assert reflection_err <= 1e-10
-    # at 2.006 GHz x_n[2] is e^-1424, below the float range: its log is checked
-    if case == "2.006 GHz":
+    # at the deepest stop x_n[2] is e^-1424, below the float range: its log is checked
+    if case == "deepest stop":
         assert transmission_err is None
     else:
         assert transmission_err <= 1e-7
@@ -484,8 +487,8 @@ def test_chain_matches_mpmath(default_config, default_cell, case):
 
 def test_chain_at_band_edges_matches_mpmath(default_config, default_cell):
     # the two modes of the flexural pair coalesce at an edge, so the mode
-    # basis is ill-conditioned there: measured worst 2.6e-8 in ln|x|, 1.0e-8
-    # in the reflection and 2.8e-8 in the transmission on 60 cells
+    # basis is ill-conditioned there: measured worst 1.5e-11 in ln|x|, 1.6e-12
+    # in the reflection and 1.6e-11 in the transmission on 60 cells
     sw = default_config.sweep
     report = stopband_report(sweep(default_cell, sw.f_start, sw.f_stop, sw.points), default_cell)
     edges = [f for band in report.bands for f in (band.f_low, band.f_high)]
@@ -498,6 +501,61 @@ def test_chain_at_band_edges_matches_mpmath(default_config, default_cell):
             assert log_err <= 1e-7, (edge, offset)
             assert reflection_err <= 1e-7, (edge, offset)
             assert transmission_err <= 1e-7, (edge, offset)
+
+
+@pytest.mark.parametrize("f", [1e-10, 1e-6, 1e-3, 0.1, 1.0])
+def test_chain_keeps_its_digits_below_the_small_kl_floor(default_cell, monkeypatch, f):
+    """With the floor lifted in this test alone (the stage reads the constant
+    _KL_FLOOR), the 200-cell chain's reflection is within eps / kL of mpmath
+    relative to its own size, about kL, and ln|x_j| and the transmission
+    within 1e-13.  The modes read the offset table: measured worst 0.26 eps /
+    kL (at 1e-6 Hz); with lambda - p formed from lambda itself, 9.1 eps / kL
+    there and 11 at 1 Hz."""
+    monkeypatch.setattr(bloch, "_KL_FLOOR", np.float64(0.0))
+    point = bloch_point(default_cell, f, with_gamma=False)
+    kl = point.k * default_cell.cell_length
+    logs, reflection, transmission = _mp_chain(kl, point.sigma, 200, 60 + int(-8 * math.log10(kl)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = chain_profile(default_cell, f, 200)
+    reflection, transmission = complex(reflection), complex(transmission)
+    assert abs(profile.reflection - reflection) <= np.finfo(float).eps / kl * abs(reflection)
+    assert np.max(np.abs(profile.log_magnitudes - logs)) <= 1e-13
+    assert abs(profile.transmission - transmission) <= 1e-13 * abs(transmission)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    materials=st.fixed_dictionaries({name: _MATERIAL for name in ("AlN", "Al", "Pt")}),
+    layers=st.fixed_dictionaries(
+        {name: _log_uniform(1, 1e5) for name in ("t_aln1_nm", "t_m1_nm", "t_aln2_nm", "t_m2_nm")}
+    ),
+    L_um=_log_uniform(0.1, 300),
+    a_frac=st.floats(0, 1, exclude_min=True, exclude_max=True),
+    f=st.floats(0.1e9, 6e9),
+    n=st.integers(20, 40),
+)
+def test_chain_matches_mpmath_over_the_accepted_config_space(materials, layers, L_um, a_frac, f, n):
+    """The chain against the mpmath oracle at the band-edge bounds, 1e-7 in
+    ln|x_j|, the reflection and the transmission, on drawn materials,
+    layers, L, a < L and f; a NumericError is the loud outcome the model
+    allows where kL leaves the kernel's range."""
+    try:
+        cell = unit_cell(parse_config({
+            "materials": materials,
+            "geometry": dict(layers, L_um=L_um, a_um=a_frac * L_um),
+        }))
+    except ConfigError:  # a_frac * L_um rounded to 0 or to L_um: not an accepted config
+        assume(False)
+    try:
+        log_err, reflection_err, transmission_err = _chain_error(cell, f, n)
+    except NumericError:
+        event("NumericError")
+        return
+    event("transmission below the float range" if transmission_err is None else "transmission")
+    assert log_err <= 1e-7
+    assert reflection_err <= 1e-7
+    assert transmission_err is None or transmission_err <= 1e-7
 
 
 def test_field_profile_zero_coupling_unit_wave(default_cell):
@@ -688,8 +746,8 @@ def test_only_the_chain_builds_eigenvectors(default_cell, monkeypatch, f):
     # Gamma and the eigen-check are closed forms in the Bloch factors; the
     # finite chain solves for its four modes' coefficients on their eigenvectors
     calls = []
-    build = bloch._eigenvectors
-    monkeypatch.setattr(bloch, "_eigenvectors", lambda *args: calls.append(1) or build(*args))
+    build = bloch._modes
+    monkeypatch.setattr(bloch, "_modes", lambda *args: calls.append(1) or build(*args))
     runs = {
         "bloch_point": (lambda: bloch_point(default_cell, f), 0),
         "semi_infinite_reflection": (lambda: semi_infinite_reflection(default_cell, f), 0),

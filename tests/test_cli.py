@@ -218,16 +218,19 @@ def test_chain_csv(tmp_path):
     assert mags[-1] < 0.1  # 2.3 GHz lies inside the principal stopband
 
 
-def test_chain_csv_log_column_below_underflow(tmp_path):
-    # 7.12 Np/cell over 200 cells: the magnitudes underflow to 0 but the
-    # log10 column keeps falling by the per-cell decay
+def test_chain_csv_log_column_below_underflow(tmp_path, default_cell, deepest_stop_f):
+    # more than 7 Np a cell over 200 cells at the deepest stopband point of the
+    # default sweep: the magnitudes underflow to 0 but the log10 column keeps
+    # falling by the per-cell decay
     cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
-    assert main(["chain", "--config", str(cfg), "--freq", "2.006e9", "--cells", "200"]) == 0
+    freq = repr(deepest_stop_f)
+    assert main(["chain", "--config", str(cfg), "--freq", freq, "--cells", "200"]) == 0
     _, _, rows = read_csv(tmp_path / "out" / "chain.csv")
     assert float(rows[-1][1]) == 0.0
     log10 = [float(r[2]) for r in rows]
     per_cell = (log10[150] - log10[50]) / 100
-    assert per_cell == pytest.approx(-7.12 / math.log(10), rel=0.02)
+    decay = math.log(rodwave.bloch_point(default_cell, deepest_stop_f).t_coeff)
+    assert per_cell == pytest.approx(decay / math.log(10), rel=0.02)
 
 
 def test_chain_below_the_small_kl_floor_exits_3(tmp_path, capsys):

@@ -20,7 +20,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from rodwave import bloch, bloch_point, flexural_wavevector, parse_config, sweep, unit_cell
-from rodwave.cell import _PHASE_RATES, forcing_arrays
+from rodwave.cell import _PHASE_RATES, forcing_arrays, translation_phases
 
 _FLIPPED_SIGN = pytest.mark.xfail(
     strict=True, raises=AssertionError, reason="sign of the rod's reaction, ROADMAP item 1"
@@ -101,8 +101,11 @@ def _mode_flux(kl, lam):
     """Im(w'' conj w' - w''' conj w) / k^3 of the Bloch mode of each factor lam
     at the cell edge, in a uniform span: the mode's energy flux toward +x up to
     a positive factor.  w^(n) / k^n sums the eigenvector's amplitudes times the
-    n-th power of their phase rates (-i, 1, i, -1)."""
-    v = bloch._eigenvectors(kl, lam)
+    n-th power of their phase rates (-i, 1, i, -1).  The eigenvector is the
+    closed form (lam - p)^-1 u, u = w * (-i, 1, i, -1), of p and the half-cell
+    phases w (README); its scale leaves the sign of the flux as it is."""
+    p, w = translation_phases(np.array([kl, kl / 2]))
+    v = w * _PHASE_RATES / (lam[..., None] - p)
     w0, w1, w2, w3 = (np.sum(v * _PHASE_RATES**n, axis=-1) for n in range(4))
     return (w2 * w1.conj() - w3 * w0.conj()).imag
 
