@@ -24,7 +24,8 @@ the least attenuated one: the pair whose |lambda| <= 1 member has the larger
 modulus (Mead, J. Sound Vib. 27(2), 1973).  Its factor with |lambda| <= 1
 gives the transmission T = |lambda| per cell and the effective wavevector
 k_ef = ln(lambda)/(iL); a point is in a stopband when no factor lies on the
-unit circle.  In a passband the direction is fixed by limiting absorption:
+unit circle, which the signs of the roots decide, with no tolerance (_pairs).
+In a passband the direction is fixed by limiting absorption:
 the transmitted factor is the member of the unit-modulus pair whose modulus
 shrinks under omega -> omega (1 + i eps), eps -> 0+.  To first order that is
 the member with Im(lambda) dy/domega < 0, and dy/domega follows from the
@@ -118,7 +119,6 @@ from .errors import (
 )
 from .trench import flexural_wavevectors
 
-TOL_BAND = 1e-6  # in_stopband when 1 - |lambda_flex| exceeds this
 EDGE_REFINE_HZ = 1e3  # band edges bisected down to this resolution
 MARKER_MIN_REAL = 0.98  # smallest in-band max(Re Gamma) that counts as a marker
 _INTERIOR_SAMPLES = 17  # uniform in-band samples of _gamma_extrema
@@ -133,9 +133,7 @@ _ITER_ROWS = 256  # the rows of a Sweep converted to Python values at a time
 KL_FLOOR = 2e-4
 # the stage's ufunc operands (errors.constant), complex ones beside complex arrays
 _C_ZERO, _C_ONE, _C_TWO, _C_FOUR = (constant(x, complex) for x in (0, 1, 2, 4))
-_STOP_BELOW, _ON_CIRCLE, _COMPLEX_BAND_TOL, _KL_FLOOR = map(
-    constant, (1.0 - TOL_BAND, 1e-8, 1e-9, KL_FLOOR)
-)
+_KL_FLOOR = constant(KL_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -162,9 +160,9 @@ class BlochPoint:
     # the worse backward error ||T v - lambda v|| / (||T||_F ||v||) of the two
     # eigenpairs behind Gamma, ~1e-16; 0.0 when evaluated without Gamma
     reciprocity_defect: float
-    # True on the narrow in-gap segments where the two reciprocal pairs
-    # collide into a complex quadruplet (hybridized decaying branches); there
-    # Re(k_ef) L leaves the {0, pi} rays while Im(k_ef) stays positive.
+    # True where the roots y are a complex pair (disc^2 < 0): the narrow in-gap
+    # segments where the two reciprocal pairs collide into a complex quadruplet;
+    # there Re(k_ef) L leaves the {0, pi} rays while Im(k_ef) stays positive.
     complex_band: bool = False
 
 
@@ -304,12 +302,12 @@ def _formula_roots(sv, qv, d, pair):
 
 
 def _z_closed(parts, s):
-    """(z, v, minus, n): the closed-form roots in z = y - 2, ((sz + disc)/2,
-    (sz - disc)/2), stacked on a new first axis; each root as v = y - 2a
-    from its anchor a, -1 where Re y < 0 and +1 elsewhere, so z where a = 1
-    and x = y + 2 where a = -1; the mask minus of the roots anchored at -1,
-    and its count n.  v is z itself where n is 0, else a new array: z is
-    never written.
+    """(z, v, minus, n, pair): the closed-form roots in z = y - 2, ((sz +
+    disc)/2, (sz - disc)/2), stacked on a new first axis; each root as v =
+    y - 2a from its anchor a, -1 where Re y < 0 and +1 elsewhere, so z where
+    a = 1 and x = y + 2 where a = -1; the mask minus of the roots anchored
+    at -1 and its count n; the mask pair of complex pairs, disc^2 < 0.  v
+    is z itself where n is 0, else a new array: z is never written.
 
     With y = z + 2 the quadratic is z^2 - sz z + Q(2) = 0, sz = su - 4 and
     Q(2) = q = 4 - 2 su + pr, whose coefficients (_z_parts) are free of the
@@ -332,7 +330,7 @@ def _z_closed(parts, s):
     minus = z.real < -TWO
     n = count_true(minus)
     if not n:
-        return z, z, minus, n
+        return z, z, minus, n, pair
     del sz, q, disc2  # else held through the x pass, which would set a chunk's peak
     c = np.cos(half)
     c2, ch2 = c * c, ONE + sh2
@@ -341,7 +339,7 @@ def _z_closed(parts, s):
     v = _formula_roots(sx, qx, d, pair)
     if n < minus.size:
         np.copyto(v, z, where=~minus)
-    return z, v, minus, n
+    return z, v, minus, n, pair
 
 
 def _lambda_pairs(v, minus, n):
@@ -485,18 +483,25 @@ def _pick(mask, new, old):
 
 
 def _pairs(fr: _Front):
-    """(kL, parts, roots, n, |inner|, T, in_stopband): _z_parts of kL, the
-    roots (z, outer, inner, outer - a, minus) of _z_closed and _lambda_pairs,
-    each (..., 2) in _z_closed order, with the mask minus of the factors
-    whose anchor a is -1, its count n, T = min(|inner|, 1) of the
-    least-attenuated pair and the stopband test.
+    """(kL, parts, roots, n, |inner|, pair, T, in_stopband): _z_parts of kL,
+    the roots (z, outer, inner, outer - a, minus) of _z_closed and
+    _lambda_pairs, each (..., 2) in _z_closed order, with the mask minus of
+    the factors whose anchor a is -1, its count n, _z_closed's mask pair,
+    T = min(|inner|, 1) of the least-attenuated pair and the stopband mask.
     NumericError where the roots overflow, which _quiet leaves to this check.
-    The test needs no passband direction: that picks a member on the unit
-    circle, where T >= 1 - 1e-8.
+    The mask is signs: a factor is on the unit circle iff its pair is real and
+    a v <= 0, v = y - 2a its anchored root; no T, no passband direction.
     """
     kl = fr.k * fr.L
     parts = _z_parts(kl)
-    z, v, minus, n = _z_closed(parts, fr.sigma)
+    z, v, minus, n, pair = _z_closed(parts, fr.sigma)
+    # a v > 0, y outside [-2, 2], per root: v > 0 where a = 1, v < 0 where a = -1
+    r = v.real
+    r0, r1 = r[0], r[1]
+    off0, off1 = r0 > ZERO, r1 > ZERO
+    if n:  # where a = -1, v < 0 is v > 0 flipped where v != 0
+        off0, off1 = off0 ^ (minus[0] & (r0 != ZERO)), off1 ^ (minus[1] & (r1 != ZERO))
+    stop = pair | (off0 & off1)
     roots = (z.T, *_lambda_pairs(v.T, minus.T, n), minus.T)
     del v  # the x roots' array where n > 0, not read again
     _require_finite(fr.f, kl, roots[1], "Bloch roots")
@@ -504,19 +509,19 @@ def _pairs(fr: _Front):
     t = np.maximum(mod[..., 0], mod[..., 1])
     if count_true(t > ONE):  # only where rounding lifts |inner| past 1
         t = np.minimum(t, ONE)
-    return kl, parts, roots, n, mod, t, t < _STOP_BELOW
+    return kl, parts, roots, n, mod, pair, t, stop
 
 
 def _transmitted(fr: _Front):
-    """(kL, z, outer, inner, lambda_flex, T, in_stopband, m_in, m_out, offsets,
-    n, minus): the pairs of _pairs with the transmitted one, whose inner
-    factor has the larger modulus, in column 0 (on a tie the _z_closed order
-    stands), the transmitted factor, T = min(|lambda_flex|, 1), the stopband
-    test of _pairs, the offsets lambda - a of the inner and outer factors,
+    """(kL, z, outer, inner, lambda_flex, T, in_stopband, pair, m_in, m_out,
+    offsets, n, minus): the pairs of _pairs with the transmitted one, whose
+    inner factor has the larger modulus, in column 0 (on a tie the _z_closed
+    order stands), the transmitted factor, T = min(|lambda_flex|, 1), the
+    masks of _pairs, the offsets lambda - a of the inner and outer factors,
     those of Gamma's two, lambda_flex and the other pair's inner factor,
     transposed to a first axis of 2, and the mask of the pairs anchored at a
     = -1 in that layout, with its count n: the swap keeps _pairs' count."""
-    kl, parts, roots, n, mod, _, stop = _pairs(fr)
+    kl, parts, roots, n, mod, pair, _, stop = _pairs(fr)
     swap = mod[..., 1] > mod[..., 0]
     swaps = count_true(swap)
     if swaps == swap.size:  # at every point: the columns reversed, as views
@@ -525,22 +530,24 @@ def _transmitted(fr: _Front):
         swap = swap[..., None]
         roots = (np.where(swap, x[..., ::-1], x) for x in roots)
     z, outer, inner, m_out, minus = roots
-    # stopband: the decaying member; passband: the member whose modulus shrinks
-    # under omega -> omega (1 + i eps), to first order the one with
-    # Im(lambda) dy/domega < 0; where that product is 0 (lambda = +-1, or a
-    # flat y) the inner member stays; inner - a = -a (outer - a) / outer
+    # stopband: the decaying member; passband (a factor on the unit circle, so
+    # the transmitted pair's): the member whose modulus shrinks under omega ->
+    # omega (1 + i eps), to first order the one with Im(lambda) dy/domega < 0;
+    # where that product is 0 (lambda = +-1, or a flat y) the inner member
+    # stays; inner - a = -a (outer - a) / outer
     m_in = -m_out
     if n:
         np.copyto(m_in, m_out, where=minus)
     m_in /= outer
     m_flex = m_in  # Gamma's offsets: lambda_flex's and the other pair's inner one
-    out0, lam = outer[..., 0], inner[..., 0]
-    band = np.abs(np.abs(out0) - ONE) <= _ON_CIRCLE
-    if count_true(band):
+    lam = inner[..., 0]
+    passing = stop.size - count_true(stop)  # the passband points
+    if passing:
         ds = ZERO if fr.s0 is None else sigma_slope_arrays(fr.sigma, fr.s0, fr.phase)
-        # the slope is read only at passband points, and may overflow at the others
-        outward = band & (lam.imag * _z_slope(fr.sigma, ds, parts, z) > ZERO)
-        lam = _pick(outward, out0, lam)
+        outward = lam.imag * _z_slope(fr.sigma, ds, parts, z) > ZERO
+        if passing < stop.size:  # the slope may overflow at the stopband points
+            outward = outward & ~stop
+        lam = _pick(outward, outer[..., 0], lam)
         m_flex = m_in.copy()  # m_in stays as it is for the chain
         np.copyto(m_flex[..., 0], m_out[..., 0], where=outward)
     mod = np.abs(lam)
@@ -550,7 +557,7 @@ def _transmitted(fr: _Front):
         mod = np.abs(lam)
         if count_true(mod > ONE):
             mod = np.minimum(mod, ONE)
-    return kl, z, outer, inner, lam, mod, stop, m_in, m_out, m_flex.T, n, minus.T
+    return kl, z, outer, inner, lam, mod, stop, pair, m_in, m_out, m_flex.T, n, minus.T
 
 
 def _reflection(fr: _Front, transmitted):
@@ -641,7 +648,7 @@ def _columns(
         fr = _front(cell._operands, f, force_zero_coupling=force_zero_coupling)
         transmitted = _transmitted(fr)
         reflection = _reflection(fr, transmitted) if with_gamma else None
-    kl, z, outer, inner, lam, t, stop, *_ = transmitted
+    kl, _, outer, inner, lam, t, stop, complex_band, *_ = transmitted
     if reflection is None:
         gamma = gamma_e = np.zeros(t.shape, dtype=complex)
         defect = phase = np.zeros(t.shape)
@@ -657,12 +664,6 @@ def _columns(
     # re + 1j * im would turn into +0.0.  t > 0, as outer is finite
     k_ef = np.zeros(t.shape, dtype=complex)
     k_ef.imag = -np.log(t) / fr.L
-    # |Im y| > tol max(1, |y|) of the transmitted root y = z + 2
-    z_tr = z[..., 0]
-    im = np.abs(z_tr.imag)
-    complex_band = im > _COMPLEX_BAND_TOL
-    if count_true(complex_band):  # the relative test only where the absolute one holds
-        complex_band = complex_band & (im > _COMPLEX_BAND_TOL * np.abs(z_tr + TWO))
     return (
         f, eigenvalues.reshape(-1, 4), lam, t, ONE - t, k_ef, gamma, gamma_e, phase, stop,
         fr.k, fr.sigma, defect, complex_band,
@@ -999,7 +1000,7 @@ def chain_profile(
     n = count(n_cells, "chain_profile", "n_cells")
     # the stage, through log 0 of the uncoupled modes at sigma == 0
     with _quiet():
-        kl, _, outer, inner, lam_flex, _, _, m_in, m_out, _, anchored, minus = _transmitted(
+        kl, _, outer, inner, lam_flex, _, _, _, m_in, m_out, _, anchored, minus = _transmitted(
             _front(cell._operands, f_row, force_zero_coupling=force_zero_coupling)
         )
         if kl < _KL_FLOOR:  # refused as bloch_point's Gamma is

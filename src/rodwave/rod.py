@@ -106,9 +106,7 @@ def _pole_impedance(rod: RodModel, f: np.ndarray, omega: np.ndarray):
     warning (np.errstate) before it.
     """
     first, spacing = rod.first_pole, rod.first_zero  # poles are first_zero apart
-    n = np.rint((f - first) / spacing)
-    if count_true(n < ZERO):  # -1 only by rounding near f = 0, as first = spacing / 2
-        n = np.maximum(n, ZERO)
+    n = np.rint((f - first) / spacing)  # >= -0.0 at f >= 0, as first is spacing / 2 exactly
     distance = np.abs(f - (first + n * spacing))
     arg = omega / rod.velocity * rod.height
     try:

@@ -1,19 +1,26 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rodwave
-from rodwave import cli
+from rodwave import ConfigError, cli, parse_config
 from rodwave.cli import main
+from rodwave.config import GEOM_PARAMETERS
 
 
 def write_config(tmp_path, doc):
@@ -930,3 +937,90 @@ def test_quiet_sweep_does_not_count_thin_beam_strain(small_config, tmp_path, cap
     monkeypatch.setattr(rodwave.workbench, "flexural_wavevectors", refuse)
     assert main(["sweep", "--config", str(small_config)]) == 0
     assert "rodwave.workbench" not in capsys.readouterr().err
+
+
+def _log_uniform(lo_exp, hi_exp):
+    """Floats 10**e, e uniform over [lo_exp, hi_exp]."""
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+def _increasing(values):
+    """Pairs (lo, hi), lo < hi, of two draws of values: equal draws, which
+    parse_config refuses as a rod width or a sweep, are drawn again."""
+    return st.tuples(values, values).map(sorted).filter(lambda pair: pair[0] < pair[1])
+
+
+_LENGTH_M = _log_uniform(-9.0, -3.0)  # 1 nm - 1 mm
+
+
+@st.composite
+def _drawn_documents(draw):
+    """A config document over the accepted space: every length log-uniform
+    over 1 nm-1 mm (the rod width the smaller and the pitch the larger of two
+    draws), moduli over 1e6-1e14 Pa and densities over 1-1e5 kg/m^3, both
+    log-uniform, the sweep bounds log-uniform over 1 mHz-1e12 Hz, at most 200
+    points and a geometry sweep of at most 5 steps."""
+    a, L = draw(_increasing(_LENGTH_M))
+    geometry = {"a_m": a, "L_m": L}
+    geometry.update({f"{base}_m": draw(_LENGTH_M) for base in GEOM_PARAMETERS[2:]})
+    materials = {
+        name: {"youngs_modulus_pa": draw(_log_uniform(6.0, 14.0)),
+               "density_kg_m3": draw(_log_uniform(0.0, 5.0))}
+        for name in ("AlN", "Al", "Pt")
+    }
+    f_start, f_stop = draw(_increasing(_log_uniform(-3.0, 12.0)))
+    return {
+        "materials": materials,
+        "geometry": geometry,
+        "sweep": {"f_start_hz": f_start, "f_stop_hz": f_stop,
+                  "points": draw(st.integers(2, 200))},
+        "geometry_sweep": {"parameter": draw(st.sampled_from(GEOM_PARAMETERS)),
+                           "from_m": draw(_LENGTH_M), "to_m": draw(_LENGTH_M),
+                           "steps": draw(st.integers(1, 5))},
+    }
+
+
+_OUTPUTS = {"sweep": ("sweep.csv", "stopbands.csv"), "geom-sweep": ("geomsweep.csv",)}
+# what an exit-2 or exit-3 message names: a JSON key, a frequency or a geometry step
+_NAMED = re.compile(
+    r"\b(?:materials|geometry|sweep|geometry_sweep|output)\.\w|\bf=\S|geometry step \w+="
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc=_drawn_documents())
+def test_every_accepted_config_writes_finite_csvs_or_exits_with_one_named_line(doc):
+    """The CLI contract over drawn configs: each one that parse_config accepts
+    runs `sweep` and `geom-sweep` in process, with warnings as errors, and
+    each run, in under 10 s, either exits 0 with finite CSVs and nothing on
+    stderr, or exits 2 or 3 with one line, `config error: ...` or `numeric
+    failure: ...`, that names the key, the frequency (f=) or the geometry
+    step, and no traceback."""
+    try:
+        parse_config(doc)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(dict(doc, output={"dir": str(out)})))
+        for command, names in _OUTPUTS.items():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error")
+                code = main([command, "--config", str(cfg)])
+            elapsed = time.perf_counter() - start
+            err = stderr.getvalue()
+            assert elapsed < 10.0, (command, elapsed)
+            if code == 0:
+                assert err == "", (command, err)
+                for name in names:
+                    _, _, rows = read_csv(out / name)
+                    assert all(math.isfinite(float(x)) for row in rows for x in row), name
+                continue
+            prefix = {2: "config error: ", 3: "numeric failure: "}.get(code)
+            assert prefix and err.startswith(prefix), (command, code, err)
+            assert err.count("\n") == 1 and err.endswith("\n"), (command, err)
+            assert _NAMED.search(err), (command, err)

@@ -108,9 +108,11 @@ def test_transmitted_pair_is_the_least_attenuated(random_draw):
 
 def test_stopband_test_needs_no_passband_direction():
     """The stopband test of _pairs, made before any passband direction, is bit
-    for bit the table's mask and the test on its t_coeff, and its T is the
-    table's t_coeff at every stopband point: 20 seeded cells at 500
-    frequencies each, 1 MHz-20 GHz, and at each cell's exact rod poles."""
+    for bit the table's mask and the test T < 1 - 1e-6 on its t_coeff (away
+    from that test's dead zone at the edges, which no point here falls in),
+    and its T is the table's t_coeff at every stopband point: 20 seeded cells
+    at 500 frequencies each, 1 MHz-20 GHz, and at each cell's exact rod
+    poles."""
     rng = np.random.default_rng(2525)
     counts = np.zeros(2, dtype=int)
     for cell in _random_cells(rng, 20):
@@ -119,10 +121,61 @@ def test_stopband_test_needs_no_passband_direction():
         t, stop = bloch._pairs(bloch._front(cell._operands, f))[-2:]
         table = bloch.Sweep(*bloch._columns(cell, f, with_gamma=False))
         assert stop.tobytes() == table.in_stopband.tobytes()
-        assert stop.tobytes() == (table.t_coeff < 1.0 - bloch.TOL_BAND).tobytes()
+        assert stop.tobytes() == (table.t_coeff < 1.0 - 1e-6).tobytes()
         assert t[stop].tobytes() == table.t_coeff[stop].tobytes()
         counts += np.count_nonzero(stop), np.count_nonzero(~stop)
     assert counts.min() > 1000, counts
+
+
+def _edges_at(cell, anchor):
+    """The first band edge of cell's 0.1-6 GHz report where a root y meets
+    anchor (+2 or -2), bisected on the stopband mask to adjacent floats:
+    (stopband end, passband end)."""
+    report = stopband_report(sweep(cell, 0.1e9, 6e9, 2000), cell)
+    for edge in (e for band in report.bands for e in (band.f_low, band.f_high)):
+        with bloch._quiet():
+            y = bloch._pairs(bloch._front(cell._operands, frequency_row(edge, "test")))[2][0] + 2
+        if np.abs(y - anchor).min() < 1e-3:
+            break
+    else:
+        pytest.fail(f"no edge at y = {anchor}")
+    lo, hi = edge - bloch.EDGE_REFINE_HZ, edge + bloch.EDGE_REFINE_HZ
+    stop_lo = bloch_point(cell, lo, with_gamma=False).in_stopband
+    assert bloch_point(cell, hi, with_gamma=False).in_stopband != stop_lo
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if bloch_point(cell, mid, with_gamma=False).in_stopband == stop_lo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi) if stop_lo else (hi, lo)
+
+
+@pytest.mark.parametrize("anchor", [2, -2])
+@pytest.mark.parametrize("L_um", [3.8, 1.0])
+def test_stopband_mask_holds_to_the_edge_where_the_root_leaves_the_circle(L_um, anchor):
+    """The stopband test has no dead zone at a band edge: at 17 points 1e-15
+    to 1e-11 relative into the stopband side of an edge bisected to adjacent
+    floats, where the root y crosses +2 or -2, every point is a stopband
+    point with T < 1, and a 50-digit root of the quadratic at the point's kL
+    and sigma lies outside [-2, 2] wherever it is farther than 1e-13
+    relative from the edge.  Some of the points have T > 1 - 1e-6, which a
+    test on T with that tolerance calls passband."""
+    cell = unit_cell(parse_config({"geometry": {"L_um": L_um, "a_um": L_um / 2}}))
+    stop_end, pass_end = _edges_at(cell, anchor)
+    side = 1.0 if stop_end > pass_end else -1.0
+    near_one = checked = 0
+    for r in np.logspace(-15, -11, 17).tolist():
+        point = bloch_point(cell, stop_end * (1.0 + side * r), with_gamma=False)
+        assert point.in_stopband and point.t_coeff < 1.0, (r, point.t_coeff)
+        near_one += point.t_coeff > 1.0 - 1e-6
+        kl = point.k * cell.cell_length
+        with mpmath.workdps(_mp_digits(kl)):
+            y = min(_mp_roots(kl, point.sigma), key=lambda y: abs(y - anchor))
+            if abs(y - anchor) > 1e-13 * 2:
+                checked += 1
+                assert mpmath.im(y) != 0 or abs(mpmath.re(y)) > 2, (r, y)
+    assert near_one > 0 and checked > 0, (near_one, checked)
 
 
 def _mp_shrinks(kl, sigma, arg, lam):
@@ -219,7 +272,7 @@ def test_closed_form_roots_match_mpmath(random_draw):
     draws; the worst error measured is 1.2e-12, at kL = 177, where Q(-2) is
     a difference of terms of size e^kL."""
     kl, sigma = random_draw
-    z, v, minus, _ = bloch._z_closed(bloch._z_parts(kl), sigma)
+    z, v, minus, _, _ = bloch._z_closed(bloch._z_parts(kl), sigma)
     assert 0 < np.count_nonzero(minus) < minus.size
     assert v[~minus].tobytes() == z[~minus].tobytes()
     worst = [0.0, 0.0]

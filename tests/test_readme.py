@@ -61,3 +61,17 @@ def test_every_named_timing_file_exists_and_parses():
     assert {"BENCH_28.json", "BENCH_32.json", "BENCH_36.json"} <= names
     for name in sorted(names):
         assert isinstance(json.loads((root / name).read_text()), dict), name
+
+
+def test_every_all_caps_name_is_a_module_level_name():
+    """Every all-caps identifier with an underscore inside a backticked span
+    (BENCH_<n>, a timing file, aside) is a module-level name of some rodwave
+    module, so a deleted constant cannot linger in the text."""
+    modules = [importlib.import_module(f"rodwave.{m.name}")
+               for m in pkgutil.iter_modules(rodwave.__path__)]
+    names = {name for span in re.findall(r"`([^`\n]+)`", README)
+             for name in re.findall(r"\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b", span)
+             if not re.fullmatch(r"BENCH_\d+", name)}
+    assert {"EDGE_REFINE_HZ", "KL_FLOOR", "SIGMA_CLAMP"} <= names
+    missing = sorted(name for name in names if not any(hasattr(m, name) for m in modules))
+    assert not missing
